@@ -8,7 +8,6 @@ error, 4 numerical failure; the last log line of a failed run is
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -17,7 +16,7 @@ import numpy as np
 from . import meshout, wave
 from .config import parse_config
 from .errors import ConfigParseError, ConfigValidationError, NumericalFailure
-from .grid import PeriodicGrid, format_float, load_field, save_field, zero_field
+from .grid import PeriodicGrid, format_float, load_field, save_field, write_rows, zero_field
 from .lax import FrameField, SpectralPoint, frame_orthonormality_report, integrate_frame
 from .solver import newton_solve
 from .surface import build_surface, full_report
@@ -72,14 +71,10 @@ def save_frame(frame, path):
         [str(g.nx), str(g.ny), format_float(g.lx), format_float(g.ly),
          format_float(frame.spectral.theta), str(ex), str(ey)]
     )
-    mat = frame.unitary.reshape(-1, 3, 3)
-    cols = mat.transpose(0, 2, 1).reshape(-1, 9)  # column-major per node
-    flat = np.empty((cols.shape[0], 18))
-    flat[:, 0::2] = cols.real
-    flat[:, 1::2] = cols.imag
-    lines = [head] + [",".join(format_float(v) for v in row) for row in flat]
+    cols = frame.unitary.reshape(-1, 3, 3).transpose(0, 2, 1)  # column-major per node
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + "\n")
+        write_rows(fh, np.ascontiguousarray(cols).reshape(-1, 9).view(float))
 
 
 def load_frame(path, u):

@@ -210,11 +210,26 @@ def format_float(v):
     return format(float(v), ".17g")
 
 
+ROW_BLOCK_FIELDS = 1 << 14
+
+
+def write_rows(fh, values):
+    """Write a 2D float array as text lines, one per row, of comma-separated
+    fields that have the bytes format_float gives them.  Rows are formatted
+    a block of about ROW_BLOCK_FIELDS fields at a time by one %-operation."""
+    arr = np.asarray(values, dtype=float)
+    line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+    rows = max(1, ROW_BLOCK_FIELDS // arr.shape[1])
+    for start in range(0, arr.shape[0], rows):
+        block = arr[start : start + rows]
+        fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def save_field(fld, path):
-    lines = [f"{fld.grid.nx},{fld.grid.ny},{format_float(fld.grid.lx)},{format_float(fld.grid.ly)}"]
-    lines.extend(format_float(v) for v in fld.values.ravel())
+    g = fld.grid
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{g.nx},{g.ny},{format_float(g.lx)},{format_float(g.ly)}\n")
+        write_rows(fh, fld.values.reshape(-1, 1))
 
 
 def load_field(path):

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import DegenerateMetricError
-from .linalg3 import hermitian_inner
 
 SPD_EIG_RATIO = 1e-12
 

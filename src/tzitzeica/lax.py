@@ -24,8 +24,11 @@ Integration marches the first grid row in x and then every column in y, with
 `substeps` RK4 steps per grid cell; coefficient values between nodes come
 from trigonometric interpolation, so within the integrator u is treated as
 the trigonometric interpolant of its samples and all coefficient values are
-exact for that interpolant.  Unitarity drift is a diagnostic and is never
-repaired unless re-unitarization is explicitly requested.
+exact for that interpolant.  An RK4 step is S <- S P with P built from the
+generators alone (Iserles et al., "Lie-group methods", Acta Numerica 2000);
+the march visits cells only, and periodic cells reuse their propagators.
+Unitarity drift is a diagnostic, repaired only on request by the polar
+factor at every cell boundary.
 """
 
 from dataclasses import dataclass, field
@@ -195,49 +198,77 @@ def compatibility_residual(u, spectral, method="fd4"):
 
 
 def _polar(mat):
-    w, _s, vh = np.linalg.svd(mat)
-    return w @ vh
+    """Unitary polar factor of 3x3 matrices stored with the matrix axes first."""
+    w, _s, vh = np.linalg.svd(np.moveaxis(mat, (0, 1), (-2, -1)))
+    return np.moveaxis(w @ vh, (-2, -1), (0, 1))
 
 
-def _rk4_step(state, om0, omh, om1, h):
-    k1 = state @ om0
-    k2 = (state + 0.5 * h * k1) @ omh
-    k3 = (state + 0.5 * h * k2) @ omh
-    k4 = (state + h * k3) @ om1
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _mul3(a, b):
+    """Batched 3x3 product with the matrix axes first, out[i, j] =
+    sum_k a[i, k] b[k, j], as three broadcast multiply-adds over contiguous
+    batch axes."""
+    out = a[:, 0, None] * b[0]
+    out += a[:, 1, None] * b[1]
+    out += a[:, 2, None] * b[2]
+    return out
 
 
-def _march(state, coeffs, builder, lam, h, ncells, m, re_unitarize=False):
-    """RK4-march d S = S W over ncells cells of m substeps each.
+def _cell_propagators(coeffs, builder, lam, h, m):
+    """Propagators C, S_end = S_start C, shape (3, 3, k, ...), of the k cells
+    whose 2*m*k + 1 half-substep samples coeffs = (u, ux, uy) hold along
+    axis 0.  d S = S W is linear, so an RK4 substep is S <- S P with
+    P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S; the m substep
+    propagators of a cell are multiplied pairwise."""
+    hs = h / m
+    w = np.ascontiguousarray(np.moveaxis(builder(*coeffs, lam), (-2, -1), (0, 1)))
+    k1, wh, w1 = w[:, :, 0:-1:2], w[:, :, 1::2], w[:, :, 2::2]
+    k2 = wh + (0.5 * hs) * _mul3(k1, wh)
+    k3 = wh + (0.5 * hs) * _mul3(k2, wh)
+    k4 = w1 + hs * _mul3(k3, w1)
+    prop = (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    prop[[0, 1, 2], [0, 1, 2]] += 1.0
+    prop = prop.reshape((3, 3, -1, m) + prop.shape[3:])
+    while prop.shape[3] > 1:
+        pairs = _mul3(prop[:, :, :, 0:-1:2], prop[:, :, :, 1::2])
+        prop = np.concatenate([pairs, prop[:, :, :, -1:]], axis=3) if prop.shape[3] % 2 else pairs
+    return prop[:, :, :, 0]
 
-    coeffs = (u, ux, uy) arrays indexed by half-substep (2*m*ncells + 1
-    samples along axis 0, remaining axes broadcast against state).  Returns
-    the states at the ncells+1 cell boundaries.
-    """
-    uf, uxf, uyf = coeffs
+
+def _march(state, coeffs, builder, lam, h, m, ncells, re_unitarize=False):
+    """States at the ncells + 1 cell boundaries of d S = S W, m RK4 substeps
+    per cell.  coeffs = (u, ux, uy) hold 2*m*period + 1 half-substep samples
+    along axis 0, the other axes broadcast against the state's batch axes;
+    cell c uses the propagator of cell c % period.  1D coeffs (a single
+    line) build every cell at once, batched coeffs one cell at a time to
+    bound memory.  A state with more columns than the propagators (periodic
+    extension) has column i use propagator column i % n."""
+    period = (coeffs[0].shape[0] - 1) // (2 * m)
+    chunk = period if coeffs[0].ndim == 1 else 1
+    state = np.moveaxis(np.asarray(state, dtype=complex), (-2, -1), (0, 1))
     stored = np.empty((ncells + 1,) + state.shape, dtype=complex)
     stored[0] = state
-    om_right = builder(uf[0], uxf[0], uyf[0], lam)
-    hs = h / m
+    cells = []
     for c in range(ncells):
-        for s in range(m):
-            p = 2 * (c * m + s)
-            om0 = om_right
-            omh = builder(uf[p + 1], uxf[p + 1], uyf[p + 1], lam)
-            om1 = builder(uf[p + 2], uxf[p + 2], uyf[p + 2], lam)
-            state = _rk4_step(state, om0, omh, om1, hs)
-            om_right = om1
-            if re_unitarize:
-                state = _polar(state)
+        k = c % period
+        if k == len(cells):
+            block = tuple(a[2 * m * k : 2 * m * min(k + chunk, period) + 1] for a in coeffs)
+            props = _cell_propagators(block, builder, lam, h, m)
+            cells.extend(props[:, :, i] for i in range(props.shape[2]))
+        prop = cells[k]
+        if prop.shape[2:] != state.shape[2:]:
+            prop = prop[:, :, np.arange(state.shape[2]) % prop.shape[2]]
+        state = _mul3(state, prop)
+        if re_unitarize:
+            state = _polar(state)
         stored[c + 1] = state
-    return stored
+    return np.ascontiguousarray(np.moveaxis(stored, (1, 2), (-2, -1)))
 
 
-def _fine_samples_1d(arrays, m, ncells):
-    """Wrap 1D periodic fine arrays onto 2*m*ncells + 1 half-substep samples."""
-    n = arrays[0].shape[0]
-    idx = np.arange(2 * m * ncells + 1) % n
-    return tuple(a[idx] for a in arrays)
+def _periodic_samples(values, m):
+    """Trigonometric samples of periodic data at every half substep along
+    axis 0, the first repeated at the end: 2*m*n + 1 samples."""
+    fine = trig_upsample(values, 2 * m, axis=0)
+    return np.concatenate([fine, fine[:1]])
 
 
 @dataclass
@@ -332,21 +363,14 @@ def _integrate_rows_then_columns(
 ):
     """Generic core: arrays are (n2, n1) with axis 1 the first march
     direction; returns frames of shape (n2 + e2, n1 + e1, 3, 3)."""
-    n1_tot, n2_tot = n1 + e1, n2 + e2
-    # first row, marched along axis 1
-    row = tuple(
-        trig_upsample(a[0], 2 * m, axis=0) for a in (vals, dx_vals, dy_vals)
-    )
-    row = _fine_samples_1d(row, m, n1_tot - 1)
-    first = _march(u0, row, build1, lam, h1, n1_tot - 1, m, re_unit)
-    # all columns at once, marched along axis 0
-    cols_idx = np.arange(n1_tot) % n1
-    fine_idx = np.arange(2 * m * (n2_tot - 1) + 1) % (2 * m * n2)
-    cols = tuple(
-        trig_upsample(a, 2 * m, axis=0)[np.ix_(fine_idx, cols_idx)]
-        for a in (vals, dx_vals, dy_vals)
-    )
-    return _march(first, cols, build2, lam, h2, n2_tot - 1, m, re_unit)
+    arrays = (vals, dx_vals, dy_vals)
+    # first row, marched along axis 1, every cell propagator in one block
+    row = tuple(_periodic_samples(a[0], m) for a in arrays)
+    first = _march(u0, row, build1, lam, h1, m, n1 + e1 - 1, re_unit)
+    # all columns at once, marched along axis 0 one cell row at a time;
+    # extension column i + n1 reuses the propagators of column i
+    cols = tuple(_periodic_samples(a, m) for a in arrays)
+    return _march(first, cols, build2, lam, h2, m, n2 + e2 - 1, re_unit)
 
 
 def frame_axis_stencil(frame, axis, halfwidth=2):
@@ -365,66 +389,32 @@ def frame_axis_stencil(frame, axis, halfwidth=2):
     ux = ddx(u.values, grid, "spectral")
     uy = ddy(u.values, grid, "spectral")
     if axis == "x":
-        ax, n, h, builder = AXIS_X, grid.nx, grid.hx, frame_coeff_x
-        node_idx = np.arange(grid.nx) * 2 * m
+        ax, h, builder = AXIS_X, grid.hx, frame_coeff_x
     elif axis == "y":
-        ax, n, h, builder = AXIS_Y, grid.ny, grid.hy, frame_coeff_y
-        node_idx = np.arange(grid.ny) * 2 * m
+        ax, h, builder = AXIS_Y, grid.hy, frame_coeff_y
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    fine = [trig_upsample(a, 2 * m, axis=ax) for a in (u.values, ux, uy)]
-    nf = 2 * m * n
 
-    def coeff_at(offset):
-        idx = (node_idx + offset) % nf
-        if ax == AXIS_X:
-            return tuple(a[:, idx] for a in fine)
-        return tuple(a[idx, :] for a in fine)
-
-    hs = h / m
-    frames = {0: frame.base.copy()}
-    for sign in (+1, -1):
-        state = frame.base.copy()
-        for k in range(1, halfwidth + 1):
-            base_off = sign * 2 * (k - 1)
-            c0 = coeff_at(base_off)
-            ch = coeff_at(base_off + sign)
-            c1 = coeff_at(base_off + 2 * sign)
-            om0 = builder(c0[0], c0[1], c0[2], lam)
-            omh = builder(ch[0], ch[1], ch[2], lam)
-            om1 = builder(c1[0], c1[1], c1[2], lam)
-            state = _rk4_step(state, om0, omh, om1, sign * hs)
-            frames[sign * k] = state.copy()
-    offsets = range(-halfwidth, halfwidth + 1)
-    u_samples = [coeff_at(2 * k)[0] for k in offsets]
-    return [frames[k] for k in offsets], u_samples
+    # (u, ux, uy) at half-substep offsets -2*halfwidth..2*halfwidth from
+    # every node, offsets first; one fine array is alive at a time
+    n = u.values.shape[ax]
+    q = np.arange(-2 * halfwidth, 2 * halfwidth + 1)
+    idx = (np.arange(n) * 2 * m + q[:, None]) % (2 * m * n)
+    near = [
+        np.moveaxis(np.take(trig_upsample(a, 2 * m, axis=ax), idx, axis=ax), ax, 0)
+        for a in (u.values, ux, uy)
+    ]
+    # one RK4 substep per cell, marched up and down from the node
+    c = 2 * halfwidth
+    up = _march(frame.base, [a[c:] for a in near], builder, lam, h / m, 1, halfwidth)
+    down = _march(frame.base, [a[c::-1] for a in near], builder, lam, -h / m, 1, halfwidth)
+    u_samples = near[0][::2]
+    return list(down[:0:-1]) + list(up), list(u_samples)
 
 
 # ---------------------------------------------------------------------------
 # psi propagation and the bilinear pairing
 # ---------------------------------------------------------------------------
-
-
-def _march_vec(psi, coeffs, builder, lam, h, ncells, m):
-    uf, uxf, uyf = coeffs
-    stored = np.empty((ncells + 1, 3), dtype=complex)
-    stored[0] = psi
-    mat_right = builder(uf[0], uxf[0], uyf[0], lam)
-    hs = h / m
-    for c in range(ncells):
-        for s in range(m):
-            p = 2 * (c * m + s)
-            m0 = mat_right
-            mh = builder(uf[p + 1], uxf[p + 1], uyf[p + 1], lam)
-            m1 = builder(uf[p + 2], uxf[p + 2], uyf[p + 2], lam)
-            k1 = m0 @ psi
-            k2 = mh @ (psi + 0.5 * hs * k1)
-            k3 = mh @ (psi + 0.5 * hs * k2)
-            k4 = m1 @ (psi + hs * k3)
-            psi = psi + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            mat_right = m1
-        stored[c + 1] = psi
-    return stored
 
 
 def _psi_builder(mode):
@@ -453,13 +443,13 @@ def propagate_psi(u, spectral, psi0, row=0, mode="x", substeps=DEFAULT_SUBSTEPS,
     m = int(substeps)
     ux = ddx(u.values, grid, "spectral")
     uy = ddy(u.values, grid, "spectral")
-    fine = tuple(
-        trig_upsample(a[row], 2 * m, axis=0) for a in (u.values, ux, uy)
-    )
+    coeffs = tuple(_periodic_samples(a[row], m) for a in (u.values, ux, uy))
     ncells = grid.nx * periods
-    coeffs = _fine_samples_1d(fine, m, ncells)
-    psis = _march_vec(np.asarray(psi0, dtype=complex), coeffs, _psi_builder(mode),
-                      spectral.lam, grid.hx, ncells, m)
+    build = _psi_builder(mode)
+    # d psi = M psi is marched as the row vector psi^T: d psi^T = psi^T M^T
+    psis = _march(np.asarray(psi0, dtype=complex)[None, :], coeffs,
+                  lambda *c: np.swapaxes(build(*c), -1, -2),
+                  spectral.lam, grid.hx, m, ncells)[:, 0]
     xs = np.arange(ncells + 1) * grid.hx
     return xs, psis
 

@@ -12,18 +12,15 @@ import json
 
 import numpy as np
 
-from .grid import PeriodicGrid, format_float
+from .grid import PeriodicGrid, format_float, write_rows
 
 COORD_NAMES = ("re1", "im1", "re2", "im2", "re3", "im3")
 
 
 def points_to_r6(points):
-    """(ny, nx, 3) complex -> (ny*nx, 6) real, row-major nodes."""
-    p = np.asarray(points).reshape(-1, 3)
-    out = np.empty((p.shape[0], 6))
-    out[:, 0::2] = p.real
-    out[:, 1::2] = p.imag
-    return out
+    """(ny, nx, 3) complex -> (ny*nx, 6) real, row-major nodes (a view of
+    contiguous complex input)."""
+    return np.ascontiguousarray(points, dtype=complex).reshape(-1, 3).view(float)
 
 
 def r6_to_points(r6, ny, nx):
@@ -36,10 +33,9 @@ def save_mesh(mesh, path):
         [str(mesh.grid.nx), str(mesh.grid.ny)]
         + [format_float(v) for v in (mesh.grid.lx, mesh.grid.ly, mesh.radius)]
     )
-    rows = points_to_r6(mesh.points)
-    lines = [head] + [",".join(format_float(v) for v in row) for row in rows]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + "\n")
+        write_rows(fh, points_to_r6(mesh.points))
 
 
 def load_mesh_points(path):

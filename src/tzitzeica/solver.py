@@ -21,7 +21,6 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from . import grid as gridmod
 from .errors import NewtonDivergenceError, SingularJacobianError
 from .grid import ScalarFieldPeriodic, check_resonance, laplacian
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import invariants as inv
 from .errors import InvalidFrameError
-from .grid import ScalarFieldPeriodic, ddx, ddy
+from .grid import ddx, ddy
 from .lax import frame_axis_stencil, frame_orthonormality_report
 from .linalg3 import hermitian_inner
 
@@ -36,13 +36,7 @@ class SurfaceMesh:
 
 def tangent_analytic(frame, u, radius):
     """Closed-form tangents from the frame columns and the exponent field."""
-    lam = frame.spectral.lam
-    base = frame.base
-    col_l, col_m = base[..., :, 0], base[..., :, 1]
-    scale = radius * np.exp(0.5 * u.values)[..., None]
-    e1 = 1j * scale * (col_m + np.conj(lam) * col_l)
-    e2 = scale * (np.conj(lam) * col_l - col_m)
-    return e1, e2
+    return _tangents_at(frame.base, u.values, frame.spectral.lam, radius)
 
 
 def build_surface(frame, radius, validate=True):

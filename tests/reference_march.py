@@ -1,0 +1,129 @@
+"""Reference marcher: the per-substep RK4 integration of d S = S W.
+
+Every RK4 substep is taken on the state itself, one Python-level step at a
+time, with no propagator products and no reuse of periodic cells.  It is the
+oracle the propagator-form core in tzitzeica.lax is checked against.
+"""
+
+import numpy as np
+
+from tzitzeica.grid import AXIS_X, AXIS_Y, ddx, ddy, trig_upsample
+from tzitzeica.lax import frame_coeff_x, frame_coeff_y, lax_z_matrix, lax_zbar_matrix
+
+
+def rk4_step(state, om0, omh, om1, h):
+    k1 = state @ om0
+    k2 = (state + 0.5 * h * k1) @ omh
+    k3 = (state + 0.5 * h * k2) @ omh
+    k4 = (state + h * k3) @ om1
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def march(state, coeffs, builder, lam, h, ncells, m):
+    """States at the ncells+1 cell boundaries; coeffs = (u, ux, uy) hold
+    2*m*ncells + 1 half-substep samples along axis 0."""
+    uf, uxf, uyf = coeffs
+    stored = np.empty((ncells + 1,) + state.shape, dtype=complex)
+    stored[0] = state
+    om_right = builder(uf[0], uxf[0], uyf[0], lam)
+    hs = h / m
+    for c in range(ncells):
+        for s in range(m):
+            p = 2 * (c * m + s)
+            omh = builder(uf[p + 1], uxf[p + 1], uyf[p + 1], lam)
+            om1 = builder(uf[p + 2], uxf[p + 2], uyf[p + 2], lam)
+            state = rk4_step(state, om_right, omh, om1, hs)
+            om_right = om1
+        stored[c + 1] = state
+    return stored
+
+
+def _rows_then_columns(arrays, n1, n2, h1, h2, build1, build2, lam, m, e1, e2, u0):
+    n1_tot, n2_tot = n1 + e1, n2 + e2
+    idx1 = np.arange(2 * m * (n1_tot - 1) + 1) % (2 * m * n1)
+    row = tuple(trig_upsample(a[0], 2 * m, axis=0)[idx1] for a in arrays)
+    first = march(u0, row, build1, lam, h1, n1_tot - 1, m)
+    cols_idx = np.arange(n1_tot) % n1
+    idx2 = np.arange(2 * m * (n2_tot - 1) + 1) % (2 * m * n2)
+    cols = tuple(trig_upsample(a, 2 * m, axis=0)[np.ix_(idx2, cols_idx)] for a in arrays)
+    return march(first, cols, build2, lam, h2, n2_tot - 1, m)
+
+
+def reference_frame(u, spectral, substeps, extend=(0, 0), order="xy"):
+    """Frames of integrate_frame (u0 = I), shape (ny + ey, nx + ex, 3, 3)."""
+    g = u.grid
+    m = int(substeps)
+    u0 = np.eye(3, dtype=complex)
+    ux = ddx(u.values, g, "spectral")
+    uy = ddy(u.values, g, "spectral")
+    if order == "xy":
+        return _rows_then_columns(
+            (u.values, ux, uy), g.nx, g.ny, g.hx, g.hy, frame_coeff_x, frame_coeff_y,
+            spectral.lam, m, extend[0], extend[1], u0,
+        )
+    swapped = _rows_then_columns(
+        (u.values.T, ux.T, uy.T), g.ny, g.nx, g.hy, g.hx, frame_coeff_y, frame_coeff_x,
+        spectral.lam, m, extend[1], extend[0], u0,
+    )
+    return np.swapaxes(swapped, 0, 1)
+
+
+def reference_stencil(frame, axis, halfwidth=2):
+    """Frames of frame_axis_stencil, one substep RK4 step at a time."""
+    g = frame.grid
+    m = frame.substeps
+    u = frame.u
+    ux = ddx(u.values, g, "spectral")
+    uy = ddy(u.values, g, "spectral")
+    if axis == "x":
+        ax, n, h, builder = AXIS_X, g.nx, g.hx, frame_coeff_x
+    else:
+        ax, n, h, builder = AXIS_Y, g.ny, g.hy, frame_coeff_y
+    node_idx = np.arange(n) * 2 * m
+    fine = [trig_upsample(a, 2 * m, axis=ax) for a in (u.values, ux, uy)]
+
+    def om_at(offset):
+        idx = (node_idx + offset) % (2 * m * n)
+        c = [a[:, idx] if ax == AXIS_X else a[idx, :] for a in fine]
+        return builder(c[0], c[1], c[2], frame.spectral.lam)
+
+    frames = {0: frame.base.copy()}
+    for sign in (+1, -1):
+        state = frame.base.copy()
+        for k in range(1, halfwidth + 1):
+            off = sign * 2 * (k - 1)
+            state = rk4_step(state, om_at(off), om_at(off + sign), om_at(off + 2 * sign), sign * h / m)
+            frames[sign * k] = state
+    return [frames[k] for k in range(-halfwidth, halfwidth + 1)]
+
+
+def reference_psi(u, spectral, psi0, row=0, mode="x", substeps=24):
+    """psi of propagate_psi (periods = 1), marching d psi = M psi directly."""
+    g = u.grid
+    m = int(substeps)
+    ux = ddx(u.values, g, "spectral")
+    uy = ddy(u.values, g, "spectral")
+    idx = np.arange(2 * m * g.nx + 1) % (2 * m * g.nx)
+    uf, uxf, uyf = (trig_upsample(a[row], 2 * m, axis=0)[idx] for a in (u.values, ux, uy))
+    lam = spectral.lam
+
+    def build(u, ux, uy, lam):
+        u_z = 0.5 * (ux - 1j * uy)
+        if mode == "z":
+            return lax_z_matrix(u, u_z, lam)
+        return lax_z_matrix(u, u_z, lam) + lax_zbar_matrix(u, lam)
+
+    psi = np.asarray(psi0, dtype=complex)
+    stored = [psi]
+    hs = g.hx / m
+    for c in range(g.nx):
+        for s in range(m):
+            p = 2 * (c * m + s)
+            m0, mh, m1 = (build(uf[q], uxf[q], uyf[q], lam) for q in (p, p + 1, p + 2))
+            k1 = m0 @ psi
+            k2 = mh @ (psi + 0.5 * hs * k1)
+            k3 = mh @ (psi + 0.5 * hs * k2)
+            k4 = m1 @ (psi + hs * k3)
+            psi = psi + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stored.append(psi)
+    return np.array(stored)

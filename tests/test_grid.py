@@ -1,19 +1,24 @@
+import io
+
 import numpy as np
 import pytest
 
 from tzitzeica.errors import ResonanceError
 from tzitzeica.grid import (
+    ROW_BLOCK_FIELDS,
     PeriodicGrid,
     ScalarFieldPeriodic,
     check_resonance,
     deriv,
     deriv2,
     field_from_function,
+    format_float,
     laplacian_symbol_1d,
     load_field,
     resonance_gap,
     save_field,
     trig_upsample,
+    write_rows,
     zero_field,
 )
 
@@ -111,3 +116,32 @@ def test_field_csv_round_trip(tmp_path):
 def test_zero_field(tmp_path):
     g = PeriodicGrid(8, 8, 1.0, 1.0)
     assert np.all(zero_field(g).values == 0.0)
+
+
+def _written(arr):
+    buf = io.StringIO()
+    write_rows(buf, arr)
+    return buf.getvalue()
+
+
+def _joined(arr):
+    return "".join(",".join(format_float(v) for v in row) + "\n" for row in arr)
+
+
+def test_write_rows_matches_per_value_join():
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 3.0, -7.0, 2.0**53, 1e22]
+    rng = np.random.default_rng(8)
+    mixed = np.concatenate([special, rng.standard_normal(13) * 10.0 ** rng.integers(-20, 20, 13)])
+    for arr in (mixed.reshape(-1, 1), mixed.reshape(-1, 6), mixed.reshape(2, -1)):
+        assert _written(arr) == _joined(arr)
+    assert _written(np.array([[-0.0, 5e-324, 1e16, 4.0]])) == "-0,4.9406564584124654e-324,10000000000000000,4\n"
+
+
+def test_write_rows_spans_several_blocks():
+    # both arrays hold more fields than one formatting block
+    rng = np.random.default_rng(3)
+    for shape in ((3000, 6), (20000, 1)):
+        arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        arr.flat[::997] = -0.0
+        assert arr.size > ROW_BLOCK_FIELDS
+        assert _written(arr) == _joined(arr)
