@@ -59,17 +59,17 @@ def _require_artifact(out_dir, name):
 
 
 # ---------------------------------------------------------------------------
-# frame CSV: header nx,ny,lx,ly,theta,ex,ey; then one row of 18 reals per
-# node (real/imag parts of U, column-major), y-outer node order
+# frame CSV: header nx,ny,lx,ly,theta,substeps,closing; then one row of 18
+# reals per node (real/imag parts of U, column-major), y-outer node order,
+# over (ny + closing) x (nx + closing) nodes
 # ---------------------------------------------------------------------------
 
 
 def save_frame(frame, path):
     g = frame.grid
-    ex, ey = frame.extend
     head = ",".join(
         [str(g.nx), str(g.ny), format_float(g.lx), format_float(g.ly),
-         format_float(frame.spectral.theta), str(ex), str(ey)]
+         format_float(frame.spectral.theta), str(frame.substeps), str(int(frame.closing))]
     )
     cols = frame.unitary.reshape(-1, 3, 3).transpose(0, 2, 1)  # column-major per node
     with open(path, "w") as fh:
@@ -78,16 +78,35 @@ def save_frame(frame, path):
 
 
 def load_frame(path, u):
-    with open(path) as fh:
-        head = fh.readline().strip().split(",")
-        nx, ny = int(head[0]), int(head[1])
-        lx, ly, theta = float(head[2]), float(head[3]), float(head[4])
-        ex, ey = int(head[5]), int(head[6])
-        flat = np.loadtxt(fh, delimiter=",").reshape((ny + ey) * (nx + ex), 18)
+    """Read a frame written by save_frame for the field u.
+
+    Raises ConfigValidationError when the file is malformed or truncated, or
+    was integrated on another grid than u's.
+    """
+    try:
+        with open(path) as fh:
+            head = fh.readline().strip().split(",")
+            nx, ny, substeps, closing = (int(head[k]) for k in (0, 1, 5, 6))
+            lx, ly, theta = (float(head[k]) for k in (2, 3, 4))
+            flat = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (ValueError, IndexError) as exc:
+        raise ConfigValidationError(f"frame file {path} is malformed: {exc}") from exc
+    if (nx, ny, lx, ly) != (u.grid.nx, u.grid.ny, u.grid.lx, u.grid.ly):
+        raise ConfigValidationError(
+            f"frame file {path} is for grid {nx}x{ny} over ({lx!r}, {ly!r}), the field for "
+            f"{u.grid.nx}x{u.grid.ny} over ({u.grid.lx!r}, {u.grid.ly!r}); rerun the frame stage"
+        )
+    nodes = (ny + closing) * (nx + closing)
+    if closing not in (0, 1) or substeps < 1 or flat.shape != (nodes, 18):
+        raise ConfigValidationError(
+            f"frame file {path} holds {flat.shape[0]} rows of {flat.shape[-1]} values; its header "
+            f"(substeps {substeps}, closing {closing}) needs {nodes} rows of 18"
+        )
+    if not np.isfinite(flat).all():
+        raise ConfigValidationError(f"frame file {path} holds non-finite values")
     cols = flat[:, 0::2] + 1j * flat[:, 1::2]
-    mats = cols.reshape(-1, 3, 3).transpose(0, 2, 1).reshape(ny + ey, nx + ex, 3, 3)
-    grid = PeriodicGrid(nx, ny, lx, ly)
-    return FrameField(grid, SpectralPoint(theta), mats, u, (ex, ey))
+    mats = cols.reshape(-1, 3, 3).transpose(0, 2, 1).reshape(ny + closing, nx + closing, 3, 3)
+    return FrameField(u.grid, SpectralPoint(theta), mats, u, bool(closing), substeps)
 
 
 def write_report_json(report, path):
@@ -151,12 +170,11 @@ def stage_wave(cfg, out_dir, log):
 
 def stage_frame(cfg, out_dir, log):
     u = load_field(_require_artifact(out_dir, FIELD_CSV))
-    extend = (cfg.nx, cfg.ny) if cfg.extend_closure else (0, 0)
     frame = integrate_frame(
         u,
         SpectralPoint(cfg.theta),
         substeps=cfg.substeps,
-        extend=extend,
+        closing=cfg.extend_closure,
         re_unitarize=cfg.re_unitarize,
     )
     save_frame(frame, os.path.join(out_dir, FRAME_CSV))
@@ -165,7 +183,13 @@ def stage_frame(cfg, out_dir, log):
 
 def _load_frame_stage(cfg, out_dir):
     u = load_field(_require_artifact(out_dir, FIELD_CSV))
-    return u, load_frame(_require_artifact(out_dir, FRAME_CSV), u)
+    frame = load_frame(_require_artifact(out_dir, FRAME_CSV), u)
+    if frame.spectral.theta != cfg.theta:
+        raise ConfigValidationError(
+            f"{FRAME_CSV} was integrated at theta = {frame.spectral.theta!r}, the config has "
+            f"theta = {cfg.theta!r}; rerun the frame stage"
+        )
+    return u, frame
 
 
 def stage_surface(cfg, out_dir, log):

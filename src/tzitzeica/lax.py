@@ -29,6 +29,12 @@ generators alone (Iserles et al., "Lie-group methods", Acta Numerica 2000);
 the march visits cells only, and periodic cells reuse their propagators.
 Unitarity drift is a diagnostic, repaired only on request by the polar
 factor at every cell boundary.
+
+A closing frame marches one more cell in each direction, so it also holds
+the wrap-around column i = nx and row j = ny.  Because those cells reuse the
+periodic propagators, U(nx, j) U(0, j)^-1 and U(i, ny) U(i, 0)^-1 are the
+frame's monodromies over one period, from which surface.torus_closure
+measures closure without integrating a second period.
 """
 
 from dataclasses import dataclass, field
@@ -240,8 +246,8 @@ def _march(state, coeffs, builder, lam, h, m, ncells, re_unitarize=False):
     along axis 0, the other axes broadcast against the state's batch axes;
     cell c uses the propagator of cell c % period.  1D coeffs (a single
     line) build every cell at once, batched coeffs one cell at a time to
-    bound memory.  A state with more columns than the propagators (periodic
-    extension) has column i use propagator column i % n."""
+    bound memory.  A state with more columns than the propagators (a closing
+    column) has column i use propagator column i % n."""
     period = (coeffs[0].shape[0] - 1) // (2 * m)
     chunk = period if coeffs[0].ndim == 1 else 1
     state = np.moveaxis(np.asarray(state, dtype=complex), (-2, -1), (0, 1))
@@ -273,14 +279,14 @@ def _periodic_samples(values, m):
 
 @dataclass
 class FrameField:
-    """Unitary frames at every grid node (optionally extended past the
-    period in each direction for closure measurements)."""
+    """Unitary frames at every grid node, shape (ny, nx, 3, 3); a closing
+    frame also holds the wrap-around row and column, (ny + 1, nx + 1, 3, 3)."""
 
     grid: object
     spectral: SpectralPoint
     unitary: np.ndarray = field(repr=False)
     u: ScalarFieldPeriodic = field(repr=False)
-    extend: tuple = (0, 0)
+    closing: bool = False
     substeps: int = DEFAULT_SUBSTEPS
 
     @property
@@ -307,7 +313,7 @@ def integrate_frame(
     spectral,
     u0=None,
     substeps=DEFAULT_SUBSTEPS,
-    extend=(0, 0),
+    closing=False,
     re_unitarize=False,
     order="xy",
     blowup=1e-6,
@@ -316,9 +322,9 @@ def integrate_frame(
 
     Marches the first row in x and then all columns in y (order="yx" swaps
     the roles; the difference between the two orders is the path-dependence
-    diagnostic).  extend = (ex, ey) integrates ex extra columns / ey extra
-    rows past the period for closure measurements.  Raises
-    UnitarityBlowupError when the defect exceeds `blowup`.
+    diagnostic).  closing=True also integrates the wrap-around column nx and
+    row ny, for closure measurements.  Raises UnitarityBlowupError when the
+    defect exceeds `blowup`.
     """
     if u0 is None:
         u0 = np.eye(3, dtype=complex)
@@ -332,26 +338,27 @@ def integrate_frame(
         raise ValueError("substeps must be >= 1")
     ux = ddx(u.values, grid, "spectral")
     uy = ddy(u.values, grid, "spectral")
+    extra = int(closing)
 
     if order == "xy":
         unitary = _integrate_rows_then_columns(
             u.values, ux, uy,
             grid.nx, grid.ny, grid.hx, grid.hy,
             frame_coeff_x, frame_coeff_y,
-            lam, m, extend[0], extend[1], u0, re_unitarize,
+            lam, m, extra, u0, re_unitarize,
         )
     elif order == "yx":
         swapped = _integrate_rows_then_columns(
             u.values.T, ux.T, uy.T,
             grid.ny, grid.nx, grid.hy, grid.hx,
             frame_coeff_y, frame_coeff_x,
-            lam, m, extend[1], extend[0], u0, re_unitarize,
+            lam, m, extra, u0, re_unitarize,
         )
         unitary = np.swapaxes(swapped, 0, 1)
     else:
         raise ValueError(f"order must be 'xy' or 'yx', got {order!r}")
 
-    out = FrameField(grid, spectral, unitary, u, tuple(extend), m)
+    out = FrameField(grid, spectral, unitary, u, bool(closing), m)
     defect = frame_orthonormality_report(out)
     if defect > blowup:
         raise UnitarityBlowupError(f"unitarity defect {defect:.3e} exceeds {blowup:.1e}")
@@ -359,18 +366,18 @@ def integrate_frame(
 
 
 def _integrate_rows_then_columns(
-    vals, dx_vals, dy_vals, n1, n2, h1, h2, build1, build2, lam, m, e1, e2, u0, re_unit
+    vals, dx_vals, dy_vals, n1, n2, h1, h2, build1, build2, lam, m, extra, u0, re_unit
 ):
     """Generic core: arrays are (n2, n1) with axis 1 the first march
-    direction; returns frames of shape (n2 + e2, n1 + e1, 3, 3)."""
+    direction; returns frames of shape (n2 + extra, n1 + extra, 3, 3)."""
     arrays = (vals, dx_vals, dy_vals)
     # first row, marched along axis 1, every cell propagator in one block
     row = tuple(_periodic_samples(a[0], m) for a in arrays)
-    first = _march(u0, row, build1, lam, h1, m, n1 + e1 - 1, re_unit)
+    first = _march(u0, row, build1, lam, h1, m, n1 + extra - 1, re_unit)
     # all columns at once, marched along axis 0 one cell row at a time;
-    # extension column i + n1 reuses the propagators of column i
+    # the closing column n1 reuses the propagators of column 0
     cols = tuple(_periodic_samples(a, m) for a in arrays)
-    return _march(first, cols, build2, lam, h2, m, n2 + e2 - 1, re_unit)
+    return _march(first, cols, build2, lam, h2, m, n2 + extra - 1, re_unit)
 
 
 def frame_axis_stencil(frame, axis, halfwidth=2):

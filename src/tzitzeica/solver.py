@@ -17,9 +17,6 @@ convergence-order measurements.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import NewtonDivergenceError, SingularJacobianError
 from .grid import ScalarFieldPeriodic, check_resonance, laplacian
@@ -31,17 +28,30 @@ def pde_residual(u, method="fd4"):
     return laplacian(vals, u.grid, method) - 4.0 * np.exp(-2.0 * vals) + 4.0 * np.exp(vals)
 
 
+def splu(matrix):
+    """Sparse LU factorization by SuperLU, whose import is paid on first use."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(matrix)
+
+
 def _circulant_dxx(n, h):
-    row = np.zeros(n)
-    row[0] = -30.0
-    row[1] = row[-1] = 16.0
-    row[2] = row[-2] = -1.0
-    return sp.csr_matrix(scipy.linalg.circulant(row) / (12.0 * h * h))
+    """Periodic fd4 second-difference matrix: the stencil's five diagonals
+    and the four corner diagonals that wrap it around (n >= 8)."""
+    import scipy.sparse as sp
+
+    diagonals = {0: -30.0, 1: 16.0, -1: 16.0, 2: -1.0, -2: -1.0,
+                 n - 1: 16.0, 1 - n: 16.0, n - 2: -1.0, 2 - n: -1.0}
+    scale = 12.0 * h * h
+    return sp.diags([v / scale for v in diagonals.values()], list(diagonals),
+                    shape=(n, n), format="csr")
 
 
 def laplacian_matrix(grid):
     """Sparse 2D periodic Laplacian matching the fd4 stencil, acting on
     row-major flattened fields (y-outer)."""
+    import scipy.sparse as sp
+
     dxx = _circulant_dxx(grid.nx, grid.hx)
     dyy = _circulant_dxx(grid.ny, grid.hy)
     return (
@@ -85,6 +95,8 @@ def newton_solve(u0, tol, max_iter=30):
     NewtonDivergenceError after max_iter, SingularJacobianError if a
     linearization is numerically singular, ResonanceError for bad grids.
     """
+    import scipy.sparse as sp
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = u0.grid

@@ -11,6 +11,10 @@ form, so the normal-plane vectors are F_i = i E_i.  The cubic form is
 extracted by numerically differentiating the tangent fields at substep
 resolution (stencils marched from each node, no periodicity assumed),
 subtracting the conformal connection, and projecting onto (F1, F2, N).
+
+Torus closure is read off the frame's monodromies over one period in x and
+in y, from the wrap-around row and column of a closing frame (see
+torus_closure); no second period is integrated or stored.
 """
 
 import math
@@ -148,51 +152,46 @@ def extract_second_form(frame, u, radius, theta=None, method="fd4"):
 
 
 @dataclass
-class ClosureResult:
-    shift: tuple
-    defect: float
-
-
-@dataclass
 class ClosureReport:
-    results: list
+    """Frame mismatch over one x period and over one y period."""
+
+    x_defect: float
+    y_defect: float
     is_candidate: bool
 
     @property
     def max_defect(self):
-        return max(r.defect for r in self.results)
+        return max(self.x_defect, self.y_defect)
 
 
-def torus_closure(frame, shifts, tol=1e-4):
-    """Frame mismatch U(p + shift) - U(p) over the base nodes, per shift.
+def torus_closure(frame, tol=1e-4):
+    """Frame mismatch U(p + period) - U(p) over the base nodes, for the x and
+    the y period, from the monodromies of a closing frame.
 
-    Shifts are node-index pairs (dx, dy) and must lie within the integrated
-    extension.  A torus candidate needs two linearly independent shifts with
-    defect below tol.
+    The march reuses the periodic cell propagators, so for either march
+    order the frame continued past the period is, exactly,
+    U(i + nx, j) = M_j U(i, j) with the row monodromy M_j = U(nx, j) U(0, j)^-1,
+    and U(i, j + ny) = L_i U(i, j) with L_i = U(i, ny) U(i, 0)^-1.  The
+    defects are max |(M_j - I) U(i, j)| and max |(L_i - I) U(i, j)|.  The two
+    periods are independent shifts, so the frame is a torus candidate when
+    both defects are below tol.
     """
-    ex, ey = frame.extend
-    grid = frame.grid
-    results = []
-    for sx, sy in shifts:
-        sx, sy = int(sx), int(sy)
-        if sx < 0 or sy < 0 or sx > ex or sy > ey:
-            raise ValueError(
-                f"shift ({sx}, {sy}) outside integrated extension ({ex}, {ey})"
-            )
-        shifted = frame.unitary[sy : sy + grid.ny, sx : sx + grid.nx]
-        defect = float(np.abs(shifted - frame.base).max())
-        results.append(ClosureResult((sx, sy), defect))
-    good = [r.shift for r in results if r.defect < tol]
-    is_candidate = any(
-        a[0] * b[1] - a[1] * b[0] != 0 for ai, a in enumerate(good) for b in good[ai + 1 :]
-    )
-    return ClosureReport(results, is_candidate)
+    if not frame.closing:
+        raise ValueError("torus closure needs a closing frame (integrate_frame(..., closing=True))")
+    g = frame.grid
+    mats = frame.unitary
+    base = frame.base
+    # M_j - I = (U(nx, j) - U(0, j)) U(0, j)^-1, without cancellation in M_j - I
+    rows = (mats[: g.ny, g.nx] - mats[: g.ny, 0]) @ np.linalg.inv(mats[: g.ny, 0])
+    cols = (mats[g.ny, : g.nx] - mats[0, : g.nx]) @ np.linalg.inv(mats[0, : g.nx])
+    x_defect = float(np.abs(rows[:, None] @ base).max())
+    y_defect = float(np.abs(cols[None, :] @ base).max())
+    return ClosureReport(x_defect, y_defect, max(x_defect, y_defect) < tol)
 
 
 @dataclass
 class ImmersionReport:
-    """Named sup-norm residuals of one built surface; convergence slopes can
-    be attached when a refinement study produced them."""
+    """Named sup-norm residuals of one built surface."""
 
     normality_defect: float
     conformal_defect: float
@@ -209,7 +208,6 @@ class ImmersionReport:
     sphere_defect: float
     unitarity_defect: float
     closure_defect: float | None = None
-    slopes: dict = field(default_factory=dict)
 
     def to_dict(self):
         out = {}
@@ -232,13 +230,12 @@ class ImmersionReport:
             out[key] = float(getattr(self, key))
         if self.closure_defect is not None:
             out["closure_defect"] = float(self.closure_defect)
-        for key, val in self.slopes.items():
-            out[f"slope_{key}"] = float(val)
         return out
 
 
-def full_report(mesh, frame, u, theta, shifts=None, method="fd4"):
-    """Evaluate every verification residual on one built surface."""
+def full_report(mesh, frame, u, theta, method="fd4"):
+    """Evaluate every verification residual on one built surface; a closing
+    frame adds closure_defect."""
     grid = mesh.grid
     radius = mesh.radius
     conf = 2.0 * radius**2 * np.exp(u.values)
@@ -289,12 +286,7 @@ def full_report(mesh, frame, u, theta, shifts=None, method="fd4"):
     radii = np.sqrt(np.sum(np.abs(mesh.points) ** 2, axis=-1))
     sphere = float(np.abs(radii - radius).max())
 
-    closure = None
-    ex, ey = frame.extend
-    if shifts is None and ex >= grid.nx and ey >= grid.ny:
-        shifts = [(grid.nx, 0), (0, grid.ny)]
-    if shifts:
-        closure = torus_closure(frame, shifts).max_defect
+    closure = torus_closure(frame).max_defect if frame.closing else None
 
     return ImmersionReport(
         normality_defect=float(norm_map.max()),

@@ -20,7 +20,6 @@ evaluated here by Gauss-Legendre quadrature.  An independent shooting route
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IncommensuratePeriodError, NumericalFailure
 from .grid import ScalarFieldPeriodic
@@ -70,6 +69,8 @@ def _shoot(energy, rtol=1e-12, atol=1e-14):
     The orbit runs u_hi -> u_lo -> u_hi; by time-reversal symmetry the first
     upward crossing of u' = 0 happens exactly at half a period.
     """
+    from scipy.integrate import solve_ivp
+
     _, u_hi = turning_points(energy)
     t_guess = period_quadrature(energy)
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,10 @@ from tzitzeica import cli, meshout
 from tzitzeica.config import parse_config_text
 from tzitzeica.errors import ConfigParseError, ConfigValidationError
 from tzitzeica.grid import PeriodicGrid, load_field
+from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
+from tzitzeica.surface import build_surface, full_report
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 FLAT_LY = 2.0 * np.pi / np.sqrt(3.0)
 
@@ -87,6 +93,14 @@ def test_cli_numerical_failure_is_exit_4_with_named_error(tmp_path):
     assert log_lines[-1] == "error: resonance"
 
 
+def test_cli_import_loads_no_scipy():
+    # frame, surface, report and export need no scipy at all
+    code = "import sys, tzitzeica.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # pipeline stages and artifacts
 # ---------------------------------------------------------------------------
@@ -95,7 +109,9 @@ def test_cli_numerical_failure_is_exit_4_with_named_error(tmp_path):
 @pytest.fixture(scope="module")
 def flat_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("flatrun"))
-    cfg = parse_config_text(flat_config_text(out))
+    # the report evaluates the frame at its own substeps; minimality_H stays
+    # below 1e-8 at 24 on this grid (1.5e-8 at 16)
+    cfg = parse_config_text(flat_config_text(out, substeps=24))
     for stage in ("solve", "frame", "surface", "report", "export"):
         cli.run_pipeline(cfg, stage, out, echo=False)
     return cfg, out
@@ -113,16 +129,16 @@ def test_frame_csv_round_trip(flat_run):
     cfg, out = flat_run
     field = load_field(os.path.join(out, cli.FIELD_CSV))
     frame = cli.load_frame(os.path.join(out, cli.FRAME_CSV), field)
-    assert frame.extend == (32, 32)
-    assert frame.unitary.shape == (64, 64, 3, 3)
-    from tzitzeica.lax import frame_orthonormality_report
-
+    assert frame.closing is True
+    assert frame.substeps == 24
+    assert frame.unitary.shape == (33, 33, 3, 3)
     assert frame_orthonormality_report(frame) < 1e-8
     # write/read identity
     second = os.path.join(out, "frame2.csv")
     cli.save_frame(frame, second)
     again = cli.load_frame(second, field)
     assert np.array_equal(again.unitary, frame.unitary)
+    assert (again.closing, again.substeps) == (frame.closing, frame.substeps)
 
 
 def test_report_stage_contents(flat_run):
@@ -191,3 +207,62 @@ def test_wave_stage(tmp_path):
     assert abs(float(energy) - 6.1) < 1e-12
     log = open(os.path.join(out, "wave.log")).read()
     assert "period_quadrature=" in log and "energy_drift=" in log
+
+
+def test_report_through_files_keeps_substeps(tmp_path):
+    out = str(tmp_path / "out")
+    # re-unitarized, so that the substeps = 4 frame passes build_surface's check
+    cfg = parse_config_text(flat_config_text(out, substeps=4, extra="re_unitarize = true\n"))
+    for stage in ("solve", "frame", "report"):
+        cli.run_pipeline(cfg, stage, out, echo=False)
+    u = load_field(os.path.join(out, cli.FIELD_CSV))
+    frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=4, closing=True, re_unitarize=True)
+    report = full_report(build_surface(frame, cfg.radius), frame, u, cfg.theta)
+    in_memory = str(tmp_path / "in_memory.json")
+    cli.write_report_json(report, in_memory)
+    assert open(in_memory, "rb").read() == open(os.path.join(out, cli.REPORT_JSON), "rb").read()
+
+
+# ---------------------------------------------------------------------------
+# stale or damaged frame files: exit 3, last log line "error: validation"
+# ---------------------------------------------------------------------------
+
+
+def _frame_run(tmp_path, **kwargs):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, flat_config_text(str(out), **kwargs))
+    for stage in ("solve", "frame"):
+        assert cli.main([stage, "--config", cfg]) == 0
+    return out
+
+
+def _assert_report_rejected(out, cfg):
+    assert cli.main(["report", "--config", cfg]) == 3
+    assert (out / "report.log").read_text().strip().splitlines()[-1] == "error: validation"
+    assert not (out / cli.REPORT_JSON).exists()
+
+
+def test_report_rejects_frame_of_another_grid(tmp_path):
+    out = _frame_run(tmp_path)
+    small = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=16), "small.cfg")
+    assert cli.main(["solve", "--config", small]) == 0
+    _assert_report_rejected(out, small)
+
+
+def test_report_rejects_frame_of_another_theta(tmp_path):
+    out = _frame_run(tmp_path)
+    text = flat_config_text(str(out)).replace("theta = 0.0", "theta = 0.3")
+    _assert_report_rejected(out, write_config(tmp_path, text, "theta.cfg"))
+
+
+@pytest.mark.parametrize("keep", [0.5, 0.25])
+def test_report_rejects_truncated_frame(tmp_path, keep):
+    out = _frame_run(tmp_path)
+    path = out / cli.FRAME_CSV
+    data = path.read_bytes()
+    # cut mid-line, and at a line boundary
+    cut = int(len(data) * keep)
+    if keep == 0.25:
+        cut = data.rindex(b"\n", 0, cut) + 1
+    path.write_bytes(data[:cut])
+    _assert_report_rejected(out, str(tmp_path / "run.cfg"))

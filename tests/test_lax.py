@@ -156,10 +156,9 @@ def test_unitarity_defect_localizes_at_corrupted_node():
 
 
 def test_unitarity_drift_grows_at_most_linearly():
-    g = PeriodicGrid(32, 8, 2 * np.pi, 1.0)
-    frame = integrate_frame(
-        zero_field(g), SpectralPoint(0.0), substeps=4, extend=(64, 0), blowup=1e-2
-    )
+    # three 32-column bands of cells of width 2 pi / 32, marched in x
+    g = PeriodicGrid(96, 8, 6 * np.pi, 1.0)
+    frame = integrate_frame(zero_field(g), SpectralPoint(0.0), substeps=4, blowup=1e-2)
     dmap = unitarity_defect_field(frame)
     bands = [dmap[:, 32 * k : 32 * (k + 1)].max() for k in range(3)]
     assert bands[0] <= bands[1] <= bands[2]

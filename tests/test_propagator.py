@@ -8,6 +8,7 @@ import tzitzeica as tz
 from tzitzeica.grid import PeriodicGrid, zero_field
 from tzitzeica.lax import SpectralPoint, frame_axis_stencil, integrate_frame, propagate_psi
 from tzitzeica.linalg3 import unitarity_defect_map
+from tzitzeica.surface import torus_closure
 
 from reference_march import reference_frame, reference_psi, reference_stencil
 
@@ -16,17 +17,43 @@ TOL = 1e-12
 
 @pytest.mark.parametrize("order", ["xy", "yx"])
 def test_flat_extended_frame_matches_reference(order):
+    # the closing frame is the base plus a one-node extension
     u = zero_field(PeriodicGrid(32, 32, 1.0, 1.0))
     sp = SpectralPoint(0.0)
-    frame = integrate_frame(u, sp, substeps=24, extend=(32, 32), order=order)
-    ref = reference_frame(u, sp, 24, extend=(32, 32), order=order)
-    assert frame.unitary.shape == ref.shape == (64, 64, 3, 3)
+    frame = integrate_frame(u, sp, substeps=24, closing=True, order=order)
+    ref = reference_frame(u, sp, 24, extend=(1, 1), order=order)
+    assert frame.unitary.shape == ref.shape == (33, 33, 3, 3)
     assert np.abs(frame.unitary - ref).max() <= TOL
 
 
 @pytest.fixture(scope="module")
 def wave_field(wave61):
     return tz.lift_1d(wave61, PeriodicGrid(32, 32, wave61.period, 1.0))
+
+
+def _brute_force_closure(u, sp, substeps, order):
+    """Closure defects from a reference frame marched over a second period."""
+    g = u.grid
+    ref = reference_frame(u, sp, substeps, extend=(g.nx, g.ny), order=order)
+    base = ref[: g.ny, : g.nx]
+    return np.abs(ref[: g.ny, g.nx :] - base).max(), np.abs(ref[g.ny :, : g.nx] - base).max()
+
+
+@pytest.mark.parametrize("order", ["xy", "yx"])
+@pytest.mark.parametrize("case", ["flat", "wave"])
+def test_monodromy_closure_matches_brute_force_extension(wave_field, case, order):
+    if case == "flat":
+        # the closure-matched periods of configs/flat.cfg
+        u = zero_field(PeriodicGrid(32, 32, 2 * np.pi, 2 * np.pi / np.sqrt(3)))
+        sp, substeps = SpectralPoint(0.0), 24
+    else:
+        u, sp, substeps = wave_field, SpectralPoint(0.4), 4
+    frame = integrate_frame(u, sp, substeps=substeps, closing=True, order=order, blowup=1e-2)
+    rep = torus_closure(frame)
+    x_defect, y_defect = _brute_force_closure(u, sp, substeps, order)
+    assert abs(rep.x_defect - x_defect) <= TOL
+    assert abs(rep.y_defect - y_defect) <= TOL
+    assert rep.is_candidate == (case == "flat")
 
 
 @pytest.mark.parametrize("substeps", [1, 3, 4])

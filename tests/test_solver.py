@@ -40,6 +40,18 @@ def test_residual_matches_symbolic_evaluation():
     assert loglog_slope(hs, errs) > 3.5
 
 
+def test_laplacian_matrix_equals_dense_circulant():
+    g = PeriodicGrid(12, 9, 1.1, 0.8)
+
+    def dense_dxx(n, h):
+        eye = np.eye(n)
+        taps = {0: -30.0, 1: 16.0, -1: 16.0, 2: -1.0, -2: -1.0}
+        return sum(c / (12.0 * h * h) * np.roll(eye, k, axis=1) for k, c in taps.items())
+
+    dense = np.kron(np.eye(g.ny), dense_dxx(g.nx, g.hx)) + np.kron(dense_dxx(g.ny, g.hy), np.eye(g.nx))
+    assert np.array_equal(laplacian_matrix(g).toarray(), dense)
+
+
 def test_laplacian_matrix_matches_stencil():
     g = PeriodicGrid(12, 9, 1.1, 0.8)
     rng = np.random.default_rng(0)

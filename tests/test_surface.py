@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,10 @@ from conftest import loglog_slope
 FLAT_LY = 2.0 * np.pi / np.sqrt(3.0)
 
 
-def _flat_frame(n=32, substeps=16, theta=0.0, extend=(0, 0)):
+def _flat_frame(n=32, substeps=16, theta=0.0, closing=False):
     g = PeriodicGrid(n, n, 2.0 * np.pi, FLAT_LY)
     u = zero_field(g)
-    return u, integrate_frame(u, SpectralPoint(theta), substeps=substeps, extend=extend)
+    return u, integrate_frame(u, SpectralPoint(theta), substeps=substeps, closing=closing)
 
 
 def _wave_frame(profile, n=32, substeps=8, theta=0.4, ny=None):
@@ -125,7 +127,7 @@ def test_extraction_refines_on_wave_surface(wave61):
 
 
 def test_full_report_flat_numbers():
-    u, frame = _flat_frame(n=32, substeps=16, extend=(32, 32))
+    u, frame = _flat_frame(n=32, substeps=16, closing=True)
     mesh = build_surface(frame, 1.0)
     rep = full_report(mesh, frame, u, 0.0)
     assert rep.h2_max < 1e-12
@@ -151,18 +153,37 @@ def test_full_report_flags_corrupted_frame():
 
 
 def test_closure_shifts(wave61):
-    u, frame = _flat_frame(n=32, substeps=16, extend=(32, 32))
-    rep = torus_closure(frame, [(0, 0), (32, 0), (0, 32), (17, 11)])
-    defects = {r.shift: r.defect for r in rep.results}
-    assert defects[(0, 0)] == 0.0
-    assert defects[(32, 0)] < 1e-6
-    assert defects[(0, 32)] < 1e-6
-    assert defects[(17, 11)] > 0.1
+    u, frame = _flat_frame(n=32, substeps=16, closing=True)
+    rep = torus_closure(frame)
+    assert rep.x_defect < 1e-6
+    assert rep.y_defect < 1e-6
     assert rep.is_candidate
+    # a closing row and column that repeat row 0 and column 0 close exactly
+    copied = frame.unitary.copy()
+    copied[32], copied[:, 32] = copied[0], copied[:, 0]
+    exact = torus_closure(dataclasses.replace(frame, unitary=copied))
+    assert exact.x_defect == 0.0 and exact.y_defect == 0.0
+    # without the closing row and column there is no monodromy to read
+    _u, open_frame = _flat_frame(n=32, substeps=16)
     with pytest.raises(ValueError):
-        torus_closure(frame, [(33, 0)])
+        torus_closure(open_frame)
     # a generically non-closing frame is not certified
     uw, fw = _wave_frame(wave61, n=16, substeps=4, ny=16)
-    fw2 = integrate_frame(uw, fw.spectral, substeps=4, extend=(16, 16))
-    rep2 = torus_closure(fw2, [(16, 0), (0, 16)])
-    assert not rep2.is_candidate
+    fw2 = integrate_frame(uw, fw.spectral, substeps=4, closing=True)
+    assert not torus_closure(fw2).is_candidate
+
+
+def test_closure_negative_controls():
+    # the flat periods close at theta = 0 but not at theta = pi / 4
+    _u, off = _flat_frame(n=32, substeps=16, theta=np.pi / 4, closing=True)
+    rep = torus_closure(off)
+    assert rep.max_defect > 0.1
+    assert not rep.is_candidate
+    # one corrupted node of the closing row moves its column's monodromy
+    _u, frame = _flat_frame(n=32, substeps=16, closing=True)
+    clean = torus_closure(frame)
+    frame.unitary[32, 5] += 1e-3
+    bad = torus_closure(frame)
+    assert bad.y_defect > 1e-4
+    assert bad.x_defect == clean.x_defect
+    assert not bad.is_candidate
