@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResonanceError
+from .errors import ConfigValidationError, ResonanceError
 
 AXIS_X = 1
 AXIS_Y = 0
@@ -233,9 +233,27 @@ def save_field(fld, path):
 
 
 def load_field(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        nx, ny = int(header[0]), int(header[1])
-        lx, ly = float(header[2]), float(header[3])
-        values = np.loadtxt(fh).reshape(ny, nx)
-    return ScalarFieldPeriodic(PeriodicGrid(nx, ny, lx, ly), values)
+    """Read a field written by save_field.
+
+    Raises ConfigValidationError when the header is malformed, the file holds
+    other than nx * ny values, or a value is not finite.
+    """
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            if len(header) != 4:
+                raise ValueError(f"header has {len(header)} fields, not nx,ny,lx,ly")
+            grid = PeriodicGrid(int(header[0]), int(header[1]), float(header[2]), float(header[3]))
+            if not np.isfinite([grid.lx, grid.ly]).all():
+                raise ValueError(f"periods ({grid.lx}, {grid.ly}) are not finite")
+            values = np.loadtxt(fh, ndmin=1)
+    except ValueError as exc:
+        raise ConfigValidationError(f"field file {path} is malformed: {exc}") from exc
+    if values.shape != (grid.nx * grid.ny,):
+        raise ConfigValidationError(
+            f"field file {path} holds {values.size} values in shape {values.shape}; its header "
+            f"needs {grid.nx * grid.ny}, one per line"
+        )
+    if not np.isfinite(values).all():
+        raise ConfigValidationError(f"field file {path} holds non-finite values")
+    return ScalarFieldPeriodic(grid, values.reshape(grid.ny, grid.nx))

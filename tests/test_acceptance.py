@@ -28,7 +28,7 @@ from tzitzeica.lax import (
     propagate_psi,
 )
 from tzitzeica.solver import newton_solve, pde_residual
-from tzitzeica.surface import build_surface, extract_second_form, full_report, normality_map
+from tzitzeica.surface import build_surface, extract_second_form, normality_map
 
 from conftest import loglog_slope
 

@@ -9,7 +9,7 @@ import pytest
 from tzitzeica import cli, meshout
 from tzitzeica.config import parse_config_text
 from tzitzeica.errors import ConfigParseError, ConfigValidationError
-from tzitzeica.grid import PeriodicGrid, load_field
+from tzitzeica.grid import load_field
 from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
 from tzitzeica.surface import build_surface, full_report
 
@@ -266,3 +266,40 @@ def test_report_rejects_truncated_frame(tmp_path, keep):
         cut = data.rindex(b"\n", 0, cut) + 1
     path.write_bytes(data[:cut])
     _assert_report_rejected(out, str(tmp_path / "run.cfg"))
+
+
+# ---------------------------------------------------------------------------
+# damaged field files: exit 3, last log line "error: validation"
+# ---------------------------------------------------------------------------
+
+
+def test_report_rejects_truncated_field(tmp_path):
+    out = _frame_run(tmp_path)
+    cfg = str(tmp_path / "run.cfg")
+    assert cli.main(["report", "--config", cfg]) == 0
+    (out / cli.REPORT_JSON).unlink()
+    path = out / cli.FIELD_CSV
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    _assert_report_rejected(out, cfg)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda head, vals: [head] + vals[:5] + ["nan"] + vals[6:],
+        lambda head, vals: [head] + vals[:5] + [vals[5] + " " + vals[6]] + vals[7:],
+        lambda head, vals: [head.rsplit(",", 1)[0]] + vals,
+        lambda head, vals: [head.rsplit(",", 1)[0] + ",inf"] + vals,
+    ],
+    ids=["nan", "ragged", "header", "infinite-period"],
+)
+def test_solve_rejects_damaged_seed_file(tmp_path, damage):
+    out = tmp_path / "out"
+    seed = tmp_path / "seed.csv"
+    head = f"32,32,{float(2 * np.pi)!r},{float(FLAT_LY)!r}"
+    seed.write_text("\n".join(damage(head, ["0.25"] * (32 * 32))) + "\n")
+    text = flat_config_text(str(out)).replace("seed = zero", f"seed = file\nfield_path = {seed}")
+    assert cli.main(["solve", "--config", write_config(tmp_path, text)]) == 3
+    assert (out / "solve.log").read_text().strip().splitlines()[-1] == "error: validation"
+    assert not (out / cli.FIELD_CSV).exists()

@@ -1,9 +1,10 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package and its tests is used."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tzitzeica"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tzitzeica"
 
 
 def _bound_names(node):
@@ -34,7 +35,8 @@ def test_guard_flags_an_unused_import():
 
 def test_no_unused_module_level_imports():
     # __init__.py is the package's re-export list
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    found = {p.name: unused_imports(p.read_text()) for p in modules}
+    package = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    tests = sorted(TESTS.glob("*.py"))
+    assert package and tests
+    found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text()) for p in package + tests}
     assert {k: v for k, v in found.items() if v} == {}

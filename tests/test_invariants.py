@@ -20,7 +20,6 @@ from tzitzeica.invariants import (
     riemann,
     scalar_invariants,
     sphere_reduction_check,
-    trace_vector,
 )
 
 from conftest import loglog_slope

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from tzitzeica.linalg3 import euclidean_inner, hermitian_inner, unitarity_defect
 

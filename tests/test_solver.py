@@ -4,7 +4,7 @@ import pytest
 import tzitzeica as tz
 from tzitzeica.errors import NewtonDivergenceError, ResonanceError
 from tzitzeica.grid import PeriodicGrid, field_from_function, zero_field
-from tzitzeica.solver import laplacian_matrix, newton_solve, pde_residual
+from tzitzeica.solver import laplacian_matrix, newton_solve, pde_residual, splu
 
 from conftest import loglog_slope
 
@@ -83,6 +83,45 @@ def test_newton_quadratic_from_cosine_seed():
     assert max(ratios) < 1e3
     # the limit is the unique constant solution u = 0
     assert np.abs(res.field.values).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def perturbed_wave64():
+    """The lifted E = 6.5 wave on 64^2 plus 0.02 cos(2 pi y / ly), and the lift."""
+    profile = tz.travelling_wave(6.5)
+    g = PeriodicGrid(64, 64, profile.period, 2.0 * np.pi / np.sqrt(3.0))
+    lift = tz.lift_1d(profile, g)
+    _xx, yy = g.mesh()
+    return tz.ScalarFieldPeriodic(g, lift.values + 0.02 * np.cos(2 * np.pi * yy / g.ly)), lift
+
+
+def test_splu_ordering_has_less_fill_than_colamd(perturbed_wave64):
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu as superlu
+
+    seed, _lift = perturbed_wave64
+    v = seed.values.ravel()
+    jac = (laplacian_matrix(seed.grid) + sp.diags(8.0 * np.exp(-2.0 * v) + 4.0 * np.exp(v))).tocsc()
+    lu = splu(jac)
+    colamd = superlu(jac, permc_spec="COLAMD")
+    # measured 0.67M against 1.03M
+    assert lu.L.nnz + lu.U.nnz < 0.8 * (colamd.L.nnz + colamd.U.nnz)
+    rhs = np.random.default_rng(0).standard_normal(v.size)
+    assert np.abs(jac @ lu.solve(rhs) - rhs).max() < 1e-8
+
+
+def test_newton_quadratic_from_2d_perturbed_wave(perturbed_wave64):
+    seed, lift = perturbed_wave64
+    res = newton_solve(seed, 1e-11, 20)
+    assert res.final_residual < 1e-11
+    rs = res.residuals
+    assert len(rs) >= 4
+    ratios = [b / a**2 for a, b in zip(rs, rs[1:])]
+    assert max(ratios) < 1e3
+    # the y-mode dies out: the limit is the discrete wave, within fd4 error of the lift
+    vals = res.field.values
+    assert np.abs(vals - vals[0]).max() < 1e-10
+    assert np.abs(vals - lift.values).max() < 1e-4
 
 
 def test_newton_no_other_constant_fixed_point():
