@@ -2,76 +2,4 @@
 spectral parameter, and minimal complexly-normal surfaces in the sphere
 S^5 in C^3, with verification of every geometric identity along the way."""
 
-from .errors import (
-    ConfigParseError,
-    ConfigValidationError,
-    DegenerateMetricError,
-    IncommensuratePeriodError,
-    InvalidFrameError,
-    NewtonDivergenceError,
-    NumericalFailure,
-    ResonanceError,
-    SingularJacobianError,
-    UnitarityBlowupError,
-)
-from .grid import (
-    PeriodicGrid,
-    ScalarFieldPeriodic,
-    check_resonance,
-    field_from_function,
-    load_field,
-    resonance_gap,
-    save_field,
-    zero_field,
-)
-from .invariants import (
-    HypersurfaceCoefficients,
-    InducedTensors,
-    SymTensor3,
-    cauchy_riemann_residual,
-    christoffel_conformal,
-    christoffel_from_field,
-    christoffel_generic,
-    closed_form_tensor,
-    codazzi_residual,
-    gauss_curvature,
-    gauss_residual,
-    hermitian_induced,
-    induced_tensors,
-    mean_curvature_vector,
-    riemann,
-    scalar_invariants,
-    sphere_reduction_check,
-)
-from .lax import (
-    FrameField,
-    PsiState,
-    SpectralPoint,
-    compatibility_residual,
-    frame_orthonormality_report,
-    frame_rhs,
-    integrate_frame,
-    pairing,
-    propagate_psi,
-    psi_rhs,
-)
-from .linalg3 import euclidean_inner, hermitian_inner, unitarity_defect
-from .solver import NewtonResult, newton_solve, pde_residual
-from .surface import (
-    ImmersionReport,
-    SurfaceMesh,
-    build_surface,
-    extract_second_form,
-    full_report,
-    tangent_analytic,
-    torus_closure,
-)
-from .wave import (
-    WaveProfile1D,
-    lift_1d,
-    period_quadrature,
-    period_shooting,
-    travelling_wave,
-)
-
 __version__ = "0.1.0"

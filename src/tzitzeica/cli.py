@@ -135,9 +135,11 @@ def _seed_field(cfg, grid, log):
     if not os.path.exists(path):
         raise ConfigValidationError(f"seed field file {path} does not exist")
     fld = load_field(path)
-    if (fld.grid.nx, fld.grid.ny) != (grid.nx, grid.ny):
+    seed = fld.grid
+    if (seed.nx, seed.ny, seed.lx, seed.ly) != (grid.nx, grid.ny, grid.lx, grid.ly):
         raise ConfigValidationError(
-            f"seed field grid {fld.grid.nx}x{fld.grid.ny} does not match config"
+            f"seed field {path} is for grid {seed.nx}x{seed.ny} over ({seed.lx!r}, {seed.ly!r}), "
+            f"the config for {grid.nx}x{grid.ny} over ({grid.lx!r}, {grid.ly!r})"
         )
     return fld
 

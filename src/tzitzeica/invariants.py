@@ -30,13 +30,6 @@ SPD_EIG_RATIO = 1e-12
 
 
 @dataclass
-class InducedTensors:
-    omega_mix: np.ndarray  # Omega^i_j = g^{ik} w_kj, traceless
-    f_low: np.ndarray      # f_ij = g_ij + w_ik g^{ks} w_sj
-    f_mix: np.ndarray      # F^i_j = delta + Omega^2
-
-
-@dataclass
 class SymTensor3:
     """Mixed components t[k, i, j] of the cubic form, plus optional context
     (the conformal exponent field, rotation angle, sphere radius) for
@@ -46,30 +39,6 @@ class SymTensor3:
     u: np.ndarray | None = None
     theta: float | None = None
     radius: float | None = None
-
-
-@dataclass
-class HypersurfaceCoefficients:
-    """Frame coefficients (b, d, l, m, s) of a codimension-1 ambient manifold;
-    only the sphere specialization l = I/R, m = 0, s = 0 is exercised."""
-
-    b: np.ndarray
-    d: np.ndarray
-    l_mix: np.ndarray
-    m_mix: np.ndarray
-    s: np.ndarray
-
-    @classmethod
-    def sphere(cls, g, omega, radius):
-        eye = np.broadcast_to(np.eye(2), np.shape(g)).copy()
-        zeros2 = np.zeros(np.shape(g))
-        return cls(
-            b=-np.asarray(g) / radius,
-            d=-np.asarray(omega) / radius,
-            l_mix=eye / radius,
-            m_mix=zeros2,
-            s=np.zeros(np.shape(g)[:-1]),
-        )
 
 
 def _tvalues(t):
@@ -110,20 +79,6 @@ def hermitian_induced(e1, e2, check=True):
     return g, omega
 
 
-def induced_tensors(g, omega):
-    """Mixed rotation tensor, its square-dependent companions."""
-    g = np.asarray(g, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    check_spd(g)
-    ginv = inv2(g)
-    om = np.einsum("...ik,...kj->...ij", ginv, omega)
-    f_low = g + np.einsum("...ik,...ks,...sj->...ij", omega, ginv, omega)
-    f_mix = np.broadcast_to(np.eye(2), g.shape).copy() + np.einsum(
-        "...ir,...rj->...ij", om, om
-    )
-    return InducedTensors(omega_mix=om, f_low=f_low, f_mix=f_mix)
-
-
 # ---------------------------------------------------------------------------
 # connection and curvature
 # ---------------------------------------------------------------------------
@@ -155,27 +110,6 @@ def _dfield(values, h, axis, periodic, method):
     if periodic:
         return gridmod.deriv(values, h, axis, method)
     return gridmod.deriv_nonperiodic(values, h, axis)
-
-
-def christoffel_generic(g, hx, hy, periodic=True, method="fd4"):
-    """Levi-Civita connection of an arbitrary 2D metric field via
-    gamma^k_ij = g^{ks}/2 (d_i g_sj + d_j g_is - d_s g_ij)."""
-    g = np.asarray(g, dtype=float)
-    check_spd(g)
-    ginv = inv2(g)
-    dg = np.stack(
-        [
-            _dfield(g, hx, gridmod.AXIS_X, periodic, method),
-            _dfield(g, hy, gridmod.AXIS_Y, periodic, method),
-        ],
-        axis=-3,
-    )  # dg[..., a, i, j] = d_a g_ij
-    bracket = (
-        np.einsum("...isj->...sij", dg)
-        + np.einsum("...jis->...sij", dg)
-        - dg
-    )
-    return 0.5 * np.einsum("...ks,...sij->...kij", ginv, bracket)
 
 
 def riemann(gamma, hx, hy, periodic=True, method="fd4"):
@@ -267,26 +201,6 @@ def closed_form_tensor(u, theta):
     return t
 
 
-def mean_curvature_vector(t, f1, f2, g):
-    """Averaged normal vector sum_k (g^{ks} t^i_is) F_k; its Euclidean length
-    is the mean curvature."""
-    g = np.asarray(g, dtype=float)
-    v = np.einsum("...ks,...s->...k", inv2(g), trace_vector(t))
-    return v[..., 0, None] * np.asarray(f1) + v[..., 1, None] * np.asarray(f2)
-
-
-def sphere_reduction_check(g, omega, radius, tol=1e-8):
-    """Second-form coefficients of a sphere ambient: b = -g/R and d = -w/R.
-
-    d must be symmetric; since w is antisymmetric this forces d = w = 0, so
-    the check passes iff the antisymmetric part of d is below tolerance.
-    """
-    coeff = HypersurfaceCoefficients.sphere(g, omega, radius)
-    d = coeff.d
-    asym = np.abs(d - np.swapaxes(d, -1, -2)).max()
-    return coeff.b, coeff.d, bool(asym < tol)
-
-
 def codazzi_residual(t, gamma, g, hx, hy, periodic=True, method="fd4"):
     """Per-node max over index choices of nabla_i t_jsk - nabla_j t_isk."""
     t_low = lower_tensor(t, g)
@@ -307,42 +221,3 @@ def codazzi_residual(t, gamma, g, hx, hy, periodic=True, method="fd4"):
     )
     resid = nabla - np.swapaxes(nabla, -4, -3)
     return np.abs(resid).max(axis=(-4, -3, -2, -1))
-
-
-def cauchy_riemann_residual(a, b, u, hx, hy, periodic=True, method="fd4"):
-    """Max-abs defect of d_x(e^u a) = d_y(e^u b), d_y(e^u a) = -d_x(e^u b)."""
-    u = np.asarray(getattr(u, "values", u), dtype=float)
-    p = np.exp(u) * np.asarray(a, dtype=float)
-    q = np.exp(u) * np.asarray(b, dtype=float)
-    r1 = _dfield(p, hx, gridmod.AXIS_X, periodic, method) - _dfield(
-        q, hy, gridmod.AXIS_Y, periodic, method
-    )
-    r2 = _dfield(p, hy, gridmod.AXIS_Y, periodic, method) + _dfield(
-        q, hx, gridmod.AXIS_X, periodic, method
-    )
-    return float(max(np.abs(r1).max(), np.abs(r2).max()))
-
-
-__all__ = [
-    "InducedTensors",
-    "SymTensor3",
-    "HypersurfaceCoefficients",
-    "hermitian_induced",
-    "induced_tensors",
-    "christoffel_conformal",
-    "christoffel_from_field",
-    "christoffel_generic",
-    "riemann",
-    "gauss_curvature",
-    "gauss_residual",
-    "lower_tensor",
-    "trace_vector",
-    "scalar_invariants",
-    "closed_form_tensor",
-    "mean_curvature_vector",
-    "sphere_reduction_check",
-    "codazzi_residual",
-    "cauchy_riemann_residual",
-    "inv2",
-    "check_spd",
-]

@@ -59,13 +59,6 @@ class SpectralPoint:
         return complex(np.cos(self.theta), np.sin(self.theta))
 
 
-@dataclass
-class PsiState:
-    psi: np.ndarray
-    z: complex
-    spectral: SpectralPoint
-
-
 # ---------------------------------------------------------------------------
 # coefficient matrices
 # ---------------------------------------------------------------------------
@@ -90,18 +83,6 @@ def lax_zbar_matrix(u, lam):
     out[..., 1, 2] = 1j * np.exp(u)
     out[..., 2, 0] = 1j * np.exp(u) / lam
     return out
-
-
-def psi_rhs(state, u, u_z, direction):
-    """Right-hand side of the z or zbar system applied to state.psi."""
-    lam = state.spectral.lam
-    if direction == "z":
-        mat = lax_z_matrix(u, u_z, lam)
-    elif direction == "zbar":
-        mat = lax_zbar_matrix(u, lam)
-    else:
-        raise ValueError(f"direction must be 'z' or 'zbar', got {direction!r}")
-    return mat @ np.asarray(state.psi, dtype=complex)
 
 
 def frame_coeff_x(u, ux, uy, lam):
@@ -138,18 +119,6 @@ def frame_coeff_y(u, ux, uy, lam):
     out[..., 2, 0] = -lam * eh
     out[..., 2, 1] = eh
     return out
-
-
-def frame_rhs(mat, u, ux, uy, spectral, direction):
-    """d U = U W along the requested real direction."""
-    lam = spectral.lam
-    if direction == "x":
-        coeff = frame_coeff_x(u, ux, uy, lam)
-    elif direction == "y":
-        coeff = frame_coeff_y(u, ux, uy, lam)
-    else:
-        raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
-    return np.asarray(mat, dtype=complex) @ coeff
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +266,6 @@ class FrameField:
     def normal(self):
         """Third frame column at the base nodes."""
         return self.base[..., :, 2]
-
-
-def unitarity_defect_field(frame):
-    return unitarity_defect_map(frame.unitary)
 
 
 def frame_orthonormality_report(frame):
@@ -461,20 +426,15 @@ def propagate_psi(u, spectral, psi0, row=0, mode="x", substeps=DEFAULT_SUBSTEPS,
     return xs, psis
 
 
-def pairing(psi_state, phi_state):
-    """Bilinear pairing lam (psi1 phi2 - psi2 phi1) - lam^2 psi3 phi3, with
-    lam taken from the first argument.
+def pairing_series(lam, psis, phis):
+    """Bilinear pairing lam (psi1 phi2 - psi2 phi1) - lam^2 psi3 phi3 of psi
+    and phi values, elementwise over leading axes.
 
     For phi propagated at the opposite parameter -mu the pairing obeys
     d_z pairing = i (mu - lam) lam psi2 phi3 and
     d_zbar pairing = i e^u (lam/mu - 1) lam psi3 phi1,
     so it is constant in both variables when mu = lam.
     """
-    lam = psi_state.spectral.lam
-    return complex(pairing_series(lam, psi_state.psi, phi_state.psi))
-
-
-def pairing_series(lam, psis, phis):
     p = np.asarray(psis, dtype=complex)
     q = np.asarray(phis, dtype=complex)
     return lam * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]) - lam**2 * p[..., 2] * q[..., 2]

@@ -1,10 +1,9 @@
-"""Complex 3-vectors and 3x3 matrices with the two scalar products of C^3.
+"""Complex 3-vectors and 3x3 matrices with the Hermitian product of C^3.
 
 Vectors are numpy arrays with a trailing axis of length 3, matrices have
-trailing shape (3, 3); all functions broadcast over leading axes.  Both
-products are defined on C^3: the Hermitian one <a|b> = sum conj(a_i) b_i
-(conjugate-linear in the first slot) and its real part, the Euclidean
-product of C^3 viewed as R^6.
+trailing shape (3, 3); all functions broadcast over leading axes.  The
+product <a|b> = sum conj(a_i) b_i is conjugate-linear in the first slot; its
+real part is the Euclidean product of C^3 viewed as R^6.
 """
 
 import numpy as np
@@ -14,12 +13,6 @@ def hermitian_inner(a, b):
     """<a|b> = sum_i conj(a_i) b_i."""
     out = np.sum(np.conj(np.asarray(a)) * np.asarray(b), axis=-1)
     return complex(out) if np.ndim(out) == 0 else out
-
-
-def euclidean_inner(a, b):
-    """(a|b) = Re <a|b>; symmetric and bilinear over the reals."""
-    out = np.real(np.sum(np.conj(np.asarray(a)) * np.asarray(b), axis=-1))
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def gram(mat):

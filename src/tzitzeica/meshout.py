@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from .errors import ConfigValidationError
 from .grid import PeriodicGrid, format_float, write_rows
 
 COORD_NAMES = ("re1", "im1", "re2", "im2", "re3", "im3")
@@ -39,13 +40,31 @@ def save_mesh(mesh, path):
 
 
 def load_mesh_points(path):
-    """Returns (grid, radius, points)."""
-    with open(path) as fh:
-        head = fh.readline().strip().split(",")
-        nx, ny = int(head[0]), int(head[1])
-        lx, ly, radius = float(head[2]), float(head[3]), float(head[4])
-        r6 = np.loadtxt(fh, delimiter=",").reshape(ny * nx, 6)
-    return PeriodicGrid(nx, ny, lx, ly), radius, r6_to_points(r6, ny, nx)
+    """Returns (grid, radius, points) of a mesh written by save_mesh.
+
+    Raises ConfigValidationError when the header is malformed, the file holds
+    other than nx * ny rows of 6 values, or a value is not finite.
+    """
+    try:
+        with open(path) as fh:
+            head = fh.readline().strip().split(",")
+            if len(head) != 5:
+                raise ValueError(f"header has {len(head)} fields, not nx,ny,lx,ly,radius")
+            grid = PeriodicGrid(int(head[0]), int(head[1]), float(head[2]), float(head[3]))
+            radius = float(head[4])
+            if not np.isfinite([grid.lx, grid.ly, radius]).all():
+                raise ValueError(f"periods or radius ({grid.lx}, {grid.ly}, {radius}) not finite")
+            r6 = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigValidationError(f"mesh file {path} is malformed: {exc}") from exc
+    if r6.shape != (grid.nx * grid.ny, 6):
+        raise ConfigValidationError(
+            f"mesh file {path} holds {r6.shape[0]} rows of {r6.shape[-1]} values; its header "
+            f"needs {grid.nx * grid.ny} rows of 6"
+        )
+    if not np.isfinite(r6).all():
+        raise ConfigValidationError(f"mesh file {path} holds non-finite values")
+    return grid, radius, r6_to_points(r6, grid.ny, grid.nx)
 
 
 def grid_faces(nx, ny):
@@ -144,18 +163,3 @@ def export_mesh(grid, radius, points, out_stem, projection="pca"):
     write_ply(paths[1], verts, faces)
     write_sidecar(paths[2], meta)
     return paths
-
-
-def parse_obj(path):
-    """Minimal OBJ reader for round-trip checks: returns (verts, faces)."""
-    verts, faces = [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(v) for v in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(v.split("/")[0]) - 1 for v in parts[1:4]])
-    return np.asarray(verts), np.asarray(faces, dtype=int)

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import invariants as inv
 from .errors import InvalidFrameError
-from .grid import ddx, ddy
 from .lax import frame_axis_stencil, frame_orthonormality_report
 from .linalg3 import hermitian_inner
 
@@ -54,15 +53,6 @@ def build_surface(frame, radius, validate=True):
     points = radius * frame.normal
     e1, e2 = tangent_analytic(frame, frame.u, radius)
     return SurfaceMesh(frame.grid, points, e1, e2, float(radius))
-
-
-def fd_tangents(mesh, method="fd4"):
-    """Grid finite-difference tangents of the embedding (valid when the frame
-    closes over the grid periods)."""
-    return (
-        ddx(mesh.points, mesh.grid, method),
-        ddy(mesh.points, mesh.grid, method),
-    )
 
 
 def normality_map(e1, e2, normal):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import tzitzeica as tz
+from tzitzeica.wave import travelling_wave
 
 
 def loglog_slope(hs, errs):
@@ -17,4 +17,4 @@ def random_unitary(rng):
 
 @pytest.fixture(scope="session")
 def wave61():
-    return tz.travelling_wave(6.1)
+    return travelling_wave(6.1)

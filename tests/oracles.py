@@ -1,0 +1,63 @@
+"""Independent oracles the tests check pipeline quantities against.
+
+None of these is on the pipeline's path: the generic Levi-Civita connection
+cross-checks the conformal closed form, grid differencing of the embedding
+cross-checks the analytic tangents, and the OBJ reader reads back what the
+export stage wrote.
+"""
+
+import numpy as np
+
+from tzitzeica.grid import AXIS_X, AXIS_Y, ddx, ddy, deriv, deriv_nonperiodic
+from tzitzeica.invariants import check_spd, inv2
+
+
+def _dfield(values, h, axis, periodic, method):
+    if periodic:
+        return deriv(values, h, axis, method)
+    return deriv_nonperiodic(values, h, axis)
+
+
+def christoffel_generic(g, hx, hy, periodic=True, method="fd4"):
+    """Levi-Civita connection of an arbitrary 2D metric field via
+    gamma^k_ij = g^{ks}/2 (d_i g_sj + d_j g_is - d_s g_ij)."""
+    g = np.asarray(g, dtype=float)
+    check_spd(g)
+    ginv = inv2(g)
+    dg = np.stack(
+        [
+            _dfield(g, hx, AXIS_X, periodic, method),
+            _dfield(g, hy, AXIS_Y, periodic, method),
+        ],
+        axis=-3,
+    )  # dg[..., a, i, j] = d_a g_ij
+    bracket = (
+        np.einsum("...isj->...sij", dg)
+        + np.einsum("...jis->...sij", dg)
+        - dg
+    )
+    return 0.5 * np.einsum("...ks,...sij->...kij", ginv, bracket)
+
+
+def fd_tangents(mesh, method="fd4"):
+    """Grid finite-difference tangents of the embedding (valid when the frame
+    closes over the grid periods)."""
+    return (
+        ddx(mesh.points, mesh.grid, method),
+        ddy(mesh.points, mesh.grid, method),
+    )
+
+
+def parse_obj(path):
+    """Minimal OBJ reader for round-trip checks: returns (verts, faces)."""
+    verts, faces = [], []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "v":
+                verts.append([float(v) for v in parts[1:4]])
+            elif parts[0] == "f":
+                faces.append([int(v.split("/")[0]) - 1 for v in parts[1:4]])
+    return np.asarray(verts), np.asarray(faces, dtype=int)

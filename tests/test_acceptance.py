@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-import tzitzeica as tz
 from tzitzeica import cli
 from tzitzeica.config import parse_config_text
 from tzitzeica.grid import PeriodicGrid, field_from_function, resonance_gap, zero_field
@@ -29,6 +28,7 @@ from tzitzeica.lax import (
 )
 from tzitzeica.solver import newton_solve, pde_residual
 from tzitzeica.surface import build_surface, extract_second_form, normality_map
+from tzitzeica.wave import energy_drift, lift_1d, period_quadrature, period_shooting, travelling_wave
 
 from conftest import loglog_slope
 
@@ -152,10 +152,10 @@ def test_criterion_2_sign_convention_lock():
 def test_criterion_3_travelling_wave_oracle():
     t0 = time.perf_counter()
     small = 2.0 * np.pi / np.sqrt(12.0)
-    t_quad = tz.period_quadrature(6.001)
-    t_shoot = tz.period_shooting(6.001)
-    profile = tz.travelling_wave(6.001)
-    drift = tz.wave.energy_drift(profile)
+    t_quad = period_quadrature(6.001)
+    t_shoot = period_shooting(6.001)
+    profile = travelling_wave(6.001)
+    drift = energy_drift(profile)
     elapsed = time.perf_counter() - t0
     assert abs(t_quad - small) < 0.01 * small, f"T(6.001) = {t_quad} vs {small}"
     assert abs(t_quad - t_shoot) < 1e-8, f"quadrature {t_quad!r} vs shooting {t_shoot!r}"
@@ -181,7 +181,7 @@ def test_criterion_4_newton_from_lifted_wave(wave61):
     grid = PeriodicGrid(128, 128, wave61.period, 1.0)
     assert resonance_gap(grid) > 1e-2
     t0 = time.perf_counter()
-    seed = tz.lift_1d(wave61, grid)
+    seed = lift_1d(wave61, grid)
     result = newton_solve(seed, 1e-10, 30)
     elapsed = time.perf_counter() - t0
     assert result.final_residual < 1e-10, f"final residual {result.final_residual}"
@@ -237,7 +237,7 @@ def test_criterion_5_frame_convergence(wave61):
     perrs, phs = [], []
     for n in (16, 32, 64):
         grid = PeriodicGrid(n, n, wave61.period, 1.0)
-        u = tz.lift_1d(wave61, grid)
+        u = lift_1d(wave61, grid)
         fx = integrate_frame(u, spectral, substeps=1, order="xy", blowup=1e-2)
         fy = integrate_frame(u, spectral, substeps=1, order="yx", blowup=1e-2)
         perrs.append(np.abs(fx.unitary - fy.unitary).max())
@@ -262,7 +262,7 @@ def test_criterion_6_pairing_laws(wave61):
     phi0 = np.array([0.2 + 0.1j, 1.0, 0.4j])
 
     grid = PeriodicGrid(64, 8, wave61.period, 1.0)
-    u = tz.lift_1d(wave61, grid)
+    u = lift_1d(wave61, grid)
     _, psis = propagate_psi(u, SpectralPoint(theta), psi0)
     _, phis = propagate_psi(u, SpectralPoint(theta + np.pi), phi0)
     series = pairing_series(lam, psis, phis)
@@ -274,7 +274,7 @@ def test_criterion_6_pairing_laws(wave61):
     errs, hs = [], []
     for n in (32, 64, 128):
         g = PeriodicGrid(n, 8, wave61.period, 1.0)
-        un = tz.lift_1d(wave61, g)
+        un = lift_1d(wave61, g)
         _, ps = propagate_psi(un, SpectralPoint(theta), psi0)
         _, qs = propagate_psi(un, SpectralPoint(mu_theta + np.pi), phi0)
         om = pairing_series(lam, ps, qs)
@@ -301,7 +301,7 @@ def test_criterion_7_second_form_extraction(wave61):
     trace_fine = None
     for n in (16, 32, 64):
         grid = PeriodicGrid(n, n, wave61.period, 1.0)
-        u = tz.lift_1d(wave61, grid)
+        u = lift_1d(wave61, grid)
         frame = integrate_frame(u, SpectralPoint(theta), substeps=8)
         out = extract_second_form(frame, u, 1.0, theta=theta)
         expected = closed_form_tensor(u.values, theta)

@@ -13,6 +13,8 @@ from tzitzeica.grid import load_field
 from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
 from tzitzeica.surface import build_surface, full_report
 
+from oracles import parse_obj
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 FLAT_LY = 2.0 * np.pi / np.sqrt(3.0)
@@ -159,7 +161,7 @@ def test_mesh_csv_and_obj_round_trip(flat_run):
     radii = np.sqrt(np.sum(np.abs(points) ** 2, axis=-1))
     assert np.abs(radii - 1.0).max() < 1e-8
 
-    verts, faces = meshout.parse_obj(os.path.join(out, "mesh.obj"))
+    verts, faces = parse_obj(os.path.join(out, "mesh.obj"))
     assert verts.shape == (32 * 32, 3)
     assert faces.shape == (2 * 32 * 32, 3)
     assert faces.min() == 0 and faces.max() == 32 * 32 - 1
@@ -182,7 +184,7 @@ def test_named_projection_export(tmp_path):
     for stage in ("solve", "frame", "surface", "export"):
         cli.run_pipeline(cfg, stage, out, echo=False)
     grid, radius, points = meshout.load_mesh_points(os.path.join(out, cli.MESH_CSV))
-    verts, _ = meshout.parse_obj(os.path.join(out, "mesh.obj"))
+    verts, _ = parse_obj(os.path.join(out, "mesh.obj"))
     assert np.allclose(verts, meshout.points_to_r6(points)[:, [0, 2, 4]], atol=1e-12)
     with open(os.path.join(out, "mesh.meta.json")) as fh:
         assert json.load(fh)["projection"] == ["re1", "re2", "re3"]
@@ -269,7 +271,7 @@ def test_report_rejects_truncated_frame(tmp_path, keep):
 
 
 # ---------------------------------------------------------------------------
-# damaged field files: exit 3, last log line "error: validation"
+# damaged field and mesh files: exit 3, last log line "error: validation"
 # ---------------------------------------------------------------------------
 
 
@@ -291,8 +293,9 @@ def test_report_rejects_truncated_field(tmp_path):
         lambda head, vals: [head] + vals[:5] + [vals[5] + " " + vals[6]] + vals[7:],
         lambda head, vals: [head.rsplit(",", 1)[0]] + vals,
         lambda head, vals: [head.rsplit(",", 1)[0] + ",inf"] + vals,
+        lambda head, vals: [",".join(head.split(",")[:2] + ["1.0", "1.0"])] + vals,
     ],
-    ids=["nan", "ragged", "header", "infinite-period"],
+    ids=["nan", "ragged", "header", "infinite-period", "other-periods"],
 )
 def test_solve_rejects_damaged_seed_file(tmp_path, damage):
     out = tmp_path / "out"
@@ -303,3 +306,25 @@ def test_solve_rejects_damaged_seed_file(tmp_path, damage):
     assert cli.main(["solve", "--config", write_config(tmp_path, text)]) == 3
     assert (out / "solve.log").read_text().strip().splitlines()[-1] == "error: validation"
     assert not (out / cli.FIELD_CSV).exists()
+
+
+def _nan_first_value(data):
+    head, first, rest = data.split(b"\n", 2)
+    return b"\n".join([head, b"nan" + first[first.index(b","):], rest])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda data: data[: len(data) // 2], _nan_first_value, lambda data: data.split(b",", 1)[1]],
+    ids=["cut-mid-line", "nan", "header"],
+)
+def test_export_rejects_damaged_mesh(tmp_path, damage):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, flat_config_text(str(out)))
+    for stage in ("solve", "frame", "surface"):
+        assert cli.main([stage, "--config", cfg]) == 0
+    path = out / cli.MESH_CSV
+    path.write_bytes(damage(path.read_bytes()))
+    assert cli.main(["export", "--config", cfg]) == 3
+    assert (out / "export.log").read_text().strip().splitlines()[-1] == "error: validation"
+    assert not (out / "mesh.obj").exists()

@@ -1,4 +1,6 @@
-"""Source hygiene: every module-level import in the package and its tests is used."""
+"""Source hygiene: every module-level import in the package and its tests is
+used, and every public definition of the package is reached from the package
+itself or from the acceptance suite."""
 
 import ast
 import pathlib
@@ -34,9 +36,50 @@ def test_guard_flags_an_unused_import():
 
 
 def test_no_unused_module_level_imports():
-    # __init__.py is the package's re-export list
-    package = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    package = sorted(SRC.glob("*.py"))
     tests = sorted(TESTS.glob("*.py"))
     assert package and tests
     found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text()) for p in package + tests}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def _referenced(tree):
+    """Names a tree uses, as bare names or as attributes."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def unreached_definitions(modules, reaching=()):
+    """Public top-level defs and classes of `modules` (name -> source) that no
+    module references outside the definition itself, and no source in
+    `reaching` references at all; as "module:name"."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    outside = set().union(*(_referenced(ast.parse(source)) for source in reaching))
+    uses = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    return [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in refs for stmt, refs in uses if stmt is not node)
+    ]
+
+
+def test_guard_flags_an_unreached_definition():
+    modules = {
+        "a.py": "def used():\n    pass\n\ndef dead():\n    return dead\n\ndef _private():\n    pass\n",
+        "b.py": "from . import a\n\nclass Tested:\n    pass\n\na.used()\n",
+    }
+    assert unreached_definitions(modules) == ["a.py:dead", "b.py:Tested"]
+    assert unreached_definitions(modules, ["from b import Tested\nTested()\n"]) == ["a.py:dead"]
+
+
+def test_no_public_definition_only_its_own_tests_call():
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    acceptance = (TESTS / "test_acceptance.py").read_text()
+    assert unreached_definitions(modules, [acceptance]) == []

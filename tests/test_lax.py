@@ -2,58 +2,31 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import tzitzeica as tz
 from tzitzeica.errors import InvalidFrameError, UnitarityBlowupError
 from tzitzeica.grid import PeriodicGrid, field_from_function, zero_field
 from tzitzeica.lax import (
-    PsiState,
     SpectralPoint,
     compatibility_residual,
     frame_coeff_x,
     frame_coeff_y,
     frame_orthonormality_report,
-    frame_rhs,
     integrate_frame,
     lax_z_matrix,
     lax_zbar_matrix,
-    pairing,
     pairing_derivative_x,
     pairing_series,
     propagate_psi,
-    psi_rhs,
-    unitarity_defect_field,
 )
+from tzitzeica.linalg3 import unitarity_defect_map
 from tzitzeica.solver import pde_residual
+from tzitzeica.wave import lift_1d
 
-from conftest import loglog_slope, random_unitary
+from conftest import loglog_slope
 
 
 def test_spectral_point_unit_modulus():
     for th in (0.0, 0.4, -2.0, 13.0):
         assert abs(abs(SpectralPoint(th).lam) - 1.0) < 1e-15
-
-
-def test_psi_rhs_direct_substitution():
-    state = PsiState(np.ones(3, dtype=complex), 0.0, SpectralPoint(0.0))
-    assert np.allclose(psi_rhs(state, 0.0, 0.0, "z"), [1j, 1j, 1j])
-    assert np.allclose(psi_rhs(state, 0.0, 0.0, "zbar"), [1j, 1j, 1j])
-    zero = PsiState(np.zeros(3, dtype=complex), 0.0, SpectralPoint(0.7))
-    assert np.abs(psi_rhs(zero, 0.3, 0.1 + 0.2j, "z")).max() == 0.0
-
-
-def test_psi_rhs_linearity():
-    rng = np.random.default_rng(2)
-    sp = SpectralPoint(0.9)
-    u, uz = 0.23, 0.11 - 0.07j
-    for direction in ("z", "zbar"):
-        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        al, be = 1.3 - 0.2j, -0.7j
-        lhs = psi_rhs(PsiState(al * a + be * b, 0.0, sp), u, uz, direction)
-        rhs = al * psi_rhs(PsiState(a, 0.0, sp), u, uz, direction) + be * psi_rhs(
-            PsiState(b, 0.0, sp), u, uz, direction
-        )
-        assert np.abs(lhs - rhs).max() < 1e-14
 
 
 def test_frame_coefficients_are_anti_hermitian():
@@ -63,17 +36,6 @@ def test_frame_coefficients_are_anti_hermitian():
         lam = SpectralPoint(rng.uniform(0, 2 * np.pi)).lam
         for coeff in (frame_coeff_x(u, ux, uy, lam), frame_coeff_y(u, ux, uy, lam)):
             assert np.abs(coeff + coeff.conj().T).max() < 1e-13
-
-
-def test_frame_rhs_zero_and_gram_stationarity():
-    sp = SpectralPoint(0.3)
-    assert np.abs(frame_rhs(np.zeros((3, 3)), 0.1, 0.2, 0.3, sp, "x")).max() == 0.0
-    rng = np.random.default_rng(4)
-    mat = random_unitary(rng)
-    for direction in ("x", "y"):
-        du = frame_rhs(mat, 0.4, -0.2, 0.15, sp, direction)
-        gram_dot = du.conj().T @ mat + mat.conj().T @ du
-        assert np.abs(gram_dot).max() < 1e-13
 
 
 def test_frame_components_consistent_with_psi_system():
@@ -98,7 +60,7 @@ def test_compatibility_zero_field():
 
 def test_compatibility_on_lifted_wave(wave61):
     g = PeriodicGrid(64, 16, wave61.period, 1.0)
-    u = tz.lift_1d(wave61, g)
+    u = lift_1d(wave61, g)
     assert compatibility_residual(u, SpectralPoint(0.2)) < 1e-6
 
 
@@ -140,7 +102,7 @@ def test_integrate_frame_rejects_bad_start():
 
 def test_integrate_frame_blowup_guard(wave61):
     g = PeriodicGrid(16, 16, wave61.period, 1.0)
-    u = tz.lift_1d(wave61, g)
+    u = lift_1d(wave61, g)
     with pytest.raises(UnitarityBlowupError):
         integrate_frame(u, SpectralPoint(0.4), substeps=1, blowup=1e-12)
 
@@ -149,7 +111,7 @@ def test_unitarity_defect_localizes_at_corrupted_node():
     g = PeriodicGrid(32, 32, 1.0, 1.0)
     frame = integrate_frame(zero_field(g), SpectralPoint(0.0), substeps=4)
     frame.unitary[5, 7, 0, 2] += 1e-3
-    dmap = unitarity_defect_field(frame)
+    dmap = unitarity_defect_map(frame.unitary)
     assert dmap[5, 7] > 1e-4
     dmap[5, 7] = 0.0
     assert dmap.max() < 1e-9
@@ -159,7 +121,7 @@ def test_unitarity_drift_grows_at_most_linearly():
     # three 32-column bands of cells of width 2 pi / 32, marched in x
     g = PeriodicGrid(96, 8, 6 * np.pi, 1.0)
     frame = integrate_frame(zero_field(g), SpectralPoint(0.0), substeps=4, blowup=1e-2)
-    dmap = unitarity_defect_field(frame)
+    dmap = unitarity_defect_map(frame.unitary)
     bands = [dmap[:, 32 * k : 32 * (k + 1)].max() for k in range(3)]
     assert bands[0] <= bands[1] <= bands[2]
     assert bands[2] < 3.5 * bands[0] + 1e-13
@@ -167,22 +129,16 @@ def test_unitarity_drift_grows_at_most_linearly():
 
 def test_reunitarization_flag_suppresses_drift(wave61):
     g = PeriodicGrid(32, 32, wave61.period, 1.0)
-    u = tz.lift_1d(wave61, g)
+    u = lift_1d(wave61, g)
     raw = integrate_frame(u, SpectralPoint(0.4), substeps=1, blowup=1e-2)
     fixed = integrate_frame(u, SpectralPoint(0.4), substeps=1, blowup=1e-2, re_unitarize=True)
     assert frame_orthonormality_report(fixed) < 1e-12
     assert frame_orthonormality_report(fixed) < frame_orthonormality_report(raw)
 
 
-def test_pairing_zero_states():
-    sp = SpectralPoint(0.4)
-    z = PsiState(np.zeros(3, dtype=complex), 0.0, sp)
-    assert pairing(z, z) == 0.0
-
-
 def test_pairing_conserved_for_equal_parameters(wave61):
     g = PeriodicGrid(64, 8, wave61.period, 1.0)
-    u = tz.lift_1d(wave61, g)
+    u = lift_1d(wave61, g)
     th = 0.4
     psi0 = np.array([1.0, 0.3 - 0.2j, -0.1 + 0.5j])
     phi0 = np.array([0.2 + 0.1j, 1.0, 0.4j])
@@ -201,7 +157,7 @@ def test_pairing_x_derivative_identity(wave61):
     errs, hs = [], []
     for n in (32, 64, 128):
         g = PeriodicGrid(n, 8, wave61.period, 1.0)
-        u = tz.lift_1d(wave61, g)
+        u = lift_1d(wave61, g)
         _, psis = propagate_psi(u, SpectralPoint(th), psi0)
         _, phis = propagate_psi(u, SpectralPoint(mu_th + np.pi), phi0)
         om = pairing_series(lam, psis, phis)
@@ -225,7 +181,7 @@ def test_pairing_z_derivative_identity(wave61):
     errs, hs = [], []
     for n in (64, 128, 256):
         g = PeriodicGrid(n, 8, wave61.period, 1.0)
-        u = tz.lift_1d(wave61, g)
+        u = lift_1d(wave61, g)
         _, psis = propagate_psi(u, SpectralPoint(th), psi0, mode="z")
         _, phis = propagate_psi(u, SpectralPoint(mu_th + np.pi), phi0, mode="z")
         om = pairing_series(lam, psis, phis)

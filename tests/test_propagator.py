@@ -4,11 +4,11 @@ marcher (tests/reference_march.py), node by node."""
 import numpy as np
 import pytest
 
-import tzitzeica as tz
 from tzitzeica.grid import PeriodicGrid, zero_field
 from tzitzeica.lax import SpectralPoint, frame_axis_stencil, integrate_frame, propagate_psi
 from tzitzeica.linalg3 import unitarity_defect_map
 from tzitzeica.surface import torus_closure
+from tzitzeica.wave import lift_1d
 
 from reference_march import reference_frame, reference_psi, reference_stencil
 
@@ -28,7 +28,7 @@ def test_flat_extended_frame_matches_reference(order):
 
 @pytest.fixture(scope="module")
 def wave_field(wave61):
-    return tz.lift_1d(wave61, PeriodicGrid(32, 32, wave61.period, 1.0))
+    return lift_1d(wave61, PeriodicGrid(32, 32, wave61.period, 1.0))
 
 
 def _brute_force_closure(u, sp, substeps, order):
@@ -75,7 +75,7 @@ def test_axis_stencil_matches_reference(wave_field, axis):
 
 @pytest.mark.parametrize("mode", ["x", "z"])
 def test_psi_matches_reference(wave61, mode):
-    u = tz.lift_1d(wave61, PeriodicGrid(64, 8, wave61.period, 1.0))
+    u = lift_1d(wave61, PeriodicGrid(64, 8, wave61.period, 1.0))
     sp = SpectralPoint(0.4)
     psi0 = np.array([1.0, 0.3 - 0.2j, -0.1 + 0.5j])
     xs, psis = propagate_psi(u, sp, psi0, mode=mode)
@@ -86,7 +86,7 @@ def test_psi_matches_reference(wave61, mode):
 
 
 def test_psi_periods_reuse_the_first_period(wave61):
-    u = tz.lift_1d(wave61, PeriodicGrid(64, 8, wave61.period, 1.0))
+    u = lift_1d(wave61, PeriodicGrid(64, 8, wave61.period, 1.0))
     psi0 = np.array([1.0, 0.3 - 0.2j, -0.1 + 0.5j])
     _, one = propagate_psi(u, SpectralPoint(0.4), psi0)
     _, two = propagate_psi(u, SpectralPoint(0.4), psi0, periods=2)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-import tzitzeica as tz
 from tzitzeica.errors import NewtonDivergenceError, ResonanceError
-from tzitzeica.grid import PeriodicGrid, field_from_function, zero_field
+from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic, field_from_function, zero_field
 from tzitzeica.solver import laplacian_matrix, newton_solve, pde_residual, splu
+from tzitzeica.wave import lift_1d, travelling_wave
 
 from conftest import loglog_slope
 
@@ -16,7 +16,7 @@ def test_residual_zero_field():
 
 def test_residual_constant_log2():
     g = PeriodicGrid(16, 16, 1.0, 1.0)
-    u = tz.ScalarFieldPeriodic(g, np.full((16, 16), np.log(2.0)))
+    u = ScalarFieldPeriodic(g, np.full((16, 16), np.log(2.0)))
     r = pde_residual(u)
     assert np.abs(r - 7.0).max() < 1e-12
 
@@ -56,7 +56,7 @@ def test_laplacian_matrix_matches_stencil():
     g = PeriodicGrid(12, 9, 1.1, 0.8)
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((9, 12))
-    u = tz.ScalarFieldPeriodic(g, vals)
+    u = ScalarFieldPeriodic(g, vals)
     from tzitzeica.grid import laplacian
 
     direct = laplacian(vals, g)
@@ -88,11 +88,11 @@ def test_newton_quadratic_from_cosine_seed():
 @pytest.fixture(scope="module")
 def perturbed_wave64():
     """The lifted E = 6.5 wave on 64^2 plus 0.02 cos(2 pi y / ly), and the lift."""
-    profile = tz.travelling_wave(6.5)
+    profile = travelling_wave(6.5)
     g = PeriodicGrid(64, 64, profile.period, 2.0 * np.pi / np.sqrt(3.0))
-    lift = tz.lift_1d(profile, g)
+    lift = lift_1d(profile, g)
     _xx, yy = g.mesh()
-    return tz.ScalarFieldPeriodic(g, lift.values + 0.02 * np.cos(2 * np.pi * yy / g.ly)), lift
+    return ScalarFieldPeriodic(g, lift.values + 0.02 * np.cos(2 * np.pi * yy / g.ly)), lift
 
 
 def test_splu_ordering_has_less_fill_than_colamd(perturbed_wave64):
@@ -127,14 +127,14 @@ def test_newton_quadratic_from_2d_perturbed_wave(perturbed_wave64):
 def test_newton_no_other_constant_fixed_point():
     g = PeriodicGrid(16, 16, 1.0, 1.0)
     for c in (0.2, -0.25):
-        u0 = tz.ScalarFieldPeriodic(g, np.full((16, 16), c))
+        u0 = ScalarFieldPeriodic(g, np.full((16, 16), c))
         res = newton_solve(u0, 1e-11, 40)
         assert np.abs(res.field.values).max() < 1e-10
 
 
 def test_newton_from_lifted_wave(wave61):
     g = PeriodicGrid(64, 8, wave61.period, 1.0)
-    seed = tz.lift_1d(wave61, g)
+    seed = lift_1d(wave61, g)
     res = newton_solve(seed, 1e-10, 30)
     assert res.final_residual < 1e-10
     assert np.abs(pde_residual(res.field)).max() < 1e-10
@@ -146,7 +146,7 @@ def test_solution_order_against_wave_oracle(wave61):
     errs, hs = [], []
     for n in (32, 64, 128):
         g = PeriodicGrid(n, 8, wave61.period, 1.0)
-        res = newton_solve(tz.lift_1d(wave61, g), 1e-10, 30)
+        res = newton_solve(lift_1d(wave61, g), 1e-10, 30)
         errs.append(np.abs(res.field.values[0] - wave61(g.x)).max())
         hs.append(g.hx)
     assert loglog_slope(hs, errs) > 3.5
@@ -154,7 +154,7 @@ def test_solution_order_against_wave_oracle(wave61):
 
 def test_newton_divergence_error():
     g = PeriodicGrid(16, 16, 1.0, 1.0)
-    u0 = tz.ScalarFieldPeriodic(g, np.full((16, 16), 3.0))
+    u0 = ScalarFieldPeriodic(g, np.full((16, 16), 3.0))
     with pytest.raises(NewtonDivergenceError):
         newton_solve(u0, 1e-12, 1)
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-import tzitzeica as tz
 from tzitzeica.errors import IncommensuratePeriodError
 from tzitzeica.grid import PeriodicGrid
 from tzitzeica.solver import pde_residual
 from tzitzeica.wave import (
     WaveProfile1D,
     energy_drift,
+    lift_1d,
     period_quadrature,
     period_shooting,
     potential,
@@ -70,7 +70,7 @@ def test_profile_trig_evaluation_matches_dense(wave61):
 def test_lift_zero_profile():
     g = PeriodicGrid(16, 8, 1.0, 1.0)
     flat = WaveProfile1D(period=0.5, energy=6.0, x=np.arange(32) / 64.0, u=np.zeros(32))
-    lifted = tz.lift_1d(flat, g)
+    lifted = lift_1d(flat, g)
     assert np.all(lifted.values == 0.0)
 
 
@@ -78,7 +78,7 @@ def test_lift_commensurate_and_residual_order(wave61):
     errs, hs = [], []
     for n in (32, 64, 128):
         g = PeriodicGrid(n, 8, wave61.period, 1.0)
-        u = tz.lift_1d(wave61, g)
+        u = lift_1d(wave61, g)
         errs.append(np.abs(pde_residual(u)).max())
         hs.append(g.hx)
     assert loglog_slope(hs, errs) > 3.5
@@ -87,10 +87,10 @@ def test_lift_commensurate_and_residual_order(wave61):
 def test_lift_incommensurate_raises(wave61):
     g = PeriodicGrid(32, 8, 1.5 * wave61.period, 1.0)
     with pytest.raises(IncommensuratePeriodError):
-        tz.lift_1d(wave61, g)
+        lift_1d(wave61, g)
 
 
 def test_lift_multiple_periods(wave61):
     g = PeriodicGrid(64, 8, 2.0 * wave61.period, 1.0)
-    u = tz.lift_1d(wave61, g)
+    u = lift_1d(wave61, g)
     assert np.abs(u.values[:, :32] - u.values[:, 32:]).max() < 1e-12
