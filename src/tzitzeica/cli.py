@@ -15,8 +15,18 @@ import numpy as np
 
 from . import meshout, wave
 from .config import parse_config
-from .errors import ConfigParseError, ConfigValidationError, NumericalFailure
-from .grid import PeriodicGrid, format_float, load_field, save_field, write_rows, zero_field
+from .errors import ConfigValidationError, PipelineError
+from .grid import (
+    PeriodicGrid,
+    check_same_grid,
+    format_float,
+    header_grid,
+    load_field,
+    load_table,
+    save_field,
+    save_table,
+    zero_field,
+)
 from .lax import FrameField, SpectralPoint, frame_orthonormality_report, integrate_frame
 from .solver import newton_solve
 from .surface import build_surface, full_report
@@ -67,14 +77,9 @@ def _require_artifact(out_dir, name):
 
 def save_frame(frame, path):
     g = frame.grid
-    head = ",".join(
-        [str(g.nx), str(g.ny), format_float(g.lx), format_float(g.ly),
-         format_float(frame.spectral.theta), str(frame.substeps), str(int(frame.closing))]
-    )
     cols = frame.unitary.reshape(-1, 3, 3).transpose(0, 2, 1)  # column-major per node
-    with open(path, "w") as fh:
-        fh.write(head + "\n")
-        write_rows(fh, np.ascontiguousarray(cols).reshape(-1, 9).view(float))
+    head = (g.nx, g.ny, g.lx, g.ly, frame.spectral.theta, frame.substeps, int(frame.closing))
+    save_table(path, head, np.ascontiguousarray(cols).reshape(-1, 9).view(float))
 
 
 def load_frame(path, u):
@@ -83,40 +88,21 @@ def load_frame(path, u):
     Raises ConfigValidationError when the file is malformed or truncated, or
     was integrated on another grid than u's.
     """
-    try:
-        with open(path) as fh:
-            head = fh.readline().strip().split(",")
-            nx, ny, substeps, closing = (int(head[k]) for k in (0, 1, 5, 6))
-            lx, ly, theta = (float(head[k]) for k in (2, 3, 4))
-            flat = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except (ValueError, IndexError) as exc:
-        raise ConfigValidationError(f"frame file {path} is malformed: {exc}") from exc
-    if (nx, ny, lx, ly) != (u.grid.nx, u.grid.ny, u.grid.lx, u.grid.ly):
-        raise ConfigValidationError(
-            f"frame file {path} is for grid {nx}x{ny} over ({lx!r}, {ly!r}), the field for "
-            f"{u.grid.nx}x{u.grid.ny} over ({u.grid.lx!r}, {u.grid.ly!r}); rerun the frame stage"
-        )
-    nodes = (ny + closing) * (nx + closing)
-    if closing not in (0, 1) or substeps < 1 or flat.shape != (nodes, 18):
-        raise ConfigValidationError(
-            f"frame file {path} holds {flat.shape[0]} rows of {flat.shape[-1]} values; its header "
-            f"(substeps {substeps}, closing {closing}) needs {nodes} rows of 18"
-        )
-    if not np.isfinite(flat).all():
-        raise ConfigValidationError(f"frame file {path} holds non-finite values")
+    header, flat = load_table(path, "frame file", (int, int, float, float, float, int, int), 18,
+                              lambda h: (h[1] + h[6]) * (h[0] + h[6]))
+    check_same_grid(path, header_grid(path, "frame file", header), u.grid)
+    nx, ny, _lx, _ly, theta, substeps, closing = header
+    if closing not in (0, 1) or substeps < 1:
+        raise ConfigValidationError(f"frame file {path} has substeps {substeps}, closing {closing}")
     cols = flat[:, 0::2] + 1j * flat[:, 1::2]
     mats = cols.reshape(-1, 3, 3).transpose(0, 2, 1).reshape(ny + closing, nx + closing, 3, 3)
     return FrameField(u.grid, SpectralPoint(theta), mats, u, bool(closing), substeps)
 
 
 def write_report_json(report, path):
-    items = sorted(report.to_dict().items())
-    lines = ["{"] + [
-        f'  "{k}": {format_float(v)}' + ("," if i < len(items) - 1 else "")
-        for i, (k, v) in enumerate(items)
-    ] + ["}"]
+    body = ",\n".join(f'  "{k}": {format_float(v)}' for k, v in sorted(report.to_dict().items()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("{\n" + body + "\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +117,8 @@ def _seed_field(cfg, grid, log):
         profile = wave.travelling_wave(cfg.wave_energy)
         log.add(f"wave_period={format_float(profile.period)}")
         return wave.lift_1d(profile, grid)
-    path = cfg.field_path
-    if not os.path.exists(path):
-        raise ConfigValidationError(f"seed field file {path} does not exist")
-    fld = load_field(path)
-    seed = fld.grid
-    if (seed.nx, seed.ny, seed.lx, seed.ly) != (grid.nx, grid.ny, grid.lx, grid.ly):
-        raise ConfigValidationError(
-            f"seed field {path} is for grid {seed.nx}x{seed.ny} over ({seed.lx!r}, {seed.ly!r}), "
-            f"the config for {grid.nx}x{grid.ny} over ({grid.lx!r}, {grid.ly!r})"
-        )
+    fld = load_field(cfg.field_path)
+    check_same_grid(cfg.field_path, fld.grid, grid)
     return fld
 
 
@@ -161,10 +139,8 @@ def stage_wave(cfg, out_dir, log):
     profile = wave.travelling_wave(cfg.wave_energy)
     t_quad = wave.period_quadrature(cfg.wave_energy)
     drift = wave.energy_drift(profile)
-    lines = [f"{len(profile.u)},{format_float(profile.period)},{format_float(profile.energy)}"]
-    lines += [format_float(v) for v in profile.u]
-    with open(os.path.join(out_dir, WAVE_CSV), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = (len(profile.u), profile.period, profile.energy)
+    save_table(os.path.join(out_dir, WAVE_CSV), head, np.reshape(profile.u, (-1, 1)))
     log.add(f"period_shooting={format_float(profile.period)}")
     log.add(f"period_quadrature={format_float(t_quad)}")
     log.add(f"energy_drift={format_float(drift)}")
@@ -212,7 +188,9 @@ def stage_report(cfg, out_dir, log):
 
 
 def stage_export(cfg, out_dir, log):
-    grid, radius, points = meshout.load_mesh_points(_require_artifact(out_dir, MESH_CSV))
+    path = _require_artifact(out_dir, MESH_CSV)
+    grid, radius, points = meshout.load_mesh_points(path)
+    check_same_grid(path, grid, _grid(cfg))
     paths = meshout.export_mesh(
         grid, radius, points, os.path.join(out_dir, MESH_STEM), cfg.projection
     )
@@ -239,11 +217,7 @@ def run_pipeline(cfg, stage, out_dir=None, echo=True):
     log = StageLog(out_dir, stage, echo)
     try:
         _STAGE_FUNCS[stage](cfg, out_dir, log)
-    except (ConfigParseError, ConfigValidationError) as exc:
-        log.add(f"error: {'parse' if isinstance(exc, ConfigParseError) else 'validation'}")
-        log.flush()
-        raise
-    except NumericalFailure as exc:
+    except PipelineError as exc:
         log.add(f"error: {exc.name}")
         log.flush()
         raise
@@ -263,26 +237,16 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
-    except ConfigParseError as exc:
+    except PipelineError as exc:
         print(f"{exc}", file=sys.stderr)
-        print("error: parse", file=sys.stderr)
-        return 2
-    except ConfigValidationError as exc:
-        print(f"{exc}", file=sys.stderr)
-        print("error: validation", file=sys.stderr)
-        return 3
+        print(f"error: {exc.name}", file=sys.stderr)
+        return exc.exit_code
 
     try:
         run_pipeline(cfg, args.stage, args.out)
-    except ConfigParseError as exc:
+    except PipelineError as exc:
         print(f"{exc}", file=sys.stderr)
-        return 2
-    except ConfigValidationError as exc:
-        print(f"{exc}", file=sys.stderr)
-        return 3
-    except NumericalFailure as exc:
-        print(f"{exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     return 0
 
 

@@ -7,6 +7,7 @@ rejected so typos fail loudly rather than silently using a default.
 from dataclasses import dataclass
 
 from .errors import ConfigParseError, ConfigValidationError
+from .meshout import projection_names
 
 _SEEDS = ("zero", "wave", "file")
 
@@ -129,10 +130,7 @@ def validate_config(cfg):
     if cfg.seed == "file" and not cfg.field_path:
         raise ConfigValidationError("seed = file requires field_path")
     if cfg.projection != "pca":
-        names = [n.strip() for n in cfg.projection.split(",")]
-        from .meshout import COORD_NAMES
-
-        if len(names) != 3 or any(n not in COORD_NAMES for n in names):
-            raise ConfigValidationError(
-                f"projection must be 'pca' or three of {COORD_NAMES}"
-            )
+        try:
+            projection_names(cfg.projection)
+        except ValueError as exc:
+            raise ConfigValidationError(str(exc)) from exc

@@ -1,20 +1,33 @@
 """Typed failure modes.
 
-Numerical failures carry a short machine-readable ``name`` so the CLI can
-report one stable diagnostic token per failure class.
+Every failure carries a short machine-readable ``name``, the CLI's one stable
+diagnostic token per failure class, and the ``exit_code`` the CLI ends with.
 """
 
 
-class ConfigParseError(Exception):
+class PipelineError(Exception):
+    """A failure that a stage logs as ``error: <name>`` and the CLI exits on
+    with ``exit_code``."""
+
+
+class ConfigParseError(PipelineError):
     """Config file is syntactically unreadable."""
 
+    name = "parse"
+    exit_code = 2
 
-class ConfigValidationError(Exception):
-    """Config file parses but a field is missing, unknown, or out of range."""
+
+class ConfigValidationError(PipelineError):
+    """A config or artifact file parses but a field is missing, unknown, out of
+    range, or inconsistent with the run."""
+
+    name = "validation"
+    exit_code = 3
 
 
-class NumericalFailure(Exception):
+class NumericalFailure(PipelineError):
     name = "numerical-failure"
+    exit_code = 4
 
 
 class ResonanceError(NumericalFailure):

@@ -7,6 +7,7 @@ tensor formulas), axis 0 is the y direction (coordinate index 2).  Node
 y ~ y + ly, so there is no duplicated edge row/column.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,8 +202,9 @@ def check_resonance(grid, gap=1e-6, method="fd4"):
 
 
 # ---------------------------------------------------------------------------
-# field CSV I/O: header line "nx,ny,lx,ly", then row-major values (y-outer),
-# one per line, 17 significant digits
+# artifact tables (field, wave, frame and mesh CSV): a header line of
+# comma-separated ints and floats, then rows of comma-separated values, all
+# with 17 significant digits; save_table writes them, load_table checks them
 # ---------------------------------------------------------------------------
 
 
@@ -213,47 +215,86 @@ def format_float(v):
 ROW_BLOCK_FIELDS = 1 << 14
 
 
-def write_rows(fh, values):
-    """Write a 2D float array as text lines, one per row, of comma-separated
-    fields that have the bytes format_float gives them.  Rows are formatted
-    a block of about ROW_BLOCK_FIELDS fields at a time by one %-operation."""
-    arr = np.asarray(values, dtype=float)
-    line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+def write_rows(fh, values, line=None):
+    """Write a 2D array as text lines, one per row, through the %-template
+    ``line`` of one row.  The default template is comma-separated %.17g fields,
+    the bytes format_float gives them.  Rows are formatted a block of about
+    ROW_BLOCK_FIELDS fields at a time by one %-operation."""
+    arr = np.asarray(values)
+    line = line or ",".join(["%.17g"] * arr.shape[1]) + "\n"
     rows = max(1, ROW_BLOCK_FIELDS // arr.shape[1])
     for start in range(0, arr.shape[0], rows):
         block = arr[start : start + rows]
         fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def save_field(fld, path):
-    g = fld.grid
+def save_table(path, header, rows):
+    """Write the header values on one line (ints with str, floats with
+    format_float), then the 2D ``rows`` through write_rows."""
+    head = ",".join(str(v) if isinstance(v, int) else format_float(v) for v in header)
     with open(path, "w") as fh:
-        fh.write(f"{g.nx},{g.ny},{format_float(g.lx)},{format_float(g.ly)}\n")
-        write_rows(fh, fld.values.reshape(-1, 1))
+        fh.write(head + "\n")
+        write_rows(fh, rows)
 
 
-def load_field(path):
-    """Read a field written by save_field.
+def load_table(path, what, types, width, nrows):
+    """Read a table written by save_table; returns (header, rows).
 
-    Raises ConfigValidationError when the header is malformed, the file holds
-    other than nx * ny values, or a value is not finite.
+    ``types`` converts each header field, and the header calls for
+    ``nrows(header)`` rows of ``width`` values.  Raises ConfigValidationError,
+    naming the file as ``what``, when the file cannot be opened, the header has
+    other than len(types) fields or a value that does not parse or is not
+    finite, or the file holds other rows than the header calls for or a
+    non-finite value.
     """
     try:
         with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if len(header) != 4:
-                raise ValueError(f"header has {len(header)} fields, not nx,ny,lx,ly")
-            grid = PeriodicGrid(int(header[0]), int(header[1]), float(header[2]), float(header[3]))
-            if not np.isfinite([grid.lx, grid.ly]).all():
-                raise ValueError(f"periods ({grid.lx}, {grid.ly}) are not finite")
-            values = np.loadtxt(fh, ndmin=1)
-    except ValueError as exc:
-        raise ConfigValidationError(f"field file {path} is malformed: {exc}") from exc
-    if values.shape != (grid.nx * grid.ny,):
+            fields = fh.readline().strip().split(",")
+            if len(fields) != len(types):
+                raise ValueError(f"header has {len(fields)} fields, not {len(types)}")
+            header = tuple(t(f) for t, f in zip(types, fields))
+            if not all(math.isfinite(v) for v in header if isinstance(v, float)):
+                raise ValueError(f"header values {header} are not finite")
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigValidationError(f"{what} {path} cannot be read: {exc}") from exc
+    n = nrows(header)
+    if rows.shape != (n, width):
         raise ConfigValidationError(
-            f"field file {path} holds {values.size} values in shape {values.shape}; its header "
-            f"needs {grid.nx * grid.ny}, one per line"
+            f"{what} {path} holds {rows.shape[0]} rows of {rows.shape[-1]} values; its header "
+            f"needs {n} rows of {width}"
         )
-    if not np.isfinite(values).all():
-        raise ConfigValidationError(f"field file {path} holds non-finite values")
+    if not np.isfinite(rows).all():
+        raise ConfigValidationError(f"{what} {path} holds non-finite values")
+    return header, rows
+
+
+def header_grid(path, what, header):
+    """The PeriodicGrid of a table header that starts nx,ny,lx,ly; raises
+    ConfigValidationError when it is not a valid grid."""
+    try:
+        return PeriodicGrid(*header[:4])
+    except ValueError as exc:
+        raise ConfigValidationError(f"{what} {path} has no valid grid: {exc}") from exc
+
+
+def check_same_grid(path, got, want):
+    """Raise ConfigValidationError unless the grid ``got`` of the file at
+    ``path`` is exactly the grid ``want`` it is used with."""
+    if got != want:
+        raise ConfigValidationError(f"{path} is for {got}, this run for {want}; rerun its stage")
+
+
+def save_field(fld, path):
+    g = fld.grid
+    save_table(path, (g.nx, g.ny, g.lx, g.ly), fld.values.reshape(-1, 1))
+
+
+def load_field(path):
+    """Read a field written by save_field: header nx,ny,lx,ly, then one value
+    per line, row-major (y outer).  Raises ConfigValidationError as load_table
+    does, or for an invalid grid."""
+    header, values = load_table(path, "field file", (int, int, float, float), 1,
+                                lambda h: h[0] * h[1])
+    grid = header_grid(path, "field file", header)
     return ScalarFieldPeriodic(grid, values.reshape(grid.ny, grid.nx))

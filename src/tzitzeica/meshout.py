@@ -12,8 +12,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigValidationError
-from .grid import PeriodicGrid, format_float, write_rows
+from .grid import header_grid, load_table, save_table, write_rows
 
 COORD_NAMES = ("re1", "im1", "re2", "im2", "re3", "im3")
 
@@ -24,64 +23,39 @@ def points_to_r6(points):
     return np.ascontiguousarray(points, dtype=complex).reshape(-1, 3).view(float)
 
 
-def r6_to_points(r6, ny, nx):
-    r6 = np.asarray(r6)
-    return (r6[:, 0::2] + 1j * r6[:, 1::2]).reshape(ny, nx, 3)
-
-
 def save_mesh(mesh, path):
-    head = ",".join(
-        [str(mesh.grid.nx), str(mesh.grid.ny)]
-        + [format_float(v) for v in (mesh.grid.lx, mesh.grid.ly, mesh.radius)]
-    )
-    with open(path, "w") as fh:
-        fh.write(head + "\n")
-        write_rows(fh, points_to_r6(mesh.points))
+    g = mesh.grid
+    save_table(path, (g.nx, g.ny, g.lx, g.ly, mesh.radius), points_to_r6(mesh.points))
 
 
 def load_mesh_points(path):
-    """Returns (grid, radius, points) of a mesh written by save_mesh.
-
-    Raises ConfigValidationError when the header is malformed, the file holds
-    other than nx * ny rows of 6 values, or a value is not finite.
-    """
-    try:
-        with open(path) as fh:
-            head = fh.readline().strip().split(",")
-            if len(head) != 5:
-                raise ValueError(f"header has {len(head)} fields, not nx,ny,lx,ly,radius")
-            grid = PeriodicGrid(int(head[0]), int(head[1]), float(head[2]), float(head[3]))
-            radius = float(head[4])
-            if not np.isfinite([grid.lx, grid.ly, radius]).all():
-                raise ValueError(f"periods or radius ({grid.lx}, {grid.ly}, {radius}) not finite")
-            r6 = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ConfigValidationError(f"mesh file {path} is malformed: {exc}") from exc
-    if r6.shape != (grid.nx * grid.ny, 6):
-        raise ConfigValidationError(
-            f"mesh file {path} holds {r6.shape[0]} rows of {r6.shape[-1]} values; its header "
-            f"needs {grid.nx * grid.ny} rows of 6"
-        )
-    if not np.isfinite(r6).all():
-        raise ConfigValidationError(f"mesh file {path} holds non-finite values")
-    return grid, radius, r6_to_points(r6, grid.ny, grid.nx)
+    """Returns (grid, radius, points) of a mesh written by save_mesh; raises
+    ConfigValidationError as grid.load_table does, or for an invalid grid."""
+    header, r6 = load_table(path, "mesh file", (int, int, float, float, float), 6,
+                            lambda h: h[0] * h[1])
+    grid = header_grid(path, "mesh file", header)
+    return grid, header[4], (r6[:, 0::2] + 1j * r6[:, 1::2]).reshape(grid.ny, grid.nx, 3)
 
 
 def grid_faces(nx, ny):
     """Two triangles per quad, wrapping both directions (torus topology);
-    vertex index of node (i, j) is j*nx + i."""
-    faces = []
-    for j in range(ny):
-        jn = (j + 1) % ny
-        for i in range(nx):
-            inx = (i + 1) % nx
-            v00 = j * nx + i
-            v10 = j * nx + inx
-            v11 = jn * nx + inx
-            v01 = jn * nx + i
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    return faces
+    vertex index of node (i, j) is j*nx + i.  Returns a (2*nx*ny, 3) int
+    array whose rows 2*(j*nx + i) and 2*(j*nx + i) + 1 are quad (i, j)'s."""
+    v00 = np.arange(ny * nx).reshape(ny, nx)
+    v10, v01 = np.roll(v00, -1, axis=1), np.roll(v00, -1, axis=0)
+    v11 = np.roll(v10, -1, axis=0)
+    return np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+
+
+def projection_names(projection):
+    """The coordinate names of a named projection "a,b,c"; raises ValueError
+    unless they are three of COORD_NAMES."""
+    names = [n.strip() for n in projection.split(",")]
+    if len(names) != 3 or any(n not in COORD_NAMES for n in names):
+        raise ValueError(
+            f"projection must be 'pca' or three of {COORD_NAMES}, got {projection!r}"
+        )
+    return names
 
 
 def resolve_projection(r6, projection):
@@ -103,21 +77,16 @@ def resolve_projection(r6, projection):
             "components": [[float(v) for v in row] for row in basis],
         }
         return verts, meta
-    names = [n.strip() for n in projection.split(",")]
-    if len(names) != 3 or any(n not in COORD_NAMES for n in names):
-        raise ValueError(
-            f"projection must be 'pca' or three of {COORD_NAMES}, got {projection!r}"
-        )
+    names = projection_names(projection)
     cols = [COORD_NAMES.index(n) for n in names]
     verts = r6[:, cols]
     return verts, {"projection": names}
 
 
 def write_obj(path, verts, faces):
-    lines = [f"v {format_float(x)} {format_float(y)} {format_float(z)}" for x, y, z in verts]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        write_rows(fh, verts, "v %.17g %.17g %.17g\n")
+        write_rows(fh, faces + 1, "f %d %d %d\n")
 
 
 def write_ply(path, verts, faces):
@@ -132,17 +101,10 @@ def write_ply(path, verts, faces):
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    lines = header
-    lines += [f"{format_float(x)} {format_float(y)} {format_float(z)}" for x, y, z in verts]
-    lines += [f"3 {a} {b} {c}" for a, b, c in faces]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_sidecar(path, meta):
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write("\n".join(header) + "\n")
+        write_rows(fh, verts, "%.17g %.17g %.17g\n")
+        write_rows(fh, faces, "3 %d %d %d\n")
 
 
 def export_mesh(grid, radius, points, out_stem, projection="pca"):
@@ -161,5 +123,7 @@ def export_mesh(grid, radius, points, out_stem, projection="pca"):
     paths = (f"{out_stem}.obj", f"{out_stem}.ply", f"{out_stem}.meta.json")
     write_obj(paths[0], verts, faces)
     write_ply(paths[1], verts, faces)
-    write_sidecar(paths[2], meta)
+    with open(paths[2], "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return paths

@@ -18,7 +18,7 @@ torus_closure); no second period is integrated or stored.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -200,27 +200,7 @@ class ImmersionReport:
     closure_defect: float | None = None
 
     def to_dict(self):
-        out = {}
-        for key in (
-            "normality_defect",
-            "conformal_defect",
-            "minimality_H",
-            "h2_max",
-            "tensor_match_defect",
-            "tensor_trace_max",
-            "normal_coeff_defect",
-            "gauss_defect",
-            "gauss_curvature_max",
-            "codazzi_defect",
-            "invariant_t2_defect",
-            "invariant_t4_defect",
-            "sphere_defect",
-            "unitarity_defect",
-        ):
-            out[key] = float(getattr(self, key))
-        if self.closure_defect is not None:
-            out["closure_defect"] = float(self.closure_defect)
-        return out
+        return {k: float(v) for k, v in asdict(self).items() if v is not None}
 
 
 def full_report(mesh, frame, u, theta, method="fd4"):

@@ -2,8 +2,8 @@
 
 None of these is on the pipeline's path: the generic Levi-Civita connection
 cross-checks the conformal closed form, grid differencing of the embedding
-cross-checks the analytic tangents, and the OBJ reader reads back what the
-export stage wrote.
+cross-checks the analytic tangents, the OBJ reader reads back what the
+export stage wrote, and the loop triangulation cross-checks the vectorized one.
 """
 
 import numpy as np
@@ -61,3 +61,20 @@ def parse_obj(path):
             elif parts[0] == "f":
                 faces.append([int(v.split("/")[0]) - 1 for v in parts[1:4]])
     return np.asarray(verts), np.asarray(faces, dtype=int)
+
+
+def grid_faces_loop(nx, ny):
+    """Two triangles per quad of the (nx, ny) torus grid, one quad at a time
+    with y outer; vertex index of node (i, j) is j*nx + i."""
+    faces = []
+    for j in range(ny):
+        jn = (j + 1) % ny
+        for i in range(nx):
+            inx = (i + 1) % nx
+            v00 = j * nx + i
+            v10 = j * nx + inx
+            v11 = jn * nx + inx
+            v01 = jn * nx + i
+            faces.append((v00, v10, v11))
+            faces.append((v00, v11, v01))
+    return faces

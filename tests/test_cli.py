@@ -13,7 +13,7 @@ from tzitzeica.grid import load_field
 from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
 from tzitzeica.surface import build_surface, full_report
 
-from oracles import parse_obj
+from oracles import grid_faces_loop, parse_obj
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -176,6 +176,11 @@ def test_mesh_csv_and_obj_round_trip(flat_run):
     assert f"element vertex {32*32}" in ply
 
 
+@pytest.mark.parametrize("nx, ny", [(3, 4), (32, 17)])
+def test_grid_faces_match_loop_oracle(nx, ny):
+    assert np.array_equal(meshout.grid_faces(nx, ny), np.array(grid_faces_loop(nx, ny)))
+
+
 def test_named_projection_export(tmp_path):
     out = str(tmp_path)
     cfg = parse_config_text(
@@ -315,8 +320,13 @@ def _nan_first_value(data):
 
 @pytest.mark.parametrize(
     "damage",
-    [lambda data: data[: len(data) // 2], _nan_first_value, lambda data: data.split(b",", 1)[1]],
-    ids=["cut-mid-line", "nan", "header"],
+    [
+        lambda data: data[: len(data) // 2],
+        _nan_first_value,
+        lambda data: data.split(b",", 1)[1],
+        lambda data: b"32,32,1,1,1" + data[data.index(b"\n"):],
+    ],
+    ids=["cut-mid-line", "nan", "header", "other-grid"],
 )
 def test_export_rejects_damaged_mesh(tmp_path, damage):
     out = tmp_path / "out"

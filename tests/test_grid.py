@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from tzitzeica.errors import ResonanceError
+from tzitzeica.errors import ConfigValidationError, ResonanceError
 from tzitzeica.grid import (
     ROW_BLOCK_FIELDS,
     PeriodicGrid,
@@ -15,6 +15,7 @@ from tzitzeica.grid import (
     format_float,
     laplacian_symbol_1d,
     load_field,
+    load_table,
     resonance_gap,
     save_field,
     trig_upsample,
@@ -118,9 +119,9 @@ def test_zero_field(tmp_path):
     assert np.all(zero_field(g).values == 0.0)
 
 
-def _written(arr):
+def _written(arr, line=None):
     buf = io.StringIO()
-    write_rows(buf, arr)
+    write_rows(buf, arr, line)
     return buf.getvalue()
 
 
@@ -135,6 +136,15 @@ def test_write_rows_matches_per_value_join():
     for arr in (mixed.reshape(-1, 1), mixed.reshape(-1, 6), mixed.reshape(2, -1)):
         assert _written(arr) == _joined(arr)
     assert _written(np.array([[-0.0, 5e-324, 1e16, 4.0]])) == "-0,4.9406564584124654e-324,10000000000000000,4\n"
+    # the OBJ and PLY vertex and face templates against per-value joins
+    verts = mixed.reshape(-1, 3)
+    for prefix in ("v ", ""):
+        joined = "".join(prefix + " ".join(format_float(v) for v in row) + "\n" for row in verts)
+        assert _written(verts, prefix + "%.17g %.17g %.17g\n") == joined
+    faces = np.array([[0, 1, 2], [7, 2**31, 2**53 + 1], [12, 0, 5]])
+    for prefix in ("f ", "3 "):
+        joined = "".join(f"{prefix}{a} {b} {c}\n" for a, b, c in faces.tolist())
+        assert _written(faces, prefix + "%d %d %d\n") == joined
 
 
 def test_write_rows_spans_several_blocks():
@@ -145,3 +155,34 @@ def test_write_rows_spans_several_blocks():
         arr.flat[::997] = -0.0
         assert arr.size > ROW_BLOCK_FIELDS
         assert _written(arr) == _joined(arr)
+
+
+_TABLE = ["3,0.5", "1,2", "3,4", "5,6"]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["3,0.5,7"] + _TABLE[1:],
+        ["3,half"] + _TABLE[1:],
+        ["3,inf"] + _TABLE[1:],
+        _TABLE[:2] + ["nan,4"] + _TABLE[3:],
+        _TABLE[:2] + ["3"] + _TABLE[3:],
+        _TABLE[:-1],
+        _TABLE + ["7,8"],
+        None,
+    ],
+    ids=["header-count", "header-text", "header-inf", "nan", "ragged", "too-few", "too-many",
+         "missing"],
+)
+def test_load_table_rejects_damage(tmp_path, lines):
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(_TABLE) + "\n")
+    header, rows = load_table(path, "table", (int, float), 2, lambda h: h[0])
+    assert header == (3, 0.5) and np.array_equal(rows, [[1, 2], [3, 4], [5, 6]])
+    if lines is None:
+        path.unlink()
+    else:
+        path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigValidationError):
+        load_table(path, "table", (int, float), 2, lambda h: h[0])
