@@ -8,6 +8,7 @@ error, 4 numerical failure; the last log line of a failed run is
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -21,8 +22,9 @@ from .grid import (
     check_same_grid,
     format_float,
     header_grid,
+    header_line,
     load_field,
-    load_table,
+    parse_header,
     save_field,
     save_table,
     zero_field,
@@ -35,7 +37,7 @@ STAGES = ("solve", "wave", "frame", "surface", "report", "export")
 
 FIELD_CSV = "field.csv"
 WAVE_CSV = "wave.csv"
-FRAME_CSV = "frame.csv"
+FRAME_FILE = "frame.bin"
 MESH_CSV = "mesh.csv"
 REPORT_JSON = "report.json"
 MESH_STEM = "mesh"
@@ -69,33 +71,46 @@ def _require_artifact(out_dir, name):
 
 
 # ---------------------------------------------------------------------------
-# frame CSV: header nx,ny,lx,ly,theta,substeps,closing; then one row of 18
-# reals per node (real/imag parts of U, column-major), y-outer node order,
-# over (ny + closing) x (nx + closing) nodes
+# frame file: the header line nx,ny,lx,ly,theta,substeps,closing as in the
+# CSV tables, then U of every node as little-endian complex128 in C order,
+# y outer, over (ny + closing) x (nx + closing) nodes: 16 * 9 bytes per node
 # ---------------------------------------------------------------------------
 
 
 def save_frame(frame, path):
     g = frame.grid
-    cols = frame.unitary.reshape(-1, 3, 3).transpose(0, 2, 1)  # column-major per node
     head = (g.nx, g.ny, g.lx, g.ly, frame.spectral.theta, frame.substeps, int(frame.closing))
-    save_table(path, head, np.ascontiguousarray(cols).reshape(-1, 9).view(float))
+    with open(path, "wb") as fh:
+        fh.write(header_line(head).encode("ascii"))
+        np.ascontiguousarray(frame.unitary, dtype="<c16").tofile(fh)
 
 
 def load_frame(path, u):
     """Read a frame written by save_frame for the field u.
 
-    Raises ConfigValidationError when the file is malformed or truncated, or
-    was integrated on another grid than u's.
+    Raises ConfigValidationError when the file is malformed, holds other than
+    the header's node count or a non-finite value, or was integrated on another
+    grid than u's.
     """
-    header, flat = load_table(path, "frame file", (int, int, float, float, float, int, int), 18,
-                              lambda h: (h[1] + h[6]) * (h[0] + h[6]))
+    try:
+        with open(path, "rb") as fh:
+            line = fh.readline().decode("ascii")
+            header = parse_header(line, (int, int, float, float, float, int, int))
+            values = np.fromfile(fh, dtype="<c16")
+            tail = len(fh.read())
+    except (OSError, ValueError) as exc:
+        raise ConfigValidationError(f"frame file {path} cannot be read: {exc}") from exc
     check_same_grid(path, header_grid(path, "frame file", header), u.grid)
     nx, ny, _lx, _ly, theta, substeps, closing = header
     if closing not in (0, 1) or substeps < 1:
         raise ConfigValidationError(f"frame file {path} has substeps {substeps}, closing {closing}")
-    cols = flat[:, 0::2] + 1j * flat[:, 1::2]
-    mats = cols.reshape(-1, 3, 3).transpose(0, 2, 1).reshape(ny + closing, nx + closing, 3, 3)
+    shape = (ny + closing, nx + closing, 3, 3)
+    if values.size != math.prod(shape) or tail:
+        raise ConfigValidationError(f"frame file {path} holds {16 * values.size + tail} bytes "
+                                    f"of node data, not {16 * math.prod(shape)}")
+    if not np.isfinite(values).all():
+        raise ConfigValidationError(f"frame file {path} holds non-finite values")
+    mats = values.reshape(shape)
     return FrameField(u.grid, SpectralPoint(theta), mats, u, bool(closing), substeps)
 
 
@@ -155,16 +170,16 @@ def stage_frame(cfg, out_dir, log):
         closing=cfg.extend_closure,
         re_unitarize=cfg.re_unitarize,
     )
-    save_frame(frame, os.path.join(out_dir, FRAME_CSV))
+    save_frame(frame, os.path.join(out_dir, FRAME_FILE))
     log.add(f"unitarity_defect={format_float(frame_orthonormality_report(frame))}")
 
 
 def _load_frame_stage(cfg, out_dir):
     u = load_field(_require_artifact(out_dir, FIELD_CSV))
-    frame = load_frame(_require_artifact(out_dir, FRAME_CSV), u)
+    frame = load_frame(_require_artifact(out_dir, FRAME_FILE), u)
     if frame.spectral.theta != cfg.theta:
         raise ConfigValidationError(
-            f"{FRAME_CSV} was integrated at theta = {frame.spectral.theta!r}, the config has "
+            f"{FRAME_FILE} was integrated at theta = {frame.spectral.theta!r}, the config has "
             f"theta = {cfg.theta!r}; rerun the frame stage"
         )
     return u, frame
@@ -209,14 +224,18 @@ _STAGE_FUNCS = {
 
 
 def run_pipeline(cfg, stage, out_dir=None, echo=True):
-    """Run one stage; raises the typed config/numerical exceptions."""
+    """Run one stage; raises the typed config/numerical exceptions, and
+    ConfigValidationError for a file the stage cannot read or write."""
     if stage not in _STAGE_FUNCS:
         raise ConfigValidationError(f"unknown stage {stage!r}; choose from {STAGES}")
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     log = StageLog(out_dir, stage, echo)
     try:
-        _STAGE_FUNCS[stage](cfg, out_dir, log)
+        try:
+            _STAGE_FUNCS[stage](cfg, out_dir, log)
+        except OSError as exc:
+            raise ConfigValidationError(f"stage {stage} cannot use a file: {exc}") from exc
     except PipelineError as exc:
         log.add(f"error: {exc.name}")
         log.flush()

@@ -4,6 +4,7 @@ One assignment per line, '#' starts a comment, no nesting.  Unknown keys are
 rejected so typos fail loudly rather than silently using a default.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigParseError, ConfigValidationError
@@ -113,6 +114,10 @@ def parse_config(path):
 def validate_config(cfg):
     if cfg.nx < 8 or cfg.ny < 8:
         raise ConfigValidationError(f"need nx, ny >= 8, got ({cfg.nx}, {cfg.ny})")
+    for key in ("lx", "ly", "radius", "theta", "tol", "wave_energy"):
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigValidationError(f"{key} must be finite, got {value!r}")
     for key in ("lx", "ly", "radius", "tol"):
         if getattr(cfg, key) <= 0:
             raise ConfigValidationError(f"{key} must be positive")

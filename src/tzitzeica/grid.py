@@ -202,9 +202,11 @@ def check_resonance(grid, gap=1e-6, method="fd4"):
 
 
 # ---------------------------------------------------------------------------
-# artifact tables (field, wave, frame and mesh CSV): a header line of
-# comma-separated ints and floats, then rows of comma-separated values, all
-# with 17 significant digits; save_table writes them, load_table checks them
+# artifact tables (field, wave and mesh CSV): a header line of comma-separated
+# ints and floats, then rows of comma-separated values, all with 17
+# significant digits; save_table writes them, load_table checks them.  The
+# frame file shares the header line (header_line, parse_header) and follows
+# it with binary node data.
 # ---------------------------------------------------------------------------
 
 
@@ -228,12 +230,28 @@ def write_rows(fh, values, line=None):
         fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
+def header_line(header):
+    """The header values as one line: ints with str, floats with format_float."""
+    return ",".join(str(v) if isinstance(v, int) else format_float(v) for v in header) + "\n"
+
+
+def parse_header(line, types):
+    """The header values of ``line``, each converted by its entry of ``types``;
+    raises ValueError when the line has other than len(types) fields or a
+    value that does not parse or is not finite."""
+    fields = line.strip().split(",")
+    if len(fields) != len(types):
+        raise ValueError(f"header has {len(fields)} fields, not {len(types)}")
+    header = tuple(t(f) for t, f in zip(types, fields))
+    if not all(math.isfinite(v) for v in header if isinstance(v, float)):
+        raise ValueError(f"header values {header} are not finite")
+    return header
+
+
 def save_table(path, header, rows):
-    """Write the header values on one line (ints with str, floats with
-    format_float), then the 2D ``rows`` through write_rows."""
-    head = ",".join(str(v) if isinstance(v, int) else format_float(v) for v in header)
+    """Write header_line(header), then the 2D ``rows`` through write_rows."""
     with open(path, "w") as fh:
-        fh.write(head + "\n")
+        fh.write(header_line(header))
         write_rows(fh, rows)
 
 
@@ -249,12 +267,7 @@ def load_table(path, what, types, width, nrows):
     """
     try:
         with open(path) as fh:
-            fields = fh.readline().strip().split(",")
-            if len(fields) != len(types):
-                raise ValueError(f"header has {len(fields)} fields, not {len(types)}")
-            header = tuple(t(f) for t, f in zip(types, fields))
-            if not all(math.isfinite(v) for v in header if isinstance(v, float)):
-                raise ValueError(f"header values {header} are not finite")
+            header = parse_header(fh.readline(), types)
             rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigValidationError(f"{what} {path} cannot be read: {exc}") from exc

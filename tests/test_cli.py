@@ -1,15 +1,20 @@
+import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tzitzeica import cli, meshout
 from tzitzeica.config import parse_config_text
 from tzitzeica.errors import ConfigParseError, ConfigValidationError
-from tzitzeica.grid import load_field
+from tzitzeica.grid import load_field, write_rows
 from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
 from tzitzeica.surface import build_surface, full_report
 
@@ -66,6 +71,42 @@ def test_config_comments_and_errors():
         parse_config_text("nx = 8\nny = 8\nlx = 1.0\nly = 1.0\nseed = wave\n")
     with pytest.raises(ConfigValidationError):
         parse_config_text("nx = 8\nny = 8\nlx = 1\nly = 1\nseed = wave\nwave_energy = 5\n")
+
+
+FLOAT_KEYS = ("lx", "ly", "radius", "theta", "tol", "wave_energy")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("lx", "nan"), ("ly", "inf"), ("radius", "inf"), ("theta", "nan"), ("tol", "nan"),
+     ("wave_energy", "-inf")],
+)
+def test_non_finite_config_value_is_exit_3(tmp_path, capsys, key, value):
+    text = flat_config_text(str(tmp_path / "out"), nx=16, ny=16)
+    lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} =")]
+    cfg = write_config(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    assert cli.main(["solve", "--config", cfg]) == 3
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: validation"
+    assert not (tmp_path / "out").exists()
+
+
+CONFIG_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(max_value=0.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(database=None, derandomize=True)
+@given(st.fixed_dictionaries({key: CONFIG_FLOATS for key in FLOAT_KEYS}))
+def test_config_floats_parse_or_fail_typed(values):
+    text = "nx = 8\nny = 8\n" + "".join(f"{k} = {v!r}\n" for k, v in values.items())
+    try:
+        cfg = parse_config_text(text)
+    except (ConfigParseError, ConfigValidationError):
+        return
+    assert all(math.isfinite(getattr(cfg, key)) for key in FLOAT_KEYS)
+    assert min(cfg.lx, cfg.ly, cfg.radius, cfg.tol) > 0
 
 
 def test_cli_exit_codes(tmp_path):
@@ -127,20 +168,29 @@ def test_solve_stage_zero_seed(flat_run):
     assert "final_residual=0" in log
 
 
-def test_frame_csv_round_trip(flat_run):
+def test_frame_csv_round_trip(flat_run, tmp_path):
     cfg, out = flat_run
     field = load_field(os.path.join(out, cli.FIELD_CSV))
-    frame = cli.load_frame(os.path.join(out, cli.FRAME_CSV), field)
+    first = os.path.join(out, cli.FRAME_FILE)
+    frame = cli.load_frame(first, field)
     assert frame.closing is True
     assert frame.substeps == 24
     assert frame.unitary.shape == (33, 33, 3, 3)
     assert frame_orthonormality_report(frame) < 1e-8
-    # write/read identity
-    second = os.path.join(out, "frame2.csv")
+    # write/read identity, down to the bytes of the file
+    second = str(tmp_path / "frame2.bin")
     cli.save_frame(frame, second)
+    assert open(second, "rb").read() == open(first, "rb").read()
     again = cli.load_frame(second, field)
     assert np.array_equal(again.unitary, frame.unitary)
     assert (again.closing, again.substeps) == (frame.closing, frame.substeps)
+    # a negative zero keeps its sign bit
+    signed = frame.unitary.copy()
+    signed[3, 5, 1, 2] = complex(-0.0, -0.0)
+    third = str(tmp_path / "frame3.bin")
+    cli.save_frame(dataclasses.replace(frame, unitary=signed), third)
+    back = cli.load_frame(third, field).unitary[3, 5, 1, 2]
+    assert back == 0 and np.signbit(back.real) and np.signbit(back.imag)
 
 
 def test_report_stage_contents(flat_run):
@@ -262,17 +312,62 @@ def test_report_rejects_frame_of_another_theta(tmp_path):
     _assert_report_rejected(out, write_config(tmp_path, text, "theta.cfg"))
 
 
+NODE_BYTES = 16 * 9
+
+
 @pytest.mark.parametrize("keep", [0.5, 0.25])
 def test_report_rejects_truncated_frame(tmp_path, keep):
     out = _frame_run(tmp_path)
-    path = out / cli.FRAME_CSV
+    path = out / cli.FRAME_FILE
     data = path.read_bytes()
-    # cut mid-line, and at a line boundary
+    body = data.index(b"\n") + 1
+    # cut mid-node, and at a whole-node boundary
     cut = int(len(data) * keep)
     if keep == 0.25:
-        cut = data.rindex(b"\n", 0, cut) + 1
+        cut = body + (cut - body) // NODE_BYTES * NODE_BYTES
+    assert ((cut - body) % NODE_BYTES == 0) == (keep == 0.25)
     path.write_bytes(data[:cut])
     _assert_report_rejected(out, str(tmp_path / "run.cfg"))
+
+
+def _nan_in_body(data):
+    at = data.index(b"\n") + 1 + 5 * NODE_BYTES + 24
+    return data[:at] + np.array(np.nan, "<f8").tobytes() + data[at + 8:]
+
+
+def _text_body(data):
+    # the frame as the old text layout wrote it: 18 %.17g reals per node
+    head = data[: data.index(b"\n") + 1]
+    mats = np.frombuffer(data[len(head):], dtype="<c16").reshape(-1, 3, 3)
+    body = io.StringIO()
+    write_rows(body, np.ascontiguousarray(mats.transpose(0, 2, 1)).reshape(-1, 9).view(float))
+    return head + body.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: data + data[-NODE_BYTES:],
+        lambda data: data + bytes(8),
+        _nan_in_body,
+        _text_body,
+    ],
+    ids=["extra-node", "partial-value", "nan", "text-body"],
+)
+def test_report_rejects_damaged_frame(tmp_path, damage):
+    out = _frame_run(tmp_path)
+    path = out / cli.FRAME_FILE
+    path.write_bytes(damage(path.read_bytes()))
+    _assert_report_rejected(out, str(tmp_path / "run.cfg"))
+
+
+def test_frame_stage_rejects_unwritable_output(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, flat_config_text(str(out)))
+    assert cli.main(["solve", "--config", cfg]) == 0
+    (out / cli.FRAME_FILE).mkdir()
+    assert cli.main(["frame", "--config", cfg]) == 3
+    assert (out / "frame.log").read_text().strip().splitlines()[-1] == "error: validation"
 
 
 # ---------------------------------------------------------------------------
