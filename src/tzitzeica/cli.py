@@ -182,11 +182,11 @@ def _load_frame_stage(cfg, out_dir):
             f"{FRAME_FILE} was integrated at theta = {frame.spectral.theta!r}, the config has "
             f"theta = {cfg.theta!r}; rerun the frame stage"
         )
-    return u, frame
+    return frame
 
 
 def stage_surface(cfg, out_dir, log):
-    _u, frame = _load_frame_stage(cfg, out_dir)
+    frame = _load_frame_stage(cfg, out_dir)
     mesh = build_surface(frame, cfg.radius)
     meshout.save_mesh(mesh, os.path.join(out_dir, MESH_CSV))
     radii = np.sqrt(np.sum(np.abs(mesh.points) ** 2, axis=-1))
@@ -194,9 +194,8 @@ def stage_surface(cfg, out_dir, log):
 
 
 def stage_report(cfg, out_dir, log):
-    u, frame = _load_frame_stage(cfg, out_dir)
-    mesh = build_surface(frame, cfg.radius)
-    report = full_report(mesh, frame, u, cfg.theta)
+    frame = _load_frame_stage(cfg, out_dir)
+    report = full_report(build_surface(frame, cfg.radius), frame)
     write_report_json(report, os.path.join(out_dir, REPORT_JSON))
     for key, val in sorted(report.to_dict().items()):
         log.add(f"{key}={format_float(val)}")
@@ -225,11 +224,15 @@ _STAGE_FUNCS = {
 
 def run_pipeline(cfg, stage, out_dir=None, echo=True):
     """Run one stage; raises the typed config/numerical exceptions, and
-    ConfigValidationError for a file the stage cannot read or write."""
+    ConfigValidationError for a file the stage cannot read or write, or an
+    output directory that cannot be made (then no log is written)."""
     if stage not in _STAGE_FUNCS:
         raise ConfigValidationError(f"unknown stage {stage!r}; choose from {STAGES}")
     out_dir = out_dir or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigValidationError(f"output directory {out_dir} cannot be made: {exc}") from exc
     log = StageLog(out_dir, stage, echo)
     try:
         try:
@@ -255,16 +258,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config)
+        run_pipeline(parse_config(args.config), args.stage, args.out)
     except PipelineError as exc:
         print(f"{exc}", file=sys.stderr)
         print(f"error: {exc.name}", file=sys.stderr)
-        return exc.exit_code
-
-    try:
-        run_pipeline(cfg, args.stage, args.out)
-    except PipelineError as exc:
-        print(f"{exc}", file=sys.stderr)
         return exc.exit_code
     return 0
 

@@ -121,6 +121,10 @@ def validate_config(cfg):
     for key in ("lx", "ly", "radius", "tol"):
         if getattr(cfg, key) <= 0:
             raise ConfigValidationError(f"{key} must be positive")
+    try:
+        cfg.radius**4  # the report forms R^2 and R^4
+    except OverflowError as exc:
+        raise ConfigValidationError(f"radius {cfg.radius!r} is too large: R^4 overflows") from exc
     if cfg.max_iter < 1:
         raise ConfigValidationError("max_iter must be >= 1")
     if cfg.substeps < 1:

@@ -79,12 +79,14 @@ def field_from_function(grid, fn):
 
 
 # ---------------------------------------------------------------------------
-# derivatives on periodic data (np.roll stencils; spectral option via FFT)
+# derivatives on periodic data (np.roll stencils; spectral first derivative via FFT)
 # ---------------------------------------------------------------------------
 
 
 def deriv(values, h, axis, method="fd4"):
-    """First derivative of periodic samples along ``axis``."""
+    """First derivative of periodic samples along ``axis``: the 4th-order
+    stencil ("fd4") or the exact derivative of the trigonometric interpolant
+    ("spectral")."""
     f = np.asarray(values)
     if method == "fd4":
         return (
@@ -93,8 +95,6 @@ def deriv(values, h, axis, method="fd4"):
             - 8.0 * np.roll(f, 1, axis)
             + np.roll(f, 2, axis)
         ) / (12.0 * h)
-    if method == "fd2":
-        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
     if method == "spectral":
         n = f.shape[axis]
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
@@ -105,27 +105,16 @@ def deriv(values, h, axis, method="fd4"):
     raise ValueError(f"unknown derivative method {method!r}")
 
 
-def deriv2(values, h, axis, method="fd4"):
-    """Second derivative of periodic samples along ``axis``."""
+def deriv2(values, h, axis):
+    """Second derivative of periodic samples along ``axis`` (4th-order stencil)."""
     f = np.asarray(values)
-    if method == "fd4":
-        return (
-            -np.roll(f, -2, axis)
-            + 16.0 * np.roll(f, -1, axis)
-            - 30.0 * f
-            + 16.0 * np.roll(f, 1, axis)
-            - np.roll(f, 2, axis)
-        ) / (12.0 * h * h)
-    if method == "fd2":
-        return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / (h * h)
-    if method == "spectral":
-        n = f.shape[axis]
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-        shape = [1] * f.ndim
-        shape[axis] = n
-        out = np.fft.ifft(-(k.reshape(shape) ** 2) * np.fft.fft(f, axis=axis), axis=axis)
-        return out.real if np.isrealobj(f) else out
-    raise ValueError(f"unknown derivative method {method!r}")
+    return (
+        -np.roll(f, -2, axis)
+        + 16.0 * np.roll(f, -1, axis)
+        - 30.0 * f
+        + 16.0 * np.roll(f, 1, axis)
+        - np.roll(f, 2, axis)
+    ) / (12.0 * h * h)
 
 
 def ddx(values, grid, method="fd4"):
@@ -136,8 +125,8 @@ def ddy(values, grid, method="fd4"):
     return deriv(values, grid.hy, AXIS_Y, method)
 
 
-def laplacian(values, grid, method="fd4"):
-    return deriv2(values, grid.hx, AXIS_X, method) + deriv2(values, grid.hy, AXIS_Y, method)
+def laplacian(values, grid):
+    return deriv2(values, grid.hx, AXIS_X) + deriv2(values, grid.hy, AXIS_Y)
 
 
 def deriv_nonperiodic(values, h, axis):
@@ -173,27 +162,27 @@ def trig_upsample(values, factor, axis):
 # ---------------------------------------------------------------------------
 
 
-def laplacian_symbol_1d(n, h, method="fd4"):
-    """Eigenvalues of the 1D periodic second-derivative stencil."""
+def laplacian_symbol_1d(n, h):
+    """Eigenvalues of the 1D periodic 4th-order second-derivative stencil."""
     theta = 2.0 * np.pi * np.arange(n) / n
-    if method == "fd4":
-        return (-30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)) / (12.0 * h * h)
-    if method == "fd2":
-        return (2.0 * np.cos(theta) - 2.0) / (h * h)
-    raise ValueError(f"unknown method {method!r}")
+    return (-30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)) / (12.0 * h * h)
 
 
-def resonance_gap(grid, target=-12.0, method="fd4"):
+RESONANCE_GAP = 1e-6
+
+
+def resonance_gap(grid):
     """Smallest |eig + 12| over the 2D periodic Laplacian spectrum."""
-    sx = laplacian_symbol_1d(grid.nx, grid.hx, method)
-    sy = laplacian_symbol_1d(grid.ny, grid.hy, method)
+    sx = laplacian_symbol_1d(grid.nx, grid.hx)
+    sy = laplacian_symbol_1d(grid.ny, grid.hy)
     eig = sx[None, :] + sy[:, None]
-    return float(np.abs(eig - target).min())
+    return float(np.abs(eig + 12.0).min())
 
 
-def check_resonance(grid, gap=1e-6, method="fd4"):
-    g = resonance_gap(grid, method=method)
-    if g < gap:
+def check_resonance(grid):
+    """The resonance gap of ``grid``; raises ResonanceError below RESONANCE_GAP."""
+    g = resonance_gap(grid)
+    if g < RESONANCE_GAP:
         raise ResonanceError(
             f"grid ({grid.nx}x{grid.ny}, lx={grid.lx:.6g}, ly={grid.ly:.6g}) has a "
             f"periodic-Laplacian eigenvalue within {g:.3e} of -12"

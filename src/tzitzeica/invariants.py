@@ -19,30 +19,12 @@ e^{i*theta} the closed-form components are
 (with the sign of t^2_12 fixed by full symmetry of the lowered tensor).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import grid as gridmod
 from .errors import DegenerateMetricError
 
 SPD_EIG_RATIO = 1e-12
-
-
-@dataclass
-class SymTensor3:
-    """Mixed components t[k, i, j] of the cubic form, plus optional context
-    (the conformal exponent field, rotation angle, sphere radius) for
-    closed-form comparisons."""
-
-    values: np.ndarray
-    u: np.ndarray | None = None
-    theta: float | None = None
-    radius: float | None = None
-
-
-def _tvalues(t):
-    return np.asarray(getattr(t, "values", t))
 
 
 def check_spd(g, what="metric"):
@@ -99,20 +81,20 @@ def christoffel_conformal(ux, uy):
     return gam
 
 
-def christoffel_from_field(u, method="fd4"):
+def christoffel_from_field(u):
     """Conformal-metric connection evaluated on a periodic exponent field."""
-    ux = gridmod.ddx(u.values, u.grid, method)
-    uy = gridmod.ddy(u.values, u.grid, method)
+    ux = gridmod.ddx(u.values, u.grid)
+    uy = gridmod.ddy(u.values, u.grid)
     return christoffel_conformal(ux, uy)
 
 
-def _dfield(values, h, axis, periodic, method):
+def _dfield(values, h, axis, periodic):
     if periodic:
-        return gridmod.deriv(values, h, axis, method)
+        return gridmod.deriv(values, h, axis)
     return gridmod.deriv_nonperiodic(values, h, axis)
 
 
-def riemann(gamma, hx, hy, periodic=True, method="fd4"):
+def riemann(gamma, hx, hy, periodic=True):
     """Curvature tensor r^s_kij = d_i gamma^s_kj - d_j gamma^s_ki
     - gamma^r_ki gamma^s_rj + gamma^r_kj gamma^s_ri.
 
@@ -122,8 +104,8 @@ def riemann(gamma, hx, hy, periodic=True, method="fd4"):
     """
     gamma = np.asarray(gamma, dtype=float)
     dgam = [
-        _dfield(gamma, hx, gridmod.AXIS_X, periodic, method),
-        _dfield(gamma, hy, gridmod.AXIS_Y, periodic, method),
+        _dfield(gamma, hx, gridmod.AXIS_X, periodic),
+        _dfield(gamma, hy, gridmod.AXIS_Y, periodic),
     ]
     riem = np.zeros(gamma.shape + (2,))
     for s in range(2):
@@ -159,12 +141,12 @@ def gauss_residual(k_curv, h2, t2, radius):
 
 def lower_tensor(t, g):
     """t_kij = g_ks t^s_ij."""
-    return np.einsum("...ks,...sij->...kij", np.asarray(g), _tvalues(t))
+    return np.einsum("...ks,...sij->...kij", np.asarray(g), np.asarray(t))
 
 
 def trace_vector(t):
     """m_s = t^i_is; zero exactly on minimal surfaces."""
-    return np.einsum("...iis->...s", _tvalues(t))
+    return np.einsum("...iis->...s", np.asarray(t))
 
 
 def scalar_invariants(t, g):
@@ -174,7 +156,7 @@ def scalar_invariants(t, g):
     curvature), t2 its complete self-contraction, and t4 the trace of the
     squared contraction matrix q^i_s = t^i_jk t^jk_s; all index moves use g.
     """
-    t = _tvalues(t)
+    t = np.asarray(t)
     g = np.asarray(g, dtype=float)
     check_spd(g)
     ginv = inv2(g)
@@ -201,15 +183,13 @@ def closed_form_tensor(u, theta):
     return t
 
 
-def codazzi_residual(t, gamma, g, hx, hy, periodic=True, method="fd4"):
-    """Per-node max over index choices of nabla_i t_jsk - nabla_j t_isk."""
+def codazzi_residual(t, gamma, g, hx, hy):
+    """Per-node max over index choices of nabla_i t_jsk - nabla_j t_isk, on
+    periodic fields."""
     t_low = lower_tensor(t, g)
     gamma = np.asarray(gamma, dtype=float)
     dt = np.stack(
-        [
-            _dfield(t_low, hx, gridmod.AXIS_X, periodic, method),
-            _dfield(t_low, hy, gridmod.AXIS_Y, periodic, method),
-        ],
+        [gridmod.deriv(t_low, hx, gridmod.AXIS_X), gridmod.deriv(t_low, hy, gridmod.AXIS_Y)],
         axis=-4,
     )  # dt[..., a, j, s, k]
     # nabla[..., i, j, s, k] = d_i t_jsk - gam^r_ij t_rsk - gam^r_is t_jrk - gam^r_ik t_jsr

@@ -126,17 +126,18 @@ def frame_coeff_y(u, ux, uy, lam):
 # ---------------------------------------------------------------------------
 
 
-def _expm_taylor(mat, terms=12):
+def _expm_taylor(mat):
+    """Matrix exponential by its Taylor series to the 12th power."""
     out = np.zeros_like(mat)
     out[...] = np.eye(3)
     power = out.copy()
-    for k in range(1, terms + 1):
+    for k in range(1, 13):
         power = power @ mat / k
         out = out + power
     return out
 
 
-def compatibility_residual(u, spectral, method="fd4"):
+def compatibility_residual(u, spectral):
     """Max commutator defect of one-cell transport, x-step then y-step versus
     y-step then x-step.
 
@@ -148,8 +149,8 @@ def compatibility_residual(u, spectral, method="fd4"):
     lam = spectral.lam
     grid = u.grid
     vals = u.values
-    ux = ddx(vals, grid, method)
-    uy = ddy(vals, grid, method)
+    ux = ddx(vals, grid)
+    uy = ddy(vals, grid)
     u_z = 0.5 * (ux - 1j * uy)
     a = lax_z_matrix(vals, u_z, lam)
     b = lax_zbar_matrix(vals, lam)
@@ -345,14 +346,14 @@ def _integrate_rows_then_columns(
     return _march(first, cols, build2, lam, h2, m, n2 + extra - 1, re_unit)
 
 
-def frame_axis_stencil(frame, axis, halfwidth=2):
-    """Frames and exponent samples at offsets k * (h / substeps),
-    k = -halfwidth..halfwidth, marched from every base node along `axis`.
+def frame_axis_stencil(frame, axis):
+    """Frames and exponent samples at offsets k * (h / substeps), k = -2..2,
+    marched from every base node along `axis`.
 
-    Gives finite-difference stencils for derivatives of frame-built fields at
-    sub-grid spacing without assuming periodicity of the frame itself.
-    Returns (frames, u_samples): lists indexed by k + halfwidth, each entry an
-    (ny, nx, 3, 3) / (ny, nx) array.
+    Gives the five samples of 4th-order finite-difference stencils for
+    derivatives of frame-built fields at sub-grid spacing, without assuming
+    periodicity of the frame itself.  Returns (frames, u_samples): lists
+    indexed by k + 2, each entry an (ny, nx, 3, 3) / (ny, nx) array.
     """
     grid = frame.grid
     u = frame.u
@@ -367,19 +368,18 @@ def frame_axis_stencil(frame, axis, halfwidth=2):
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
-    # (u, ux, uy) at half-substep offsets -2*halfwidth..2*halfwidth from
-    # every node, offsets first; one fine array is alive at a time
+    # (u, ux, uy) at half-substep offsets -4..4 from every node, offsets
+    # first; one fine array is alive at a time
     n = u.values.shape[ax]
-    q = np.arange(-2 * halfwidth, 2 * halfwidth + 1)
+    q = np.arange(-4, 5)
     idx = (np.arange(n) * 2 * m + q[:, None]) % (2 * m * n)
     near = [
         np.moveaxis(np.take(trig_upsample(a, 2 * m, axis=ax), idx, axis=ax), ax, 0)
         for a in (u.values, ux, uy)
     ]
     # one RK4 substep per cell, marched up and down from the node
-    c = 2 * halfwidth
-    up = _march(frame.base, [a[c:] for a in near], builder, lam, h / m, 1, halfwidth)
-    down = _march(frame.base, [a[c::-1] for a in near], builder, lam, -h / m, 1, halfwidth)
+    up = _march(frame.base, [a[4:] for a in near], builder, lam, h / m, 1, 2)
+    down = _march(frame.base, [a[4::-1] for a in near], builder, lam, -h / m, 1, 2)
     u_samples = near[0][::2]
     return list(down[:0:-1]) + list(up), list(u_samples)
 
@@ -403,8 +403,9 @@ def _psi_builder(mode):
     return build
 
 
-def propagate_psi(u, spectral, psi0, row=0, mode="x", substeps=DEFAULT_SUBSTEPS, periods=1):
-    """March psi along grid row `row` in the x direction.
+def propagate_psi(u, spectral, psi0, mode="x", periods=1):
+    """March psi along the first grid row in the x direction, DEFAULT_SUBSTEPS
+    RK4 steps per cell.
 
     mode "x" advances with the full generator A + B (a physical x-move);
     modes "z" / "zbar" advance with one subsystem alone, which is the setting
@@ -412,10 +413,10 @@ def propagate_psi(u, spectral, psi0, row=0, mode="x", substeps=DEFAULT_SUBSTEPS,
     (x positions, psi values) at the nx*periods + 1 node boundaries.
     """
     grid = u.grid
-    m = int(substeps)
+    m = DEFAULT_SUBSTEPS
     ux = ddx(u.values, grid, "spectral")
     uy = ddy(u.values, grid, "spectral")
-    coeffs = tuple(_periodic_samples(a[row], m) for a in (u.values, ux, uy))
+    coeffs = tuple(_periodic_samples(a[0], m) for a in (u.values, ux, uy))
     ncells = grid.nx * periods
     build = _psi_builder(mode)
     # d psi = M psi is marched as the row vector psi^T: d psi^T = psi^T M^T

@@ -37,9 +37,10 @@ class SurfaceMesh:
     radius: float = 1.0
 
 
-def tangent_analytic(frame, u, radius):
-    """Closed-form tangents from the frame columns and the exponent field."""
-    return _tangents_at(frame.base, u.values, frame.spectral.lam, radius)
+def tangent_analytic(frame, radius):
+    """Closed-form tangents from the frame columns and the frame's exponent
+    field."""
+    return _tangents_at(frame.base, frame.u.values, frame.spectral.lam, radius)
 
 
 def build_surface(frame, radius, validate=True):
@@ -51,7 +52,7 @@ def build_surface(frame, radius, validate=True):
         if defect >= 1e-8:
             raise InvalidFrameError(f"frame unitarity defect {defect:.3e} >= 1e-8")
     points = radius * frame.normal
-    e1, e2 = tangent_analytic(frame, frame.u, radius)
+    e1, e2 = tangent_analytic(frame, radius)
     return SurfaceMesh(frame.grid, points, e1, e2, float(radius))
 
 
@@ -80,27 +81,23 @@ def _fd4_stencil(values, h):
     return (-values[4] + 8.0 * values[3] - 8.0 * values[1] + values[0]) / (12.0 * h)
 
 
-@dataclass
-class ExtractedSecondForm:
-    tensor: inv.SymTensor3
-    normal_coeff: np.ndarray = field(repr=False)  # (ny, nx, 2, 2) complex
-
-
-def extract_second_form(frame, u, radius, theta=None, method="fd4"):
-    """Cubic-form components from numerical derivatives of the tangents.
+def extract_second_form(frame, radius):
+    """Cubic-form components t[k, i, j], shape (ny, nx, 2, 2, 2), from
+    numerical derivatives of the tangents, and the normal coefficient of
+    nabla_i E_j, shape (ny, nx, 2, 2) complex, which must be -2 R e^u delta_ij.
 
     Tangent derivatives use 5-point stencils at substep spacing, marched from
     each node, so no periodicity of the frame is assumed; the connection
-    comes from the conformal closed form on u.  The normal coefficient of
-    nabla_i E_j (which must be -2 R e^u delta_ij) is returned alongside.
+    comes from the conformal closed form on the frame's u.
     """
     grid = frame.grid
+    u = frame.u
     lam = frame.spectral.lam
     m = frame.substeps
 
     de = {}
     for axis, h in (("x", grid.hx), ("y", grid.hy)):
-        frames, u_samples = frame_axis_stencil(frame, axis, halfwidth=2)
+        frames, u_samples = frame_axis_stencil(frame, axis)
         e1s, e2s = [], []
         for fr, uv in zip(frames, u_samples):
             e1, e2 = _tangents_at(fr, uv, lam, radius)
@@ -110,14 +107,14 @@ def extract_second_form(frame, u, radius, theta=None, method="fd4"):
         de[(axis, 1)] = _fd4_stencil(e1s, hf)
         de[(axis, 2)] = _fd4_stencil(e2s, hf)
 
-    e1, e2 = tangent_analytic(frame, u, radius)
+    e1, e2 = tangent_analytic(frame, radius)
     tangents = (e1, e2)
     # partial derivatives indexed [i][j] = d_i E_j  (coordinate 0 = x)
     partial = [
         [de[("x", 1)], de[("x", 2)]],
         [de[("y", 1)], de[("y", 2)]],
     ]
-    gamma = inv.christoffel_from_field(u, method)
+    gamma = inv.christoffel_from_field(u)
     normal = frame.normal
     conf = 2.0 * radius**2 * np.exp(u.values)
 
@@ -132,8 +129,7 @@ def extract_second_form(frame, u, radius, theta=None, method="fd4"):
                 proj = hermitian_inner(1j * tangents[k], nab).real
                 tens[..., k, i, j] = proj / conf
             ncoeff[..., i, j] = hermitian_inner(normal, nab)
-    sym = inv.SymTensor3(tens, u=u.values, theta=theta, radius=radius)
-    return ExtractedSecondForm(sym, ncoeff)
+    return tens, ncoeff
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +150,10 @@ class ClosureReport:
         return max(self.x_defect, self.y_defect)
 
 
-def torus_closure(frame, tol=1e-4):
+CLOSURE_TOL = 1e-4
+
+
+def torus_closure(frame):
     """Frame mismatch U(p + period) - U(p) over the base nodes, for the x and
     the y period, from the monodromies of a closing frame.
 
@@ -164,7 +163,7 @@ def torus_closure(frame, tol=1e-4):
     and U(i, j + ny) = L_i U(i, j) with L_i = U(i, ny) U(i, 0)^-1.  The
     defects are max |(M_j - I) U(i, j)| and max |(L_i - I) U(i, j)|.  The two
     periods are independent shifts, so the frame is a torus candidate when
-    both defects are below tol.
+    both defects are below CLOSURE_TOL.
     """
     if not frame.closing:
         raise ValueError("torus closure needs a closing frame (integrate_frame(..., closing=True))")
@@ -176,7 +175,7 @@ def torus_closure(frame, tol=1e-4):
     cols = (mats[g.ny, : g.nx] - mats[0, : g.nx]) @ np.linalg.inv(mats[0, : g.nx])
     x_defect = float(np.abs(rows[:, None] @ base).max())
     y_defect = float(np.abs(cols[None, :] @ base).max())
-    return ClosureReport(x_defect, y_defect, max(x_defect, y_defect) < tol)
+    return ClosureReport(x_defect, y_defect, max(x_defect, y_defect) < CLOSURE_TOL)
 
 
 @dataclass
@@ -203,11 +202,13 @@ class ImmersionReport:
         return {k: float(v) for k, v in asdict(self).items() if v is not None}
 
 
-def full_report(mesh, frame, u, theta, method="fd4"):
-    """Evaluate every verification residual on one built surface; a closing
-    frame adds closure_defect."""
+def full_report(mesh, frame):
+    """Evaluate every verification residual on one surface built from
+    ``frame``, against the closed forms at the frame's own u and theta; a
+    closing frame adds closure_defect."""
     grid = mesh.grid
     radius = mesh.radius
+    u = frame.u
     conf = 2.0 * radius**2 * np.exp(u.values)
 
     norm_map = normality_map(mesh.e1, mesh.e2, frame.normal)
@@ -219,14 +220,12 @@ def full_report(mesh, frame, u, theta, method="fd4"):
         float(np.abs(om_meas).max()),
     )
 
-    extracted = extract_second_form(frame, u, radius, theta, method)
-    tens = extracted.tensor.values
-    closed = inv.closed_form_tensor(u.values, theta)
+    tens, ncf = extract_second_form(frame, radius)
+    closed = inv.closed_form_tensor(u.values, frame.spectral.theta)
     tensor_match = float(np.abs(tens - closed).max())
     trace_max = float(np.abs(inv.trace_vector(tens)).max())
 
     target = -2.0 * radius * np.exp(u.values)
-    ncf = extracted.normal_coeff
     normal_coeff = max(
         float(np.abs(ncf[..., 0, 0] - target).max()),
         float(np.abs(ncf[..., 1, 1] - target).max()),
@@ -240,13 +239,11 @@ def full_report(mesh, frame, u, theta, method="fd4"):
     h2, t2, t4 = inv.scalar_invariants(tens, g_an)
     h2_max = float(np.abs(h2).max())
 
-    gamma = inv.christoffel_from_field(u, method)
+    gamma = inv.christoffel_from_field(u)
     riem = inv.riemann(gamma, grid.hx, grid.hy)
     k_curv = inv.gauss_curvature(g_an, riem)
     gauss = float(np.abs(inv.gauss_residual(k_curv, h2, t2, radius)).max())
-    codazzi = float(
-        inv.codazzi_residual(tens, gamma, g_an, grid.hx, grid.hy, method=method).max()
-    )
+    codazzi = float(inv.codazzi_residual(tens, gamma, g_an, grid.hx, grid.hy).max())
 
     scale3 = radius**2 * np.exp(3.0 * u.values)
     scale6 = radius**4 * np.exp(6.0 * u.values)

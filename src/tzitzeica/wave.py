@@ -25,6 +25,11 @@ from .errors import IncommensuratePeriodError, NumericalFailure
 from .grid import ScalarFieldPeriodic
 
 V_MIN = 6.0
+QUADRATURE_NODES = 128  # Gauss-Legendre nodes of period_quadrature
+PROFILE_SAMPLES = 512  # samples of one travelling-wave period
+DRIFT_SAMPLES = 1024  # orbit points energy_drift checks
+DRIFT_TOL = 1e-10  # largest energy drift travelling_wave accepts
+PERIOD_REL_TOL = 1e-6  # how close lx must be to a whole number of wave periods
 
 
 def potential(u):
@@ -48,10 +53,10 @@ def turning_points(energy):
     return float(np.log(w_lo)), float(np.log(w_hi))
 
 
-def period_quadrature(energy, nodes=128):
+def period_quadrature(energy):
     w_neg, w_lo, w_hi = _cubic_roots(energy)
     mid, amp = 0.5 * (w_hi + w_lo), 0.5 * (w_hi - w_lo)
-    t, wts = np.polynomial.legendre.leggauss(nodes)
+    t, wts = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     phi = 0.5 * np.pi * t
     w = mid + amp * np.sin(phi)
     integrand = 1.0 / np.sqrt(w - w_neg)
@@ -63,7 +68,7 @@ def _rhs(_t, state):
     return (v, 4.0 * np.exp(-2.0 * u) - 4.0 * np.exp(u))
 
 
-def _shoot(energy, rtol=1e-12, atol=1e-14):
+def _shoot(energy):
     """Integrate one orbit starting from the upper turning point.
 
     The orbit runs u_hi -> u_lo -> u_hi; by time-reversal symmetry the first
@@ -83,8 +88,8 @@ def _shoot(energy, rtol=1e-12, atol=1e-14):
         (0.0, 1.5 * t_guess),
         [u_hi, 0.0],
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-12,
+        atol=1e-14,
         dense_output=True,
         events=turning,
     )
@@ -93,8 +98,8 @@ def _shoot(energy, rtol=1e-12, atol=1e-14):
     return 2.0 * float(sol.t_events[0][0]), sol.sol
 
 
-def period_shooting(energy, rtol=1e-12, atol=1e-14):
-    return _shoot(energy, rtol, atol)[0]
+def period_shooting(energy):
+    return _shoot(energy)[0]
 
 
 @dataclass
@@ -123,38 +128,38 @@ class WaveProfile1D:
         return vals.reshape(np.shape(xm))
 
 
-def energy_drift(profile, samples=1024):
+def energy_drift(profile):
     """Max |E(x) - E| along the orbit; requires the dense solution."""
     if profile.dense is None:
         raise ValueError("profile has no dense solution attached")
-    t = np.linspace(0.0, profile.period, samples)
+    t = np.linspace(0.0, profile.period, DRIFT_SAMPLES)
     u, v = profile.dense(t)
     e = 0.5 * v**2 + potential(u)
     return float(np.abs(e - profile.energy).max())
 
 
-def travelling_wave(energy, samples=512, drift_tol=1e-10):
+def travelling_wave(energy):
     """One period of the y-independent solution with energy E > 6.
 
     The profile starts at the maximum, so it is even about x = 0; the period
     comes from shooting and is cross-checkable against period_quadrature.
     """
     period, dense = _shoot(energy)
-    x = np.arange(samples) * (period / samples)
+    x = np.arange(PROFILE_SAMPLES) * (period / PROFILE_SAMPLES)
     u = dense(x)[0]
     profile = WaveProfile1D(period=period, energy=float(energy), x=x, u=u, dense=dense)
     drift = energy_drift(profile)
-    if drift > drift_tol:
-        raise NumericalFailure(f"energy drift {drift:.3e} exceeds {drift_tol:.1e}")
+    if drift > DRIFT_TOL:
+        raise NumericalFailure(f"energy drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
     return profile
 
 
-def lift_1d(profile, grid, rel_tol=1e-6):
+def lift_1d(profile, grid):
     """Lift a 1D profile to a y-independent periodic field; grid.lx must be an
-    integer multiple of the wave period within rel_tol."""
+    integer multiple of the wave period within PERIOD_REL_TOL."""
     ratio = grid.lx / profile.period
     k = round(ratio)
-    if k < 1 or abs(ratio - k) > rel_tol * max(1.0, ratio):
+    if k < 1 or abs(ratio - k) > PERIOD_REL_TOL * max(1.0, ratio):
         raise IncommensuratePeriodError(
             f"lx = {grid.lx:.12g} is not an integer multiple of the wave period "
             f"{profile.period:.12g} (ratio {ratio:.9g})"

@@ -303,20 +303,20 @@ def test_criterion_7_second_form_extraction(wave61):
         grid = PeriodicGrid(n, n, wave61.period, 1.0)
         u = lift_1d(wave61, grid)
         frame = integrate_frame(u, SpectralPoint(theta), substeps=8)
-        out = extract_second_form(frame, u, 1.0, theta=theta)
+        tens, ncoeff = extract_second_form(frame, 1.0)
         expected = closed_form_tensor(u.values, theta)
-        errs.append(np.abs(out.tensor.values - expected).max())
+        errs.append(np.abs(tens - expected).max())
         target = -2.0 * np.exp(u.values)
         ncs.append(
             max(
-                np.abs(out.normal_coeff[..., 0, 0] - target).max(),
-                np.abs(out.normal_coeff[..., 1, 1] - target).max(),
-                np.abs(out.normal_coeff[..., 0, 1]).max(),
-                np.abs(out.normal_coeff[..., 1, 0]).max(),
+                np.abs(ncoeff[..., 0, 0] - target).max(),
+                np.abs(ncoeff[..., 1, 1] - target).max(),
+                np.abs(ncoeff[..., 0, 1]).max(),
+                np.abs(ncoeff[..., 1, 0]).max(),
             )
         )
         hs.append(wave61.period / n)
-        trace_fine = float(np.abs(trace_vector(out.tensor.values)).max())
+        trace_fine = float(np.abs(trace_vector(tens)).max())
     tensor_slope = loglog_slope(hs, errs)
     normal_slope = loglog_slope(hs, ncs)
     assert tensor_slope >= 1.9, f"tensor-match slope {tensor_slope} from {errs}"

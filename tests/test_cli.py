@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tzitzeica import cli, meshout
 from tzitzeica.config import parse_config_text
 from tzitzeica.errors import ConfigParseError, ConfigValidationError
-from tzitzeica.grid import load_field, write_rows
+from tzitzeica.grid import PeriodicGrid, field_from_function, load_field, save_field, write_rows
 from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
 from tzitzeica.surface import build_surface, full_report
 
@@ -107,6 +107,26 @@ def test_config_floats_parse_or_fail_typed(values):
         return
     assert all(math.isfinite(getattr(cfg, key)) for key in FLOAT_KEYS)
     assert min(cfg.lx, cfg.ly, cfg.radius, cfg.tol) > 0
+
+
+@pytest.mark.parametrize("radius", ["1e200", "1.2e77"])
+def test_radius_whose_fourth_power_overflows_is_exit_3(tmp_path, capsys, radius):
+    text = flat_config_text(str(tmp_path / "out"), nx=16, ny=16)
+    cfg = write_config(tmp_path, text.replace("radius = 1.0", f"radius = {radius}"))
+    assert cli.main(["solve", "--config", cfg]) == 3
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: validation"
+    assert not (tmp_path / "out").exists()
+    # the largest radii whose fourth power is finite still run
+    assert parse_config_text(text.replace("radius = 1.0", "radius = 1.1e77")).radius == 1.1e77
+
+
+def test_out_naming_an_existing_file_is_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, flat_config_text(str(tmp_path / "out"), nx=16, ny=16))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert cli.main(["solve", "--config", cfg, "--out", str(taken)]) == 3
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: validation"
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_cli_exit_codes(tmp_path):
@@ -274,7 +294,7 @@ def test_report_through_files_keeps_substeps(tmp_path):
         cli.run_pipeline(cfg, stage, out, echo=False)
     u = load_field(os.path.join(out, cli.FIELD_CSV))
     frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=4, closing=True, re_unitarize=True)
-    report = full_report(build_surface(frame, cfg.radius), frame, u, cfg.theta)
+    report = full_report(build_surface(frame, cfg.radius), frame)
     in_memory = str(tmp_path / "in_memory.json")
     cli.write_report_json(report, in_memory)
     assert open(in_memory, "rb").read() == open(os.path.join(out, cli.REPORT_JSON), "rb").read()
@@ -433,3 +453,67 @@ def test_export_rejects_damaged_mesh(tmp_path, damage):
     assert cli.main(["export", "--config", cfg]) == 3
     assert (out / "export.log").read_text().strip().splitlines()[-1] == "error: validation"
     assert not (out / "mesh.obj").exists()
+
+
+# ---------------------------------------------------------------------------
+# any damage to an artifact file: the reader returns or raises
+# ConfigValidationError, never another exception
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Pristine field.csv, mesh.csv and frame.bin of an 8x8 run on a smooth
+    field, as name -> (bytes, reader of a path)."""
+    out = str(tmp_path_factory.mktemp("artifacts"))
+    cfg = parse_config_text(flat_config_text(out, nx=8, ny=8, substeps=2,
+                                             extra="re_unitarize = true\n"))
+    grid = PeriodicGrid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
+    u = field_from_function(grid, lambda x, y: 0.1 * np.cos(x) * np.sin(2.0 * np.pi * y / cfg.ly))
+    save_field(u, os.path.join(out, cli.FIELD_CSV))
+    for stage in ("frame", "surface"):
+        cli.run_pipeline(cfg, stage, out, echo=False)
+    readers = {
+        cli.FIELD_CSV: load_field,
+        cli.MESH_CSV: meshout.load_mesh_points,
+        cli.FRAME_FILE: lambda path: cli.load_frame(path, u),
+    }
+    pristine = {}
+    for name, read in readers.items():
+        path = os.path.join(out, name)
+        read(path)
+        pristine[name] = (open(path, "rb").read(), read)
+    return out, pristine
+
+
+@st.composite
+def damage(draw, size):
+    """A cut at any byte, or one byte overwritten by any value; positions in
+    the header and the bytes of number syntax are drawn as often as the rest."""
+    at = draw(st.one_of(st.integers(0, 63), st.integers(0, size - 1)))
+    if draw(st.booleans()):
+        return "cut", at, None
+    return "overwrite", at, draw(st.one_of(st.sampled_from(b"0-.,e\n"), st.integers(0, 255)))
+
+
+@pytest.mark.parametrize("name", [cli.FIELD_CSV, cli.MESH_CSV, cli.FRAME_FILE])
+def test_damaged_artifact_is_read_or_rejected_typed(artifacts, name):
+    out, pristine = artifacts
+    data, read = pristine[name]
+    path = os.path.join(out, "damaged-" + name)
+
+    @settings(database=None, derandomize=True, max_examples=300, deadline=None)
+    @given(damage(len(data)))
+    def check(change):
+        kind, at, byte = change
+        damaged = data[:at] if kind == "cut" else data[:at] + bytes([byte]) + data[at + 1:]
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        try:
+            read(path)
+        except ConfigValidationError:
+            return
+        # the frame's body size is exact, so no cut frame is ever read
+        assert not (name == cli.FRAME_FILE and kind == "cut")
+
+    check()

@@ -43,7 +43,7 @@ def test_field_shape_and_finiteness():
         ScalarFieldPeriodic(g, bad)
 
 
-@pytest.mark.parametrize("method,order", [("fd4", 4), ("fd2", 2)])
+@pytest.mark.parametrize("method,order", [("fd4", 4)])
 def test_deriv_convergence(method, order):
     errs, hs = [], []
     for n in (32, 64, 128):
@@ -64,9 +64,6 @@ def test_spectral_deriv_is_exact_for_bandlimited():
     df = deriv(f, h, axis=0, method="spectral")
     exact = 2 * np.pi * np.cos(2 * np.pi * x) - 1.8 * np.pi * np.sin(6 * np.pi * x)
     assert np.abs(df - exact).max() < 1e-12
-    d2 = deriv2(f, h, axis=0, method="spectral")
-    exact2 = -(2 * np.pi) ** 2 * np.sin(2 * np.pi * x) - 0.3 * (6 * np.pi) ** 2 * np.cos(6 * np.pi * x)
-    assert np.abs(d2 - exact2).max() < 1e-10
 
 
 def test_trig_upsample_hits_exact_values():
@@ -86,7 +83,7 @@ def test_laplacian_symbol_matches_matrix_action():
     k = 3
     x = np.arange(n) * h
     mode = np.exp(2j * np.pi * k * np.arange(n) / n)
-    applied = deriv2(mode, h, axis=0, method="fd4")
+    applied = deriv2(mode, h, axis=0)
     assert np.abs(applied - sym[k] * mode).max() < 1e-10 * abs(sym[k])
 
 

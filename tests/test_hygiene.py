@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package and its tests is
-used, and every public definition of the package is reached from the package
-itself or from the acceptance suite."""
+used, every public definition of the package is reached from the package
+itself or from the acceptance suite, and every default of a package function
+is overridden by some caller."""
 
 import ast
 import pathlib
@@ -83,3 +84,59 @@ def test_no_public_definition_only_its_own_tests_call():
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     acceptance = (TESTS / "test_acceptance.py").read_text()
     assert unreached_definitions(modules, [acceptance]) == []
+
+
+def _passes(call, index, name):
+    """Whether `call` sets the parameter `name`, at position `index` (None
+    for keyword-only); a *args or **kwargs argument may set any."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def unset_defaults(modules, callers):
+    """Defaulted parameters of the top-level functions of `modules` (name ->
+    source) that no call in `callers` (sources) passes, by position or by
+    keyword, as "module:function(parameter)".  Calls are matched by the
+    called name, bare or as an attribute."""
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                called = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(called, []).append(node)
+    found = []
+    for name, source in modules.items():
+        for fn in ast.parse(source).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            params += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [
+                f"{name}:{fn.name}({param})"
+                for index, param in params
+                if not any(_passes(c, index, param) for c in calls.get(fn.name, []))
+            ]
+    return found
+
+
+def test_guard_flags_a_default_no_caller_sets():
+    modules = {
+        "a.py": "def f(x, y=1, *, z=2):\n    return g(x)\n\ndef g(v, w=0):\n    return v\n",
+        "b.py": "def h(p=0, q=1):\n    return p\n\nclass C:\n    def m(self, r=0):\n        pass\n",
+    }
+    callers = list(modules.values()) + ["from a import f\nf(1, 2)\nmod.h(q=3)\n"]
+    assert unset_defaults(modules, callers) == ["a.py:f(z)", "a.py:g(w)", "b.py:h(p)"]
+    more = callers + ["f(0, z=5)\ng(*vals)\nh(**opts)\n"]
+    assert unset_defaults(modules, more) == []
+
+
+def test_no_default_that_no_caller_sets():
+    package = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert unset_defaults(package, list(package.values()) + tests) == []

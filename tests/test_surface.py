@@ -53,7 +53,7 @@ def test_build_surface_rejects_bad_frame():
 
 def test_tangents_complexly_normal_and_conformal(wave61):
     u, frame = _wave_frame(wave61)
-    e1, e2 = tangent_analytic(frame, u, 1.5)
+    e1, e2 = tangent_analytic(frame, 1.5)
     assert normality_map(e1, e2, frame.normal).max() < 1e-10
     g_meas, om = hermitian_induced(e1, e2, check=False)
     conf = 2.0 * 1.5**2 * np.exp(u.values)
@@ -80,44 +80,43 @@ def test_fd_tangents_match_analytic_on_closed_frame():
 
 
 def test_homothety_scaling(wave61):
-    u, frame = _wave_frame(wave61)
+    _u, frame = _wave_frame(wave61)
     mesh1 = build_surface(frame, 1.0)
     mesh2 = build_surface(frame, 2.0)
     g1, _ = hermitian_induced(mesh1.e1, mesh1.e2, check=False)
     g2, _ = hermitian_induced(mesh2.e1, mesh2.e2, check=False)
     assert np.abs(g2 - 4.0 * g1).max() < 1e-12
-    rep1 = full_report(mesh1, frame, u, 0.4)
-    rep2 = full_report(mesh2, frame, u, 0.4)
+    rep1 = full_report(mesh1, frame)
+    rep2 = full_report(mesh2, frame)
     ratio = rep1.gauss_curvature_max / rep2.gauss_curvature_max
     assert abs(ratio - 4.0) < 1e-6
 
 
 def test_extracted_tensor_flat_case():
     u, frame = _flat_frame(n=32, substeps=24)
-    out = extract_second_form(frame, u, 1.0, theta=0.0)
-    t = out.tensor.values
+    t, ncoeff = extract_second_form(frame, 1.0)
     expected = closed_form_tensor(u.values, 0.0)
     assert np.abs(t - expected).max() < 1e-8
     assert abs(t[5, 7, 0, 0, 0] - 1.0) < 1e-8
     assert abs(t[5, 7, 0, 1, 1] + 1.0) < 1e-8
     assert abs(t[5, 7, 1, 0, 1] + 1.0) < 1e-8
     # normal coefficient of nabla_i E_i is -2 R e^u
-    assert np.abs(out.normal_coeff[..., 0, 0] + 2.0).max() < 1e-8
-    assert np.abs(out.normal_coeff[..., 0, 1]).max() < 1e-8
+    assert np.abs(ncoeff[..., 0, 0] + 2.0).max() < 1e-8
+    assert np.abs(ncoeff[..., 0, 1]).max() < 1e-8
 
 
 def test_extraction_refines_on_wave_surface(wave61):
     errs, ncs, hs = [], [], []
     for n in (16, 32, 64):
         u, frame = _wave_frame(wave61, n=n, substeps=4)
-        out = extract_second_form(frame, u, 1.0, theta=0.4)
+        tens, ncoeff = extract_second_form(frame, 1.0)
         expected = closed_form_tensor(u.values, 0.4)
-        errs.append(np.abs(out.tensor.values - expected).max())
+        errs.append(np.abs(tens - expected).max())
         target = -2.0 * np.exp(u.values)
         ncs.append(
             max(
-                np.abs(out.normal_coeff[..., 0, 0] - target).max(),
-                np.abs(out.normal_coeff[..., 0, 1]).max(),
+                np.abs(ncoeff[..., 0, 0] - target).max(),
+                np.abs(ncoeff[..., 0, 1]).max(),
             )
         )
         hs.append(wave61.period / n)
@@ -126,9 +125,9 @@ def test_extraction_refines_on_wave_surface(wave61):
 
 
 def test_full_report_flat_numbers():
-    u, frame = _flat_frame(n=32, substeps=16, closing=True)
+    _u, frame = _flat_frame(n=32, substeps=16, closing=True)
     mesh = build_surface(frame, 1.0)
-    rep = full_report(mesh, frame, u, 0.0)
+    rep = full_report(mesh, frame)
     assert rep.h2_max < 1e-12
     assert rep.invariant_t2_defect < 1e-6
     assert rep.invariant_t4_defect < 1e-6
@@ -142,10 +141,10 @@ def test_full_report_flat_numbers():
 
 
 def test_full_report_flags_corrupted_frame():
-    u, frame = _flat_frame(n=32)
+    _u, frame = _flat_frame(n=32)
     frame.unitary[4, 6] += 1e-2
     mesh = build_surface(frame, 1.0, validate=False)
-    rep = full_report(mesh, frame, u, 0.0)
+    rep = full_report(mesh, frame)
     assert rep.normality_defect > 1e-4
     nmap = normality_map(mesh.e1, mesh.e2, frame.normal)
     assert np.argmax(nmap) == 4 * 32 + 6
