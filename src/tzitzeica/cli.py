@@ -16,7 +16,7 @@ import numpy as np
 
 from . import meshout, wave
 from .config import parse_config
-from .errors import ConfigValidationError, PipelineError
+from .errors import ConfigValidationError, InvalidFrameError, NumericalFailure, PipelineError
 from .grid import (
     PeriodicGrid,
     check_same_grid,
@@ -41,6 +41,7 @@ FRAME_FILE = "frame.bin"
 MESH_CSV = "mesh.csv"
 REPORT_JSON = "report.json"
 MESH_STEM = "mesh"
+FRAME_TOL = 1e-8  # largest unitarity defect of a frame the surface and report stages accept
 
 
 class StageLog:
@@ -175,6 +176,8 @@ def stage_frame(cfg, out_dir, log):
 
 
 def _load_frame_stage(cfg, out_dir):
+    """The frame of the surface and report stages: integrated at the config's
+    theta from the current field.csv, and unitary to FRAME_TOL."""
     u = load_field(_require_artifact(out_dir, FIELD_CSV))
     frame = load_frame(_require_artifact(out_dir, FRAME_FILE), u)
     if frame.spectral.theta != cfg.theta:
@@ -182,6 +185,9 @@ def _load_frame_stage(cfg, out_dir):
             f"{FRAME_FILE} was integrated at theta = {frame.spectral.theta!r}, the config has "
             f"theta = {cfg.theta!r}; rerun the frame stage"
         )
+    defect = frame_orthonormality_report(frame)
+    if defect >= FRAME_TOL:
+        raise InvalidFrameError(f"frame unitarity defect {defect:.3e} >= {FRAME_TOL:g}")
     return frame
 
 
@@ -195,9 +201,14 @@ def stage_surface(cfg, out_dir, log):
 
 def stage_report(cfg, out_dir, log):
     frame = _load_frame_stage(cfg, out_dir)
-    report = full_report(build_surface(frame, cfg.radius), frame)
+    report = full_report(frame, cfg.radius)
+    residuals = report.to_dict()
+    non_finite = [k for k, v in sorted(residuals.items()) if not math.isfinite(v)]
+    if non_finite:
+        raise NumericalFailure(f"residuals not finite at radius {cfg.radius!r}: "
+                               f"{', '.join(non_finite)}")
     write_report_json(report, os.path.join(out_dir, REPORT_JSON))
-    for key, val in sorted(report.to_dict().items()):
+    for key, val in sorted(residuals.items()):
         log.add(f"{key}={format_float(val)}")
 
 

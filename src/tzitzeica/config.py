@@ -5,7 +5,8 @@ rejected so typos fail loudly rather than silently using a default.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import get_args
 
 from .errors import ConfigParseError, ConfigValidationError
 from .meshout import projection_names
@@ -33,26 +34,9 @@ class RunConfig:
     extend_closure: bool = True
 
 
-_REQUIRED = ("nx", "ny", "lx", "ly")
-
-_PARSERS = {
-    "nx": int,
-    "ny": int,
-    "lx": float,
-    "ly": float,
-    "radius": float,
-    "theta": float,
-    "tol": float,
-    "max_iter": int,
-    "seed": str,
-    "wave_energy": float,
-    "field_path": str,
-    "out_dir": str,
-    "projection": str,
-    "re_unitarize": None,
-    "substeps": int,
-    "extend_closure": None,
-}
+def _value_type(annotation):
+    """The type a config value parses to: an optional field's non-None type."""
+    return next((t for t in get_args(annotation) if t is not type(None)), annotation)
 
 
 def _parse_bool(raw, key):
@@ -80,21 +64,22 @@ def parse_config_text(text, source="<config>"):
             raise ConfigParseError(f"{source}:{lineno}: duplicate key {key!r}")
         values[key] = val
 
+    spec = {f.name: f for f in fields(RunConfig)}
     for key in values:
-        if key not in _PARSERS:
+        if key not in spec:
             raise ConfigValidationError(f"unknown config key {key!r}")
-    for key in _REQUIRED:
-        if key not in values:
-            raise ConfigValidationError(f"missing required config key {key!r}")
+    for f in spec.values():
+        if f.default is MISSING and f.name not in values:
+            raise ConfigValidationError(f"missing required config key {f.name!r}")
 
     kwargs = {}
     for key, raw in values.items():
-        parser = _PARSERS[key]
-        if parser is None:
+        kind = _value_type(spec[key].type)
+        if kind is bool:
             kwargs[key] = _parse_bool(raw, key)
         else:
             try:
-                kwargs[key] = parser(raw)
+                kwargs[key] = kind(raw)
             except ValueError as exc:
                 raise ConfigValidationError(f"bad value for {key}: {raw!r}") from exc
     cfg = RunConfig(**kwargs)

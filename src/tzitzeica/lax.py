@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidFrameError, UnitarityBlowupError
+from .errors import UnitarityBlowupError
 from .grid import AXIS_X, AXIS_Y, ScalarFieldPeriodic, ddx, ddy, trig_upsample
-from .linalg3 import unitarity_defect, unitarity_defect_map
+from .linalg3 import unitarity_defect_map
 
 DEFAULT_SUBSTEPS = 24
 
@@ -277,14 +277,13 @@ def frame_orthonormality_report(frame):
 def integrate_frame(
     u,
     spectral,
-    u0=None,
     substeps=DEFAULT_SUBSTEPS,
     closing=False,
     re_unitarize=False,
     order="xy",
     blowup=1e-6,
 ):
-    """Integrate the frame over the grid from the corner value u0.
+    """Integrate the frame over the grid from the identity at the corner node.
 
     Marches the first row in x and then all columns in y (order="yx" swaps
     the roles; the difference between the two orders is the path-dependence
@@ -292,11 +291,6 @@ def integrate_frame(
     row ny, for closure measurements.  Raises UnitarityBlowupError when the
     defect exceeds `blowup`.
     """
-    if u0 is None:
-        u0 = np.eye(3, dtype=complex)
-    u0 = np.asarray(u0, dtype=complex)
-    if unitarity_defect(u0) >= 1e-12:
-        raise InvalidFrameError("initial frame is not unitary to 1e-12")
     grid = u.grid
     lam = spectral.lam
     m = int(substeps)
@@ -311,14 +305,14 @@ def integrate_frame(
             u.values, ux, uy,
             grid.nx, grid.ny, grid.hx, grid.hy,
             frame_coeff_x, frame_coeff_y,
-            lam, m, extra, u0, re_unitarize,
+            lam, m, extra, re_unitarize,
         )
     elif order == "yx":
         swapped = _integrate_rows_then_columns(
             u.values.T, ux.T, uy.T,
             grid.ny, grid.nx, grid.hy, grid.hx,
             frame_coeff_y, frame_coeff_x,
-            lam, m, extra, u0, re_unitarize,
+            lam, m, extra, re_unitarize,
         )
         unitary = np.swapaxes(swapped, 0, 1)
     else:
@@ -332,14 +326,14 @@ def integrate_frame(
 
 
 def _integrate_rows_then_columns(
-    vals, dx_vals, dy_vals, n1, n2, h1, h2, build1, build2, lam, m, extra, u0, re_unit
+    vals, dx_vals, dy_vals, n1, n2, h1, h2, build1, build2, lam, m, extra, re_unit
 ):
     """Generic core: arrays are (n2, n1) with axis 1 the first march
     direction; returns frames of shape (n2 + extra, n1 + extra, 3, 3)."""
     arrays = (vals, dx_vals, dy_vals)
     # first row, marched along axis 1, every cell propagator in one block
     row = tuple(_periodic_samples(a[0], m) for a in arrays)
-    first = _march(u0, row, build1, lam, h1, m, n1 + extra - 1, re_unit)
+    first = _march(np.eye(3, dtype=complex), row, build1, lam, h1, m, n1 + extra - 1, re_unit)
     # all columns at once, marched along axis 0 one cell row at a time;
     # the closing column n1 reuses the propagators of column 0
     cols = tuple(_periodic_samples(a, m) for a in arrays)

@@ -25,8 +25,3 @@ def unitarity_defect_map(mat):
     """Max-abs entry of U^H U - I per matrix in the stack."""
     d = gram(mat) - np.eye(3)
     return np.abs(d).max(axis=(-2, -1))
-
-
-def unitarity_defect(mat):
-    """Max-abs entry of U^H U - I, maximized over the whole stack."""
-    return float(np.max(unitarity_defect_map(mat)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NewtonDivergenceError, SingularJacobianError
-from .grid import ScalarFieldPeriodic, check_resonance, laplacian
+from .grid import ScalarFieldPeriodic, check_resonance, deriv2, laplacian
 
 
 def pde_residual(u):
@@ -43,25 +43,14 @@ def splu(matrix):
     return superlu(matrix, permc_spec="MMD_AT_PLUS_A")
 
 
-def _circulant_dxx(n, h):
-    """Periodic fd4 second-difference matrix: the stencil's five diagonals
-    and the four corner diagonals that wrap it around (n >= 8)."""
-    import scipy.sparse as sp
-
-    diagonals = {0: -30.0, 1: 16.0, -1: 16.0, 2: -1.0, -2: -1.0,
-                 n - 1: 16.0, 1 - n: 16.0, n - 2: -1.0, 2 - n: -1.0}
-    scale = 12.0 * h * h
-    return sp.diags([v / scale for v in diagonals.values()], list(diagonals),
-                    shape=(n, n), format="csr")
-
-
 def laplacian_matrix(grid):
-    """Sparse 2D periodic Laplacian matching the fd4 stencil, acting on
-    row-major flattened fields (y-outer)."""
+    """Sparse 2D periodic Laplacian: per axis, the fd4 stencil of
+    grid.deriv2 applied to the identity; acts on row-major flattened fields
+    (y-outer)."""
     import scipy.sparse as sp
 
-    dxx = _circulant_dxx(grid.nx, grid.hx)
-    dyy = _circulant_dxx(grid.ny, grid.hy)
+    dxx = sp.csr_matrix(deriv2(np.eye(grid.nx), grid.hx, 0))
+    dyy = sp.csr_matrix(deriv2(np.eye(grid.ny), grid.hy, 0))
     return (
         sp.kron(sp.identity(grid.ny, format="csr"), dxx)
         + sp.kron(dyy, sp.identity(grid.nx, format="csr"))

@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import invariants as inv
-from .errors import InvalidFrameError
 from .lax import frame_axis_stencil, frame_orthonormality_report
 from .linalg3 import hermitian_inner
 
@@ -32,9 +31,7 @@ from .linalg3 import hermitian_inner
 class SurfaceMesh:
     grid: object
     points: np.ndarray = field(repr=False)  # (ny, nx, 3) complex, |r| = R
-    e1: np.ndarray = field(repr=False)
-    e2: np.ndarray = field(repr=False)
-    radius: float = 1.0
+    radius: float
 
 
 def tangent_analytic(frame, radius):
@@ -43,17 +40,9 @@ def tangent_analytic(frame, radius):
     return _tangents_at(frame.base, frame.u.values, frame.spectral.lam, radius)
 
 
-def build_surface(frame, radius, validate=True):
-    """Embed r = R * N with analytic tangents attached."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if validate:
-        defect = frame_orthonormality_report(frame)
-        if defect >= 1e-8:
-            raise InvalidFrameError(f"frame unitarity defect {defect:.3e} >= 1e-8")
-    points = radius * frame.normal
-    e1, e2 = tangent_analytic(frame, radius)
-    return SurfaceMesh(frame.grid, points, e1, e2, float(radius))
+def build_surface(frame, radius):
+    """Embed r = R * N."""
+    return SurfaceMesh(frame.grid, radius * frame.normal, float(radius))
 
 
 def normality_map(e1, e2, normal):
@@ -202,17 +191,17 @@ class ImmersionReport:
         return {k: float(v) for k, v in asdict(self).items() if v is not None}
 
 
-def full_report(mesh, frame):
-    """Evaluate every verification residual on one surface built from
+def full_report(frame, radius):
+    """Evaluate every verification residual on the surface r = R * N of
     ``frame``, against the closed forms at the frame's own u and theta; a
     closing frame adds closure_defect."""
-    grid = mesh.grid
-    radius = mesh.radius
+    grid = frame.grid
     u = frame.u
     conf = 2.0 * radius**2 * np.exp(u.values)
 
-    norm_map = normality_map(mesh.e1, mesh.e2, frame.normal)
-    g_meas, om_meas = inv.hermitian_induced(mesh.e1, mesh.e2, check=False)
+    e1, e2 = tangent_analytic(frame, radius)
+    norm_map = normality_map(e1, e2, frame.normal)
+    g_meas, om_meas = inv.hermitian_induced(e1, e2, check=False)
     conformal = max(
         float(np.abs(g_meas[..., 0, 0] - conf).max()),
         float(np.abs(g_meas[..., 1, 1] - conf).max()),
@@ -250,7 +239,7 @@ def full_report(mesh, frame):
     t2_defect = float(np.abs(t2 * scale3 - 2.0).max())
     t4_defect = float(np.abs(t4 * scale6 - 2.0).max())
 
-    radii = np.sqrt(np.sum(np.abs(mesh.points) ** 2, axis=-1))
+    radii = np.sqrt(np.sum(np.abs(radius * frame.normal) ** 2, axis=-1))
     sphere = float(np.abs(radii - radius).max())
 
     closure = torus_closure(frame).max_defect if frame.closing else None

@@ -110,28 +110,16 @@ class WaveProfile1D:
     energy: float
     x: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
-    dense: object = field(default=None, repr=False)
+    dense: object = field(repr=False)  # (u, u') at x from the shooting solution
 
     def __call__(self, x):
         """Evaluate u at arbitrary positions (periodically wrapped)."""
         xm = np.mod(np.asarray(x, dtype=float), self.period)
-        if self.dense is not None:
-            return np.atleast_2d(self.dense(np.atleast_1d(xm)))[0].reshape(np.shape(xm))
-        # trigonometric evaluation of the stored samples
-        n = len(self.u)
-        coeff = np.fft.rfft(self.u) / n
-        k = np.arange(len(coeff))
-        phase = np.exp(2j * np.pi * np.outer(np.ravel(xm) / self.period, k))
-        vals = (phase[:, 0] * coeff[0]).real + 2.0 * (phase[:, 1:] @ coeff[1:]).real
-        if n % 2 == 0:
-            vals -= (phase[:, -1] * coeff[-1]).real
-        return vals.reshape(np.shape(xm))
+        return self.dense(np.atleast_1d(xm))[0].reshape(np.shape(xm))
 
 
 def energy_drift(profile):
-    """Max |E(x) - E| along the orbit; requires the dense solution."""
-    if profile.dense is None:
-        raise ValueError("profile has no dense solution attached")
+    """Max |E(x) - E| along the orbit of the dense solution."""
     t = np.linspace(0.0, profile.period, DRIFT_SAMPLES)
     u, v = profile.dense(t)
     e = 0.5 * v**2 + potential(u)

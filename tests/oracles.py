@@ -2,8 +2,10 @@
 
 None of these is on the pipeline's path: the generic Levi-Civita connection
 cross-checks the conformal closed form, grid differencing of the embedding
-cross-checks the analytic tangents, the OBJ reader reads back what the
-export stage wrote, and the loop triangulation cross-checks the vectorized one.
+cross-checks the analytic tangents, trigonometric interpolation of a wave
+profile's samples cross-checks its dense shooting solution, the OBJ reader
+reads back what the export stage wrote, and the loop triangulation
+cross-checks the vectorized one.
 """
 
 import numpy as np
@@ -46,6 +48,20 @@ def fd_tangents(mesh, method="fd4"):
         ddx(mesh.points, mesh.grid, method),
         ddy(mesh.points, mesh.grid, method),
     )
+
+
+def trig_profile(profile, x):
+    """Trigonometric interpolant of a wave profile's stored samples at x
+    (periodically wrapped)."""
+    xm = np.mod(np.asarray(x, dtype=float), profile.period)
+    n = len(profile.u)
+    coeff = np.fft.rfft(profile.u) / n
+    k = np.arange(len(coeff))
+    phase = np.exp(2j * np.pi * np.outer(np.ravel(xm) / profile.period, k))
+    vals = (phase[:, 0] * coeff[0]).real + 2.0 * (phase[:, 1:] @ coeff[1:]).real
+    if n % 2 == 0:
+        vals -= (phase[:, -1] * coeff[-1]).real
+    return vals.reshape(np.shape(xm))
 
 
 def parse_obj(path):

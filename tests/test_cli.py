@@ -16,7 +16,7 @@ from tzitzeica.config import parse_config_text
 from tzitzeica.errors import ConfigParseError, ConfigValidationError
 from tzitzeica.grid import PeriodicGrid, field_from_function, load_field, save_field, write_rows
 from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
-from tzitzeica.surface import build_surface, full_report
+from tzitzeica.surface import full_report
 
 from oracles import grid_faces_loop, parse_obj
 
@@ -288,13 +288,13 @@ def test_wave_stage(tmp_path):
 
 def test_report_through_files_keeps_substeps(tmp_path):
     out = str(tmp_path / "out")
-    # re-unitarized, so that the substeps = 4 frame passes build_surface's check
+    # re-unitarized, so that the substeps = 4 frame passes the report stage's unitarity gate
     cfg = parse_config_text(flat_config_text(out, substeps=4, extra="re_unitarize = true\n"))
     for stage in ("solve", "frame", "report"):
         cli.run_pipeline(cfg, stage, out, echo=False)
     u = load_field(os.path.join(out, cli.FIELD_CSV))
     frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=4, closing=True, re_unitarize=True)
-    report = full_report(build_surface(frame, cfg.radius), frame)
+    report = full_report(frame, cfg.radius)
     in_memory = str(tmp_path / "in_memory.json")
     cli.write_report_json(report, in_memory)
     assert open(in_memory, "rb").read() == open(os.path.join(out, cli.REPORT_JSON), "rb").read()
@@ -388,6 +388,44 @@ def test_frame_stage_rejects_unwritable_output(tmp_path):
     (out / cli.FRAME_FILE).mkdir()
     assert cli.main(["frame", "--config", cfg]) == 3
     assert (out / "frame.log").read_text().strip().splitlines()[-1] == "error: validation"
+
+
+# ---------------------------------------------------------------------------
+# frames and reports that load but fail numerically: exit 4
+# ---------------------------------------------------------------------------
+
+
+def test_surface_and_report_reject_non_unitary_frame(tmp_path, capsys):
+    # finite and of the right size, but one node is scaled off the unitary group
+    out = _frame_run(tmp_path)
+    path = out / cli.FRAME_FILE
+    data = path.read_bytes()
+    at = data.index(b"\n") + 1 + 7 * NODE_BYTES
+    node = np.frombuffer(data[at:at + NODE_BYTES], dtype="<c16") * 1.001
+    path.write_bytes(data[:at] + node.astype("<c16").tobytes() + data[at + NODE_BYTES:])
+    cfg = str(tmp_path / "run.cfg")
+    for stage in ("surface", "report"):
+        capsys.readouterr()
+        assert cli.main([stage, "--config", cfg]) == 4
+        assert (out / f"{stage}.log").read_text().strip().splitlines()[-1] == "error: invalid-frame"
+        assert capsys.readouterr().err.strip().splitlines()[-1] == "error: invalid-frame"
+    assert not (out / cli.MESH_CSV).exists()
+    assert not (out / cli.REPORT_JSON).exists()
+
+
+def test_report_with_non_finite_residuals_is_exit_4(tmp_path, capsys):
+    # at R = 1e-80 the Gauss and t2/t4 defects are inf or nan, which
+    # report.json cannot hold
+    out = tmp_path / "out"
+    text = flat_config_text(str(out), nx=16, ny=16, substeps=24)
+    cfg = write_config(tmp_path, text.replace("radius = 1.0", "radius = 1e-80"))
+    for stage in ("solve", "frame", "surface"):
+        assert cli.main([stage, "--config", cfg]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", "--config", cfg]) == 4
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: numerical-failure"
+    assert (out / "report.log").read_text().strip().splitlines()[-1] == "error: numerical-failure"
+    assert not (out / cli.REPORT_JSON).exists()
 
 
 # ---------------------------------------------------------------------------

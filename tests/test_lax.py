@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tzitzeica.errors import InvalidFrameError, UnitarityBlowupError
+from tzitzeica.errors import UnitarityBlowupError
 from tzitzeica.grid import PeriodicGrid, field_from_function, zero_field
 from tzitzeica.lax import (
     SpectralPoint,
@@ -92,12 +92,6 @@ def test_integrate_frame_flat_matches_exponential_oracle():
         assert np.abs(frame.base[j, i] - exact).max() < 1e-9
         # cross-check the oracle itself against scipy
         assert np.abs(exact - scipy.linalg.expm(i * g.hx * wx) @ scipy.linalg.expm(j * g.hy * wy)).max() < 1e-12
-
-
-def test_integrate_frame_rejects_bad_start():
-    g = PeriodicGrid(16, 16, 1.0, 1.0)
-    with pytest.raises(InvalidFrameError):
-        integrate_frame(zero_field(g), SpectralPoint(0.0), u0=np.eye(3) * 1.001)
 
 
 def test_integrate_frame_blowup_guard(wave61):

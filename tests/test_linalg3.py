@@ -1,6 +1,6 @@
 import numpy as np
 
-from tzitzeica.linalg3 import hermitian_inner, unitarity_defect
+from tzitzeica.linalg3 import hermitian_inner, unitarity_defect_map
 
 from conftest import random_unitary
 
@@ -41,10 +41,10 @@ def test_euclidean_complex_structure_compatibility():
 
 
 def test_unitarity_defect_examples():
-    assert unitarity_defect(np.eye(3)) == 0.0
+    assert unitarity_defect_map(np.eye(3)).max() == 0.0
     phase = np.diag([np.exp(0.37j), 1.0, 1.0])
-    assert unitarity_defect(phase) < 1e-15
-    assert abs(unitarity_defect(2.0 * np.eye(3)) - 3.0) < 1e-15
+    assert unitarity_defect_map(phase).max() < 1e-15
+    assert abs(unitarity_defect_map(2.0 * np.eye(3)).max() - 3.0) < 1e-15
 
 
 def test_unitarity_defect_of_products():
@@ -52,12 +52,12 @@ def test_unitarity_defect_of_products():
     for _ in range(20):
         u = random_unitary(rng)
         v = random_unitary(rng)
-        assert unitarity_defect(u) < 1e-14
-        assert unitarity_defect(u @ v) < 1e-13
+        assert unitarity_defect_map(u).max() < 1e-14
+        assert unitarity_defect_map(u @ v).max() < 1e-13
 
 
 def test_unitarity_defect_broadcasts():
     rng = np.random.default_rng(10)
     stack = np.stack([random_unitary(rng) for _ in range(5)])
     stack[2] += 1e-3
-    assert unitarity_defect(stack) > 1e-4
+    assert unitarity_defect_map(stack).max() > 1e-4

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tzitzeica.errors import InvalidFrameError
 from tzitzeica.grid import PeriodicGrid, zero_field
 from tzitzeica.invariants import closed_form_tensor, hermitian_induced
 from tzitzeica.lax import SpectralPoint, integrate_frame
@@ -42,15 +41,6 @@ def test_surface_points_on_sphere():
     assert np.abs(radii - 1.0).max() < 1e-9
 
 
-def test_build_surface_rejects_bad_frame():
-    _u, frame = _flat_frame()
-    frame.unitary[3, 3] *= 1.001
-    with pytest.raises(InvalidFrameError):
-        build_surface(frame, 1.0)
-    with pytest.raises(ValueError):
-        build_surface(frame, -1.0)
-
-
 def test_tangents_complexly_normal_and_conformal(wave61):
     u, frame = _wave_frame(wave61)
     e1, e2 = tangent_analytic(frame, 1.5)
@@ -71,9 +61,9 @@ def test_fd_tangents_match_analytic_on_closed_frame():
     errs, hs = [], []
     for n in (32, 64, 128):
         u, frame = _flat_frame(n=n)
-        mesh = build_surface(frame, 1.0)
-        d1, d2 = fd_tangents(mesh)
-        err = max(np.abs(d1 - mesh.e1).max(), np.abs(d2 - mesh.e2).max())
+        d1, d2 = fd_tangents(build_surface(frame, 1.0))
+        e1, e2 = tangent_analytic(frame, 1.0)
+        err = max(np.abs(d1 - e1).max(), np.abs(d2 - e2).max())
         errs.append(err)
         hs.append(2.0 * np.pi / n)
     assert loglog_slope(hs, errs) > 3.5
@@ -81,13 +71,11 @@ def test_fd_tangents_match_analytic_on_closed_frame():
 
 def test_homothety_scaling(wave61):
     _u, frame = _wave_frame(wave61)
-    mesh1 = build_surface(frame, 1.0)
-    mesh2 = build_surface(frame, 2.0)
-    g1, _ = hermitian_induced(mesh1.e1, mesh1.e2, check=False)
-    g2, _ = hermitian_induced(mesh2.e1, mesh2.e2, check=False)
+    g1, _ = hermitian_induced(*tangent_analytic(frame, 1.0), check=False)
+    g2, _ = hermitian_induced(*tangent_analytic(frame, 2.0), check=False)
     assert np.abs(g2 - 4.0 * g1).max() < 1e-12
-    rep1 = full_report(mesh1, frame)
-    rep2 = full_report(mesh2, frame)
+    rep1 = full_report(frame, 1.0)
+    rep2 = full_report(frame, 2.0)
     ratio = rep1.gauss_curvature_max / rep2.gauss_curvature_max
     assert abs(ratio - 4.0) < 1e-6
 
@@ -126,8 +114,7 @@ def test_extraction_refines_on_wave_surface(wave61):
 
 def test_full_report_flat_numbers():
     _u, frame = _flat_frame(n=32, substeps=16, closing=True)
-    mesh = build_surface(frame, 1.0)
-    rep = full_report(mesh, frame)
+    rep = full_report(frame, 1.0)
     assert rep.h2_max < 1e-12
     assert rep.invariant_t2_defect < 1e-6
     assert rep.invariant_t4_defect < 1e-6
@@ -143,10 +130,9 @@ def test_full_report_flat_numbers():
 def test_full_report_flags_corrupted_frame():
     _u, frame = _flat_frame(n=32)
     frame.unitary[4, 6] += 1e-2
-    mesh = build_surface(frame, 1.0, validate=False)
-    rep = full_report(mesh, frame)
+    rep = full_report(frame, 1.0)
     assert rep.normality_defect > 1e-4
-    nmap = normality_map(mesh.e1, mesh.e2, frame.normal)
+    nmap = normality_map(*tangent_analytic(frame, 1.0), frame.normal)
     assert np.argmax(nmap) == 4 * 32 + 6
 
 
