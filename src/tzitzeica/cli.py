@@ -4,10 +4,12 @@ Each stage reads the artifacts of earlier stages from the output directory,
 writes its own artifact plus a <stage>.log of residuals, and is deterministic
 for fixed config and inputs.  Exit codes: 2 config parse error, 3 validation
 error, 4 numerical failure; the last log line of a failed run is
-"error: <name>" with a stable diagnostic name.
+"error: <name>" with a stable diagnostic name, and a failed stage leaves none
+of the files it writes.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -32,8 +34,6 @@ from .grid import (
 from .lax import FrameField, SpectralPoint, frame_orthonormality_report, integrate_frame
 from .solver import newton_solve
 from .surface import build_surface, full_report
-
-STAGES = ("solve", "wave", "frame", "surface", "report", "export")
 
 FIELD_CSV = "field.csv"
 WAVE_CSV = "wave.csv"
@@ -157,7 +157,7 @@ def stage_wave(cfg, out_dir, log):
     drift = wave.energy_drift(profile)
     head = (len(profile.u), profile.period, profile.energy)
     save_table(os.path.join(out_dir, WAVE_CSV), head, np.reshape(profile.u, (-1, 1)))
-    log.add(f"period_shooting={format_float(profile.period)}")
+    log.add(f"period={format_float(profile.period)}")
     log.add(f"period_quadrature={format_float(t_quad)}")
     log.add(f"energy_drift={format_float(drift)}")
 
@@ -176,8 +176,8 @@ def stage_frame(cfg, out_dir, log):
 
 
 def _load_frame_stage(cfg, out_dir):
-    """The frame of the surface and report stages: integrated at the config's
-    theta from the current field.csv, and unitary to FRAME_TOL."""
+    """The frame of the surface and report stages, integrated at the config's
+    theta from the current field.csv, and its unitarity defect, below FRAME_TOL."""
     u = load_field(_require_artifact(out_dir, FIELD_CSV))
     frame = load_frame(_require_artifact(out_dir, FRAME_FILE), u)
     if frame.spectral.theta != cfg.theta:
@@ -188,11 +188,11 @@ def _load_frame_stage(cfg, out_dir):
     defect = frame_orthonormality_report(frame)
     if defect >= FRAME_TOL:
         raise InvalidFrameError(f"frame unitarity defect {defect:.3e} >= {FRAME_TOL:g}")
-    return frame
+    return frame, defect
 
 
 def stage_surface(cfg, out_dir, log):
-    frame = _load_frame_stage(cfg, out_dir)
+    frame, _defect = _load_frame_stage(cfg, out_dir)
     mesh = build_surface(frame, cfg.radius)
     meshout.save_mesh(mesh, os.path.join(out_dir, MESH_CSV))
     radii = np.sqrt(np.sum(np.abs(mesh.points) ** 2, axis=-1))
@@ -200,8 +200,8 @@ def stage_surface(cfg, out_dir, log):
 
 
 def stage_report(cfg, out_dir, log):
-    frame = _load_frame_stage(cfg, out_dir)
-    report = full_report(frame, cfg.radius)
+    frame, defect = _load_frame_stage(cfg, out_dir)
+    report = full_report(frame, cfg.radius, defect)
     residuals = report.to_dict()
     non_finite = [k for k, v in sorted(residuals.items()) if not math.isfinite(v)]
     if non_finite:
@@ -223,22 +223,24 @@ def stage_export(cfg, out_dir, log):
         log.add(f"wrote {os.path.basename(p)}")
 
 
-_STAGE_FUNCS = {
-    "solve": stage_solve,
-    "wave": stage_wave,
-    "frame": stage_frame,
-    "surface": stage_surface,
-    "report": stage_report,
-    "export": stage_export,
+# each stage and the files it writes into the output directory
+_STAGES = {
+    "solve": (stage_solve, (FIELD_CSV,)),
+    "wave": (stage_wave, (WAVE_CSV,)),
+    "frame": (stage_frame, (FRAME_FILE,)),
+    "surface": (stage_surface, (MESH_CSV,)),
+    "report": (stage_report, (REPORT_JSON,)),
+    "export": (stage_export, tuple(MESH_STEM + suffix for suffix in meshout.EXPORT_SUFFIXES)),
 }
 
 
 def run_pipeline(cfg, stage, out_dir=None, echo=True):
     """Run one stage; raises the typed config/numerical exceptions, and
     ConfigValidationError for a file the stage cannot read or write, or an
-    output directory that cannot be made (then no log is written)."""
-    if stage not in _STAGE_FUNCS:
-        raise ConfigValidationError(f"unknown stage {stage!r}; choose from {STAGES}")
+    output directory that cannot be made (then no log is written).  A stage
+    that raises removes the files it writes and keeps its log."""
+    if stage not in _STAGES:
+        raise ConfigValidationError(f"unknown stage {stage!r}; choose from {tuple(_STAGES)}")
     out_dir = out_dir or cfg.out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -247,12 +249,18 @@ def run_pipeline(cfg, stage, out_dir=None, echo=True):
     log = StageLog(out_dir, stage, echo)
     try:
         try:
-            _STAGE_FUNCS[stage](cfg, out_dir, log)
+            _STAGES[stage][0](cfg, out_dir, log)
         except OSError as exc:
             raise ConfigValidationError(f"stage {stage} cannot use a file: {exc}") from exc
     except PipelineError as exc:
         log.add(f"error: {exc.name}")
         log.flush()
+        seed = os.path.realpath(cfg.field_path) if cfg.seed == "file" else None
+        for path in (os.path.join(out_dir, name) for name in _STAGES[stage][1]):
+            if os.path.realpath(path) != seed:
+                # absent, a directory, or in a directory the stage could not write either
+                with contextlib.suppress(OSError):
+                    os.remove(path)
         raise
     log.flush()
     return log
@@ -263,7 +271,7 @@ def main(argv=None):
         prog="tzitzeica",
         description="Minimal complexly-normal surfaces in S^5: pipeline stages",
     )
-    parser.add_argument("stage", choices=STAGES)
+    parser.add_argument("stage", choices=_STAGES)
     parser.add_argument("--config", required=True, help="path to key=value config")
     parser.add_argument("--out", default=None, help="output directory (default: config out_dir)")
     args = parser.parse_args(argv)

@@ -14,6 +14,8 @@ import numpy as np
 
 from .grid import header_grid, load_table, save_table, write_rows
 
+EXPORT_SUFFIXES = (".obj", ".ply", ".meta.json")  # the files export_mesh writes after its stem
+
 COORD_NAMES = ("re1", "im1", "re2", "im2", "re3", "im3")
 
 
@@ -120,7 +122,7 @@ def export_mesh(grid, radius, points, out_stem, projection="pca"):
             "faces": len(faces),
         }
     )
-    paths = (f"{out_stem}.obj", f"{out_stem}.ply", f"{out_stem}.meta.json")
+    paths = tuple(out_stem + suffix for suffix in EXPORT_SUFFIXES)
     write_obj(paths[0], verts, faces)
     write_ply(paths[1], verts, faces)
     with open(paths[2], "w") as fh:

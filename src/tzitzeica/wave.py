@@ -7,16 +7,25 @@ small-oscillation limit T -> 2 pi / sqrt(V''(0)) = 2 pi / sqrt(12).
 
 In w = e^u the turning condition V(u) = E becomes the cubic
 w^3 - (E/4) w^2 + 1/2 = 0, whose three real roots w_neg < 0 < w_lo <= w_hi
-factor the energy gap as E - V = 4 (w_hi - w)(w - w_lo)(w - w_neg)/w^2.
-Substituting w = w_mid + w_amp sin(phi) turns the turning-point period
-integral into the cancellation-free, analytic form
+factor the energy gap as E - V = 4 (w_hi - w)(w - w_lo)(w - w_neg)/w^2, so
+w'^2 = 8 (w_hi - w)(w - w_lo)(w - w_neg).  Counted from the maximum, the orbit
+is the Jacobi elliptic closed form (Byrd & Friedman, Handbook of Elliptic
+Integrals, 1971)
+
+    w(x) = w_hi - (w_hi - w_lo) sn^2(mu x, m) = w_lo + (w_hi - w_lo) cn^2(mu x, m),
+    m = (w_hi - w_lo) / (w_hi - w_neg),  mu = sqrt(2 (w_hi - w_neg)),  T = 2 K(m) / mu,
+
+with K, sn and cn from one arithmetic-geometric mean sequence (DLMF 19.8,
+22.20(ii)).  Substituting w = w_mid + w_amp sin(phi) turns the turning-point
+period integral into the cancellation-free, analytic form
 
     T(E) = 2^{-1/2} * integral_{-pi/2}^{pi/2} dphi / sqrt(w(phi) - w_neg),
 
-evaluated here by Gauss-Legendre quadrature.  An independent shooting route
-(high-order ODE integration with event detection) provides the cross-check.
+evaluated by Gauss-Legendre quadrature as an independent check of T; the
+tests also check both against shooting with a high-order ODE integrator.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +35,7 @@ from .grid import ScalarFieldPeriodic
 
 V_MIN = 6.0
 QUADRATURE_NODES = 128  # Gauss-Legendre nodes of period_quadrature
+AGM_STEPS = 16  # c_n / a_n falls below 1e-17 within 13 steps for every double 0 < 1 - m <= 1
 PROFILE_SAMPLES = 512  # samples of one travelling-wave period
 DRIFT_SAMPLES = 1024  # orbit points energy_drift checks
 DRIFT_TOL = 1e-10  # largest energy drift travelling_wave accepts
@@ -47,12 +57,6 @@ def _cubic_roots(energy):
     return roots[0], roots[1], roots[2]
 
 
-def turning_points(energy):
-    """u_lo < 0 < u_hi with V(u) = E."""
-    _, w_lo, w_hi = _cubic_roots(energy)
-    return float(np.log(w_lo)), float(np.log(w_hi))
-
-
 def period_quadrature(energy):
     w_neg, w_lo, w_hi = _cubic_roots(energy)
     mid, amp = 0.5 * (w_hi + w_lo), 0.5 * (w_hi - w_lo)
@@ -63,43 +67,27 @@ def period_quadrature(energy):
     return float(0.5 * np.pi * np.dot(wts, integrand) / np.sqrt(2.0))
 
 
-def _rhs(_t, state):
-    u, v = state
-    return (v, 4.0 * np.exp(-2.0 * u) - 4.0 * np.exp(u))
-
-
-def _shoot(energy):
-    """Integrate one orbit starting from the upper turning point.
-
-    The orbit runs u_hi -> u_lo -> u_hi; by time-reversal symmetry the first
-    upward crossing of u' = 0 happens exactly at half a period.
-    """
-    from scipy.integrate import solve_ivp
-
-    _, u_hi = turning_points(energy)
-    t_guess = period_quadrature(energy)
-
-    def turning(_t, state):
-        return state[1]
-
-    turning.direction = 1.0
-    sol = solve_ivp(
-        _rhs,
-        (0.0, 1.5 * t_guess),
-        [u_hi, 0.0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-        events=turning,
-    )
-    if not sol.success or len(sol.t_events[0]) == 0:
-        raise NumericalFailure(f"shooting failed at E={energy}: {sol.message}")
-    return 2.0 * float(sol.t_events[0][0]), sol.sol
-
-
-def period_shooting(energy):
-    return _shoot(energy)[0]
+def _orbit(roots, x):
+    """(u, u') at x, counted from the maximum, and the period 2 K(m) / mu of
+    the orbit through the cubic's roots.  K, sn and cn come from one AGM
+    sequence a_0 = 1, b_0 = sqrt(1 - m), c_0 = sqrt(m) of a fixed AGM_STEPS
+    steps (DLMF 19.8, 22.20(ii)); 1 - m is formed without cancellation."""
+    w_neg, w_lo, w_hi = roots
+    span = w_hi - w_neg
+    m, m1, mu = (w_hi - w_lo) / span, (w_lo - w_neg) / span, math.sqrt(2.0 * span)
+    a, b, c = 1.0, math.sqrt(m1), math.sqrt(m)
+    ratios = []
+    for _ in range(AGM_STEPS):
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = 0.25 * c * c / a  # (a_{n-1} - b_{n-1}) / 2, since a_n^2 - b_n^2 = c_n^2
+        ratios.append(c / a)
+    phi = 2.0**AGM_STEPS * a * mu * np.asarray(x, dtype=float)
+    for ratio in reversed(ratios):
+        phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
+    sn, cn = np.sin(phi), np.cos(phi)
+    w = w_lo + (w_hi - w_lo) * cn * cn
+    dw = -2.0 * (w_hi - w_lo) * mu * sn * cn * np.sqrt(m1 + m * cn * cn)  # dn^2 = 1 - m sn^2
+    return np.log(w), dw / w, math.pi / (a * mu)  # K(m) = pi / (2 a_N)
 
 
 @dataclass
@@ -108,20 +96,17 @@ class WaveProfile1D:
 
     period: float
     energy: float
-    x: np.ndarray = field(repr=False)
+    roots: tuple  # w_neg, w_lo, w_hi of the turning-point cubic
     u: np.ndarray = field(repr=False)
-    dense: object = field(repr=False)  # (u, u') at x from the shooting solution
 
     def __call__(self, x):
         """Evaluate u at arbitrary positions (periodically wrapped)."""
-        xm = np.mod(np.asarray(x, dtype=float), self.period)
-        return self.dense(np.atleast_1d(xm))[0].reshape(np.shape(xm))
+        return _orbit(self.roots, np.mod(x, self.period))[0]
 
 
 def energy_drift(profile):
-    """Max |E(x) - E| along the orbit of the dense solution."""
-    t = np.linspace(0.0, profile.period, DRIFT_SAMPLES)
-    u, v = profile.dense(t)
+    """Max |E(x) - E| along one period of the closed-form orbit."""
+    u, v, _ = _orbit(profile.roots, np.linspace(0.0, profile.period, DRIFT_SAMPLES))
     e = 0.5 * v**2 + potential(u)
     return float(np.abs(e - profile.energy).max())
 
@@ -130,14 +115,14 @@ def travelling_wave(energy):
     """One period of the y-independent solution with energy E > 6.
 
     The profile starts at the maximum, so it is even about x = 0; the period
-    comes from shooting and is cross-checkable against period_quadrature.
+    2 K(m) / mu is cross-checkable against period_quadrature.
     """
-    period, dense = _shoot(energy)
+    roots = _cubic_roots(energy)
+    period = _orbit(roots, 0.0)[2]
     x = np.arange(PROFILE_SAMPLES) * (period / PROFILE_SAMPLES)
-    u = dense(x)[0]
-    profile = WaveProfile1D(period=period, energy=float(energy), x=x, u=u, dense=dense)
+    profile = WaveProfile1D(period, float(energy), roots, _orbit(roots, x)[0])
     drift = energy_drift(profile)
-    if drift > DRIFT_TOL:
+    if not drift <= DRIFT_TOL:
         raise NumericalFailure(f"energy drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
     return profile
 

@@ -2,16 +2,19 @@
 
 None of these is on the pipeline's path: the generic Levi-Civita connection
 cross-checks the conformal closed form, grid differencing of the embedding
-cross-checks the analytic tangents, trigonometric interpolation of a wave
-profile's samples cross-checks its dense shooting solution, the OBJ reader
-reads back what the export stage wrote, and the loop triangulation
-cross-checks the vectorized one.
+cross-checks the analytic tangents, DOP853 shooting cross-checks the
+travelling wave's closed form and its quadrature period, trigonometric
+interpolation of a wave profile's samples cross-checks its closed-form
+evaluation, the OBJ reader reads back what the export stage wrote, and the
+loop triangulation cross-checks the vectorized one.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from tzitzeica.grid import AXIS_X, AXIS_Y, ddx, ddy, deriv, deriv_nonperiodic
 from tzitzeica.invariants import check_spd, inv2
+from tzitzeica.wave import _cubic_roots, period_quadrature
 
 
 def _dfield(values, h, axis, periodic, method):
@@ -48,6 +51,39 @@ def fd_tangents(mesh, method="fd4"):
         ddx(mesh.points, mesh.grid, method),
         ddy(mesh.points, mesh.grid, method),
     )
+
+
+def turning_points(energy):
+    """u_lo < 0 < u_hi with V(u) = E."""
+    _, w_lo, w_hi = _cubic_roots(energy)
+    return float(np.log(w_lo)), float(np.log(w_hi))
+
+
+def shoot(energy):
+    """Period and dense (u, u') solution of one orbit of u'' = 4 e^{-2u} - 4 e^u
+    from the upper turning point, by DOP853 integration.
+
+    The orbit runs u_hi -> u_lo -> u_hi; by time-reversal symmetry the first
+    upward crossing of u' = 0 happens exactly at half a period.
+    """
+    _, u_hi = turning_points(energy)
+
+    def rhs(_t, state):
+        u, v = state
+        return (v, 4.0 * np.exp(-2.0 * u) - 4.0 * np.exp(u))
+
+    def turning(_t, state):
+        return state[1]
+
+    turning.direction = 1.0
+    sol = solve_ivp(rhs, (0.0, 1.5 * period_quadrature(energy)), [u_hi, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=True, events=turning)
+    assert sol.success and len(sol.t_events[0]) > 0, f"shooting failed at E={energy}: {sol.message}"
+    return 2.0 * float(sol.t_events[0][0]), sol.sol
+
+
+def period_shooting(energy):
+    return shoot(energy)[0]
 
 
 def trig_profile(profile, x):

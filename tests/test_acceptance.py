@@ -28,9 +28,10 @@ from tzitzeica.lax import (
 )
 from tzitzeica.solver import newton_solve, pde_residual
 from tzitzeica.surface import extract_second_form, normality_map, tangent_analytic
-from tzitzeica.wave import energy_drift, lift_1d, period_quadrature, period_shooting, travelling_wave
+from tzitzeica.wave import energy_drift, lift_1d, period_quadrature, travelling_wave
 
 from conftest import loglog_slope
+from oracles import period_shooting
 
 FLAT_LX = float(2.0 * np.pi)
 FLAT_LY = float(2.0 * np.pi / np.sqrt(3.0))

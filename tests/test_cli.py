@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -14,9 +15,17 @@ from hypothesis import strategies as st
 from tzitzeica import cli, meshout
 from tzitzeica.config import parse_config_text
 from tzitzeica.errors import ConfigParseError, ConfigValidationError
-from tzitzeica.grid import PeriodicGrid, field_from_function, load_field, save_field, write_rows
+from tzitzeica.grid import (
+    PeriodicGrid,
+    field_from_function,
+    load_field,
+    save_field,
+    write_rows,
+    zero_field,
+)
 from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
 from tzitzeica.surface import full_report
+from tzitzeica.wave import period_quadrature, travelling_wave
 
 from oracles import grid_faces_loop, parse_obj
 
@@ -156,12 +165,27 @@ def test_cli_numerical_failure_is_exit_4_with_named_error(tmp_path):
     assert log_lines[-1] == "error: resonance"
 
 
-def test_cli_import_loads_no_scipy():
-    # frame, surface, report and export need no scipy at all
-    code = "import sys, tzitzeica.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running code."""
+    script = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # frame, surface, report and export need no scipy at all
+    assert _scipy_modules_after("import tzitzeica.cli") == []
+    # nor does the wave stage, and the wave seed of solve needs no scipy.integrate
+    period = travelling_wave(6.5).period
+    text = flat_config_text(str(tmp_path / "out"), nx=16, ny=8)
+    text = text.replace(f"lx = {float(2 * np.pi)!r}", f"lx = {period!r}")
+    cfg = write_config(tmp_path, text.replace("seed = zero", "seed = wave\nwave_energy = 6.5"))
+    run = "from tzitzeica import cli\nassert cli.main([{!r}, '--config', {!r}]) == 0"
+    assert _scipy_modules_after(run.format("wave", cfg)) == []
+    solve = _scipy_modules_after(run.format("solve", cfg))
+    assert "scipy.sparse" in solve
+    assert not [m for m in solve if m.startswith("scipy.integrate")]
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +306,23 @@ def test_wave_stage(tmp_path):
     n, period, energy = lines[0].split(",")
     assert int(n) == len(lines) - 1
     assert abs(float(energy) - 6.1) < 1e-12
-    log = open(os.path.join(out, "wave.log")).read()
-    assert "period_quadrature=" in log and "energy_drift=" in log
+    log = dict(line.split("=", 1) for line in open(os.path.join(out, "wave.log")).read().splitlines())
+    assert abs(float(log["period"]) - period_quadrature(6.1)) < 1e-12
+    assert float(period) == float(log["period"])
+    assert float(log["energy_drift"]) < 1e-10
+
+
+@pytest.mark.parametrize("energy", ["1e12", "1e300"])
+def test_wave_stage_beyond_double_precision_is_exit_4(tmp_path, energy):
+    # the orbit's energy cannot be held to the drift gate; the failure also
+    # removes the wave.csv of an earlier successful run
+    out = tmp_path / "out"
+    text = flat_config_text(str(out), nx=16, ny=16)
+    assert cli.main(["wave", "--config", write_config(tmp_path, text + "wave_energy = 6.5\n")]) == 0
+    high = write_config(tmp_path, text + f"wave_energy = {energy}\n", "high.cfg")
+    assert cli.main(["wave", "--config", high]) == 4
+    assert (out / "wave.log").read_text().strip().splitlines()[-1] == "error: numerical-failure"
+    assert not (out / cli.WAVE_CSV).exists()
 
 
 def test_report_through_files_keeps_substeps(tmp_path):
@@ -294,7 +333,7 @@ def test_report_through_files_keeps_substeps(tmp_path):
         cli.run_pipeline(cfg, stage, out, echo=False)
     u = load_field(os.path.join(out, cli.FIELD_CSV))
     frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=4, closing=True, re_unitarize=True)
-    report = full_report(frame, cfg.radius)
+    report = full_report(frame, cfg.radius, frame_orthonormality_report(frame))
     in_memory = str(tmp_path / "in_memory.json")
     cli.write_report_json(report, in_memory)
     assert open(in_memory, "rb").read() == open(os.path.join(out, cli.REPORT_JSON), "rb").read()
@@ -426,6 +465,37 @@ def test_report_with_non_finite_residuals_is_exit_4(tmp_path, capsys):
     assert capsys.readouterr().err.strip().splitlines()[-1] == "error: numerical-failure"
     assert (out / "report.log").read_text().strip().splitlines()[-1] == "error: numerical-failure"
     assert not (out / cli.REPORT_JSON).exists()
+
+
+def test_failed_report_leaves_no_earlier_report(tmp_path):
+    out = tmp_path / "out"
+    text = flat_config_text(str(out), nx=16, ny=16, substeps=24)
+    cfg = write_config(tmp_path, text)
+    for stage in ("solve", "frame", "report"):
+        assert cli.main([stage, "--config", cfg]) == 0
+    tiny = write_config(tmp_path, text.replace("radius = 1.0", "radius = 1e-80"), "tiny.cfg")
+    assert cli.main(["report", "--config", tiny]) == 4
+    assert (out / "report.log").read_text().strip().splitlines()[-1] == "error: numerical-failure"
+    assert not (out / cli.REPORT_JSON).exists()
+    assert (out / cli.FIELD_CSV).exists() and (out / cli.FRAME_FILE).exists()
+
+
+@pytest.mark.parametrize("seed_in_out", [True, False])
+def test_failed_solve_removes_its_field_but_not_its_seed(tmp_path, seed_in_out):
+    # the grid of test_cli_numerical_failure_is_exit_4_with_named_error, on the -12 resonance
+    n = 64
+    theta = 2 * np.pi / n
+    lx = n * np.sqrt((30.0 - 32.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)) / 144.0)
+    out = tmp_path / "out"
+    out.mkdir()
+    seed = out / cli.FIELD_CSV if seed_in_out else tmp_path / "seed.csv"
+    save_field(zero_field(PeriodicGrid(n, 8, float(lx), 0.5)), str(seed))
+    (out / cli.FIELD_CSV).write_bytes(seed.read_bytes())
+    text = f"nx = {n}\nny = 8\nlx = {float(lx)!r}\nly = 0.5\nseed = file\nfield_path = {seed}\n"
+    assert cli.main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 4
+    assert (out / "solve.log").read_text().strip().splitlines()[-1] == "error: resonance"
+    assert (out / cli.FIELD_CSV).exists() == seed_in_out
+    assert seed.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,17 @@ from tzitzeica.errors import IncommensuratePeriodError
 from tzitzeica.grid import PeriodicGrid
 from tzitzeica.solver import pde_residual
 from tzitzeica.wave import (
+    DRIFT_TOL,
     WaveProfile1D,
     energy_drift,
     lift_1d,
     period_quadrature,
-    period_shooting,
     potential,
     travelling_wave,
-    turning_points,
 )
 
 from conftest import loglog_slope
-from oracles import trig_profile
+from oracles import shoot, trig_profile, turning_points
 
 SMALL_OSC_PERIOD = 2.0 * np.pi / np.sqrt(12.0)
 
@@ -45,15 +44,27 @@ def test_small_oscillation_limit():
     assert abs(period_quadrature(6.0001) - SMALL_OSC_PERIOD) < 1e-3 * SMALL_OSC_PERIOD
 
 
-@pytest.mark.parametrize("energy", [6.001, 6.1, 6.5, 8.0])
+@pytest.mark.parametrize("energy", [6.001, 6.1, 6.5, 8.0, 20.0])
 def test_quadrature_matches_shooting(energy):
     tq = period_quadrature(energy)
-    ts = period_shooting(energy)
+    ts, dense = shoot(energy)
     assert abs(tq - ts) < 1e-8, f"E={energy}: quadrature {tq!r} vs shooting {ts!r}"
+    # the closed form against both: its period, and its samples along the shot orbit
+    profile = travelling_wave(energy)
+    assert abs(profile.period - tq) < 1e-12, f"E={energy}: closed form {profile.period!r} vs {tq!r}"
+    assert abs(profile.period - ts) < 1e-8, f"E={energy}: closed form {profile.period!r} vs {ts!r}"
+    x = np.arange(len(profile.u)) * (profile.period / len(profile.u))
+    assert np.abs(profile.u - dense(x)[0]).max() < 1e-10
 
 
 def test_energy_conservation_along_profile(wave61):
     assert energy_drift(wave61) < 1e-10
+
+
+@pytest.mark.parametrize("energy", [20.0, 100.0])
+def test_travelling_wave_passes_drift_gate(energy):
+    # a DOP853 orbit at rtol 1e-12 drifts by 5.4e-10 at E = 100, above the gate
+    assert energy_drift(travelling_wave(energy)) <= DRIFT_TOL
 
 
 def test_profile_reflection_symmetry(wave61):
@@ -69,8 +80,8 @@ def test_profile_trig_evaluation_matches_dense(wave61):
 
 def test_lift_zero_profile():
     g = PeriodicGrid(16, 8, 1.0, 1.0)
-    flat = WaveProfile1D(period=0.5, energy=6.0, x=np.arange(32) / 64.0, u=np.zeros(32),
-                         dense=lambda x: np.zeros((2, len(x))))
+    # the E = 6 cubic (w - 1)^2 (w + 1/2) is the flat orbit's limit, w = 1
+    flat = WaveProfile1D(period=0.5, energy=6.0, roots=(-0.5, 1.0, 1.0), u=np.zeros(32))
     lifted = lift_1d(flat, g)
     assert np.all(lifted.values == 0.0)
 
