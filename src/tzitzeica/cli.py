@@ -153,13 +153,11 @@ def stage_wave(cfg, out_dir, log):
     if cfg.wave_energy is None:
         raise ConfigValidationError("stage wave requires wave_energy")
     profile = wave.travelling_wave(cfg.wave_energy)
-    t_quad = wave.period_quadrature(cfg.wave_energy)
-    drift = wave.energy_drift(profile)
     head = (len(profile.u), profile.period, profile.energy)
     save_table(os.path.join(out_dir, WAVE_CSV), head, np.reshape(profile.u, (-1, 1)))
     log.add(f"period={format_float(profile.period)}")
-    log.add(f"period_quadrature={format_float(t_quad)}")
-    log.add(f"energy_drift={format_float(drift)}")
+    log.add(f"period_quadrature={format_float(wave.period_quadrature(cfg.wave_energy))}")
+    log.add(f"energy_drift={format_float(profile.drift)}")
 
 
 def stage_frame(cfg, out_dir, log):
@@ -176,8 +174,8 @@ def stage_frame(cfg, out_dir, log):
 
 
 def _load_frame_stage(cfg, out_dir):
-    """The frame of the surface and report stages, integrated at the config's
-    theta from the current field.csv, and its unitarity defect, below FRAME_TOL."""
+    """The frame of the surface and report stages: integrated at the config's
+    theta from the current field.csv, and unitary to FRAME_TOL."""
     u = load_field(_require_artifact(out_dir, FIELD_CSV))
     frame = load_frame(_require_artifact(out_dir, FRAME_FILE), u)
     if frame.spectral.theta != cfg.theta:
@@ -188,11 +186,11 @@ def _load_frame_stage(cfg, out_dir):
     defect = frame_orthonormality_report(frame)
     if defect >= FRAME_TOL:
         raise InvalidFrameError(f"frame unitarity defect {defect:.3e} >= {FRAME_TOL:g}")
-    return frame, defect
+    return frame
 
 
 def stage_surface(cfg, out_dir, log):
-    frame, _defect = _load_frame_stage(cfg, out_dir)
+    frame = _load_frame_stage(cfg, out_dir)
     mesh = build_surface(frame, cfg.radius)
     meshout.save_mesh(mesh, os.path.join(out_dir, MESH_CSV))
     radii = np.sqrt(np.sum(np.abs(mesh.points) ** 2, axis=-1))
@@ -200,8 +198,8 @@ def stage_surface(cfg, out_dir, log):
 
 
 def stage_report(cfg, out_dir, log):
-    frame, defect = _load_frame_stage(cfg, out_dir)
-    report = full_report(frame, cfg.radius, defect)
+    frame = _load_frame_stage(cfg, out_dir)
+    report = full_report(frame, cfg.radius)
     residuals = report.to_dict()
     non_finite = [k for k, v in sorted(residuals.items()) if not math.isfinite(v)]
     if non_finite:

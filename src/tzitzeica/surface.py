@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import invariants as inv
-from .lax import frame_axis_stencil
+from .lax import frame_axis_stencil, frame_orthonormality_report
 from .linalg3 import hermitian_inner
 
 
@@ -191,11 +191,10 @@ class ImmersionReport:
         return {k: float(v) for k, v in asdict(self).items() if v is not None}
 
 
-def full_report(frame, radius, unitarity_defect):
+def full_report(frame, radius):
     """Evaluate every verification residual on the surface r = R * N of
     ``frame``, against the closed forms at the frame's own u and theta; a
-    closing frame adds closure_defect.  unitarity_defect is the frame's
-    frame_orthonormality_report, which the caller has computed to gate it."""
+    closing frame adds closure_defect."""
     grid = frame.grid
     u = frame.u
     conf = 2.0 * radius**2 * np.exp(u.values)
@@ -259,6 +258,6 @@ def full_report(frame, radius, unitarity_defect):
         invariant_t2_defect=t2_defect,
         invariant_t4_defect=t4_defect,
         sphere_defect=sphere,
-        unitarity_defect=unitarity_defect,
+        unitarity_defect=frame_orthonormality_report(frame),
         closure_defect=closure,
     )

@@ -28,7 +28,7 @@ from tzitzeica.lax import (
 )
 from tzitzeica.solver import newton_solve, pde_residual
 from tzitzeica.surface import extract_second_form, normality_map, tangent_analytic
-from tzitzeica.wave import energy_drift, lift_1d, period_quadrature, travelling_wave
+from tzitzeica.wave import lift_1d, period_quadrature, travelling_wave
 
 from conftest import loglog_slope
 from oracles import period_shooting
@@ -156,7 +156,7 @@ def test_criterion_3_travelling_wave_oracle():
     t_quad = period_quadrature(6.001)
     t_shoot = period_shooting(6.001)
     profile = travelling_wave(6.001)
-    drift = energy_drift(profile)
+    drift = profile.drift
     elapsed = time.perf_counter() - t0
     assert abs(t_quad - small) < 0.01 * small, f"T(6.001) = {t_quad} vs {small}"
     assert abs(t_quad - t_shoot) < 1e-8, f"quadrature {t_quad!r} vs shooting {t_shoot!r}"

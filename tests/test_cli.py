@@ -18,6 +18,7 @@ from tzitzeica.errors import ConfigParseError, ConfigValidationError
 from tzitzeica.grid import (
     PeriodicGrid,
     field_from_function,
+    format_float,
     load_field,
     save_field,
     write_rows,
@@ -307,7 +308,8 @@ def test_wave_stage(tmp_path):
     assert int(n) == len(lines) - 1
     assert abs(float(energy) - 6.1) < 1e-12
     log = dict(line.split("=", 1) for line in open(os.path.join(out, "wave.log")).read().splitlines())
-    assert abs(float(log["period"]) - period_quadrature(6.1)) < 1e-12
+    assert log["period_quadrature"] == format_float(period_quadrature(6.1))
+    assert abs(float(log["period"]) - float(log["period_quadrature"])) < 1e-12
     assert float(period) == float(log["period"])
     assert float(log["energy_drift"]) < 1e-10
 
@@ -333,7 +335,7 @@ def test_report_through_files_keeps_substeps(tmp_path):
         cli.run_pipeline(cfg, stage, out, echo=False)
     u = load_field(os.path.join(out, cli.FIELD_CSV))
     frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=4, closing=True, re_unitarize=True)
-    report = full_report(frame, cfg.radius, frame_orthonormality_report(frame))
+    report = full_report(frame, cfg.radius)
     in_memory = str(tmp_path / "in_memory.json")
     cli.write_report_json(report, in_memory)
     assert open(in_memory, "rb").read() == open(os.path.join(out, cli.REPORT_JSON), "rb").read()
@@ -450,6 +452,18 @@ def test_surface_and_report_reject_non_unitary_frame(tmp_path, capsys):
         assert capsys.readouterr().err.strip().splitlines()[-1] == "error: invalid-frame"
     assert not (out / cli.MESH_CSV).exists()
     assert not (out / cli.REPORT_JSON).exists()
+
+
+def test_report_rejects_singular_closing_frame_before_closure(tmp_path):
+    # a zeroed corner node leaves U(0, 0)^-1 of the closure undefined; the
+    # unitarity gate rejects the frame before the report reaches torus_closure
+    out = _frame_run(tmp_path)
+    path = out / cli.FRAME_FILE
+    data = path.read_bytes()
+    at = data.index(b"\n") + 1
+    path.write_bytes(data[:at] + bytes(NODE_BYTES) + data[at + NODE_BYTES:])
+    assert cli.main(["report", "--config", str(tmp_path / "run.cfg")]) == 4
+    assert (out / "report.log").read_text().strip().splitlines()[-1] == "error: invalid-frame"
 
 
 def test_report_with_non_finite_residuals_is_exit_4(tmp_path, capsys):

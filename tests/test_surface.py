@@ -5,7 +5,7 @@ import pytest
 
 from tzitzeica.grid import PeriodicGrid, zero_field
 from tzitzeica.invariants import closed_form_tensor, hermitian_induced
-from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
+from tzitzeica.lax import SpectralPoint, integrate_frame
 from tzitzeica.surface import (
     build_surface,
     extract_second_form,
@@ -74,8 +74,8 @@ def test_homothety_scaling(wave61):
     g1, _ = hermitian_induced(*tangent_analytic(frame, 1.0), check=False)
     g2, _ = hermitian_induced(*tangent_analytic(frame, 2.0), check=False)
     assert np.abs(g2 - 4.0 * g1).max() < 1e-12
-    rep1 = full_report(frame, 1.0, frame_orthonormality_report(frame))
-    rep2 = full_report(frame, 2.0, frame_orthonormality_report(frame))
+    rep1 = full_report(frame, 1.0)
+    rep2 = full_report(frame, 2.0)
     ratio = rep1.gauss_curvature_max / rep2.gauss_curvature_max
     assert abs(ratio - 4.0) < 1e-6
 
@@ -114,7 +114,7 @@ def test_extraction_refines_on_wave_surface(wave61):
 
 def test_full_report_flat_numbers():
     _u, frame = _flat_frame(n=32, substeps=16, closing=True)
-    rep = full_report(frame, 1.0, frame_orthonormality_report(frame))
+    rep = full_report(frame, 1.0)
     assert rep.h2_max < 1e-12
     assert rep.invariant_t2_defect < 1e-6
     assert rep.invariant_t4_defect < 1e-6
@@ -130,7 +130,7 @@ def test_full_report_flat_numbers():
 def test_full_report_flags_corrupted_frame():
     _u, frame = _flat_frame(n=32)
     frame.unitary[4, 6] += 1e-2
-    rep = full_report(frame, 1.0, frame_orthonormality_report(frame))
+    rep = full_report(frame, 1.0)
     assert rep.normality_defect > 1e-4
     nmap = normality_map(*tangent_analytic(frame, 1.0), frame.normal)
     assert np.argmax(nmap) == 4 * 32 + 6

@@ -7,7 +7,6 @@ from tzitzeica.solver import pde_residual
 from tzitzeica.wave import (
     DRIFT_TOL,
     WaveProfile1D,
-    energy_drift,
     lift_1d,
     period_quadrature,
     potential,
@@ -58,13 +57,13 @@ def test_quadrature_matches_shooting(energy):
 
 
 def test_energy_conservation_along_profile(wave61):
-    assert energy_drift(wave61) < 1e-10
+    assert wave61.drift < 1e-10
 
 
 @pytest.mark.parametrize("energy", [20.0, 100.0])
 def test_travelling_wave_passes_drift_gate(energy):
     # a DOP853 orbit at rtol 1e-12 drifts by 5.4e-10 at E = 100, above the gate
-    assert energy_drift(travelling_wave(energy)) <= DRIFT_TOL
+    assert travelling_wave(energy).drift <= DRIFT_TOL
 
 
 def test_profile_reflection_symmetry(wave61):
@@ -79,9 +78,11 @@ def test_profile_trig_evaluation_matches_dense(wave61):
 
 
 def test_lift_zero_profile():
-    g = PeriodicGrid(16, 8, 1.0, 1.0)
-    # the E = 6 cubic (w - 1)^2 (w + 1/2) is the flat orbit's limit, w = 1
-    flat = WaveProfile1D(period=0.5, energy=6.0, roots=(-0.5, 1.0, 1.0), u=np.zeros(32))
+    # the E = 6 cubic (w - 1)^2 (w + 1/2) is the flat orbit's limit, w = 1,
+    # whose period is the small-oscillation limit
+    flat = WaveProfile1D(energy=6.0, roots=(-0.5, 1.0, 1.0), u=np.zeros(32), drift=0.0)
+    assert abs(flat.period - SMALL_OSC_PERIOD) < 1e-15
+    g = PeriodicGrid(16, 8, SMALL_OSC_PERIOD, 1.0)
     lifted = lift_1d(flat, g)
     assert np.all(lifted.values == 0.0)
 
