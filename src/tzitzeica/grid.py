@@ -134,27 +134,22 @@ def deriv_nonperiodic(values, h, axis):
     return np.gradient(np.asarray(values), h, axis=axis, edge_order=2)
 
 
-def trig_upsample(values, factor, axis):
-    """Trigonometric (zero-padding FFT) interpolation onto a ``factor``-times
-    finer grid along ``axis``; exact for band-limited periodic samples."""
-    if factor == 1:
-        return np.asarray(values).copy()
-    f = np.asarray(values)
+def trig_upsample(values, factor, axis, offsets):
+    """The trigonometric interpolant of real periodic samples along ``axis``
+    at node + k * h / factor for each integer k of ``offsets``, shape
+    (len(offsets),) + values.shape; exact for band-limited samples.
+
+    Each offset is a phase shift of the real spectrum.  irfft keeps only the
+    real part of an even length's Nyquist bin, which is the symmetric split of
+    that bin that keeps the interpolant real."""
+    f = np.asarray(values, dtype=float)
     n = f.shape[axis]
-    nf = n * factor
-    spec = np.fft.fft(f, axis=axis)
-    spec = np.moveaxis(spec, axis, 0)
-    out = np.zeros((nf,) + spec.shape[1:], dtype=complex)
-    half = n // 2
-    out[: half + 1] = spec[: half + 1]
-    out[nf - (n - half - 1) :] = spec[half + 1 :]
-    if n % 2 == 0:
-        # split the Nyquist bin symmetrically to keep the interpolant real
-        out[half] *= 0.5
-        out[nf - half] = out[half]
-    out = np.fft.ifft(out, axis=0) * factor
-    out = np.moveaxis(out, 0, axis)
-    return out.real if np.isrealobj(f) else out
+    # k * j reduced mod n * factor keeps every phase angle in [0, 2 pi)
+    turns = np.outer(offsets, np.arange(n // 2 + 1)) % (n * factor) / (n * factor)
+    shape = [len(turns)] + [1] * f.ndim
+    shape[axis + 1] = -1
+    phase = np.exp(2j * np.pi * turns).reshape(shape)
+    return np.fft.irfft(np.fft.rfft(f, axis=axis) * phase, n, axis=axis + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +244,17 @@ def load_table(path, what, types, width, nrows):
 
     ``types`` converts each header field, and the header calls for
     ``nrows(header)`` rows of ``width`` values.  Raises ConfigValidationError,
-    naming the file as ``what``, when the file cannot be opened, the header has
-    other than len(types) fields or a value that does not parse or is not
+    naming the file as ``what``, when the file cannot be opened or does not
+    end with the newline save_table ends it with (it was cut short), the header
+    has other than len(types) fields or a value that does not parse or is not
     finite, or the file holds other rows than the header calls for or a
     non-finite value.
     """
     try:
+        with open(path, "rb") as fh:
+            fh.seek(-1, 2)  # to the last byte; an empty file raises OSError
+            if fh.read(1) != b"\n":
+                raise ValueError("it does not end with a newline; it was cut short")
         with open(path) as fh:
             header = parse_header(fh.readline(), types)
             rows = np.loadtxt(fh, delimiter=",", ndmin=2)

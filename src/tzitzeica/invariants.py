@@ -39,9 +39,14 @@ def check_spd(g, what="metric"):
 
 
 def inv2(g):
-    """Explicit 2x2 inverse; keeps symmetry bit-exact for symmetric input."""
+    """Explicit 2x2 inverse; keeps symmetry bit-exact for symmetric input.
+    Raises DegenerateMetricError where the determinant is zero or not finite
+    (a metric too large for double precision)."""
     g = np.asarray(g)
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    if not np.all(np.isfinite(det) & (det != 0)):
+        raise DegenerateMetricError("metric determinant is zero or not finite")
     out = np.empty_like(g)
     out[..., 0, 0] = g[..., 1, 1] / det
     out[..., 1, 1] = g[..., 0, 0] / det

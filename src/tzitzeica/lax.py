@@ -21,9 +21,10 @@ matrix U = [L M N] obeys d_x U = U Wx and d_y U = U Wy with
           [-lam e^{u/2}, e^{u/2}, 0        ]]
 
 Integration marches the first grid row in x and then every column in y, with
-`substeps` RK4 steps per grid cell; coefficient values between nodes come
-from trigonometric interpolation, so within the integrator u is treated as
-the trigonometric interpolant of its samples and all coefficient values are
+`substeps` RK4 steps per grid cell.  Wx reads u and u_y only, Wy u and u_x
+only, and each march samples just those two arrays; values between nodes
+come from grid.trig_upsample, so within the integrator u is treated as the
+trigonometric interpolant of its samples and all coefficient values are
 exact for that interpolant.  An RK4 step is S <- S P with P built from the
 generators alone (Iserles et al., "Lie-group methods", Acta Numerica 2000);
 the march visits cells only, and periodic cells reuse their propagators.
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnitarityBlowupError
-from .grid import AXIS_X, AXIS_Y, ScalarFieldPeriodic, ddx, ddy, trig_upsample
+from .grid import AXIS_X, AXIS_Y, ScalarFieldPeriodic, ddx, ddy, deriv, trig_upsample
 from .linalg3 import unitarity_defect_map
 
 DEFAULT_SUBSTEPS = 24
@@ -65,9 +66,7 @@ class SpectralPoint:
 
 
 def lax_z_matrix(u, u_z, lam):
-    u = np.asarray(u, dtype=float)
-    u_z = np.asarray(u_z, dtype=complex)
-    out = np.zeros(u.shape + (3, 3), dtype=complex)
+    out = np.zeros(np.shape(u) + (3, 3), dtype=complex)
     out[..., 0, 0] = -u_z
     out[..., 0, 2] = 1j * lam
     out[..., 1, 0] = 1j
@@ -77,18 +76,15 @@ def lax_z_matrix(u, u_z, lam):
 
 
 def lax_zbar_matrix(u, lam):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape + (3, 3), dtype=complex)
+    out = np.zeros(np.shape(u) + (3, 3), dtype=complex)
     out[..., 0, 1] = 1j * np.exp(-2.0 * u)
     out[..., 1, 2] = 1j * np.exp(u)
     out[..., 2, 0] = 1j * np.exp(u) / lam
     return out
 
 
-def frame_coeff_x(u, ux, uy, lam):
+def frame_coeff_x(u, uy, lam):
     """Generator Wx of d_x U = U Wx; anti-Hermitian for |lam| = 1."""
-    u = np.asarray(u, dtype=float)
-    uy = np.asarray(uy, dtype=float)
     emu = np.exp(-u)
     eh = np.exp(0.5 * u)
     out = np.zeros(np.shape(u) + (3, 3), dtype=complex)
@@ -103,10 +99,8 @@ def frame_coeff_x(u, ux, uy, lam):
     return out
 
 
-def frame_coeff_y(u, ux, uy, lam):
+def frame_coeff_y(u, ux, lam):
     """Generator Wy of d_y U = U Wy; anti-Hermitian for |lam| = 1."""
-    u = np.asarray(u, dtype=float)
-    ux = np.asarray(ux, dtype=float)
     emu = np.exp(-u)
     eh = np.exp(0.5 * u)
     out = np.zeros(np.shape(u) + (3, 3), dtype=complex)
@@ -191,10 +185,10 @@ def _mul3(a, b):
 
 def _cell_propagators(coeffs, builder, lam, h, m):
     """Propagators C, S_end = S_start C, shape (3, 3, k, ...), of the k cells
-    whose 2*m*k + 1 half-substep samples coeffs = (u, ux, uy) hold along
-    axis 0.  d S = S W is linear, so an RK4 substep is S <- S P with
-    P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S; the m substep
-    propagators of a cell are multiplied pairwise."""
+    whose 2*m*k + 1 half-substep samples of the builder's inputs before lam,
+    coeffs, hold along axis 0.  d S = S W is linear, so an RK4 substep is
+    S <- S P with P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S; the
+    m substep propagators of a cell are multiplied pairwise."""
     hs = h / m
     w = np.ascontiguousarray(np.moveaxis(builder(*coeffs, lam), (-2, -1), (0, 1)))
     k1, wh, w1 = w[:, :, 0:-1:2], w[:, :, 1::2], w[:, :, 2::2]
@@ -212,9 +206,9 @@ def _cell_propagators(coeffs, builder, lam, h, m):
 
 def _march(state, coeffs, builder, lam, h, m, ncells, re_unitarize=False):
     """States at the ncells + 1 cell boundaries of d S = S W, m RK4 substeps
-    per cell.  coeffs = (u, ux, uy) hold 2*m*period + 1 half-substep samples
-    along axis 0, the other axes broadcast against the state's batch axes;
-    cell c uses the propagator of cell c % period.  1D coeffs (a single
+    per cell.  coeffs, the builder's inputs before lam, hold 2*m*period + 1
+    half-substep samples along axis 0, the other axes broadcast against the
+    state's batch axes; cell c uses the propagator of cell c % period.  1D coeffs (a single
     line) build every cell at once, batched coeffs one cell at a time to
     bound memory.  A state with more columns than the propagators (a closing
     column) has column i use propagator column i % n."""
@@ -243,7 +237,8 @@ def _march(state, coeffs, builder, lam, h, m, ncells, re_unitarize=False):
 def _periodic_samples(values, m):
     """Trigonometric samples of periodic data at every half substep along
     axis 0, the first repeated at the end: 2*m*n + 1 samples."""
-    fine = trig_upsample(values, 2 * m, axis=0)
+    fine = np.swapaxes(trig_upsample(values, 2 * m, 0, range(2 * m)), 0, 1)
+    fine = fine.reshape((-1,) + fine.shape[2:])
     return np.concatenate([fine, fine[:1]])
 
 
@@ -296,20 +291,18 @@ def integrate_frame(
     m = int(substeps)
     if m < 1:
         raise ValueError("substeps must be >= 1")
-    ux = ddx(u.values, grid, "spectral")
-    uy = ddy(u.values, grid, "spectral")
     extra = int(closing)
 
     if order == "xy":
         unitary = _integrate_rows_then_columns(
-            u.values, ux, uy,
+            u.values,
             grid.nx, grid.ny, grid.hx, grid.hy,
             frame_coeff_x, frame_coeff_y,
             lam, m, extra, re_unitarize,
         )
     elif order == "yx":
         swapped = _integrate_rows_then_columns(
-            u.values.T, ux.T, uy.T,
+            u.values.T,
             grid.ny, grid.nx, grid.hy, grid.hx,
             frame_coeff_y, frame_coeff_x,
             lam, m, extra, re_unitarize,
@@ -325,18 +318,18 @@ def integrate_frame(
     return out
 
 
-def _integrate_rows_then_columns(
-    vals, dx_vals, dy_vals, n1, n2, h1, h2, build1, build2, lam, m, extra, re_unit
-):
-    """Generic core: arrays are (n2, n1) with axis 1 the first march
-    direction; returns frames of shape (n2 + extra, n1 + extra, 3, 3)."""
-    arrays = (vals, dx_vals, dy_vals)
+def _integrate_rows_then_columns(vals, n1, n2, h1, h2, build1, build2, lam, m, extra, re_unit):
+    """Generic core: vals is (n2, n1) with axis 1 the first march direction,
+    and each builder reads u and its derivative across its march; returns
+    frames of shape (n2 + extra, n1 + extra, 3, 3)."""
     # first row, marched along axis 1, every cell propagator in one block
-    row = tuple(_periodic_samples(a[0], m) for a in arrays)
+    across = deriv(vals, h2, 0, "spectral")[0]
+    row = (_periodic_samples(vals[0], m), _periodic_samples(across, m))
     first = _march(np.eye(3, dtype=complex), row, build1, lam, h1, m, n1 + extra - 1, re_unit)
     # all columns at once, marched along axis 0 one cell row at a time;
     # the closing column n1 reuses the propagators of column 0
-    cols = tuple(_periodic_samples(a, m) for a in arrays)
+    across = deriv(vals, h1, 1, "spectral")
+    cols = (_periodic_samples(vals, m), _periodic_samples(across, m))
     return _march(first, cols, build2, lam, h2, m, n2 + extra - 1, re_unit)
 
 
@@ -346,36 +339,28 @@ def frame_axis_stencil(frame, axis):
 
     Gives the five samples of 4th-order finite-difference stencils for
     derivatives of frame-built fields at sub-grid spacing, without assuming
-    periodicity of the frame itself.  Returns (frames, u_samples): lists
+    periodicity of the frame itself.  The generator's two inputs are
+    interpolated at the nine half-substep offsets -4..4 the two RK4 substeps
+    each way read, and nowhere else.  Returns (frames, u_samples): lists
     indexed by k + 2, each entry an (ny, nx, 3, 3) / (ny, nx) array.
     """
     grid = frame.grid
-    u = frame.u
+    u = frame.u.values
     m = frame.substeps
     lam = frame.spectral.lam
-    ux = ddx(u.values, grid, "spectral")
-    uy = ddy(u.values, grid, "spectral")
     if axis == "x":
-        ax, h, builder = AXIS_X, grid.hx, frame_coeff_x
+        ax, h, builder, across = AXIS_X, grid.hx, frame_coeff_x, ddy(u, grid, "spectral")
     elif axis == "y":
-        ax, h, builder = AXIS_Y, grid.hy, frame_coeff_y
+        ax, h, builder, across = AXIS_Y, grid.hy, frame_coeff_y, ddx(u, grid, "spectral")
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
-    # (u, ux, uy) at half-substep offsets -4..4 from every node, offsets
-    # first; one fine array is alive at a time
-    n = u.values.shape[ax]
-    q = np.arange(-4, 5)
-    idx = (np.arange(n) * 2 * m + q[:, None]) % (2 * m * n)
-    near = [
-        np.moveaxis(np.take(trig_upsample(a, 2 * m, axis=ax), idx, axis=ax), ax, 0)
-        for a in (u.values, ux, uy)
-    ]
+    # the builder's inputs at half-substep offsets -4..4 from every node
+    near = [trig_upsample(a, 2 * m, ax, range(-4, 5)) for a in (u, across)]
     # one RK4 substep per cell, marched up and down from the node
     up = _march(frame.base, [a[4:] for a in near], builder, lam, h / m, 1, 2)
     down = _march(frame.base, [a[4::-1] for a in near], builder, lam, -h / m, 1, 2)
-    u_samples = near[0][::2]
-    return list(down[:0:-1]) + list(up), list(u_samples)
+    return list(down[:0:-1]) + list(up), list(near[0][::2])
 
 
 # ---------------------------------------------------------------------------
@@ -383,39 +368,32 @@ def frame_axis_stencil(frame, axis):
 # ---------------------------------------------------------------------------
 
 
-def _psi_builder(mode):
-    def build(u, ux, uy, lam):
-        u_z = 0.5 * (np.asarray(ux) - 1j * np.asarray(uy))
-        if mode == "x":
-            return lax_z_matrix(u, u_z, lam) + lax_zbar_matrix(u, lam)
-        if mode == "z":
-            return lax_z_matrix(u, u_z, lam)
-        if mode == "zbar":
-            return lax_zbar_matrix(u, lam)
-        raise ValueError(f"mode must be 'x', 'z' or 'zbar', got {mode!r}")
-
-    return build
-
-
 def propagate_psi(u, spectral, psi0, mode="x", periods=1):
     """March psi along the first grid row in the x direction, DEFAULT_SUBSTEPS
     RK4 steps per cell.
 
     mode "x" advances with the full generator A + B (a physical x-move);
-    modes "z" / "zbar" advance with one subsystem alone, which is the setting
-    where the single-sided pairing derivative identities are exact.  Returns
-    (x positions, psi values) at the nx*periods + 1 node boundaries.
+    mode "z" advances with A alone, the setting where the single-sided
+    pairing derivative identities are exact.  Returns (x positions, psi
+    values) at the nx*periods + 1 node boundaries.
     """
+    if mode not in ("x", "z"):
+        raise ValueError(f"mode must be 'x' or 'z', got {mode!r}")
+
+    def build(u, ux, uy, lam):
+        mat = lax_z_matrix(u, 0.5 * (ux - 1j * uy), lam)
+        if mode == "x":
+            mat = mat + lax_zbar_matrix(u, lam)
+        # d psi = M psi is marched as the row vector psi^T: d psi^T = psi^T M^T
+        return np.swapaxes(mat, -1, -2)
+
     grid = u.grid
     m = DEFAULT_SUBSTEPS
     ux = ddx(u.values, grid, "spectral")
     uy = ddy(u.values, grid, "spectral")
     coeffs = tuple(_periodic_samples(a[0], m) for a in (u.values, ux, uy))
     ncells = grid.nx * periods
-    build = _psi_builder(mode)
-    # d psi = M psi is marched as the row vector psi^T: d psi^T = psi^T M^T
-    psis = _march(np.asarray(psi0, dtype=complex)[None, :], coeffs,
-                  lambda *c: np.swapaxes(build(*c), -1, -2),
+    psis = _march(np.asarray(psi0, dtype=complex)[None, :], coeffs, build,
                   spectral.lam, grid.hx, m, ncells)[:, 0]
     xs = np.arange(ncells + 1) * grid.hx
     return xs, psis

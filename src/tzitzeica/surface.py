@@ -84,25 +84,14 @@ def extract_second_form(frame, radius):
     lam = frame.spectral.lam
     m = frame.substeps
 
-    de = {}
+    # partial derivatives indexed [i][j] = d_i E_j  (coordinate 0 = x)
+    partial = []
     for axis, h in (("x", grid.hx), ("y", grid.hy)):
         frames, u_samples = frame_axis_stencil(frame, axis)
-        e1s, e2s = [], []
-        for fr, uv in zip(frames, u_samples):
-            e1, e2 = _tangents_at(fr, uv, lam, radius)
-            e1s.append(e1)
-            e2s.append(e2)
-        hf = h / m
-        de[(axis, 1)] = _fd4_stencil(e1s, hf)
-        de[(axis, 2)] = _fd4_stencil(e2s, hf)
+        near = zip(*(_tangents_at(fr, uv, lam, radius) for fr, uv in zip(frames, u_samples)))
+        partial.append([_fd4_stencil(es, h / m) for es in near])
 
-    e1, e2 = tangent_analytic(frame, radius)
-    tangents = (e1, e2)
-    # partial derivatives indexed [i][j] = d_i E_j  (coordinate 0 = x)
-    partial = [
-        [de[("x", 1)], de[("x", 2)]],
-        [de[("y", 1)], de[("y", 2)]],
-    ]
+    tangents = e1, e2 = tangent_analytic(frame, radius)
     gamma = inv.christoffel_from_field(u)
     normal = frame.normal
     conf = 2.0 * radius**2 * np.exp(u.values)

@@ -121,8 +121,10 @@ def travelling_wave(energy):
     at most DRIFT_TOL."""
     roots = _cubic_roots(energy)
     period = _period(roots)
-    u, v = _orbit(roots, np.linspace(0.0, period, DRIFT_SAMPLES))
-    drift = float(np.abs(0.5 * v**2 + potential(u) - energy).max())
+    # an orbit beyond double precision overflows; the drift gate rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = _orbit(roots, np.linspace(0.0, period, DRIFT_SAMPLES))
+        drift = float(np.abs(0.5 * v**2 + potential(u) - energy).max())
     if not drift <= DRIFT_TOL:
         raise NumericalFailure(f"energy drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
     x = np.arange(PROFILE_SAMPLES) * (period / PROFILE_SAMPLES)

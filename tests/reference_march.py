@@ -1,14 +1,37 @@
 """Reference marcher: the per-substep RK4 integration of d S = S W.
 
 Every RK4 substep is taken on the state itself, one Python-level step at a
-time, with no propagator products and no reuse of periodic cells.  It is the
-oracle the propagator-form core in tzitzeica.lax is checked against.
+time, with no propagator products and no reuse of periodic cells.  Its
+coefficient samples come from its own zero-padding interpolation,
+zero_pad_upsample, which shares no code with the phase-shift sampler
+tzitzeica.grid.trig_upsample.  It is the oracle the propagator-form core in
+tzitzeica.lax is checked against.
 """
 
 import numpy as np
 
-from tzitzeica.grid import AXIS_X, AXIS_Y, ddx, ddy, trig_upsample
+from tzitzeica.grid import AXIS_X, AXIS_Y, ddx, ddy
 from tzitzeica.lax import frame_coeff_x, frame_coeff_y, lax_z_matrix, lax_zbar_matrix
+
+
+def zero_pad_upsample(values, factor, axis):
+    """Trigonometric (zero-padding FFT) interpolation of real samples onto a
+    ``factor``-times finer grid along ``axis``, factor >= 2; exact for
+    band-limited periodic samples."""
+    f = np.asarray(values)
+    n = f.shape[axis]
+    nf = n * factor
+    spec = np.moveaxis(np.fft.fft(f, axis=axis), axis, 0)
+    out = np.zeros((nf,) + spec.shape[1:], dtype=complex)
+    half = n // 2
+    out[: half + 1] = spec[: half + 1]
+    out[nf - (n - half - 1) :] = spec[half + 1 :]
+    if n % 2 == 0:
+        # split the Nyquist bin symmetrically to keep the interpolant real
+        out[half] *= 0.5
+        out[nf - half] = out[half]
+    out = np.fft.ifft(out, axis=0) * factor
+    return np.moveaxis(out, 0, axis).real
 
 
 def rk4_step(state, om0, omh, om1, h):
@@ -20,32 +43,34 @@ def rk4_step(state, om0, omh, om1, h):
 
 
 def march(state, coeffs, builder, lam, h, ncells, m):
-    """States at the ncells+1 cell boundaries; coeffs = (u, ux, uy) hold
-    2*m*ncells + 1 half-substep samples along axis 0."""
-    uf, uxf, uyf = coeffs
+    """States at the ncells+1 cell boundaries; coeffs, the builder's inputs
+    before lam, hold 2*m*ncells + 1 half-substep samples along axis 0."""
     stored = np.empty((ncells + 1,) + state.shape, dtype=complex)
     stored[0] = state
-    om_right = builder(uf[0], uxf[0], uyf[0], lam)
+    om_right = builder(*(a[0] for a in coeffs), lam)
     hs = h / m
     for c in range(ncells):
         for s in range(m):
             p = 2 * (c * m + s)
-            omh = builder(uf[p + 1], uxf[p + 1], uyf[p + 1], lam)
-            om1 = builder(uf[p + 2], uxf[p + 2], uyf[p + 2], lam)
+            omh = builder(*(a[p + 1] for a in coeffs), lam)
+            om1 = builder(*(a[p + 2] for a in coeffs), lam)
             state = rk4_step(state, om_right, omh, om1, hs)
             om_right = om1
         stored[c + 1] = state
     return stored
 
 
-def _rows_then_columns(arrays, n1, n2, h1, h2, build1, build2, lam, m, e1, e2, u0):
+def _rows_then_columns(vals, d1, d2, n1, n2, h1, h2, build1, build2, lam, m, e1, e2, u0):
+    """vals and its derivatives d1, d2 along the first and second march
+    directions are (n2, n1); each march's generator reads vals and the
+    derivative across that march."""
     n1_tot, n2_tot = n1 + e1, n2 + e2
     idx1 = np.arange(2 * m * (n1_tot - 1) + 1) % (2 * m * n1)
-    row = tuple(trig_upsample(a[0], 2 * m, axis=0)[idx1] for a in arrays)
+    row = tuple(zero_pad_upsample(a[0], 2 * m, axis=0)[idx1] for a in (vals, d2))
     first = march(u0, row, build1, lam, h1, n1_tot - 1, m)
     cols_idx = np.arange(n1_tot) % n1
     idx2 = np.arange(2 * m * (n2_tot - 1) + 1) % (2 * m * n2)
-    cols = tuple(trig_upsample(a, 2 * m, axis=0)[np.ix_(idx2, cols_idx)] for a in arrays)
+    cols = tuple(zero_pad_upsample(a, 2 * m, axis=0)[np.ix_(idx2, cols_idx)] for a in (vals, d1))
     return march(first, cols, build2, lam, h2, n2_tot - 1, m)
 
 
@@ -58,11 +83,11 @@ def reference_frame(u, spectral, substeps, extend=(0, 0), order="xy"):
     uy = ddy(u.values, g, "spectral")
     if order == "xy":
         return _rows_then_columns(
-            (u.values, ux, uy), g.nx, g.ny, g.hx, g.hy, frame_coeff_x, frame_coeff_y,
+            u.values, ux, uy, g.nx, g.ny, g.hx, g.hy, frame_coeff_x, frame_coeff_y,
             spectral.lam, m, extend[0], extend[1], u0,
         )
     swapped = _rows_then_columns(
-        (u.values.T, ux.T, uy.T), g.ny, g.nx, g.hy, g.hx, frame_coeff_y, frame_coeff_x,
+        u.values.T, uy.T, ux.T, g.ny, g.nx, g.hy, g.hx, frame_coeff_y, frame_coeff_x,
         spectral.lam, m, extend[1], extend[0], u0,
     )
     return np.swapaxes(swapped, 0, 1)
@@ -76,16 +101,16 @@ def reference_stencil(frame, axis, halfwidth=2):
     ux = ddx(u.values, g, "spectral")
     uy = ddy(u.values, g, "spectral")
     if axis == "x":
-        ax, n, h, builder = AXIS_X, g.nx, g.hx, frame_coeff_x
+        ax, n, h, cross, builder = AXIS_X, g.nx, g.hx, uy, frame_coeff_x
     else:
-        ax, n, h, builder = AXIS_Y, g.ny, g.hy, frame_coeff_y
+        ax, n, h, cross, builder = AXIS_Y, g.ny, g.hy, ux, frame_coeff_y
     node_idx = np.arange(n) * 2 * m
-    fine = [trig_upsample(a, 2 * m, axis=ax) for a in (u.values, ux, uy)]
+    fine = [zero_pad_upsample(a, 2 * m, axis=ax) for a in (u.values, cross)]
 
     def om_at(offset):
         idx = (node_idx + offset) % (2 * m * n)
         c = [a[:, idx] if ax == AXIS_X else a[idx, :] for a in fine]
-        return builder(c[0], c[1], c[2], frame.spectral.lam)
+        return builder(c[0], c[1], frame.spectral.lam)
 
     frames = {0: frame.base.copy()}
     for sign in (+1, -1):
@@ -104,7 +129,7 @@ def reference_psi(u, spectral, psi0, row=0, mode="x", substeps=24):
     ux = ddx(u.values, g, "spectral")
     uy = ddy(u.values, g, "spectral")
     idx = np.arange(2 * m * g.nx + 1) % (2 * m * g.nx)
-    uf, uxf, uyf = (trig_upsample(a[row], 2 * m, axis=0)[idx] for a in (u.values, ux, uy))
+    uf, uxf, uyf = (zero_pad_upsample(a[row], 2 * m, axis=0)[idx] for a in (u.values, ux, uy))
     lam = spectral.lam
 
     def build(u, ux, uy, lam):

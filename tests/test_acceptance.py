@@ -222,8 +222,8 @@ def _expm_eig(mat):
 def test_criterion_5_frame_convergence(wave61):
     spectral = SpectralPoint(0.3)
     lam = spectral.lam
-    wx = frame_coeff_x(0.0, 0.0, 0.0, lam)
-    wy = frame_coeff_y(0.0, 0.0, 0.0, lam)
+    wx = frame_coeff_x(0.0, 0.0, lam)
+    wy = frame_coeff_y(0.0, 0.0, lam)
     assert np.abs(wx @ wy - wy @ wx).max() < 1e-14  # oracle factorizes
     errs, hs = [], []
     for n in (32, 64, 128):

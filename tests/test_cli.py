@@ -130,6 +130,20 @@ def test_radius_whose_fourth_power_overflows_is_exit_3(tmp_path, capsys, radius)
     assert parse_config_text(text.replace("radius = 1.0", "radius = 1.1e77")).radius == 1.1e77
 
 
+@pytest.mark.filterwarnings("error")
+def test_report_whose_metric_overflows_is_exit_4(tmp_path):
+    # R = 1.1e77 passes the config's R^4 check, but the determinant of the
+    # induced metric, about R^4 e^(2u) times a constant, is not finite
+    out = tmp_path / "out"
+    text = flat_config_text(str(out), nx=16, ny=16, extra="re_unitarize = true\n")
+    cfg = write_config(tmp_path, text.replace("radius = 1.0", "radius = 1.1e77"))
+    for stage in ("solve", "frame"):
+        assert cli.main([stage, "--config", cfg]) == 0
+    assert cli.main(["report", "--config", cfg]) == 4
+    assert (out / "report.log").read_text().strip().splitlines()[-1] == "error: degenerate-metric"
+    assert not (out / cli.REPORT_JSON).exists()
+
+
 def test_out_naming_an_existing_file_is_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, flat_config_text(str(tmp_path / "out"), nx=16, ny=16))
     taken = tmp_path / "taken"
@@ -314,10 +328,12 @@ def test_wave_stage(tmp_path):
     assert float(log["energy_drift"]) < 1e-10
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("energy", ["1e12", "1e300"])
 def test_wave_stage_beyond_double_precision_is_exit_4(tmp_path, energy):
-    # the orbit's energy cannot be held to the drift gate; the failure also
-    # removes the wave.csv of an earlier successful run
+    # the orbit's energy cannot be held to the drift gate, and its overflow
+    # warns of nothing; the failure also removes the wave.csv of an earlier
+    # successful run
     out = tmp_path / "out"
     text = flat_config_text(str(out), nx=16, ny=16)
     assert cli.main(["wave", "--config", write_config(tmp_path, text + "wave_energy = 6.5\n")]) == 0
@@ -635,7 +651,8 @@ def test_damaged_artifact_is_read_or_rejected_typed(artifacts, name):
             read(path)
         except ConfigValidationError:
             return
-        # the frame's body size is exact, so no cut frame is ever read
-        assert not (name == cli.FRAME_FILE and kind == "cut")
+        # the frame's body size is exact and a table ends with a newline, so
+        # no cut artifact is ever read
+        assert kind != "cut"
 
     check()

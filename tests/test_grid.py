@@ -24,6 +24,7 @@ from tzitzeica.grid import (
 )
 
 from conftest import loglog_slope
+from reference_march import zero_pad_upsample
 
 
 def test_grid_validation():
@@ -71,10 +72,29 @@ def test_trig_upsample_hits_exact_values():
     h = 1.0 / n
     x = np.arange(n) * h
     f = np.cos(2 * np.pi * x + 0.3) + 0.2 * np.sin(4 * np.pi * x)
-    fine = trig_upsample(f, factor, axis=0)
-    xf = np.arange(n * factor) * (h / factor)
+    offsets = np.arange(factor)
+    fine = trig_upsample(f, factor, 0, offsets)
+    xf = x + offsets[:, None] * (h / factor)
     exact = np.cos(2 * np.pi * xf + 0.3) + 0.2 * np.sin(4 * np.pi * xf)
+    assert fine.shape == (factor, n)
     assert np.abs(fine - exact).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_trig_upsample_matches_zero_padding_oracle(n, axis):
+    # even n has a Nyquist bin, whose phase-shifted value must stay real; odd
+    # n has none.  The offsets reach back, and past one cell.
+    factor = 6
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, 9) if axis == 0 else (9, n))
+    offsets = [-13, -7, -6, -1, 0, 1, 5, 6, 11, 31]
+    fine = trig_upsample(values, factor, axis, offsets)
+    oracle = zero_pad_upsample(values, factor, axis)
+    nodes = np.arange(n) * factor
+    expected = np.stack([np.take(oracle, (nodes + k) % (n * factor), axis=axis) for k in offsets])
+    assert fine.shape == (len(offsets),) + values.shape
+    assert np.abs(fine - expected).max() < 1e-13
 
 
 def test_laplacian_symbol_matches_matrix_action():

@@ -34,7 +34,7 @@ def test_frame_coefficients_are_anti_hermitian():
     for _ in range(100):
         u, ux, uy = rng.uniform(-1, 1, 3)
         lam = SpectralPoint(rng.uniform(0, 2 * np.pi)).lam
-        for coeff in (frame_coeff_x(u, ux, uy, lam), frame_coeff_y(u, ux, uy, lam)):
+        for coeff in (frame_coeff_x(u, uy, lam), frame_coeff_y(u, ux, lam)):
             assert np.abs(coeff + coeff.conj().T).max() < 1e-13
 
 
@@ -50,7 +50,7 @@ def test_frame_components_consistent_with_psi_system():
         d = np.diag([np.exp(u / 2), np.exp(-u / 2), 1.0])
         d_x = np.diag([ux / 2 * np.exp(u / 2), -ux / 2 * np.exp(-u / 2), 0.0])
         ax = (d_x + d @ mx) @ np.linalg.inv(d)
-        assert np.abs(ax - frame_coeff_x(u, ux, uy, lam).T).max() < 1e-12
+        assert np.abs(ax - frame_coeff_x(u, uy, lam).T).max() < 1e-12
 
 
 def test_compatibility_zero_field():
@@ -85,8 +85,8 @@ def test_integrate_frame_flat_matches_exponential_oracle():
     g = PeriodicGrid(32, 32, 1.0, 1.0)
     sp = SpectralPoint(0.0)
     frame = integrate_frame(zero_field(g), sp, substeps=4)
-    wx = frame_coeff_x(0.0, 0.0, 0.0, sp.lam)
-    wy = frame_coeff_y(0.0, 0.0, 0.0, sp.lam)
+    wx = frame_coeff_x(0.0, 0.0, sp.lam)
+    wy = frame_coeff_y(0.0, 0.0, sp.lam)
     for (i, j) in ((5, 0), (0, 9), (17, 23), (31, 31)):
         exact = _expm_eig(i * g.hx * wx) @ _expm_eig(j * g.hy * wy)
         assert np.abs(frame.base[j, i] - exact).max() < 1e-9
