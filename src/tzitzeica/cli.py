@@ -146,6 +146,8 @@ def stage_solve(cfg, out_dir, log):
     log.add(f"iterations={result.iterations}")
     for i, r in enumerate(result.residuals):
         log.add(f"residual[{i}]={format_float(r)}")
+    for i, count in enumerate(result.minres_iterations):
+        log.add(f"minres[{i}]={count}")
     log.add(f"final_residual={format_float(result.final_residual)}")
 
 

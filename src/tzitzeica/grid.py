@@ -244,11 +244,11 @@ def load_table(path, what, types, width, nrows):
 
     ``types`` converts each header field, and the header calls for
     ``nrows(header)`` rows of ``width`` values.  Raises ConfigValidationError,
-    naming the file as ``what``, when the file cannot be opened or does not
-    end with the newline save_table ends it with (it was cut short), the header
-    has other than len(types) fields or a value that does not parse or is not
-    finite, or the file holds other rows than the header calls for or a
-    non-finite value.
+    naming the file as ``what``, when the file cannot be opened, does not end
+    with the newline save_table ends it with (it was cut short) or holds no
+    rows after its header, the header has other than len(types) fields or a
+    value that does not parse or is not finite, or the file holds other rows
+    than the header calls for or a non-finite value.
     """
     try:
         with open(path, "rb") as fh:
@@ -257,6 +257,10 @@ def load_table(path, what, types, width, nrows):
                 raise ValueError("it does not end with a newline; it was cut short")
         with open(path) as fh:
             header = parse_header(fh.readline(), types)
+            start = fh.tell()
+            if not fh.read(1):
+                raise ValueError("it holds its header and no rows")
+            fh.seek(start)
             rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigValidationError(f"{what} {path} cannot be read: {exc}") from exc

@@ -6,32 +6,103 @@ Delta u = 4 e^{-2u} - 4 e^{u}, which is the form discretized here (the
 acceptance suite re-derives this symbolically).  With this sign u = 0 is a
 stable center of the 1D reduction and the unique constant solution.
 
-The residual and the Newton linearization share one discrete Laplacian
-(4th-order periodic stencil), so a converged iterate re-verifies against
-pde_residual to rounding.  Grids whose periodic Laplacian has an eigenvalue
-within 1e-6 of -12 are rejected outright: near u = 0 the linearization is
-Delta + 12, and regularizing past that resonance would silently corrupt
-convergence-order measurements.
+The residual and the Newton linearization share one discrete Laplacian, the
+4th-order periodic stencil of grid.laplacian.  Grids whose periodic Laplacian
+has an eigenvalue within 1e-6 of -12 are rejected outright: near u = 0 the
+linearization is Delta + 12, and regularizing past that resonance would
+silently corrupt convergence-order measurements.
 
-Each Newton step factors the Jacobian Delta + diag(8 e^{-2u} + 4 e^u) by
-SuperLU with the multiple-minimum-degree ordering of A^T + A (Liu, ACM TOMS
-1985), the ordering for structurally symmetric patterns: on 128^2 it has
-about half the fill of SuperLU's default COLAMD.  Partial pivoting stays on,
-because the Jacobian is indefinite near the -12 resonance.
+Each Newton step solves J s = -r, with the symmetric indefinite Jacobian
+J = Delta + diag(d), d = 8 e^{-2u} + 4 e^u, by preconditioned MINRES (Paige &
+Saunders, SIAM J. Numer. Anal. 12, 1975) to a relative residual of
+MINRES_RTOL.  The preconditioner is the SPD Fourier multiplier
+|sigma_x + sigma_y + mean(d)|, floored at PRECONDITIONER_FLOOR * mean(d) so no
+mode divides by ~0; it is J itself when u is constant, and it costs one real
+FFT pair (Vecharynski & Knyazev, SIAM J. Sci. Comput. 35, 2013, on absolute
+value preconditioners for indefinite systems).
+
+A step fails when MINRES misses its tolerance within MINRES_MAXITER
+iterations, or when it is not finite or exceeds 1e12.  Only then is J
+factored, once, by SuperLU with the multiple-minimum-degree ordering of
+A^T + A (Liu, ACM TOMS 1985), the ordering for structurally symmetric
+patterns; partial pivoting stays on, because J is indefinite near the -12
+resonance.  An inverse-power estimate of J's smallest eigenvalue from that
+factorization tells a singular linearization from a divergent iteration.
+scipy is imported on that path alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NewtonDivergenceError, SingularJacobianError
-from .grid import ScalarFieldPeriodic, check_resonance, deriv2, laplacian
+from .grid import ScalarFieldPeriodic, check_resonance, deriv2, laplacian, laplacian_symbol_1d
+
+MINRES_RTOL = 1e-13
+MINRES_MAXITER = 300
+PRECONDITIONER_FLOOR = 1e-2
+
+
+def _residual(vals, grid):
+    # a diverging iterate overflows exp; the caller stops on the non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        return laplacian(vals, grid) - 4.0 * np.exp(-2.0 * vals) + 4.0 * np.exp(vals)
 
 
 def pde_residual(u):
     """Per-node residual Delta u - 4 e^{-2u} + 4 e^{u}."""
-    vals = u.values
-    return laplacian(vals, u.grid) - 4.0 * np.exp(-2.0 * vals) + 4.0 * np.exp(vals)
+    return _residual(u.values, u.grid)
+
+
+def minres(matvec, psolve, b, rtol, maxiter):
+    """Solve the symmetric system A x = b by MINRES preconditioned with the
+    SPD operator psolve ~ A^-1, starting from x = 0.
+
+    Returns (x, iterations, converged): converged when the recurrence's
+    preconditioned residual norm fell to rtol times that of b within maxiter
+    iterations.  Paige & Saunders' recurrence, as in scipy.sparse.linalg.minres.
+    """
+    x = np.zeros_like(b)
+    y = psolve(b)
+    beta1 = np.sqrt(np.vdot(b, y))
+    if beta1 == 0.0:
+        return x, 0, True
+    r1 = r2 = b
+    w = w2 = np.zeros_like(b)
+    oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
+    for itn in range(1, maxiter + 1):
+        v = y / beta
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = np.vdot(v, y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = psolve(r2)
+        oldb, beta = beta, np.sqrt(np.vdot(r2, y))
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(np.hypot(gbar, beta), np.finfo(float).eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        if phibar <= rtol * beta1:
+            return x, itn, True
+    return x, maxiter, False
+
+
+def _preconditioner(grid, dmean):
+    """The inverse of |sigma_x + sigma_y + dmean|, floored at
+    PRECONDITIONER_FLOOR * dmean, applied to fields of ``grid`` by rfft2."""
+    sx = laplacian_symbol_1d(grid.nx, grid.hx)[: grid.nx // 2 + 1]
+    sy = laplacian_symbol_1d(grid.ny, grid.hy)
+    inv = 1.0 / np.maximum(np.abs(sy[:, None] + sx[None, :] + dmean), PRECONDITIONER_FLOOR * dmean)
+    return lambda v: np.fft.irfft2(np.fft.rfft2(v) * inv, (grid.ny, grid.nx))
 
 
 def splu(matrix):
@@ -73,11 +144,30 @@ def _smallest_eig_estimate(lu, n):
     return mu
 
 
+def _diagnose_failed_step(grid, d, why):
+    """Factor the Jacobian Delta + diag(d) once and raise the error a failed
+    step stands for: SingularJacobianError when it is numerically singular,
+    NewtonDivergenceError otherwise."""
+    from scipy.sparse import diags
+
+    try:
+        lu = splu((laplacian_matrix(grid) + diags(d.ravel())).tocsc())
+    except RuntimeError as exc:
+        raise SingularJacobianError(f"{why}; sparse factorization failed: {exc}") from exc
+    mu = _smallest_eig_estimate(lu, d.size)
+    if mu < 1e-10:
+        raise SingularJacobianError(
+            f"{why}; linearized operator has an eigenvalue of magnitude ~{mu:.2e}"
+        )
+    raise NewtonDivergenceError(f"{why} on a well-posed system (smallest eigenvalue ~{mu:.2e})")
+
+
 @dataclass
 class NewtonResult:
     field: ScalarFieldPeriodic
     iterations: int
-    residuals: list = field(default_factory=list)
+    residuals: list
+    minres_iterations: list
 
     @property
     def final_residual(self):
@@ -85,59 +175,46 @@ class NewtonResult:
 
 
 def newton_solve(u0, tol, max_iter=30):
-    """Solve the discrete PDE by Newton iteration with sparse LU steps.
+    """Solve the discrete PDE by Newton iteration with preconditioned MINRES
+    steps.
 
-    Returns the solution field together with the iteration count and the
-    sup-norm residual history (seed residual first).  Raises
-    NewtonDivergenceError after max_iter, SingularJacobianError if a
-    linearization is numerically singular, ResonanceError for bad grids.
+    Returns the solution field together with the iteration count, the
+    sup-norm residual history (seed residual first) and the MINRES iteration
+    count of each step.  Raises NewtonDivergenceError after max_iter or on a
+    non-finite residual, SingularJacobianError or NewtonDivergenceError for a
+    failed step, ResonanceError for bad grids.
     """
-    import scipy.sparse as sp
-
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = u0.grid
     check_resonance(grid)
-    lap = laplacian_matrix(grid)
-    u = u0.values.ravel().copy()
-    n = u.size
-
-    def residual(vec):
-        return lap @ vec - 4.0 * np.exp(-2.0 * vec) + 4.0 * np.exp(vec)
-
-    def finish(vec, iterations, residuals):
-        out = ScalarFieldPeriodic(grid, vec.reshape(grid.ny, grid.nx))
-        # post-hoc re-verification through the stencil path
-        recheck = float(np.abs(pde_residual(out)).max())
-        if recheck >= 1.1 * tol:
-            raise NewtonDivergenceError(
-                f"converged residual {residuals[-1]:.3e} fails re-verification ({recheck:.3e})"
-            )
-        return NewtonResult(out, iterations, residuals)
-
-    r = residual(u)
+    u = u0.values
+    r = _residual(u, grid)
     residuals = [float(np.abs(r).max())]
-    for it in range(max_iter):
+    counts = []
+    for it in range(max_iter + 1):
+        if not np.isfinite(residuals[-1]):
+            raise NewtonDivergenceError(f"residual is not finite after {it} iterations")
         if residuals[-1] < tol:
-            return finish(u, it, residuals)
-        jac = lap + sp.diags(8.0 * np.exp(-2.0 * u) + 4.0 * np.exp(u))
-        try:
-            lu = splu(jac.tocsc())
-        except RuntimeError as exc:
-            raise SingularJacobianError(f"sparse factorization failed: {exc}") from exc
-        step = lu.solve(-r)
+            return NewtonResult(ScalarFieldPeriodic(grid, u), it, residuals, counts)
+        if it == max_iter:
+            break
+        d = 8.0 * np.exp(-2.0 * u) + 4.0 * np.exp(u)
+        step, count, converged = minres(
+            lambda v: laplacian(v, grid) + d * v,
+            _preconditioner(grid, d.mean()),
+            -r,
+            MINRES_RTOL,
+            MINRES_MAXITER,
+        )
+        if not converged:
+            _diagnose_failed_step(grid, d, f"MINRES missed {MINRES_RTOL:g} in {count} iterations")
         if not np.all(np.isfinite(step)) or np.abs(step).max() > 1e12:
-            mu = _smallest_eig_estimate(lu, n)
-            if mu < 1e-10:
-                raise SingularJacobianError(
-                    f"linearized operator has an eigenvalue of magnitude ~{mu:.2e}"
-                )
-            raise NewtonDivergenceError("Newton step blew up on a well-posed system")
+            _diagnose_failed_step(grid, d, "Newton step blew up")
+        counts.append(count)
         u = u + step
-        r = residual(u)
+        r = _residual(u, grid)
         residuals.append(float(np.abs(r).max()))
-    if residuals[-1] < tol:
-        return finish(u, max_iter, residuals)
     raise NewtonDivergenceError(
         f"no convergence after {max_iter} iterations; residual {residuals[-1]:.3e}"
     )

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -42,6 +44,13 @@ def flat_config_text(out_dir, nx=32, ny=32, substeps=16, extra=""):
         "radius = 1.0\ntheta = 0.0\ntol = 1e-10\nmax_iter = 20\n"
         f"seed = zero\nsubsteps = {substeps}\nout_dir = {out_dir}\n" + extra
     )
+
+
+def wave_config_text(out_dir):
+    """The flat config on 16x8 with the E = 6.5 wave seed, lx one wave period."""
+    text = flat_config_text(out_dir, nx=16, ny=8)
+    text = text.replace(f"lx = {float(2 * np.pi)!r}", f"lx = {travelling_wave(6.5).period!r}")
+    return text.replace("seed = zero", "seed = wave\nwave_energy = 6.5")
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -180,6 +189,28 @@ def test_cli_numerical_failure_is_exit_4_with_named_error(tmp_path):
     assert log_lines[-1] == "error: resonance"
 
 
+@pytest.mark.filterwarnings("error")
+def test_near_singular_seed_is_exit_4_without_warnings(tmp_path):
+    # at u = 0.5 the Jacobian is Delta + 8 e^-1 + 4 e^0.5, and lx puts the first
+    # x mode of the 16^2 Laplacian at -(8 e^-1 + 4 e^0.5), so the Jacobian of
+    # the seed 0.5 + 1e-3 cos(2 pi x / lx) is nearly singular
+    n = 16
+    theta = 2 * np.pi / n
+    num = 30.0 - 32.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)
+    lx = float(n * np.sqrt(num / (12.0 * (8.0 * np.exp(-1.0) + 4.0 * np.exp(0.5)))))
+    grid = PeriodicGrid(n, n, lx, lx)
+    seed = tmp_path / "seed.csv"
+    save_field(field_from_function(grid, lambda x, y: 0.5 + 1e-3 * np.cos(2 * np.pi * x / lx)),
+               str(seed))
+    out = tmp_path / "out"
+    text = (f"nx = {n}\nny = {n}\nlx = {lx!r}\nly = {lx!r}\nseed = file\n"
+            f"field_path = {seed}\nout_dir = {out}\n")
+    assert cli.main(["solve", "--config", write_config(tmp_path, text)]) == 4
+    last = (out / "solve.log").read_text().strip().splitlines()[-1]
+    assert last in ("error: newton-divergence", "error: singular-jacobian")
+    assert not (out / cli.FIELD_CSV).exists()
+
+
 def _scipy_modules_after(code):
     """The scipy modules a fresh interpreter holds after running code."""
     script = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -191,16 +222,28 @@ def _scipy_modules_after(code):
 def test_cli_import_loads_no_scipy(tmp_path):
     # frame, surface, report and export need no scipy at all
     assert _scipy_modules_after("import tzitzeica.cli") == []
-    # nor does the wave stage, and the wave seed of solve needs no scipy.integrate
-    period = travelling_wave(6.5).period
-    text = flat_config_text(str(tmp_path / "out"), nx=16, ny=8)
-    text = text.replace(f"lx = {float(2 * np.pi)!r}", f"lx = {period!r}")
-    cfg = write_config(tmp_path, text.replace("seed = zero", "seed = wave\nwave_energy = 6.5"))
+    # nor do the wave stage and a solve that converges, from a wave seed
+    # (Newton steps by MINRES) or from the zero seed (no step)
+    zero = write_config(tmp_path, flat_config_text(str(tmp_path / "out"), nx=16, ny=8), "zero.cfg")
+    cfg = write_config(tmp_path, wave_config_text(str(tmp_path / "out")))
     run = "from tzitzeica import cli\nassert cli.main([{!r}, '--config', {!r}]) == 0"
     assert _scipy_modules_after(run.format("wave", cfg)) == []
-    solve = _scipy_modules_after(run.format("solve", cfg))
-    assert "scipy.sparse" in solve
-    assert not [m for m in solve if m.startswith("scipy.integrate")]
+    assert _scipy_modules_after(run.format("solve", cfg)) == []
+    assert "minres[0]=" in (tmp_path / "out" / "solve.log").read_text()
+    assert _scipy_modules_after(run.format("solve", zero)) == []
+
+
+def test_solve_log_has_one_minres_line_per_step_and_repeats(tmp_path):
+    cfg = parse_config_text(wave_config_text(str(tmp_path / "out")))
+    first, second = (
+        pathlib.Path(cli.run_pipeline(cfg, "solve", str(tmp_path / out), echo=False).path).read_bytes()
+        for out in ("a", "b")
+    )
+    assert first == second
+    lines = first.decode().splitlines()
+    steps = [line for line in lines if line.startswith("minres[")]
+    assert steps and f"iterations={len(steps)}" in lines
+    assert all(re.fullmatch(rf"minres\[{i}\]=[1-9][0-9]*", line) for i, line in enumerate(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +663,8 @@ def artifacts(tmp_path_factory):
     for name, read in readers.items():
         path = os.path.join(out, name)
         read(path)
-        pristine[name] = (open(path, "rb").read(), read)
+        with open(path, "rb") as fh:
+            pristine[name] = (fh.read(), read)
     return out, pristine
 
 
@@ -634,6 +678,7 @@ def damage(draw, size):
     return "overwrite", at, draw(st.one_of(st.sampled_from(b"0-.,e\n"), st.integers(0, 255)))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", [cli.FIELD_CSV, cli.MESH_CSV, cli.FRAME_FILE])
 def test_damaged_artifact_is_read_or_rejected_typed(artifacts, name):
     out, pristine = artifacts

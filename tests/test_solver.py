@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from tzitzeica import solver
 from tzitzeica.errors import NewtonDivergenceError, ResonanceError
 from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic, field_from_function, zero_field
-from tzitzeica.solver import laplacian_matrix, newton_solve, pde_residual, splu
+from tzitzeica.solver import laplacian_matrix, minres, newton_solve, pde_residual, splu
 from tzitzeica.wave import lift_1d, travelling_wave
 
 from conftest import loglog_slope
+from oracles import newton_lu
 
 
 def test_residual_zero_field():
@@ -108,6 +110,52 @@ def test_splu_ordering_has_less_fill_than_colamd(perturbed_wave64):
     assert lu.L.nnz + lu.U.nnz < 0.8 * (colamd.L.nnz + colamd.U.nnz)
     rhs = np.random.default_rng(0).standard_normal(v.size)
     assert np.abs(jac @ lu.solve(rhs) - rhs).max() < 1e-8
+
+
+def test_minres_solves_a_symmetric_indefinite_system():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    a = (q * np.concatenate([-np.linspace(1.0, 5.0, 15), np.linspace(0.5, 9.0, 25)])) @ q.T
+    b = rng.standard_normal(40)
+    scale = 1.0 + np.arange(40) / 40.0
+    x, iterations, converged = minres(lambda v: a @ v, lambda v: v / scale, b, 1e-13, 200)
+    assert converged and iterations <= 60
+    assert np.abs(x - np.linalg.solve(a, b)).max() < 1e-10
+    _x, iterations, converged = minres(lambda v: a @ v, lambda v: v / scale, b, 1e-13, 3)
+    assert (iterations, converged) == (3, False)
+
+
+def test_newton_matches_lu_oracle_on_wave128_seed():
+    # the wave128-newton benchmark seed: the lifted E = 6.5 wave on 128^2 plus
+    # a smooth perturbation of sup norm 0.02, even in x
+    profile = travelling_wave(6.5)
+    g = PeriodicGrid(128, 128, profile.period, 2.0 * np.pi / np.sqrt(3.0))
+    xx, yy = g.mesh()
+    kx, ky = 2.0 * np.pi * xx / g.lx, 2.0 * np.pi * yy / g.ly
+    shape = (np.cos(ky) + 0.6 * np.cos(kx) * np.cos(ky + 0.7)
+             + 0.4 * np.cos(2.0 * kx) * np.cos(2.0 * ky + 1.9) + 0.3 * np.cos(kx))
+    seed = lift_1d(profile, g).values + 0.02 * shape / np.abs(shape).max()
+    res = newton_solve(ScalarFieldPeriodic(g, seed), 1e-10, 20)
+    want, history = newton_lu(seed, g, 1e-10, 20)
+    assert res.iterations == len(history) - 1 == 3
+    assert len(res.minres_iterations) == 3
+    assert res.final_residual < 1e-10
+    # measured 1.1e-9: the two differ along the wave's translation mode
+    assert np.abs(res.field.values - want).max() < 1e-8
+
+
+def test_minres_missing_its_cap_is_diagnosed_by_lu(perturbed_wave64, monkeypatch):
+    factored = []
+
+    def spy(matrix):
+        factored.append(matrix.shape)
+        return splu(matrix)
+
+    monkeypatch.setattr(solver, "MINRES_MAXITER", 2)
+    monkeypatch.setattr(solver, "splu", spy)
+    with pytest.raises(NewtonDivergenceError, match="MINRES missed"):
+        newton_solve(perturbed_wave64[0], 1e-11, 20)
+    assert factored == [(64 * 64, 64 * 64)]
 
 
 def test_newton_quadratic_from_2d_perturbed_wave(perturbed_wave64):
