@@ -138,14 +138,22 @@ def _seed_field(cfg, grid, log):
     return fld
 
 
+def _log_residuals(log, residuals):
+    for i, r in enumerate(residuals):
+        log.add(f"residual[{i}]={format_float(r)}")
+
+
 def stage_solve(cfg, out_dir, log):
     grid = _grid(cfg)
     seed = _seed_field(cfg, grid, log)
-    result = newton_solve(seed, cfg.tol, cfg.max_iter)
+    try:
+        result = newton_solve(seed, cfg.tol, cfg.max_iter)
+    except NumericalFailure as exc:
+        _log_residuals(log, exc.residuals)  # the trajectory that failed
+        raise
     save_field(result.field, os.path.join(out_dir, FIELD_CSV))
     log.add(f"iterations={result.iterations}")
-    for i, r in enumerate(result.residuals):
-        log.add(f"residual[{i}]={format_float(r)}")
+    _log_residuals(log, result.residuals)
     for i, count in enumerate(result.minres_iterations):
         log.add(f"minres[{i}]={count}")
     log.add(f"final_residual={format_float(result.final_residual)}")
@@ -235,10 +243,11 @@ _STAGES = {
 
 
 def run_pipeline(cfg, stage, out_dir=None, echo=True):
-    """Run one stage; raises the typed config/numerical exceptions, and
+    """Run one stage; raises the typed config/numerical exceptions,
     ConfigValidationError for a file the stage cannot read or write, or an
-    output directory that cannot be made (then no log is written).  A stage
-    that raises removes the files it writes and keeps its log."""
+    output directory that cannot be made (then no log is written), and
+    NumericalFailure, naming the original type, for any other exception.  A
+    stage that raises removes the files it writes and keeps its log."""
     if stage not in _STAGES:
         raise ConfigValidationError(f"unknown stage {stage!r}; choose from {tuple(_STAGES)}")
     out_dir = out_dir or cfg.out_dir
@@ -250,8 +259,12 @@ def run_pipeline(cfg, stage, out_dir=None, echo=True):
     try:
         try:
             _STAGES[stage][0](cfg, out_dir, log)
+        except PipelineError:
+            raise
         except OSError as exc:
             raise ConfigValidationError(f"stage {stage} cannot use a file: {exc}") from exc
+        except Exception as exc:
+            raise NumericalFailure(f"stage {stage} failed: {type(exc).__name__}: {exc}") from exc
     except PipelineError as exc:
         log.add(f"error: {exc.name}")
         log.flush()

@@ -26,8 +26,12 @@ class ConfigValidationError(PipelineError):
 
 
 class NumericalFailure(PipelineError):
+    """A computation failed; a failed Newton solve sets ``residuals`` to its
+    residual history up to the failure."""
+
     name = "numerical-failure"
     exit_code = 4
+    residuals = ()
 
 
 class ResonanceError(NumericalFailure):

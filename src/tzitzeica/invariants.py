@@ -1,11 +1,13 @@
 """Induced tensors and scalar invariants of immersed surfaces.
 
-Index conventions: coordinate index 0 is x (array axis 1), coordinate index 1
-is y (array axis 0).  Tensor fields store component axes last, e.g. a metric
-field has shape (ny, nx, 2, 2), connection coefficients gamma[k, i, j] live in
-(..., 2, 2, 2) with the upper index first, and curvature r[s, k, i, j] in
-(..., 2, 2, 2, 2).  All functions broadcast over leading axes, so single-node
-tensors (shape (2, 2) etc.) work unchanged.
+Index conventions: coordinate index 0 is x, coordinate index 1 is y.  Tensor
+fields store component axes first and node axes last, the y nodes before the
+x nodes (the grid's (ny, nx)), so every contraction runs over contiguous node
+planes: a metric field has shape (2, 2, ny, nx), connection coefficients
+gamma[k, i, j] live in (2, 2, 2, ...) with the upper index first, and
+curvature r[s, k, i, j] in (2, 2, 2, 2, ...).  All functions broadcast over
+trailing node axes, so single-node tensors (shape (2, 2) etc.) work
+unchanged.
 
 The cubic form t[k, i, j] (mixed components, upper index first) is fully
 symmetric once lowered with the metric; its trace vector vanishes exactly for
@@ -25,10 +27,11 @@ from . import grid as gridmod
 from .errors import DegenerateMetricError
 
 SPD_EIG_RATIO = 1e-12
+NODE_X, NODE_Y = -1, -2  # array axes of the x and y nodes
 
 
 def check_spd(g, what="metric"):
-    eig = np.linalg.eigvalsh(np.asarray(g))
+    eig = np.linalg.eigvalsh(np.moveaxis(np.asarray(g), (0, 1), (-2, -1)))
     lo, hi = eig[..., 0], eig[..., 1]
     bad = lo <= SPD_EIG_RATIO * np.abs(hi)
     if np.any(bad):
@@ -44,22 +47,22 @@ def inv2(g):
     (a metric too large for double precision)."""
     g = np.asarray(g)
     with np.errstate(over="ignore", invalid="ignore"):
-        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if not np.all(np.isfinite(det) & (det != 0)):
         raise DegenerateMetricError("metric determinant is zero or not finite")
     out = np.empty_like(g)
-    out[..., 0, 0] = g[..., 1, 1] / det
-    out[..., 1, 1] = g[..., 0, 0] / det
-    out[..., 0, 1] = -g[..., 0, 1] / det
-    out[..., 1, 0] = -g[..., 1, 0] / det
+    out[0, 0] = g[1, 1] / det
+    out[1, 1] = g[0, 0] / det
+    out[0, 1] = -g[0, 1] / det
+    out[1, 0] = -g[1, 0] / det
     return out
 
 
 def hermitian_induced(e1, e2, check=True):
-    """Induced metric g and skew form w from tangent vectors: the Hermitian
-    Gram matrix h_ab = <E_a|E_b> splits as g + i w."""
-    e = np.stack([np.asarray(e1), np.asarray(e2)], axis=-2)
-    h = np.einsum("...ac,...bc->...ab", np.conj(e), e)
+    """Induced metric g and skew form w from tangent vectors of shape
+    (3, ...): the Hermitian Gram matrix h_ab = <E_a|E_b> splits as g + i w."""
+    e = np.stack([np.asarray(e1), np.asarray(e2)])
+    h = np.einsum("ac...,bc...->ab...", np.conj(e), e)
     g, omega = h.real, h.imag
     if check:
         check_spd(g, "induced metric")
@@ -76,13 +79,13 @@ def christoffel_conformal(ux, uy):
     derivative fields of u (independent of the constant c)."""
     ux = np.asarray(ux, dtype=float)
     uy = np.asarray(uy, dtype=float)
-    gam = np.zeros(ux.shape + (2, 2, 2))
-    gam[..., 0, 0, 0] = ux / 2.0
-    gam[..., 1, 0, 0] = -uy / 2.0
-    gam[..., 0, 0, 1] = gam[..., 0, 1, 0] = uy / 2.0
-    gam[..., 1, 1, 1] = uy / 2.0
-    gam[..., 0, 1, 1] = -ux / 2.0
-    gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = ux / 2.0
+    gam = np.zeros((2, 2, 2) + ux.shape)
+    gam[0, 0, 0] = ux / 2.0
+    gam[1, 0, 0] = -uy / 2.0
+    gam[0, 0, 1] = gam[0, 1, 0] = uy / 2.0
+    gam[1, 1, 1] = uy / 2.0
+    gam[0, 1, 1] = -ux / 2.0
+    gam[1, 0, 1] = gam[1, 1, 0] = ux / 2.0
     return gam
 
 
@@ -108,30 +111,26 @@ def riemann(gamma, hx, hy, periodic=True):
     bit-for-bit.
     """
     gamma = np.asarray(gamma, dtype=float)
-    dgam = [
-        _dfield(gamma, hx, gridmod.AXIS_X, periodic),
-        _dfield(gamma, hy, gridmod.AXIS_Y, periodic),
-    ]
-    riem = np.zeros(gamma.shape + (2,))
+    dgam = [_dfield(gamma, hx, NODE_X, periodic), _dfield(gamma, hy, NODE_Y, periodic)]
+    riem = np.zeros((2,) + gamma.shape)
     for s in range(2):
         for k in range(2):
             core = (
-                dgam[0][..., s, k, 1]
-                - dgam[1][..., s, k, 0]
-                - np.einsum("...r,...r->...", gamma[..., :, k, 0], gamma[..., s, :, 1])
-                + np.einsum("...r,...r->...", gamma[..., :, k, 1], gamma[..., s, :, 0])
+                dgam[0][s, k, 1]
+                - dgam[1][s, k, 0]
+                - np.einsum("r...,r...->...", gamma[:, k, 0], gamma[s, :, 1])
+                + np.einsum("r...,r...->...", gamma[:, k, 1], gamma[s, :, 0])
             )
-            riem[..., s, k, 0, 1] = core
-            riem[..., s, k, 1, 0] = -core
+            riem[s, k, 0, 1] = core
+            riem[s, k, 1, 0] = -core
     return riem
 
 
 def gauss_curvature(g, riem):
-    """K = (1/2) g^{kj} r^s_ksj."""
-    g = np.asarray(g, dtype=float)
-    check_spd(g)
-    ginv = inv2(g)
-    return 0.5 * np.einsum("...kj,...sksj->...", ginv, np.asarray(riem))
+    """K = (1/2) g^{kj} r^s_ksj; inv2 rejects a singular g, and the caller
+    checks that g is positive definite."""
+    ginv = inv2(np.asarray(g, dtype=float))
+    return 0.5 * np.einsum("kj...,sksj...->...", ginv, np.asarray(riem))
 
 
 def gauss_residual(k_curv, h2, t2, radius):
@@ -146,12 +145,12 @@ def gauss_residual(k_curv, h2, t2, radius):
 
 def lower_tensor(t, g):
     """t_kij = g_ks t^s_ij."""
-    return np.einsum("...ks,...sij->...kij", np.asarray(g), np.asarray(t))
+    return np.einsum("ks...,sij...->kij...", np.asarray(g), np.asarray(t))
 
 
 def trace_vector(t):
     """m_s = t^i_is; zero exactly on minimal surfaces."""
-    return np.einsum("...iis->...s", np.asarray(t))
+    return np.einsum("iis...->s...", np.asarray(t))
 
 
 def scalar_invariants(t, g):
@@ -159,19 +158,20 @@ def scalar_invariants(t, g):
 
     h2 is the squared length of the traced cubic form (the squared mean
     curvature), t2 its complete self-contraction, and t4 the trace of the
-    squared contraction matrix q^i_s = t^i_jk t^jk_s; all index moves use g.
+    squared contraction matrix q^i_s = t^i_jk t^jk_s; all index moves use g,
+    which must be positive definite.
     """
     t = np.asarray(t)
     g = np.asarray(g, dtype=float)
     check_spd(g)
     ginv = inv2(g)
     m = trace_vector(t)
-    h2 = np.einsum("...sk,...s,...k->...", ginv, m, m)
+    h2 = np.einsum("sk...,s...,k...->...", ginv, m, m)
     t_low = lower_tensor(t, g)
-    t_up = np.einsum("...aij,...bi,...cj->...abc", t, ginv, ginv)
-    t2 = np.einsum("...abc,...abc->...", t_up, t_low)
-    q_mix = np.einsum("...ajk,...jp,...kr,...cs,...spr->...ac", t, ginv, ginv, g, t)
-    t4 = np.einsum("...ac,...ca->...", q_mix, q_mix)
+    t_up = np.einsum("aij...,bi...,cj...->abc...", t, ginv, ginv)
+    t2 = np.einsum("abc...,abc...->...", t_up, t_low)
+    q_mix = np.einsum("ajk...,jp...,kr...,cs...,spr...->ac...", t, ginv, ginv, g, t)
+    t4 = np.einsum("ac...,ca...->...", q_mix, q_mix)
     return h2, t2, t4
 
 
@@ -180,11 +180,11 @@ def closed_form_tensor(u, theta):
     u = np.asarray(u, dtype=float)
     a = np.exp(-u) * np.cos(theta)
     b = np.exp(-u) * np.sin(theta)
-    t = np.zeros(u.shape + (2, 2, 2))
-    t[..., 0, 0, 0] = a
-    t[..., 1, 0, 1] = t[..., 1, 1, 0] = t[..., 0, 1, 1] = -a
-    t[..., 1, 1, 1] = b
-    t[..., 0, 0, 1] = t[..., 0, 1, 0] = t[..., 1, 0, 0] = -b
+    t = np.zeros((2, 2, 2) + u.shape)
+    t[0, 0, 0] = a
+    t[1, 0, 1] = t[1, 1, 0] = t[0, 1, 1] = -a
+    t[1, 1, 1] = b
+    t[0, 0, 1] = t[0, 1, 0] = t[1, 0, 0] = -b
     return t
 
 
@@ -193,16 +193,14 @@ def codazzi_residual(t, gamma, g, hx, hy):
     periodic fields."""
     t_low = lower_tensor(t, g)
     gamma = np.asarray(gamma, dtype=float)
-    dt = np.stack(
-        [gridmod.deriv(t_low, hx, gridmod.AXIS_X), gridmod.deriv(t_low, hy, gridmod.AXIS_Y)],
-        axis=-4,
-    )  # dt[..., a, j, s, k]
-    # nabla[..., i, j, s, k] = d_i t_jsk - gam^r_ij t_rsk - gam^r_is t_jrk - gam^r_ik t_jsr
+    # dt[a, j, s, k] = d_a t_jsk
+    dt = np.stack([gridmod.deriv(t_low, hx, NODE_X), gridmod.deriv(t_low, hy, NODE_Y)])
+    # nabla[i, j, s, k] = d_i t_jsk - gam^r_ij t_rsk - gam^r_is t_jrk - gam^r_ik t_jsr
     nabla = (
         dt
-        - np.einsum("...rij,...rsk->...ijsk", gamma, t_low)
-        - np.einsum("...ris,...jrk->...ijsk", gamma, t_low)
-        - np.einsum("...rik,...jsr->...ijsk", gamma, t_low)
+        - np.einsum("rij...,rsk...->ijsk...", gamma, t_low)
+        - np.einsum("ris...,jrk...->ijsk...", gamma, t_low)
+        - np.einsum("rik...,jsr...->ijsk...", gamma, t_low)
     )
-    resid = nabla - np.swapaxes(nabla, -4, -3)
-    return np.abs(resid).max(axis=(-4, -3, -2, -1))
+    resid = nabla - np.swapaxes(nabla, 0, 1)
+    return np.abs(resid).max(axis=(0, 1, 2, 3))

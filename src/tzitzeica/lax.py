@@ -84,35 +84,39 @@ def lax_zbar_matrix(u, lam):
 
 
 def frame_coeff_x(u, uy, lam):
-    """Generator Wx of d_x U = U Wx; anti-Hermitian for |lam| = 1."""
+    """Generator Wx of d_x U = U Wx; anti-Hermitian for |lam| = 1.  Filled
+    plane by plane in a matrix-first buffer, returned as its (..., 3, 3)
+    view."""
     emu = np.exp(-u)
     eh = np.exp(0.5 * u)
-    out = np.zeros(np.shape(u) + (3, 3), dtype=complex)
-    out[..., 0, 0] = 0.5j * uy
-    out[..., 0, 1] = 1j * emu
-    out[..., 0, 2] = 1j * np.conj(lam) * eh
-    out[..., 1, 0] = 1j * emu
-    out[..., 1, 1] = -0.5j * uy
-    out[..., 1, 2] = 1j * eh
-    out[..., 2, 0] = 1j * lam * eh
-    out[..., 2, 1] = 1j * eh
-    return out
+    out = np.zeros((3, 3) + np.shape(u), dtype=complex)
+    out[0, 0] = 0.5j * uy
+    out[0, 1] = 1j * emu
+    out[0, 2] = 1j * np.conj(lam) * eh
+    out[1, 0] = 1j * emu
+    out[1, 1] = -0.5j * uy
+    out[1, 2] = 1j * eh
+    out[2, 0] = 1j * lam * eh
+    out[2, 1] = 1j * eh
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def frame_coeff_y(u, ux, lam):
-    """Generator Wy of d_y U = U Wy; anti-Hermitian for |lam| = 1."""
+    """Generator Wy of d_y U = U Wy; anti-Hermitian for |lam| = 1.  Filled
+    plane by plane in a matrix-first buffer, returned as its (..., 3, 3)
+    view."""
     emu = np.exp(-u)
     eh = np.exp(0.5 * u)
-    out = np.zeros(np.shape(u) + (3, 3), dtype=complex)
-    out[..., 0, 0] = -0.5j * ux
-    out[..., 0, 1] = -emu
-    out[..., 0, 2] = np.conj(lam) * eh
-    out[..., 1, 0] = emu
-    out[..., 1, 1] = 0.5j * ux
-    out[..., 1, 2] = -eh
-    out[..., 2, 0] = -lam * eh
-    out[..., 2, 1] = eh
-    return out
+    out = np.zeros((3, 3) + np.shape(u), dtype=complex)
+    out[0, 0] = -0.5j * ux
+    out[0, 1] = -emu
+    out[0, 2] = np.conj(lam) * eh
+    out[1, 0] = emu
+    out[1, 1] = 0.5j * ux
+    out[1, 2] = -eh
+    out[2, 0] = -lam * eh
+    out[2, 1] = eh
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +210,8 @@ def _cell_propagators(coeffs, builder, lam, h, m):
 
 def _march(state, coeffs, builder, lam, h, m, ncells, re_unitarize=False):
     """States at the ncells + 1 cell boundaries of d S = S W, m RK4 substeps
-    per cell.  coeffs, the builder's inputs before lam, hold 2*m*period + 1
+    per cell, shape (ncells + 1,) + state.shape; the state holds its matrix
+    axes first.  coeffs, the builder's inputs before lam, hold 2*m*period + 1
     half-substep samples along axis 0, the other axes broadcast against the
     state's batch axes; cell c uses the propagator of cell c % period.  1D coeffs (a single
     line) build every cell at once, batched coeffs one cell at a time to
@@ -214,7 +219,7 @@ def _march(state, coeffs, builder, lam, h, m, ncells, re_unitarize=False):
     column) has column i use propagator column i % n."""
     period = (coeffs[0].shape[0] - 1) // (2 * m)
     chunk = period if coeffs[0].ndim == 1 else 1
-    state = np.moveaxis(np.asarray(state, dtype=complex), (-2, -1), (0, 1))
+    state = np.asarray(state, dtype=complex)
     stored = np.empty((ncells + 1,) + state.shape, dtype=complex)
     stored[0] = state
     cells = []
@@ -231,7 +236,7 @@ def _march(state, coeffs, builder, lam, h, m, ncells, re_unitarize=False):
         if re_unitarize:
             state = _polar(state)
         stored[c + 1] = state
-    return np.ascontiguousarray(np.moveaxis(stored, (1, 2), (-2, -1)))
+    return stored
 
 
 def _periodic_samples(values, m):
@@ -330,7 +335,8 @@ def _integrate_rows_then_columns(vals, n1, n2, h1, h2, build1, build2, lam, m, e
     # the closing column n1 reuses the propagators of column 0
     across = deriv(vals, h1, 1, "spectral")
     cols = (_periodic_samples(vals, m), _periodic_samples(across, m))
-    return _march(first, cols, build2, lam, h2, m, n2 + extra - 1, re_unit)
+    stored = _march(np.moveaxis(first, 0, -1), cols, build2, lam, h2, m, n2 + extra - 1, re_unit)
+    return np.ascontiguousarray(np.moveaxis(stored, (1, 2), (-2, -1)))
 
 
 def frame_axis_stencil(frame, axis):
@@ -342,7 +348,8 @@ def frame_axis_stencil(frame, axis):
     periodicity of the frame itself.  The generator's two inputs are
     interpolated at the nine half-substep offsets -4..4 the two RK4 substeps
     each way read, and nowhere else.  Returns (frames, u_samples): lists
-    indexed by k + 2, each entry an (ny, nx, 3, 3) / (ny, nx) array.
+    indexed by k + 2, each entry a (3, 3, ny, nx) frame with the matrix axes
+    first / a (ny, nx) array.
     """
     grid = frame.grid
     u = frame.u.values
@@ -358,8 +365,9 @@ def frame_axis_stencil(frame, axis):
     # the builder's inputs at half-substep offsets -4..4 from every node
     near = [trig_upsample(a, 2 * m, ax, range(-4, 5)) for a in (u, across)]
     # one RK4 substep per cell, marched up and down from the node
-    up = _march(frame.base, [a[4:] for a in near], builder, lam, h / m, 1, 2)
-    down = _march(frame.base, [a[4::-1] for a in near], builder, lam, -h / m, 1, 2)
+    base = np.moveaxis(frame.base, (-2, -1), (0, 1))
+    up = _march(base, [a[4:] for a in near], builder, lam, h / m, 1, 2)
+    down = _march(base, [a[4::-1] for a in near], builder, lam, -h / m, 1, 2)
     return list(down[:0:-1]) + list(up), list(near[0][::2])
 
 

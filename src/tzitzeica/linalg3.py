@@ -1,27 +1,30 @@
 """Complex 3-vectors and 3x3 matrices with the Hermitian product of C^3.
 
-Vectors are numpy arrays with a trailing axis of length 3, matrices have
-trailing shape (3, 3); all functions broadcast over leading axes.  The
-product <a|b> = sum conj(a_i) b_i is conjugate-linear in the first slot; its
-real part is the Euclidean product of C^3 viewed as R^6.
+Vectors are numpy arrays with a leading axis of length 3, the node axes
+last, so every product runs over contiguous node planes and a single vector
+(shape (3,)) works unchanged.  The product <a|b> = sum conj(a_i) b_i is
+conjugate-linear in the first slot; its real part is the Euclidean product
+of C^3 viewed as R^6.
 """
 
 import numpy as np
 
 
 def hermitian_inner(a, b):
-    """<a|b> = sum_i conj(a_i) b_i."""
-    out = np.sum(np.conj(np.asarray(a)) * np.asarray(b), axis=-1)
+    """<a|b> = sum_i conj(a_i) b_i over axis 0."""
+    out = np.sum(np.conj(np.asarray(a)) * np.asarray(b), axis=0)
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def gram(mat):
-    """U^H U for a matrix or stack of matrices."""
-    m = np.asarray(mat)
-    return np.einsum("...ji,...jk->...ik", np.conj(m), m)
-
-
 def unitarity_defect_map(mat):
-    """Max-abs entry of U^H U - I per matrix in the stack."""
-    d = gram(mat) - np.eye(3)
-    return np.abs(d).max(axis=(-2, -1))
+    """Max-abs entry of U^H U - I per matrix of a stack with trailing shape
+    (3, 3), contracted over the node planes of one matrix-first copy.  U^H U
+    is Hermitian, so its upper triangle suffices."""
+    m = np.ascontiguousarray(np.moveaxis(np.asarray(mat), (-2, -1), (0, 1)))
+    cm = np.conj(m)
+    out = 0.0
+    for i in range(3):
+        for k in range(i, 3):
+            d = np.einsum("j...,j...->...", cm[:, i], m[:, k]) - float(i == k)
+            out = np.maximum(out, np.abs(d))
+    return out

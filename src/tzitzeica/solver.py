@@ -22,7 +22,9 @@ FFT pair (Vecharynski & Knyazev, SIAM J. Sci. Comput. 35, 2013, on absolute
 value preconditioners for indefinite systems).
 
 A step fails when MINRES misses its tolerance within MINRES_MAXITER
-iterations, or when it is not finite or exceeds 1e12.  Only then is J
+iterations, when it is not finite or exceeds 1e12, or when it multiplies the
+residual by more than RESIDUAL_GROWTH (a near-singular J sends u far off and
+no later step brings it back).  Only then is J
 factored, once, by SuperLU with the multiple-minimum-degree ordering of
 A^T + A (Liu, ACM TOMS 1985), the ordering for structurally symmetric
 patterns; partial pivoting stays on, because J is indefinite near the -12
@@ -35,12 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonDivergenceError, SingularJacobianError
+from .errors import NewtonDivergenceError, NumericalFailure, SingularJacobianError
 from .grid import ScalarFieldPeriodic, check_resonance, deriv2, laplacian, laplacian_symbol_1d
 
 MINRES_RTOL = 1e-13
 MINRES_MAXITER = 300
 PRECONDITIONER_FLOOR = 1e-2
+RESIDUAL_GROWTH = 1e6
 
 
 def _residual(vals, grid):
@@ -182,7 +185,8 @@ def newton_solve(u0, tol, max_iter=30):
     sup-norm residual history (seed residual first) and the MINRES iteration
     count of each step.  Raises NewtonDivergenceError after max_iter or on a
     non-finite residual, SingularJacobianError or NewtonDivergenceError for a
-    failed step, ResonanceError for bad grids.
+    failed step, each carrying the residual history up to the failure as
+    ``residuals``; ResonanceError for bad grids.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -192,29 +196,36 @@ def newton_solve(u0, tol, max_iter=30):
     r = _residual(u, grid)
     residuals = [float(np.abs(r).max())]
     counts = []
-    for it in range(max_iter + 1):
-        if not np.isfinite(residuals[-1]):
-            raise NewtonDivergenceError(f"residual is not finite after {it} iterations")
-        if residuals[-1] < tol:
-            return NewtonResult(ScalarFieldPeriodic(grid, u), it, residuals, counts)
-        if it == max_iter:
-            break
-        d = 8.0 * np.exp(-2.0 * u) + 4.0 * np.exp(u)
-        step, count, converged = minres(
-            lambda v: laplacian(v, grid) + d * v,
-            _preconditioner(grid, d.mean()),
-            -r,
-            MINRES_RTOL,
-            MINRES_MAXITER,
+    try:
+        for it in range(max_iter + 1):
+            if not np.isfinite(residuals[-1]):
+                raise NewtonDivergenceError(f"residual is not finite after {it} iterations")
+            if residuals[-1] < tol:
+                return NewtonResult(ScalarFieldPeriodic(grid, u), it, residuals, counts)
+            if it == max_iter:
+                break
+            d = 8.0 * np.exp(-2.0 * u) + 4.0 * np.exp(u)
+            step, count, converged = minres(
+                lambda v: laplacian(v, grid) + d * v,
+                _preconditioner(grid, d.mean()),
+                -r,
+                MINRES_RTOL,
+                MINRES_MAXITER,
+            )
+            if not converged:
+                _diagnose_failed_step(grid, d, f"MINRES missed {MINRES_RTOL:g} in {count} iterations")
+            if not np.all(np.isfinite(step)) or np.abs(step).max() > 1e12:
+                _diagnose_failed_step(grid, d, "Newton step blew up")
+            counts.append(count)
+            u = u + step
+            r = _residual(u, grid)
+            residuals.append(float(np.abs(r).max()))
+            if residuals[-1] > RESIDUAL_GROWTH * residuals[-2]:
+                _diagnose_failed_step(grid, d, f"Newton step {it + 1} took the residual from "
+                                               f"{residuals[-2]:.3e} to {residuals[-1]:.3e}")
+        raise NewtonDivergenceError(
+            f"no convergence after {max_iter} iterations; residual {residuals[-1]:.3e}"
         )
-        if not converged:
-            _diagnose_failed_step(grid, d, f"MINRES missed {MINRES_RTOL:g} in {count} iterations")
-        if not np.all(np.isfinite(step)) or np.abs(step).max() > 1e12:
-            _diagnose_failed_step(grid, d, "Newton step blew up")
-        counts.append(count)
-        u = u + step
-        r = _residual(u, grid)
-        residuals.append(float(np.abs(r).max()))
-    raise NewtonDivergenceError(
-        f"no convergence after {max_iter} iterations; residual {residuals[-1]:.3e}"
-    )
+    except NumericalFailure as exc:
+        exc.residuals = residuals
+        raise

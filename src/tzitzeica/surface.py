@@ -35,9 +35,16 @@ class SurfaceMesh:
 
 
 def tangent_analytic(frame, radius):
-    """Closed-form tangents from the frame columns and the frame's exponent
+    """Closed-form tangents, each (3, ny, nx), from the columns of one
+    matrix-first copy of the base-node frames and the frame's exponent
     field."""
-    return _tangents_at(frame.base, frame.u.values, frame.spectral.lam, radius)
+    base = np.ascontiguousarray(np.moveaxis(frame.base, (-2, -1), (0, 1)))
+    return _tangents_at(base, frame.u.values, frame.spectral.lam, radius)
+
+
+def _normal(frame):
+    """Third frame column at the base nodes, (3, ny, nx)."""
+    return np.moveaxis(frame.normal, -1, 0)
 
 
 def build_surface(frame, radius):
@@ -46,7 +53,7 @@ def build_surface(frame, radius):
 
 
 def normality_map(e1, e2, normal):
-    """Per-node max |<E_i|N>|."""
+    """Per-node max |<E_i|N>| of vectors with their component axis first."""
     return np.maximum(
         np.abs(hermitian_inner(e1, normal)), np.abs(hermitian_inner(e2, normal))
     )
@@ -58,8 +65,8 @@ def normality_map(e1, e2, normal):
 
 
 def _tangents_at(frames, u_vals, lam, radius):
-    col_l, col_m = frames[..., :, 0], frames[..., :, 1]
-    scale = radius * np.exp(0.5 * np.asarray(u_vals))[..., None]
+    col_l, col_m = frames[:, 0], frames[:, 1]
+    scale = radius * np.exp(0.5 * np.asarray(u_vals))
     e1 = 1j * scale * (col_m + np.conj(lam) * col_l)
     e2 = scale * (np.conj(lam) * col_l - col_m)
     return e1, e2
@@ -70,14 +77,14 @@ def _fd4_stencil(values, h):
     return (-values[4] + 8.0 * values[3] - 8.0 * values[1] + values[0]) / (12.0 * h)
 
 
-def extract_second_form(frame, radius):
-    """Cubic-form components t[k, i, j], shape (ny, nx, 2, 2, 2), from
+def extract_second_form(frame, radius, gamma):
+    """Cubic-form components t[k, i, j], shape (2, 2, 2, ny, nx), from
     numerical derivatives of the tangents, and the normal coefficient of
-    nabla_i E_j, shape (ny, nx, 2, 2) complex, which must be -2 R e^u delta_ij.
+    nabla_i E_j, shape (2, 2, ny, nx) complex, which must be -2 R e^u delta_ij.
 
     Tangent derivatives use 5-point stencils at substep spacing, marched from
-    each node, so no periodicity of the frame is assumed; the connection
-    comes from the conformal closed form on the frame's u.
+    each node, so no periodicity of the frame is assumed; gamma is the
+    connection of the frame's u (invariants.christoffel_from_field).
     """
     grid = frame.grid
     u = frame.u
@@ -92,21 +99,18 @@ def extract_second_form(frame, radius):
         partial.append([_fd4_stencil(es, h / m) for es in near])
 
     tangents = e1, e2 = tangent_analytic(frame, radius)
-    gamma = inv.christoffel_from_field(u)
-    normal = frame.normal
+    normal = _normal(frame)
     conf = 2.0 * radius**2 * np.exp(u.values)
 
-    tens = np.empty((grid.ny, grid.nx, 2, 2, 2))
-    ncoeff = np.empty((grid.ny, grid.nx, 2, 2), dtype=complex)
+    tens = np.empty((2, 2, 2, grid.ny, grid.nx))
+    ncoeff = np.empty((2, 2, grid.ny, grid.nx), dtype=complex)
     for i in range(2):
         for j in range(2):
-            nab = partial[i][j] - (
-                gamma[..., 0, i, j, None] * e1 + gamma[..., 1, i, j, None] * e2
-            )
+            nab = partial[i][j] - (gamma[0, i, j] * e1 + gamma[1, i, j] * e2)
             for k in range(2):
                 proj = hermitian_inner(1j * tangents[k], nab).real
-                tens[..., k, i, j] = proj / conf
-            ncoeff[..., i, j] = hermitian_inner(normal, nab)
+                tens[k, i, j] = proj / conf
+            ncoeff[i, j] = hermitian_inner(normal, nab)
     return tens, ncoeff
 
 
@@ -189,35 +193,36 @@ def full_report(frame, radius):
     conf = 2.0 * radius**2 * np.exp(u.values)
 
     e1, e2 = tangent_analytic(frame, radius)
-    norm_map = normality_map(e1, e2, frame.normal)
+    normal = _normal(frame)
+    norm_map = normality_map(e1, e2, normal)
     g_meas, om_meas = inv.hermitian_induced(e1, e2, check=False)
     conformal = max(
-        float(np.abs(g_meas[..., 0, 0] - conf).max()),
-        float(np.abs(g_meas[..., 1, 1] - conf).max()),
-        float(np.abs(g_meas[..., 0, 1]).max()),
+        float(np.abs(g_meas[0, 0] - conf).max()),
+        float(np.abs(g_meas[1, 1] - conf).max()),
+        float(np.abs(g_meas[0, 1]).max()),
         float(np.abs(om_meas).max()),
     )
 
-    tens, ncf = extract_second_form(frame, radius)
+    gamma = inv.christoffel_from_field(u)
+    tens, ncf = extract_second_form(frame, radius, gamma)
     closed = inv.closed_form_tensor(u.values, frame.spectral.theta)
     tensor_match = float(np.abs(tens - closed).max())
     trace_max = float(np.abs(inv.trace_vector(tens)).max())
 
     target = -2.0 * radius * np.exp(u.values)
     normal_coeff = max(
-        float(np.abs(ncf[..., 0, 0] - target).max()),
-        float(np.abs(ncf[..., 1, 1] - target).max()),
-        float(np.abs(ncf[..., 0, 1]).max()),
-        float(np.abs(ncf[..., 1, 0]).max()),
+        float(np.abs(ncf[0, 0] - target).max()),
+        float(np.abs(ncf[1, 1] - target).max()),
+        float(np.abs(ncf[0, 1]).max()),
+        float(np.abs(ncf[1, 0]).max()),
     )
 
-    g_an = np.zeros(conf.shape + (2, 2))
-    g_an[..., 0, 0] = conf
-    g_an[..., 1, 1] = conf
+    g_an = np.zeros((2, 2) + conf.shape)
+    g_an[0, 0] = conf
+    g_an[1, 1] = conf
     h2, t2, t4 = inv.scalar_invariants(tens, g_an)
     h2_max = float(np.abs(h2).max())
 
-    gamma = inv.christoffel_from_field(u)
     riem = inv.riemann(gamma, grid.hx, grid.hy)
     k_curv = inv.gauss_curvature(g_an, riem)
     gauss = float(np.abs(inv.gauss_residual(k_curv, h2, t2, radius)).max())
@@ -228,7 +233,7 @@ def full_report(frame, radius):
     t2_defect = float(np.abs(t2 * scale3 - 2.0).max())
     t4_defect = float(np.abs(t4 * scale6 - 2.0).max())
 
-    radii = np.sqrt(np.sum(np.abs(radius * frame.normal) ** 2, axis=-1))
+    radii = np.sqrt(np.sum(np.abs(radius * normal) ** 2, axis=0))
     sphere = float(np.abs(radii - radius).max())
 
     closure = torus_closure(frame).max_defect if frame.closing else None

@@ -1,7 +1,9 @@
 """Independent oracles the tests check pipeline quantities against.
 
 None of these is on the pipeline's path: the generic Levi-Civita connection
-cross-checks the conformal closed form, grid differencing of the embedding
+cross-checks the conformal closed form, index loops over their definitions
+cross-check the contractions of the induced metric, the lowered cubic form,
+its scalar invariants and the Codazzi connection terms, grid differencing of the embedding
 cross-checks the analytic tangents, DOP853 shooting cross-checks the
 travelling wave's closed form and its quadrature period, trigonometric
 interpolation of a wave profile's samples cross-checks its closed-form
@@ -15,8 +17,8 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import spsolve
 
-from tzitzeica.grid import AXIS_X, AXIS_Y, ddx, ddy, deriv, deriv_nonperiodic
-from tzitzeica.invariants import check_spd, inv2
+from tzitzeica.grid import ddx, ddy, deriv, deriv_nonperiodic
+from tzitzeica.invariants import NODE_X, NODE_Y, check_spd, inv2
 from tzitzeica.wave import _cubic_roots, period_quadrature
 
 
@@ -27,24 +29,84 @@ def _dfield(values, h, axis, periodic, method):
 
 
 def christoffel_generic(g, hx, hy, periodic=True, method="fd4"):
-    """Levi-Civita connection of an arbitrary 2D metric field via
+    """Levi-Civita connection of an arbitrary 2D metric field g[i, j] of
+    shape (2, 2, ny, nx) via
     gamma^k_ij = g^{ks}/2 (d_i g_sj + d_j g_is - d_s g_ij)."""
     g = np.asarray(g, dtype=float)
     check_spd(g)
     ginv = inv2(g)
     dg = np.stack(
         [
-            _dfield(g, hx, AXIS_X, periodic, method),
-            _dfield(g, hy, AXIS_Y, periodic, method),
-        ],
-        axis=-3,
-    )  # dg[..., a, i, j] = d_a g_ij
+            _dfield(g, hx, NODE_X, periodic, method),
+            _dfield(g, hy, NODE_Y, periodic, method),
+        ]
+    )  # dg[a, i, j] = d_a g_ij
     bracket = (
-        np.einsum("...isj->...sij", dg)
-        + np.einsum("...jis->...sij", dg)
+        np.einsum("isj...->sij...", dg)
+        + np.einsum("jis...->sij...", dg)
         - dg
     )
-    return 0.5 * np.einsum("...ks,...sij->...kij", ginv, bracket)
+    return 0.5 * np.einsum("ks...,sij...->kij...", ginv, bracket)
+
+
+def lower_tensor_loops(t, g):
+    """t_kij = sum_s g_ks t^s_ij of one node's components, by index loops."""
+    return np.array([[[sum(g[k, s] * t[s, i, j] for s in range(2)) for j in range(2)]
+                      for i in range(2)] for k in range(2)])
+
+
+def hermitian_induced_loops(e1, e2):
+    """g_ab + i w_ab = sum_c conj(E_a^c) E_b^c of one node's tangents, by index
+    loops; returns (g, w)."""
+    e = (e1, e2)
+    h = np.array([[sum(np.conj(e[a][c]) * e[b][c] for c in range(3)) for b in range(2)]
+                  for a in range(2)])
+    return h.real, h.imag
+
+
+def scalar_invariants_loops(t, g):
+    """(h2, t2, t4) of one node's mixed cubic form t[k, i, j] and metric g, by
+    index loops over the definitions, with g^-1 from numpy.linalg.inv:
+    m_s = t^i_is, h2 = g^sk m_s m_k, t2 = t^a_bc t_a^bc with t_a^bc =
+    g_as g^bi g^cj t^s_ij, and t4 = q^a_c q^c_a with
+    q^a_c = t^a_jk g^jp g^kr g_cs t^s_pr."""
+    gi = np.linalg.inv(g)
+    idx = range(2)
+    m = [sum(t[i, i, s] for i in idx) for s in idx]
+    h2 = sum(gi[s, k] * m[s] * m[k] for s in idx for k in idx)
+    t2 = sum(t[a, b, c] * g[a, s] * gi[b, i] * gi[c, j] * t[s, i, j]
+             for a in idx for b in idx for c in idx for s in idx for i in idx for j in idx)
+    q = [[sum(t[a, j, k] * gi[j, p] * gi[k, r] * g[c, s] * t[s, p, r]
+              for j in idx for k in idx for p in idx for r in idx for s in idx)
+          for c in idx] for a in idx]
+    t4 = sum(q[a][c] * q[c][a] for a in idx for c in idx)
+    return h2, t2, t4
+
+
+def codazzi_loops(t, gamma, g, hx, hy):
+    """Per-node max over i, j, s, k of |nabla_i t_jsk - nabla_j t_isk| for
+    fields with the node axes last, each connection term summed by index
+    loops: nabla_i t_jsk = d_i t_jsk - gam^r_ij t_rsk - gam^r_is t_jrk
+    - gam^r_ik t_jsr, with d_i the grid's fd4 derivative of the loop-lowered
+    tensor."""
+    nodes = list(np.ndindex(t.shape[3:]))
+    low = np.empty(t.shape)
+    for n in nodes:
+        low[(...,) + n] = lower_tensor_loops(t[(...,) + n], g[(...,) + n])
+    dt = (deriv(low, hx, -1), deriv(low, hy, -2))
+    out = np.zeros(t.shape[3:])
+    for n in nodes:
+        gam, tl = gamma[(...,) + n], low[(...,) + n]
+
+        def nabla(i, j, s, k):
+            return dt[i][(j, s, k) + n] - sum(
+                gam[r, i, j] * tl[r, s, k] + gam[r, i, s] * tl[j, r, k] + gam[r, i, k] * tl[j, s, r]
+                for r in range(2)
+            )
+
+        out[n] = max(abs(nabla(i, j, s, k) - nabla(j, i, s, k))
+                     for i in range(2) for j in range(2) for s in range(2) for k in range(2))
+    return out
 
 
 def fd_tangents(mesh, method="fd4"):

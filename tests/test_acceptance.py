@@ -5,6 +5,7 @@ lines; assertions carry the same numbers either way.
 """
 
 import json
+import pathlib
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from tzitzeica import cli
 from tzitzeica.config import parse_config_text
 from tzitzeica.grid import PeriodicGrid, field_from_function, resonance_gap, zero_field
-from tzitzeica.invariants import closed_form_tensor, trace_vector
+from tzitzeica.invariants import christoffel_from_field, closed_form_tensor, trace_vector
 from tzitzeica.lax import (
     SpectralPoint,
     compatibility_residual,
@@ -90,8 +91,8 @@ def test_criterion_1_flat_minimal_torus(flat_pipeline):
 
 def test_criterion_9_determinism(flat_pipeline):
     (out_a, out_b), _ = flat_pipeline[0], flat_pipeline[1]
-    bytes_a = open(f"{out_a}/report.json", "rb").read()
-    bytes_b = open(f"{out_b}/report.json", "rb").read()
+    bytes_a = pathlib.Path(out_a, "report.json").read_bytes()
+    bytes_b = pathlib.Path(out_b, "report.json").read_bytes()
     assert bytes_a == bytes_b, "two identical pipeline runs produced different reports"
     _report(f"[acceptance 9] determinism: PASS ({len(bytes_a)} identical bytes)")
 
@@ -304,16 +305,16 @@ def test_criterion_7_second_form_extraction(wave61):
         grid = PeriodicGrid(n, n, wave61.period, 1.0)
         u = lift_1d(wave61, grid)
         frame = integrate_frame(u, SpectralPoint(theta), substeps=8)
-        tens, ncoeff = extract_second_form(frame, 1.0)
+        tens, ncoeff = extract_second_form(frame, 1.0, christoffel_from_field(u))
         expected = closed_form_tensor(u.values, theta)
         errs.append(np.abs(tens - expected).max())
         target = -2.0 * np.exp(u.values)
         ncs.append(
             max(
-                np.abs(ncoeff[..., 0, 0] - target).max(),
-                np.abs(ncoeff[..., 1, 1] - target).max(),
-                np.abs(ncoeff[..., 0, 1]).max(),
-                np.abs(ncoeff[..., 1, 0]).max(),
+                np.abs(ncoeff[0, 0] - target).max(),
+                np.abs(ncoeff[1, 1] - target).max(),
+                np.abs(ncoeff[0, 1]).max(),
+                np.abs(ncoeff[1, 0]).max(),
             )
         )
         hs.append(wave61.period / n)
@@ -342,7 +343,7 @@ def test_criterion_8_negative_controls(wave61):
     frame = integrate_frame(u, SpectralPoint(0.0), substeps=16)
     jbad, ibad = 9, 21
     frame.unitary[jbad, ibad, :, 2] += 1e-3
-    nmap = normality_map(*tangent_analytic(frame, 1.0), frame.normal)
+    nmap = normality_map(*tangent_analytic(frame, 1.0), np.moveaxis(frame.normal, -1, 0))
     defect_at = float(nmap[jbad, ibad])
     others = nmap.copy()
     others[jbad, ibad] = 0.0

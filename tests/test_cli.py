@@ -206,9 +206,31 @@ def test_near_singular_seed_is_exit_4_without_warnings(tmp_path):
     text = (f"nx = {n}\nny = {n}\nlx = {lx!r}\nly = {lx!r}\nseed = file\n"
             f"field_path = {seed}\nout_dir = {out}\n")
     assert cli.main(["solve", "--config", write_config(tmp_path, text)]) == 4
-    last = (out / "solve.log").read_text().strip().splitlines()[-1]
-    assert last in ("error: newton-divergence", "error: singular-jacobian")
+    lines = (out / "solve.log").read_text().strip().splitlines()
+    assert lines[-1] in ("error: newton-divergence", "error: singular-jacobian")
+    # the log keeps the trajectory, which stops at the step that blew the residual up
+    assert 1 <= sum(line.startswith("residual[") for line in lines) <= 2
     assert not (out / cli.FIELD_CSV).exists()
+
+
+def test_untyped_exception_in_a_stage_is_exit_4(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=16, extra="re_unitarize = true\n"))
+    for stage in ("solve", "frame", "report"):
+        assert cli.main([stage, "--config", cfg]) == 0
+    assert (out / cli.REPORT_JSON).exists()
+
+    def broken(frame, radius):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "full_report", broken)
+    capsys.readouterr()
+    assert cli.main(["report", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "LinAlgError: SVD did not converge" in err
+    assert err.strip().splitlines()[-1] == "error: numerical-failure"
+    assert (out / "report.log").read_text().strip().splitlines()[-1] == "error: numerical-failure"
+    assert not (out / cli.REPORT_JSON).exists()
 
 
 def _scipy_modules_after(code):
@@ -266,7 +288,7 @@ def test_solve_stage_zero_seed(flat_run):
     cfg, out = flat_run
     field = load_field(os.path.join(out, cli.FIELD_CSV))
     assert np.all(field.values == 0.0)
-    log = open(os.path.join(out, "solve.log")).read()
+    log = pathlib.Path(out, "solve.log").read_text()
     assert "final_residual=0" in log
 
 
@@ -282,7 +304,7 @@ def test_frame_csv_round_trip(flat_run, tmp_path):
     # write/read identity, down to the bytes of the file
     second = str(tmp_path / "frame2.bin")
     cli.save_frame(frame, second)
-    assert open(second, "rb").read() == open(first, "rb").read()
+    assert pathlib.Path(second).read_bytes() == pathlib.Path(first).read_bytes()
     again = cli.load_frame(second, field)
     assert np.array_equal(again.unitary, frame.unitary)
     assert (again.closing, again.substeps) == (frame.closing, frame.substeps)
@@ -323,7 +345,7 @@ def test_mesh_csv_and_obj_round_trip(flat_run):
     assert meta["projection"] == "pca"
     assert meta["faces"] == 2 * 32 * 32
 
-    ply = open(os.path.join(out, "mesh.ply")).read().splitlines()
+    ply = pathlib.Path(out, "mesh.ply").read_text().splitlines()
     assert ply[0] == "ply"
     assert f"element vertex {32*32}" in ply
 
@@ -360,11 +382,11 @@ def test_wave_stage(tmp_path):
         flat_config_text(out, extra="wave_energy = 6.1\n")
     )
     cli.run_pipeline(cfg, "wave", out, echo=False)
-    lines = open(os.path.join(out, cli.WAVE_CSV)).read().splitlines()
+    lines = pathlib.Path(out, cli.WAVE_CSV).read_text().splitlines()
     n, period, energy = lines[0].split(",")
     assert int(n) == len(lines) - 1
     assert abs(float(energy) - 6.1) < 1e-12
-    log = dict(line.split("=", 1) for line in open(os.path.join(out, "wave.log")).read().splitlines())
+    log = dict(line.split("=", 1) for line in pathlib.Path(out, "wave.log").read_text().splitlines())
     assert log["period_quadrature"] == format_float(period_quadrature(6.1))
     assert abs(float(log["period"]) - float(log["period_quadrature"])) < 1e-12
     assert float(period) == float(log["period"])
@@ -397,7 +419,7 @@ def test_report_through_files_keeps_substeps(tmp_path):
     report = full_report(frame, cfg.radius)
     in_memory = str(tmp_path / "in_memory.json")
     cli.write_report_json(report, in_memory)
-    assert open(in_memory, "rb").read() == open(os.path.join(out, cli.REPORT_JSON), "rb").read()
+    assert pathlib.Path(in_memory).read_bytes() == pathlib.Path(out, cli.REPORT_JSON).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,13 @@ from tzitzeica.linalg3 import hermitian_inner
 from tzitzeica.wave import lift_1d
 
 from conftest import loglog_slope
-from oracles import christoffel_generic
+from oracles import (
+    christoffel_generic,
+    codazzi_loops,
+    hermitian_induced_loops,
+    lower_tensor_loops,
+    scalar_invariants_loops,
+)
 
 E1 = np.array([1.0, 0.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0, 0.0], dtype=complex)
@@ -60,10 +66,10 @@ def test_christoffel_conformal_linear_exponent():
     ux = np.full((4, 4), alpha)
     uy = np.zeros((4, 4))
     gam = christoffel_conformal(ux, uy)
-    assert np.allclose(gam[..., 0, 0, 0], alpha / 2)
-    assert np.allclose(gam[..., 1, 0, 1], alpha / 2)
-    assert np.allclose(gam[..., 0, 1, 1], -alpha / 2)
-    assert np.allclose(gam[..., 1, 0, 0], 0.0)
+    assert np.allclose(gam[0, 0, 0], alpha / 2)
+    assert np.allclose(gam[1, 0, 1], alpha / 2)
+    assert np.allclose(gam[0, 1, 1], -alpha / 2)
+    assert np.allclose(gam[1, 0, 0], 0.0)
 
 
 def test_christoffel_constant_exponent_vanishes():
@@ -76,7 +82,7 @@ def test_christoffel_symmetry_in_lower_indices():
     g = PeriodicGrid(16, 16, 1.0, 1.3)
     u = field_from_function(g, lambda x, y: 0.2 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y / 1.3))
     gam = christoffel_from_field(u)
-    assert np.array_equal(gam, np.swapaxes(gam, -1, -2))
+    assert np.array_equal(gam, np.swapaxes(gam, 1, 2))
 
 
 def test_generic_christoffel_agrees_with_conformal_closed_form():
@@ -88,9 +94,9 @@ def test_generic_christoffel_agrees_with_conformal_closed_form():
         )
         gam_closed = christoffel_from_field(u)
         conf = 2.0 * np.exp(u.values)
-        metric = np.zeros((n, n, 2, 2))
-        metric[..., 0, 0] = conf
-        metric[..., 1, 1] = conf
+        metric = np.zeros((2, 2, n, n))
+        metric[0, 0] = conf
+        metric[1, 1] = conf
         gam_gen = christoffel_generic(metric, g.hx, g.hy)
         errs.append(np.abs(gam_gen - gam_closed).max())
         hs.append(g.hx)
@@ -98,7 +104,7 @@ def test_generic_christoffel_agrees_with_conformal_closed_form():
 
 
 def test_riemann_zero_connection():
-    gam = np.zeros((8, 8, 2, 2, 2))
+    gam = np.zeros((2, 2, 2, 8, 8))
     assert np.abs(riemann(gam, 0.1, 0.1)).max() == 0.0
 
 
@@ -106,7 +112,7 @@ def test_riemann_antisymmetry_exact():
     g = PeriodicGrid(16, 16, 1.0, 1.0)
     u = field_from_function(g, lambda x, y: 0.3 * np.sin(2 * np.pi * x) + 0.1 * np.cos(2 * np.pi * y))
     riem = riemann(christoffel_from_field(u), g.hx, g.hy)
-    assert np.abs(riem + np.swapaxes(riem, -1, -2)).max() == 0.0
+    assert np.abs(riem + np.swapaxes(riem, 2, 3)).max() == 0.0
     assert np.abs(riem).max() > 0.0
 
 
@@ -114,9 +120,9 @@ def test_flat_conformal_metric_curvature_zero():
     g = PeriodicGrid(16, 16, 1.0, 1.0)
     u = ScalarFieldPeriodic(g, np.zeros((16, 16)))
     riem = riemann(christoffel_from_field(u), g.hx, g.hy)
-    metric = np.zeros((16, 16, 2, 2))
-    metric[..., 0, 0] = 2.0
-    metric[..., 1, 1] = 2.0
+    metric = np.zeros((2, 2, 16, 16))
+    metric[0, 0] = 2.0
+    metric[1, 1] = 2.0
     assert np.abs(gauss_curvature(metric, riem)).max() == 0.0
 
 
@@ -127,9 +133,9 @@ def _sphere_band_curvature(n, scale=1.0):
     y = np.linspace(0.0, 1.0, n)
     hx, hy = x[1] - x[0], y[1] - y[0]
     xx = np.tile(x, (n, 1))
-    metric = np.zeros((n, n, 2, 2))
-    metric[..., 0, 0] = 1.0 / scale**2
-    metric[..., 1, 1] = np.sin(xx / scale) ** 2 / scale**2
+    metric = np.zeros((2, 2, n, n))
+    metric[0, 0] = 1.0 / scale**2
+    metric[1, 1] = np.sin(xx / scale) ** 2 / scale**2
     gam = christoffel_generic(metric, hx, hy, periodic=False)
     riem = riemann(gam, hx, hy, periodic=False)
     k = gauss_curvature(metric, riem)
@@ -157,9 +163,9 @@ def test_revolution_torus_curvature_generic_path():
         hx, hy = 2 * np.pi / n, 1.0 / n
         x = np.arange(n) * hx
         xx = np.tile(x, (n, 1))
-        metric = np.zeros((n, n, 2, 2))
-        metric[..., 0, 0] = 1.0
-        metric[..., 1, 1] = (2.0 + np.cos(xx)) ** 2
+        metric = np.zeros((2, 2, n, n))
+        metric[0, 0] = 1.0
+        metric[1, 1] = (2.0 + np.cos(xx)) ** 2
         gam = christoffel_generic(metric, hx, hy, periodic=True)
         riem = riemann(gam, hx, hy, periodic=True)
         k = gauss_curvature(metric, riem)
@@ -180,9 +186,9 @@ def test_gauss_curvature_invariant_under_geometry_preserving_rescale():
 
 def _conformal_metric(u, radius=1.0):
     c = 2.0 * radius**2 * np.exp(np.asarray(u, dtype=float))
-    g = np.zeros(np.shape(u) + (2, 2))
-    g[..., 0, 0] = c
-    g[..., 1, 1] = c
+    g = np.zeros((2, 2) + np.shape(u))
+    g[0, 0] = c
+    g[1, 1] = c
     return g
 
 
@@ -225,13 +231,74 @@ def test_lowered_tensor_fully_symmetric():
     t = closed_form_tensor(u, 0.37)
     low = lower_tensor(t, _conformal_metric(u, 1.3))
     for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        permuted = np.transpose(low, (0, 1) + tuple(2 + p for p in perm))
+        permuted = np.transpose(low, perm + (3, 4))
         assert np.abs(low - permuted).max() < 1e-12
 
 
 def test_gauss_residual_arithmetic():
     assert gauss_residual(0.0, 0.0, 2.0, 1.0) == 0.0
     assert gauss_residual(1.0, 0.0, 2.0, 1.0) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# the contractions against index loops, at random nodes of random fields
+# ---------------------------------------------------------------------------
+
+LOOP_TOL = 1e-13
+
+
+def _random_fields(seed, ny=5, nx=7):
+    """A random mixed tensor t[k, i, j] and a random non-conformal SPD metric,
+    node axes last."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-0.5, 0.5, (2, 2, 2, ny, nx))
+    a = rng.uniform(-0.4, 0.4, (2, 2, ny, nx))
+    g = np.einsum("ik...,jk...->ij...", a, a)
+    g[0, 0] += 1.0
+    g[1, 1] += 0.7
+    return rng, t, g
+
+
+def _random_nodes(rng, shape, count=6):
+    return [(int(rng.integers(shape[0])), int(rng.integers(shape[1]))) for _ in range(count)]
+
+
+def test_lower_tensor_matches_index_loops():
+    rng, t, g = _random_fields(21)
+    low = lower_tensor(t, g)
+    for node in _random_nodes(rng, t.shape[3:]):
+        at = (...,) + node
+        assert np.abs(low[at] - lower_tensor_loops(t[at], g[at])).max() <= LOOP_TOL
+
+
+def test_hermitian_induced_matches_index_loops():
+    rng = np.random.default_rng(22)
+    e1, e2 = (rng.standard_normal((3, 5, 7)) + 1j * rng.standard_normal((3, 5, 7)) for _ in range(2))
+    g, om = hermitian_induced(e1, e2)
+    assert np.abs(g[0, 0] - g[1, 1]).min() > 1e-3  # not conformal
+    for node in _random_nodes(rng, (5, 7)):
+        at = (...,) + node
+        g_loop, om_loop = hermitian_induced_loops(e1[at], e2[at])
+        assert np.abs(g[at] - g_loop).max() <= LOOP_TOL
+        assert np.abs(om[at] - om_loop).max() <= LOOP_TOL
+
+
+def test_scalar_invariants_match_index_loops():
+    rng, t, g = _random_fields(23)
+    h2, t2, t4 = scalar_invariants(t, g)
+    for node in _random_nodes(rng, t.shape[3:]):
+        at = (...,) + node
+        loops = scalar_invariants_loops(t[at], g[at])
+        assert max(abs(a - b) for a, b in zip((h2[node], t2[node], t4[node]), loops)) <= LOOP_TOL
+
+
+def test_codazzi_connection_terms_match_index_loops():
+    rng, t, g = _random_fields(24)
+    gamma = rng.uniform(-0.5, 0.5, (2, 2, 2) + t.shape[3:])
+    res = codazzi_residual(t, gamma, g, 0.3, 0.2)
+    loops = codazzi_loops(t, gamma, g, 0.3, 0.2)
+    for node in _random_nodes(rng, t.shape[3:]):
+        assert abs(res[node] - loops[node]) <= LOOP_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +310,7 @@ def test_codazzi_zero_tensor():
     g = PeriodicGrid(16, 16, 1.0, 1.0)
     u = field_from_function(g, lambda x, y: 0.2 * np.sin(2 * np.pi * x))
     gam = christoffel_from_field(u)
-    res = codazzi_residual(np.zeros((16, 16, 2, 2, 2)), gam, _conformal_metric(u.values), g.hx, g.hy)
+    res = codazzi_residual(np.zeros((2, 2, 2, 16, 16)), gam, _conformal_metric(u.values), g.hx, g.hy)
     assert np.abs(res).max() == 0.0
 
 
@@ -264,7 +331,7 @@ def test_codazzi_detects_perturbation(wave61):
     g = PeriodicGrid(32, 8, wave61.period, 1.0)
     u = lift_1d(wave61, g)
     t = closed_form_tensor(u.values, 0.4)
-    t[..., 0, 0, 0] += 0.1
+    t[0, 0, 0] += 0.1
     gam = christoffel_from_field(u)
     res = codazzi_residual(t, gam, _conformal_metric(u.values), g.hx, g.hy)
     assert res.max() > 1e-2
