@@ -41,7 +41,7 @@ FRAME_FILE = "frame.bin"
 MESH_CSV = "mesh.csv"
 REPORT_JSON = "report.json"
 MESH_STEM = "mesh"
-FRAME_TOL = 1e-8  # largest unitarity defect of a frame the surface and report stages accept
+FRAME_TOL = 1e-8  # bound on the unitarity defect of a frame the stages write or read
 
 
 class StageLog:
@@ -170,6 +170,15 @@ def stage_wave(cfg, out_dir, log):
     log.add(f"energy_drift={format_float(profile.drift)}")
 
 
+def _unitarity_gate(frame):
+    """The frame's unitarity defect; raises InvalidFrameError when it is
+    FRAME_TOL or more."""
+    defect = frame_orthonormality_report(frame)
+    if defect >= FRAME_TOL:
+        raise InvalidFrameError(f"frame unitarity defect {defect:.3e} >= {FRAME_TOL:g}")
+    return defect
+
+
 def stage_frame(cfg, out_dir, log):
     u = load_field(_require_artifact(out_dir, FIELD_CSV))
     frame = integrate_frame(
@@ -179,8 +188,8 @@ def stage_frame(cfg, out_dir, log):
         closing=cfg.extend_closure,
         re_unitarize=cfg.re_unitarize,
     )
+    log.add(f"unitarity_defect={format_float(_unitarity_gate(frame))}")
     save_frame(frame, os.path.join(out_dir, FRAME_FILE))
-    log.add(f"unitarity_defect={format_float(frame_orthonormality_report(frame))}")
 
 
 def _load_frame_stage(cfg, out_dir):
@@ -193,9 +202,7 @@ def _load_frame_stage(cfg, out_dir):
             f"{FRAME_FILE} was integrated at theta = {frame.spectral.theta!r}, the config has "
             f"theta = {cfg.theta!r}; rerun the frame stage"
         )
-    defect = frame_orthonormality_report(frame)
-    if defect >= FRAME_TOL:
-        raise InvalidFrameError(f"frame unitarity defect {defect:.3e} >= {FRAME_TOL:g}")
+    _unitarity_gate(frame)
     return frame
 
 

@@ -58,12 +58,6 @@ class IncommensuratePeriodError(NumericalFailure):
     name = "incommensurate-period"
 
 
-class UnitarityBlowupError(NumericalFailure):
-    """Frame integration lost unitarity beyond the hard threshold."""
-
-    name = "unitarity-blowup"
-
-
 class InvalidFrameError(NumericalFailure):
     """Frame field does not satisfy its orthonormality contract."""
 

@@ -129,11 +129,6 @@ def laplacian(values, grid):
     return deriv2(values, grid.hx, AXIS_X) + deriv2(values, grid.hy, AXIS_Y)
 
 
-def deriv_nonperiodic(values, h, axis):
-    """One-sided-at-edges derivative for non-periodic oracle data (order 2)."""
-    return np.gradient(np.asarray(values), h, axis=axis, edge_order=2)
-
-
 def trig_upsample(values, factor, axis, offsets):
     """The trigonometric interpolant of real periodic samples along ``axis``
     at node + k * h / factor for each integer k of ``offsets``, shape

@@ -96,22 +96,17 @@ def christoffel_from_field(u):
     return christoffel_conformal(ux, uy)
 
 
-def _dfield(values, h, axis, periodic):
-    if periodic:
-        return gridmod.deriv(values, h, axis)
-    return gridmod.deriv_nonperiodic(values, h, axis)
-
-
-def riemann(gamma, hx, hy, periodic=True):
+def riemann(gamma, hx, hy):
     """Curvature tensor r^s_kij = d_i gamma^s_kj - d_j gamma^s_ki
-    - gamma^r_ki gamma^s_rj + gamma^r_kj gamma^s_ri.
+    - gamma^r_ki gamma^s_rj + gamma^r_kj gamma^s_ri of a periodic connection,
+    with the grid's 4th-order derivatives.
 
     In two dimensions only the (i, j) = (0, 1) component is independent; the
     (1, 0) slot is stored as its exact negation, so antisymmetry holds
     bit-for-bit.
     """
     gamma = np.asarray(gamma, dtype=float)
-    dgam = [_dfield(gamma, hx, NODE_X, periodic), _dfield(gamma, hy, NODE_Y, periodic)]
+    dgam = [gridmod.deriv(gamma, hx, NODE_X), gridmod.deriv(gamma, hy, NODE_Y)]
     riem = np.zeros((2,) + gamma.shape)
     for s in range(2):
         for k in range(2):

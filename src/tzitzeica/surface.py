@@ -139,8 +139,8 @@ def torus_closure(frame):
     """Frame mismatch U(p + period) - U(p) over the base nodes, for the x and
     the y period, from the monodromies of a closing frame.
 
-    The march reuses the periodic cell propagators, so for either march
-    order the frame continued past the period is, exactly,
+    The march reuses the periodic cell propagators, so the frame continued
+    past the period is, exactly,
     U(i + nx, j) = M_j U(i, j) with the row monodromy M_j = U(nx, j) U(0, j)^-1,
     and U(i, j + ny) = L_i U(i, j) with L_i = U(i, ny) U(i, 0)^-1.  The
     defects are max |(M_j - I) U(i, j)| and max |(L_i - I) U(i, j)|.  The two

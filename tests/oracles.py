@@ -10,6 +10,12 @@ interpolation of a wave profile's samples cross-checks its closed-form
 evaluation, the OBJ reader reads back what the export stage wrote, the
 loop triangulation cross-checks the vectorized one, and Newton's method with
 sparse direct steps on an assembled Laplacian cross-checks the MINRES steps.
+
+The z / zbar linear system the frame generators are derived from also lives
+here, with its bilinear pairing laws and its one-cell compatibility check:
+the frame generators of tzitzeica.lax are checked against its gauge
+transform, and the marched psi (tests/reference_march.reference_psi)
+against the pairing laws.
 """
 
 import numpy as np
@@ -17,30 +23,19 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import spsolve
 
-from tzitzeica.grid import ddx, ddy, deriv, deriv_nonperiodic
+from tzitzeica.grid import AXIS_X, AXIS_Y, ddx, ddy, deriv
 from tzitzeica.invariants import NODE_X, NODE_Y, check_spd, inv2
 from tzitzeica.wave import _cubic_roots, period_quadrature
 
 
-def _dfield(values, h, axis, periodic, method):
-    if periodic:
-        return deriv(values, h, axis, method)
-    return deriv_nonperiodic(values, h, axis)
-
-
-def christoffel_generic(g, hx, hy, periodic=True, method="fd4"):
-    """Levi-Civita connection of an arbitrary 2D metric field g[i, j] of
-    shape (2, 2, ny, nx) via
+def christoffel_generic(g, hx, hy):
+    """Levi-Civita connection of an arbitrary periodic 2D metric field g[i, j]
+    of shape (2, 2, ny, nx) via
     gamma^k_ij = g^{ks}/2 (d_i g_sj + d_j g_is - d_s g_ij)."""
     g = np.asarray(g, dtype=float)
     check_spd(g)
     ginv = inv2(g)
-    dg = np.stack(
-        [
-            _dfield(g, hx, NODE_X, periodic, method),
-            _dfield(g, hy, NODE_Y, periodic, method),
-        ]
-    )  # dg[a, i, j] = d_a g_ij
+    dg = np.stack([deriv(g, hx, NODE_X), deriv(g, hy, NODE_Y)])  # dg[a, i, j] = d_a g_ij
     bracket = (
         np.einsum("isj...->sij...", dg)
         + np.einsum("jis...->sij...", dg)
@@ -220,3 +215,103 @@ def newton_lu(values, grid, tol, max_iter):
         jac = lap + sp.diags(8.0 * np.exp(-2.0 * u) + 4.0 * np.exp(u))
         u = u + spsolve(jac.tocsc(), -r, permc_spec="MMD_AT_PLUS_A")
     return u.reshape(grid.ny, grid.nx), history
+
+
+# ---------------------------------------------------------------------------
+# the psi system, its zero-curvature diagnostic and its bilinear pairing
+# ---------------------------------------------------------------------------
+
+
+def lax_z_matrix(u, u_z, lam):
+    """A of d_z psi = A psi."""
+    out = np.zeros(np.shape(u) + (3, 3), dtype=complex)
+    out[..., 0, 0] = -u_z
+    out[..., 0, 2] = 1j * lam
+    out[..., 1, 0] = 1j
+    out[..., 1, 1] = u_z
+    out[..., 2, 1] = 1j
+    return out
+
+
+def lax_zbar_matrix(u, lam):
+    """B of d_zbar psi = B psi."""
+    out = np.zeros(np.shape(u) + (3, 3), dtype=complex)
+    out[..., 0, 1] = 1j * np.exp(-2.0 * u)
+    out[..., 1, 2] = 1j * np.exp(u)
+    out[..., 2, 0] = 1j * np.exp(u) / lam
+    return out
+
+
+def _expm_taylor(mat):
+    """Matrix exponential by its Taylor series to the 12th power."""
+    out = np.zeros_like(mat)
+    out[...] = np.eye(3)
+    power = out.copy()
+    for k in range(1, 13):
+        power = power @ mat / k
+        out = out + power
+    return out
+
+
+def compatibility_residual(u, spectral):
+    """Max commutator defect of one-cell transport, x-step then y-step versus
+    y-step then x-step.
+
+    The two edge generators are P = A + B (a z-advance plus a zbar-advance by
+    the cell width) and Q = i (A - B); the loop defect per cell is
+    hx*hy*|d_zbar A - d_z B + [A, B]| + O(h^3), and the bracket expression is
+    diag(-1, 1, 0)/4 times the PDE residual, so the defect vanishes with it.
+    """
+    lam = spectral.lam
+    grid = u.grid
+    vals = u.values
+    ux = ddx(vals, grid)
+    uy = ddy(vals, grid)
+    u_z = 0.5 * (ux - 1j * uy)
+    a = lax_z_matrix(vals, u_z, lam)
+    b = lax_zbar_matrix(vals, lam)
+    p = a + b
+    q = 1j * (a - b)
+    px_bot = 0.5 * (p + np.roll(p, -1, AXIS_X))
+    px_top = np.roll(px_bot, -1, AXIS_Y)
+    qy_left = 0.5 * (q + np.roll(q, -1, AXIS_Y))
+    qy_right = np.roll(qy_left, -1, AXIS_X)
+    tx_bot = _expm_taylor(grid.hx * px_bot)
+    tx_top = _expm_taylor(grid.hx * px_top)
+    ty_left = _expm_taylor(grid.hy * qy_left)
+    ty_right = _expm_taylor(grid.hy * qy_right)
+    defect = ty_right @ tx_bot - tx_top @ ty_left
+    return float(np.abs(defect).max())
+
+
+def pairing_series(lam, psis, phis):
+    """Bilinear pairing lam (psi1 phi2 - psi2 phi1) - lam^2 psi3 phi3 of psi
+    and phi values, elementwise over leading axes.
+
+    For phi propagated at the opposite parameter -mu the pairing obeys
+    d_z pairing = i (mu - lam) lam psi2 phi3 and
+    d_zbar pairing = i e^u (lam/mu - 1) lam psi3 phi1,
+    so it is constant in both variables when mu = lam.
+    """
+    p = np.asarray(psis, dtype=complex)
+    q = np.asarray(phis, dtype=complex)
+    return lam * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]) - lam**2 * p[..., 2] * q[..., 2]
+
+
+def pairing_derivative_z(lam, mu, psis, phis):
+    p = np.asarray(psis, dtype=complex)
+    q = np.asarray(phis, dtype=complex)
+    return 1j * (mu - lam) * lam * p[..., 1] * q[..., 2]
+
+
+def pairing_derivative_zbar(lam, mu, u, psis, phis):
+    p = np.asarray(psis, dtype=complex)
+    q = np.asarray(phis, dtype=complex)
+    return 1j * np.exp(np.asarray(u)) * (lam / mu - 1.0) * lam * p[..., 2] * q[..., 0]
+
+
+def pairing_derivative_x(lam, mu, u, psis, phis):
+    """d/dx of the pairing when both factors are marched with A + B."""
+    return pairing_derivative_z(lam, mu, psis, phis) + pairing_derivative_zbar(
+        lam, mu, u, psis, phis
+    )

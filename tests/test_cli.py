@@ -517,6 +517,19 @@ def test_frame_stage_rejects_unwritable_output(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def test_frame_stage_rejects_a_frame_it_integrates_non_unitary(tmp_path, capsys):
+    # 16 substeps per cell of the 16 x 16 flat torus drift 1.8e-8 off the
+    # unitary group, past the bound the later stages hold a frame to; the
+    # failed stage also removes the frame.bin of an earlier run
+    out = _frame_run(tmp_path, nx=16, ny=16, substeps=24)
+    cfg = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=16, substeps=16), "drift.cfg")
+    capsys.readouterr()
+    assert cli.main(["frame", "--config", cfg]) == 4
+    assert (out / "frame.log").read_text().strip().splitlines()[-1] == "error: invalid-frame"
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: invalid-frame"
+    assert not (out / cli.FRAME_FILE).exists()
+
+
 def test_surface_and_report_reject_non_unitary_frame(tmp_path, capsys):
     # finite and of the right size, but one node is scaled off the unitary group
     out = _frame_run(tmp_path)

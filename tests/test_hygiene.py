@@ -1,13 +1,16 @@
 """Source hygiene: every module-level import in the package and its tests is
 used, every public definition of the package is reached from the package
-itself or from the acceptance suite, and every default of a package function
-is overridden by some caller."""
+itself or from the acceptance suite, every default of a package function is
+overridden by some caller other than a unit test, and every attribute the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 import pathlib
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "tzitzeica"
+BENCH = TESTS.parent / "bench"
 
 
 def _bound_names(node):
@@ -140,3 +143,33 @@ def test_no_default_that_no_caller_sets():
     package = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert unset_defaults(package, list(package.values()) + tests) == []
+
+
+def test_no_default_only_unit_tests_override():
+    # the pipeline, the acceptance suite and the benchmark are the callers
+    # that count; cli.main's argv stays None for the console script
+    package = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    callers = list(package.values()) + [(TESTS / "test_acceptance.py").read_text()]
+    callers += [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    assert unset_defaults(package, callers) == ["cli.py:main(argv)"]
+
+
+def _assigned_literal(source, name):
+    """The literal value a module assigns to `name` at its top level."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_every_traced_attribute_resolves():
+    targets = _assigned_literal((BENCH / "tracing.py").read_text(), "TARGETS")
+    assert targets
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _span in targets
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

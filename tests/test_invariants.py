@@ -126,33 +126,17 @@ def test_flat_conformal_metric_curvature_zero():
     assert np.abs(gauss_curvature(metric, riem)).max() == 0.0
 
 
-def _sphere_band_curvature(n, scale=1.0):
-    """K of the metric diag(1, sin^2 x)/scale^2 sampled on x' = scale*x."""
-    x0, x1 = 0.7, np.pi - 0.7
-    x = np.linspace(x0, x1, n) * scale
-    y = np.linspace(0.0, 1.0, n)
-    hx, hy = x[1] - x[0], y[1] - y[0]
-    xx = np.tile(x, (n, 1))
+def _revolution_torus_curvature(n, scale=1.0):
+    """K of the revolution-torus metric diag(1, (2 + cos x)^2) / scale^2 on
+    the periodic n x n grid of the coordinates x' = scale * x, y' = scale * y,
+    and its exact value cos x / (2 + cos x)."""
+    hx, hy = 2 * np.pi * scale / n, scale / n
+    xx = np.tile(np.arange(n) * hx / scale, (n, 1))
     metric = np.zeros((2, 2, n, n))
     metric[0, 0] = 1.0 / scale**2
-    metric[1, 1] = np.sin(xx / scale) ** 2 / scale**2
-    gam = christoffel_generic(metric, hx, hy, periodic=False)
-    riem = riemann(gam, hx, hy, periodic=False)
-    k = gauss_curvature(metric, riem)
-    return k[2:-2, 2:-2]
-
-
-def test_round_sphere_curvature_is_one():
-    # one-sided band edges keep the sup error near second order; the clean
-    # slope measurement lives in the periodic revolution-torus test below
-    errs, hs = [], []
-    for n in (65, 129, 257):
-        k = _sphere_band_curvature(n)
-        errs.append(np.abs(k - 1.0).max())
-        hs.append(1.0 / n)
-    assert errs[-1] < 1e-3
-    assert errs[0] > errs[1] > errs[2]
-    assert loglog_slope(hs, errs) > 1.5
+    metric[1, 1] = (2.0 + np.cos(xx)) ** 2 / scale**2
+    riem = riemann(christoffel_generic(metric, hx, hy), hx, hy)
+    return gauss_curvature(metric, riem), np.cos(xx) / (2.0 + np.cos(xx))
 
 
 def test_revolution_torus_curvature_generic_path():
@@ -160,23 +144,19 @@ def test_revolution_torus_curvature_generic_path():
     # so the generic connection/curvature path converges at stencil order
     errs, hs = [], []
     for n in (32, 64, 128):
-        hx, hy = 2 * np.pi / n, 1.0 / n
-        x = np.arange(n) * hx
-        xx = np.tile(x, (n, 1))
-        metric = np.zeros((2, 2, n, n))
-        metric[0, 0] = 1.0
-        metric[1, 1] = (2.0 + np.cos(xx)) ** 2
-        gam = christoffel_generic(metric, hx, hy, periodic=True)
-        riem = riemann(gam, hx, hy, periodic=True)
-        k = gauss_curvature(metric, riem)
-        errs.append(np.abs(k - np.cos(xx) / (2.0 + np.cos(xx))).max())
-        hs.append(hx)
+        k, exact = _revolution_torus_curvature(n)
+        errs.append(np.abs(k - exact).max())
+        hs.append(2 * np.pi / n)
     assert loglog_slope(hs, errs) > 1.9
 
 
 def test_gauss_curvature_invariant_under_geometry_preserving_rescale():
-    k = _sphere_band_curvature(129, scale=2.0)
-    assert np.abs(k - 1.0).max() < 1e-3
+    # scaling both coordinates by 2 and the metric by 1/4 keeps the geometry,
+    # so K is the same up to rounding
+    k, exact = _revolution_torus_curvature(64)
+    k2, _ = _revolution_torus_curvature(64, scale=2.0)
+    assert np.abs(k2 - k).max() < 1e-12
+    assert np.abs(k2 - exact).max() < 1e-4
 
 
 # ---------------------------------------------------------------------------
