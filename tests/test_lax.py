@@ -16,6 +16,8 @@ from tzitzeica.wave import lift_1d
 from conftest import loglog_slope
 from oracles import (
     compatibility_residual,
+    lax_z_matrix,
+    lax_zbar_matrix,
     pairing_derivative_x,
     pairing_derivative_z,
     pairing_series,
@@ -35,6 +37,21 @@ def test_frame_coefficients_are_anti_hermitian():
         lam = SpectralPoint(rng.uniform(0, 2 * np.pi)).lam
         for coeff in (frame_coeff_x(u, uy, lam), frame_coeff_y(u, ux, lam)):
             assert np.abs(coeff + coeff.conj().T).max() < 1e-13
+
+
+def test_frame_components_consistent_with_psi_system():
+    # columns (e^{u/2} psi1, e^{-u/2} psi2, psi3) of a psi-solution evolve by
+    # the x-direction frame generator
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        u, ux, uy = rng.uniform(-1, 1, 3)
+        lam = SpectralPoint(rng.uniform(0, 2 * np.pi)).lam
+        uz = 0.5 * (ux - 1j * uy)
+        mx = lax_z_matrix(u, uz, lam) + lax_zbar_matrix(u, lam)
+        d = np.diag([np.exp(u / 2), np.exp(-u / 2), 1.0])
+        d_x = np.diag([ux / 2 * np.exp(u / 2), -ux / 2 * np.exp(-u / 2), 0.0])
+        ax = (d_x + d @ mx) @ np.linalg.inv(d)
+        assert np.abs(ax - frame_coeff_x(u, uy, lam).T).max() < 1e-12
 
 
 def test_compatibility_zero_field():
