@@ -24,10 +24,10 @@ from .grid import (
     check_same_grid,
     format_float,
     header_grid,
-    header_line,
     load_field,
-    parse_header,
+    load_nodes,
     save_field,
+    save_nodes,
     save_table,
     zero_field,
 )
@@ -38,7 +38,7 @@ from .surface import build_surface, full_report
 FIELD_CSV = "field.csv"
 WAVE_CSV = "wave.csv"
 FRAME_FILE = "frame.bin"
-MESH_CSV = "mesh.csv"
+MESH_FILE = "mesh.bin"
 REPORT_JSON = "report.json"
 MESH_STEM = "mesh"
 FRAME_TOL = 1e-8  # bound on the unitarity defect of a frame the stages write or read
@@ -72,46 +72,31 @@ def _require_artifact(out_dir, name):
 
 
 # ---------------------------------------------------------------------------
-# frame file: the header line nx,ny,lx,ly,theta,substeps,closing as in the
-# CSV tables, then U of every node as little-endian complex128 in C order,
-# y outer, over (ny + closing) x (nx + closing) nodes: 16 * 9 bytes per node
+# frame file: a node file (grid.save_nodes) with the header
+# nx,ny,lx,ly,theta,substeps,closing and U of every node, y outer, over
+# (ny + closing) x (nx + closing) nodes
 # ---------------------------------------------------------------------------
 
 
 def save_frame(frame, path):
     g = frame.grid
     head = (g.nx, g.ny, g.lx, g.ly, frame.spectral.theta, frame.substeps, int(frame.closing))
-    with open(path, "wb") as fh:
-        fh.write(header_line(head).encode("ascii"))
-        np.ascontiguousarray(frame.unitary, dtype="<c16").tofile(fh)
+    save_nodes(path, head, frame.unitary)
 
 
 def load_frame(path, u):
     """Read a frame written by save_frame for the field u.
 
-    Raises ConfigValidationError when the file is malformed, holds other than
-    the header's node count or a non-finite value, or was integrated on another
-    grid than u's.
+    Raises ConfigValidationError as grid.load_nodes does, or when the frame
+    has no valid substeps or closing, or was integrated on another grid than
+    u's.
     """
-    try:
-        with open(path, "rb") as fh:
-            line = fh.readline().decode("ascii")
-            header = parse_header(line, (int, int, float, float, float, int, int))
-            values = np.fromfile(fh, dtype="<c16")
-            tail = len(fh.read())
-    except (OSError, ValueError) as exc:
-        raise ConfigValidationError(f"frame file {path} cannot be read: {exc}") from exc
+    header, mats = load_nodes(path, "frame file", (int, int, float, float, float, int, int),
+                              lambda h: (h[1] + h[6], h[0] + h[6], 3, 3))
     check_same_grid(path, header_grid(path, "frame file", header), u.grid)
-    nx, ny, _lx, _ly, theta, substeps, closing = header
+    theta, substeps, closing = header[4:]
     if closing not in (0, 1) or substeps < 1:
         raise ConfigValidationError(f"frame file {path} has substeps {substeps}, closing {closing}")
-    shape = (ny + closing, nx + closing, 3, 3)
-    if values.size != math.prod(shape) or tail:
-        raise ConfigValidationError(f"frame file {path} holds {16 * values.size + tail} bytes "
-                                    f"of node data, not {16 * math.prod(shape)}")
-    if not np.isfinite(values).all():
-        raise ConfigValidationError(f"frame file {path} holds non-finite values")
-    mats = values.reshape(shape)
     return FrameField(u.grid, SpectralPoint(theta), mats, u, bool(closing), substeps)
 
 
@@ -209,7 +194,7 @@ def _load_frame_stage(cfg, out_dir):
 def stage_surface(cfg, out_dir, log):
     frame = _load_frame_stage(cfg, out_dir)
     mesh = build_surface(frame, cfg.radius)
-    meshout.save_mesh(mesh, os.path.join(out_dir, MESH_CSV))
+    meshout.save_mesh(mesh, os.path.join(out_dir, MESH_FILE))
     radii = np.sqrt(np.sum(np.abs(mesh.points) ** 2, axis=-1))
     log.add(f"sphere_defect={format_float(np.abs(radii - cfg.radius).max())}")
 
@@ -228,7 +213,7 @@ def stage_report(cfg, out_dir, log):
 
 
 def stage_export(cfg, out_dir, log):
-    path = _require_artifact(out_dir, MESH_CSV)
+    path = _require_artifact(out_dir, MESH_FILE)
     grid, radius, points = meshout.load_mesh_points(path)
     check_same_grid(path, grid, _grid(cfg))
     paths = meshout.export_mesh(
@@ -243,7 +228,7 @@ _STAGES = {
     "solve": (stage_solve, (FIELD_CSV,)),
     "wave": (stage_wave, (WAVE_CSV,)),
     "frame": (stage_frame, (FRAME_FILE,)),
-    "surface": (stage_surface, (MESH_CSV,)),
+    "surface": (stage_surface, (MESH_FILE,)),
     "report": (stage_report, (REPORT_JSON,)),
     "export": (stage_export, tuple(MESH_STEM + suffix for suffix in meshout.EXPORT_SUFFIXES)),
 }

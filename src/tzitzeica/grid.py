@@ -7,6 +7,7 @@ tensor formulas), axis 0 is the y direction (coordinate index 2).  Node
 y ~ y + ly, so there is no duplicated edge row/column.
 """
 
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -181,11 +182,11 @@ def check_resonance(grid):
 
 
 # ---------------------------------------------------------------------------
-# artifact tables (field, wave and mesh CSV): a header line of comma-separated
-# ints and floats, then rows of comma-separated values, all with 17
-# significant digits; save_table writes them, load_table checks them.  The
-# frame file shares the header line (header_line, parse_header) and follows
-# it with binary node data.
+# artifact files: a header line of comma-separated values (header_line,
+# parse_header), then the body.  A text table (save_table; the field file is
+# read back by load_field) holds rows of comma-separated values with 17
+# significant digits; a node file (save_nodes, load_nodes: the frame and the
+# mesh) holds its values as little-endian complex128 in C order, 16 bytes each.
 # ---------------------------------------------------------------------------
 
 
@@ -234,40 +235,33 @@ def save_table(path, header, rows):
         write_rows(fh, rows)
 
 
-def load_table(path, what, types, width, nrows):
-    """Read a table written by save_table; returns (header, rows).
+def save_nodes(path, header, values):
+    """Write header_line(header), then ``values`` as '<c16' in C order."""
+    with open(path, "wb") as fh:
+        fh.write(header_line(header).encode("ascii"))
+        np.ascontiguousarray(values, dtype="<c16").tofile(fh)
 
-    ``types`` converts each header field, and the header calls for
-    ``nrows(header)`` rows of ``width`` values.  Raises ConfigValidationError,
-    naming the file as ``what``, when the file cannot be opened, does not end
-    with the newline save_table ends it with (it was cut short) or holds no
-    rows after its header, the header has other than len(types) fields or a
-    value that does not parse or is not finite, or the file holds other rows
-    than the header calls for or a non-finite value.
-    """
+
+def load_nodes(path, what, types, shape):
+    """Read a node file written by save_nodes; returns (header, values), the
+    values reshaped to ``shape(header)``.  Raises ConfigValidationError, naming
+    the file as ``what``, when the file cannot be opened, its header does not
+    parse by ``types`` (see parse_header), its body is other than 16 bytes per
+    value of that shape, or a value is not finite."""
     try:
         with open(path, "rb") as fh:
-            fh.seek(-1, 2)  # to the last byte; an empty file raises OSError
-            if fh.read(1) != b"\n":
-                raise ValueError("it does not end with a newline; it was cut short")
-        with open(path) as fh:
-            header = parse_header(fh.readline(), types)
-            start = fh.tell()
-            if not fh.read(1):
-                raise ValueError("it holds its header and no rows")
-            fh.seek(start)
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            header = parse_header(fh.readline().decode("ascii"), types)
+            values = np.fromfile(fh, dtype="<c16")
+            tail = len(fh.read())
+        dims = shape(header)
+        if min(dims) < 0 or values.size != math.prod(dims) or tail:
+            raise ValueError(f"it holds {16 * values.size + tail} bytes of node data; its "
+                             f"header calls for {dims} values")
+        if not np.isfinite(values).all():
+            raise ValueError("it holds non-finite values")
     except (OSError, ValueError) as exc:
         raise ConfigValidationError(f"{what} {path} cannot be read: {exc}") from exc
-    n = nrows(header)
-    if rows.shape != (n, width):
-        raise ConfigValidationError(
-            f"{what} {path} holds {rows.shape[0]} rows of {rows.shape[-1]} values; its header "
-            f"needs {n} rows of {width}"
-        )
-    if not np.isfinite(rows).all():
-        raise ConfigValidationError(f"{what} {path} holds non-finite values")
-    return header, rows
+    return header, values.reshape(dims)
 
 
 def header_grid(path, what, header):
@@ -293,9 +287,27 @@ def save_field(fld, path):
 
 def load_field(path):
     """Read a field written by save_field: header nx,ny,lx,ly, then one value
-    per line, row-major (y outer).  Raises ConfigValidationError as load_table
-    does, or for an invalid grid."""
-    header, values = load_table(path, "field file", (int, int, float, float), 1,
-                                lambda h: h[0] * h[1])
-    grid = header_grid(path, "field file", header)
+    per line, row-major (y outer).  Raises ConfigValidationError when the file
+    cannot be opened, does not end with the newline save_field ends it with (it
+    was cut short) or holds no values after its header, the header does not
+    parse (see parse_header) or is no valid grid, or the file holds other than
+    nx * ny lines of one value or a non-finite value."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if not data.endswith(b"\n"):
+            raise ValueError("it does not end with a newline; it was cut short")
+        head, _, body = data.partition(b"\n")
+        header = parse_header(head.decode("ascii"), (int, int, float, float))
+        if not body:
+            raise ValueError("it holds its header and no values")
+        values = np.loadtxt(io.BytesIO(body), delimiter=",", ndmin=2)
+        grid = header_grid(path, "field file", header)
+        if values.shape != (grid.nx * grid.ny, 1):
+            raise ValueError(f"it holds {values.shape[0]} lines of {values.shape[1]} values, "
+                             f"not {grid.nx * grid.ny} of 1")
+        if not np.isfinite(values).all():
+            raise ValueError("it holds non-finite values")
+    except (OSError, ValueError) as exc:
+        raise ConfigValidationError(f"field file {path} cannot be read: {exc}") from exc
     return ScalarFieldPeriodic(grid, values.reshape(grid.ny, grid.nx))

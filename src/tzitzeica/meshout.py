@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .grid import header_grid, load_table, save_table, write_rows
+from .grid import header_grid, load_nodes, save_nodes, write_rows
 
 EXPORT_SUFFIXES = (".obj", ".ply", ".meta.json")  # the files export_mesh writes after its stem
 
@@ -27,16 +27,15 @@ def points_to_r6(points):
 
 def save_mesh(mesh, path):
     g = mesh.grid
-    save_table(path, (g.nx, g.ny, g.lx, g.ly, mesh.radius), points_to_r6(mesh.points))
+    save_nodes(path, (g.nx, g.ny, g.lx, g.ly, mesh.radius), mesh.points)
 
 
 def load_mesh_points(path):
     """Returns (grid, radius, points) of a mesh written by save_mesh; raises
-    ConfigValidationError as grid.load_table does, or for an invalid grid."""
-    header, r6 = load_table(path, "mesh file", (int, int, float, float, float), 6,
-                            lambda h: h[0] * h[1])
-    grid = header_grid(path, "mesh file", header)
-    return grid, header[4], (r6[:, 0::2] + 1j * r6[:, 1::2]).reshape(grid.ny, grid.nx, 3)
+    ConfigValidationError as grid.load_nodes does, or for an invalid grid."""
+    header, points = load_nodes(path, "mesh file", (int, int, float, float, float),
+                                lambda h: (h[1], h[0], 3))
+    return header_grid(path, "mesh file", header), header[4], points
 
 
 def grid_faces(nx, ny):

@@ -330,7 +330,7 @@ def test_report_stage_contents(flat_run):
 
 def test_mesh_csv_and_obj_round_trip(flat_run):
     cfg, out = flat_run
-    grid, radius, points = meshout.load_mesh_points(os.path.join(out, cli.MESH_CSV))
+    grid, radius, points = meshout.load_mesh_points(os.path.join(out, cli.MESH_FILE))
     assert grid.nx == 32 and radius == 1.0
     radii = np.sqrt(np.sum(np.abs(points) ** 2, axis=-1))
     assert np.abs(radii - 1.0).max() < 1e-8
@@ -362,7 +362,7 @@ def test_named_projection_export(tmp_path):
     )
     for stage in ("solve", "frame", "surface", "export"):
         cli.run_pipeline(cfg, stage, out, echo=False)
-    grid, radius, points = meshout.load_mesh_points(os.path.join(out, cli.MESH_CSV))
+    grid, radius, points = meshout.load_mesh_points(os.path.join(out, cli.MESH_FILE))
     verts, _ = parse_obj(os.path.join(out, "mesh.obj"))
     assert np.allclose(verts, meshout.points_to_r6(points)[:, [0, 2, 4]], atol=1e-12)
     with open(os.path.join(out, "mesh.meta.json")) as fh:
@@ -472,9 +472,12 @@ def test_report_rejects_truncated_frame(tmp_path, keep):
     _assert_report_rejected(out, str(tmp_path / "run.cfg"))
 
 
-def _nan_in_body(data):
-    at = data.index(b"\n") + 1 + 5 * NODE_BYTES + 24
+def _nan_at(data, at):
     return data[:at] + np.array(np.nan, "<f8").tobytes() + data[at + 8:]
+
+
+def _nan_in_body(data):
+    return _nan_at(data, data.index(b"\n") + 1 + 5 * NODE_BYTES + 24)
 
 
 def _text_body(data):
@@ -544,7 +547,7 @@ def test_surface_and_report_reject_non_unitary_frame(tmp_path, capsys):
         assert cli.main([stage, "--config", cfg]) == 4
         assert (out / f"{stage}.log").read_text().strip().splitlines()[-1] == "error: invalid-frame"
         assert capsys.readouterr().err.strip().splitlines()[-1] == "error: invalid-frame"
-    assert not (out / cli.MESH_CSV).exists()
+    assert not (out / cli.MESH_FILE).exists()
     assert not (out / cli.REPORT_JSON).exists()
 
 
@@ -644,27 +647,23 @@ def test_solve_rejects_damaged_seed_file(tmp_path, damage):
     assert not (out / cli.FIELD_CSV).exists()
 
 
-def _nan_first_value(data):
-    head, first, rest = data.split(b"\n", 2)
-    return b"\n".join([head, b"nan" + first[first.index(b","):], rest])
-
-
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda data: data[: len(data) // 2],
-        _nan_first_value,
+        lambda data: data[: len(data) // 2 + 3],
+        lambda data: data + bytes(8),
+        lambda data: _nan_at(data, data.index(b"\n") + 1 + 16 * 5 + 8),
         lambda data: data.split(b",", 1)[1],
         lambda data: b"32,32,1,1,1" + data[data.index(b"\n"):],
     ],
-    ids=["cut-mid-line", "nan", "header", "other-grid"],
+    ids=["cut-mid-body", "partial-value", "nan", "header", "other-grid"],
 )
 def test_export_rejects_damaged_mesh(tmp_path, damage):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, flat_config_text(str(out)))
     for stage in ("solve", "frame", "surface"):
         assert cli.main([stage, "--config", cfg]) == 0
-    path = out / cli.MESH_CSV
+    path = out / cli.MESH_FILE
     path.write_bytes(damage(path.read_bytes()))
     assert cli.main(["export", "--config", cfg]) == 3
     assert (out / "export.log").read_text().strip().splitlines()[-1] == "error: validation"
@@ -679,7 +678,7 @@ def test_export_rejects_damaged_mesh(tmp_path, damage):
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """Pristine field.csv, mesh.csv and frame.bin of an 8x8 run on a smooth
+    """Pristine field.csv, mesh.bin and frame.bin of an 8x8 run on a smooth
     field, as name -> (bytes, reader of a path)."""
     out = str(tmp_path_factory.mktemp("artifacts"))
     cfg = parse_config_text(flat_config_text(out, nx=8, ny=8, substeps=2,
@@ -691,7 +690,7 @@ def artifacts(tmp_path_factory):
         cli.run_pipeline(cfg, stage, out, echo=False)
     readers = {
         cli.FIELD_CSV: load_field,
-        cli.MESH_CSV: meshout.load_mesh_points,
+        cli.MESH_FILE: meshout.load_mesh_points,
         cli.FRAME_FILE: lambda path: cli.load_frame(path, u),
     }
     pristine = {}
@@ -714,7 +713,7 @@ def damage(draw, size):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", [cli.FIELD_CSV, cli.MESH_CSV, cli.FRAME_FILE])
+@pytest.mark.parametrize("name", [cli.FIELD_CSV, cli.MESH_FILE, cli.FRAME_FILE])
 def test_damaged_artifact_is_read_or_rejected_typed(artifacts, name):
     out, pristine = artifacts
     data, read = pristine[name]
@@ -731,8 +730,9 @@ def test_damaged_artifact_is_read_or_rejected_typed(artifacts, name):
             read(path)
         except ConfigValidationError:
             return
-        # the frame's body size is exact and a table ends with a newline, so
-        # no cut artifact is ever read
+        # a node file's body is exactly 16 bytes per value its header calls
+        # for and a field table ends with a newline, so no cut artifact is
+        # ever read
         assert kind != "cut"
 
     check()

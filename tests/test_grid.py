@@ -15,7 +15,6 @@ from tzitzeica.grid import (
     format_float,
     laplacian_symbol_1d,
     load_field,
-    load_table,
     resonance_gap,
     save_field,
     trig_upsample,
@@ -174,32 +173,40 @@ def test_write_rows_spans_several_blocks():
         assert _written(arr) == _joined(arr)
 
 
-_TABLE = ["3,0.5", "1,2", "3,4", "5,6"]
+_FIELD = ["8,8,1,0.5"] + [format_float(0.125 * k) for k in range(64)]
 
 
 @pytest.mark.parametrize(
     "lines",
     [
-        ["3,0.5,7"] + _TABLE[1:],
-        ["3,half"] + _TABLE[1:],
-        ["3,inf"] + _TABLE[1:],
-        _TABLE[:2] + ["nan,4"] + _TABLE[3:],
-        _TABLE[:2] + ["3"] + _TABLE[3:],
-        _TABLE[:-1],
-        _TABLE + ["7,8"],
+        ["8,8,1,0.5,7"] + _FIELD[1:],
+        ["8,8,one,0.5"] + _FIELD[1:],
+        ["8,8,inf,0.5"] + _FIELD[1:],
+        ["4,8,1,0.5"] + _FIELD[1:33],
+        _FIELD[:2] + ["nan"] + _FIELD[3:],
+        _FIELD[:2] + ["3,4"] + _FIELD[3:],
+        _FIELD[:-1],
+        _FIELD + ["7"],
+        _FIELD[:1],
+        "cut",
         None,
     ],
-    ids=["header-count", "header-text", "header-inf", "nan", "ragged", "too-few", "too-many",
-         "missing"],
+    ids=["header-count", "header-text", "header-inf", "header-grid", "nan", "ragged", "too-few",
+         "too-many", "no-values", "cut-short", "missing"],
 )
 def test_load_table_rejects_damage(tmp_path, lines):
-    path = tmp_path / "table.csv"
-    path.write_text("\n".join(_TABLE) + "\n")
-    header, rows = load_table(path, "table", (int, float), 2, lambda h: h[0])
-    assert header == (3, 0.5) and np.array_equal(rows, [[1, 2], [3, 4], [5, 6]])
+    # load_field is the one reader of a text table
+    path = tmp_path / "field.csv"
+    text = "\n".join(_FIELD) + "\n"
+    path.write_text(text)
+    fld = load_field(path)
+    assert (fld.grid.nx, fld.grid.ny, fld.grid.lx, fld.grid.ly) == (8, 8, 1.0, 0.5)
+    assert np.array_equal(fld.values.ravel(), 0.125 * np.arange(64))
     if lines is None:
         path.unlink()
+    elif lines == "cut":
+        path.write_text(text[:-2])
     else:
         path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigValidationError):
-        load_table(path, "table", (int, float), 2, lambda h: h[0])
+        load_field(path)
