@@ -10,6 +10,7 @@ of the files it writes.
 
 import argparse
 import contextlib
+import hashlib
 import math
 import os
 import sys
@@ -24,6 +25,7 @@ from .grid import (
     check_same_grid,
     format_float,
     header_grid,
+    hex_digest,
     load_field,
     load_nodes,
     save_field,
@@ -73,31 +75,40 @@ def _require_artifact(out_dir, name):
 
 # ---------------------------------------------------------------------------
 # frame file: a node file (grid.save_nodes) with the header
-# nx,ny,lx,ly,theta,substeps,closing and U of every node, y outer, over
-# (ny + closing) x (nx + closing) nodes
+# nx,ny,lx,ly,theta,substeps,closing,field_sha256 and U of every node, y
+# outer, over (ny + closing) x (nx + closing) nodes; field_sha256 is the hex
+# digest of the field file bytes the frame was integrated from
 # ---------------------------------------------------------------------------
 
 
-def save_frame(frame, path):
+def file_digest(path):
+    """The sha256 hex digest of the bytes of the file at ``path``."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def save_frame(frame, path, field_sha256):
     g = frame.grid
-    head = (g.nx, g.ny, g.lx, g.ly, frame.spectral.theta, frame.substeps, int(frame.closing))
+    head = (g.nx, g.ny, g.lx, g.ly, frame.spectral.theta, frame.substeps, int(frame.closing),
+            field_sha256)
     save_nodes(path, head, frame.unitary)
 
 
 def load_frame(path, u):
-    """Read a frame written by save_frame for the field u.
+    """Read a frame written by save_frame for the field u; returns the frame
+    and the field digest its header records.
 
     Raises ConfigValidationError as grid.load_nodes does, or when the frame
     has no valid substeps or closing, or was integrated on another grid than
     u's.
     """
-    header, mats = load_nodes(path, "frame file", (int, int, float, float, float, int, int),
-                              lambda h: (h[1] + h[6], h[0] + h[6], 3, 3))
+    types = (int, int, float, float, float, int, int, hex_digest)
+    header, mats = load_nodes(path, "frame file", types, lambda h: (h[1] + h[6], h[0] + h[6], 3, 3))
     check_same_grid(path, header_grid(path, "frame file", header), u.grid)
-    theta, substeps, closing = header[4:]
+    theta, substeps, closing, field_sha256 = header[4:]
     if closing not in (0, 1) or substeps < 1:
         raise ConfigValidationError(f"frame file {path} has substeps {substeps}, closing {closing}")
-    return FrameField(u.grid, SpectralPoint(theta), mats, u, bool(closing), substeps)
+    return FrameField(u.grid, SpectralPoint(theta), mats, u, bool(closing), substeps), field_sha256
 
 
 def write_report_json(report, path):
@@ -165,7 +176,8 @@ def _unitarity_gate(frame):
 
 
 def stage_frame(cfg, out_dir, log):
-    u = load_field(_require_artifact(out_dir, FIELD_CSV))
+    field_path = _require_artifact(out_dir, FIELD_CSV)
+    u = load_field(field_path)
     frame = integrate_frame(
         u,
         SpectralPoint(cfg.theta),
@@ -174,19 +186,24 @@ def stage_frame(cfg, out_dir, log):
         re_unitarize=cfg.re_unitarize,
     )
     log.add(f"unitarity_defect={format_float(_unitarity_gate(frame))}")
-    save_frame(frame, os.path.join(out_dir, FRAME_FILE))
+    save_frame(frame, os.path.join(out_dir, FRAME_FILE), file_digest(field_path))
 
 
 def _load_frame_stage(cfg, out_dir):
-    """The frame of the surface and report stages: integrated at the config's
-    theta from the current field.csv, and unitary to FRAME_TOL."""
-    u = load_field(_require_artifact(out_dir, FIELD_CSV))
-    frame = load_frame(_require_artifact(out_dir, FRAME_FILE), u)
-    if frame.spectral.theta != cfg.theta:
-        raise ConfigValidationError(
-            f"{FRAME_FILE} was integrated at theta = {frame.spectral.theta!r}, the config has "
-            f"theta = {cfg.theta!r}; rerun the frame stage"
-        )
+    """The frame of the surface and report stages: integrated from the bytes
+    of the current field.csv at the config's theta, substeps and
+    extend_closure, and unitary to FRAME_TOL."""
+    field_path = _require_artifact(out_dir, FIELD_CSV)
+    frame, field_sha256 = load_frame(_require_artifact(out_dir, FRAME_FILE), load_field(field_path))
+    for name, got, want in (
+        ("field_sha256", field_sha256, file_digest(field_path)),
+        ("theta", frame.spectral.theta, cfg.theta),
+        ("substeps", frame.substeps, cfg.substeps),
+        ("extend_closure", frame.closing, cfg.extend_closure),
+    ):
+        if got != want:
+            raise ConfigValidationError(f"{FRAME_FILE} was integrated with {name} = {got!r}, "
+                                        f"this run has {name} = {want!r}; rerun the frame stage")
     _unitarity_gate(frame)
     return frame
 

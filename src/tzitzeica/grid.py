@@ -5,10 +5,15 @@ array of shape (ny, nx); axis 1 is the x direction (coordinate index 1 in
 tensor formulas), axis 0 is the y direction (coordinate index 2).  Node
 (i, j) sits at (i * hx, j * hy) and the grid identifies x ~ x + lx,
 y ~ y + ly, so there is no duplicated edge row/column.
+
+The module also owns the artifact file layouts: a header line of
+comma-separated values, then either text rows (the field and wave tables) or
+little-endian complex128 node values (the frame and mesh node files).
 """
 
 import io
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,8 +216,17 @@ def write_rows(fh, values, line=None):
 
 
 def header_line(header):
-    """The header values as one line: ints with str, floats with format_float."""
-    return ",".join(str(v) if isinstance(v, int) else format_float(v) for v in header) + "\n"
+    """The header values as one line: ints and strings with str, floats with
+    format_float."""
+    return ",".join(str(v) if isinstance(v, (int, str)) else format_float(v) for v in header) + "\n"
+
+
+def hex_digest(text):
+    """A header field holding a sha256 hex digest: 64 lowercase hex digits;
+    raises ValueError for any other text."""
+    if not re.fullmatch("[0-9a-f]{64}", text):
+        raise ValueError(f"{text!r} is not a sha256 hex digest")
+    return text
 
 
 def parse_header(line, types):
@@ -265,7 +279,7 @@ def load_nodes(path, what, types, shape):
 
 
 def header_grid(path, what, header):
-    """The PeriodicGrid of a table header that starts nx,ny,lx,ly; raises
+    """The PeriodicGrid of an artifact header that starts nx,ny,lx,ly; raises
     ConfigValidationError when it is not a valid grid."""
     try:
         return PeriodicGrid(*header[:4])

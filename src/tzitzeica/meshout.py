@@ -1,10 +1,13 @@
-"""Mesh file export: CSV (all six real coordinates), OBJ and PLY projections.
+"""The mesh node file and its export as OBJ and PLY projections.
 
-A mesh node is a point of C^3 ~ R^6 with coordinate names
-(re1, im1, re2, im2, re3, im3).  OBJ/PLY take either three of those names or
-the top-3 principal-component projection; the choice (and the PCA basis when
-used) is recorded in a sidecar JSON file next to the mesh.  All numeric text
-is written with 17 significant digits and no timestamps, so identical inputs
+The surface stage stores the points of a mesh as a node file (grid.save_nodes)
+with the header nx,ny,lx,ly,radius and the (ny, nx, 3) complex points; the
+export stage reads them back (grid.load_nodes).  A mesh node is a point of
+C^3 ~ R^6 with coordinate names (re1, im1, re2, im2, re3, im3).  OBJ/PLY take
+either three of those names or the top-3 principal-component projection; the
+choice (and the PCA basis when used) is recorded in a sidecar JSON file next
+to the mesh.  All numeric text is written with 17 significant digits, which
+the PLY header declares as double, and no timestamps, so identical inputs
 produce byte-identical files.
 """
 
@@ -95,9 +98,9 @@ def write_ply(path, verts, faces):
         "ply",
         "format ascii 1.0",
         f"element vertex {len(verts)}",
-        "property float x",
-        "property float y",
-        "property float z",
+        "property double x",
+        "property double y",
+        "property double z",
         f"element face {len(faces)}",
         "property list uchar int vertex_indices",
         "end_header",

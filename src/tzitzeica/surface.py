@@ -125,14 +125,10 @@ class ClosureReport:
 
     x_defect: float
     y_defect: float
-    is_candidate: bool
 
     @property
     def max_defect(self):
         return max(self.x_defect, self.y_defect)
-
-
-CLOSURE_TOL = 1e-4
 
 
 def torus_closure(frame):
@@ -143,9 +139,7 @@ def torus_closure(frame):
     past the period is, exactly,
     U(i + nx, j) = M_j U(i, j) with the row monodromy M_j = U(nx, j) U(0, j)^-1,
     and U(i, j + ny) = L_i U(i, j) with L_i = U(i, ny) U(i, 0)^-1.  The
-    defects are max |(M_j - I) U(i, j)| and max |(L_i - I) U(i, j)|.  The two
-    periods are independent shifts, so the frame is a torus candidate when
-    both defects are below CLOSURE_TOL.
+    defects are max |(M_j - I) U(i, j)| and max |(L_i - I) U(i, j)|.
     """
     if not frame.closing:
         raise ValueError("torus closure needs a closing frame (integrate_frame(..., closing=True))")
@@ -157,7 +151,7 @@ def torus_closure(frame):
     cols = (mats[g.ny, : g.nx] - mats[0, : g.nx]) @ np.linalg.inv(mats[0, : g.nx])
     x_defect = float(np.abs(rows[:, None] @ base).max())
     y_defect = float(np.abs(cols[None, :] @ base).max())
-    return ClosureReport(x_defect, y_defect, max(x_defect, y_defect) < CLOSURE_TOL)
+    return ClosureReport(x_defect, y_defect)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -27,7 +28,7 @@ from tzitzeica.grid import (
     zero_field,
 )
 from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
-from tzitzeica.surface import full_report
+from tzitzeica.surface import build_surface, full_report
 from tzitzeica.wave import period_quadrature, travelling_wave
 
 from oracles import grid_faces_loop, parse_obj
@@ -296,24 +297,28 @@ def test_frame_csv_round_trip(flat_run, tmp_path):
     cfg, out = flat_run
     field = load_field(os.path.join(out, cli.FIELD_CSV))
     first = os.path.join(out, cli.FRAME_FILE)
-    frame = cli.load_frame(first, field)
+    frame, digest = cli.load_frame(first, field)
+    # the header ends with the digest of the field file bytes
+    assert digest == hashlib.sha256(pathlib.Path(out, cli.FIELD_CSV).read_bytes()).hexdigest()
+    assert pathlib.Path(first).read_bytes().split(b"\n", 1)[0].endswith(b"," + digest.encode())
     assert frame.closing is True
     assert frame.substeps == 24
     assert frame.unitary.shape == (33, 33, 3, 3)
     assert frame_orthonormality_report(frame) < 1e-8
     # write/read identity, down to the bytes of the file
     second = str(tmp_path / "frame2.bin")
-    cli.save_frame(frame, second)
+    cli.save_frame(frame, second, digest)
     assert pathlib.Path(second).read_bytes() == pathlib.Path(first).read_bytes()
-    again = cli.load_frame(second, field)
+    again, again_digest = cli.load_frame(second, field)
+    assert again_digest == digest
     assert np.array_equal(again.unitary, frame.unitary)
     assert (again.closing, again.substeps) == (frame.closing, frame.substeps)
     # a negative zero keeps its sign bit
     signed = frame.unitary.copy()
     signed[3, 5, 1, 2] = complex(-0.0, -0.0)
     third = str(tmp_path / "frame3.bin")
-    cli.save_frame(dataclasses.replace(frame, unitary=signed), third)
-    back = cli.load_frame(third, field).unitary[3, 5, 1, 2]
+    cli.save_frame(dataclasses.replace(frame, unitary=signed), third, digest)
+    back = cli.load_frame(third, field)[0].unitary[3, 5, 1, 2]
     assert back == 0 and np.signbit(back.real) and np.signbit(back.imag)
 
 
@@ -328,10 +333,18 @@ def test_report_stage_contents(flat_run):
     assert all(v >= 0 for v in rep.values())
 
 
-def test_mesh_csv_and_obj_round_trip(flat_run):
+def test_mesh_file_and_obj_round_trip(flat_run, tmp_path):
     cfg, out = flat_run
-    grid, radius, points = meshout.load_mesh_points(os.path.join(out, cli.MESH_FILE))
+    path = os.path.join(out, cli.MESH_FILE)
+    grid, radius, points = meshout.load_mesh_points(path)
     assert grid.nx == 32 and radius == 1.0
+    # the points of the frame's surface, bit for bit, and the same bytes again
+    field = load_field(os.path.join(out, cli.FIELD_CSV))
+    mesh = build_surface(cli.load_frame(os.path.join(out, cli.FRAME_FILE), field)[0], radius)
+    assert points.shape == (32, 32, 3) and np.array_equal(points, mesh.points)
+    again = str(tmp_path / "mesh.bin")
+    meshout.save_mesh(mesh, again)
+    assert pathlib.Path(again).read_bytes() == pathlib.Path(path).read_bytes()
     radii = np.sqrt(np.sum(np.abs(points) ** 2, axis=-1))
     assert np.abs(radii - 1.0).max() < 1e-8
 
@@ -348,6 +361,8 @@ def test_mesh_csv_and_obj_round_trip(flat_run):
     ply = pathlib.Path(out, "mesh.ply").read_text().splitlines()
     assert ply[0] == "ply"
     assert f"element vertex {32*32}" in ply
+    # the vertices are written with 17 digits, so the header declares doubles
+    assert ply[3:6] == [f"property double {axis}" for axis in "xyz"]
 
 
 @pytest.mark.parametrize("nx, ny", [(3, 4), (32, 17)])
@@ -452,6 +467,34 @@ def test_report_rejects_frame_of_another_theta(tmp_path):
     out = _frame_run(tmp_path)
     text = flat_config_text(str(out)).replace("theta = 0.0", "theta = 0.3")
     _assert_report_rejected(out, write_config(tmp_path, text, "theta.cfg"))
+
+
+@pytest.mark.parametrize(
+    "at_frame, at_report",
+    [
+        (dict(extra="extend_closure = false\n"), {}),
+        (dict(substeps=24), dict(substeps=30)),
+    ],
+    ids=["closing", "substeps"],
+)
+def test_report_rejects_frame_of_other_closing_or_substeps(tmp_path, at_frame, at_report):
+    out = _frame_run(tmp_path, **at_frame)
+    other = write_config(tmp_path, flat_config_text(str(out), **at_report), "other.cfg")
+    _assert_report_rejected(out, other)
+
+
+def test_surface_and_report_reject_frame_of_another_field(tmp_path):
+    # the frame's header records the digest of the field.csv bytes it was
+    # integrated from; another valid field in its place is a stale pairing
+    out = _frame_run(tmp_path, nx=16, ny=16, substeps=24)
+    cfg = str(tmp_path / "run.cfg")
+    grid = load_field(out / cli.FIELD_CSV).grid
+    save_field(field_from_function(grid, lambda x, y: 0.01 * np.cos(x)), str(out / cli.FIELD_CSV))
+    for stage in ("surface", "report"):
+        assert cli.main([stage, "--config", cfg]) == 3
+        assert (out / f"{stage}.log").read_text().strip().splitlines()[-1] == "error: validation"
+    assert not (out / cli.MESH_FILE).exists()
+    assert not (out / cli.REPORT_JSON).exists()
 
 
 NODE_BYTES = 16 * 9

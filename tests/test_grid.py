@@ -13,8 +13,11 @@ from tzitzeica.grid import (
     deriv2,
     field_from_function,
     format_float,
+    header_line,
+    hex_digest,
     laplacian_symbol_1d,
     load_field,
+    parse_header,
     resonance_gap,
     save_field,
     trig_upsample,
@@ -171,6 +174,16 @@ def test_write_rows_spans_several_blocks():
         arr.flat[::997] = -0.0
         assert arr.size > ROW_BLOCK_FIELDS
         assert _written(arr) == _joined(arr)
+
+
+def test_header_digest_field():
+    digest = "0123456789abcdef" * 4
+    line = header_line((8, 0.5, digest))
+    assert line == f"8,0.5,{digest}\n"
+    assert parse_header(line, (int, float, hex_digest)) == (8, 0.5, digest)
+    for bad in (digest[:-1], digest.upper(), digest[:-1] + "g", digest + "0", " " + digest[1:]):
+        with pytest.raises(ValueError):
+            parse_header(f"8,0.5,{bad}", (int, float, hex_digest))
 
 
 _FIELD = ["8,8,1,0.5"] + [format_float(0.125 * k) for k in range(64)]
