@@ -6,9 +6,8 @@ tensor formulas), axis 0 is the y direction (coordinate index 2).  Node
 (i, j) sits at (i * hx, j * hy) and the grid identifies x ~ x + lx,
 y ~ y + ly, so there is no duplicated edge row/column.
 
-The module also owns the artifact file layouts: a header line of
-comma-separated values, then either text rows (the field and wave tables) or
-little-endian complex128 node values (the frame and mesh node files).
+It also owns the layouts of the artifact files: text tables (save_table,
+load_field) and binary node files (save_nodes, load_nodes).
 """
 
 import io

@@ -539,8 +539,10 @@ def _text_body(data):
         lambda data: data + bytes(8),
         _nan_in_body,
         _text_body,
+        # (1 - 34)^2 nodes: the body's size, with both node counts negative
+        lambda data: b"-34,-34" + data[data.index(b",", data.index(b",") + 1):],
     ],
-    ids=["extra-node", "partial-value", "nan", "text-body"],
+    ids=["extra-node", "partial-value", "nan", "text-body", "negative-grid"],
 )
 def test_report_rejects_damaged_frame(tmp_path, damage):
     out = _frame_run(tmp_path)
