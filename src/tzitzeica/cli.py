@@ -189,21 +189,27 @@ def stage_frame(cfg, out_dir, log):
     save_frame(frame, os.path.join(out_dir, FRAME_FILE), file_digest(field_path))
 
 
+def _check_recorded(name, stage, recorded):
+    """Raises ConfigValidationError at the first (key, got, want) of
+    ``recorded`` where the file ``name`` holds another value than this run."""
+    for key, got, want in recorded:
+        if got != want:
+            raise ConfigValidationError(f"{name} was made with {key} = {got!r}, this run has "
+                                        f"{key} = {want!r}; rerun the {stage} stage")
+
+
 def _load_frame_stage(cfg, out_dir):
     """The frame of the surface and report stages: integrated from the bytes
     of the current field.csv at the config's theta, substeps and
     extend_closure, and unitary to FRAME_TOL."""
     field_path = _require_artifact(out_dir, FIELD_CSV)
     frame, field_sha256 = load_frame(_require_artifact(out_dir, FRAME_FILE), load_field(field_path))
-    for name, got, want in (
+    _check_recorded(FRAME_FILE, "frame", (
         ("field_sha256", field_sha256, file_digest(field_path)),
         ("theta", frame.spectral.theta, cfg.theta),
         ("substeps", frame.substeps, cfg.substeps),
         ("extend_closure", frame.closing, cfg.extend_closure),
-    ):
-        if got != want:
-            raise ConfigValidationError(f"{FRAME_FILE} was integrated with {name} = {got!r}, "
-                                        f"this run has {name} = {want!r}; rerun the frame stage")
+    ))
     _unitarity_gate(frame)
     return frame
 
@@ -211,7 +217,8 @@ def _load_frame_stage(cfg, out_dir):
 def stage_surface(cfg, out_dir, log):
     frame = _load_frame_stage(cfg, out_dir)
     mesh = build_surface(frame, cfg.radius)
-    meshout.save_mesh(mesh, os.path.join(out_dir, MESH_FILE))
+    frame_sha256 = file_digest(os.path.join(out_dir, FRAME_FILE))
+    meshout.save_mesh(mesh, os.path.join(out_dir, MESH_FILE), frame_sha256)
     radii = np.sqrt(np.sum(np.abs(mesh.points) ** 2, axis=-1))
     log.add(f"sphere_defect={format_float(np.abs(radii - cfg.radius).max())}")
 
@@ -230,9 +237,16 @@ def stage_report(cfg, out_dir, log):
 
 
 def stage_export(cfg, out_dir, log):
+    """Export the mesh built from the current frame.bin at the config's
+    radius and grid."""
     path = _require_artifact(out_dir, MESH_FILE)
-    grid, radius, points = meshout.load_mesh_points(path)
+    frame_path = _require_artifact(out_dir, FRAME_FILE)
+    grid, radius, points, frame_sha256 = meshout.load_mesh_points(path)
     check_same_grid(path, grid, _grid(cfg))
+    _check_recorded(MESH_FILE, "surface", (
+        ("frame_sha256", frame_sha256, file_digest(frame_path)),
+        ("radius", radius, cfg.radius),
+    ))
     paths = meshout.export_mesh(
         grid, radius, points, os.path.join(out_dir, MESH_STEM), cfg.projection
     )

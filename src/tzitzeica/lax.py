@@ -47,6 +47,7 @@ from .grid import AXIS_X, AXIS_Y, ScalarFieldPeriodic, ddx, ddy, trig_upsample
 from .linalg3 import unitarity_defect_map
 
 DEFAULT_SUBSTEPS = 24
+STENCIL_BLOCK_NODES = 2048  # nodes per block of frame_axis_stencil's march
 
 
 @dataclass(frozen=True)
@@ -236,17 +237,23 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
 
 
-def frame_axis_stencil(frame, axis):
-    """Frames and exponent samples at offsets k * (h / substeps), k = -2..2,
-    marched from every base node along `axis`.
+def frame_axis_stencil(frame, axis, reduce):
+    """reduce(frames, u_samples) of the frames and exponent samples at
+    offsets k * (h / substeps), k = -2..2, marched from every base node along
+    `axis`, one block of node rows at a time.
 
     Gives the five samples of 4th-order finite-difference stencils for
     derivatives of frame-built fields at sub-grid spacing, without assuming
     periodicity of the frame itself.  The generator's two inputs are
-    interpolated at the nine half-substep offsets -4..4 the two RK4 substeps
-    each way read, and nowhere else.  Returns (frames, u_samples): lists
-    indexed by k + 2, each entry a (3, 3, ny, nx) frame with the matrix axes
-    first / a (ny, nx) array.
+    interpolated once for the whole grid at the nine half-substep offsets
+    -4..4 the two RK4 substeps each way read, and nowhere else.  The march
+    runs on blocks of STENCIL_BLOCK_NODES nodes (at least one row), so its
+    memory does not grow with the grid.  For each block, reduce gets lists
+    indexed by k + 2 of (3, 3, rows, nx) frames with the matrix axes first
+    and of (rows, nx) samples, and returns an array whose second-to-last
+    axis is those rows; the blocks' results are joined along that axis.
+    Every node is marched on its own, so the result does not depend on the
+    block size.
     """
     grid = frame.grid
     u = frame.u.values
@@ -261,9 +268,14 @@ def frame_axis_stencil(frame, axis):
 
     # the builder's inputs at half-substep offsets -4..4 from every node
     near = [trig_upsample(a, 2 * m, ax, range(-4, 5)) for a in (u, across)]
-    # one RK4 substep per cell, marched up and down from the node
     base = np.moveaxis(frame.base, (-2, -1), (0, 1))
-    up = _march(base, [a[4:] for a in near], builder, lam, h / m, 1, 2)
-    down = _march(base, [a[4::-1] for a in near], builder, lam, -h / m, 1, 2)
-    return list(down[:0:-1]) + list(up), list(near[0][::2])
-
+    rows = max(1, STENCIL_BLOCK_NODES // grid.nx)
+    parts = []
+    for j in range(0, grid.ny, rows):
+        block = slice(j, j + rows)
+        coeffs = [a[:, block] for a in near]
+        # one RK4 substep per cell, marched up and down from the node
+        up = _march(base[:, :, block], [a[4:] for a in coeffs], builder, lam, h / m, 1, 2)
+        down = _march(base[:, :, block], [a[4::-1] for a in coeffs], builder, lam, -h / m, 1, 2)
+        parts.append(reduce(list(down[:0:-1]) + list(up), list(coeffs[0][::2])))
+    return np.concatenate(parts, axis=-2)

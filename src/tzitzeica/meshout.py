@@ -1,21 +1,23 @@
 """The mesh node file and its export as OBJ and PLY projections.
 
 The surface stage stores the points of a mesh as a node file (grid.save_nodes)
-with the header nx,ny,lx,ly,radius and the (ny, nx, 3) complex points; the
-export stage reads them back (grid.load_nodes).  A mesh node is a point of
-C^3 ~ R^6 with coordinate names (re1, im1, re2, im2, re3, im3).  OBJ/PLY take
-either three of those names or the top-3 principal-component projection; the
-choice (and the PCA basis when used) is recorded in a sidecar JSON file next
-to the mesh.  All numeric text is written with 17 significant digits, which
-the PLY header declares as double, and no timestamps, so identical inputs
-produce byte-identical files.
+with the header nx,ny,lx,ly,radius,frame_sha256 and the (ny, nx, 3) complex
+points, where frame_sha256 is the digest of the frame file bytes the points
+were built from; the export stage reads them back (grid.load_nodes).  A mesh
+node is a point of C^3 ~ R^6 with coordinate names (re1, im1, re2, im2, re3,
+im3).  OBJ/PLY take either three of those names or the top-3
+principal-component projection; the choice (and the PCA basis when used) is
+recorded in a sidecar JSON file next to the mesh.  The OBJ writes its numbers
+as text with 17 significant digits, the PLY as binary little-endian doubles
+and ints, and neither holds a timestamp, so identical inputs produce
+byte-identical files.
 """
 
 import json
 
 import numpy as np
 
-from .grid import header_grid, load_nodes, save_nodes, write_rows
+from .grid import header_grid, hex_digest, load_nodes, save_nodes, write_rows
 
 EXPORT_SUFFIXES = (".obj", ".ply", ".meta.json")  # the files export_mesh writes after its stem
 
@@ -28,17 +30,18 @@ def points_to_r6(points):
     return np.ascontiguousarray(points, dtype=complex).reshape(-1, 3).view(float)
 
 
-def save_mesh(mesh, path):
+def save_mesh(mesh, path, frame_sha256):
     g = mesh.grid
-    save_nodes(path, (g.nx, g.ny, g.lx, g.ly, mesh.radius), mesh.points)
+    save_nodes(path, (g.nx, g.ny, g.lx, g.ly, mesh.radius, frame_sha256), mesh.points)
 
 
 def load_mesh_points(path):
-    """Returns (grid, radius, points) of a mesh written by save_mesh; raises
-    ConfigValidationError as grid.load_nodes does, or for an invalid grid."""
-    header, points = load_nodes(path, "mesh file", (int, int, float, float, float),
+    """Returns (grid, radius, points, frame_sha256) of a mesh written by
+    save_mesh; raises ConfigValidationError as grid.load_nodes does, or for
+    an invalid grid."""
+    header, points = load_nodes(path, "mesh file", (int, int, float, float, float, hex_digest),
                                 lambda h: (h[1], h[0], 3))
-    return header_grid(path, "mesh file", header), header[4], points
+    return header_grid(path, "mesh file", header), header[4], points, header[5]
 
 
 def grid_faces(nx, ny):
@@ -94,9 +97,11 @@ def write_obj(path, verts, faces):
 
 
 def write_ply(path, verts, faces):
+    """Binary little-endian PLY: each vertex three '<f8', each face a uchar 3
+    and three '<i4', packed in 13 bytes."""
     header = [
         "ply",
-        "format ascii 1.0",
+        "format binary_little_endian 1.0",
         f"element vertex {len(verts)}",
         "property double x",
         "property double y",
@@ -105,10 +110,13 @@ def write_ply(path, verts, faces):
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        write_rows(fh, verts, "%.17g %.17g %.17g\n")
-        write_rows(fh, faces, "3 %d %d %d\n")
+    packed = np.empty(len(faces), dtype=[("n", "u1"), ("v", "<i4", (3,))])
+    packed["n"] = 3
+    packed["v"] = faces
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        fh.write(np.asarray(verts, dtype="<f8").tobytes())
+        fh.write(packed.tobytes())
 
 
 def export_mesh(grid, radius, points, out_stem, projection="pca"):

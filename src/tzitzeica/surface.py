@@ -84,19 +84,26 @@ def extract_second_form(frame, radius, gamma):
 
     Tangent derivatives use 5-point stencils at substep spacing, marched from
     each node, so no periodicity of the frame is assumed; gamma is the
-    connection of the frame's u (invariants.christoffel_from_field).
+    connection of the frame's u (invariants.christoffel_from_field).  The
+    stencil frames exist one block of node rows at a time
+    (lax.frame_axis_stencil), each block reduced at once to the derivatives
+    of E1 and E2; the projection onto (F1, F2, N) runs on the whole grid.
     """
     grid = frame.grid
     u = frame.u
     lam = frame.spectral.lam
     m = frame.substeps
 
-    # partial derivatives indexed [i][j] = d_i E_j  (coordinate 0 = x)
+    # partial derivatives indexed [i][j] = d_i E_j  (coordinate 0 = x), each
+    # (3, ny, nx), reduced from the stencil frames block by block
     partial = []
     for axis, h in (("x", grid.hx), ("y", grid.hy)):
-        frames, u_samples = frame_axis_stencil(frame, axis)
-        near = zip(*(_tangents_at(fr, uv, lam, radius) for fr, uv in zip(frames, u_samples)))
-        partial.append([_fd4_stencil(es, h / m) for es in near])
+
+        def tangent_fd4(frames, u_samples):
+            near = zip(*(_tangents_at(fr, uv, lam, radius) for fr, uv in zip(frames, u_samples)))
+            return np.stack([_fd4_stencil(es, h / m) for es in near])
+
+        partial.append(frame_axis_stencil(frame, axis, tangent_fd4))
 
     tangents = e1, e2 = tangent_analytic(frame, radius)
     normal = _normal(frame)

@@ -336,14 +336,17 @@ def test_report_stage_contents(flat_run):
 def test_mesh_file_and_obj_round_trip(flat_run, tmp_path):
     cfg, out = flat_run
     path = os.path.join(out, cli.MESH_FILE)
-    grid, radius, points = meshout.load_mesh_points(path)
+    grid, radius, points, frame_sha256 = meshout.load_mesh_points(path)
     assert grid.nx == 32 and radius == 1.0
+    # the header ends with the digest of the frame file bytes
+    frame_path = os.path.join(out, cli.FRAME_FILE)
+    assert frame_sha256 == hashlib.sha256(pathlib.Path(frame_path).read_bytes()).hexdigest()
     # the points of the frame's surface, bit for bit, and the same bytes again
     field = load_field(os.path.join(out, cli.FIELD_CSV))
-    mesh = build_surface(cli.load_frame(os.path.join(out, cli.FRAME_FILE), field)[0], radius)
+    mesh = build_surface(cli.load_frame(frame_path, field)[0], radius)
     assert points.shape == (32, 32, 3) and np.array_equal(points, mesh.points)
     again = str(tmp_path / "mesh.bin")
-    meshout.save_mesh(mesh, again)
+    meshout.save_mesh(mesh, again, frame_sha256)
     assert pathlib.Path(again).read_bytes() == pathlib.Path(path).read_bytes()
     radii = np.sqrt(np.sum(np.abs(points) ** 2, axis=-1))
     assert np.abs(radii - 1.0).max() < 1e-8
@@ -358,11 +361,27 @@ def test_mesh_file_and_obj_round_trip(flat_run, tmp_path):
     assert meta["projection"] == "pca"
     assert meta["faces"] == 2 * 32 * 32
 
-    ply = pathlib.Path(out, "mesh.ply").read_text().splitlines()
-    assert ply[0] == "ply"
-    assert f"element vertex {32*32}" in ply
-    # the vertices are written with 17 digits, so the header declares doubles
-    assert ply[3:6] == [f"property double {axis}" for axis in "xyz"]
+    # the binary PLY: its header, then 24 bytes per vertex and 13 per face
+    data = pathlib.Path(out, "mesh.ply").read_bytes()
+    end = data.index(b"end_header\n") + len(b"end_header\n")
+    assert data[:end].decode().splitlines() == [
+        "ply",
+        "format binary_little_endian 1.0",
+        f"element vertex {32 * 32}",
+        "property double x",
+        "property double y",
+        "property double z",
+        f"element face {2 * 32 * 32}",
+        "property list uchar int vertex_indices",
+        "end_header",
+    ]
+    nverts, nfaces = len(verts), len(faces)
+    assert len(data) - end == 24 * nverts + 13 * nfaces
+    ply_verts = np.frombuffer(data, "<f8", 3 * nverts, end).reshape(-1, 3)
+    assert np.array_equal(ply_verts, verts)
+    ply_faces = np.frombuffer(data, [("n", "u1"), ("v", "<i4", (3,))], nfaces, end + 24 * nverts)
+    assert np.all(ply_faces["n"] == 3)
+    assert np.array_equal(ply_faces["v"], meshout.grid_faces(32, 32))
 
 
 @pytest.mark.parametrize("nx, ny", [(3, 4), (32, 17)])
@@ -377,7 +396,7 @@ def test_named_projection_export(tmp_path):
     )
     for stage in ("solve", "frame", "surface", "export"):
         cli.run_pipeline(cfg, stage, out, echo=False)
-    grid, radius, points = meshout.load_mesh_points(os.path.join(out, cli.MESH_FILE))
+    grid, radius, points, _frame_sha256 = meshout.load_mesh_points(os.path.join(out, cli.MESH_FILE))
     verts, _ = parse_obj(os.path.join(out, "mesh.obj"))
     assert np.allclose(verts, meshout.points_to_r6(points)[:, [0, 2, 4]], atol=1e-12)
     with open(os.path.join(out, "mesh.meta.json")) as fh:
@@ -699,7 +718,7 @@ def test_solve_rejects_damaged_seed_file(tmp_path, damage):
         lambda data: data + bytes(8),
         lambda data: _nan_at(data, data.index(b"\n") + 1 + 16 * 5 + 8),
         lambda data: data.split(b",", 1)[1],
-        lambda data: b"32,32,1,1,1" + data[data.index(b"\n"):],
+        lambda data: b"32,32,1,1,1," + data.split(b",", 5)[5],
     ],
     ids=["cut-mid-body", "partial-value", "nan", "header", "other-grid"],
 )
@@ -713,6 +732,25 @@ def test_export_rejects_damaged_mesh(tmp_path, damage):
     assert cli.main(["export", "--config", cfg]) == 3
     assert (out / "export.log").read_text().strip().splitlines()[-1] == "error: validation"
     assert not (out / "mesh.obj").exists()
+
+
+@pytest.mark.parametrize("change", ["theta = 0.3", "radius = 2.0"], ids=["frame-again", "radius"])
+def test_export_rejects_mesh_of_another_frame_or_radius(tmp_path, change):
+    # the mesh's header records the digest of the frame.bin bytes it was built
+    # from and its radius; a frame integrated again since, or another radius
+    # in the config, is a stale pairing
+    out = tmp_path / "out"
+    text = flat_config_text(str(out), nx=16, ny=16, substeps=24)
+    cfg = write_config(tmp_path, text)
+    for stage in ("solve", "frame", "surface"):
+        assert cli.main([stage, "--config", cfg]) == 0
+    key = change.split(" = ")[0]
+    other = write_config(tmp_path, re.sub(rf"^{key} = .*$", change, text, flags=re.M), "other.cfg")
+    if key == "theta":
+        assert cli.main(["frame", "--config", other]) == 0
+    assert cli.main(["export", "--config", other]) == 3
+    assert (out / "export.log").read_text().strip().splitlines()[-1] == "error: validation"
+    assert not any((out / (cli.MESH_STEM + s)).exists() for s in meshout.EXPORT_SUFFIXES)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ marcher (tests/reference_march.py), node by node."""
 import numpy as np
 import pytest
 
+from tzitzeica import lax
 from tzitzeica.grid import PeriodicGrid, zero_field
 from tzitzeica.lax import SpectralPoint, frame_axis_stencil, integrate_frame
 from tzitzeica.linalg3 import unitarity_defect_map
@@ -63,12 +64,16 @@ def test_wave_frame_matches_reference(wave_field, substeps):
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
-def test_axis_stencil_matches_reference(wave_field, axis):
+def test_axis_stencil_matches_reference(wave_field, axis, monkeypatch):
     frame = integrate_frame(wave_field, SpectralPoint(0.4), substeps=4)
-    frames, _u_samples = frame_axis_stencil(frame, axis)
-    ref = reference_stencil(frame, axis)
-    assert len(frames) == len(ref) == 5
-    assert max(np.abs(np.moveaxis(a, (0, 1), (-2, -1)) - b).max() for a, b in zip(frames, ref)) <= TOL
+    ref = np.array(reference_stencil(frame, axis))
+    assert ref.shape == (5, 32, 32, 3, 3)
+    # the whole grid in one block, and blocks of 5 rows with a last one of 2
+    for block_nodes in (lax.STENCIL_BLOCK_NODES, 5 * 32):
+        monkeypatch.setattr(lax, "STENCIL_BLOCK_NODES", block_nodes)
+        frames = frame_axis_stencil(frame, axis, lambda frames, _u_samples: np.stack(frames))
+        assert frames.shape == (5, 3, 3, 32, 32)
+        assert np.abs(np.moveaxis(frames, (1, 2), (-2, -1)) - ref).max() <= TOL
 
 
 def test_reunitarized_frame_moves_by_at_most_the_drift(wave_field):

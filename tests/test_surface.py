@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tzitzeica import lax
 from tzitzeica.grid import PeriodicGrid, zero_field
 from tzitzeica.invariants import christoffel_from_field, closed_form_tensor, hermitian_induced
 from tzitzeica.lax import SpectralPoint, integrate_frame
@@ -110,6 +112,39 @@ def test_extraction_refines_on_wave_surface(wave61):
         hs.append(wave61.period / n)
     assert loglog_slope(hs, errs) > 1.9
     assert loglog_slope(hs, ncs) > 1.9
+
+
+@pytest.mark.parametrize("case", ["flat-closing", "wave"])
+def test_extraction_does_not_depend_on_the_stencil_block(wave61, case, monkeypatch):
+    # the closing flat frame's base is a non-contiguous view of its nodes
+    if case == "wave":
+        u, frame = _wave_frame(wave61, n=32, substeps=4, ny=24)
+    else:
+        u, frame = _flat_frame(n=32, substeps=16, closing=True)
+    gamma = christoffel_from_field(u)
+    results = []
+    # one row (the floor of any block), 5 rows with a shorter last block,
+    # and the whole grid
+    for block_nodes in (1, 5 * frame.grid.nx, frame.grid.nx * frame.grid.ny):
+        monkeypatch.setattr(lax, "STENCIL_BLOCK_NODES", block_nodes)
+        results.append(extract_second_form(frame, 1.0, gamma))
+    for tens, ncoeff in results[1:]:
+        assert np.array_equal(tens, results[0][0])
+        assert np.array_equal(ncoeff, results[0][1])
+
+
+def test_full_report_memory_stays_within_the_stencil_blocks(wave61):
+    # the report's peak on a 128^2 frame: 68.3 MB with the five stencil
+    # frames of the whole grid, 19.9 MB marched in blocks of rows
+    g = PeriodicGrid(128, 128, wave61.period, FLAT_LY)
+    frame = integrate_frame(lift_1d(wave61, g), SpectralPoint(0.3))
+    tracemalloc.start()
+    try:
+        full_report(frame, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35e6
 
 
 def test_full_report_flat_numbers():
