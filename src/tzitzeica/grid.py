@@ -10,7 +10,6 @@ It also owns the layouts of the artifact files: text tables (save_table,
 load_field) and binary node files (save_nodes, load_nodes).
 """
 
-import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -144,12 +143,29 @@ def trig_upsample(values, factor, axis, offsets):
     that bin that keeps the interpolant real."""
     f = np.asarray(values, dtype=float)
     n = f.shape[axis]
+    shape = [len(offsets)] + [1] * f.ndim
+    shape[axis + 1] = -1
+    phase = _trig_phases(n, factor, offsets).reshape(shape)
+    return np.fft.irfft(np.fft.rfft(f, axis=axis) * phase, n, axis=axis + 1)
+
+
+def trig_planes(values, factor, offsets):
+    """The planes of trig_upsample along axis 0, one offset at a time from
+    one rfft: a generator, so a caller that keeps a part of each plane never
+    holds them all."""
+    f = np.asarray(values, dtype=float)
+    n = len(f)
+    spectrum = np.fft.rfft(f, axis=0)
+    for phase in _trig_phases(n, factor, offsets):
+        yield np.fft.irfft(spectrum * phase.reshape((-1,) + (1,) * (f.ndim - 1)), n, axis=0)
+
+
+def _trig_phases(n, factor, offsets):
+    """exp(2 pi i k j / (n factor)) for each k of offsets (rows) and each
+    rfft bin j of n samples (columns)."""
     # k * j reduced mod n * factor keeps every phase angle in [0, 2 pi)
     turns = np.outer(offsets, np.arange(n // 2 + 1)) % (n * factor) / (n * factor)
-    shape = [len(turns)] + [1] * f.ndim
-    shape[axis + 1] = -1
-    phase = np.exp(2j * np.pi * turns).reshape(shape)
-    return np.fft.irfft(np.fft.rfft(f, axis=axis) * phase, n, axis=axis + 1)
+    return np.exp(2j * np.pi * turns)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +320,8 @@ def load_field(path):
     cannot be opened, does not end with the newline save_field ends it with (it
     was cut short) or holds no values after its header, the header does not
     parse (see parse_header) or is no valid grid, or the file holds other than
-    nx * ny lines of one value or a non-finite value."""
+    nx * ny lines or a line that is not one number (two values, a comment, a
+    blank line), or a non-finite value."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -314,11 +331,11 @@ def load_field(path):
         header = parse_header(head.decode("ascii"), (int, int, float, float))
         if not body:
             raise ValueError("it holds its header and no values")
-        values = np.loadtxt(io.BytesIO(body), delimiter=",", ndmin=2)
+        # one value per line: a line that is not one number fails the conversion
+        values = np.array(body.split(b"\n")[:-1], dtype=float)
         grid = header_grid(path, "field file", header)
-        if values.shape != (grid.nx * grid.ny, 1):
-            raise ValueError(f"it holds {values.shape[0]} lines of {values.shape[1]} values, "
-                             f"not {grid.nx * grid.ny} of 1")
+        if values.size != grid.nx * grid.ny:
+            raise ValueError(f"it holds {values.size} lines, not {grid.nx * grid.ny}")
         if not np.isfinite(values).all():
             raise ValueError("it holds non-finite values")
     except (OSError, ValueError) as exc:

@@ -185,17 +185,19 @@ def closed_form_tensor(u, theta):
 
 def codazzi_residual(t, gamma, g, hx, hy):
     """Per-node max over index choices of nabla_i t_jsk - nabla_j t_isk, on
-    periodic fields."""
+    periodic fields.  The difference vanishes for i = j and changes sign
+    under i <-> j, so only nabla_0 t_1sk and nabla_1 t_0sk are formed."""
     t_low = lower_tensor(t, g)
     gamma = np.asarray(gamma, dtype=float)
-    # dt[a, j, s, k] = d_a t_jsk
-    dt = np.stack([gridmod.deriv(t_low, hx, NODE_X), gridmod.deriv(t_low, hy, NODE_Y)])
-    # nabla[i, j, s, k] = d_i t_jsk - gam^r_ij t_rsk - gam^r_is t_jrk - gam^r_ik t_jsr
-    nabla = (
-        dt
-        - np.einsum("rij...,rsk...->ijsk...", gamma, t_low)
-        - np.einsum("ris...,jrk...->ijsk...", gamma, t_low)
-        - np.einsum("rik...,jsr...->ijsk...", gamma, t_low)
-    )
-    resid = nabla - np.swapaxes(nabla, 0, 1)
-    return np.abs(resid).max(axis=(0, 1, 2, 3))
+
+    def nabla(i, j, h, axis):
+        # nabla_i t_jsk = d_i t_jsk - gam^r_ij t_rsk - gam^r_is t_jrk - gam^r_ik t_jsr
+        return (
+            gridmod.deriv(t_low[j], h, axis)
+            - np.einsum("r...,rsk...->sk...", gamma[:, i, j], t_low)
+            - np.einsum("rs...,rk...->sk...", gamma[:, i], t_low[j])
+            - np.einsum("rk...,sr...->sk...", gamma[:, i], t_low[j])
+        )
+
+    resid = nabla(0, 1, hx, NODE_X) - nabla(1, 0, hy, NODE_Y)
+    return np.abs(resid).max(axis=(0, 1))

@@ -22,15 +22,22 @@ the real directions obeys d_x U = U Wx and d_y U = U Wy with
           [-lam e^{u/2}, e^{u/2}, 0        ]]
 
 Integration marches the first grid row in x and then every column in y, with
-`substeps` RK4 steps per grid cell.  Wx reads u and u_y only, Wy u and u_x
-only, and each march samples just those two arrays; values between nodes
-come from grid.trig_upsample, so within the integrator u is treated as the
-trigonometric interpolant of its samples and all coefficient values are
-exact for that interpolant.  An RK4 step is S <- S P with P built from the
-generators alone (Iserles et al., "Lie-group methods", Acta Numerica 2000);
-the march visits cells only, and periodic cells reuse their propagators.
-Unitarity drift is a diagnostic, repaired only on request by the polar
-factor at every cell boundary.
+`substeps` RK4 steps per grid cell; the columns are marched over one part
+of the cell rows at a time (FRAME_ROW_PARTS parts), each part sampled just
+before its march, so the samples of the whole grid never exist at once.
+Wx reads u and u_y only, Wy u and u_x only, and each march samples just
+those two arrays; values between nodes come from grid.trig_upsample and
+grid.trig_planes, so within the integrator u is treated as the trigonometric
+interpolant of its samples and all coefficient values are exact for that
+interpolant.  An RK4 step is S <- S P with P built from the generators alone
+(Iserles et al., "Lie-group methods", Acta Numerica 2000); the march visits
+cells only.  Each march builds its generators and propagators in a workspace
+allocated before its first cell and shared by marches of one shape, so the
+march's speed does not depend on the allocator's state: per-cell
+temporaries above glibc's mmap threshold (128 KiB until a larger block is
+freed) would be mapped and faulted in afresh for every cell row.  Unitarity
+drift is a diagnostic, repaired only on request by the polar factor at
+every cell boundary.
 
 A closing frame marches one more cell in each direction, so it also holds
 the wrap-around column i = nx and row j = ny.  Because those cells reuse the
@@ -43,11 +50,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import AXIS_X, AXIS_Y, ScalarFieldPeriodic, ddx, ddy, trig_upsample
+from .grid import AXIS_X, AXIS_Y, ScalarFieldPeriodic, ddx, ddy, trig_planes, trig_upsample
 from .linalg3 import unitarity_defect_map
 
 DEFAULT_SUBSTEPS = 24
-STENCIL_BLOCK_NODES = 2048  # nodes per block of frame_axis_stencil's march
+STENCIL_BLOCK_NODES = 1024  # nodes per block of frame_axis_stencil's march
+FRAME_ROW_PARTS = 2  # parts of the cell rows integrate_frame samples and marches in turn
 
 
 @dataclass(frozen=True)
@@ -66,39 +74,40 @@ class SpectralPoint:
 # ---------------------------------------------------------------------------
 
 
-def frame_coeff_x(u, uy, lam):
-    """Generator Wx of d_x U = U Wx; anti-Hermitian for |lam| = 1.  Filled
-    plane by plane in a matrix-first buffer, returned as its (..., 3, 3)
-    view."""
+def frame_coeff_x(u, uy, lam, out):
+    """Generator Wx of d_x U = U Wx; anti-Hermitian for |lam| = 1.  Written
+    plane by plane into out, a (3, 3) + shape(u) buffer with the matrix axes
+    first, and returned as its (..., 3, 3) view."""
     emu = np.exp(-u)
     eh = np.exp(0.5 * u)
-    out = np.zeros((3, 3) + np.shape(u), dtype=complex)
-    out[0, 0] = 0.5j * uy
-    out[0, 1] = 1j * emu
-    out[0, 2] = 1j * np.conj(lam) * eh
-    out[1, 0] = 1j * emu
-    out[1, 1] = -0.5j * uy
-    out[1, 2] = 1j * eh
-    out[2, 0] = 1j * lam * eh
-    out[2, 1] = 1j * eh
+    # out[i, j, ...] is a view of the plane even for a scalar u
+    np.multiply(0.5j, uy, out=out[0, 0, ...])
+    np.multiply(1j, emu, out=out[0, 1, ...])
+    np.multiply(1j * np.conj(lam), eh, out=out[0, 2, ...])
+    np.multiply(1j, emu, out=out[1, 0, ...])
+    np.multiply(-0.5j, uy, out=out[1, 1, ...])
+    np.multiply(1j, eh, out=out[1, 2, ...])
+    np.multiply(1j * lam, eh, out=out[2, 0, ...])
+    np.multiply(1j, eh, out=out[2, 1, ...])
+    out[2, 2] = 0.0
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-def frame_coeff_y(u, ux, lam):
-    """Generator Wy of d_y U = U Wy; anti-Hermitian for |lam| = 1.  Filled
-    plane by plane in a matrix-first buffer, returned as its (..., 3, 3)
-    view."""
+def frame_coeff_y(u, ux, lam, out):
+    """Generator Wy of d_y U = U Wy; anti-Hermitian for |lam| = 1.  Written
+    plane by plane into out, a (3, 3) + shape(u) buffer with the matrix axes
+    first, and returned as its (..., 3, 3) view."""
     emu = np.exp(-u)
     eh = np.exp(0.5 * u)
-    out = np.zeros((3, 3) + np.shape(u), dtype=complex)
-    out[0, 0] = -0.5j * ux
-    out[0, 1] = -emu
-    out[0, 2] = np.conj(lam) * eh
+    np.multiply(-0.5j, ux, out=out[0, 0, ...])
+    np.negative(emu, out=out[0, 1, ...])
+    np.multiply(np.conj(lam), eh, out=out[0, 2, ...])
     out[1, 0] = emu
-    out[1, 1] = 0.5j * ux
-    out[1, 2] = -eh
-    out[2, 0] = -lam * eh
+    np.multiply(0.5j, ux, out=out[1, 1, ...])
+    np.negative(eh, out=out[1, 2, ...])
+    np.multiply(-lam, eh, out=out[2, 0, ...])
     out[2, 1] = eh
+    out[2, 2] = 0.0
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
@@ -113,74 +122,105 @@ def _polar(mat):
     return np.moveaxis(w @ vh, (-2, -1), (0, 1))
 
 
-def _mul3(a, b):
-    """Batched 3x3 product with the matrix axes first, out[i, j] =
-    sum_k a[i, k] b[k, j], as three broadcast multiply-adds over contiguous
-    batch axes."""
-    out = a[:, 0, None] * b[0]
-    out += a[:, 1, None] * b[1]
-    out += a[:, 2, None] * b[2]
+def _mul3(a, b, out, tmp):
+    """Batched 3x3 product with the matrix axes first, written into out,
+    out[i, j] = sum_k a[i, k] b[k, j], as three broadcast multiply-adds over
+    contiguous batch axes; tmp, shaped like out, holds each term."""
+    np.multiply(a[:, 0, None], b[0], out=out)
+    for k in (1, 2):
+        np.add(out, np.multiply(a[:, k, None], b[k], out=tmp), out=out)
     return out
 
 
-def _cell_propagators(coeffs, builder, lam, h, m):
-    """Propagators C, S_end = S_start C, shape (3, 3, k, ...), of the k cells
-    whose 2*m*k + 1 half-substep samples of the builder's inputs before lam,
-    coeffs, hold along axis 0.  d S = S W is linear, so an RK4 substep is
+def _cell_propagators(coeffs, builder, lam, h, m, w, ks):
+    """Propagators C, S_end = S_start C, of the k cells whose 2*m*k + 1
+    half-substep samples of the builder's inputs before lam, coeffs, hold
+    along axis 0, as a (3, 3, k, ...) view into the workspace: w,
+    (3, 3, 2*m*k + 1, ...), receives the generators and ks, (4, 3, 3, m*k, ...),
+    the RK4 stages and the products.  d S = S W is linear, so an RK4 substep is
     S <- S P with P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S; the
     m substep propagators of a cell are multiplied pairwise."""
     hs = h / m
-    w = np.ascontiguousarray(np.moveaxis(builder(*coeffs, lam), (-2, -1), (0, 1)))
+    builder(*coeffs, lam, w)
     k1, wh, w1 = w[:, :, 0:-1:2], w[:, :, 1::2], w[:, :, 2::2]
-    k2 = wh + (0.5 * hs) * _mul3(k1, wh)
-    k3 = wh + (0.5 * hs) * _mul3(k2, wh)
-    k4 = w1 + hs * _mul3(k3, w1)
-    prop = (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    prop[[0, 1, 2], [0, 1, 2]] += 1.0
-    prop = prop.reshape((3, 3, -1, m) + prop.shape[3:])
-    while prop.shape[3] > 1:
-        pairs = _mul3(prop[:, :, :, 0:-1:2], prop[:, :, :, 1::2])
-        prop = np.concatenate([pairs, prop[:, :, :, -1:]], axis=3) if prop.shape[3] % 2 else pairs
+    k2, k3, k4, tmp = ks
+    np.add(wh, np.multiply(0.5 * hs, _mul3(k1, wh, k2, tmp), out=k2), out=k2)
+    np.add(wh, np.multiply(0.5 * hs, _mul3(k2, wh, k3, tmp), out=k3), out=k3)
+    np.add(w1, np.multiply(hs, _mul3(k3, w1, k4, tmp), out=k4), out=k4)
+    # P = hs/6 (((K1 + 2 K2) + 2 K3) + K4) + I, summed in K2's buffer
+    prop = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
+    np.add(prop, np.multiply(2.0, k3, out=k3), out=prop)
+    np.add(prop, k4, out=prop)
+    np.multiply(hs / 6.0, prop, out=prop)
+    for i in range(3):
+        prop[i, i] += 1.0
+    # products of neighbouring pairs, level by level, between two buffers
+    shape = (3, 3, -1, m) + prop.shape[3:]
+    prop, spare, tmp = (a.reshape(shape) for a in (prop, k3, tmp))
+    n = m
+    while n > 1:
+        half = n // 2
+        _mul3(prop[:, :, :, 0 : 2 * half : 2], prop[:, :, :, 1 : 2 * half : 2],
+              spare[:, :, :, :half], tmp[:, :, :, :half])
+        if n % 2:
+            spare[:, :, :, half] = prop[:, :, :, n - 1]
+        prop, spare, n = spare, prop, n - half
     return prop[:, :, :, 0]
 
 
-def _march(state, coeffs, builder, lam, h, m, ncells, re_unitarize=False):
-    """States at the ncells + 1 cell boundaries of d S = S W, m RK4 substeps
-    per cell, shape (ncells + 1,) + state.shape; the state holds its matrix
-    axes first.  coeffs, the builder's inputs before lam, hold 2*m*period + 1
-    half-substep samples along axis 0, the other axes broadcast against the
-    state's batch axes; cell c uses the propagator of cell c % period.  1D coeffs (a single
-    line) build every cell at once, batched coeffs one cell at a time to
-    bound memory.  A state with more columns than the propagators (a closing
-    column) has column i use propagator column i % n."""
-    period = (coeffs[0].shape[0] - 1) // (2 * m)
-    chunk = period if coeffs[0].ndim == 1 else 1
-    state = np.asarray(state, dtype=complex)
-    stored = np.empty((ncells + 1,) + state.shape, dtype=complex)
-    stored[0] = state
-    cells = []
-    for c in range(ncells):
-        k = c % period
-        if k == len(cells):
-            block = tuple(a[2 * m * k : 2 * m * min(k + chunk, period) + 1] for a in coeffs)
-            props = _cell_propagators(block, builder, lam, h, m)
-            cells.extend(props[:, :, i] for i in range(props.shape[2]))
-        prop = cells[k]
-        if prop.shape[2:] != state.shape[2:]:
-            prop = prop[:, :, np.arange(state.shape[2]) % prop.shape[2]]
-        state = _mul3(state, prop)
+def _workspace(state, batch, m, k):
+    """The buffers of a march from states shaped like state over coefficient
+    samples with batch axes batch, k cells at a time: the generators,
+    (3, 3, 2*m*k + 1) + batch; the RK4 stages and products,
+    (4, 3, 3, m*k) + batch; and three states."""
+    return (np.empty((3, 3, 2 * m * k + 1) + batch, dtype=complex),
+            np.empty((4, 3, 3, m * k) + batch, dtype=complex),
+            np.empty((3,) + np.shape(state), dtype=complex))
+
+
+def _march(state, coeffs, builder, lam, h, m, out, ws, re_unitarize=False):
+    """March d S = S W from state over len(out) cells, m RK4 substeps per
+    cell, writing the state after cell c into out[c]; states hold their
+    matrix axes first.  coeffs, the builder's inputs before lam, hold
+    2*m*len(out) + 1 half-substep samples along axis 0, the other axes
+    broadcast against the state's batch axes.  A state with more columns
+    than the propagators (a closing column) has column i use propagator
+    column i % n.  ws is a _workspace for k cells at a time: all cells of 1D
+    coeffs (a single line) at once, one cell of batched coeffs at a time to
+    bound memory.  Marches of one shape share one workspace, so a cell
+    allocates only the builder's real temporaries, e^-u and e^{u/2} at its
+    samples."""
+    w, ks, (cur, nxt, tmp) = ws
+    k = (w.shape[2] - 1) // (2 * m)
+    cur[...] = state
+    for c in range(len(out)):
+        if c % k == 0:
+            block = [a[2 * m * c : 2 * m * (c + k) + 1] for a in coeffs]
+            props = _cell_propagators(block, builder, lam, h, m, w, ks)
+        prop = props[:, :, c % k]
+        if prop.shape[2:] != cur.shape[2:]:
+            prop = prop[:, :, np.arange(cur.shape[2]) % prop.shape[2]]
+        _mul3(cur, prop, nxt, tmp)
         if re_unitarize:
-            state = _polar(state)
-        stored[c + 1] = state
-    return stored
+            nxt[...] = _polar(nxt)
+        out[c] = nxt
+        cur, nxt = nxt, cur
 
 
-def _periodic_samples(values, m):
-    """Trigonometric samples of periodic data at every half substep along
-    axis 0, the first repeated at the end: 2*m*n + 1 samples."""
-    fine = np.swapaxes(trig_upsample(values, 2 * m, 0, range(2 * m)), 0, 1)
-    fine = fine.reshape((-1,) + fine.shape[2:])
-    return np.concatenate([fine, fine[:1]])
+def _march_samples(arrays, m, start, stop):
+    """Trigonometric samples of each periodic array along axis 0 at every
+    half substep of the cells start..stop - 1, then at node stop (mod n): the
+    2*m*(stop - start) + 1 samples a march over those cells reads, in march
+    order, interpolated one offset at a time over the whole axis."""
+    samples = []
+    for values in arrays:
+        out = np.empty((2 * m * (stop - start) + 1,) + values.shape[1:])
+        for k, fine in enumerate(trig_planes(values, 2 * m, range(2 * m))):
+            out[k : -1 : 2 * m] = fine[start:stop]
+            if k == 0:
+                out[-1] = fine[stop % len(values)]
+        samples.append(out)
+    return samples
 
 
 @dataclass
@@ -213,9 +253,13 @@ def frame_orthonormality_report(frame):
 def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_unitarize=False):
     """Integrate the frame over the grid from the identity at the corner node.
 
-    Marches the first row in x and then all columns in y.  closing=True also
-    integrates the wrap-around column nx and row ny, for closure
-    measurements.  The unitarity defect is left to the caller to bound.
+    Marches the first row in x and then every column in y, over one part of
+    the cell rows at a time (FRAME_ROW_PARTS parts), each part's samples
+    taken just before its march, so no array spans every half-substep sample
+    of the grid.  Each marched row goes straight into the node-last result.
+    closing=True also integrates the wrap-around column nx and row ny, for
+    closure measurements.  The unitarity defect is left to the caller to
+    bound.
     """
     grid = u.grid
     lam = spectral.lam
@@ -224,16 +268,24 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
         raise ValueError("substeps must be >= 1")
     extra = int(closing)
     vals = u.values
+    unitary = np.empty((grid.ny + extra, grid.nx + extra, 3, 3), dtype=complex)
+    unitary[0, 0] = np.eye(3)
     # first row, marched in x, every cell propagator in one block
-    row = (_periodic_samples(vals[0], m), _periodic_samples(ddy(vals, grid, "spectral")[0], m))
-    first = _march(np.eye(3, dtype=complex), row, frame_coeff_x, lam, grid.hx, m,
-                   grid.nx + extra - 1, re_unitarize)
-    # all columns at once, marched in y one cell row at a time; the closing
-    # column nx reuses the propagators of column 0
-    cols = (_periodic_samples(vals, m), _periodic_samples(ddx(vals, grid, "spectral"), m))
-    stored = _march(np.moveaxis(first, 0, -1), cols, frame_coeff_y, lam, grid.hy, m,
-                    grid.ny + extra - 1, re_unitarize)
-    unitary = np.ascontiguousarray(np.moveaxis(stored, (1, 2), (-2, -1)))
+    cells = grid.nx + extra - 1
+    row = _march_samples((vals[0], ddy(vals, grid, "spectral")[0]), m, 0, cells)
+    _march(unitary[0, 0], row, frame_coeff_x, lam, grid.hx, m, unitary[0, 1:],
+           _workspace(unitary[0, 0], (), m, cells), re_unitarize)
+    # every column, marched in y one cell row at a time and one part of the
+    # cell rows after another; rows[j] is node row j with the matrix axes
+    # first, and the closing column nx reuses the propagators of column 0
+    cols = (vals, ddx(vals, grid, "spectral"))
+    rows = np.moveaxis(unitary, 1, -1)
+    cells = grid.ny + extra - 1
+    bounds = [cells * p // FRAME_ROW_PARTS for p in range(FRAME_ROW_PARTS + 1)]
+    ws = _workspace(rows[0], (grid.nx,), m, 1)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        _march(rows[start], _march_samples(cols, m, start, stop), frame_coeff_y, lam, grid.hy, m,
+               rows[start + 1 : stop + 1], ws, re_unitarize)
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
 
 
@@ -250,8 +302,9 @@ def frame_axis_stencil(frame, axis, reduce):
     runs on blocks of STENCIL_BLOCK_NODES nodes (at least one row), so its
     memory does not grow with the grid.  For each block, reduce gets lists
     indexed by k + 2 of (3, 3, rows, nx) frames with the matrix axes first
-    and of (rows, nx) samples, and returns an array whose second-to-last
-    axis is those rows; the blocks' results are joined along that axis.
+    and of (rows, nx) samples, and returns a new array whose second-to-last
+    axis is those rows (the frames' buffer is reused by the next block); the
+    blocks' results are joined along that axis.
     Every node is marched on its own, so the result does not depend on the
     block size.
     """
@@ -271,11 +324,21 @@ def frame_axis_stencil(frame, axis, reduce):
     base = np.moveaxis(frame.base, (-2, -1), (0, 1))
     rows = max(1, STENCIL_BLOCK_NODES // grid.nx)
     parts = []
+    shape = None
     for j in range(0, grid.ny, rows):
         block = slice(j, j + rows)
         coeffs = [a[:, block] for a in near]
+        if coeffs[0].shape[1:] != shape:
+            # frames at offsets -2..2 and the march's workspace, shared by
+            # every block of this shape (only a shorter last block differs);
+            # the old buffers are released before the new ones are made
+            shape = coeffs[0].shape[1:]
+            frames = ws = None
+            frames = np.empty((5, 3, 3) + shape, dtype=complex)
+            ws = _workspace(frames[2], shape, 1, 1)
         # one RK4 substep per cell, marched up and down from the node
-        up = _march(base[:, :, block], [a[4:] for a in coeffs], builder, lam, h / m, 1, 2)
-        down = _march(base[:, :, block], [a[4::-1] for a in coeffs], builder, lam, -h / m, 1, 2)
-        parts.append(reduce(list(down[:0:-1]) + list(up), list(coeffs[0][::2])))
+        frames[2] = base[:, :, block]
+        _march(frames[2], [a[4:] for a in coeffs], builder, lam, h / m, 1, frames[3:], ws)
+        _march(frames[2], [a[4::-1] for a in coeffs], builder, lam, -h / m, 1, frames[1::-1], ws)
+        parts.append(reduce(list(frames), list(coeffs[0][::2])))
     return np.concatenate(parts, axis=-2)

@@ -7,7 +7,11 @@ conjugate-linear in the first slot; its real part is the Euclidean product
 of C^3 viewed as R^6.
 """
 
+import math
+
 import numpy as np
+
+DEFECT_BLOCK_NODES = 2048  # matrices per block of unitarity_defect_map's contraction
 
 
 def hermitian_inner(a, b):
@@ -18,13 +22,20 @@ def hermitian_inner(a, b):
 
 def unitarity_defect_map(mat):
     """Max-abs entry of U^H U - I per matrix of a stack with trailing shape
-    (3, 3), contracted over the node planes of one matrix-first copy.  U^H U
-    is Hermitian, so its upper triangle suffices."""
-    m = np.ascontiguousarray(np.moveaxis(np.asarray(mat), (-2, -1), (0, 1)))
-    cm = np.conj(m)
-    out = 0.0
-    for i in range(3):
-        for k in range(i, 3):
-            d = np.einsum("j...,j...->...", cm[:, i], m[:, k]) - float(i == k)
-            out = np.maximum(out, np.abs(d))
-    return out
+    (3, 3).  Contracted over the node planes of a matrix-first copy of one
+    block of rows of the stack (leading-axis entries, about DEFECT_BLOCK_NODES
+    matrices) at a time, so neither a whole-stack copy nor U^H U is formed.
+    U^H U is Hermitian, so its upper triangle suffices."""
+    mat = np.asarray(mat)
+    stack = mat[None] if mat.ndim == 2 else mat
+    out = np.zeros(stack.shape[:-2])
+    rows = max(1, DEFECT_BLOCK_NODES // max(1, math.prod(stack.shape[1:-2])))
+    for j in range(0, len(stack), rows):
+        m = np.ascontiguousarray(np.moveaxis(stack[j : j + rows], (-2, -1), (0, 1)))
+        cm = np.conj(m)
+        block = out[j : j + rows]
+        for i in range(3):
+            for k in range(i, 3):
+                d = np.einsum("j...,j...->...", cm[:, i], m[:, k]) - float(i == k)
+                np.maximum(block, np.abs(d), out=block)
+    return out.reshape(mat.shape[:-2])

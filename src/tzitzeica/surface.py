@@ -35,10 +35,9 @@ class SurfaceMesh:
 
 
 def tangent_analytic(frame, radius):
-    """Closed-form tangents, each (3, ny, nx), from the columns of one
-    matrix-first copy of the base-node frames and the frame's exponent
-    field."""
-    base = np.ascontiguousarray(np.moveaxis(frame.base, (-2, -1), (0, 1)))
+    """Closed-form tangents, each (3, ny, nx), from the first two columns of
+    the base-node frames, read in place, and the frame's exponent field."""
+    base = np.moveaxis(frame.base, (-2, -1), (0, 1))
     return _tangents_at(base, frame.u.values, frame.spectral.lam, radius)
 
 
@@ -188,14 +187,16 @@ class ImmersionReport:
 def full_report(frame, radius):
     """Evaluate every verification residual on the surface r = R * N of
     ``frame``, against the closed forms at the frame's own u and theta; a
-    closing frame adds closure_defect."""
+    closing frame adds closure_defect.  Each whole-grid intermediate is
+    dropped once the residuals that read it are taken, so the report's memory
+    stays near that of its largest single step."""
     grid = frame.grid
     u = frame.u
     conf = 2.0 * radius**2 * np.exp(u.values)
 
     e1, e2 = tangent_analytic(frame, radius)
     normal = _normal(frame)
-    norm_map = normality_map(e1, e2, normal)
+    normality = float(normality_map(e1, e2, normal).max())
     g_meas, om_meas = inv.hermitian_induced(e1, e2, check=False)
     conformal = max(
         float(np.abs(g_meas[0, 0] - conf).max()),
@@ -203,6 +204,7 @@ def full_report(frame, radius):
         float(np.abs(g_meas[0, 1]).max()),
         float(np.abs(om_meas).max()),
     )
+    del e1, e2, g_meas, om_meas
 
     gamma = inv.christoffel_from_field(u)
     tens, ncf = extract_second_form(frame, radius, gamma)
@@ -217,6 +219,7 @@ def full_report(frame, radius):
         float(np.abs(ncf[0, 1]).max()),
         float(np.abs(ncf[1, 0]).max()),
     )
+    del ncf, closed, target
 
     g_an = np.zeros((2, 2) + conf.shape)
     g_an[0, 0] = conf
@@ -224,8 +227,7 @@ def full_report(frame, radius):
     h2, t2, t4 = inv.scalar_invariants(tens, g_an)
     h2_max = float(np.abs(h2).max())
 
-    riem = inv.riemann(gamma, grid.hx, grid.hy)
-    k_curv = inv.gauss_curvature(g_an, riem)
+    k_curv = inv.gauss_curvature(g_an, inv.riemann(gamma, grid.hx, grid.hy))
     gauss = float(np.abs(inv.gauss_residual(k_curv, h2, t2, radius)).max())
     codazzi = float(inv.codazzi_residual(tens, gamma, g_an, grid.hx, grid.hy).max())
 
@@ -240,7 +242,7 @@ def full_report(frame, radius):
     closure = torus_closure(frame).max_defect if frame.closing else None
 
     return ImmersionReport(
-        normality_defect=float(norm_map.max()),
+        normality_defect=normality,
         conformal_defect=conformal,
         minimality_H=math.sqrt(max(h2_max, 0.0)),
         h2_max=h2_max,

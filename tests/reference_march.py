@@ -38,6 +38,12 @@ def zero_pad_upsample(values, factor, axis):
     return np.moveaxis(out, 0, axis).real
 
 
+def generator(builder, u, cross, lam):
+    """The generator builder writes for samples u and cross, as new (..., 3, 3)
+    matrices."""
+    return builder(u, cross, lam, np.empty((3, 3) + np.shape(u), dtype=complex))
+
+
 def rk4_step(state, om0, omh, om1, h):
     k1 = state @ om0
     k2 = (state + 0.5 * h * k1) @ omh
@@ -51,13 +57,13 @@ def march(state, coeffs, builder, lam, h, ncells, m):
     before lam, hold 2*m*ncells + 1 half-substep samples along axis 0."""
     stored = np.empty((ncells + 1,) + state.shape, dtype=complex)
     stored[0] = state
-    om_right = builder(*(a[0] for a in coeffs), lam)
+    om_right = generator(builder, *(a[0] for a in coeffs), lam)
     hs = h / m
     for c in range(ncells):
         for s in range(m):
             p = 2 * (c * m + s)
-            omh = builder(*(a[p + 1] for a in coeffs), lam)
-            om1 = builder(*(a[p + 2] for a in coeffs), lam)
+            omh = generator(builder, *(a[p + 1] for a in coeffs), lam)
+            om1 = generator(builder, *(a[p + 2] for a in coeffs), lam)
             state = rk4_step(state, om_right, omh, om1, hs)
             om_right = om1
         stored[c + 1] = state
@@ -115,7 +121,7 @@ def reference_stencil(frame, axis, halfwidth=2):
     def om_at(offset):
         idx = (node_idx + offset) % (2 * m * n)
         c = [a[:, idx] if ax == AXIS_X else a[idx, :] for a in fine]
-        return builder(c[0], c[1], frame.spectral.lam)
+        return generator(builder, c[0], c[1], frame.spectral.lam)
 
     frames = {0: frame.base.copy()}
     for sign in (+1, -1):

@@ -29,7 +29,7 @@ from oracles import (
     pairing_series,
     period_shooting,
 )
-from reference_march import reference_frame, reference_psi
+from reference_march import generator, reference_frame, reference_psi
 
 FLAT_LX = float(2.0 * np.pi)
 FLAT_LY = float(2.0 * np.pi / np.sqrt(3.0))
@@ -137,8 +137,8 @@ def test_criterion_2_sign_convention_lock():
         wy = (uy * dlog @ d + 1j * d @ (a_num - b_num)) @ np.linalg.inv(d)
         gauge_defect = max(
             gauge_defect,
-            np.abs(wx - frame_coeff_x(uval, uy, lamval).T).max(),
-            np.abs(wy - frame_coeff_y(uval, ux, lamval).T).max(),
+            np.abs(wx - generator(frame_coeff_x, uval, uy, lamval).T).max(),
+            np.abs(wy - generator(frame_coeff_y, uval, ux, lamval).T).max(),
         )
     assert gauge_defect <= 1e-13, f"frame generators vs gauge-transformed psi system {gauge_defect}"
     # cross-differentiation: d_zb A - d_z B + [A, B] = 0 forces the PDE sign
@@ -238,8 +238,8 @@ def _expm_eig(mat):
 def test_criterion_5_frame_convergence(wave61):
     spectral = SpectralPoint(0.3)
     lam = spectral.lam
-    wx = frame_coeff_x(0.0, 0.0, lam)
-    wy = frame_coeff_y(0.0, 0.0, lam)
+    wx = generator(frame_coeff_x, 0.0, 0.0, lam)
+    wy = generator(frame_coeff_y, 0.0, 0.0, lam)
     assert np.abs(wx @ wy - wy @ wx).max() < 1e-14  # oracle factorizes
     errs, hs = [], []
     for n in (32, 64, 128):

@@ -697,8 +697,10 @@ def test_report_rejects_truncated_field(tmp_path):
         lambda head, vals: [head.rsplit(",", 1)[0]] + vals,
         lambda head, vals: [head.rsplit(",", 1)[0] + ",inf"] + vals,
         lambda head, vals: [",".join(head.split(",")[:2] + ["1.0", "1.0"])] + vals,
+        lambda head, vals: [head] + vals[:5] + [vals[5] + "," + vals[6]] + vals[6:],
+        lambda head, vals: [head] + vals[:5] + ["# a comment line"] + vals[5:],
     ],
-    ids=["nan", "ragged", "header", "infinite-period", "other-periods"],
+    ids=["nan", "ragged", "header", "infinite-period", "other-periods", "two-values", "comment"],
 )
 def test_solve_rejects_damaged_seed_file(tmp_path, damage):
     out = tmp_path / "out"

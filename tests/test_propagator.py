@@ -1,6 +1,8 @@
 """The propagator-form frame integrator against the per-substep reference
 marcher (tests/reference_march.py), node by node."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from tzitzeica.wave import lift_1d
 from reference_march import reference_frame, reference_stencil
 
 TOL = 1e-12
+FLAT_LY = 2.0 * np.pi / np.sqrt(3.0)
 
 
 def test_flat_extended_frame_matches_reference():
@@ -84,3 +87,34 @@ def test_reunitarized_frame_moves_by_at_most_the_drift(wave_field):
     ref = reference_frame(wave_field, sp, 4)
     assert unitarity_defect_map(fixed.unitary).max() < 1e-12
     assert np.abs(fixed.unitary - ref).max() <= unitarity_defect_map(ref).max()
+
+
+@pytest.mark.parametrize("case", ["wave128", "flat65-closing"])
+def test_frame_does_not_depend_on_the_row_split(wave61, case, monkeypatch):
+    # the columns are sampled and marched over one part of the cell rows at
+    # a time: the whole grid, halves, and an uneven split into three parts
+    # (127 and 65 cell rows) give the same bits
+    if case == "wave128":
+        u, closing = lift_1d(wave61, PeriodicGrid(128, 128, wave61.period, FLAT_LY)), False
+    else:
+        u, closing = zero_field(PeriodicGrid(65, 65, 2 * np.pi, FLAT_LY)), True
+    frames = []
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(lax, "FRAME_ROW_PARTS", parts)
+        frames.append(integrate_frame(u, SpectralPoint(0.3), closing=closing).unitary)
+    for unitary in frames[1:]:
+        assert np.array_equal(unitary, frames[0])
+
+
+def test_frame_memory_stays_within_a_part_of_the_rows(wave61):
+    # integrate_frame's peak on a 128^2 wave frame: 20.8 MB with every
+    # half-substep sample of the grid at once, 12.5 MB marched over half the
+    # cell rows at a time
+    u = lift_1d(wave61, PeriodicGrid(128, 128, wave61.period, FLAT_LY))
+    tracemalloc.start()
+    try:
+        integrate_frame(u, SpectralPoint(0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
