@@ -83,8 +83,20 @@ def field_from_function(grid, fn):
 
 
 # ---------------------------------------------------------------------------
-# derivatives on periodic data (np.roll stencils; spectral first derivative via FFT)
+# derivatives on periodic data (stencils on one periodic pad; spectral first derivative via FFT)
 # ---------------------------------------------------------------------------
+
+
+def _taps(f, axis):
+    """tap(s), the samples f at node + s along ``axis`` for |s| <= 2, as
+    slices of one periodic pad of f: tap(s) equals np.roll(f, -s, axis)."""
+    n = f.shape[axis]
+
+    def part(start, stop):
+        return (slice(None),) * (axis % f.ndim) + (slice(start, stop),)
+
+    pad = np.concatenate((f[part(n - 2, n)], f, f[part(0, 2)]), axis)
+    return lambda s: pad[part(2 + s, 2 + s + n)]
 
 
 def deriv(values, h, axis, method="fd4"):
@@ -93,12 +105,8 @@ def deriv(values, h, axis, method="fd4"):
     ("spectral")."""
     f = np.asarray(values)
     if method == "fd4":
-        return (
-            -np.roll(f, -2, axis)
-            + 8.0 * np.roll(f, -1, axis)
-            - 8.0 * np.roll(f, 1, axis)
-            + np.roll(f, 2, axis)
-        ) / (12.0 * h)
+        tap = _taps(f, axis)
+        return (-tap(2) + 8.0 * tap(1) - 8.0 * tap(-1) + tap(-2)) / (12.0 * h)
     if method == "spectral":
         n = f.shape[axis]
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
@@ -112,13 +120,8 @@ def deriv(values, h, axis, method="fd4"):
 def deriv2(values, h, axis):
     """Second derivative of periodic samples along ``axis`` (4th-order stencil)."""
     f = np.asarray(values)
-    return (
-        -np.roll(f, -2, axis)
-        + 16.0 * np.roll(f, -1, axis)
-        - 30.0 * f
-        + 16.0 * np.roll(f, 1, axis)
-        - np.roll(f, 2, axis)
-    ) / (12.0 * h * h)
+    tap = _taps(f, axis)
+    return (-tap(2) + 16.0 * tap(1) - 30.0 * f + 16.0 * tap(-1) - tap(-2)) / (12.0 * h * h)
 
 
 def ddx(values, grid, method="fd4"):

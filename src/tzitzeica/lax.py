@@ -290,9 +290,9 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
 
 
 def frame_axis_stencil(frame, axis, reduce):
-    """reduce(frames, u_samples) of the frames and exponent samples at
-    offsets k * (h / substeps), k = -2..2, marched from every base node along
-    `axis`, one block of node rows at a time.
+    """Call reduce(block, frames, u_samples) with the frames and exponent
+    samples at offsets k * (h / substeps), k = -2..2, marched from every base
+    node along `axis`, one block of node rows at a time.
 
     Gives the five samples of 4th-order finite-difference stencils for
     derivatives of frame-built fields at sub-grid spacing, without assuming
@@ -300,13 +300,12 @@ def frame_axis_stencil(frame, axis, reduce):
     interpolated once for the whole grid at the nine half-substep offsets
     -4..4 the two RK4 substeps each way read, and nowhere else.  The march
     runs on blocks of STENCIL_BLOCK_NODES nodes (at least one row), so its
-    memory does not grow with the grid.  For each block, reduce gets lists
-    indexed by k + 2 of (3, 3, rows, nx) frames with the matrix axes first
-    and of (rows, nx) samples, and returns a new array whose second-to-last
-    axis is those rows (the frames' buffer is reused by the next block); the
-    blocks' results are joined along that axis.
-    Every node is marched on its own, so the result does not depend on the
-    block size.
+    memory does not grow with the grid.  For each block, reduce gets the
+    slice of its node rows and lists indexed by k + 2 of (3, 3, rows, nx)
+    frames with the matrix axes first and of (rows, nx) samples; it keeps
+    what it needs of them, for the frames' buffer is reused by the next
+    block.  Every node is marched on its own, so what reduce gets does not
+    depend on the block size.
     """
     grid = frame.grid
     u = frame.u.values
@@ -323,10 +322,9 @@ def frame_axis_stencil(frame, axis, reduce):
     near = [trig_upsample(a, 2 * m, ax, range(-4, 5)) for a in (u, across)]
     base = np.moveaxis(frame.base, (-2, -1), (0, 1))
     rows = max(1, STENCIL_BLOCK_NODES // grid.nx)
-    parts = []
     shape = None
     for j in range(0, grid.ny, rows):
-        block = slice(j, j + rows)
+        block = slice(j, min(j + rows, grid.ny))
         coeffs = [a[:, block] for a in near]
         if coeffs[0].shape[1:] != shape:
             # frames at offsets -2..2 and the march's workspace, shared by
@@ -340,5 +338,4 @@ def frame_axis_stencil(frame, axis, reduce):
         frames[2] = base[:, :, block]
         _march(frames[2], [a[4:] for a in coeffs], builder, lam, h / m, 1, frames[3:], ws)
         _march(frames[2], [a[4::-1] for a in coeffs], builder, lam, -h / m, 1, frames[1::-1], ws)
-        parts.append(reduce(list(frames), list(coeffs[0][::2])))
-    return np.concatenate(parts, axis=-2)
+        reduce(block, list(frames), list(coeffs[0][::2]))

@@ -72,7 +72,8 @@ def _tangents_at(frames, u_vals, lam, radius):
 
 
 def _fd4_stencil(values, h):
-    """4th-order first derivative from 5 samples at offsets -2..2 of size h."""
+    """4th-order first derivative from 5 samples at offsets -2..2 of size h;
+    the centre sample is not read."""
     return (-values[4] + 8.0 * values[3] - 8.0 * values[1] + values[0]) / (12.0 * h)
 
 
@@ -85,38 +86,34 @@ def extract_second_form(frame, radius, gamma):
     each node, so no periodicity of the frame is assumed; gamma is the
     connection of the frame's u (invariants.christoffel_from_field).  The
     stencil frames exist one block of node rows at a time
-    (lax.frame_axis_stencil), each block reduced at once to the derivatives
-    of E1 and E2; the projection onto (F1, F2, N) runs on the whole grid.
+    (lax.frame_axis_stencil), and each block is reduced at once to the
+    derivatives d_i E_j of its nodes and projected onto (F1, F2, N), so no
+    whole-grid derivative exists.
     """
     grid = frame.grid
-    u = frame.u
+    u = frame.u.values
     lam = frame.spectral.lam
     m = frame.substeps
-
-    # partial derivatives indexed [i][j] = d_i E_j  (coordinate 0 = x), each
-    # (3, ny, nx), reduced from the stencil frames block by block
-    partial = []
-    for axis, h in (("x", grid.hx), ("y", grid.hy)):
-
-        def tangent_fd4(frames, u_samples):
-            near = zip(*(_tangents_at(fr, uv, lam, radius) for fr, uv in zip(frames, u_samples)))
-            return np.stack([_fd4_stencil(es, h / m) for es in near])
-
-        partial.append(frame_axis_stencil(frame, axis, tangent_fd4))
-
-    tangents = e1, e2 = tangent_analytic(frame, radius)
-    normal = _normal(frame)
-    conf = 2.0 * radius**2 * np.exp(u.values)
+    conf = 2.0 * radius**2 * np.exp(u)
 
     tens = np.empty((2, 2, 2, grid.ny, grid.nx))
     ncoeff = np.empty((2, 2, grid.ny, grid.nx), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            nab = partial[i][j] - (gamma[0, i, j] * e1 + gamma[1, i, j] * e2)
-            for k in range(2):
-                proj = hermitian_inner(1j * tangents[k], nab).real
-                tens[k, i, j] = proj / conf
-            ncoeff[i, j] = hermitian_inner(normal, nab)
+    for i, (axis, h) in enumerate((("x", grid.hx), ("y", grid.hy))):
+
+        def project(block, frames, u_samples, i=i, h=h):
+            # the tangents at the stencil's four outer samples, then at the nodes
+            near = {k: _tangents_at(frames[k], u_samples[k], lam, radius) for k in (0, 1, 3, 4)}
+            tangents = e1, e2 = _tangents_at(frames[2], u[block], lam, radius)
+            normal = frames[2][:, 2]
+            for j in range(2):
+                partial = _fd4_stencil({k: es[j] for k, es in near.items()}, h / m)
+                nab = partial - (gamma[0, i, j][block] * e1 + gamma[1, i, j][block] * e2)
+                for k in range(2):
+                    proj = hermitian_inner(1j * tangents[k], nab).real
+                    tens[k, i, j][block] = proj / conf[block]
+                ncoeff[i, j][block] = hermitian_inner(normal, nab)
+
+        frame_axis_stencil(frame, axis, project)
     return tens, ncoeff
 
 
