@@ -152,15 +152,37 @@ def trig_upsample(values, factor, axis, offsets):
     return np.fft.irfft(np.fft.rfft(f, axis=axis) * phase, n, axis=axis + 1)
 
 
-def trig_planes(values, factor, offsets):
-    """The planes of trig_upsample along axis 0, one offset at a time from
-    one rfft: a generator, so a caller that keeps a part of each plane never
-    holds them all."""
-    f = np.asarray(values, dtype=float)
-    n = len(f)
-    spectrum = np.fft.rfft(f, axis=0)
-    for phase in _trig_phases(n, factor, offsets):
-        yield np.fft.irfft(spectrum * phase.reshape((-1,) + (1,) * (f.ndim - 1)), n, axis=0)
+def row_sampler(arrays, factor, offsets):
+    """sample(rows): trig_upsample along axis 0 of each of the real periodic
+    arrays, all of one shape, at the given node rows only, shape
+    (len(arrays), len(offsets), len(rows)) + the arrays' other axes.
+
+    The arrays are transformed by one rfft here.  A call builds the real
+    (offsets x rows, 2 bins) matrix that takes the real and imaginary parts
+    of that spectrum to the samples: each bin's irfft weight times its phase
+    e^{2 pi i nu (j + k / factor) / n} at row j and offset k, split into its
+    real part and its negated imaginary part.  It applies that matrix by one
+    matrix product, so nothing larger than the requested rows' samples is
+    made."""
+    f = np.asarray(arrays, dtype=float)
+    n = f.shape[1]
+    spectrum = np.fft.rfft(f.reshape(len(f), n, -1), axis=1)
+    parts = np.concatenate((spectrum.real, spectrum.imag), axis=1)
+    bins = spectrum.shape[1]
+    # irfft's weights: the mean and an even length's Nyquist bin count once,
+    # every other bin twice (it stands for itself and its conjugate)
+    weight = np.full(bins, 2.0 / n)
+    weight[0] = 1.0 / n
+    if n % 2 == 0:
+        weight[-1] = 1.0 / n
+    kernel = weight * _trig_phases(n, factor, offsets)
+
+    def sample(rows):
+        phased = (kernel[:, None] * _trig_phases(n, 1, rows)).reshape(-1, bins)
+        out = np.matmul(np.concatenate((phased.real, -phased.imag), axis=1), parts)
+        return out.reshape((len(f), len(offsets), len(rows)) + f.shape[2:])
+
+    return sample
 
 
 def _trig_phases(n, factor, offsets):

@@ -48,14 +48,15 @@ measures closure without integrating a second period.
 
 from dataclasses import dataclass, field
 
+import math
+
 import numpy as np
 
-from .grid import AXIS_X, AXIS_Y, ScalarFieldPeriodic, ddx, ddy, trig_planes, trig_upsample
+from .grid import ScalarFieldPeriodic, ddx, ddy, row_sampler, trig_upsample
 from .linalg3 import unitarity_defect_map
 
 DEFAULT_SUBSTEPS = 24
 STENCIL_BLOCK_NODES = 1024  # nodes per block of frame_axis_stencil's march
-FRAME_ROW_PARTS = 2  # parts of the cell rows integrate_frame samples and marches in turn
 
 
 @dataclass(frozen=True)
@@ -122,105 +123,133 @@ def _polar(mat):
     return np.moveaxis(w @ vh, (-2, -1), (0, 1))
 
 
-def _mul3(a, b, out, tmp):
+def _mul3(a, b, out, tmp, generator=False):
     """Batched 3x3 product with the matrix axes first, written into out,
     out[i, j] = sum_k a[i, k] b[k, j], as three broadcast multiply-adds over
-    contiguous batch axes; tmp, shaped like out, holds each term."""
+    contiguous batch axes; tmp, shaped like out, holds each term.  For a
+    generator b, whose (2, 2) entry is zero, the last term skips column 2."""
     np.multiply(a[:, 0, None], b[0], out=out)
-    for k in (1, 2):
-        np.add(out, np.multiply(a[:, k, None], b[k], out=tmp), out=out)
+    np.add(out, np.multiply(a[:, 1, None], b[1], out=tmp), out=out)
+    j = slice(0, 2) if generator else slice(None)
+    np.add(out[:, j], np.multiply(a[:, 2, None], b[2, j], out=tmp[:, j]), out=out[:, j])
     return out
 
 
-def _cell_propagators(coeffs, builder, lam, h, m, w, ks):
-    """Propagators C, S_end = S_start C, of the k cells whose 2*m*k + 1
-    half-substep samples of the builder's inputs before lam, coeffs, hold
-    along axis 0, as a (3, 3, k, ...) view into the workspace: w,
-    (3, 3, 2*m*k + 1, ...), receives the generators and ks, (4, 3, 3, m*k, ...),
-    the RK4 stages and the products.  d S = S W is linear, so an RK4 substep is
-    S <- S P with P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S; the
-    m substep propagators of a cell are multiplied pairwise."""
-    hs = h / m
-    builder(*coeffs, lam, w)
-    k1, wh, w1 = w[:, :, 0:-1:2], w[:, :, 1::2], w[:, :, 2::2]
-    k2, k3, k4, tmp = ks
-    np.add(wh, np.multiply(0.5 * hs, _mul3(k1, wh, k2, tmp), out=k2), out=k2)
-    np.add(wh, np.multiply(0.5 * hs, _mul3(k2, wh, k3, tmp), out=k3), out=k3)
-    np.add(w1, np.multiply(hs, _mul3(k3, w1, k4, tmp), out=k4), out=k4)
-    # P = hs/6 (((K1 + 2 K2) + 2 K3) + K4) + I, summed in K2's buffer
-    prop = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
-    np.add(prop, np.multiply(2.0, k3, out=k3), out=prop)
+def _shift(c, k, out):
+    """I + c K, written into out, a contiguous buffer of matrices with the
+    matrix axes first."""
+    np.multiply(c, k, out=out)
+    diagonal = out.reshape((9,) + out.shape[2:])[::4]
+    np.add(diagonal, 1.0, out=diagonal)
+    return out
+
+
+def _head(buf, count):
+    """The first count matrices along axis 2 of a workspace buffer's memory,
+    as a contiguous (3, 3, count) + batch array."""
+    shape = (3, 3, count) + buf.shape[3:]
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _tree_order(m):
+    """The substeps 0..m-1 of a cell in the order _propagators stores them:
+    the left substeps of the first level's pairs, then their partners, then
+    an odd count's last substep, the pairs in the order of the next level.
+    So every level's products read two contiguous halves of the level before
+    and write one contiguous level, and the last substep stays last."""
+    if m == 1:
+        return [0]
+    half = m // 2
+    pairs = [i for i in _tree_order(half + m % 2) if i < half]
+    return [2 * i for i in pairs] + [2 * i + 1 for i in pairs] + [m - 1] * (m % 2)
+
+
+def _substep_offsets(m):
+    """The half-substep offsets from a cell's first node of the node and of
+    the midpoint samples _propagators reads for one cell of m substeps, in
+    tree order.  The nodes hold the substeps' left nodes first and their
+    right nodes last; for even m the two overlap by half, for the right
+    nodes of the first half of the substeps are the left nodes of the second."""
+    order = _tree_order(m)
+    left = [2 * s for s in order]
+    right = [2 * s + 2 for s in order]
+    nodes = left + right[m // 2 :] if m % 2 == 0 else left + right
+    return nodes, [2 * s + 1 for s in order]
+
+
+def _workspace(nodes, substeps, batch):
+    """The buffers of _propagators on node samples and substeps of batch
+    shape batch, allocated before a march's first cell: the generators at
+    the nodes, (3, 3, nodes) + batch, and five (3, 3, substeps) + batch
+    buffers (the generators at the midpoints, a stage's I + c K, two stages,
+    a product's terms)."""
+    planes = (3, 3, substeps) + batch
+    return [np.empty((3, 3, nodes) + batch, dtype=complex)] + [
+        np.empty(planes, dtype=complex) for _ in range(5)]
+
+
+def _states(state):
+    """The buffers of _march from states shaped like state: the current and
+    the next state, a product's terms, a closing row's widened propagator."""
+    return [np.empty(np.shape(state), dtype=complex) for _ in range(4)]
+
+
+def _propagators(nodes, mids, builder, lam, hs, m, ws):
+    """The propagators C, S_end = S_start C, of RK4 substeps of size hs, as
+    a (3, 3, cells) + batch view into the workspace ws (a _workspace).  nodes and mids, the builder's inputs before lam, hold the
+    samples laid out by _substep_offsets along axis 0: at the nodes (the
+    substeps' left nodes first, their right nodes last) and at the
+    midpoints, either for the m substeps of one cell in tree order, or for
+    one substep of each of several cells (m = 1).  d S = S W is linear, so a
+    substep is S <- S P with P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4)
+    independent of S; a cell's m substep propagators are multiplied
+    pairwise, level by level.  Every pass reads and writes contiguous
+    buffers."""
+    wn, wm, x, k2, k3, tmp = ws
+    builder(*nodes, lam, wn)
+    builder(*mids, lam, wm)
+    k1, w1 = wn[:, :, : wm.shape[2]], wn[:, :, -wm.shape[2] :]
+    # K2 = (I + hs/2 K1) Wh, K3 = (I + hs/2 K2) Wh, K4 = (I + hs K3) W1
+    _mul3(_shift(0.5 * hs, k1, x), wm, k2, tmp, generator=True)
+    _mul3(_shift(0.5 * hs, k2, x), wm, k3, tmp, generator=True)
+    _shift(hs, k3, x)
+    prop = np.add(k2, k3, out=k2)
+    k4 = _mul3(x, w1, k3, tmp, generator=True)
+    # P = I + hs/6 (2 (K2 + K3) + K1 + K4), summed in K2's buffer
+    np.add(prop, prop, out=prop)
+    np.add(prop, k1, out=prop)
     np.add(prop, k4, out=prop)
-    np.multiply(hs / 6.0, prop, out=prop)
-    for i in range(3):
-        prop[i, i] += 1.0
-    # products of neighbouring pairs, level by level, between two buffers
-    shape = (3, 3, -1, m) + prop.shape[3:]
-    prop, spare, tmp = (a.reshape(shape) for a in (prop, k3, tmp))
-    n = m
+    _shift(hs / 6.0, prop, prop)
+    # each level multiplies its first half by its second into a spare buffer
+    n, spare = m, (x, k3)
     while n > 1:
-        half = n // 2
-        _mul3(prop[:, :, :, 0 : 2 * half : 2], prop[:, :, :, 1 : 2 * half : 2],
-              spare[:, :, :, :half], tmp[:, :, :, :half])
-        if n % 2:
-            spare[:, :, :, half] = prop[:, :, :, n - 1]
-        prop, spare, n = spare, prop, n - half
-    return prop[:, :, :, 0]
+        half, odd = n // 2, n % 2
+        out = _head(spare[0], half + odd)
+        _mul3(prop[:, :, :half], prop[:, :, half : 2 * half], out[:, :, :half], _head(tmp, half))
+        if odd:
+            out[:, :, half] = prop[:, :, n - 1]
+        prop, n, spare = out, half + odd, spare[::-1]
+    return prop
 
 
-def _workspace(state, batch, m, k):
-    """The buffers of a march from states shaped like state over coefficient
-    samples with batch axes batch, k cells at a time: the generators,
-    (3, 3, 2*m*k + 1) + batch; the RK4 stages and products,
-    (4, 3, 3, m*k) + batch; and three states."""
-    return (np.empty((3, 3, 2 * m * k + 1) + batch, dtype=complex),
-            np.empty((4, 3, 3, m * k) + batch, dtype=complex),
-            np.empty((3,) + np.shape(state), dtype=complex))
-
-
-def _march(state, coeffs, builder, lam, h, m, out, ws, re_unitarize=False):
-    """March d S = S W from state over len(out) cells, m RK4 substeps per
-    cell, writing the state after cell c into out[c]; states hold their
-    matrix axes first.  coeffs, the builder's inputs before lam, hold
-    2*m*len(out) + 1 half-substep samples along axis 0, the other axes
-    broadcast against the state's batch axes.  A state with more columns
-    than the propagators (a closing column) has column i use propagator
-    column i % n.  ws is a _workspace for k cells at a time: all cells of 1D
-    coeffs (a single line) at once, one cell of batched coeffs at a time to
-    bound memory.  Marches of one shape share one workspace, so a cell
-    allocates only the builder's real temporaries, e^-u and e^{u/2} at its
-    samples."""
-    w, ks, (cur, nxt, tmp) = ws
-    k = (w.shape[2] - 1) // (2 * m)
+def _march(state, props, out, states, re_unitarize=False):
+    """Write into out[c] the state after cell c: state times the propagators
+    props yields, one per cell, in turn.  States and propagators hold their
+    matrix axes first; a state with one more column than the propagators (a
+    closing row) gives that column the propagator of column 0.  states are
+    the march's buffers (_states), so a cell allocates nothing."""
+    cur, nxt, tmp, wide = states
     cur[...] = state
-    for c in range(len(out)):
-        if c % k == 0:
-            block = [a[2 * m * c : 2 * m * (c + k) + 1] for a in coeffs]
-            props = _cell_propagators(block, builder, lam, h, m, w, ks)
-        prop = props[:, :, c % k]
-        if prop.shape[2:] != cur.shape[2:]:
-            prop = prop[:, :, np.arange(cur.shape[2]) % prop.shape[2]]
+    for c, prop in enumerate(props):
+        if prop.shape != cur.shape:
+            wide[..., :-1] = prop
+            wide[..., -1] = prop[..., 0]
+            prop = wide
         _mul3(cur, prop, nxt, tmp)
         if re_unitarize:
             nxt[...] = _polar(nxt)
         out[c] = nxt
         cur, nxt = nxt, cur
-
-
-def _march_samples(arrays, m, start, stop):
-    """Trigonometric samples of each periodic array along axis 0 at every
-    half substep of the cells start..stop - 1, then at node stop (mod n): the
-    2*m*(stop - start) + 1 samples a march over those cells reads, in march
-    order, interpolated one offset at a time over the whole axis."""
-    samples = []
-    for values in arrays:
-        out = np.empty((2 * m * (stop - start) + 1,) + values.shape[1:])
-        for k, fine in enumerate(trig_planes(values, 2 * m, range(2 * m))):
-            out[k : -1 : 2 * m] = fine[start:stop]
-            if k == 0:
-                out[-1] = fine[stop % len(values)]
-        samples.append(out)
-    return samples
 
 
 @dataclass
@@ -253,13 +282,13 @@ def frame_orthonormality_report(frame):
 def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_unitarize=False):
     """Integrate the frame over the grid from the identity at the corner node.
 
-    Marches the first row in x and then every column in y, over one part of
-    the cell rows at a time (FRAME_ROW_PARTS parts), each part's samples
-    taken just before its march, so no array spans every half-substep sample
-    of the grid.  Each marched row goes straight into the node-last result.
-    closing=True also integrates the wrap-around column nx and row ny, for
-    closure measurements.  The unitarity defect is left to the caller to
-    bound.
+    Marches the first row in x, its cells side by side in one batch, and
+    then every column in y, one cell row at a time: each cell row's samples
+    come from grid.row_sampler just before its march, so no array spans more
+    than one cell row of samples.  Each marched row goes straight into the
+    node-last result.  closing=True also integrates the wrap-around column
+    nx and row ny, for closure measurements.  The unitarity defect is left
+    to the caller to bound.
     """
     grid = u.grid
     lam = spectral.lam
@@ -270,23 +299,37 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
     vals = u.values
     unitary = np.empty((grid.ny + extra, grid.nx + extra, 3, 3), dtype=complex)
     unitary[0, 0] = np.eye(3)
-    # first row, marched in x, every cell propagator in one block
+    node_offsets, mid_offsets = _substep_offsets(m)
+    split = len(node_offsets)
+    ws = _workspace(split, m, (grid.nx,))
+    # first row, marched in x: the cells starting at every node of it, side
+    # by side in one batch, cell i's samples in column i of each plane
+    row = (vals[0], ddy(vals, grid, "spectral")[0])
+    nodes, mids = ([trig_upsample(a, 2 * m, 0, offsets) for a in row]
+                   for offsets in (node_offsets, mid_offsets))
+    props = _propagators(nodes, mids, frame_coeff_x, lam, grid.hx / m, m, ws)
     cells = grid.nx + extra - 1
-    row = _march_samples((vals[0], ddy(vals, grid, "spectral")[0]), m, 0, cells)
-    _march(unitary[0, 0], row, frame_coeff_x, lam, grid.hx, m, unitary[0, 1:],
-           _workspace(unitary[0, 0], (), m, cells), re_unitarize)
-    # every column, marched in y one cell row at a time and one part of the
-    # cell rows after another; rows[j] is node row j with the matrix axes
-    # first, and the closing column nx reuses the propagators of column 0
-    cols = (vals, ddx(vals, grid, "spectral"))
+    _march(unitary[0, 0], np.moveaxis(props[:, :, 0, :cells], -1, 0), unitary[0, 1:],
+           _states(unitary[0, 0]), re_unitarize)
+    # every column, marched in y one cell row at a time in the same
+    # workspace; rows[j] is node row j with the matrix axes first, and the
+    # closing column nx reuses the propagators of column 0
     rows = np.moveaxis(unitary, 1, -1)
-    cells = grid.ny + extra - 1
-    bounds = [cells * p // FRAME_ROW_PARTS for p in range(FRAME_ROW_PARTS + 1)]
-    ws = _workspace(rows[0], (grid.nx,), m, 1)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        _march(rows[start], _march_samples(cols, m, start, stop), frame_coeff_y, lam, grid.hy, m,
-               rows[start + 1 : stop + 1], ws, re_unitarize)
+    sample = row_sampler((vals, ddx(vals, grid, "spectral")), 2 * m, node_offsets + mid_offsets)
+
+    def cell_rows():
+        for j in range(grid.ny + extra - 1):
+            near = sample([j])[:, :, 0]
+            yield _propagators(near[:, :split], near[:, split:], frame_coeff_y, lam, grid.hy / m, m,
+                               ws)[:, :, 0]
+
+    _march(rows[0], cell_rows(), rows[1:], _states(rows[0]), re_unitarize)
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
+
+
+# half-substep offsets from a node of frame_axis_stencil's samples: the nodes
+# (0, 2, 4) and midpoints (1, 3) of its two substeps up, then down
+STENCIL_OFFSETS = (0, 2, 4, 1, 3, 0, -2, -4, -1, -3)
 
 
 def frame_axis_stencil(frame, axis, reduce):
@@ -296,46 +339,52 @@ def frame_axis_stencil(frame, axis, reduce):
 
     Gives the five samples of 4th-order finite-difference stencils for
     derivatives of frame-built fields at sub-grid spacing, without assuming
-    periodicity of the frame itself.  The generator's two inputs are
-    interpolated once for the whole grid at the nine half-substep offsets
-    -4..4 the two RK4 substeps each way read, and nowhere else.  The march
-    runs on blocks of STENCIL_BLOCK_NODES nodes (at least one row), so its
-    memory does not grow with the grid.  For each block, reduce gets the
-    slice of its node rows and lists indexed by k + 2 of (3, 3, rows, nx)
-    frames with the matrix axes first and of (rows, nx) samples; it keeps
-    what it needs of them, for the frames' buffer is reused by the next
-    block.  Every node is marched on its own, so what reduce gets does not
-    depend on the block size.
+    periodicity of the frame itself.  Each block's march reads the
+    generator's two inputs at the half-substep offsets -4..4 of its own
+    nodes and nowhere else: along y from grid.row_sampler, along x from
+    grid.trig_upsample of the block's rows.  The march runs on blocks of
+    STENCIL_BLOCK_NODES nodes (at least one row), so its memory does not
+    grow with the grid.  For each block, reduce gets the slice of its node
+    rows and lists indexed by k + 2 of (3, 3, rows, nx) frames with the
+    matrix axes first and of (rows, nx) samples; it keeps what it needs of
+    them, for the frames' buffer is reused by the next block.  Every node is
+    marched on its own, so what reduce gets does not depend on the block
+    size.
     """
     grid = frame.grid
     u = frame.u.values
     m = frame.substeps
     lam = frame.spectral.lam
     if axis == "x":
-        ax, h, builder, across = AXIS_X, grid.hx, frame_coeff_x, ddy(u, grid, "spectral")
+        h, builder, across = grid.hx, frame_coeff_x, ddy(u, grid, "spectral")
     elif axis == "y":
-        ax, h, builder, across = AXIS_Y, grid.hy, frame_coeff_y, ddx(u, grid, "spectral")
+        h, builder, across = grid.hy, frame_coeff_y, ddx(u, grid, "spectral")
+        sample = row_sampler((u, across), 2 * m, STENCIL_OFFSETS)
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
-    # the builder's inputs at half-substep offsets -4..4 from every node
-    near = [trig_upsample(a, 2 * m, ax, range(-4, 5)) for a in (u, across)]
     base = np.moveaxis(frame.base, (-2, -1), (0, 1))
     rows = max(1, STENCIL_BLOCK_NODES // grid.nx)
     shape = None
     for j in range(0, grid.ny, rows):
         block = slice(j, min(j + rows, grid.ny))
-        coeffs = [a[:, block] for a in near]
-        if coeffs[0].shape[1:] != shape:
+        if axis == "x":
+            near = np.moveaxis(trig_upsample((u[block], across[block]), 2 * m, 2, STENCIL_OFFSETS), 1, 0)
+        else:
+            near = sample(range(block.start, block.stop))
+        if near[0].shape[1:] != shape:
             # frames at offsets -2..2 and the march's workspace, shared by
             # every block of this shape (only a shorter last block differs);
             # the old buffers are released before the new ones are made
-            shape = coeffs[0].shape[1:]
-            frames = ws = None
+            shape = near[0].shape[1:]
+            frames = ws = states = None
             frames = np.empty((5, 3, 3) + shape, dtype=complex)
-            ws = _workspace(frames[2], shape, 1, 1)
+            ws, states = _workspace(3, 2, shape), _states(frames[2])
         # one RK4 substep per cell, marched up and down from the node
         frames[2] = base[:, :, block]
-        _march(frames[2], [a[4:] for a in coeffs], builder, lam, h / m, 1, frames[3:], ws)
-        _march(frames[2], [a[4::-1] for a in coeffs], builder, lam, -h / m, 1, frames[1::-1], ws)
-        reduce(block, list(frames), list(coeffs[0][::2]))
+        for sign, part, out in ((1, slice(0, 5), frames[3:]), (-1, slice(5, 10), frames[1::-1])):
+            coeffs = [a[part] for a in near]
+            props = _propagators([a[:3] for a in coeffs], [a[3:] for a in coeffs], builder, lam,
+                                 sign * h / m, 1, ws)
+            _march(frames[2], np.moveaxis(props, 2, 0), out, states)
+        reduce(block, list(frames), [near[0][k] for k in (7, 6, 0, 1, 2)])

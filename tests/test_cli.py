@@ -242,6 +242,26 @@ def _scipy_modules_after(code):
     return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
 
+def test_report_bytes_match_between_cli_and_in_process_run(tmp_path):
+    # the same wave run as one process per stage and as run_pipeline calls in
+    # one process, each with single-threaded BLAS: the heaps differ, the
+    # frame and report bytes must not
+    text = flat_config_text("unused", nx=64, ny=32, substeps=8)
+    text = text.replace(f"lx = {float(2 * np.pi)!r}", f"lx = {travelling_wave(6.5).period!r}")
+    cfg = write_config(tmp_path, text.replace("seed = zero", "seed = wave\nwave_energy = 6.5"))
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    stages = ("solve", "frame", "report")
+    for stage in stages:
+        subprocess.run([sys.executable, "-m", "tzitzeica.cli", stage, "--config", cfg,
+                        "--out", str(tmp_path / "cli")], env=env, capture_output=True, check=True)
+    script = ("from tzitzeica.cli import run_pipeline\nfrom tzitzeica.config import parse_config\n"
+              f"cfg = parse_config({cfg!r})\n"
+              f"for stage in {stages!r}:\n    run_pipeline(cfg, stage, {str(tmp_path / 'lib')!r}, echo=False)\n")
+    subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
+    for name in (cli.FRAME_FILE, cli.REPORT_JSON):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # frame, surface, report and export need no scipy at all
     assert _scipy_modules_after("import tzitzeica.cli") == []

@@ -19,6 +19,7 @@ from tzitzeica.grid import (
     load_field,
     parse_header,
     resonance_gap,
+    row_sampler,
     save_field,
     trig_upsample,
     write_rows,
@@ -97,6 +98,37 @@ def test_trig_upsample_matches_zero_padding_oracle(n, axis):
     expected = np.stack([np.take(oracle, (nodes + k) % (n * factor), axis=axis) for k in offsets])
     assert fine.shape == (len(offsets),) + values.shape
     assert np.abs(fine - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("offsets", [range(-4, 5), range(0, 2 * 6 + 1)])
+def test_row_sampler_matches_trig_upsample(n, offsets):
+    # the offsets of the report stencil (-4..4) and of a cell of m = 6
+    # substeps (0..2m), on lengths with and without a Nyquist bin
+    factor = 12
+    rng = np.random.default_rng(n)
+    arrays = rng.standard_normal((2, n, 9))
+    sample = row_sampler(arrays, factor, offsets)
+    planes = [trig_upsample(a, factor, 0, offsets) for a in arrays]
+    for rows in ([0], [n - 1], [5, 2, 11], range(n)):
+        got = sample(rows)
+        assert got.shape == (2, len(offsets), len(rows), 9)
+        for a, plane in enumerate(planes):
+            assert np.abs(got[a] - plane[:, list(rows)]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_fd4_stencils_match_the_roll_formulas(axis):
+    # the stencils read one periodic pad; their terms, and so their bits, are
+    # those of the np.roll formulas
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((13, 11))
+    h = 0.37
+    r = [np.roll(f, s, axis) for s in (-2, -1, 1, 2)]
+    first = (-r[0] + 8.0 * r[1] - 8.0 * r[2] + r[3]) / (12.0 * h)
+    second = (-r[0] + 16.0 * r[1] - 30.0 * f + 16.0 * r[2] - r[3]) / (12.0 * h * h)
+    assert np.array_equal(deriv(f, h, axis), first)
+    assert np.array_equal(deriv2(f, h, axis), second)
 
 
 def test_laplacian_symbol_matches_matrix_action():
