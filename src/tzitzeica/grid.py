@@ -6,6 +6,10 @@ tensor formulas), axis 0 is the y direction (coordinate index 2).  Node
 (i, j) sits at (i * hx, j * hy) and the grid identifies x ~ x + lx,
 y ~ y + ly, so there is no duplicated edge row/column.
 
+Values between nodes are those of the trigonometric interpolant of the
+samples: trig_upsample gives them at sub-cell offsets from every node along
+one axis, row_sampler along axis 0 from chosen node rows only.
+
 It also owns the layouts of the artifact files: text tables (save_table,
 load_field) and binary node files (save_nodes, load_nodes).
 """

@@ -22,17 +22,19 @@ the real directions obeys d_x U = U Wx and d_y U = U Wy with
           [-lam e^{u/2}, e^{u/2}, 0        ]]
 
 Integration marches the first grid row in x and then every column in y, with
-`substeps` RK4 steps per grid cell; the columns are marched over one part
-of the cell rows at a time (FRAME_ROW_PARTS parts), each part sampled just
-before its march, so the samples of the whole grid never exist at once.
-Wx reads u and u_y only, Wy u and u_x only, and each march samples just
-those two arrays; values between nodes come from grid.trig_upsample and
-grid.trig_planes, so within the integrator u is treated as the trigonometric
-interpolant of its samples and all coefficient values are exact for that
-interpolant.  An RK4 step is S <- S P with P built from the generators alone
-(Iserles et al., "Lie-group methods", Acta Numerica 2000); the march visits
-cells only.  Each march builds its generators and propagators in a workspace
-allocated before its first cell and shared by marches of one shape, so the
+`substeps` RK4 steps per grid cell; the columns are marched one cell row at a
+time, each sampled just before its march, so no more than one cell row of
+samples exists at once.  Wx reads u and u_y only, Wy u and u_x only, and
+each march samples just those two arrays: the first row's from
+grid.trig_upsample, each cell row's from grid.row_sampler, so within the
+integrator u is treated as the trigonometric interpolant of its samples and
+all coefficient values are exact for that interpolant.  An RK4 step is
+S <- S P with P built from the generators alone (Iserles et al., "Lie-group
+methods", Acta Numerica 2000); the march visits cells only.  A cell's
+samples are laid out in the order its pairwise product of substep
+propagators multiplies them (_substep_offsets), so every pass of the kernel
+runs over contiguous buffers.  Those buffers form a workspace allocated
+before a march's first cell and shared by the marches of one frame, so the
 march's speed does not depend on the allocator's state: per-cell
 temporaries above glibc's mmap threshold (128 KiB until a larger block is
 freed) would be mapped and faulted in afresh for every cell row.  Unitarity
@@ -46,9 +48,8 @@ frame's monodromies over one period, from which surface.torus_closure
 measures closure without integrating a second period.
 """
 
-from dataclasses import dataclass, field
-
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -196,15 +197,15 @@ def _states(state):
 
 def _propagators(nodes, mids, builder, lam, hs, m, ws):
     """The propagators C, S_end = S_start C, of RK4 substeps of size hs, as
-    a (3, 3, cells) + batch view into the workspace ws (a _workspace).  nodes and mids, the builder's inputs before lam, hold the
-    samples laid out by _substep_offsets along axis 0: at the nodes (the
-    substeps' left nodes first, their right nodes last) and at the
-    midpoints, either for the m substeps of one cell in tree order, or for
-    one substep of each of several cells (m = 1).  d S = S W is linear, so a
-    substep is S <- S P with P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4)
-    independent of S; a cell's m substep propagators are multiplied
-    pairwise, level by level.  Every pass reads and writes contiguous
-    buffers."""
+    a (3, 3, cells) + batch view into ws, a _workspace.  nodes and mids, the
+    builder's inputs before lam, hold the samples laid out by
+    _substep_offsets along axis 0: at the nodes (the substeps' left nodes
+    first, their right nodes last) and at the midpoints, either for the m
+    substeps of one cell in tree order, or for one substep of each of
+    several cells (m = 1).  d S = S W is linear, so a substep is S <- S P
+    with P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S; a cell's m
+    substep propagators are multiplied pairwise, level by level.  Every pass
+    reads and writes contiguous buffers."""
     wn, wm, x, k2, k3, tmp = ws
     builder(*nodes, lam, wn)
     builder(*mids, lam, wm)
@@ -305,9 +306,8 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
     # first row, marched in x: the cells starting at every node of it, side
     # by side in one batch, cell i's samples in column i of each plane
     row = (vals[0], ddy(vals, grid, "spectral")[0])
-    nodes, mids = ([trig_upsample(a, 2 * m, 0, offsets) for a in row]
-                   for offsets in (node_offsets, mid_offsets))
-    props = _propagators(nodes, mids, frame_coeff_x, lam, grid.hx / m, m, ws)
+    near = trig_upsample(row, 2 * m, 1, node_offsets + mid_offsets).swapaxes(0, 1)
+    props = _propagators(near[:, :split], near[:, split:], frame_coeff_x, lam, grid.hx / m, m, ws)
     cells = grid.nx + extra - 1
     _march(unitary[0, 0], np.moveaxis(props[:, :, 0, :cells], -1, 0), unitary[0, 1:],
            _states(unitary[0, 0]), re_unitarize)
@@ -325,11 +325,6 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
 
     _march(rows[0], cell_rows(), rows[1:], _states(rows[0]), re_unitarize)
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
-
-
-# half-substep offsets from a node of frame_axis_stencil's samples: the nodes
-# (0, 2, 4) and midpoints (1, 3) of its two substeps up, then down
-STENCIL_OFFSETS = (0, 2, 4, 1, 3, 0, -2, -4, -1, -3)
 
 
 def frame_axis_stencil(frame, axis, reduce):
@@ -355,11 +350,14 @@ def frame_axis_stencil(frame, axis, reduce):
     u = frame.u.values
     m = frame.substeps
     lam = frame.spectral.lam
+    # half-substep offsets from each node: the nodes and the midpoints of the
+    # two substeps up, then of the two down
+    offsets = (0, 2, 4, 1, 3, 0, -2, -4, -1, -3)
     if axis == "x":
         h, builder, across = grid.hx, frame_coeff_x, ddy(u, grid, "spectral")
     elif axis == "y":
         h, builder, across = grid.hy, frame_coeff_y, ddx(u, grid, "spectral")
-        sample = row_sampler((u, across), 2 * m, STENCIL_OFFSETS)
+        sample = row_sampler((u, across), 2 * m, offsets)
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
@@ -369,7 +367,7 @@ def frame_axis_stencil(frame, axis, reduce):
     for j in range(0, grid.ny, rows):
         block = slice(j, min(j + rows, grid.ny))
         if axis == "x":
-            near = np.moveaxis(trig_upsample((u[block], across[block]), 2 * m, 2, STENCIL_OFFSETS), 1, 0)
+            near = trig_upsample((u[block], across[block]), 2 * m, 2, offsets).swapaxes(0, 1)
         else:
             near = sample(range(block.start, block.stop))
         if near[0].shape[1:] != shape:
@@ -387,4 +385,4 @@ def frame_axis_stencil(frame, axis, reduce):
             props = _propagators([a[:3] for a in coeffs], [a[3:] for a in coeffs], builder, lam,
                                  sign * h / m, 1, ws)
             _march(frames[2], np.moveaxis(props, 2, 0), out, states)
-        reduce(block, list(frames), [near[0][k] for k in (7, 6, 0, 1, 2)])
+        reduce(block, list(frames), [near[0][offsets.index(2 * k)] for k in range(-2, 3)])
