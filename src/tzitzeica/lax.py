@@ -167,7 +167,7 @@ def _tree_order(m):
 
 def _substep_offsets(m):
     """The half-substep offsets from a cell's first node of the node and of
-    the midpoint samples _propagators reads for one cell of m substeps, in
+    the midpoint samples _propagators reads for a cell of m substeps, in
     tree order.  The nodes hold the substeps' left nodes first and their
     right nodes last; for even m the two overlap by half, for the right
     nodes of the first half of the substeps are the left nodes of the second."""
@@ -178,15 +178,15 @@ def _substep_offsets(m):
     return nodes, [2 * s + 1 for s in order]
 
 
-def _workspace(nodes, substeps, batch):
-    """The buffers of _propagators on node samples and substeps of batch
+def _workspace(m, batch):
+    """The buffers of _propagators on cells of m substeps at batch points of
     shape batch, allocated before a march's first cell: the generators at
-    the nodes, (3, 3, nodes) + batch, and five (3, 3, substeps) + batch
-    buffers (the generators at the midpoints, a stage's I + c K, two stages,
-    a product's terms)."""
-    planes = (3, 3, substeps) + batch
+    the nodes, (3, 3, nodes) + batch, and five (3, 3, m) + batch buffers (the
+    generators at the midpoints, a stage's I + c K, two stages, a product's
+    terms)."""
+    nodes = len(_substep_offsets(m)[0])
     return [np.empty((3, 3, nodes) + batch, dtype=complex)] + [
-        np.empty(planes, dtype=complex) for _ in range(5)]
+        np.empty((3, 3, m) + batch, dtype=complex) for _ in range(5)]
 
 
 def _states(state):
@@ -196,16 +196,15 @@ def _states(state):
 
 
 def _propagators(nodes, mids, builder, lam, hs, m, ws):
-    """The propagators C, S_end = S_start C, of RK4 substeps of size hs, as
-    a (3, 3, cells) + batch view into ws, a _workspace.  nodes and mids, the
-    builder's inputs before lam, hold the samples laid out by
-    _substep_offsets along axis 0: at the nodes (the substeps' left nodes
-    first, their right nodes last) and at the midpoints, either for the m
-    substeps of one cell in tree order, or for one substep of each of
-    several cells (m = 1).  d S = S W is linear, so a substep is S <- S P
-    with P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S; a cell's m
-    substep propagators are multiplied pairwise, level by level.  Every pass
-    reads and writes contiguous buffers."""
+    """The propagator C, S_end = S_start C, of a cell of m RK4 substeps of
+    size hs at each batch point, as a (3, 3) + batch view into ws, a
+    _workspace.  nodes and mids, the builder's inputs before lam, hold the
+    cell's samples along axis 0 as _substep_offsets lays them out: at the
+    nodes (the substeps' left nodes first, their right nodes last) and at the
+    midpoints, the substeps in tree order.  d S = S W is linear, so a substep
+    is S <- S P with P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S;
+    the m substep propagators are multiplied pairwise, level by level.  Every
+    pass reads and writes contiguous buffers."""
     wn, wm, x, k2, k3, tmp = ws
     builder(*nodes, lam, wn)
     builder(*mids, lam, wm)
@@ -230,7 +229,7 @@ def _propagators(nodes, mids, builder, lam, hs, m, ws):
         if odd:
             out[:, :, half] = prop[:, :, n - 1]
         prop, n, spare = out, half + odd, spare[::-1]
-    return prop
+    return prop[:, :, 0]
 
 
 def _march(state, props, out, states, re_unitarize=False):
@@ -302,14 +301,14 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
     unitary[0, 0] = np.eye(3)
     node_offsets, mid_offsets = _substep_offsets(m)
     split = len(node_offsets)
-    ws = _workspace(split, m, (grid.nx,))
+    ws = _workspace(m, (grid.nx,))
     # first row, marched in x: the cells starting at every node of it, side
     # by side in one batch, cell i's samples in column i of each plane
     row = (vals[0], ddy(vals, grid, "spectral")[0])
     near = trig_upsample(row, 2 * m, 1, node_offsets + mid_offsets).swapaxes(0, 1)
     props = _propagators(near[:, :split], near[:, split:], frame_coeff_x, lam, grid.hx / m, m, ws)
     cells = grid.nx + extra - 1
-    _march(unitary[0, 0], np.moveaxis(props[:, :, 0, :cells], -1, 0), unitary[0, 1:],
+    _march(unitary[0, 0], np.moveaxis(props[:, :, :cells], -1, 0), unitary[0, 1:],
            _states(unitary[0, 0]), re_unitarize)
     # every column, marched in y one cell row at a time in the same
     # workspace; rows[j] is node row j with the matrix axes first, and the
@@ -321,7 +320,7 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
         for j in range(grid.ny + extra - 1):
             near = sample([j])[:, :, 0]
             yield _propagators(near[:, :split], near[:, split:], frame_coeff_y, lam, grid.hy / m, m,
-                               ws)[:, :, 0]
+                               ws)
 
     _march(rows[0], cell_rows(), rows[1:], _states(rows[0]), re_unitarize)
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
@@ -377,12 +376,14 @@ def frame_axis_stencil(frame, axis, reduce):
             shape = near[0].shape[1:]
             frames = ws = states = None
             frames = np.empty((5, 3, 3) + shape, dtype=complex)
-            ws, states = _workspace(3, 2, shape), _states(frames[2])
-        # one RK4 substep per cell, marched up and down from the node
+            ws, states = _workspace(1, shape), _states(frames[2])
+        # one RK4 substep per cell, marched up and down from the node; cell c
+        # of a direction has its nodes at offsets 2c, 2c + 2 and its midpoint
+        # at 2c + 1
         frames[2] = base[:, :, block]
         for sign, part, out in ((1, slice(0, 5), frames[3:]), (-1, slice(5, 10), frames[1::-1])):
             coeffs = [a[part] for a in near]
-            props = _propagators([a[:3] for a in coeffs], [a[3:] for a in coeffs], builder, lam,
-                                 sign * h / m, 1, ws)
-            _march(frames[2], np.moveaxis(props, 2, 0), out, states)
+            cells = (_propagators([a[c : c + 2] for a in coeffs], [a[3 + c : 4 + c] for a in coeffs],
+                                  builder, lam, sign * h / m, 1, ws) for c in range(2))
+            _march(frames[2], cells, out, states)
         reduce(block, list(frames), [near[0][offsets.index(2 * k)] for k in range(-2, 3)])

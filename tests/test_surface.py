@@ -136,7 +136,7 @@ def test_extraction_does_not_depend_on_the_stencil_block(wave61, case, monkeypat
 def test_full_report_memory_stays_within_the_stencil_blocks(wave61):
     # the report's peak on a 128^2 frame: 68.3 MB with the five stencil
     # frames of the whole grid, 19.9 MB marched in blocks of rows, 11.0 MB
-    # once each intermediate is dropped after its residuals are taken, 8.4 MB
+    # once each intermediate is dropped after its residuals are taken, 7.9 MB
     # with each stencil block projected inside its reduction
     g = PeriodicGrid(128, 128, wave61.period, FLAT_LY)
     frame = integrate_frame(lift_1d(wave61, g), SpectralPoint(0.3))
