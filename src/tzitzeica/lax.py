@@ -33,7 +33,8 @@ S <- S P with P built from the generators alone (Iserles et al., "Lie-group
 methods", Acta Numerica 2000); the march visits cells only.  A cell's
 samples are laid out in the order its pairwise product of substep
 propagators multiplies them (_substep_offsets), so every pass of the kernel
-runs over contiguous buffers.  Those buffers form a workspace allocated
+runs over contiguous runs of each matrix entry's samples, never over a
+strided one.  Its buffers form a workspace allocated
 before a march's first cell and shared by the marches of one frame, so the
 march's speed does not depend on the allocator's state: per-cell
 temporaries above glibc's mmap threshold (128 KiB until a larger block is
@@ -166,27 +167,27 @@ def _tree_order(m):
 
 
 def _substep_offsets(m):
-    """The half-substep offsets from a cell's first node of the node and of
-    the midpoint samples _propagators reads for a cell of m substeps, in
-    tree order.  The nodes hold the substeps' left nodes first and their
-    right nodes last; for even m the two overlap by half, for the right
-    nodes of the first half of the substeps are the left nodes of the second."""
+    """The half-substep offsets from a cell's first node of the samples
+    _propagators reads for a cell of m substeps, in tree order: the nodes,
+    the substeps' left nodes first and their right nodes last, then the
+    midpoints.  For even m the left and the right nodes overlap by half,
+    for the right nodes of the first half of the substeps are the left nodes
+    of the second."""
     order = _tree_order(m)
     left = [2 * s for s in order]
     right = [2 * s + 2 for s in order]
     nodes = left + right[m // 2 :] if m % 2 == 0 else left + right
-    return nodes, [2 * s + 1 for s in order]
+    return nodes + [2 * s + 1 for s in order]
 
 
 def _workspace(m, batch):
     """The buffers of _propagators on cells of m substeps at batch points of
     shape batch, allocated before a march's first cell: the generators at
-    the nodes, (3, 3, nodes) + batch, and five (3, 3, m) + batch buffers (the
-    generators at the midpoints, a stage's I + c K, two stages, a product's
-    terms)."""
-    nodes = len(_substep_offsets(m)[0])
-    return [np.empty((3, 3, nodes) + batch, dtype=complex)] + [
-        np.empty((3, 3, m) + batch, dtype=complex) for _ in range(5)]
+    the cell's samples, (3, 3, samples) + batch, and four (3, 3, m) + batch
+    buffers (a stage's I + c K, two stages, a product's terms)."""
+    samples = len(_substep_offsets(m))
+    return [np.empty((3, 3, samples) + batch, dtype=complex)] + [
+        np.empty((3, 3, m) + batch, dtype=complex) for _ in range(4)]
 
 
 def _states(state):
@@ -195,20 +196,19 @@ def _states(state):
     return [np.empty(np.shape(state), dtype=complex) for _ in range(4)]
 
 
-def _propagators(nodes, mids, builder, lam, hs, m, ws):
+def _propagators(near, builder, lam, hs, m, ws):
     """The propagator C, S_end = S_start C, of a cell of m RK4 substeps of
     size hs at each batch point, as a (3, 3) + batch view into ws, a
-    _workspace.  nodes and mids, the builder's inputs before lam, hold the
-    cell's samples along axis 0 as _substep_offsets lays them out: at the
-    nodes (the substeps' left nodes first, their right nodes last) and at the
-    midpoints, the substeps in tree order.  d S = S W is linear, so a substep
-    is S <- S P with P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S;
-    the m substep propagators are multiplied pairwise, level by level.  Every
-    pass reads and writes contiguous buffers."""
-    wn, wm, x, k2, k3, tmp = ws
-    builder(*nodes, lam, wn)
-    builder(*mids, lam, wm)
-    k1, w1 = wn[:, :, : wm.shape[2]], wn[:, :, -wm.shape[2] :]
+    _workspace.  near, the builder's inputs before lam, holds the cell's
+    samples along axis 0 as _substep_offsets lays them out, the substeps in
+    tree order.  d S = S W is linear, so a substep is S <- S P with
+    P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S; the m substep
+    propagators are multiplied pairwise, level by level.  Every pass reads
+    and writes contiguous runs of one matrix entry's samples."""
+    w, x, k2, k3, tmp = ws
+    builder(*near, lam, w)
+    nodes = w.shape[2] - m
+    k1, w1, wm = w[:, :, :m], w[:, :, nodes - m : nodes], w[:, :, nodes:]
     # K2 = (I + hs/2 K1) Wh, K3 = (I + hs/2 K2) Wh, K4 = (I + hs K3) W1
     _mul3(_shift(0.5 * hs, k1, x), wm, k2, tmp, generator=True)
     _mul3(_shift(0.5 * hs, k2, x), wm, k3, tmp, generator=True)
@@ -299,14 +299,13 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
     vals = u.values
     unitary = np.empty((grid.ny + extra, grid.nx + extra, 3, 3), dtype=complex)
     unitary[0, 0] = np.eye(3)
-    node_offsets, mid_offsets = _substep_offsets(m)
-    split = len(node_offsets)
+    offsets = _substep_offsets(m)
     ws = _workspace(m, (grid.nx,))
     # first row, marched in x: the cells starting at every node of it, side
     # by side in one batch, cell i's samples in column i of each plane
     row = (vals[0], ddy(vals, grid, "spectral")[0])
-    near = trig_upsample(row, 2 * m, 1, node_offsets + mid_offsets).swapaxes(0, 1)
-    props = _propagators(near[:, :split], near[:, split:], frame_coeff_x, lam, grid.hx / m, m, ws)
+    near = trig_upsample(row, 2 * m, 1, offsets).swapaxes(0, 1)
+    props = _propagators(near, frame_coeff_x, lam, grid.hx / m, m, ws)
     cells = grid.nx + extra - 1
     _march(unitary[0, 0], np.moveaxis(props[:, :, :cells], -1, 0), unitary[0, 1:],
            _states(unitary[0, 0]), re_unitarize)
@@ -314,15 +313,11 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
     # workspace; rows[j] is node row j with the matrix axes first, and the
     # closing column nx reuses the propagators of column 0
     rows = np.moveaxis(unitary, 1, -1)
-    sample = row_sampler((vals, ddx(vals, grid, "spectral")), 2 * m, node_offsets + mid_offsets)
+    sample = row_sampler((vals, ddx(vals, grid, "spectral")), 2 * m, offsets)
+    cell_rows = (_propagators(sample([j])[:, :, 0], frame_coeff_y, lam, grid.hy / m, m, ws)
+                 for j in range(grid.ny + extra - 1))
 
-    def cell_rows():
-        for j in range(grid.ny + extra - 1):
-            near = sample([j])[:, :, 0]
-            yield _propagators(near[:, :split], near[:, split:], frame_coeff_y, lam, grid.hy / m, m,
-                               ws)
-
-    _march(rows[0], cell_rows(), rows[1:], _states(rows[0]), re_unitarize)
+    _march(rows[0], cell_rows, rows[1:], _states(rows[0]), re_unitarize)
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
 
 
@@ -349,9 +344,9 @@ def frame_axis_stencil(frame, axis, reduce):
     u = frame.u.values
     m = frame.substeps
     lam = frame.spectral.lam
-    # half-substep offsets from each node: the nodes and the midpoints of the
-    # two substeps up, then of the two down
-    offsets = (0, 2, 4, 1, 3, 0, -2, -4, -1, -3)
+    # half-substep offsets from each node of the samples of the two cells
+    # of one substep up, then of the two down, three per cell
+    offsets = [sign * (2 * c + k) for sign in (1, -1) for c in range(2) for k in _substep_offsets(1)]
     if axis == "x":
         h, builder, across = grid.hx, frame_coeff_x, ddy(u, grid, "spectral")
     elif axis == "y":
@@ -369,21 +364,18 @@ def frame_axis_stencil(frame, axis, reduce):
             near = trig_upsample((u[block], across[block]), 2 * m, 2, offsets).swapaxes(0, 1)
         else:
             near = sample(range(block.start, block.stop))
-        if near[0].shape[1:] != shape:
+        if near.shape[2:] != shape:
             # frames at offsets -2..2 and the march's workspace, shared by
             # every block of this shape (only a shorter last block differs);
             # the old buffers are released before the new ones are made
-            shape = near[0].shape[1:]
+            shape = near.shape[2:]
             frames = ws = states = None
             frames = np.empty((5, 3, 3) + shape, dtype=complex)
             ws, states = _workspace(1, shape), _states(frames[2])
-        # one RK4 substep per cell, marched up and down from the node; cell c
-        # of a direction has its nodes at offsets 2c, 2c + 2 and its midpoint
-        # at 2c + 1
+        # one RK4 substep per cell, marched up and down from the node
         frames[2] = base[:, :, block]
-        for sign, part, out in ((1, slice(0, 5), frames[3:]), (-1, slice(5, 10), frames[1::-1])):
-            coeffs = [a[part] for a in near]
-            cells = (_propagators([a[c : c + 2] for a in coeffs], [a[3 + c : 4 + c] for a in coeffs],
-                                  builder, lam, sign * h / m, 1, ws) for c in range(2))
-            _march(frames[2], cells, out, states)
+        for sign, out, cells in ((1, frames[3:], (0, 1)), (-1, frames[1::-1], (2, 3))):
+            props = (_propagators(near[:, 3 * c : 3 * c + 3], builder, lam, sign * h / m, 1, ws)
+                     for c in cells)
+            _march(frames[2], props, out, states)
         reduce(block, list(frames), [near[0][offsets.index(2 * k)] for k in range(-2, 3)])
