@@ -8,7 +8,9 @@ y ~ y + ly, so there is no duplicated edge row/column.
 
 Values between nodes are those of the trigonometric interpolant of the
 samples: trig_upsample gives them at sub-cell offsets from every node along
-one axis, row_sampler along axis 0 from chosen node rows only.
+one axis, row_sampler along axis 0 from chosen node rows only.  The frame
+integrator is their one caller: its first row is sampled by trig_upsample,
+each cell row of its column march by row_sampler.
 
 It also owns the layouts of the artifact files: text tables (save_table,
 load_field) and binary node files (save_nodes, load_nodes).

@@ -42,6 +42,12 @@ freed) would be mapped and faulted in afresh for every cell row.  Unitarity
 drift is a diagnostic, repaired only on request by the polar factor at
 every cell boundary.
 
+The report needs the frame's derivatives, and the frame equation gives them
+exactly at every node: d_x U = U Wx and d_y U = U Wy, with the generators
+built from the node's own u and spectral derivatives.  frame_axis_stencil
+forms them one block of node rows at a time; nothing is marched or sampled
+between nodes for them.
+
 A closing frame marches one more cell in each direction, so it also holds
 the wrap-around column i = nx and row j = ny.  Because those cells reuse the
 periodic propagators, U(nx, j) U(0, j)^-1 and U(i, ny) U(i, 0)^-1 are the
@@ -58,7 +64,7 @@ from .grid import ScalarFieldPeriodic, ddx, ddy, row_sampler, trig_upsample
 from .linalg3 import unitarity_defect_map
 
 DEFAULT_SUBSTEPS = 24
-STENCIL_BLOCK_NODES = 1024  # nodes per block of frame_axis_stencil's march
+STENCIL_BLOCK_NODES = 1024  # nodes per block of frame_axis_stencil's derivatives
 
 
 @dataclass(frozen=True)
@@ -321,37 +327,29 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
 
 
-def frame_axis_stencil(frame, axis, reduce):
-    """Call reduce(block, frames, u_samples) with the frames and exponent
-    samples at offsets k * (h / substeps), k = -2..2, marched from every base
-    node along `axis`, one block of node rows at a time.
+def frame_axis_stencil(frame, axis, grads, reduce):
+    """Call reduce(block, frames, derivatives) with the base-node frames U
+    and the first two columns of the exact derivative d_axis U = U W_axis,
+    one block of node rows at a time.
 
-    Gives the five samples of 4th-order finite-difference stencils for
-    derivatives of frame-built fields at sub-grid spacing, without assuming
-    periodicity of the frame itself.  Each block's march reads the
-    generator's two inputs at the half-substep offsets -4..4 of its own
-    nodes and nowhere else: along y from grid.row_sampler, along x from
-    grid.trig_upsample of the block's rows.  The march runs on blocks of
-    STENCIL_BLOCK_NODES nodes (at least one row), so its memory does not
-    grow with the grid.  For each block, reduce gets the slice of its node
-    rows and lists indexed by k + 2 of (3, 3, rows, nx) frames with the
-    matrix axes first and of (rows, nx) samples; it keeps what it needs of
-    them, for the frames' buffer is reused by the next block.  Every node is
-    marched on its own, so what reduce gets does not depend on the block
-    size.
+    W_axis is built at the nodes from u and the spectral derivative across
+    the axis, grads = (u_x, u_y), the same samples the frame's generators
+    read, so nothing is marched or sampled between nodes.  The blocks hold
+    STENCIL_BLOCK_NODES nodes (at least one row), so memory does not grow
+    with the grid.  For each block, reduce gets the slice of its node rows,
+    the (3, 3, rows, nx) frames and the (3, 2, rows, nx) derivatives with
+    the matrix axes first; it keeps what it needs of the derivatives, for
+    their buffer is reused by the next block.  Every node is computed on its
+    own, so what reduce gets does not depend on the block size.  The name is
+    that of the marched stencil this route replaced, kept until the
+    benchmark's tracer target is renamed with it.
     """
     grid = frame.grid
     u = frame.u.values
-    m = frame.substeps
-    lam = frame.spectral.lam
-    # half-substep offsets from each node of the samples of the two cells
-    # of one substep up, then of the two down, three per cell
-    offsets = [sign * (2 * c + k) for sign in (1, -1) for c in range(2) for k in _substep_offsets(1)]
     if axis == "x":
-        h, builder, across = grid.hx, frame_coeff_x, ddy(u, grid, "spectral")
+        builder, across = frame_coeff_x, grads[1]
     elif axis == "y":
-        h, builder, across = grid.hy, frame_coeff_y, ddx(u, grid, "spectral")
-        sample = row_sampler((u, across), 2 * m, offsets)
+        builder, across = frame_coeff_y, grads[0]
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
@@ -360,22 +358,13 @@ def frame_axis_stencil(frame, axis, reduce):
     shape = None
     for j in range(0, grid.ny, rows):
         block = slice(j, min(j + rows, grid.ny))
-        if axis == "x":
-            near = trig_upsample((u[block], across[block]), 2 * m, 2, offsets).swapaxes(0, 1)
-        else:
-            near = sample(range(block.start, block.stop))
-        if near.shape[2:] != shape:
-            # frames at offsets -2..2 and the march's workspace, shared by
-            # every block of this shape (only a shorter last block differs);
-            # the old buffers are released before the new ones are made
-            shape = near.shape[2:]
-            frames = ws = states = None
-            frames = np.empty((5, 3, 3) + shape, dtype=complex)
-            ws, states = _workspace(1, shape), _states(frames[2])
-        # one RK4 substep per cell, marched up and down from the node
-        frames[2] = base[:, :, block]
-        for sign, out, cells in ((1, frames[3:], (0, 1)), (-1, frames[1::-1], (2, 3))):
-            props = (_propagators(near[:, 3 * c : 3 * c + 3], builder, lam, sign * h / m, 1, ws)
-                     for c in cells)
-            _march(frames[2], props, out, states)
-        reduce(block, list(frames), [near[0][offsets.index(2 * k)] for k in range(-2, 3)])
+        frames = base[:, :, block]
+        if frames.shape[2:] != shape:
+            # buffers shared by every block of this shape (only a shorter
+            # last block differs); the old ones are released first
+            shape = frames.shape[2:]
+            gen = out = tmp = None
+            gen = np.empty((3, 3) + shape, dtype=complex)
+            out, tmp = (np.empty((3, 2) + shape, dtype=complex) for _ in range(2))
+        builder(u[block], across[block], frame.spectral.lam, gen)
+        reduce(block, frames, _mul3(frames, gen[:, :2], out, tmp))

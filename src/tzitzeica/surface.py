@@ -8,9 +8,9 @@ the closed form
 which makes the immersion complexly normal (<E_i|N> = 0 in the Hermitian
 product) with conformal induced metric g = 2 R^2 e^u I and vanishing skew
 form, so the normal-plane vectors are F_i = i E_i.  The cubic form is
-extracted by numerically differentiating the tangent fields at substep
-resolution (stencils marched from each node, no periodicity assumed),
-subtracting the conformal connection, and projecting onto (F1, F2, N).
+extracted from the exact derivatives of the tangent fields, which the frame
+equation d_i U = U W_i gives at each node without differencing, by
+subtracting the conformal connection and projecting onto (F1, F2, N).
 
 Torus closure is read off the frame's monodromies over one period in x and
 in y, from the wrap-around row and column of a closing frame (see
@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import invariants as inv
+from .grid import ddx, ddy
 from .lax import frame_axis_stencil, frame_orthonormality_report
 from .linalg3 import hermitian_inner
 
@@ -71,49 +72,43 @@ def _tangents_at(frames, u_vals, lam, radius):
     return e1, e2
 
 
-def _fd4_stencil(values, h):
-    """4th-order first derivative from 5 samples at offsets -2..2 of size h;
-    the centre sample is not read."""
-    return (-values[4] + 8.0 * values[3] - 8.0 * values[1] + values[0]) / (12.0 * h)
-
-
 def extract_second_form(frame, radius, gamma):
-    """Cubic-form components t[k, i, j], shape (2, 2, 2, ny, nx), from
-    numerical derivatives of the tangents, and the normal coefficient of
+    """Cubic-form components t[k, i, j], shape (2, 2, 2, ny, nx), from the
+    exact derivatives of the tangents, and the normal coefficient of
     nabla_i E_j, shape (2, 2, ny, nx) complex, which must be -2 R e^u delta_ij.
 
-    Tangent derivatives use 5-point stencils at substep spacing, marched from
-    each node, so no periodicity of the frame is assumed; gamma is the
-    connection of the frame's u (invariants.christoffel_from_field).  The
-    stencil frames exist one block of node rows at a time
-    (lax.frame_axis_stencil), and each block is reduced at once to the
-    derivatives d_i E_j of its nodes and projected onto (F1, F2, N), so no
-    whole-grid derivative exists.
+    The frame solves d_i U = U W_i, so d_i E_j = (u_i / 2) E_j + T_j(U W_i),
+    with T_j the tangent map applied to the columns of U W_i and u_i the
+    spectral derivative the frame's generators read; gamma is the connection
+    of the frame's u (invariants.christoffel_from_field).  U W_i exists one
+    block of node rows at a time (lax.frame_axis_stencil), and each block is
+    reduced at once to the d_i E_j of its nodes and projected onto
+    (F1, F2, N), so no whole-grid derivative exists.
     """
     grid = frame.grid
     u = frame.u.values
     lam = frame.spectral.lam
-    m = frame.substeps
     conf = 2.0 * radius**2 * np.exp(u)
+    grads = ddx(u, grid, "spectral"), ddy(u, grid, "spectral")
 
     tens = np.empty((2, 2, 2, grid.ny, grid.nx))
     ncoeff = np.empty((2, 2, grid.ny, grid.nx), dtype=complex)
-    for i, (axis, h) in enumerate((("x", grid.hx), ("y", grid.hy))):
+    for i, axis in enumerate("xy"):
 
-        def project(block, frames, u_samples, i=i, h=h):
-            # the tangents at the stencil's four outer samples, then at the nodes
-            near = {k: _tangents_at(frames[k], u_samples[k], lam, radius) for k in (0, 1, 3, 4)}
-            tangents = e1, e2 = _tangents_at(frames[2], u[block], lam, radius)
-            normal = frames[2][:, 2]
+        def project(block, frames, derivs, i=i):
+            tangents = e1, e2 = _tangents_at(frames, u[block], lam, radius)
+            from_uw = _tangents_at(derivs, u[block], lam, radius)
+            half = 0.5 * grads[i][block]
+            normal = frames[:, 2]
             for j in range(2):
-                partial = _fd4_stencil({k: es[j] for k, es in near.items()}, h / m)
+                partial = half * tangents[j] + from_uw[j]
                 nab = partial - (gamma[0, i, j][block] * e1 + gamma[1, i, j][block] * e2)
                 for k in range(2):
                     proj = hermitian_inner(1j * tangents[k], nab).real
                     tens[k, i, j][block] = proj / conf[block]
                 ncoeff[i, j][block] = hermitian_inner(normal, nab)
 
-        frame_axis_stencil(frame, axis, project)
+        frame_axis_stencil(frame, axis, grads, project)
     return tens, ncoeff
 
 

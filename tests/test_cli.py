@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tzitzeica import cli, meshout
-from tzitzeica.config import parse_config_text
+from tzitzeica.config import parse_config, parse_config_text
 from tzitzeica.errors import ConfigParseError, ConfigValidationError
 from tzitzeica.grid import (
     PeriodicGrid,
@@ -32,6 +32,7 @@ from tzitzeica.surface import build_surface, full_report
 from tzitzeica.wave import period_quadrature, travelling_wave
 
 from oracles import grid_faces_loop, parse_obj
+from test_hygiene import _assigned_literal
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -260,6 +261,24 @@ def test_report_bytes_match_between_cli_and_in_process_run(tmp_path):
     subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
     for name in (cli.FRAME_FILE, cli.REPORT_JSON):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+def test_shipped_flat_run_lies_in_the_benchmark_reference_band(tmp_path):
+    # configs/flat.cfg through all five stages in-process: every residual must
+    # lie in the band the benchmark's gate holds flat64-closure to, with the
+    # gate's tolerances read from its source
+    root = pathlib.Path(SRC).parent
+    gate = (root / "bench" / "workloads.py").read_text()
+    atol, default_atol, rtol = (_assigned_literal(gate, n) for n in ("ATOL", "DEFAULT_ATOL", "RTOL"))
+    want = json.loads((root / "bench" / "reference" / "flat64-closure" / "report.json").read_text())
+    cfg = parse_config(str(root / "configs" / "flat.cfg"))
+    for stage in ("solve", "frame", "surface", "report", "export"):
+        cli.run_pipeline(cfg, stage, str(tmp_path), echo=False)
+    got = json.loads((tmp_path / cli.REPORT_JSON).read_text())
+    assert set(got) == set(want)
+    outside = {key: (got[key], ref) for key, ref in want.items()
+               if not abs(got[key] - ref) <= atol.get(key, default_atol) + rtol * abs(ref)}
+    assert outside == {}
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

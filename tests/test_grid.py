@@ -103,7 +103,7 @@ def test_trig_upsample_matches_zero_padding_oracle(n, axis):
 @pytest.mark.parametrize("n", [16, 17])
 @pytest.mark.parametrize("offsets", [range(-4, 5), range(0, 2 * 6 + 1)])
 def test_row_sampler_matches_trig_upsample(n, offsets):
-    # the offsets of the report stencil (-4..4) and of a cell of m = 6
+    # offsets on both sides of the node (-4..4) and those of a cell of m = 6
     # substeps (0..2m), on lengths with and without a Nyquist bin
     factor = 12
     rng = np.random.default_rng(n)
