@@ -31,14 +31,24 @@ NODE_X, NODE_Y = -1, -2  # array axes of the x and y nodes
 
 
 def check_spd(g, what="metric"):
-    eig = np.linalg.eigvalsh(np.moveaxis(np.asarray(g), (0, 1), (-2, -1)))
-    lo, hi = eig[..., 0], eig[..., 1]
+    """Raise DegenerateMetricError where the symmetric 2x2 field g has an
+    eigenvalue lo <= SPD_EIG_RATIO * |hi|; the eigenvalues are the closed form
+    mid -+ hypot((g00 - g11) / 2, g01)."""
+    lo, hi = _eigenvalues2(g)
     bad = lo <= SPD_EIG_RATIO * np.abs(hi)
     if np.any(bad):
         raise DegenerateMetricError(
             f"{what} is degenerate at {int(np.count_nonzero(bad))} node(s); "
             f"min eigenvalue ratio {float((lo / np.abs(hi)).min()):.3e}"
         )
+
+
+def _eigenvalues2(g):
+    """(lo, hi), the eigenvalues of each symmetric 2x2 matrix of g."""
+    g = np.asarray(g)
+    mid = 0.5 * (g[0, 0] + g[1, 1])
+    rad = np.hypot(0.5 * (g[0, 0] - g[1, 1]), g[0, 1])
+    return mid - rad, mid + rad
 
 
 def inv2(g):
@@ -106,13 +116,15 @@ def riemann(gamma, hx, hy):
     bit-for-bit.
     """
     gamma = np.asarray(gamma, dtype=float)
-    dgam = [gridmod.deriv(gamma, hx, NODE_X), gridmod.deriv(gamma, hy, NODE_Y)]
+    # the core reads only d_x gamma^s_k1 and d_y gamma^s_k0
+    dx_gam1 = gridmod.deriv(gamma[:, :, 1], hx, NODE_X)
+    dy_gam0 = gridmod.deriv(gamma[:, :, 0], hy, NODE_Y)
     riem = np.zeros((2,) + gamma.shape)
     for s in range(2):
         for k in range(2):
             core = (
-                dgam[0][s, k, 1]
-                - dgam[1][s, k, 0]
+                dx_gam1[s, k]
+                - dy_gam0[s, k]
                 - np.einsum("r...,r...->...", gamma[:, k, 0], gamma[s, :, 1])
                 + np.einsum("r...,r...->...", gamma[:, k, 1], gamma[s, :, 0])
             )
@@ -153,8 +165,8 @@ def scalar_invariants(t, g):
 
     h2 is the squared length of the traced cubic form (the squared mean
     curvature), t2 its complete self-contraction, and t4 the trace of the
-    squared contraction matrix q^i_s = t^i_jk t^jk_s; all index moves use g,
-    which must be positive definite.
+    squared contraction matrix q^a_c = t^ajk t_cjk, whose trace is t2; all
+    index moves use g, which must be positive definite.
     """
     t = np.asarray(t)
     g = np.asarray(g, dtype=float)
@@ -164,9 +176,9 @@ def scalar_invariants(t, g):
     h2 = np.einsum("sk...,s...,k...->...", ginv, m, m)
     t_low = lower_tensor(t, g)
     t_up = np.einsum("aij...,bi...,cj...->abc...", t, ginv, ginv)
-    t2 = np.einsum("abc...,abc...->...", t_up, t_low)
-    q_mix = np.einsum("ajk...,jp...,kr...,cs...,spr...->ac...", t, ginv, ginv, g, t)
-    t4 = np.einsum("ac...,ca...->...", q_mix, q_mix)
+    q = np.einsum("ajk...,cjk...->ac...", t_up, t_low)
+    t2 = q[0, 0] + q[1, 1]
+    t4 = np.einsum("ac...,ca...->...", q, q)
     return h2, t2, t4
 
 

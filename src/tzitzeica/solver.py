@@ -7,21 +7,34 @@ acceptance suite re-derives this symbolically).  With this sign u = 0 is a
 stable center of the 1D reduction and the unique constant solution.
 
 The residual and the Newton linearization share one discrete Laplacian, the
-4th-order periodic stencil of grid.laplacian.  Grids whose periodic Laplacian
-has an eigenvalue within 1e-6 of -12 are rejected outright: near u = 0 the
-linearization is Delta + 12, and regularizing past that resonance would
-silently corrupt convergence-order measurements.
+4th-order periodic stencil of grid.laplacian: the residual applies the
+stencil, the linearization its exact Fourier symbol sigma = sigma_x + sigma_y
+(grid.laplacian_symbol_1d), the same circulant.  Grids whose periodic
+Laplacian has an eigenvalue within 1e-6 of -12 are rejected outright: near
+u = 0 the linearization is Delta + 12, and regularizing past that resonance
+would silently corrupt convergence-order measurements.
 
 Each Newton step solves J s = -r, with the symmetric indefinite Jacobian
 J = Delta + diag(d), d = 8 e^{-2u} + 4 e^u, by preconditioned MINRES (Paige &
-Saunders, SIAM J. Numer. Anal. 12, 1975) to a relative residual of
-MINRES_RTOL.  The preconditioner is the SPD Fourier multiplier
-|sigma_x + sigma_y + mean(d)|, floored at PRECONDITIONER_FLOOR * mean(d) so no
-mode divides by ~0; it is J itself when u is constant, and it costs one real
-FFT pair (Vecharynski & Knyazev, SIAM J. Sci. Comput. 35, 2013, on absolute
-value preconditioners for indefinite systems).
+Saunders, SIAM J. Numer. Anal. 12, 1975).  The preconditioner M is the SPD
+Fourier multiplier |sigma + mean(d)|, floored at PRECONDITIONER_FLOOR *
+mean(d) so no mode divides by ~0; it is J itself when u is constant
+(Vecharynski & Knyazev, SIAM J. Sci. Comput. 35, 2013, on absolute value
+preconditioners for indefinite systems).  One MINRES iteration takes one
+rfft2 of its residual r and forms both M^-1 r and J M^-1 r from it: the
+spectrum scaled by 1/M and by sigma/M, two inverse transforms, and d M^-1 r.
 
-A step fails when MINRES misses its tolerance within MINRES_MAXITER
+The method is inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+Anal. 19, 1982): step k stops MINRES at a relative residual eta_k.  The
+first step has no residual history and is solved to MINRES_RTOL; a looser
+first step can carry a near-singular seed to convergence instead of to a
+diagnosed failure.  Later steps take Eisenstat & Walker's forcing term
+(SIAM J. Sci. Comput. 17, 1996, choice 2) FORCING_GAMMA (r_k / r_{k-1})^2 of
+the sup-norm residuals, which keeps the convergence quadratic, floored at
+OVERSOLVE_MARGIN * tol / r_k so no step is solved past what the stopping
+test can see, and clipped to [MINRES_RTOL, FORCING_MAX].
+
+A step fails when MINRES misses its eta_k within MINRES_MAXITER
 iterations, when it is not finite or exceeds 1e12, or when it multiplies the
 residual by more than RESIDUAL_GROWTH (a near-singular J sends u far off and
 no later step brings it back).  Only then is J
@@ -43,6 +56,9 @@ from .grid import ScalarFieldPeriodic, check_resonance, deriv2, laplacian, lapla
 MINRES_RTOL = 1e-13
 MINRES_MAXITER = 300
 PRECONDITIONER_FLOOR = 1e-2
+FORCING_GAMMA = 0.9
+FORCING_MAX = 0.1
+OVERSOLVE_MARGIN = 1e-2
 RESIDUAL_GROWTH = 1e6
 
 
@@ -57,32 +73,33 @@ def pde_residual(u):
     return _residual(u.values, u.grid)
 
 
-def minres(matvec, psolve, b, rtol, maxiter):
-    """Solve the symmetric system A x = b by MINRES preconditioned with the
-    SPD operator psolve ~ A^-1, starting from x = 0.
+def minres(apply, b, rtol, maxiter):
+    """Solve the symmetric system A x = b by MINRES preconditioned with an
+    SPD operator M ~ |A|, starting from x = 0; ``apply(r)`` returns the pair
+    (M^-1 r, A M^-1 r), so each iteration makes one call.
 
     Returns (x, iterations, converged): converged when the recurrence's
     preconditioned residual norm fell to rtol times that of b within maxiter
     iterations.  Paige & Saunders' recurrence, as in scipy.sparse.linalg.minres.
     """
     x = np.zeros_like(b)
-    y = psolve(b)
-    beta1 = np.sqrt(np.vdot(b, y))
+    z, az = apply(b)
+    beta1 = np.sqrt(np.vdot(b, z))
     if beta1 == 0.0:
         return x, 0, True
     r1 = r2 = b
     w = w2 = np.zeros_like(b)
     oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
     for itn in range(1, maxiter + 1):
-        v = y / beta
-        y = matvec(v)
+        v = z / beta
+        y = az / beta
         if itn >= 2:
             y = y - (beta / oldb) * r1
         alfa = np.vdot(v, y)
         y = y - (alfa / beta) * r2
         r1, r2 = r2, y
-        y = psolve(r2)
-        oldb, beta = beta, np.sqrt(np.vdot(r2, y))
+        z, az = apply(r2)
+        oldb, beta = beta, np.sqrt(np.vdot(r2, z))
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
@@ -99,13 +116,34 @@ def minres(matvec, psolve, b, rtol, maxiter):
     return x, maxiter, False
 
 
-def _preconditioner(grid, dmean):
-    """The inverse of |sigma_x + sigma_y + dmean|, floored at
-    PRECONDITIONER_FLOOR * dmean, applied to fields of ``grid`` by rfft2."""
+def _preconditioned_jacobian(grid, d):
+    """apply(r) -> (M^-1 r, J M^-1 r) for J = Delta + diag(d), with M the
+    Fourier multiplier |sigma + mean(d)| floored at PRECONDITIONER_FLOOR *
+    mean(d), sigma = sigma_x + sigma_y the exact symbol of the fd4 Laplacian:
+    one rfft2 of r, scaled by 1/M and by sigma/M, and two inverse transforms."""
     sx = laplacian_symbol_1d(grid.nx, grid.hx)[: grid.nx // 2 + 1]
     sy = laplacian_symbol_1d(grid.ny, grid.hy)
-    inv = 1.0 / np.maximum(np.abs(sy[:, None] + sx[None, :] + dmean), PRECONDITIONER_FLOOR * dmean)
-    return lambda v: np.fft.irfft2(np.fft.rfft2(v) * inv, (grid.ny, grid.nx))
+    sigma = sy[:, None] + sx[None, :]
+    dmean = d.mean()
+    inv = 1.0 / np.maximum(np.abs(sigma + dmean), PRECONDITIONER_FLOOR * dmean)
+    sigma_inv = sigma * inv
+    shape = (grid.ny, grid.nx)
+
+    def apply(r):
+        spectrum = np.fft.rfft2(r)
+        y = np.fft.irfft2(spectrum * inv, shape)
+        return y, np.fft.irfft2(spectrum * sigma_inv, shape) + d * y
+
+    return apply
+
+
+def _forcing_term(residuals, tol):
+    """MINRES tolerance of a Newton step after the first: Eisenstat & Walker's
+    choice 2, FORCING_GAMMA (r_k / r_{k-1})^2, floored where the step's linear
+    residual eta r_k would fall below OVERSOLVE_MARGIN * tol and clipped to
+    [MINRES_RTOL, FORCING_MAX]."""
+    eta = FORCING_GAMMA * (residuals[-1] / residuals[-2]) ** 2
+    return min(max(eta, OVERSOLVE_MARGIN * tol / residuals[-1], MINRES_RTOL), FORCING_MAX)
 
 
 def splu(matrix):
@@ -205,15 +243,10 @@ def newton_solve(u0, tol, max_iter=30):
             if it == max_iter:
                 break
             d = 8.0 * np.exp(-2.0 * u) + 4.0 * np.exp(u)
-            step, count, converged = minres(
-                lambda v: laplacian(v, grid) + d * v,
-                _preconditioner(grid, d.mean()),
-                -r,
-                MINRES_RTOL,
-                MINRES_MAXITER,
-            )
+            eta = MINRES_RTOL if it == 0 else _forcing_term(residuals, tol)
+            step, count, converged = minres(_preconditioned_jacobian(grid, d), -r, eta, MINRES_MAXITER)
             if not converged:
-                _diagnose_failed_step(grid, d, f"MINRES missed {MINRES_RTOL:g} in {count} iterations")
+                _diagnose_failed_step(grid, d, f"MINRES missed {eta:g} in {count} iterations")
             if not np.all(np.isfinite(step)) or np.abs(step).max() > 1e12:
                 _diagnose_failed_step(grid, d, "Newton step blew up")
             counts.append(count)

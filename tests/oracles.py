@@ -3,7 +3,10 @@
 None of these is on the pipeline's path: the generic Levi-Civita connection
 cross-checks the conformal closed form, index loops over their definitions
 cross-check the contractions of the induced metric, the lowered cubic form,
-its scalar invariants and the Codazzi connection terms, grid differencing of the embedding
+its scalar invariants and the Codazzi connection terms, the five-operand
+contraction of the quartic invariant, eigvalsh's eigenvalues of the metric
+and the curvature formed from every plane of the connection's derivatives
+cross-check their leaner pipeline forms, grid differencing of the embedding
 cross-checks the analytic tangents, DOP853 shooting cross-checks the
 travelling wave's closed form and its quadrature period, trigonometric
 interpolation of a wave profile's samples cross-checks its closed-form
@@ -76,6 +79,41 @@ def scalar_invariants_loops(t, g):
           for c in idx] for a in idx]
     t4 = sum(q[a][c] * q[c][a] for a in idx for c in idx)
     return h2, t2, t4
+
+
+def t4_five_operand(t, g):
+    """t4 = q^a_c q^c_a of whole fields, node axes last, with q^a_c =
+    t^a_jk g^jp g^kr g_cs t^s_pr contracted by one five-operand einsum."""
+    ginv = inv2(g)
+    q = np.einsum("ajk...,jp...,kr...,cs...,spr...->ac...", t, ginv, ginv, g, t)
+    return np.einsum("ac...,ca...->...", q, q)
+
+
+def spd_eigenvalues_eigvalsh(g):
+    """(lo, hi), the eigenvalues of each 2x2 matrix of the field g (component
+    axes first) by numpy.linalg.eigvalsh."""
+    eig = np.linalg.eigvalsh(np.moveaxis(np.asarray(g), (0, 1), (-2, -1)))
+    return eig[..., 0], eig[..., 1]
+
+
+def riemann_all_planes(gamma, hx, hy):
+    """r^s_kij of a periodic connection with every plane of d_x gamma and
+    d_y gamma formed, then read as in its definition
+    d_i gamma^s_kj - d_j gamma^s_ki - gamma^r_ki gamma^s_rj + gamma^r_kj gamma^s_ri
+    at (i, j) = (0, 1), the (1, 0) slot its negation."""
+    dgam = [deriv(gamma, hx, NODE_X), deriv(gamma, hy, NODE_Y)]
+    riem = np.zeros((2,) + gamma.shape)
+    for s in range(2):
+        for k in range(2):
+            core = (
+                dgam[0][s, k, 1]
+                - dgam[1][s, k, 0]
+                - np.einsum("r...,r...->...", gamma[:, k, 0], gamma[s, :, 1])
+                + np.einsum("r...,r...->...", gamma[:, k, 1], gamma[s, :, 0])
+            )
+            riem[s, k, 0, 1] = core
+            riem[s, k, 1, 0] = -core
+    return riem
 
 
 def codazzi_loops(t, gamma, g, hx, hy):

@@ -89,6 +89,39 @@ def test_no_public_definition_only_its_own_tests_call():
     assert unreached_definitions(modules, [acceptance]) == []
 
 
+MAX_EINSUM_OPERANDS = 3
+
+
+def wide_einsums(source):
+    """Lines of the np.einsum calls in `source` that contract more than
+    MAX_EINSUM_OPERANDS operands; numpy runs such a call as one nested loop
+    over all its indices unless asked to optimize."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "einsum"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+        and len(node.args) - 1 > MAX_EINSUM_OPERANDS
+    ]
+
+
+def test_guard_flags_a_wide_einsum():
+    source = (
+        "import numpy as np\n"
+        "a = np.einsum('ij,jk,kl->il', x, y, z)\n"
+        "b = np.einsum('ij,jk,kl,lm->im', x, y, z, w)\n"
+    )
+    assert wide_einsums(source) == [3]
+
+
+def test_no_einsum_in_the_package_contracts_more_than_three_operands():
+    found = {p.name: wide_einsums(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
 def _passes(call, index, name):
     """Whether `call` sets the parameter `name`, at position `index` (None
     for keyword-only); a *args or **kwargs argument may set any."""

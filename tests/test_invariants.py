@@ -3,7 +3,9 @@ import pytest
 
 from tzitzeica.errors import DegenerateMetricError
 from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic, field_from_function
+from tzitzeica import invariants
 from tzitzeica.invariants import (
+    check_spd,
     christoffel_conformal,
     christoffel_from_field,
     closed_form_tensor,
@@ -24,7 +26,10 @@ from oracles import (
     codazzi_loops,
     hermitian_induced_loops,
     lower_tensor_loops,
+    riemann_all_planes,
     scalar_invariants_loops,
+    spd_eigenvalues_eigvalsh,
+    t4_five_operand,
 )
 
 E1 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -114,6 +119,14 @@ def test_riemann_antisymmetry_exact():
     riem = riemann(christoffel_from_field(u), g.hx, g.hy)
     assert np.abs(riem + np.swapaxes(riem, 2, 3)).max() == 0.0
     assert np.abs(riem).max() > 0.0
+
+
+def test_riemann_matches_all_planes_oracle():
+    g = PeriodicGrid(16, 12, 1.0, 1.3)
+    u = field_from_function(g, lambda x, y: 0.3 * np.sin(2 * np.pi * x) + 0.1 * np.cos(2 * np.pi * y / 1.3))
+    generic = np.random.default_rng(9).uniform(-0.5, 0.5, (2, 2, 2, 12, 16))
+    for gam in (christoffel_from_field(u), generic):
+        assert np.array_equal(riemann(gam, g.hx, g.hy), riemann_all_planes(gam, g.hx, g.hy))
 
 
 def test_flat_conformal_metric_curvature_zero():
@@ -270,6 +283,36 @@ def test_scalar_invariants_match_index_loops():
         at = (...,) + node
         loops = scalar_invariants_loops(t[at], g[at])
         assert max(abs(a - b) for a, b in zip((h2[node], t2[node], t4[node]), loops)) <= LOOP_TOL
+
+
+def test_t4_matches_five_operand_contraction():
+    _rng, t, g = _random_fields(25, 9, 11)
+    assert np.abs(g[0, 1]).min() > 0.0  # not conformal
+    t4 = scalar_invariants(t, g)[2]
+    want = t4_five_operand(t, g)
+    assert np.abs(t4 - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_spd_check_matches_eigvalsh():
+    # a random non-conformal metric with planted degenerate (rank one) and
+    # indefinite nodes
+    rng, _t, g = _random_fields(26, 9, 11)
+    for node in _random_nodes(rng, g.shape[2:], 5):
+        v = rng.uniform(-1.0, 1.0, 2)
+        g[(...,) + node] = np.outer(v, v)
+    for node in _random_nodes(rng, g.shape[2:], 4):
+        angle = rng.uniform(0.0, np.pi)
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        g[(...,) + node] = rot @ np.diag([rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)]) @ rot.T
+    lo, hi = invariants._eigenvalues2(g)
+    lo_want, hi_want = spd_eigenvalues_eigvalsh(g)
+    scale = np.maximum(np.abs(lo_want), np.abs(hi_want))
+    assert np.all(np.abs(lo - lo_want) <= 1e-12 * scale)
+    assert np.all(np.abs(hi - hi_want) <= 1e-12 * scale)
+    flagged = int(np.count_nonzero(lo_want <= invariants.SPD_EIG_RATIO * np.abs(hi_want)))
+    assert flagged >= 5
+    with pytest.raises(DegenerateMetricError, match=rf"degenerate at {flagged} node\(s\)"):
+        check_spd(g)
 
 
 def test_codazzi_connection_terms_match_index_loops():

@@ -118,30 +118,72 @@ def test_minres_solves_a_symmetric_indefinite_system():
     a = (q * np.concatenate([-np.linspace(1.0, 5.0, 15), np.linspace(0.5, 9.0, 25)])) @ q.T
     b = rng.standard_normal(40)
     scale = 1.0 + np.arange(40) / 40.0
-    x, iterations, converged = minres(lambda v: a @ v, lambda v: v / scale, b, 1e-13, 200)
+
+    def apply(r):
+        z = r / scale
+        return z, a @ z
+
+    x, iterations, converged = minres(apply, b, 1e-13, 200)
     assert converged and iterations <= 60
     assert np.abs(x - np.linalg.solve(a, b)).max() < 1e-10
-    _x, iterations, converged = minres(lambda v: a @ v, lambda v: v / scale, b, 1e-13, 3)
+    _x, iterations, converged = minres(apply, b, 1e-13, 3)
     assert (iterations, converged) == (3, False)
 
 
-def test_newton_matches_lu_oracle_on_wave128_seed():
-    # the wave128-newton benchmark seed: the lifted E = 6.5 wave on 128^2 plus
-    # a smooth perturbation of sup norm 0.02, even in x
+def test_spectral_jacobian_matches_the_stencil():
+    # sigma is the fd4 stencil's circulant, so J M^-1 r from the spectrum
+    # agrees with the stencil Laplacian of M^-1 r, on even and odd grids
+    from tzitzeica.grid import laplacian
+
+    rng = np.random.default_rng(5)
+    for g in (PeriodicGrid(12, 9, 1.1, 0.8), PeriodicGrid(16, 16, 1.0, 1.0)):
+        d = 4.0 + rng.uniform(0.0, 8.0, (g.ny, g.nx))
+        r = rng.standard_normal((g.ny, g.nx))
+        z, jz = solver._preconditioned_jacobian(g, d)(r)
+        want = laplacian(z, g) + d * z
+        assert np.abs(jz - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.fixture(scope="module")
+def wave128_seed():
+    """The wave128-newton benchmark seed: the lifted E = 6.5 wave on 128^2
+    plus a smooth perturbation of sup norm 0.02, even in x."""
     profile = travelling_wave(6.5)
     g = PeriodicGrid(128, 128, profile.period, 2.0 * np.pi / np.sqrt(3.0))
     xx, yy = g.mesh()
     kx, ky = 2.0 * np.pi * xx / g.lx, 2.0 * np.pi * yy / g.ly
     shape = (np.cos(ky) + 0.6 * np.cos(kx) * np.cos(ky + 0.7)
              + 0.4 * np.cos(2.0 * kx) * np.cos(2.0 * ky + 1.9) + 0.3 * np.cos(kx))
-    seed = lift_1d(profile, g).values + 0.02 * shape / np.abs(shape).max()
-    res = newton_solve(ScalarFieldPeriodic(g, seed), 1e-10, 20)
-    want, history = newton_lu(seed, g, 1e-10, 20)
+    return ScalarFieldPeriodic(g, lift_1d(profile, g).values + 0.02 * shape / np.abs(shape).max())
+
+
+def test_newton_matches_lu_oracle_on_wave128_seed(wave128_seed):
+    res = newton_solve(wave128_seed, 1e-10, 20)
+    want, history = newton_lu(wave128_seed.values, wave128_seed.grid, 1e-10, 20)
     assert res.iterations == len(history) - 1 == 3
+    # the forcing terms stop steps 1 and 2 early: 21 + 12 + 11 measured,
+    # against 21 + 27 + 29 with every step solved to MINRES_RTOL
     assert len(res.minres_iterations) == 3
+    assert sum(res.minres_iterations) <= 50
     assert res.final_residual < 1e-10
-    # measured 1.1e-9: the two differ along the wave's translation mode
+    # measured 1.2e-9: the two differ along the wave's translation mode
     assert np.abs(res.field.values - want).max() < 1e-8
+
+
+def test_first_step_is_exact_and_later_steps_are_forced(wave128_seed, monkeypatch):
+    tolerances = []
+
+    def spy(apply, b, rtol, maxiter):
+        tolerances.append(rtol)
+        return minres(apply, b, rtol, maxiter)
+
+    monkeypatch.setattr(solver, "minres", spy)
+    newton_solve(wave128_seed, 1e-10, 20)
+    assert len(tolerances) == 3
+    assert tolerances[0] == solver.MINRES_RTOL
+    assert all(solver.MINRES_RTOL <= eta <= solver.FORCING_MAX for eta in tolerances[1:])
+    # Eisenstat-Walker's choice 2 leaves the later steps looser than the first
+    assert min(tolerances[1:]) > 1e3 * solver.MINRES_RTOL
 
 
 def test_minres_missing_its_cap_is_diagnosed_by_lu(perturbed_wave64, monkeypatch):
