@@ -30,7 +30,7 @@ SPD_EIG_RATIO = 1e-12
 NODE_X, NODE_Y = -1, -2  # array axes of the x and y nodes
 
 
-def check_spd(g, what="metric"):
+def check_spd(g):
     """Raise DegenerateMetricError where the symmetric 2x2 field g has an
     eigenvalue lo <= SPD_EIG_RATIO * |hi|; the eigenvalues are the closed form
     mid -+ hypot((g00 - g11) / 2, g01)."""
@@ -38,7 +38,7 @@ def check_spd(g, what="metric"):
     bad = lo <= SPD_EIG_RATIO * np.abs(hi)
     if np.any(bad):
         raise DegenerateMetricError(
-            f"{what} is degenerate at {int(np.count_nonzero(bad))} node(s); "
+            f"metric is degenerate at {int(np.count_nonzero(bad))} node(s); "
             f"min eigenvalue ratio {float((lo / np.abs(hi)).min()):.3e}"
         )
 
@@ -68,15 +68,12 @@ def inv2(g):
     return out
 
 
-def hermitian_induced(e1, e2, check=True):
+def hermitian_induced(e1, e2):
     """Induced metric g and skew form w from tangent vectors of shape
     (3, ...): the Hermitian Gram matrix h_ab = <E_a|E_b> splits as g + i w."""
     e = np.stack([np.asarray(e1), np.asarray(e2)])
     h = np.einsum("ac...,bc...->ab...", np.conj(e), e)
-    g, omega = h.real, h.imag
-    if check:
-        check_spd(g, "induced metric")
-    return g, omega
+    return h.real, h.imag
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,9 @@ every cell boundary.
 The report needs the frame's derivatives, and the frame equation gives them
 exactly at every node: d_x U = U Wx and d_y U = U Wy, with the generators
 built from the node's own u and spectral derivatives.  frame_axis_stencil
-forms them one block of node rows at a time; nothing is marched or sampled
-between nodes for them.
+forms both, one block of node rows at a time, and hands them with the
+block's frames to one reduction; nothing is marched or sampled between
+nodes for them.
 
 A closing frame marches one more cell in each direction, so it also holds
 the wrap-around column i = nx and row j = ny.  Because those cells reuse the
@@ -327,32 +328,26 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
 
 
-def frame_axis_stencil(frame, axis, grads, reduce):
+def frame_axis_stencil(frame, grads, reduce):
     """Call reduce(block, frames, derivatives) with the base-node frames U
-    and the first two columns of the exact derivative d_axis U = U W_axis,
-    one block of node rows at a time.
+    and the first two columns of the exact derivatives d_x U = U Wx and
+    d_y U = U Wy, one block of node rows at a time.
 
-    W_axis is built at the nodes from u and the spectral derivative across
-    the axis, grads = (u_x, u_y), the same samples the frame's generators
-    read, so nothing is marched or sampled between nodes.  The blocks hold
-    STENCIL_BLOCK_NODES nodes (at least one row), so memory does not grow
-    with the grid.  For each block, reduce gets the slice of its node rows,
-    the (3, 3, rows, nx) frames and the (3, 2, rows, nx) derivatives with
-    the matrix axes first; it keeps what it needs of the derivatives, for
-    their buffer is reused by the next block.  Every node is computed on its
-    own, so what reduce gets does not depend on the block size.  The name is
-    that of the marched stencil this route replaced, kept until the
-    benchmark's tracer target is renamed with it.
+    Wx and Wy are built at the nodes from u and the spectral derivative
+    across each axis, grads = (u_x, u_y), the same samples the frame's
+    generators read, so nothing is marched or sampled between nodes.  The
+    blocks hold STENCIL_BLOCK_NODES nodes (at least one row), so memory does
+    not grow with the grid.  For each block, reduce gets the slice of its
+    node rows, the (3, 3, rows, nx) frames and the (2, 3, 2, rows, nx)
+    derivatives, the axis first and then the matrix axes; it keeps what it
+    needs of them, for their buffer is reused by the next block.  Every node
+    is computed on its own, so what reduce gets does not depend on the block
+    size.  The name is that of the marched stencil this route replaced, kept
+    until the benchmark's tracer target is renamed with it.
     """
     grid = frame.grid
     u = frame.u.values
-    if axis == "x":
-        builder, across = frame_coeff_x, grads[1]
-    elif axis == "y":
-        builder, across = frame_coeff_y, grads[0]
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-
+    axes = ((frame_coeff_x, grads[1]), (frame_coeff_y, grads[0]))
     base = np.moveaxis(frame.base, (-2, -1), (0, 1))
     rows = max(1, STENCIL_BLOCK_NODES // grid.nx)
     shape = None
@@ -363,8 +358,11 @@ def frame_axis_stencil(frame, axis, grads, reduce):
             # buffers shared by every block of this shape (only a shorter
             # last block differs); the old ones are released first
             shape = frames.shape[2:]
-            gen = out = tmp = None
+            gen = derivs = tmp = None
             gen = np.empty((3, 3) + shape, dtype=complex)
-            out, tmp = (np.empty((3, 2) + shape, dtype=complex) for _ in range(2))
-        builder(u[block], across[block], frame.spectral.lam, gen)
-        reduce(block, frames, _mul3(frames, gen[:, :2], out, tmp))
+            derivs = np.empty((2, 3, 2) + shape, dtype=complex)
+            tmp = np.empty((3, 2) + shape, dtype=complex)
+        for (builder, across), out in zip(axes, derivs):
+            builder(u[block], across[block], frame.spectral.lam, gen)
+            _mul3(frames, gen[:, :2], out, tmp)
+        reduce(block, frames, derivs)

@@ -10,7 +10,9 @@ product) with conformal induced metric g = 2 R^2 e^u I and vanishing skew
 form, so the normal-plane vectors are F_i = i E_i.  The cubic form is
 extracted from the exact derivatives of the tangent fields, which the frame
 equation d_i U = U W_i gives at each node without differencing, by
-subtracting the conformal connection and projecting onto (F1, F2, N).
+subtracting the conformal connection and projecting onto (F1, F2, N).  The
+tangents exist one block of nodes at a time, in that one pass, which also
+measures how far they are from normal, conformal and on the sphere.
 
 Torus closure is read off the frame's monodromies over one period in x and
 in y, from the wrap-around row and column of a closing frame (see
@@ -33,18 +35,6 @@ class SurfaceMesh:
     grid: object
     points: np.ndarray = field(repr=False)  # (ny, nx, 3) complex, |r| = R
     radius: float
-
-
-def tangent_analytic(frame, radius):
-    """Closed-form tangents, each (3, ny, nx), from the first two columns of
-    the base-node frames, read in place, and the frame's exponent field."""
-    base = np.moveaxis(frame.base, (-2, -1), (0, 1))
-    return _tangents_at(base, frame.u.values, frame.spectral.lam, radius)
-
-
-def _normal(frame):
-    """Third frame column at the base nodes, (3, ny, nx)."""
-    return np.moveaxis(frame.normal, -1, 0)
 
 
 def build_surface(frame, radius):
@@ -74,16 +64,20 @@ def _tangents_at(frames, u_vals, lam, radius):
 
 def extract_second_form(frame, radius, gamma):
     """Cubic-form components t[k, i, j], shape (2, 2, 2, ny, nx), from the
-    exact derivatives of the tangents, and the normal coefficient of
-    nabla_i E_j, shape (2, 2, ny, nx) complex, which must be -2 R e^u delta_ij.
+    exact derivatives of the tangents; the normal coefficient of
+    nabla_i E_j, shape (2, 2, ny, nx) complex, which must be -2 R e^u delta_ij;
+    and the tangents' first-order defects over the grid, (normality,
+    conformal, sphere): max |<E_i|N>|, the largest deviation of the Hermitian
+    Gram matrix of (E1, E2) from 2 R^2 e^u I, and max | |R N| - R |.
 
     The frame solves d_i U = U W_i, so d_i E_j = (u_i / 2) E_j + T_j(U W_i),
     with T_j the tangent map applied to the columns of U W_i and u_i the
     spectral derivative the frame's generators read; gamma is the connection
-    of the frame's u (invariants.christoffel_from_field).  U W_i exists one
-    block of node rows at a time (lax.frame_axis_stencil), and each block is
-    reduced at once to the d_i E_j of its nodes and projected onto
-    (F1, F2, N), so no whole-grid derivative exists.
+    of the frame's u (invariants.christoffel_from_field).  U W_x and U W_y
+    exist one block of node rows at a time (lax.frame_axis_stencil).  Each
+    block's tangents and normal are formed once: their defects are taken as
+    running maxima, and both axes' d_i E_j are projected onto (F1, F2, N)
+    within the block, so no whole-grid tangent or derivative exists.
     """
     grid = frame.grid
     u = frame.u.values
@@ -93,13 +87,24 @@ def extract_second_form(frame, radius, gamma):
 
     tens = np.empty((2, 2, 2, grid.ny, grid.nx))
     ncoeff = np.empty((2, 2, grid.ny, grid.nx), dtype=complex)
-    for i, axis in enumerate("xy"):
+    first = np.zeros(3)  # running maxima: normality, conformal, sphere
 
-        def project(block, frames, derivs, i=i):
-            tangents = e1, e2 = _tangents_at(frames, u[block], lam, radius)
-            from_uw = _tangents_at(derivs, u[block], lam, radius)
+    def project(block, frames, derivs):
+        tangents = e1, e2 = _tangents_at(frames, u[block], lam, radius)
+        normal = frames[:, 2]
+        g, omega = inv.hermitian_induced(e1, e2)
+        conformal = max(
+            np.abs(g[0, 0] - conf[block]).max(),
+            np.abs(g[1, 1] - conf[block]).max(),
+            np.abs(g[0, 1]).max(),
+            np.abs(omega).max(),
+        )
+        radii = np.sqrt(np.sum(np.abs(radius * normal) ** 2, axis=0))
+        defects = normality_map(e1, e2, normal).max(), conformal, np.abs(radii - radius).max()
+        np.maximum(first, defects, out=first)
+        for i in range(2):
+            from_uw = _tangents_at(derivs[i], u[block], lam, radius)
             half = 0.5 * grads[i][block]
-            normal = frames[:, 2]
             for j in range(2):
                 partial = half * tangents[j] + from_uw[j]
                 nab = partial - (gamma[0, i, j][block] * e1 + gamma[1, i, j][block] * e2)
@@ -108,8 +113,8 @@ def extract_second_form(frame, radius, gamma):
                     tens[k, i, j][block] = proj / conf[block]
                 ncoeff[i, j][block] = hermitian_inner(normal, nab)
 
-        frame_axis_stencil(frame, axis, grads, project)
-    return tens, ncoeff
+    frame_axis_stencil(frame, grads, project)
+    return tens, ncoeff, tuple(map(float, first))
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +184,17 @@ class ImmersionReport:
 def full_report(frame, radius):
     """Evaluate every verification residual on the surface r = R * N of
     ``frame``, against the closed forms at the frame's own u and theta; a
-    closing frame adds closure_defect.  Each whole-grid intermediate is
-    dropped once the residuals that read it are taken, so the report's memory
+    closing frame adds closure_defect.  Every residual read from the frame's
+    tangents comes from extract_second_form's one pass over blocks of the
+    frame, so no whole-grid tangent exists, and each whole-grid intermediate
+    is dropped once the residuals that read it are taken: the report's memory
     stays near that of its largest single step."""
     grid = frame.grid
     u = frame.u
     conf = 2.0 * radius**2 * np.exp(u.values)
 
-    e1, e2 = tangent_analytic(frame, radius)
-    normal = _normal(frame)
-    normality = float(normality_map(e1, e2, normal).max())
-    g_meas, om_meas = inv.hermitian_induced(e1, e2, check=False)
-    conformal = max(
-        float(np.abs(g_meas[0, 0] - conf).max()),
-        float(np.abs(g_meas[1, 1] - conf).max()),
-        float(np.abs(g_meas[0, 1]).max()),
-        float(np.abs(om_meas).max()),
-    )
-    del e1, e2, g_meas, om_meas
-
     gamma = inv.christoffel_from_field(u)
-    tens, ncf = extract_second_form(frame, radius, gamma)
+    tens, ncf, (normality, conformal, sphere) = extract_second_form(frame, radius, gamma)
     closed = inv.closed_form_tensor(u.values, frame.spectral.theta)
     tensor_match = float(np.abs(tens - closed).max())
     trace_max = float(np.abs(inv.trace_vector(tens)).max())
@@ -218,18 +213,16 @@ def full_report(frame, radius):
     g_an[1, 1] = conf
     h2, t2, t4 = inv.scalar_invariants(tens, g_an)
     h2_max = float(np.abs(h2).max())
+    codazzi = float(inv.codazzi_residual(tens, gamma, g_an, grid.hx, grid.hy).max())
+    del tens
 
     k_curv = inv.gauss_curvature(g_an, inv.riemann(gamma, grid.hx, grid.hy))
     gauss = float(np.abs(inv.gauss_residual(k_curv, h2, t2, radius)).max())
-    codazzi = float(inv.codazzi_residual(tens, gamma, g_an, grid.hx, grid.hy).max())
 
     scale3 = radius**2 * np.exp(3.0 * u.values)
     scale6 = radius**4 * np.exp(6.0 * u.values)
     t2_defect = float(np.abs(t2 * scale3 - 2.0).max())
     t4_defect = float(np.abs(t4 * scale6 - 2.0).max())
-
-    radii = np.sqrt(np.sum(np.abs(radius * normal) ** 2, axis=0))
-    sphere = float(np.abs(radii - radius).max())
 
     closure = torus_closure(frame).max_defect if frame.closing else None
 

@@ -6,8 +6,9 @@ cross-check the contractions of the induced metric, the lowered cubic form,
 its scalar invariants and the Codazzi connection terms, the five-operand
 contraction of the quartic invariant, eigvalsh's eigenvalues of the metric
 and the curvature formed from every plane of the connection's derivatives
-cross-check their leaner pipeline forms, grid differencing of the embedding
-cross-checks the analytic tangents, DOP853 shooting cross-checks the
+cross-check their leaner pipeline forms, the closed-form tangents over the
+whole grid cross-check the report's blockwise first-order defects, grid
+differencing of the embedding cross-checks those tangents, DOP853 shooting cross-checks the
 travelling wave's closed form and its quadrature period, trigonometric
 interpolation of a wave profile's samples cross-checks its closed-form
 evaluation, the OBJ reader reads back what the export stage wrote, the
@@ -140,6 +141,20 @@ def codazzi_loops(t, gamma, g, hx, hy):
         out[n] = max(abs(nabla(i, j, s, k) - nabla(j, i, s, k))
                      for i in range(2) for j in range(2) for s in range(2) for k in range(2))
     return out
+
+
+def tangent_analytic(frame, radius):
+    """Closed-form tangents E1 = i R e^{u/2} (M + L / lam) and
+    E2 = R e^{u/2} (L / lam - M) over the whole grid, each (3, ny, nx), from
+    the columns L, M of the base-node frames; 1 / lam = conj(lam) on the unit
+    circle, and the products run in the pipeline's order, so its blockwise
+    tangents are matched bit for bit."""
+    col_l, col_m = (np.moveaxis(frame.base[..., :, k], -1, 0) for k in (0, 1))
+    scale = radius * np.exp(0.5 * frame.u.values)
+    inv_lam = np.conj(frame.spectral.lam)
+    e1 = 1j * scale * (col_m + inv_lam * col_l)
+    e2 = scale * (inv_lam * col_l - col_m)
+    return e1, e2
 
 
 def fd_tangents(mesh, method="fd4"):

@@ -17,7 +17,7 @@ from tzitzeica.grid import PeriodicGrid, field_from_function, resonance_gap, zer
 from tzitzeica.invariants import christoffel_from_field, closed_form_tensor, trace_vector
 from tzitzeica.lax import SpectralPoint, frame_coeff_x, frame_coeff_y, integrate_frame
 from tzitzeica.solver import newton_solve, pde_residual
-from tzitzeica.surface import extract_second_form, normality_map, tangent_analytic
+from tzitzeica.surface import extract_second_form, normality_map
 from tzitzeica.wave import lift_1d, period_quadrature, travelling_wave
 
 from conftest import loglog_slope
@@ -28,6 +28,7 @@ from oracles import (
     pairing_derivative_x,
     pairing_series,
     period_shooting,
+    tangent_analytic,
 )
 from reference_march import generator, reference_frame, reference_psi
 
@@ -320,7 +321,7 @@ def test_criterion_7_second_form_extraction(wave61):
         grid = PeriodicGrid(n, n, wave61.period, 1.0)
         u = lift_1d(wave61, grid)
         frame = integrate_frame(u, SpectralPoint(theta), substeps=8)
-        tens, ncoeff = extract_second_form(frame, 1.0, christoffel_from_field(u))
+        tens, ncoeff, _first = extract_second_form(frame, 1.0, christoffel_from_field(u))
         expected = closed_form_tensor(u.values, theta)
         errs.append(np.abs(tens - expected).max())
         target = -2.0 * np.exp(u.values)

@@ -2,7 +2,7 @@
 used, every public definition of the package is reached from the package
 itself or from the acceptance suite, every default of a package function is
 overridden by some caller other than a unit test, and every attribute the
-benchmark's tracer wraps exists."""
+benchmark's tracer wraps exists and is called through the binding it wraps."""
 
 import ast
 import importlib
@@ -206,3 +206,54 @@ def test_every_traced_attribute_resolves():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def _traced_calls(name, source):
+    """(module, attribute) of each binding a call in module `name` looks up:
+    a bare name is looked up in the module itself, `alias.attr` in the
+    package module that `from . import module as alias` bound to alias."""
+    tree = ast.parse(source)
+    aliases = {
+        a.asname or a.name: a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for a in node.names
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            found.add((name, func.id))
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            if func.value.id in aliases:
+                found.add((aliases[func.value.id], func.attr))
+    return found
+
+
+def uncalled_spans(targets, modules):
+    """The span names of the tracer targets (module, attribute, span) none
+    of whose bindings a call in `modules` (package module name -> source)
+    looks up: spans that would read 0 however the pipeline runs."""
+    calls = set().union(*(_traced_calls(name, source) for name, source in modules.items()))
+    called = {span for module, attr, span in targets if (module.rsplit(".", 1)[-1], attr) in calls}
+    return sorted({span for _module, _attr, span in targets} - called)
+
+
+def test_guard_flags_an_uncalled_span():
+    modules = {
+        "a": "from . import b as bee\n\ndef f():\n    return g() + bee.h()\n\ndef g():\n    return 0\n",
+        "b": "def h():\n    return 1\n\ndef kept():\n    return h\n",
+    }
+    targets = [("pkg.a", "g", "a.g"), ("pkg.b", "h", "b.h"), ("pkg.a", "h", "a.h"),
+               ("pkg.b", "kept", "b.kept"), ("pkg.b", "g", "a.g")]
+    assert uncalled_spans(targets, modules) == ["a.h", "b.kept"]
+
+
+def test_every_traced_span_is_called_in_the_package():
+    # linalg3.unitarity_defect_map's span also wraps the binding in linalg3,
+    # which nothing calls; the one in lax keeps the span live
+    targets = _assigned_literal((BENCH / "tracing.py").read_text(), "TARGETS")
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert uncalled_spans(targets, modules) == []

@@ -56,11 +56,6 @@ def test_hermitian_induced_complex_pair():
     assert abs(om[0, 1] - hermitian_inner(1j * E1, e2).real) < 1e-15
 
 
-def test_hermitian_induced_rejects_degenerate():
-    with pytest.raises(DegenerateMetricError):
-        hermitian_induced(E1, E1)
-
-
 # ---------------------------------------------------------------------------
 # connection and curvature
 # ---------------------------------------------------------------------------

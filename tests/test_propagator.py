@@ -75,9 +75,9 @@ def _exact_axis_derivative(frame, axis):
     out = np.full((3, 2, frame.grid.ny, frame.grid.nx), np.nan, dtype=complex)
 
     def keep(block, _frames, derivs):
-        out[..., block, :] = derivs
+        out[..., block, :] = derivs["xy".index(axis)]
 
-    frame_axis_stencil(frame, axis, grads, keep)
+    frame_axis_stencil(frame, grads, keep)
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tzitzeica import lax
+from tzitzeica import lax, surface
 from tzitzeica.grid import PeriodicGrid, zero_field
 from tzitzeica.invariants import christoffel_from_field, closed_form_tensor, hermitian_induced
 from tzitzeica.lax import SpectralPoint, integrate_frame
@@ -13,13 +13,12 @@ from tzitzeica.surface import (
     extract_second_form,
     full_report,
     normality_map,
-    tangent_analytic,
     torus_closure,
 )
 from tzitzeica.wave import lift_1d
 
 from conftest import loglog_slope
-from oracles import fd_tangents
+from oracles import fd_tangents, tangent_analytic
 
 FLAT_LY = 2.0 * np.pi / np.sqrt(3.0)
 
@@ -47,7 +46,7 @@ def test_tangents_complexly_normal_and_conformal(wave61):
     u, frame = _wave_frame(wave61)
     e1, e2 = tangent_analytic(frame, 1.5)
     assert normality_map(e1, e2, np.moveaxis(frame.normal, -1, 0)).max() < 1e-10
-    g_meas, om = hermitian_induced(e1, e2, check=False)
+    g_meas, om = hermitian_induced(e1, e2)
     conf = 2.0 * 1.5**2 * np.exp(u.values)
     assert np.abs(g_meas[0, 0] - conf).max() < 1e-8 * 1.5**2
     assert np.abs(g_meas[1, 1] - conf).max() < 1e-8 * 1.5**2
@@ -73,8 +72,8 @@ def test_fd_tangents_match_analytic_on_closed_frame():
 
 def test_homothety_scaling(wave61):
     _u, frame = _wave_frame(wave61)
-    g1, _ = hermitian_induced(*tangent_analytic(frame, 1.0), check=False)
-    g2, _ = hermitian_induced(*tangent_analytic(frame, 2.0), check=False)
+    g1, _ = hermitian_induced(*tangent_analytic(frame, 1.0))
+    g2, _ = hermitian_induced(*tangent_analytic(frame, 2.0))
     assert np.abs(g2 - 4.0 * g1).max() < 1e-12
     rep1 = full_report(frame, 1.0)
     rep2 = full_report(frame, 2.0)
@@ -84,7 +83,7 @@ def test_homothety_scaling(wave61):
 
 def test_extracted_tensor_flat_case():
     u, frame = _flat_frame(n=32, substeps=24)
-    t, ncoeff = extract_second_form(frame, 1.0, christoffel_from_field(u))
+    t, ncoeff, _first = extract_second_form(frame, 1.0, christoffel_from_field(u))
     expected = closed_form_tensor(u.values, 0.0)
     assert np.abs(t - expected).max() < 1e-8
     assert abs(t[0, 0, 0, 5, 7] - 1.0) < 1e-8
@@ -99,7 +98,7 @@ def test_extraction_refines_on_wave_surface(wave61):
     errs, ncs, hs = [], [], []
     for n in (16, 32, 64):
         u, frame = _wave_frame(wave61, n=n, substeps=4)
-        tens, ncoeff = extract_second_form(frame, 1.0, christoffel_from_field(u))
+        tens, ncoeff, _first = extract_second_form(frame, 1.0, christoffel_from_field(u))
         expected = closed_form_tensor(u.values, 0.4)
         errs.append(np.abs(tens - expected).max())
         target = -2.0 * np.exp(u.values)
@@ -128,9 +127,68 @@ def test_extraction_does_not_depend_on_the_block_size(wave61, case, monkeypatch)
     for block_nodes in (1, 5 * frame.grid.nx, frame.grid.nx * frame.grid.ny):
         monkeypatch.setattr(lax, "STENCIL_BLOCK_NODES", block_nodes)
         results.append(extract_second_form(frame, 1.0, gamma))
-    for tens, ncoeff in results[1:]:
+    for tens, ncoeff, first in results[1:]:
         assert np.array_equal(tens, results[0][0])
         assert np.array_equal(ncoeff, results[0][1])
+        assert first == results[0][2]
+
+
+def _first_order_oracle(frame, radius):
+    """(normality, conformal, sphere) over the whole grid at once, from the
+    oracle's closed-form tangents and the frame's normal."""
+    e1, e2 = tangent_analytic(frame, radius)
+    normal = np.moveaxis(frame.normal, -1, 0)
+    g, omega = hermitian_induced(e1, e2)
+    conf = 2.0 * radius**2 * np.exp(frame.u.values)
+    conformal = max(
+        np.abs(g[0, 0] - conf).max(),
+        np.abs(g[1, 1] - conf).max(),
+        np.abs(g[0, 1]).max(),
+        np.abs(omega).max(),
+    )
+    radii = np.sqrt(np.sum(np.abs(radius * normal) ** 2, axis=0))
+    return tuple(
+        float(v)
+        for v in (normality_map(e1, e2, normal).max(), conformal, np.abs(radii - radius).max())
+    )
+
+
+@pytest.mark.parametrize("case", ["wave", "flat-closing", "corrupted"])
+def test_first_order_defects_match_the_whole_grid_oracle(wave61, case, monkeypatch):
+    # the extraction's running maxima over blocks of 5 rows (a shorter last
+    # one) equal the whole-grid maxima bit for bit; the closing flat frame's
+    # base is a non-contiguous view of its nodes
+    if case == "wave":
+        u, frame = _wave_frame(wave61, n=32, substeps=4, ny=24)
+    elif case == "flat-closing":
+        u, frame = _flat_frame(n=32, substeps=16, closing=True)
+    else:
+        u, frame = _flat_frame(n=32)
+        frame.unitary[4, 6] += 1e-2
+    monkeypatch.setattr(lax, "STENCIL_BLOCK_NODES", 5 * frame.grid.nx)
+    _tens, _ncoeff, first = extract_second_form(frame, 1.5, christoffel_from_field(u))
+    assert first == _first_order_oracle(frame, 1.5)
+    if case == "corrupted":
+        assert first[0] > 1e-4
+
+
+def test_full_report_makes_one_pass_over_the_frame(wave61, monkeypatch):
+    # one stencil call hands each block's U Wx and U Wy to one reduction,
+    # which maps three sets of columns to tangents per block: the frames',
+    # U Wx's and U Wy's
+    _u, frame = _wave_frame(wave61)
+    blocks = 4
+    monkeypatch.setattr(lax, "STENCIL_BLOCK_NODES", frame.grid.nx * frame.grid.ny // blocks)
+    calls = dict.fromkeys(("frame_axis_stencil", "_tangents_at"), 0)
+    for name in calls:
+
+        def spy(*args, name=name, original=getattr(surface, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(surface, name, spy)
+    full_report(frame, 1.0)
+    assert calls == {"frame_axis_stencil": 1, "_tangents_at": 3 * blocks}
 
 
 def _traced_peak(fn, *args):
@@ -152,7 +210,9 @@ def wave128_frame(wave61):
 def test_extraction_memory_stays_within_its_blocks(wave128_frame):
     # extract_second_form's own peak on a 128^2 frame: 6.4 MB with the five
     # marched stencil frames of each block of rows, 3.6 MB with the exact
-    # derivative U W_i of each block; its outputs alone take 2.1 MB
+    # derivative U W_i of each block, one axis per pass, 3.8 MB with both
+    # axes' U W_i and the tangents' defects in one pass; its outputs alone
+    # take 2.1 MB
     gamma = christoffel_from_field(wave128_frame.u)
     assert _traced_peak(extract_second_form, wave128_frame, 1.0, gamma) < 5e6
 
@@ -161,9 +221,10 @@ def test_full_report_memory_stays_within_its_largest_step(wave128_frame):
     # the report's peak on a 128^2 frame: 68.3 MB with the five stencil
     # frames of the whole grid, 19.9 MB marched in blocks of rows, 11.0 MB
     # once each intermediate is dropped after its residuals are taken, 7.9 MB
-    # with each stencil block projected inside its reduction.  With exact
-    # derivatives the extraction peaks at 4.8 MB, and the report's 7.9 MB
-    # peak sits in invariants.riemann
+    # with each stencil block projected inside its reduction, 6.8 MB in
+    # invariants.riemann with exact derivatives.  With no whole-grid tangents
+    # and the cubic form dropped before riemann (5.8 MB), the report's 6.6 MB
+    # peak sits in invariants.scalar_invariants
     assert _traced_peak(full_report, wave128_frame, 1.0) < 10e6
 
 
