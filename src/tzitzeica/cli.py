@@ -28,6 +28,7 @@ from .grid import (
     hex_digest,
     load_field,
     load_nodes,
+    load_saved_field,
     save_field,
     save_nodes,
     save_table,
@@ -37,7 +38,7 @@ from .lax import FrameField, SpectralPoint, frame_orthonormality_report, integra
 from .solver import newton_solve
 from .surface import build_surface, full_report
 
-FIELD_CSV = "field.csv"
+FIELD_FILE = "field.bin"
 WAVE_CSV = "wave.csv"
 FRAME_FILE = "frame.bin"
 MESH_FILE = "mesh.bin"
@@ -77,7 +78,8 @@ def _require_artifact(out_dir, name):
 # frame file: a node file (grid.save_nodes) with the header
 # nx,ny,lx,ly,theta,substeps,closing,field_sha256 and U of every node, y
 # outer, over (ny + closing) x (nx + closing) nodes; field_sha256 is the hex
-# digest of the field file bytes the frame was integrated from
+# digest of the field.bin bytes (grid.save_field) the frame was integrated
+# from
 # ---------------------------------------------------------------------------
 
 
@@ -147,7 +149,7 @@ def stage_solve(cfg, out_dir, log):
     except NumericalFailure as exc:
         _log_residuals(log, exc.residuals)  # the trajectory that failed
         raise
-    save_field(result.field, os.path.join(out_dir, FIELD_CSV))
+    save_field(result.field, os.path.join(out_dir, FIELD_FILE))
     log.add(f"iterations={result.iterations}")
     _log_residuals(log, result.residuals)
     for i, count in enumerate(result.minres_iterations):
@@ -175,9 +177,14 @@ def _unitarity_gate(frame):
     return defect
 
 
+def _stage_field(cfg, out_dir):
+    """The path of the current field.bin and its field, on the config's grid."""
+    path = _require_artifact(out_dir, FIELD_FILE)
+    return path, load_saved_field(path, _grid(cfg))
+
+
 def stage_frame(cfg, out_dir, log):
-    field_path = _require_artifact(out_dir, FIELD_CSV)
-    u = load_field(field_path)
+    field_path, u = _stage_field(cfg, out_dir)
     frame = integrate_frame(
         u,
         SpectralPoint(cfg.theta),
@@ -200,10 +207,10 @@ def _check_recorded(name, stage, recorded):
 
 def _load_frame_stage(cfg, out_dir):
     """The frame of the surface and report stages: integrated from the bytes
-    of the current field.csv at the config's theta, substeps and
+    of the current field.bin at the config's grid, theta, substeps and
     extend_closure, and unitary to FRAME_TOL."""
-    field_path = _require_artifact(out_dir, FIELD_CSV)
-    frame, field_sha256 = load_frame(_require_artifact(out_dir, FRAME_FILE), load_field(field_path))
+    field_path, u = _stage_field(cfg, out_dir)
+    frame, field_sha256 = load_frame(_require_artifact(out_dir, FRAME_FILE), u)
     _check_recorded(FRAME_FILE, "frame", (
         ("field_sha256", field_sha256, file_digest(field_path)),
         ("theta", frame.spectral.theta, cfg.theta),
@@ -256,7 +263,7 @@ def stage_export(cfg, out_dir, log):
 
 # each stage and the files it writes into the output directory
 _STAGES = {
-    "solve": (stage_solve, (FIELD_CSV,)),
+    "solve": (stage_solve, (FIELD_FILE,)),
     "wave": (stage_wave, (WAVE_CSV,)),
     "frame": (stage_frame, (FRAME_FILE,)),
     "surface": (stage_surface, (MESH_FILE,)),

@@ -12,8 +12,9 @@ one axis, row_sampler along axis 0 from chosen node rows only.  The frame
 integrator is their one caller: its first row is sampled by trig_upsample,
 each cell row of its column march by row_sampler.
 
-It also owns the layouts of the artifact files: text tables (save_table,
-load_field) and binary node files (save_nodes, load_nodes).
+It also owns the layouts of the artifact files: text tables (save_table;
+load_field reads a text field, the seed = file input) and binary node files
+(save_nodes, load_nodes: the solved field, the frame and the mesh).
 """
 
 import math
@@ -163,9 +164,10 @@ def row_sampler(arrays, factor, offsets):
     arrays, all of one shape, at the given node rows only, shape
     (len(arrays), len(offsets), len(rows)) + the arrays' other axes.
 
-    The arrays are transformed by one rfft here.  A call builds the real
-    (offsets x rows, 2 bins) matrix that takes the real and imaginary parts
-    of that spectrum to the samples: each bin's irfft weight times its phase
+    The arrays are transformed by one rfft here, and the phases of every
+    node row are tabled once.  A call builds the real (offsets x rows, 2
+    bins) matrix that takes the real and imaginary parts of that spectrum to
+    the samples: each bin's irfft weight times its phase
     e^{2 pi i nu (j + k / factor) / n} at row j and offset k, split into its
     real part and its negated imaginary part.  It applies that matrix by one
     matrix product, so nothing larger than the requested rows' samples is
@@ -182,9 +184,10 @@ def row_sampler(arrays, factor, offsets):
     if n % 2 == 0:
         weight[-1] = 1.0 / n
     kernel = weight * _trig_phases(n, factor, offsets)
+    row_phases = _trig_phases(n, 1, range(n))
 
     def sample(rows):
-        phased = (kernel[:, None] * _trig_phases(n, 1, rows)).reshape(-1, bins)
+        phased = (kernel[:, None] * row_phases[rows]).reshape(-1, bins)
         out = np.matmul(np.concatenate((phased.real, -phased.imag), axis=1), parts)
         return out.reshape((len(f), len(offsets), len(rows)) + f.shape[2:])
 
@@ -234,10 +237,11 @@ def check_resonance(grid):
 
 # ---------------------------------------------------------------------------
 # artifact files: a header line of comma-separated values (header_line,
-# parse_header), then the body.  A text table (save_table; the field file is
-# read back by load_field) holds rows of comma-separated values with 17
-# significant digits; a node file (save_nodes, load_nodes: the frame and the
-# mesh) holds its values as little-endian complex128 in C order, 16 bytes each.
+# parse_header), then the body.  A text table (save_table; a seed = file field
+# is read by load_field) holds rows of comma-separated values with 17
+# significant digits; a node file (save_nodes, load_nodes: the field, the frame
+# and the mesh) holds its values as little-endian binary numbers in C order,
+# complex128 unless the file names another dtype.
 # ---------------------------------------------------------------------------
 
 
@@ -295,28 +299,29 @@ def save_table(path, header, rows):
         write_rows(fh, rows)
 
 
-def save_nodes(path, header, values):
-    """Write header_line(header), then ``values`` as '<c16' in C order."""
+def save_nodes(path, header, values, dtype="<c16"):
+    """Write header_line(header), then ``values`` as ``dtype`` in C order."""
     with open(path, "wb") as fh:
         fh.write(header_line(header).encode("ascii"))
-        np.ascontiguousarray(values, dtype="<c16").tofile(fh)
+        np.ascontiguousarray(values, dtype=dtype).tofile(fh)
 
 
-def load_nodes(path, what, types, shape):
-    """Read a node file written by save_nodes; returns (header, values), the
-    values reshaped to ``shape(header)``.  Raises ConfigValidationError, naming
-    the file as ``what``, when the file cannot be opened, its header does not
-    parse by ``types`` (see parse_header), its body is other than 16 bytes per
-    value of that shape, or a value is not finite."""
+def load_nodes(path, what, types, shape, dtype="<c16"):
+    """Read a node file written by save_nodes with ``dtype``; returns (header,
+    values), the values reshaped to ``shape(header)``.  Raises
+    ConfigValidationError, naming the file as ``what``, when the file cannot
+    be opened, its header does not parse by ``types`` (see parse_header), its
+    body is other than one ``dtype`` item per value of that shape, or a value
+    is not finite."""
     try:
         with open(path, "rb") as fh:
             header = parse_header(fh.readline().decode("ascii"), types)
-            values = np.fromfile(fh, dtype="<c16")
+            values = np.fromfile(fh, dtype=dtype)
             tail = len(fh.read())
         dims = shape(header)
         if min(dims) < 0 or values.size != math.prod(dims) or tail:
-            raise ValueError(f"it holds {16 * values.size + tail} bytes of node data; its "
-                             f"header calls for {dims} values")
+            raise ValueError(f"it holds {values.nbytes + tail} bytes of node data; its "
+                             f"header calls for {dims} values of {values.itemsize} bytes")
         if not np.isfinite(values).all():
             raise ValueError("it holds non-finite values")
     except (OSError, ValueError) as exc:
@@ -341,18 +346,30 @@ def check_same_grid(path, got, want):
 
 
 def save_field(fld, path):
+    """Write the field as a node file: header nx,ny,lx,ly, then its values as
+    '<f8', row-major (y outer)."""
     g = fld.grid
-    save_table(path, (g.nx, g.ny, g.lx, g.ly), fld.values.reshape(-1, 1))
+    save_nodes(path, (g.nx, g.ny, g.lx, g.ly), fld.values, "<f8")
+
+
+def load_saved_field(path, grid):
+    """Read a field written by save_field for use on ``grid``.  Raises
+    ConfigValidationError as load_nodes does, or when the file's grid is no
+    valid grid or is not ``grid``."""
+    types = (int, int, float, float)
+    header, values = load_nodes(path, "field file", types, lambda h: (h[1], h[0]), "<f8")
+    check_same_grid(path, header_grid(path, "field file", header), grid)
+    return ScalarFieldPeriodic(grid, values)
 
 
 def load_field(path):
-    """Read a field written by save_field: header nx,ny,lx,ly, then one value
-    per line, row-major (y outer).  Raises ConfigValidationError when the file
-    cannot be opened, does not end with the newline save_field ends it with (it
-    was cut short) or holds no values after its header, the header does not
-    parse (see parse_header) or is no valid grid, or the file holds other than
-    nx * ny lines or a line that is not one number (two values, a comment, a
-    blank line), or a non-finite value."""
+    """Read a text field table, the input of seed = file: header nx,ny,lx,ly,
+    then one value per line, row-major (y outer).  Raises
+    ConfigValidationError when the file cannot be opened, does not end with a
+    newline (it was cut short) or holds no values after its header, the
+    header does not parse (see parse_header) or is no valid grid, or the file
+    holds other than nx * ny lines or a line that is not one number (two
+    values, a comment, a blank line), or a non-finite value."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()

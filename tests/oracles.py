@@ -12,8 +12,10 @@ differencing of the embedding cross-checks those tangents, DOP853 shooting cross
 travelling wave's closed form and its quadrature period, trigonometric
 interpolation of a wave profile's samples cross-checks its closed-form
 evaluation, the OBJ reader reads back what the export stage wrote, the
-loop triangulation cross-checks the vectorized one, and Newton's method with
-sparse direct steps on an assembled Laplacian cross-checks the MINRES steps.
+loop triangulation cross-checks the vectorized one, Newton's method with
+sparse direct steps on an assembled Laplacian cross-checks the MINRES steps,
+and a row sampler that forms each call's row phases anew cross-checks the
+tabled phases of grid.row_sampler bit for bit.
 
 The z / zbar linear system the frame generators are derived from also lives
 here, with its bilinear pairing laws and its one-cell compatibility check:
@@ -27,7 +29,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import spsolve
 
-from tzitzeica.grid import AXIS_X, AXIS_Y, ddx, ddy, deriv
+from tzitzeica.grid import AXIS_X, AXIS_Y, _trig_phases, ddx, ddy, deriv
 from tzitzeica.invariants import NODE_X, NODE_Y, check_spd, inv2
 from tzitzeica.wave import _cubic_roots, period_quadrature
 
@@ -368,3 +370,25 @@ def pairing_derivative_x(lam, mu, u, psis, phis):
     return pairing_derivative_z(lam, mu, psis, phis) + pairing_derivative_zbar(
         lam, mu, u, psis, phis
     )
+
+
+def row_sampler_per_row(arrays, factor, offsets):
+    """grid.row_sampler as it was before it tabled the row phases: each call
+    forms the phases of its rows with _trig_phases."""
+    f = np.asarray(arrays, dtype=float)
+    n = f.shape[1]
+    spectrum = np.fft.rfft(f.reshape(len(f), n, -1), axis=1)
+    parts = np.concatenate((spectrum.real, spectrum.imag), axis=1)
+    bins = spectrum.shape[1]
+    weight = np.full(bins, 2.0 / n)
+    weight[0] = 1.0 / n
+    if n % 2 == 0:
+        weight[-1] = 1.0 / n
+    kernel = weight * _trig_phases(n, factor, offsets)
+
+    def sample(rows):
+        phased = (kernel[:, None] * _trig_phases(n, 1, rows)).reshape(-1, bins)
+        out = np.matmul(np.concatenate((phased.real, -phased.imag), axis=1), parts)
+        return out.reshape((len(f), len(offsets), len(rows)) + f.shape[2:])
+
+    return sample

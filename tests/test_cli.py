@@ -23,7 +23,10 @@ from tzitzeica.grid import (
     field_from_function,
     format_float,
     load_field,
+    load_saved_field,
     save_field,
+    save_nodes,
+    save_table,
     write_rows,
     zero_field,
 )
@@ -59,6 +62,18 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def save_text_field(fld, path):
+    """Write fld as the text field table that seed = file reads."""
+    g = fld.grid
+    save_table(path, (g.nx, g.ny, g.lx, g.ly), fld.values.reshape(-1, 1))
+
+
+def read_field(cfg, out):
+    """The field.bin the solve stage wrote into out for the run of cfg."""
+    grid = PeriodicGrid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
+    return load_saved_field(os.path.join(out, cli.FIELD_FILE), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +217,8 @@ def test_near_singular_seed_is_exit_4_without_warnings(tmp_path):
     lx = float(n * np.sqrt(num / (12.0 * (8.0 * np.exp(-1.0) + 4.0 * np.exp(0.5)))))
     grid = PeriodicGrid(n, n, lx, lx)
     seed = tmp_path / "seed.csv"
-    save_field(field_from_function(grid, lambda x, y: 0.5 + 1e-3 * np.cos(2 * np.pi * x / lx)),
-               str(seed))
+    save_text_field(field_from_function(grid, lambda x, y: 0.5 + 1e-3 * np.cos(2 * np.pi * x / lx)),
+                    str(seed))
     out = tmp_path / "out"
     text = (f"nx = {n}\nny = {n}\nlx = {lx!r}\nly = {lx!r}\nseed = file\n"
             f"field_path = {seed}\nout_dir = {out}\n")
@@ -212,7 +227,7 @@ def test_near_singular_seed_is_exit_4_without_warnings(tmp_path):
     assert lines[-1] in ("error: newton-divergence", "error: singular-jacobian")
     # the log keeps the trajectory, which stops at the step that blew the residual up
     assert 1 <= sum(line.startswith("residual[") for line in lines) <= 2
-    assert not (out / cli.FIELD_CSV).exists()
+    assert not (out / cli.FIELD_FILE).exists()
 
 
 def test_untyped_exception_in_a_stage_is_exit_4(tmp_path, capsys, monkeypatch):
@@ -326,7 +341,7 @@ def flat_run(tmp_path_factory):
 
 def test_solve_stage_zero_seed(flat_run):
     cfg, out = flat_run
-    field = load_field(os.path.join(out, cli.FIELD_CSV))
+    field = read_field(cfg, out)
     assert np.all(field.values == 0.0)
     log = pathlib.Path(out, "solve.log").read_text()
     assert "final_residual=0" in log
@@ -334,11 +349,11 @@ def test_solve_stage_zero_seed(flat_run):
 
 def test_frame_csv_round_trip(flat_run, tmp_path):
     cfg, out = flat_run
-    field = load_field(os.path.join(out, cli.FIELD_CSV))
+    field = read_field(cfg, out)
     first = os.path.join(out, cli.FRAME_FILE)
     frame, digest = cli.load_frame(first, field)
     # the header ends with the digest of the field file bytes
-    assert digest == hashlib.sha256(pathlib.Path(out, cli.FIELD_CSV).read_bytes()).hexdigest()
+    assert digest == hashlib.sha256(pathlib.Path(out, cli.FIELD_FILE).read_bytes()).hexdigest()
     assert pathlib.Path(first).read_bytes().split(b"\n", 1)[0].endswith(b"," + digest.encode())
     assert frame.closing is True
     assert frame.substeps == 24
@@ -361,6 +376,29 @@ def test_frame_csv_round_trip(flat_run, tmp_path):
     assert back == 0 and np.signbit(back.real) and np.signbit(back.imag)
 
 
+def test_stages_after_solve_parse_no_text_field(tmp_path, monkeypatch):
+    # the field goes from solve to the later stages as field.bin: a zero-seed
+    # pass parses no text field, and a text seed is parsed by solve alone
+    calls = []
+
+    def spy(path):
+        calls.append(path)
+        return load_field(path)
+
+    monkeypatch.setattr(cli, "load_field", spy)
+    out = str(tmp_path / "out")
+    cfg = parse_config_text(flat_config_text(out, nx=16, ny=16, substeps=24))
+    for stage in ("solve", "frame", "surface", "report"):
+        cli.run_pipeline(cfg, stage, out, echo=False)
+    assert calls == []
+    seed = str(tmp_path / "seed.csv")
+    save_text_field(read_field(cfg, out), seed)
+    cfg = dataclasses.replace(cfg, seed="file", field_path=seed)
+    for stage in ("solve", "frame", "surface", "report"):
+        cli.run_pipeline(cfg, stage, out, echo=False)
+    assert calls == [seed]
+
+
 def test_report_stage_contents(flat_run):
     cfg, out = flat_run
     with open(os.path.join(out, cli.REPORT_JSON)) as fh:
@@ -381,7 +419,7 @@ def test_mesh_file_and_obj_round_trip(flat_run, tmp_path):
     frame_path = os.path.join(out, cli.FRAME_FILE)
     assert frame_sha256 == hashlib.sha256(pathlib.Path(frame_path).read_bytes()).hexdigest()
     # the points of the frame's surface, bit for bit, and the same bytes again
-    field = load_field(os.path.join(out, cli.FIELD_CSV))
+    field = read_field(cfg, out)
     mesh = build_surface(cli.load_frame(frame_path, field)[0], radius)
     assert points.shape == (32, 32, 3) and np.array_equal(points, mesh.points)
     again = str(tmp_path / "mesh.bin")
@@ -487,7 +525,7 @@ def test_report_through_files_keeps_substeps(tmp_path):
     cfg = parse_config_text(flat_config_text(out, substeps=4, extra="re_unitarize = true\n"))
     for stage in ("solve", "frame", "report"):
         cli.run_pipeline(cfg, stage, out, echo=False)
-    u = load_field(os.path.join(out, cli.FIELD_CSV))
+    u = read_field(cfg, out)
     frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=4, closing=True, re_unitarize=True)
     report = full_report(frame, cfg.radius)
     in_memory = str(tmp_path / "in_memory.json")
@@ -542,12 +580,12 @@ def test_report_rejects_frame_of_other_closing_or_substeps(tmp_path, at_frame, a
 
 
 def test_surface_and_report_reject_frame_of_another_field(tmp_path):
-    # the frame's header records the digest of the field.csv bytes it was
+    # the frame's header records the digest of the field.bin bytes it was
     # integrated from; another valid field in its place is a stale pairing
     out = _frame_run(tmp_path, nx=16, ny=16, substeps=24)
     cfg = str(tmp_path / "run.cfg")
-    grid = load_field(out / cli.FIELD_CSV).grid
-    save_field(field_from_function(grid, lambda x, y: 0.01 * np.cos(x)), str(out / cli.FIELD_CSV))
+    grid = read_field(parse_config(cfg), out).grid
+    save_field(field_from_function(grid, lambda x, y: 0.01 * np.cos(x)), str(out / cli.FIELD_FILE))
     for stage in ("surface", "report"):
         assert cli.main([stage, "--config", cfg]) == 3
         assert (out / f"{stage}.log").read_text().strip().splitlines()[-1] == "error: validation"
@@ -691,7 +729,7 @@ def test_failed_report_leaves_no_earlier_report(tmp_path):
     assert cli.main(["report", "--config", tiny]) == 4
     assert (out / "report.log").read_text().strip().splitlines()[-1] == "error: numerical-failure"
     assert not (out / cli.REPORT_JSON).exists()
-    assert (out / cli.FIELD_CSV).exists() and (out / cli.FRAME_FILE).exists()
+    assert (out / cli.FIELD_FILE).exists() and (out / cli.FRAME_FILE).exists()
 
 
 @pytest.mark.parametrize("seed_in_out", [True, False])
@@ -702,13 +740,14 @@ def test_failed_solve_removes_its_field_but_not_its_seed(tmp_path, seed_in_out):
     lx = n * np.sqrt((30.0 - 32.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)) / 144.0)
     out = tmp_path / "out"
     out.mkdir()
-    seed = out / cli.FIELD_CSV if seed_in_out else tmp_path / "seed.csv"
-    save_field(zero_field(PeriodicGrid(n, 8, float(lx), 0.5)), str(seed))
-    (out / cli.FIELD_CSV).write_bytes(seed.read_bytes())
+    # a text seed, also when it sits where the stage writes its field.bin
+    seed = out / cli.FIELD_FILE if seed_in_out else tmp_path / "seed.csv"
+    save_text_field(zero_field(PeriodicGrid(n, 8, float(lx), 0.5)), str(seed))
+    (out / cli.FIELD_FILE).write_bytes(seed.read_bytes())
     text = f"nx = {n}\nny = 8\nlx = {float(lx)!r}\nly = 0.5\nseed = file\nfield_path = {seed}\n"
     assert cli.main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 4
     assert (out / "solve.log").read_text().strip().splitlines()[-1] == "error: resonance"
-    assert (out / cli.FIELD_CSV).exists() == seed_in_out
+    assert (out / cli.FIELD_FILE).exists() == seed_in_out
     assert seed.exists()
 
 
@@ -722,10 +761,41 @@ def test_report_rejects_truncated_field(tmp_path):
     cfg = str(tmp_path / "run.cfg")
     assert cli.main(["report", "--config", cfg]) == 0
     (out / cli.REPORT_JSON).unlink()
-    path = out / cli.FIELD_CSV
+    path = out / cli.FIELD_FILE
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     _assert_report_rejected(out, cfg)
+
+
+def test_frame_rejects_a_complex_node_file_as_field(tmp_path):
+    # the solved field as a '<c16' node file under the same header: 16 bytes
+    # a node where the header calls for the 8 of '<f8'
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=16, substeps=24))
+    assert cli.main(["solve", "--config", cfg]) == 0
+    u = read_field(parse_config(cfg), out)
+    g = u.grid
+    save_nodes(out / cli.FIELD_FILE, (g.nx, g.ny, g.lx, g.ly), u.values)
+    assert cli.main(["frame", "--config", cfg]) == 3
+    assert (out / "frame.log").read_text().strip().splitlines()[-1] == "error: validation"
+    assert not (out / cli.FRAME_FILE).exists()
+
+
+STAGE_FILES = {"frame": cli.FRAME_FILE, "surface": cli.MESH_FILE, "report": cli.REPORT_JSON}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_FILES))
+def test_stage_rejects_field_of_another_grid(tmp_path, stage):
+    # field.bin, frame.bin, mesh.bin and report.json of a 16^2 run, and the
+    # stage run again at 8^2: it fails on the field and removes its own file
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=16, substeps=24))
+    for done in ("solve", "frame", "surface", "report"):
+        assert cli.main([done, "--config", cfg]) == 0
+    small = write_config(tmp_path, flat_config_text(str(out), nx=8, ny=8, substeps=24), "small.cfg")
+    assert cli.main([stage, "--config", small]) == 3
+    assert (out / f"{stage}.log").read_text().strip().splitlines()[-1] == "error: validation"
+    assert not (out / STAGE_FILES[stage]).exists()
 
 
 @pytest.mark.parametrize(
@@ -749,7 +819,7 @@ def test_solve_rejects_damaged_seed_file(tmp_path, damage):
     text = flat_config_text(str(out)).replace("seed = zero", f"seed = file\nfield_path = {seed}")
     assert cli.main(["solve", "--config", write_config(tmp_path, text)]) == 3
     assert (out / "solve.log").read_text().strip().splitlines()[-1] == "error: validation"
-    assert not (out / cli.FIELD_CSV).exists()
+    assert not (out / cli.FIELD_FILE).exists()
 
 
 @pytest.mark.parametrize(
@@ -802,18 +872,21 @@ def test_export_rejects_mesh_of_another_frame_or_radius(tmp_path, change):
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """Pristine field.csv, mesh.bin and frame.bin of an 8x8 run on a smooth
-    field, as name -> (bytes, reader of a path)."""
+    """Pristine field.bin, mesh.bin and frame.bin of an 8x8 run on a smooth
+    field, and that field as a text seed.csv, as name -> (bytes, reader of a
+    path)."""
     out = str(tmp_path_factory.mktemp("artifacts"))
     cfg = parse_config_text(flat_config_text(out, nx=8, ny=8, substeps=2,
                                              extra="re_unitarize = true\n"))
     grid = PeriodicGrid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
     u = field_from_function(grid, lambda x, y: 0.1 * np.cos(x) * np.sin(2.0 * np.pi * y / cfg.ly))
-    save_field(u, os.path.join(out, cli.FIELD_CSV))
+    save_field(u, os.path.join(out, cli.FIELD_FILE))
+    save_text_field(u, os.path.join(out, "seed.csv"))
     for stage in ("frame", "surface"):
         cli.run_pipeline(cfg, stage, out, echo=False)
     readers = {
-        cli.FIELD_CSV: load_field,
+        "seed.csv": load_field,
+        cli.FIELD_FILE: lambda path: load_saved_field(path, grid),
         cli.MESH_FILE: meshout.load_mesh_points,
         cli.FRAME_FILE: lambda path: cli.load_frame(path, u),
     }
@@ -837,7 +910,7 @@ def damage(draw, size):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", [cli.FIELD_CSV, cli.MESH_FILE, cli.FRAME_FILE])
+@pytest.mark.parametrize("name", ["seed.csv", cli.FIELD_FILE, cli.MESH_FILE, cli.FRAME_FILE])
 def test_damaged_artifact_is_read_or_rejected_typed(artifacts, name):
     out, pristine = artifacts
     data, read = pristine[name]
@@ -854,9 +927,9 @@ def test_damaged_artifact_is_read_or_rejected_typed(artifacts, name):
             read(path)
         except ConfigValidationError:
             return
-        # a node file's body is exactly 16 bytes per value its header calls
-        # for and a field table ends with a newline, so no cut artifact is
-        # ever read
+        # a node file's body is exactly one item of its dtype per value its
+        # header calls for and a text field ends with a newline, so no cut
+        # artifact is ever read
         assert kind != "cut"
 
     check()

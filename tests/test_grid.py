@@ -17,6 +17,7 @@ from tzitzeica.grid import (
     hex_digest,
     laplacian_symbol_1d,
     load_field,
+    load_saved_field,
     parse_header,
     resonance_gap,
     row_sampler,
@@ -155,14 +156,20 @@ def test_resonance_detection():
     assert check_resonance(good) > 1.0
 
 
-def test_field_csv_round_trip(tmp_path):
+def test_field_file_round_trip(tmp_path):
+    # the field as a node file: its header line, then 8 bytes of '<f8' a node
     g = PeriodicGrid(12, 9, 1.25, 0.75)
     fld = field_from_function(g, lambda x, y: np.sin(2 * np.pi * x / g.lx) + y)
-    path = tmp_path / "field.csv"
+    fld.values[2, 3] = -0.0
+    path = tmp_path / "field.bin"
     save_field(fld, path)
-    back = load_field(path)
+    head = b"12,9,1.25,0.75\n"
+    assert path.read_bytes() == head + fld.values.astype("<f8").tobytes()
+    back = load_saved_field(path, g)
     assert back.grid == g
-    assert np.array_equal(back.values, fld.values)
+    assert np.array_equal(back.values, fld.values) and np.signbit(back.values[2, 3])
+    with pytest.raises(ConfigValidationError):
+        load_saved_field(path, PeriodicGrid(12, 9, 1.25, 0.5))
 
 
 def test_zero_field(tmp_path):
@@ -241,7 +248,7 @@ _FIELD = ["8,8,1,0.5"] + [format_float(0.125 * k) for k in range(64)]
 )
 def test_load_table_rejects_damage(tmp_path, lines):
     # load_field is the one reader of a text table
-    path = tmp_path / "field.csv"
+    path = tmp_path / "seed.csv"
     text = "\n".join(_FIELD) + "\n"
     path.write_text(text)
     fld = load_field(path)

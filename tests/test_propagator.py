@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from tzitzeica import lax
-from tzitzeica.grid import PeriodicGrid, ddx, ddy, trig_upsample, zero_field
+from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic, ddx, ddy, trig_upsample, zero_field
 from tzitzeica.lax import SpectralPoint, frame_axis_stencil, integrate_frame
 from tzitzeica.linalg3 import unitarity_defect_map
 from tzitzeica.surface import torus_closure
 from tzitzeica.wave import lift_1d
 
+from oracles import row_sampler_per_row
 from reference_march import reference_frame, reference_stencil
 
 TOL = 1e-12
@@ -132,6 +133,19 @@ def test_frame_does_not_depend_on_the_row_split(wave61, case, monkeypatch):
     monkeypatch.setattr(lax, "row_sampler", whole_grid)
     whole = integrate_frame(u, SpectralPoint(0.3), closing=closing).unitary
     assert np.abs(rowwise - whole).max() <= TOL
+
+
+def test_tabled_row_phases_leave_the_frame_bit_identical(wave61, monkeypatch):
+    # the row sampler tables every node row's phases once; forming each cell
+    # row's phases on its call instead gives the same frame, bit for bit, on
+    # a 128^2 wave perturbed in y with its closing row and column
+    grid = PeriodicGrid(128, 128, wave61.period, FLAT_LY)
+    xx, yy = grid.mesh()
+    bump = 0.01 * np.cos(2 * np.pi * yy / grid.ly + 0.4) * np.cos(2 * np.pi * xx / grid.lx)
+    u = ScalarFieldPeriodic(grid, lift_1d(wave61, grid).values + bump)
+    tabled = integrate_frame(u, SpectralPoint(0.3), closing=True).unitary
+    monkeypatch.setattr(lax, "row_sampler", row_sampler_per_row)
+    assert np.array_equal(integrate_frame(u, SpectralPoint(0.3), closing=True).unitary, tabled)
 
 
 def test_frame_memory_stays_within_one_cell_row_of_samples(wave61):
