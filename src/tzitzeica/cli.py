@@ -84,7 +84,8 @@ def _require_artifact(out_dir, name):
 
 
 def file_digest(path):
-    """The sha256 hex digest of the bytes of the file at ``path``."""
+    """The sha256 hex digest of the bytes of the file at ``path``, for a file
+    that is read only to be hashed."""
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -97,20 +98,23 @@ def save_frame(frame, path, field_sha256):
 
 
 def load_frame(path, u):
-    """Read a frame written by save_frame for the field u; returns the frame
-    and the field digest its header records.
+    """Read a frame written by save_frame for the field u; returns the frame,
+    the field digest its header records and the digest of the frame file's
+    own bytes.
 
     Raises ConfigValidationError as grid.load_nodes does, or when the frame
     has no valid substeps or closing, or was integrated on another grid than
     u's.
     """
     types = (int, int, float, float, float, int, int, hex_digest)
-    header, mats = load_nodes(path, "frame file", types, lambda h: (h[1] + h[6], h[0] + h[6], 3, 3))
+    header, mats, frame_sha256 = load_nodes(path, "frame file", types,
+                                            lambda h: (h[1] + h[6], h[0] + h[6], 3, 3))
     check_same_grid(path, header_grid(path, "frame file", header), u.grid)
     theta, substeps, closing, field_sha256 = header[4:]
     if closing not in (0, 1) or substeps < 1:
         raise ConfigValidationError(f"frame file {path} has substeps {substeps}, closing {closing}")
-    return FrameField(u.grid, SpectralPoint(theta), mats, u, bool(closing), substeps), field_sha256
+    frame = FrameField(u.grid, SpectralPoint(theta), mats, u, bool(closing), substeps)
+    return frame, field_sha256, frame_sha256
 
 
 def write_report_json(report, path):
@@ -178,13 +182,13 @@ def _unitarity_gate(frame):
 
 
 def _stage_field(cfg, out_dir):
-    """The path of the current field.bin and its field, on the config's grid."""
-    path = _require_artifact(out_dir, FIELD_FILE)
-    return path, load_saved_field(path, _grid(cfg))
+    """The field of the current field.bin, on the config's grid, and the
+    digest of the file's bytes."""
+    return load_saved_field(_require_artifact(out_dir, FIELD_FILE), _grid(cfg))
 
 
 def stage_frame(cfg, out_dir, log):
-    field_path, u = _stage_field(cfg, out_dir)
+    u, field_sha256 = _stage_field(cfg, out_dir)
     frame = integrate_frame(
         u,
         SpectralPoint(cfg.theta),
@@ -193,7 +197,7 @@ def stage_frame(cfg, out_dir, log):
         re_unitarize=cfg.re_unitarize,
     )
     log.add(f"unitarity_defect={format_float(_unitarity_gate(frame))}")
-    save_frame(frame, os.path.join(out_dir, FRAME_FILE), file_digest(field_path))
+    save_frame(frame, os.path.join(out_dir, FRAME_FILE), field_sha256)
 
 
 def _check_recorded(name, stage, recorded):
@@ -208,30 +212,30 @@ def _check_recorded(name, stage, recorded):
 def _load_frame_stage(cfg, out_dir):
     """The frame of the surface and report stages: integrated from the bytes
     of the current field.bin at the config's grid, theta, substeps and
-    extend_closure, and unitary to FRAME_TOL."""
-    field_path, u = _stage_field(cfg, out_dir)
-    frame, field_sha256 = load_frame(_require_artifact(out_dir, FRAME_FILE), u)
+    extend_closure, and unitary to FRAME_TOL; returns it with the digest of
+    the frame.bin bytes."""
+    u, field_sha256 = _stage_field(cfg, out_dir)
+    frame, recorded_sha256, frame_sha256 = load_frame(_require_artifact(out_dir, FRAME_FILE), u)
     _check_recorded(FRAME_FILE, "frame", (
-        ("field_sha256", field_sha256, file_digest(field_path)),
+        ("field_sha256", recorded_sha256, field_sha256),
         ("theta", frame.spectral.theta, cfg.theta),
         ("substeps", frame.substeps, cfg.substeps),
         ("extend_closure", frame.closing, cfg.extend_closure),
     ))
     _unitarity_gate(frame)
-    return frame
+    return frame, frame_sha256
 
 
 def stage_surface(cfg, out_dir, log):
-    frame = _load_frame_stage(cfg, out_dir)
+    frame, frame_sha256 = _load_frame_stage(cfg, out_dir)
     mesh = build_surface(frame, cfg.radius)
-    frame_sha256 = file_digest(os.path.join(out_dir, FRAME_FILE))
     meshout.save_mesh(mesh, os.path.join(out_dir, MESH_FILE), frame_sha256)
     radii = np.sqrt(np.sum(np.abs(mesh.points) ** 2, axis=-1))
     log.add(f"sphere_defect={format_float(np.abs(radii - cfg.radius).max())}")
 
 
 def stage_report(cfg, out_dir, log):
-    frame = _load_frame_stage(cfg, out_dir)
+    frame, _frame_sha256 = _load_frame_stage(cfg, out_dir)
     report = full_report(frame, cfg.radius)
     residuals = report.to_dict()
     non_finite = [k for k, v in sorted(residuals.items()) if not math.isfinite(v)]

@@ -17,13 +17,14 @@ load_field reads a text field, the seed = file input) and binary node files
 (save_nodes, load_nodes: the solved field, the frame and the mesh).
 """
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigValidationError, ResonanceError
+from .errors import ConfigValidationError
 
 AXIS_X = 1
 AXIS_Y = 0
@@ -131,16 +132,18 @@ def deriv2(values, h, axis):
     return (-tap(2) + 16.0 * tap(1) - 30.0 * f + 16.0 * tap(-1) - tap(-2)) / (12.0 * h * h)
 
 
+def laplacian_symbol_1d(n, h):
+    """Eigenvalues of the 1D periodic 4th-order second-derivative stencil."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    return (-30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)) / (12.0 * h * h)
+
+
 def ddx(values, grid, method="fd4"):
     return deriv(values, grid.hx, AXIS_X, method)
 
 
 def ddy(values, grid, method="fd4"):
     return deriv(values, grid.hy, AXIS_Y, method)
-
-
-def laplacian(values, grid):
-    return deriv2(values, grid.hx, AXIS_X) + deriv2(values, grid.hy, AXIS_Y)
 
 
 def trig_upsample(values, factor, axis, offsets):
@@ -200,39 +203,6 @@ def _trig_phases(n, factor, offsets):
     # k * j reduced mod n * factor keeps every phase angle in [0, 2 pi)
     turns = np.outer(offsets, np.arange(n // 2 + 1)) % (n * factor) / (n * factor)
     return np.exp(2j * np.pi * turns)
-
-
-# ---------------------------------------------------------------------------
-# Laplacian spectrum and the -12 resonance guard
-# ---------------------------------------------------------------------------
-
-
-def laplacian_symbol_1d(n, h):
-    """Eigenvalues of the 1D periodic 4th-order second-derivative stencil."""
-    theta = 2.0 * np.pi * np.arange(n) / n
-    return (-30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)) / (12.0 * h * h)
-
-
-RESONANCE_GAP = 1e-6
-
-
-def resonance_gap(grid):
-    """Smallest |eig + 12| over the 2D periodic Laplacian spectrum."""
-    sx = laplacian_symbol_1d(grid.nx, grid.hx)
-    sy = laplacian_symbol_1d(grid.ny, grid.hy)
-    eig = sx[None, :] + sy[:, None]
-    return float(np.abs(eig + 12.0).min())
-
-
-def check_resonance(grid):
-    """The resonance gap of ``grid``; raises ResonanceError below RESONANCE_GAP."""
-    g = resonance_gap(grid)
-    if g < RESONANCE_GAP:
-        raise ResonanceError(
-            f"grid ({grid.nx}x{grid.ny}, lx={grid.lx:.6g}, ly={grid.ly:.6g}) has a "
-            f"periodic-Laplacian eigenvalue within {g:.3e} of -12"
-        )
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +278,16 @@ def save_nodes(path, header, values, dtype="<c16"):
 
 def load_nodes(path, what, types, shape, dtype="<c16"):
     """Read a node file written by save_nodes with ``dtype``; returns (header,
-    values), the values reshaped to ``shape(header)``.  Raises
+    values, sha256), the values reshaped to ``shape(header)`` and the hex
+    digest of the file's bytes, all from one read.  Raises
     ConfigValidationError, naming the file as ``what``, when the file cannot
     be opened, its header does not parse by ``types`` (see parse_header), its
     body is other than one ``dtype`` item per value of that shape, or a value
     is not finite."""
     try:
         with open(path, "rb") as fh:
-            header = parse_header(fh.readline().decode("ascii"), types)
+            head = fh.readline()
+            header = parse_header(head.decode("ascii"), types)
             values = np.fromfile(fh, dtype=dtype)
             tail = len(fh.read())
         dims = shape(header)
@@ -326,7 +298,9 @@ def load_nodes(path, what, types, shape, dtype="<c16"):
             raise ValueError("it holds non-finite values")
     except (OSError, ValueError) as exc:
         raise ConfigValidationError(f"{what} {path} cannot be read: {exc}") from exc
-    return header, values.reshape(dims)
+    digest = hashlib.sha256(head)
+    digest.update(values)
+    return header, values.reshape(dims), digest.hexdigest()
 
 
 def header_grid(path, what, header):
@@ -353,13 +327,14 @@ def save_field(fld, path):
 
 
 def load_saved_field(path, grid):
-    """Read a field written by save_field for use on ``grid``.  Raises
+    """Read a field written by save_field for use on ``grid``; returns the
+    field and the sha256 hex digest of the file's bytes.  Raises
     ConfigValidationError as load_nodes does, or when the file's grid is no
     valid grid or is not ``grid``."""
     types = (int, int, float, float)
-    header, values = load_nodes(path, "field file", types, lambda h: (h[1], h[0]), "<f8")
+    header, values, sha256 = load_nodes(path, "field file", types, lambda h: (h[1], h[0]), "<f8")
     check_same_grid(path, header_grid(path, "field file", header), grid)
-    return ScalarFieldPeriodic(grid, values)
+    return ScalarFieldPeriodic(grid, values), sha256
 
 
 def load_field(path):

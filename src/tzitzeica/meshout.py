@@ -39,8 +39,8 @@ def load_mesh_points(path):
     """Returns (grid, radius, points, frame_sha256) of a mesh written by
     save_mesh; raises ConfigValidationError as grid.load_nodes does, or for
     an invalid grid."""
-    header, points = load_nodes(path, "mesh file", (int, int, float, float, float, hex_digest),
-                                lambda h: (h[1], h[0], 3))
+    types = (int, int, float, float, float, hex_digest)
+    header, points, _sha256 = load_nodes(path, "mesh file", types, lambda h: (h[1], h[0], 3))
     return header_grid(path, "mesh file", header), header[4], points, header[5]
 
 

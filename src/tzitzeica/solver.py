@@ -6,13 +6,17 @@ Delta u = 4 e^{-2u} - 4 e^{u}, which is the form discretized here (the
 acceptance suite re-derives this symbolically).  With this sign u = 0 is a
 stable center of the 1D reduction and the unique constant solution.
 
-The residual and the Newton linearization share one discrete Laplacian, the
-4th-order periodic stencil of grid.laplacian: the residual applies the
-stencil, the linearization its exact Fourier symbol sigma = sigma_x + sigma_y
-(grid.laplacian_symbol_1d), the same circulant.  Grids whose periodic
-Laplacian has an eigenvalue within 1e-6 of -12 are rejected outright: near
-u = 0 the linearization is Delta + 12, and regularizing past that resonance
-would silently corrupt convergence-order measurements.
+The discrete Laplacian is the 4th-order periodic stencil, a circulant, and
+is applied through its exact Fourier symbol sigma = sigma_x + sigma_y
+(grid.laplacian_symbol_1d) on the rfft2 half-spectrum.  newton_solve tables
+sigma once per solve, and the residual, the Jacobian, the preconditioner and
+the resonance guard all read that one table.  The guard rejects a grid whose
+Laplacian has an eigenvalue within RESONANCE_GAP of -12, but only once the
+seed has failed the convergence test: near u = 0 the linearization is
+Delta + 12, and a step regularized past that resonance would silently
+corrupt convergence-order measurements, while a seed that already solves the
+discrete equation (u = 0 on the flat torus, which lies exactly on the
+continuum resonance) takes no step.
 
 Each Newton step solves J s = -r, with the symmetric indefinite Jacobian
 J = Delta + diag(d), d = 8 e^{-2u} + 4 e^u, by preconditioned MINRES (Paige &
@@ -50,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonDivergenceError, NumericalFailure, SingularJacobianError
-from .grid import ScalarFieldPeriodic, check_resonance, deriv2, laplacian, laplacian_symbol_1d
+from .errors import NewtonDivergenceError, NumericalFailure, ResonanceError, SingularJacobianError
+from .grid import ScalarFieldPeriodic, deriv2, laplacian_symbol_1d
 
 MINRES_RTOL = 1e-13
 MINRES_MAXITER = 300
@@ -60,17 +64,33 @@ FORCING_GAMMA = 0.9
 FORCING_MAX = 0.1
 OVERSOLVE_MARGIN = 1e-2
 RESIDUAL_GROWTH = 1e6
+RESONANCE_GAP = 1e-6
 
 
-def _residual(vals, grid):
+def laplacian_symbol(grid):
+    """sigma = sigma_x + sigma_y, the eigenvalues of the 2D periodic fd4
+    Laplacian on the rfft2 half-spectrum of ``grid``, shape (ny, nx // 2 + 1)."""
+    sx = laplacian_symbol_1d(grid.nx, grid.hx)[: grid.nx // 2 + 1]
+    return laplacian_symbol_1d(grid.ny, grid.hy)[:, None] + sx
+
+
+def resonance_gap(sigma):
+    """Smallest |eig + 12| over the Laplacian spectrum tabled by
+    laplacian_symbol; the 1D symbols are even, so the half-spectrum holds
+    every eigenvalue."""
+    return float(np.abs(sigma + 12.0).min())
+
+
+def _residual(vals, sigma):
     # a diverging iterate overflows exp; the caller stops on the non-finite result
     with np.errstate(over="ignore", invalid="ignore"):
-        return laplacian(vals, grid) - 4.0 * np.exp(-2.0 * vals) + 4.0 * np.exp(vals)
+        lap = np.fft.irfft2(np.fft.rfft2(vals) * sigma, vals.shape)
+        return lap - 4.0 * np.exp(-2.0 * vals) + 4.0 * np.exp(vals)
 
 
 def pde_residual(u):
     """Per-node residual Delta u - 4 e^{-2u} + 4 e^{u}."""
-    return _residual(u.values, u.grid)
+    return _residual(u.values, laplacian_symbol(u.grid))
 
 
 def minres(apply, b, rtol, maxiter):
@@ -116,23 +136,19 @@ def minres(apply, b, rtol, maxiter):
     return x, maxiter, False
 
 
-def _preconditioned_jacobian(grid, d):
+def _preconditioned_jacobian(sigma, d):
     """apply(r) -> (M^-1 r, J M^-1 r) for J = Delta + diag(d), with M the
     Fourier multiplier |sigma + mean(d)| floored at PRECONDITIONER_FLOOR *
-    mean(d), sigma = sigma_x + sigma_y the exact symbol of the fd4 Laplacian:
-    one rfft2 of r, scaled by 1/M and by sigma/M, and two inverse transforms."""
-    sx = laplacian_symbol_1d(grid.nx, grid.hx)[: grid.nx // 2 + 1]
-    sy = laplacian_symbol_1d(grid.ny, grid.hy)
-    sigma = sy[:, None] + sx[None, :]
+    mean(d), sigma the laplacian_symbol table: one rfft2 of r, scaled by 1/M
+    and by sigma/M, and two inverse transforms."""
     dmean = d.mean()
     inv = 1.0 / np.maximum(np.abs(sigma + dmean), PRECONDITIONER_FLOOR * dmean)
     sigma_inv = sigma * inv
-    shape = (grid.ny, grid.nx)
 
     def apply(r):
         spectrum = np.fft.rfft2(r)
-        y = np.fft.irfft2(spectrum * inv, shape)
-        return y, np.fft.irfft2(spectrum * sigma_inv, shape) + d * y
+        y = np.fft.irfft2(spectrum * inv, d.shape)
+        return y, np.fft.irfft2(spectrum * sigma_inv, d.shape) + d * y
 
     return apply
 
@@ -223,15 +239,16 @@ def newton_solve(u0, tol, max_iter=30):
     sup-norm residual history (seed residual first) and the MINRES iteration
     count of each step.  Raises NewtonDivergenceError after max_iter or on a
     non-finite residual, SingularJacobianError or NewtonDivergenceError for a
-    failed step, each carrying the residual history up to the failure as
-    ``residuals``; ResonanceError for bad grids.
+    failed step, and ResonanceError when the seed needs a step on a grid
+    whose Laplacian has an eigenvalue within RESONANCE_GAP of -12, each
+    carrying the residual history up to the failure as ``residuals``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = u0.grid
-    check_resonance(grid)
+    sigma = laplacian_symbol(grid)
     u = u0.values
-    r = _residual(u, grid)
+    r = _residual(u, sigma)
     residuals = [float(np.abs(r).max())]
     counts = []
     try:
@@ -242,16 +259,19 @@ def newton_solve(u0, tol, max_iter=30):
                 return NewtonResult(ScalarFieldPeriodic(grid, u), it, residuals, counts)
             if it == max_iter:
                 break
+            if it == 0 and (gap := resonance_gap(sigma)) < RESONANCE_GAP:
+                raise ResonanceError(f"grid ({grid.nx}x{grid.ny}, lx={grid.lx:.6g}, ly={grid.ly:.6g}) "
+                                     f"has a periodic-Laplacian eigenvalue within {gap:.3e} of -12")
             d = 8.0 * np.exp(-2.0 * u) + 4.0 * np.exp(u)
             eta = MINRES_RTOL if it == 0 else _forcing_term(residuals, tol)
-            step, count, converged = minres(_preconditioned_jacobian(grid, d), -r, eta, MINRES_MAXITER)
+            step, count, converged = minres(_preconditioned_jacobian(sigma, d), -r, eta, MINRES_MAXITER)
             if not converged:
                 _diagnose_failed_step(grid, d, f"MINRES missed {eta:g} in {count} iterations")
             if not np.all(np.isfinite(step)) or np.abs(step).max() > 1e12:
                 _diagnose_failed_step(grid, d, "Newton step blew up")
             counts.append(count)
             u = u + step
-            r = _residual(u, grid)
+            r = _residual(u, sigma)
             residuals.append(float(np.abs(r).max()))
             if residuals[-1] > RESIDUAL_GROWTH * residuals[-2]:
                 _diagnose_failed_step(grid, d, f"Newton step {it + 1} took the residual from "

@@ -14,7 +14,8 @@ interpolation of a wave profile's samples cross-checks its closed-form
 evaluation, the OBJ reader reads back what the export stage wrote, the
 loop triangulation cross-checks the vectorized one, Newton's method with
 sparse direct steps on an assembled Laplacian cross-checks the MINRES steps,
-and a row sampler that forms each call's row phases anew cross-checks the
+the fd4 stencil applied on the grid cross-checks the solver's Laplacian
+through its Fourier symbol, and a row sampler that forms each call's row phases anew cross-checks the
 tabled phases of grid.row_sampler bit for bit.
 
 The z / zbar linear system the frame generators are derived from also lives
@@ -29,7 +30,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import spsolve
 
-from tzitzeica.grid import AXIS_X, AXIS_Y, _trig_phases, ddx, ddy, deriv
+from tzitzeica.grid import AXIS_X, AXIS_Y, _trig_phases, ddx, ddy, deriv, deriv2
 from tzitzeica.invariants import NODE_X, NODE_Y, check_spd, inv2
 from tzitzeica.wave import _cubic_roots, period_quadrature
 
@@ -245,6 +246,12 @@ def grid_faces_loop(nx, ny):
             faces.append((v00, v10, v11))
             faces.append((v00, v11, v01))
     return faces
+
+
+def laplacian_fd4(values, grid):
+    """The 2D periodic Laplacian of ``values`` by the 4th-order stencil
+    grid.deriv2 along each axis."""
+    return deriv2(values, grid.hx, AXIS_X) + deriv2(values, grid.hy, AXIS_Y)
 
 
 def newton_lu(values, grid, tol, max_iter):

@@ -28,7 +28,6 @@ from tzitzeica.grid import (
     save_nodes,
     save_table,
     write_rows,
-    zero_field,
 )
 from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
 from tzitzeica.surface import build_surface, full_report
@@ -73,7 +72,7 @@ def save_text_field(fld, path):
 def read_field(cfg, out):
     """The field.bin the solve stage wrote into out for the run of cfg."""
     grid = PeriodicGrid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
-    return load_saved_field(os.path.join(out, cli.FIELD_FILE), grid)
+    return load_saved_field(os.path.join(out, cli.FIELD_FILE), grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +189,41 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["solve", "--config", invalid]) == 3
 
 
-def test_cli_numerical_failure_is_exit_4_with_named_error(tmp_path):
-    # grid tuned onto the -12 resonance
+def resonant_seed(path):
+    """A text seed 1e-3 cos(2 pi x / lx) on the 64x8 grid whose lx tunes the
+    first x mode of the fd4 Laplacian onto -12; it needs a Newton step.
+    Returns the config lines of that grid."""
     n = 64
     theta = 2 * np.pi / n
-    num = -30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)
-    lx = n * np.sqrt(-num / 144.0)
+    lx = float(n * np.sqrt((30.0 - 32.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)) / 144.0))
+    grid = PeriodicGrid(n, 8, lx, 0.5)
+    save_text_field(field_from_function(grid, lambda x, y: 1e-3 * np.cos(2 * np.pi * x / lx)),
+                    str(path))
+    return f"nx = {n}\nny = 8\nlx = {lx!r}\nly = 0.5\n"
+
+
+def test_cli_numerical_failure_is_exit_4_with_named_error(tmp_path):
     out = tmp_path / "out"
-    cfgtext = (
-        f"nx = {n}\nny = 8\nlx = {float(lx)!r}\nly = 0.5\nseed = zero\nout_dir = {out}\n"
-    )
+    seed = tmp_path / "seed.csv"
+    cfgtext = resonant_seed(seed) + f"seed = file\nfield_path = {seed}\nout_dir = {out}\n"
     cfg_path = write_config(tmp_path, cfgtext, "resonant.cfg")
     assert cli.main(["solve", "--config", cfg_path]) == 4
     log_lines = (out / "solve.log").read_text().strip().splitlines()
     assert log_lines[-1] == "error: resonance"
+    # the guard runs after the seed's residual, which the log keeps
+    assert [line.startswith("residual[") for line in log_lines] == [True, False]
+
+
+def test_shipped_flat_config_at_256_solves_without_a_step(tmp_path):
+    # the flat torus lies on the continuum -12 resonance, so the fd4 gap at
+    # 256^2 (7.7e-7) is below RESONANCE_GAP; u = 0 solves it and takes no step
+    root = pathlib.Path(SRC).parent
+    text = (root / "configs" / "flat.cfg").read_text()
+    text = text.replace("nx = 64", "nx = 256").replace("ny = 64", "ny = 256")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    lines = (out / "solve.log").read_text().splitlines()
+    assert "iterations=0" in lines and "final_residual=0" in lines
 
 
 @pytest.mark.filterwarnings("error")
@@ -351,9 +371,10 @@ def test_frame_csv_round_trip(flat_run, tmp_path):
     cfg, out = flat_run
     field = read_field(cfg, out)
     first = os.path.join(out, cli.FRAME_FILE)
-    frame, digest = cli.load_frame(first, field)
+    frame, digest, own_digest = cli.load_frame(first, field)
     # the header ends with the digest of the field file bytes
     assert digest == hashlib.sha256(pathlib.Path(out, cli.FIELD_FILE).read_bytes()).hexdigest()
+    assert own_digest == hashlib.sha256(pathlib.Path(first).read_bytes()).hexdigest()
     assert pathlib.Path(first).read_bytes().split(b"\n", 1)[0].endswith(b"," + digest.encode())
     assert frame.closing is True
     assert frame.substeps == 24
@@ -363,8 +384,8 @@ def test_frame_csv_round_trip(flat_run, tmp_path):
     second = str(tmp_path / "frame2.bin")
     cli.save_frame(frame, second, digest)
     assert pathlib.Path(second).read_bytes() == pathlib.Path(first).read_bytes()
-    again, again_digest = cli.load_frame(second, field)
-    assert again_digest == digest
+    again, again_digest, again_own_digest = cli.load_frame(second, field)
+    assert (again_digest, again_own_digest) == (digest, own_digest)
     assert np.array_equal(again.unitary, frame.unitary)
     assert (again.closing, again.substeps) == (frame.closing, frame.substeps)
     # a negative zero keeps its sign bit
@@ -734,17 +755,12 @@ def test_failed_report_leaves_no_earlier_report(tmp_path):
 
 @pytest.mark.parametrize("seed_in_out", [True, False])
 def test_failed_solve_removes_its_field_but_not_its_seed(tmp_path, seed_in_out):
-    # the grid of test_cli_numerical_failure_is_exit_4_with_named_error, on the -12 resonance
-    n = 64
-    theta = 2 * np.pi / n
-    lx = n * np.sqrt((30.0 - 32.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)) / 144.0)
     out = tmp_path / "out"
     out.mkdir()
     # a text seed, also when it sits where the stage writes its field.bin
     seed = out / cli.FIELD_FILE if seed_in_out else tmp_path / "seed.csv"
-    save_text_field(zero_field(PeriodicGrid(n, 8, float(lx), 0.5)), str(seed))
+    text = resonant_seed(seed) + f"seed = file\nfield_path = {seed}\n"
     (out / cli.FIELD_FILE).write_bytes(seed.read_bytes())
-    text = f"nx = {n}\nny = 8\nlx = {float(lx)!r}\nly = 0.5\nseed = file\nfield_path = {seed}\n"
     assert cli.main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 4
     assert (out / "solve.log").read_text().strip().splitlines()[-1] == "error: resonance"
     assert (out / cli.FIELD_FILE).exists() == seed_in_out

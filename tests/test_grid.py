@@ -1,14 +1,14 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
-from tzitzeica.errors import ConfigValidationError, ResonanceError
+from tzitzeica.errors import ConfigValidationError
 from tzitzeica.grid import (
     ROW_BLOCK_FIELDS,
     PeriodicGrid,
     ScalarFieldPeriodic,
-    check_resonance,
     deriv,
     deriv2,
     field_from_function,
@@ -19,13 +19,13 @@ from tzitzeica.grid import (
     load_field,
     load_saved_field,
     parse_header,
-    resonance_gap,
     row_sampler,
     save_field,
     trig_upsample,
     write_rows,
     zero_field,
 )
+from tzitzeica.solver import laplacian_symbol, resonance_gap
 
 from conftest import loglog_slope
 from reference_march import zero_pad_upsample
@@ -149,11 +149,9 @@ def test_resonance_detection():
     num = -30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)
     h = np.sqrt(-num / (12.0 * 12.0))
     bad = PeriodicGrid(n, 8, n * h, 0.5)
-    assert resonance_gap(bad) < 1e-9
-    with pytest.raises(ResonanceError):
-        check_resonance(bad)
+    assert resonance_gap(laplacian_symbol(bad)) < 1e-9
     good = PeriodicGrid(64, 64, 1.0, 1.0)
-    assert check_resonance(good) > 1.0
+    assert resonance_gap(laplacian_symbol(good)) > 1.0
 
 
 def test_field_file_round_trip(tmp_path):
@@ -165,8 +163,9 @@ def test_field_file_round_trip(tmp_path):
     save_field(fld, path)
     head = b"12,9,1.25,0.75\n"
     assert path.read_bytes() == head + fld.values.astype("<f8").tobytes()
-    back = load_saved_field(path, g)
-    assert back.grid == g
+    back, sha256 = load_saved_field(path, g)
+    assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert back.grid == g and back.values.flags.writeable
     assert np.array_equal(back.values, fld.values) and np.signbit(back.values[2, 3])
     with pytest.raises(ConfigValidationError):
         load_saved_field(path, PeriodicGrid(12, 9, 1.25, 0.5))

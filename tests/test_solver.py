@@ -4,11 +4,18 @@ import pytest
 from tzitzeica import solver
 from tzitzeica.errors import NewtonDivergenceError, ResonanceError
 from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic, field_from_function, zero_field
-from tzitzeica.solver import laplacian_matrix, minres, newton_solve, pde_residual, splu
+from tzitzeica.solver import (
+    laplacian_matrix,
+    laplacian_symbol,
+    minres,
+    newton_solve,
+    pde_residual,
+    splu,
+)
 from tzitzeica.wave import lift_1d, travelling_wave
 
 from conftest import loglog_slope
-from oracles import newton_lu
+from oracles import laplacian_fd4, newton_lu
 
 
 def test_residual_zero_field():
@@ -58,10 +65,7 @@ def test_laplacian_matrix_matches_stencil():
     g = PeriodicGrid(12, 9, 1.1, 0.8)
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((9, 12))
-    u = ScalarFieldPeriodic(g, vals)
-    from tzitzeica.grid import laplacian
-
-    direct = laplacian(vals, g)
+    direct = laplacian_fd4(vals, g)
     via_matrix = (laplacian_matrix(g) @ vals.ravel()).reshape(9, 12)
     assert np.abs(direct - via_matrix).max() < 1e-12
 
@@ -133,14 +137,12 @@ def test_minres_solves_a_symmetric_indefinite_system():
 def test_spectral_jacobian_matches_the_stencil():
     # sigma is the fd4 stencil's circulant, so J M^-1 r from the spectrum
     # agrees with the stencil Laplacian of M^-1 r, on even and odd grids
-    from tzitzeica.grid import laplacian
-
     rng = np.random.default_rng(5)
     for g in (PeriodicGrid(12, 9, 1.1, 0.8), PeriodicGrid(16, 16, 1.0, 1.0)):
         d = 4.0 + rng.uniform(0.0, 8.0, (g.ny, g.nx))
         r = rng.standard_normal((g.ny, g.nx))
-        z, jz = solver._preconditioned_jacobian(g, d)(r)
-        want = laplacian(z, g) + d * z
+        z, jz = solver._preconditioned_jacobian(laplacian_symbol(g), d)(r)
+        want = laplacian_fd4(z, g) + d * z
         assert np.abs(jz - want).max() < 1e-12 * np.abs(want).max()
 
 
@@ -155,6 +157,19 @@ def wave128_seed():
     shape = (np.cos(ky) + 0.6 * np.cos(kx) * np.cos(ky + 0.7)
              + 0.4 * np.cos(2.0 * kx) * np.cos(2.0 * ky + 1.9) + 0.3 * np.cos(kx))
     return ScalarFieldPeriodic(g, lift_1d(profile, g).values + 0.02 * shape / np.abs(shape).max())
+
+
+def test_residual_laplacian_is_the_stencil(wave128_seed):
+    # the residual applies the fd4 Laplacian through its symbol table, the
+    # stencil's circulant, so the two agree to rounding of max|sigma| max|u|
+    # (measured 9.1e-13 and 3.6e-12, bounds 4.3e-11 and 1.1e-10)
+    g = PeriodicGrid(12, 9, 1.1, 0.8)
+    rng = np.random.default_rng(3)
+    for u in (ScalarFieldPeriodic(g, rng.standard_normal((9, 12))), wave128_seed):
+        vals = u.values
+        lap = pde_residual(u) + 4.0 * np.exp(-2.0 * vals) - 4.0 * np.exp(vals)
+        scale = np.abs(laplacian_symbol(u.grid)).max() * np.abs(vals).max()
+        assert np.abs(lap - laplacian_fd4(vals, u.grid)).max() <= 1e-14 * scale
 
 
 def test_newton_matches_lu_oracle_on_wave128_seed(wave128_seed):
@@ -255,8 +270,13 @@ def test_newton_rejects_resonant_grid():
     num = -30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)
     h = np.sqrt(-num / 144.0)
     g = PeriodicGrid(n, 8, n * h, 0.5)
-    with pytest.raises(ResonanceError):
-        newton_solve(zero_field(g), 1e-10)
+    # u = 0 solves the equation on any grid and takes no step, so it passes
+    assert newton_solve(zero_field(g), 1e-10).iterations == 0
+    # a seed that needs a step is rejected, with its residual kept
+    seed = field_from_function(g, lambda x, y: 1e-3 * np.cos(2 * np.pi * x / g.lx))
+    with pytest.raises(ResonanceError) as caught:
+        newton_solve(seed, 1e-10)
+    assert len(caught.value.residuals) == 1 and caught.value.residuals[0] > 1e-10
 
 
 def test_newton_rejects_bad_tol():
