@@ -91,7 +91,7 @@ def parse_config(path):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))
 
@@ -123,6 +123,9 @@ def validate_config(cfg):
             raise ConfigValidationError("wave_energy must exceed 6")
     if cfg.seed == "file" and not cfg.field_path:
         raise ConfigValidationError("seed = file requires field_path")
+    for key in ("out_dir", "field_path"):
+        if "\0" in (getattr(cfg, key) or ""):
+            raise ConfigValidationError(f"{key} must not hold a NUL byte")
     if cfg.projection != "pca":
         try:
             projection_names(cfg.projection)

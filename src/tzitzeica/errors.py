@@ -65,6 +65,7 @@ class InvalidFrameError(NumericalFailure):
 
 
 class DegenerateMetricError(NumericalFailure):
-    """Induced metric is singular or indefinite beyond tolerance."""
+    """Induced metric has a determinant that is zero or not finite in double
+    precision."""
 
     name = "degenerate-metric"

@@ -3,11 +3,16 @@
 Index conventions: coordinate index 0 is x, coordinate index 1 is y.  Tensor
 fields store component axes first and node axes last, the y nodes before the
 x nodes (the grid's (ny, nx)), so every contraction runs over contiguous node
-planes: a metric field has shape (2, 2, ny, nx), connection coefficients
-gamma[k, i, j] live in (2, 2, 2, ...) with the upper index first, and
-curvature r[s, k, i, j] in (2, 2, 2, 2, ...).  All functions broadcast over
-trailing node axes, so single-node tensors (shape (2, 2) etc.) work
-unchanged.
+planes: connection coefficients gamma[k, i, j] live in (2, 2, 2, ...) with the
+upper index first, and curvature r[s, k, i, j] in (2, 2, 2, 2, ...).  All
+functions broadcast over trailing node axes, so single-node tensors (shape
+(2, 2, 2) etc.) work unchanged.
+
+The surfaces are conformally immersed, so their induced metric is c I with
+the conformal factor c = 2 R^2 e^u (the report certifies this as
+conformal_defect).  The curvature and cubic-form invariants therefore take c,
+of the node shape, as their metric: raising an index divides by c and
+lowering one multiplies by it.
 
 The cubic form t[k, i, j] (mixed components, upper index first) is fully
 symmetric once lowered with the metric; its trace vector vanishes exactly for
@@ -26,46 +31,7 @@ import numpy as np
 from . import grid as gridmod
 from .errors import DegenerateMetricError
 
-SPD_EIG_RATIO = 1e-12
 NODE_X, NODE_Y = -1, -2  # array axes of the x and y nodes
-
-
-def check_spd(g):
-    """Raise DegenerateMetricError where the symmetric 2x2 field g has an
-    eigenvalue lo <= SPD_EIG_RATIO * |hi|; the eigenvalues are the closed form
-    mid -+ hypot((g00 - g11) / 2, g01)."""
-    lo, hi = _eigenvalues2(g)
-    bad = lo <= SPD_EIG_RATIO * np.abs(hi)
-    if np.any(bad):
-        raise DegenerateMetricError(
-            f"metric is degenerate at {int(np.count_nonzero(bad))} node(s); "
-            f"min eigenvalue ratio {float((lo / np.abs(hi)).min()):.3e}"
-        )
-
-
-def _eigenvalues2(g):
-    """(lo, hi), the eigenvalues of each symmetric 2x2 matrix of g."""
-    g = np.asarray(g)
-    mid = 0.5 * (g[0, 0] + g[1, 1])
-    rad = np.hypot(0.5 * (g[0, 0] - g[1, 1]), g[0, 1])
-    return mid - rad, mid + rad
-
-
-def inv2(g):
-    """Explicit 2x2 inverse; keeps symmetry bit-exact for symmetric input.
-    Raises DegenerateMetricError where the determinant is zero or not finite
-    (a metric too large for double precision)."""
-    g = np.asarray(g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if not np.all(np.isfinite(det) & (det != 0)):
-        raise DegenerateMetricError("metric determinant is zero or not finite")
-    out = np.empty_like(g)
-    out[0, 0] = g[1, 1] / det
-    out[1, 1] = g[0, 0] / det
-    out[0, 1] = -g[0, 1] / det
-    out[1, 0] = -g[1, 0] / det
-    return out
 
 
 def hermitian_induced(e1, e2):
@@ -130,11 +96,10 @@ def riemann(gamma, hx, hy):
     return riem
 
 
-def gauss_curvature(g, riem):
-    """K = (1/2) g^{kj} r^s_ksj; inv2 rejects a singular g, and the caller
-    checks that g is positive definite."""
-    ginv = inv2(np.asarray(g, dtype=float))
-    return 0.5 * np.einsum("kj...,sksj...->...", ginv, np.asarray(riem))
+def gauss_curvature(conf, riem):
+    """K = (1/2) g^{kj} r^s_ksj of the metric g = conf I, which is
+    (1/2) r^s_ksk / conf."""
+    return 0.5 * np.einsum("sksk...->...", np.asarray(riem)) / conf
 
 
 def gauss_residual(k_curv, h2, t2, radius):
@@ -147,33 +112,30 @@ def gauss_residual(k_curv, h2, t2, radius):
 # ---------------------------------------------------------------------------
 
 
-def lower_tensor(t, g):
-    """t_kij = g_ks t^s_ij."""
-    return np.einsum("ks...,sij...->kij...", np.asarray(g), np.asarray(t))
-
-
 def trace_vector(t):
     """m_s = t^i_is; zero exactly on minimal surfaces."""
     return np.einsum("iis...->s...", np.asarray(t))
 
 
-def scalar_invariants(t, g):
-    """Second-order invariants (h2, t2) and the fourth-order invariant t4.
+def scalar_invariants(t, conf):
+    """Second-order invariants (h2, t2) and the fourth-order invariant t4 of
+    the cubic form t under the metric conf I.
 
-    h2 is the squared length of the traced cubic form (the squared mean
-    curvature), t2 its complete self-contraction, and t4 the trace of the
-    squared contraction matrix q^a_c = t^ajk t_cjk, whose trace is t2; all
-    index moves use g, which must be positive definite.
+    h2 = m_s m_s / conf is the squared length of the traced cubic form (the
+    squared mean curvature), t2 its complete self-contraction, and t4 the
+    trace of the squared contraction matrix q^a_c = t^a_jk t^c_jk / conf,
+    whose trace is t2.  Raises DegenerateMetricError where the metric's
+    determinant conf^2 is zero or not finite in double precision.
     """
     t = np.asarray(t)
-    g = np.asarray(g, dtype=float)
-    check_spd(g)
-    ginv = inv2(g)
+    conf = np.asarray(conf, dtype=float)
+    with np.errstate(over="ignore"):
+        det = conf * conf
+    if not np.all(np.isfinite(det) & (det != 0)):
+        raise DegenerateMetricError("metric determinant is zero or not finite")
     m = trace_vector(t)
-    h2 = np.einsum("sk...,s...,k...->...", ginv, m, m)
-    t_low = lower_tensor(t, g)
-    t_up = np.einsum("aij...,bi...,cj...->abc...", t, ginv, ginv)
-    q = np.einsum("ajk...,cjk...->ac...", t_up, t_low)
+    h2 = (m[0] * m[0] + m[1] * m[1]) / conf
+    q = np.einsum("ajk...,cjk...->ac...", t, t) / conf
     t2 = q[0, 0] + q[1, 1]
     t4 = np.einsum("ac...,ca...->...", q, q)
     return h2, t2, t4
@@ -192,11 +154,12 @@ def closed_form_tensor(u, theta):
     return t
 
 
-def codazzi_residual(t, gamma, g, hx, hy):
+def codazzi_residual(t, gamma, conf, hx, hy):
     """Per-node max over index choices of nabla_i t_jsk - nabla_j t_isk, on
-    periodic fields.  The difference vanishes for i = j and changes sign
-    under i <-> j, so only nabla_0 t_1sk and nabla_1 t_0sk are formed."""
-    t_low = lower_tensor(t, g)
+    periodic fields, with t lowered by the metric conf I.  The difference
+    vanishes for i = j and changes sign under i <-> j, so only nabla_0 t_1sk
+    and nabla_1 t_0sk are formed."""
+    t_low = conf * np.asarray(t)
     gamma = np.asarray(gamma, dtype=float)
 
     def nabla(i, j, h, axis):

@@ -208,15 +208,12 @@ def full_report(frame, radius):
     )
     del ncf, closed, target
 
-    g_an = np.zeros((2, 2) + conf.shape)
-    g_an[0, 0] = conf
-    g_an[1, 1] = conf
-    h2, t2, t4 = inv.scalar_invariants(tens, g_an)
+    h2, t2, t4 = inv.scalar_invariants(tens, conf)
     h2_max = float(np.abs(h2).max())
-    codazzi = float(inv.codazzi_residual(tens, gamma, g_an, grid.hx, grid.hy).max())
+    codazzi = float(inv.codazzi_residual(tens, gamma, conf, grid.hx, grid.hy).max())
     del tens
 
-    k_curv = inv.gauss_curvature(g_an, inv.riemann(gamma, grid.hx, grid.hy))
+    k_curv = inv.gauss_curvature(conf, inv.riemann(gamma, grid.hx, grid.hy))
     gauss = float(np.abs(inv.gauss_residual(k_curv, h2, t2, radius)).max())
 
     scale3 = radius**2 * np.exp(3.0 * u.values)

@@ -1,12 +1,14 @@
 """Independent oracles the tests check pipeline quantities against.
 
 None of these is on the pipeline's path: the generic Levi-Civita connection
-cross-checks the conformal closed form, index loops over their definitions
-cross-check the contractions of the induced metric, the lowered cubic form,
-its scalar invariants and the Codazzi connection terms, the five-operand
-contraction of the quartic invariant, eigvalsh's eigenvalues of the metric
-and the curvature formed from every plane of the connection's derivatives
-cross-check their leaner pipeline forms, the closed-form tangents over the
+cross-checks the conformal closed form, and the Gauss curvature contracted
+with the inverse of an arbitrary 2x2 metric cross-checks the conformal one
+and measures revolution tori, index loops over their definitions cross-check
+the contractions of the induced metric, the cubic form's scalar invariants
+and the Codazzi connection terms at the metric c I of a conformal factor c,
+the five-operand contraction of the quartic invariant and the curvature
+formed from every plane of the connection's derivatives cross-check their
+leaner pipeline forms, the closed-form tangents over the
 whole grid cross-check the report's blockwise first-order defects, grid
 differencing of the embedding cross-checks those tangents, DOP853 shooting cross-checks the
 travelling wave's closed form and its quadrature period, trigonometric
@@ -31,8 +33,22 @@ from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import spsolve
 
 from tzitzeica.grid import AXIS_X, AXIS_Y, _trig_phases, ddx, ddy, deriv, deriv2
-from tzitzeica.invariants import NODE_X, NODE_Y, check_spd, inv2
+from tzitzeica.invariants import NODE_X, NODE_Y
 from tzitzeica.wave import _cubic_roots, period_quadrature
+
+
+def inv2(g):
+    """Explicit inverse of each 2x2 matrix of the field g (component axes
+    first); keeps symmetry bit-exact for symmetric input."""
+    g = np.asarray(g)
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    assert np.all(np.isfinite(det) & (det != 0)), "singular metric"
+    out = np.empty_like(g)
+    out[0, 0] = g[1, 1] / det
+    out[1, 1] = g[0, 0] / det
+    out[0, 1] = -g[0, 1] / det
+    out[1, 0] = -g[1, 0] / det
+    return out
 
 
 def christoffel_generic(g, hx, hy):
@@ -40,7 +56,6 @@ def christoffel_generic(g, hx, hy):
     of shape (2, 2, ny, nx) via
     gamma^k_ij = g^{ks}/2 (d_i g_sj + d_j g_is - d_s g_ij)."""
     g = np.asarray(g, dtype=float)
-    check_spd(g)
     ginv = inv2(g)
     dg = np.stack([deriv(g, hx, NODE_X), deriv(g, hy, NODE_Y)])  # dg[a, i, j] = d_a g_ij
     bracket = (
@@ -49,6 +64,12 @@ def christoffel_generic(g, hx, hy):
         - dg
     )
     return 0.5 * np.einsum("ks...,sij...->kij...", ginv, bracket)
+
+
+def gauss_curvature_generic(g, riem):
+    """K = (1/2) g^{kj} r^s_ksj of an arbitrary metric field g[i, j] of shape
+    (2, 2, ...)."""
+    return 0.5 * np.einsum("kj...,sksj...->...", inv2(g), np.asarray(riem))
 
 
 def lower_tensor_loops(t, g):
@@ -91,13 +112,6 @@ def t4_five_operand(t, g):
     ginv = inv2(g)
     q = np.einsum("ajk...,jp...,kr...,cs...,spr...->ac...", t, ginv, ginv, g, t)
     return np.einsum("ac...,ca...->...", q, q)
-
-
-def spd_eigenvalues_eigvalsh(g):
-    """(lo, hi), the eigenvalues of each 2x2 matrix of the field g (component
-    axes first) by numpy.linalg.eigvalsh."""
-    eig = np.linalg.eigvalsh(np.moveaxis(np.asarray(g), (0, 1), (-2, -1)))
-    return eig[..., 0], eig[..., 1]
 
 
 def riemann_all_planes(gamma, hx, hy):

@@ -155,18 +155,31 @@ def test_radius_whose_fourth_power_overflows_is_exit_3(tmp_path, capsys, radius)
     assert parse_config_text(text.replace("radius = 1.0", "radius = 1.1e77")).radius == 1.1e77
 
 
-@pytest.mark.filterwarnings("error")
-def test_report_whose_metric_overflows_is_exit_4(tmp_path):
-    # R = 1.1e77 passes the config's R^4 check, but the determinant of the
-    # induced metric, about R^4 e^(2u) times a constant, is not finite
+def _report_degenerate_metric(tmp_path, radius):
+    """Run solve, frame and report at ``radius``; the report must end
+    error: degenerate-metric with exit 4 and leave no report.json."""
     out = tmp_path / "out"
     text = flat_config_text(str(out), nx=16, ny=16, extra="re_unitarize = true\n")
-    cfg = write_config(tmp_path, text.replace("radius = 1.0", "radius = 1.1e77"))
+    cfg = write_config(tmp_path, text.replace("radius = 1.0", f"radius = {radius}"))
     for stage in ("solve", "frame"):
         assert cli.main([stage, "--config", cfg]) == 0
     assert cli.main(["report", "--config", cfg]) == 4
     assert (out / "report.log").read_text().strip().splitlines()[-1] == "error: degenerate-metric"
     assert not (out / cli.REPORT_JSON).exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_report_whose_metric_overflows_is_exit_4(tmp_path):
+    # R = 1.1e77 passes the config's R^4 check, but the determinant c^2 of the
+    # induced metric c I, with c = 2 R^2 e^u, is not finite
+    _report_degenerate_metric(tmp_path, "1.1e77")
+
+
+@pytest.mark.filterwarnings("error")
+def test_report_whose_metric_underflows_is_exit_4(tmp_path):
+    # at R = 1e-160 the conformal factor c = 2 R^2 e^u is subnormal and the
+    # determinant c^2 underflows to 0
+    _report_degenerate_metric(tmp_path, "1e-160")
 
 
 def test_out_naming_an_existing_file_is_exit_3(tmp_path, capsys):
@@ -187,6 +200,26 @@ def test_cli_exit_codes(tmp_path):
 
     invalid = write_config(tmp_path, "nx = 4\nny = 8\nlx = 1\nly = 1\n", "invalid.cfg")
     assert cli.main(["solve", "--config", invalid]) == 3
+
+
+def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"nx = 16\n# caf\xe9\n")
+    assert cli.main(["solve", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: parse"
+
+
+@pytest.mark.parametrize("key", ["out_dir", "field_path"])
+def test_nul_byte_in_a_path_is_exit_3(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    paths = {"out_dir": str(out), "field_path": str(tmp_path / "seed.csv")}
+    paths[key] += "\0.x"
+    text = flat_config_text(paths["out_dir"], nx=16, ny=16)
+    cfg = write_config(tmp_path, text.replace(
+        "seed = zero", f"seed = file\nfield_path = {paths['field_path']}"))
+    assert cli.main(["solve", "--config", cfg]) == 3
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: validation"
+    assert not out.exists()
 
 
 def resonant_seed(path):

@@ -1,11 +1,7 @@
 import numpy as np
-import pytest
 
-from tzitzeica.errors import DegenerateMetricError
 from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic, field_from_function
-from tzitzeica import invariants
 from tzitzeica.invariants import (
-    check_spd,
     christoffel_conformal,
     christoffel_from_field,
     closed_form_tensor,
@@ -13,7 +9,6 @@ from tzitzeica.invariants import (
     gauss_curvature,
     gauss_residual,
     hermitian_induced,
-    lower_tensor,
     riemann,
     scalar_invariants,
 )
@@ -24,11 +19,10 @@ from conftest import loglog_slope
 from oracles import (
     christoffel_generic,
     codazzi_loops,
+    gauss_curvature_generic,
     hermitian_induced_loops,
-    lower_tensor_loops,
     riemann_all_planes,
     scalar_invariants_loops,
-    spd_eigenvalues_eigvalsh,
     t4_five_operand,
 )
 
@@ -128,10 +122,19 @@ def test_flat_conformal_metric_curvature_zero():
     g = PeriodicGrid(16, 16, 1.0, 1.0)
     u = ScalarFieldPeriodic(g, np.zeros((16, 16)))
     riem = riemann(christoffel_from_field(u), g.hx, g.hy)
-    metric = np.zeros((2, 2, 16, 16))
-    metric[0, 0] = 2.0
-    metric[1, 1] = 2.0
-    assert np.abs(gauss_curvature(metric, riem)).max() == 0.0
+    assert np.abs(gauss_curvature(np.full((16, 16), 2.0), riem)).max() == 0.0
+
+
+def test_gauss_curvature_matches_generic_contraction():
+    # the conformal form (1/2) r^s_ksk / c against (1/2) g^{kj} r^s_ksj at
+    # g = c I, on a curved conformal metric
+    g = PeriodicGrid(16, 12, 1.0, 1.3)
+    u = field_from_function(g, lambda x, y: 0.3 * np.sin(2 * np.pi * x) + 0.1 * np.cos(2 * np.pi * y / 1.3))
+    riem = riemann(christoffel_from_field(u), g.hx, g.hy)
+    conf = _conformal_factor(u.values, 1.7)
+    want = gauss_curvature_generic(_metric(conf), riem)
+    assert np.abs(want).max() > 0.1
+    assert np.abs(gauss_curvature(conf, riem) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def _revolution_torus_curvature(n, scale=1.0):
@@ -144,7 +147,7 @@ def _revolution_torus_curvature(n, scale=1.0):
     metric[0, 0] = 1.0 / scale**2
     metric[1, 1] = (2.0 + np.cos(xx)) ** 2 / scale**2
     riem = riemann(christoffel_generic(metric, hx, hy), hx, hy)
-    return gauss_curvature(metric, riem), np.cos(xx) / (2.0 + np.cos(xx))
+    return gauss_curvature_generic(metric, riem), np.cos(xx) / (2.0 + np.cos(xx))
 
 
 def test_revolution_torus_curvature_generic_path():
@@ -172,17 +175,19 @@ def test_gauss_curvature_invariant_under_geometry_preserving_rescale():
 # ---------------------------------------------------------------------------
 
 
-def _conformal_metric(u, radius=1.0):
-    c = 2.0 * radius**2 * np.exp(np.asarray(u, dtype=float))
-    g = np.zeros((2, 2) + np.shape(u))
-    g[0, 0] = c
-    g[1, 1] = c
-    return g
+def _conformal_factor(u, radius=1.0):
+    """c = 2 R^2 e^u, the conformal factor of the family's induced metric c I."""
+    return 2.0 * radius**2 * np.exp(np.asarray(u, dtype=float))
+
+
+def _metric(conf):
+    """The 2x2 metric field c I of a conformal factor c, for the oracles."""
+    return np.einsum("ij,...->ij...", np.eye(2), conf)
 
 
 def test_scalar_invariants_flat_case():
     t = closed_form_tensor(0.0, 0.0)
-    h2, t2, t4 = scalar_invariants(t, _conformal_metric(0.0))
+    h2, t2, t4 = scalar_invariants(t, _conformal_factor(0.0))
     assert abs(h2) < 1e-15
     assert abs(t2 - 2.0) < 1e-14
     assert abs(t4 - 2.0) < 1e-14
@@ -191,13 +196,13 @@ def test_scalar_invariants_flat_case():
 def test_scalar_invariants_log2_case():
     u = np.log(2.0)
     t = closed_form_tensor(u, 0.9)
-    h2, t2, t4 = scalar_invariants(t, _conformal_metric(u))
+    h2, t2, t4 = scalar_invariants(t, _conformal_factor(u))
     assert abs(t2 - 0.25) < 1e-14
     assert abs(t4 - 0.03125) < 1e-14
 
 
 def test_scalar_invariants_zero_tensor():
-    h2, t2, t4 = scalar_invariants(np.zeros((2, 2, 2)), np.eye(2))
+    h2, t2, t4 = scalar_invariants(np.zeros((2, 2, 2)), 1.0)
     assert h2 == 0.0 and t2 == 0.0 and t4 == 0.0
 
 
@@ -207,7 +212,7 @@ def test_closed_form_invariants_at_random_nodes():
     theta = 1.234
     radius = 1.7
     t = closed_form_tensor(u, theta)
-    h2, t2, t4 = scalar_invariants(t, _conformal_metric(u, radius))
+    h2, t2, t4 = scalar_invariants(t, _conformal_factor(u, radius))
     assert np.abs(h2).max() < 1e-13
     assert np.abs(t2 * radius**2 * np.exp(3 * u) - 2.0).max() < 1e-12
     assert np.abs(t4 * radius**4 * np.exp(6 * u) - 2.0).max() < 1e-12
@@ -217,7 +222,7 @@ def test_lowered_tensor_fully_symmetric():
     rng = np.random.default_rng(12)
     u = rng.uniform(-0.5, 0.5, size=(3, 4))
     t = closed_form_tensor(u, 0.37)
-    low = lower_tensor(t, _conformal_metric(u, 1.3))
+    low = _conformal_factor(u, 1.3) * t
     for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         permuted = np.transpose(low, perm + (3, 4))
         assert np.abs(low - permuted).max() < 1e-12
@@ -236,27 +241,16 @@ LOOP_TOL = 1e-13
 
 
 def _random_fields(seed, ny=5, nx=7):
-    """A random mixed tensor t[k, i, j] and a random non-conformal SPD metric,
-    node axes last."""
+    """A random mixed tensor t[k, i, j] and a random positive conformal
+    factor, node axes last."""
     rng = np.random.default_rng(seed)
     t = rng.uniform(-0.5, 0.5, (2, 2, 2, ny, nx))
-    a = rng.uniform(-0.4, 0.4, (2, 2, ny, nx))
-    g = np.einsum("ik...,jk...->ij...", a, a)
-    g[0, 0] += 1.0
-    g[1, 1] += 0.7
-    return rng, t, g
+    conf = rng.uniform(0.3, 3.0, (ny, nx))
+    return rng, t, conf
 
 
 def _random_nodes(rng, shape, count=6):
     return [(int(rng.integers(shape[0])), int(rng.integers(shape[1]))) for _ in range(count)]
-
-
-def test_lower_tensor_matches_index_loops():
-    rng, t, g = _random_fields(21)
-    low = lower_tensor(t, g)
-    for node in _random_nodes(rng, t.shape[3:]):
-        at = (...,) + node
-        assert np.abs(low[at] - lower_tensor_loops(t[at], g[at])).max() <= LOOP_TOL
 
 
 def test_hermitian_induced_matches_index_loops():
@@ -272,8 +266,9 @@ def test_hermitian_induced_matches_index_loops():
 
 
 def test_scalar_invariants_match_index_loops():
-    rng, t, g = _random_fields(23)
-    h2, t2, t4 = scalar_invariants(t, g)
+    rng, t, conf = _random_fields(23)
+    h2, t2, t4 = scalar_invariants(t, conf)
+    g = _metric(conf)
     for node in _random_nodes(rng, t.shape[3:]):
         at = (...,) + node
         loops = scalar_invariants_loops(t[at], g[at])
@@ -281,40 +276,17 @@ def test_scalar_invariants_match_index_loops():
 
 
 def test_t4_matches_five_operand_contraction():
-    _rng, t, g = _random_fields(25, 9, 11)
-    assert np.abs(g[0, 1]).min() > 0.0  # not conformal
-    t4 = scalar_invariants(t, g)[2]
-    want = t4_five_operand(t, g)
+    _rng, t, conf = _random_fields(25, 9, 11)
+    t4 = scalar_invariants(t, conf)[2]
+    want = t4_five_operand(t, _metric(conf))
     assert np.abs(t4 - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_spd_check_matches_eigvalsh():
-    # a random non-conformal metric with planted degenerate (rank one) and
-    # indefinite nodes
-    rng, _t, g = _random_fields(26, 9, 11)
-    for node in _random_nodes(rng, g.shape[2:], 5):
-        v = rng.uniform(-1.0, 1.0, 2)
-        g[(...,) + node] = np.outer(v, v)
-    for node in _random_nodes(rng, g.shape[2:], 4):
-        angle = rng.uniform(0.0, np.pi)
-        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        g[(...,) + node] = rot @ np.diag([rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)]) @ rot.T
-    lo, hi = invariants._eigenvalues2(g)
-    lo_want, hi_want = spd_eigenvalues_eigvalsh(g)
-    scale = np.maximum(np.abs(lo_want), np.abs(hi_want))
-    assert np.all(np.abs(lo - lo_want) <= 1e-12 * scale)
-    assert np.all(np.abs(hi - hi_want) <= 1e-12 * scale)
-    flagged = int(np.count_nonzero(lo_want <= invariants.SPD_EIG_RATIO * np.abs(hi_want)))
-    assert flagged >= 5
-    with pytest.raises(DegenerateMetricError, match=rf"degenerate at {flagged} node\(s\)"):
-        check_spd(g)
-
-
 def test_codazzi_connection_terms_match_index_loops():
-    rng, t, g = _random_fields(24)
+    rng, t, conf = _random_fields(24)
     gamma = rng.uniform(-0.5, 0.5, (2, 2, 2) + t.shape[3:])
-    res = codazzi_residual(t, gamma, g, 0.3, 0.2)
-    loops = codazzi_loops(t, gamma, g, 0.3, 0.2)
+    res = codazzi_residual(t, gamma, conf, 0.3, 0.2)
+    loops = codazzi_loops(t, gamma, _metric(conf), 0.3, 0.2)
     for node in _random_nodes(rng, t.shape[3:]):
         assert abs(res[node] - loops[node]) <= LOOP_TOL
 
@@ -328,7 +300,7 @@ def test_codazzi_zero_tensor():
     g = PeriodicGrid(16, 16, 1.0, 1.0)
     u = field_from_function(g, lambda x, y: 0.2 * np.sin(2 * np.pi * x))
     gam = christoffel_from_field(u)
-    res = codazzi_residual(np.zeros((2, 2, 2, 16, 16)), gam, _conformal_metric(u.values), g.hx, g.hy)
+    res = codazzi_residual(np.zeros((2, 2, 2, 16, 16)), gam, _conformal_factor(u.values), g.hx, g.hy)
     assert np.abs(res).max() == 0.0
 
 
@@ -341,7 +313,7 @@ def test_codazzi_closed_form_vanishes(wave61):
         u = lift_1d(wave61, g)
         t = closed_form_tensor(u.values, 0.4)
         gam = christoffel_from_field(u)
-        res = codazzi_residual(t, gam, _conformal_metric(u.values), g.hx, g.hy)
+        res = codazzi_residual(t, gam, _conformal_factor(u.values), g.hx, g.hy)
         assert res.max() < 1e-12
 
 
@@ -351,5 +323,5 @@ def test_codazzi_detects_perturbation(wave61):
     t = closed_form_tensor(u.values, 0.4)
     t[0, 0, 0] += 0.1
     gam = christoffel_from_field(u)
-    res = codazzi_residual(t, gam, _conformal_metric(u.values), g.hx, g.hy)
+    res = codazzi_residual(t, gam, _conformal_factor(u.values), g.hx, g.hy)
     assert res.max() > 1e-2

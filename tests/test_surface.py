@@ -223,8 +223,9 @@ def test_full_report_memory_stays_within_its_largest_step(wave128_frame):
     # once each intermediate is dropped after its residuals are taken, 7.9 MB
     # with each stencil block projected inside its reduction, 6.8 MB in
     # invariants.riemann with exact derivatives.  With no whole-grid tangents
-    # and the cubic form dropped before riemann (5.8 MB), the report's 6.6 MB
-    # peak sits in invariants.scalar_invariants
+    # and the cubic form dropped before riemann (5.8 MB), the report's peak
+    # sits in invariants.scalar_invariants: 6.6 MB, 6.4 MB once the invariants
+    # take the conformal factor in place of a (2, 2, ny, nx) metric
     assert _traced_peak(full_report, wave128_frame, 1.0) < 10e6
 
 
