@@ -174,10 +174,10 @@ def stage_wave(cfg, out_dir, log):
 
 def _unitarity_gate(frame):
     """The frame's unitarity defect; raises InvalidFrameError when it is
-    FRAME_TOL or more."""
+    FRAME_TOL or more, or NaN."""
     defect = frame_orthonormality_report(frame)
-    if defect >= FRAME_TOL:
-        raise InvalidFrameError(f"frame unitarity defect {defect:.3e} >= {FRAME_TOL:g}")
+    if not defect < FRAME_TOL:
+        raise InvalidFrameError(f"frame unitarity defect {defect:.3e} is not below {FRAME_TOL:g}")
     return defect
 
 

@@ -116,11 +116,10 @@ def validate_config(cfg):
         raise ConfigValidationError("substeps must be >= 1")
     if cfg.seed not in _SEEDS:
         raise ConfigValidationError(f"seed must be one of {_SEEDS}, got {cfg.seed!r}")
-    if cfg.seed == "wave":
-        if cfg.wave_energy is None:
-            raise ConfigValidationError("seed = wave requires wave_energy")
-        if cfg.wave_energy <= 6.0:
-            raise ConfigValidationError("wave_energy must exceed 6")
+    if cfg.seed == "wave" and cfg.wave_energy is None:
+        raise ConfigValidationError("seed = wave requires wave_energy")
+    if cfg.wave_energy is not None and cfg.wave_energy <= 6.0:
+        raise ConfigValidationError("wave_energy must exceed 6")
     if cfg.seed == "file" and not cfg.field_path:
         raise ConfigValidationError("seed = file requires field_path")
     for key in ("out_dir", "field_path"):

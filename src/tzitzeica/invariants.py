@@ -1,18 +1,18 @@
-"""Induced tensors and scalar invariants of immersed surfaces.
+"""Connection, curvature and cubic-form invariants of the immersed surfaces.
 
 Index conventions: coordinate index 0 is x, coordinate index 1 is y.  Tensor
 fields store component axes first and node axes last, the y nodes before the
 x nodes (the grid's (ny, nx)), so every contraction runs over contiguous node
 planes: connection coefficients gamma[k, i, j] live in (2, 2, 2, ...) with the
-upper index first, and curvature r[s, k, i, j] in (2, 2, 2, 2, ...).  All
-functions broadcast over trailing node axes, so single-node tensors (shape
-(2, 2, 2) etc.) work unchanged.
+upper index first.  All functions broadcast over trailing node axes, so
+single-node tensors (shape (2, 2, 2) etc.) work unchanged.
 
 The surfaces are conformally immersed, so their induced metric is c I with
 the conformal factor c = 2 R^2 e^u (the report certifies this as
 conformal_defect).  The curvature and cubic-form invariants therefore take c,
 of the node shape, as their metric: raising an index divides by c and
-lowering one multiplies by it.
+lowering one multiplies by it.  The connection of c I is torsion-free and
+has one independent curvature component, r^1_001, a (ny, nx) plane.
 
 The cubic form t[k, i, j] (mixed components, upper index first) is fully
 symmetric once lowered with the metric; its trace vector vanishes exactly for
@@ -34,72 +34,43 @@ from .errors import DegenerateMetricError
 NODE_X, NODE_Y = -1, -2  # array axes of the x and y nodes
 
 
-def hermitian_induced(e1, e2):
-    """Induced metric g and skew form w from tangent vectors of shape
-    (3, ...): the Hermitian Gram matrix h_ab = <E_a|E_b> splits as g + i w."""
-    e = np.stack([np.asarray(e1), np.asarray(e2)])
-    h = np.einsum("ac...,bc...->ab...", np.conj(e), e)
-    return h.real, h.imag
-
-
 # ---------------------------------------------------------------------------
 # connection and curvature
 # ---------------------------------------------------------------------------
 
 
-def christoffel_conformal(ux, uy):
+def christoffel_from_field(u):
     """Connection coefficients of the metric c e^u (dx^2 + dy^2) from the
-    derivative fields of u (independent of the constant c)."""
-    ux = np.asarray(ux, dtype=float)
-    uy = np.asarray(uy, dtype=float)
-    gam = np.zeros((2, 2, 2) + ux.shape)
-    gam[0, 0, 0] = ux / 2.0
-    gam[1, 0, 0] = -uy / 2.0
-    gam[0, 0, 1] = gam[0, 1, 0] = uy / 2.0
-    gam[1, 1, 1] = uy / 2.0
-    gam[0, 1, 1] = -ux / 2.0
-    gam[1, 0, 1] = gam[1, 1, 0] = ux / 2.0
+    grid's derivatives of a periodic exponent field u (independent of the
+    constant c); symmetric in the lower indices bit for bit."""
+    half_x = gridmod.ddx(u.values, u.grid) / 2.0
+    half_y = gridmod.ddy(u.values, u.grid) / 2.0
+    gam = np.empty((2, 2, 2) + half_x.shape)
+    gam[0, 0, 0] = gam[1, 0, 1] = gam[1, 1, 0] = half_x
+    gam[0, 1, 1] = -half_x
+    gam[1, 1, 1] = gam[0, 0, 1] = gam[0, 1, 0] = half_y
+    gam[1, 0, 0] = -half_y
     return gam
 
 
-def christoffel_from_field(u):
-    """Conformal-metric connection evaluated on a periodic exponent field."""
-    ux = gridmod.ddx(u.values, u.grid)
-    uy = gridmod.ddy(u.values, u.grid)
-    return christoffel_conformal(ux, uy)
-
-
 def riemann(gamma, hx, hy):
-    """Curvature tensor r^s_kij = d_i gamma^s_kj - d_j gamma^s_ki
-    - gamma^r_ki gamma^s_rj + gamma^r_kj gamma^s_ri of a periodic connection,
-    with the grid's 4th-order derivatives.
+    """The one independent curvature component r^1_001 = d_x gamma^0_00
+    + d_y gamma^1_11 of the conformal connection of christoffel_from_field,
+    with the grid's 4th-order derivatives, shape (ny, nx).
 
-    In two dimensions only the (i, j) = (0, 1) component is independent; the
-    (1, 0) slot is stored as its exact negation, so antisymmetry holds
-    bit-for-bit.
+    Of r^s_kij = d_i gamma^s_kj - d_j gamma^s_ki - gamma^r_ki gamma^s_rj
+    + gamma^r_kj gamma^s_ri, the quadratic terms cancel identically for this
+    connection, r^0_101 = -r^1_001, and the other components follow from
+    antisymmetry in (i, j) or vanish.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    # the core reads only d_x gamma^s_k1 and d_y gamma^s_k0
-    dx_gam1 = gridmod.deriv(gamma[:, :, 1], hx, NODE_X)
-    dy_gam0 = gridmod.deriv(gamma[:, :, 0], hy, NODE_Y)
-    riem = np.zeros((2,) + gamma.shape)
-    for s in range(2):
-        for k in range(2):
-            core = (
-                dx_gam1[s, k]
-                - dy_gam0[s, k]
-                - np.einsum("r...,r...->...", gamma[:, k, 0], gamma[s, :, 1])
-                + np.einsum("r...,r...->...", gamma[:, k, 1], gamma[s, :, 0])
-            )
-            riem[s, k, 0, 1] = core
-            riem[s, k, 1, 0] = -core
-    return riem
+    return gridmod.deriv(gamma[0, 0, 0], hx, NODE_X) + gridmod.deriv(gamma[1, 1, 1], hy, NODE_Y)
 
 
-def gauss_curvature(conf, riem):
-    """K = (1/2) g^{kj} r^s_ksj of the metric g = conf I, which is
-    (1/2) r^s_ksk / conf."""
-    return 0.5 * np.einsum("sksk...->...", np.asarray(riem)) / conf
+def gauss_curvature(conf, r):
+    """K = (1/2) g^{kj} r^s_ksj of the metric g = conf I from the component
+    r = r^1_001 of riemann: -r / conf, which is -(1/2) e^-phi Laplacian(phi)
+    for conf = e^phi."""
+    return -np.asarray(r) / conf
 
 
 def gauss_residual(k_curv, h2, t2, radius):
@@ -158,15 +129,14 @@ def codazzi_residual(t, gamma, conf, hx, hy):
     """Per-node max over index choices of nabla_i t_jsk - nabla_j t_isk, on
     periodic fields, with t lowered by the metric conf I.  The difference
     vanishes for i = j and changes sign under i <-> j, so only nabla_0 t_1sk
-    and nabla_1 t_0sk are formed."""
+    and nabla_1 t_0sk are formed; the term gam^r_ij t_rsk of nabla_i t_jsk is
+    symmetric in (i, j) for a torsion-free connection and cancels from it."""
     t_low = conf * np.asarray(t)
-    gamma = np.asarray(gamma, dtype=float)
 
     def nabla(i, j, h, axis):
-        # nabla_i t_jsk = d_i t_jsk - gam^r_ij t_rsk - gam^r_is t_jrk - gam^r_ik t_jsr
+        # nabla_i t_jsk + gam^r_ij t_rsk = d_i t_jsk - gam^r_is t_jrk - gam^r_ik t_jsr
         return (
             gridmod.deriv(t_low[j], h, axis)
-            - np.einsum("r...,rsk...->sk...", gamma[:, i, j], t_low)
             - np.einsum("rs...,rk...->sk...", gamma[:, i], t_low[j])
             - np.einsum("rk...,sr...->sk...", gamma[:, i], t_low[j])
         )

@@ -92,12 +92,12 @@ def extract_second_form(frame, radius, gamma):
     def project(block, frames, derivs):
         tangents = e1, e2 = _tangents_at(frames, u[block], lam, radius)
         normal = frames[:, 2]
-        g, omega = inv.hermitian_induced(e1, e2)
+        h12 = hermitian_inner(e1, e2)
         conformal = max(
-            np.abs(g[0, 0] - conf[block]).max(),
-            np.abs(g[1, 1] - conf[block]).max(),
-            np.abs(g[0, 1]).max(),
-            np.abs(omega).max(),
+            np.abs(hermitian_inner(e1, e1).real - conf[block]).max(),
+            np.abs(hermitian_inner(e2, e2).real - conf[block]).max(),
+            np.abs(h12.real).max(),
+            np.abs(h12.imag).max(),
         )
         radii = np.sqrt(np.sum(np.abs(radius * normal) ** 2, axis=0))
         defects = normality_map(e1, e2, normal).max(), conformal, np.abs(radii - radius).max()

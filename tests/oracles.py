@@ -1,24 +1,27 @@
 """Independent oracles the tests check pipeline quantities against.
 
 None of these is on the pipeline's path: the generic Levi-Civita connection
-cross-checks the conformal closed form, and the Gauss curvature contracted
-with the inverse of an arbitrary 2x2 metric cross-checks the conformal one
-and measures revolution tori, index loops over their definitions cross-check
-the contractions of the induced metric, the cubic form's scalar invariants
-and the Codazzi connection terms at the metric c I of a conformal factor c,
-the five-operand contraction of the quartic invariant and the curvature
-formed from every plane of the connection's derivatives cross-check their
-leaner pipeline forms, the closed-form tangents over the
-whole grid cross-check the report's blockwise first-order defects, grid
-differencing of the embedding cross-checks those tangents, DOP853 shooting cross-checks the
-travelling wave's closed form and its quadrature period, trigonometric
-interpolation of a wave profile's samples cross-checks its closed-form
-evaluation, the OBJ reader reads back what the export stage wrote, the
-loop triangulation cross-checks the vectorized one, Newton's method with
-sparse direct steps on an assembled Laplacian cross-checks the MINRES steps,
-the fd4 stencil applied on the grid cross-checks the solver's Laplacian
-through its Fourier symbol, and a row sampler that forms each call's row phases anew cross-checks the
-tabled phases of grid.row_sampler bit for bit.
+cross-checks the conformal closed form, and the curvature formed from every
+plane of a connection's derivatives, with its quadratic terms, and contracted
+with the inverse of an arbitrary 2x2 metric cross-checks the conformal
+connection's one curvature component and measures revolution tori; the
+Hermitian Gram matrix of arbitrary tangents gives their induced metric and
+skew form for the tangent checks, itself checked against index loops; index
+loops over their definitions cross-check the contractions of the cubic
+form's scalar invariants and the Codazzi connection terms at the metric c I
+of a conformal factor c, and the five-operand contraction of the quartic
+invariant its leaner pipeline form;
+the closed-form tangents over the whole grid cross-check the report's
+blockwise first-order defects, grid differencing of the embedding
+cross-checks those tangents, DOP853 shooting cross-checks the travelling
+wave's closed form and its quadrature period, trigonometric interpolation of
+a wave profile's samples cross-checks its closed-form evaluation, the OBJ
+reader reads back what the export stage wrote, the loop triangulation
+cross-checks the vectorized one, Newton's method with sparse direct steps on
+an assembled Laplacian cross-checks the MINRES steps, the fd4 stencil
+applied on the grid cross-checks the solver's Laplacian through its Fourier
+symbol, and a row sampler that forms each call's row phases anew
+cross-checks the tabled phases of grid.row_sampler bit for bit.
 
 The z / zbar linear system the frame generators are derived from also lives
 here, with its bilinear pairing laws and its one-cell compatibility check:
@@ -78,6 +81,14 @@ def lower_tensor_loops(t, g):
                       for i in range(2)] for k in range(2)])
 
 
+def hermitian_induced(e1, e2):
+    """Induced metric g and skew form w from tangent vectors of shape
+    (3, ...): the Hermitian Gram matrix h_ab = <E_a|E_b> splits as g + i w."""
+    e = np.stack([np.asarray(e1), np.asarray(e2)])
+    h = np.einsum("ac...,bc...->ab...", np.conj(e), e)
+    return h.real, h.imag
+
+
 def hermitian_induced_loops(e1, e2):
     """g_ab + i w_ab = sum_c conj(E_a^c) E_b^c of one node's tangents, by index
     loops; returns (g, w)."""
@@ -115,8 +126,9 @@ def t4_five_operand(t, g):
 
 
 def riemann_all_planes(gamma, hx, hy):
-    """r^s_kij of a periodic connection with every plane of d_x gamma and
-    d_y gamma formed, then read as in its definition
+    """r^s_kij, shape (2, 2, 2, 2, ...), of an arbitrary periodic connection
+    with every plane of d_x gamma and d_y gamma formed, then read as in its
+    definition
     d_i gamma^s_kj - d_j gamma^s_ki - gamma^r_ki gamma^s_rj + gamma^r_kj gamma^s_ri
     at (i, j) = (0, 1), the (1, 0) slot its negation."""
     dgam = [deriv(gamma, hx, NODE_X), deriv(gamma, hy, NODE_Y)]

@@ -104,8 +104,10 @@ def test_config_comments_and_errors():
         parse_config_text("nx = 8\nny = 8\nlx = -1.0\nly = 1.0\n")
     with pytest.raises(ConfigValidationError):
         parse_config_text("nx = 8\nny = 8\nlx = 1.0\nly = 1.0\nseed = wave\n")
-    with pytest.raises(ConfigValidationError):
-        parse_config_text("nx = 8\nny = 8\nlx = 1\nly = 1\nseed = wave\nwave_energy = 5\n")
+    # wave_energy is held above 6 whatever the seed: the wave stage reads it
+    for seed in ("zero", "wave", "file\nfield_path = seed.csv"):
+        with pytest.raises(ConfigValidationError, match="wave_energy must exceed 6"):
+            parse_config_text(f"nx = 8\nny = 8\nlx = 1\nly = 1\nseed = {seed}\nwave_energy = 5\n")
 
 
 FLOAT_KEYS = ("lx", "ly", "radius", "theta", "tol", "wave_energy")
@@ -558,6 +560,15 @@ def test_wave_stage(tmp_path):
     assert float(log["energy_drift"]) < 1e-10
 
 
+@pytest.mark.parametrize("seed", ["zero", "wave"])
+def test_wave_stage_at_energy_6_or_less_is_exit_3(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    text = flat_config_text(str(out), nx=16, ny=16).replace("seed = zero", f"seed = {seed}")
+    assert cli.main(["wave", "--config", write_config(tmp_path, text + "wave_energy = 5\n")]) == 3
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: validation"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("energy", ["1e12", "1e300"])
 def test_wave_stage_beyond_double_precision_is_exit_4(tmp_path, energy):
@@ -725,6 +736,24 @@ def test_frame_stage_rejects_a_frame_it_integrates_non_unitary(tmp_path, capsys)
     assert cli.main(["frame", "--config", cfg]) == 4
     assert (out / "frame.log").read_text().strip().splitlines()[-1] == "error: invalid-frame"
     assert capsys.readouterr().err.strip().splitlines()[-1] == "error: invalid-frame"
+    assert not (out / cli.FRAME_FILE).exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_frame_stage_rejects_a_nan_unitarity_defect(tmp_path, capsys):
+    # at lx = 1e300 the march overflows (numpy warns, which this test lets
+    # pass so the stage reaches its gate) and the frame's unitarity defect is
+    # NaN: the frame stage fails, rather than writing a frame.bin the surface
+    # stage would reject as holding non-finite values
+    out = tmp_path / "out"
+    text = flat_config_text(str(out), nx=16, ny=16).replace(f"lx = {float(2 * np.pi)!r}", "lx = 1e300")
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["solve", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert cli.main(["frame", "--config", cfg]) == 4
+    assert (out / "frame.log").read_text().strip().splitlines()[-1] == "error: invalid-frame"
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-2:] == ["frame unitarity defect nan is not below 1e-08", "error: invalid-frame"]
     assert not (out / cli.FRAME_FILE).exists()
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package and its tests is
 used, every public definition of the package is reached from the package
-itself or from the acceptance suite, every default of a package function is
+itself or from the acceptance suite, every public definition of the test
+oracles is reached from a test, every default of a package function is
 overridden by some caller other than a unit test, and every attribute the
 benchmark's tracer wraps exists and is called through the binding it wraps."""
 
@@ -87,6 +88,13 @@ def test_no_public_definition_only_its_own_tests_call():
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     acceptance = (TESTS / "test_acceptance.py").read_text()
     assert unreached_definitions(modules, [acceptance]) == []
+
+
+def test_no_oracle_definition_no_test_reaches():
+    # the oracles live in tests/ only for the tests that cross-check with them
+    helpers = {name: (TESTS / name).read_text() for name in ("oracles.py", "reference_march.py")}
+    tests = [p.read_text() for p in sorted(TESTS.glob("*.py")) if p.name not in helpers]
+    assert unreached_definitions(helpers, tests) == []
 
 
 MAX_EINSUM_OPERANDS = 3
