@@ -189,13 +189,8 @@ def _stage_field(cfg, out_dir):
 
 def stage_frame(cfg, out_dir, log):
     u, field_sha256 = _stage_field(cfg, out_dir)
-    frame = integrate_frame(
-        u,
-        SpectralPoint(cfg.theta),
-        substeps=cfg.substeps,
-        closing=cfg.extend_closure,
-        re_unitarize=cfg.re_unitarize,
-    )
+    frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=cfg.substeps,
+                            closing=cfg.extend_closure)
     log.add(f"unitarity_defect={format_float(_unitarity_gate(frame))}")
     save_frame(frame, os.path.join(out_dir, FRAME_FILE), field_sha256)
 

@@ -29,7 +29,6 @@ class RunConfig:
     field_path: str | None = None
     out_dir: str = "."
     projection: str = "pca"
-    re_unitarize: bool = False
     substeps: int = 24
     extend_closure: bool = True
 
@@ -110,6 +109,11 @@ def validate_config(cfg):
         cfg.radius**4  # the report forms R^2 and R^4
     except OverflowError as exc:
         raise ConfigValidationError(f"radius {cfg.radius!r} is too large: R^4 overflows") from exc
+    for key, n in (("lx", cfg.nx), ("ly", cfg.ny)):
+        # the fd4 Laplacian's symbol reaches 16 / (3 h^2) in magnitude, h = period / n
+        h = getattr(cfg, key) / n
+        if not (h * h > 0 and math.isfinite(16.0 / (3.0 * h * h))):
+            raise ConfigValidationError(f"{key} is too small: the fd4 symbol 16 / (3 h^2) overflows")
     if cfg.max_iter < 1:
         raise ConfigValidationError("max_iter must be >= 1")
     if cfg.substeps < 1:

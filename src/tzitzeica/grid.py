@@ -6,6 +6,11 @@ tensor formulas), axis 0 is the y direction (coordinate index 2).  Node
 (i, j) sits at (i * hx, j * hy) and the grid identifies x ~ x + lx,
 y ~ y + ly, so there is no duplicated edge row/column.
 
+Derivatives are the 4th-order periodic stencils (deriv, ddx, ddy, deriv2),
+except spectral_gradient, the exact gradient of the trigonometric
+interpolant, which the frame's generators and the report's exact frame
+derivatives both read.
+
 Values between nodes are those of the trigonometric interpolant of the
 samples: trig_upsample gives them at sub-cell offsets from every node along
 one axis, row_sampler along axis 0 from chosen node rows only.  The frame
@@ -91,7 +96,7 @@ def field_from_function(grid, fn):
 
 
 # ---------------------------------------------------------------------------
-# derivatives on periodic data (stencils on one periodic pad; spectral first derivative via FFT)
+# derivatives on periodic data (stencils on one periodic pad; the spectral gradient via FFT)
 # ---------------------------------------------------------------------------
 
 
@@ -107,22 +112,10 @@ def _taps(f, axis):
     return lambda s: pad[part(2 + s, 2 + s + n)]
 
 
-def deriv(values, h, axis, method="fd4"):
-    """First derivative of periodic samples along ``axis``: the 4th-order
-    stencil ("fd4") or the exact derivative of the trigonometric interpolant
-    ("spectral")."""
-    f = np.asarray(values)
-    if method == "fd4":
-        tap = _taps(f, axis)
-        return (-tap(2) + 8.0 * tap(1) - 8.0 * tap(-1) + tap(-2)) / (12.0 * h)
-    if method == "spectral":
-        n = f.shape[axis]
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-        shape = [1] * f.ndim
-        shape[axis] = n
-        out = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(f, axis=axis), axis=axis)
-        return out.real if np.isrealobj(f) else out
-    raise ValueError(f"unknown derivative method {method!r}")
+def deriv(values, h, axis):
+    """First derivative of periodic samples along ``axis`` (4th-order stencil)."""
+    tap = _taps(np.asarray(values), axis)
+    return (-tap(2) + 8.0 * tap(1) - 8.0 * tap(-1) + tap(-2)) / (12.0 * h)
 
 
 def deriv2(values, h, axis):
@@ -138,12 +131,22 @@ def laplacian_symbol_1d(n, h):
     return (-30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)) / (12.0 * h * h)
 
 
-def ddx(values, grid, method="fd4"):
-    return deriv(values, grid.hx, AXIS_X, method)
+def ddx(values, grid):
+    return deriv(values, grid.hx, AXIS_X)
 
 
-def ddy(values, grid, method="fd4"):
-    return deriv(values, grid.hy, AXIS_Y, method)
+def ddy(values, grid):
+    return deriv(values, grid.hy, AXIS_Y)
+
+
+def spectral_gradient(values, grid):
+    """(u_x, u_y): the exact derivatives of the trigonometric interpolant of
+    real periodic samples of shape (ny, nx), one FFT pair along each axis."""
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.hx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.hy)[:, None]
+    ux = np.fft.ifft(1j * kx * np.fft.fft(values, axis=AXIS_X), axis=AXIS_X).real
+    uy = np.fft.ifft(1j * ky * np.fft.fft(values, axis=AXIS_Y), axis=AXIS_Y).real
+    return ux, uy
 
 
 def trig_upsample(values, factor, axis, offsets):

@@ -39,12 +39,14 @@ before a march's first cell and shared by the marches of one frame, so the
 march's speed does not depend on the allocator's state: per-cell
 temporaries above glibc's mmap threshold (128 KiB until a larger block is
 freed) would be mapped and faulted in afresh for every cell row.  Unitarity
-drift is a diagnostic, repaired only on request by the polar factor at
-every cell boundary.
+drift is a diagnostic the caller bounds, never repaired: it falls as
+substeps^-5, so a run that needs a more nearly unitary frame raises
+substeps.  A march that overflows leaves NaN frames, which that bound
+names, without numpy warnings.
 
 The report needs the frame's derivatives, and the frame equation gives them
 exactly at every node: d_x U = U Wx and d_y U = U Wy, with the generators
-built from the node's own u and spectral derivatives.  frame_axis_stencil
+built from the node's own u and grid.spectral_gradient.  frame_axis_stencil
 forms both, one block of node rows at a time, and hands them with the
 block's frames to one reduction; nothing is marched or sampled between
 nodes for them.
@@ -61,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarFieldPeriodic, ddx, ddy, row_sampler, trig_upsample
+from .grid import ScalarFieldPeriodic, row_sampler, spectral_gradient, trig_upsample
 from .linalg3 import unitarity_defect_map
 
 DEFAULT_SUBSTEPS = 24
@@ -124,12 +126,6 @@ def frame_coeff_y(u, ux, lam, out):
 # ---------------------------------------------------------------------------
 # frame integration
 # ---------------------------------------------------------------------------
-
-
-def _polar(mat):
-    """Unitary polar factor of 3x3 matrices stored with the matrix axes first."""
-    w, _s, vh = np.linalg.svd(np.moveaxis(mat, (0, 1), (-2, -1)))
-    return np.moveaxis(w @ vh, (-2, -1), (0, 1))
 
 
 def _mul3(a, b, out, tmp, generator=False):
@@ -239,7 +235,7 @@ def _propagators(near, builder, lam, hs, m, ws):
     return prop[:, :, 0]
 
 
-def _march(state, props, out, states, re_unitarize=False):
+def _march(state, props, out, states):
     """Write into out[c] the state after cell c: state times the propagators
     props yields, one per cell, in turn.  States and propagators hold their
     matrix axes first; a state with one more column than the propagators (a
@@ -253,8 +249,6 @@ def _march(state, props, out, states, re_unitarize=False):
             wide[..., -1] = prop[..., 0]
             prop = wide
         _mul3(cur, prop, nxt, tmp)
-        if re_unitarize:
-            nxt[...] = _polar(nxt)
         out[c] = nxt
         cur, nxt = nxt, cur
 
@@ -268,8 +262,8 @@ class FrameField:
     spectral: SpectralPoint
     unitary: np.ndarray = field(repr=False)
     u: ScalarFieldPeriodic = field(repr=False)
-    closing: bool = False
-    substeps: int = DEFAULT_SUBSTEPS
+    closing: bool
+    substeps: int
 
     @property
     def base(self):
@@ -286,7 +280,7 @@ def frame_orthonormality_report(frame):
     return float(unitarity_defect_map(frame.unitary).max())
 
 
-def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_unitarize=False):
+def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
     """Integrate the frame over the grid from the identity at the corner node.
 
     Marches the first row in x, its cells side by side in one batch, and
@@ -304,27 +298,28 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False, re_un
         raise ValueError("substeps must be >= 1")
     extra = int(closing)
     vals = u.values
+    ux, uy = spectral_gradient(vals, grid)
     unitary = np.empty((grid.ny + extra, grid.nx + extra, 3, 3), dtype=complex)
     unitary[0, 0] = np.eye(3)
     offsets = _substep_offsets(m)
     ws = _workspace(m, (grid.nx,))
-    # first row, marched in x: the cells starting at every node of it, side
-    # by side in one batch, cell i's samples in column i of each plane
-    row = (vals[0], ddy(vals, grid, "spectral")[0])
-    near = trig_upsample(row, 2 * m, 1, offsets).swapaxes(0, 1)
-    props = _propagators(near, frame_coeff_x, lam, grid.hx / m, m, ws)
-    cells = grid.nx + extra - 1
-    _march(unitary[0, 0], np.moveaxis(props[:, :, :cells], -1, 0), unitary[0, 1:],
-           _states(unitary[0, 0]), re_unitarize)
-    # every column, marched in y one cell row at a time in the same
-    # workspace; rows[j] is node row j with the matrix axes first, and the
-    # closing column nx reuses the propagators of column 0
-    rows = np.moveaxis(unitary, 1, -1)
-    sample = row_sampler((vals, ddx(vals, grid, "spectral")), 2 * m, offsets)
-    cell_rows = (_propagators(sample([j])[:, :, 0], frame_coeff_y, lam, grid.hy / m, m, ws)
-                 for j in range(grid.ny + extra - 1))
-
-    _march(rows[0], cell_rows, rows[1:], _states(rows[0]), re_unitarize)
+    # an overflowing march leaves NaN frames; the caller's unitarity bound names them
+    with np.errstate(over="ignore", invalid="ignore"):
+        # first row, marched in x: the cells starting at every node of it,
+        # side by side in one batch, cell i's samples in column i of each plane
+        near = trig_upsample((vals[0], uy[0]), 2 * m, 1, offsets).swapaxes(0, 1)
+        props = _propagators(near, frame_coeff_x, lam, grid.hx / m, m, ws)
+        cells = grid.nx + extra - 1
+        _march(unitary[0, 0], np.moveaxis(props[:, :, :cells], -1, 0), unitary[0, 1:],
+               _states(unitary[0, 0]))
+        # every column, marched in y one cell row at a time in the same
+        # workspace; rows[j] is node row j with the matrix axes first, and
+        # the closing column nx reuses the propagators of column 0
+        rows = np.moveaxis(unitary, 1, -1)
+        sample = row_sampler((vals, ux), 2 * m, offsets)
+        cell_rows = (_propagators(sample([j])[:, :, 0], frame_coeff_y, lam, grid.hy / m, m, ws)
+                     for j in range(grid.ny + extra - 1))
+        _march(rows[0], cell_rows, rows[1:], _states(rows[0]))
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
 
 
@@ -333,9 +328,9 @@ def frame_axis_stencil(frame, grads, reduce):
     and the first two columns of the exact derivatives d_x U = U Wx and
     d_y U = U Wy, one block of node rows at a time.
 
-    Wx and Wy are built at the nodes from u and the spectral derivative
-    across each axis, grads = (u_x, u_y), the same samples the frame's
-    generators read, so nothing is marched or sampled between nodes.  The
+    Wx and Wy are built at the nodes from u and the derivative across each
+    axis, grads = (u_x, u_y) of grid.spectral_gradient, the same samples the
+    frame's generators read, so nothing is marched or sampled between nodes.  The
     blocks hold STENCIL_BLOCK_NODES nodes (at least one row), so memory does
     not grow with the grid.  For each block, reduce gets the slice of its
     node rows, the (3, 3, rows, nx) frames and the (2, 3, 2, rows, nx)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import invariants as inv
-from .grid import ddx, ddy
+from .grid import spectral_gradient
 from .lax import frame_axis_stencil, frame_orthonormality_report
 from .linalg3 import hermitian_inner
 
@@ -71,19 +71,19 @@ def extract_second_form(frame, radius, gamma):
     Gram matrix of (E1, E2) from 2 R^2 e^u I, and max | |R N| - R |.
 
     The frame solves d_i U = U W_i, so d_i E_j = (u_i / 2) E_j + T_j(U W_i),
-    with T_j the tangent map applied to the columns of U W_i and u_i the
-    spectral derivative the frame's generators read; gamma is the connection
-    of the frame's u (invariants.christoffel_from_field).  U W_x and U W_y
-    exist one block of node rows at a time (lax.frame_axis_stencil).  Each
-    block's tangents and normal are formed once: their defects are taken as
-    running maxima, and both axes' d_i E_j are projected onto (F1, F2, N)
+    with T_j the tangent map applied to the columns of U W_i and u_i from
+    grid.spectral_gradient, which the frame's generators read; gamma is the
+    connection of the frame's u (invariants.christoffel_from_field).  U W_x
+    and U W_y exist one block of node rows at a time (lax.frame_axis_stencil).
+    Each block's tangents and normal are formed once: their defects are taken
+    as running maxima, and both axes' d_i E_j are projected onto (F1, F2, N)
     within the block, so no whole-grid tangent or derivative exists.
     """
     grid = frame.grid
     u = frame.u.values
     lam = frame.spectral.lam
     conf = 2.0 * radius**2 * np.exp(u)
-    grads = ddx(u, grid, "spectral"), ddy(u, grid, "spectral")
+    grads = spectral_gradient(u, grid)
 
     tens = np.empty((2, 2, 2, grid.ny, grid.nx))
     ncoeff = np.empty((2, 2, grid.ny, grid.nx), dtype=complex)
@@ -175,7 +175,7 @@ class ImmersionReport:
     invariant_t4_defect: float
     sphere_defect: float
     unitarity_defect: float
-    closure_defect: float | None = None
+    closure_defect: float | None
 
     def to_dict(self):
         return {k: float(v) for k, v in asdict(self).items() if v is not None}

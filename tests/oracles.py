@@ -186,13 +186,10 @@ def tangent_analytic(frame, radius):
     return e1, e2
 
 
-def fd_tangents(mesh, method="fd4"):
+def fd_tangents(mesh):
     """Grid finite-difference tangents of the embedding (valid when the frame
     closes over the grid periods)."""
-    return (
-        ddx(mesh.points, mesh.grid, method),
-        ddy(mesh.points, mesh.grid, method),
-    )
+    return ddx(mesh.points, mesh.grid), ddy(mesh.points, mesh.grid)
 
 
 def turning_points(energy):

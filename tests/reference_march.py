@@ -12,7 +12,7 @@ the tests check.
 
 import numpy as np
 
-from tzitzeica.grid import AXIS_X, AXIS_Y, ddx, ddy
+from tzitzeica.grid import AXIS_X, AXIS_Y, spectral_gradient
 from tzitzeica.lax import frame_coeff_x, frame_coeff_y
 
 from oracles import lax_z_matrix, lax_zbar_matrix
@@ -90,8 +90,7 @@ def reference_frame(u, spectral, substeps, extend=(0, 0), order="xy"):
     g = u.grid
     m = int(substeps)
     u0 = np.eye(3, dtype=complex)
-    ux = ddx(u.values, g, "spectral")
-    uy = ddy(u.values, g, "spectral")
+    ux, uy = spectral_gradient(u.values, g)
     if order == "xy":
         return _rows_then_columns(
             u.values, ux, uy, g.nx, g.ny, g.hx, g.hy, frame_coeff_x, frame_coeff_y,
@@ -109,8 +108,7 @@ def reference_stencil(frame, axis, halfwidth=2):
     g = frame.grid
     m = frame.substeps
     u = frame.u
-    ux = ddx(u.values, g, "spectral")
-    uy = ddy(u.values, g, "spectral")
+    ux, uy = spectral_gradient(u.values, g)
     if axis == "x":
         ax, n, h, cross, builder = AXIS_X, g.nx, g.hx, uy, frame_coeff_x
     else:
@@ -140,8 +138,7 @@ def reference_psi(u, spectral, psi0, mode="x", substeps=24):
     single-sided pairing derivative identities are exact)."""
     g = u.grid
     m = int(substeps)
-    ux = ddx(u.values, g, "spectral")
-    uy = ddy(u.values, g, "spectral")
+    ux, uy = spectral_gradient(u.values, g)
     idx = np.arange(2 * m * g.nx + 1) % (2 * m * g.nx)
     uf, uxf, uyf = (zero_pad_upsample(a[0], 2 * m, axis=0)[idx] for a in (u.values, ux, uy))
     # the generator at every half-substep sample at once

@@ -98,6 +98,9 @@ def test_config_comments_and_errors():
         parse_config_text("nx = 8\nnx = 9\nny = 8\nlx = 1\nly = 1\n")
     with pytest.raises(ConfigValidationError):
         parse_config_text("nx = 8\nny = 8\nlx = 1.0\nly = 1.0\nbogus = 1\n")
+    # the frame is never re-unitarized; a run that needs a unitary frame raises substeps
+    with pytest.raises(ConfigValidationError, match="unknown config key 're_unitarize'"):
+        parse_config_text("nx = 8\nny = 8\nlx = 1.0\nly = 1.0\nre_unitarize = true\n")
     with pytest.raises(ConfigValidationError):
         parse_config_text("nx = 8\nny = 8\nlx = 1.0\n")
     with pytest.raises(ConfigValidationError):
@@ -157,11 +160,28 @@ def test_radius_whose_fourth_power_overflows_is_exit_3(tmp_path, capsys, radius)
     assert parse_config_text(text.replace("radius = 1.0", "radius = 1.1e77")).radius == 1.1e77
 
 
+@pytest.mark.parametrize("key", ["lx", "ly"])
+def test_period_whose_fd4_symbol_overflows_is_exit_3(tmp_path, capsys, key):
+    # at a period of 1e-300 the grid step squared underflows, so the fd4
+    # Laplacian's symbol 16 / (3 h^2) is not finite; solve on the zero seed
+    # warned and ended error: newton-divergence
+    text = flat_config_text(str(tmp_path / "out"), nx=16, ny=16, substeps=24)
+    period = f"{key} = {float(2 * np.pi if key == 'lx' else FLAT_LY)!r}"
+    cfg = write_config(tmp_path, text.replace(period, f"{key} = 1e-300"))
+    assert cli.main(["solve", "--config", cfg]) == 3
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: validation"
+    assert not (tmp_path / "out").exists()
+    # a period of 1e-150 still runs every stage
+    small = write_config(tmp_path, text.replace(period, f"{key} = 1e-150"), "small.cfg")
+    for stage in ("solve", "frame", "surface", "report", "export"):
+        assert cli.main([stage, "--config", small]) == 0
+
+
 def _report_degenerate_metric(tmp_path, radius):
     """Run solve, frame and report at ``radius``; the report must end
     error: degenerate-metric with exit 4 and leave no report.json."""
     out = tmp_path / "out"
-    text = flat_config_text(str(out), nx=16, ny=16, extra="re_unitarize = true\n")
+    text = flat_config_text(str(out), nx=16, ny=16, substeps=24)
     cfg = write_config(tmp_path, text.replace("radius = 1.0", f"radius = {radius}"))
     for stage in ("solve", "frame"):
         assert cli.main([stage, "--config", cfg]) == 0
@@ -287,7 +307,7 @@ def test_near_singular_seed_is_exit_4_without_warnings(tmp_path):
 
 def test_untyped_exception_in_a_stage_is_exit_4(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=16, extra="re_unitarize = true\n"))
+    cfg = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=16, substeps=24))
     for stage in ("solve", "frame", "report"):
         assert cli.main([stage, "--config", cfg]) == 0
     assert (out / cli.REPORT_JSON).exists()
@@ -586,12 +606,12 @@ def test_wave_stage_beyond_double_precision_is_exit_4(tmp_path, energy):
 
 def test_report_through_files_keeps_substeps(tmp_path):
     out = str(tmp_path / "out")
-    # re-unitarized, so that the substeps = 4 frame passes the report stage's unitarity gate
-    cfg = parse_config_text(flat_config_text(out, substeps=4, extra="re_unitarize = true\n"))
+    # substeps = 12 is not the default, and its frame passes the report stage's unitarity gate
+    cfg = parse_config_text(flat_config_text(out, substeps=12))
     for stage in ("solve", "frame", "report"):
         cli.run_pipeline(cfg, stage, out, echo=False)
     u = read_field(cfg, out)
-    frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=4, closing=True, re_unitarize=True)
+    frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=12, closing=True)
     report = full_report(frame, cfg.radius)
     in_memory = str(tmp_path / "in_memory.json")
     cli.write_report_json(report, in_memory)
@@ -739,12 +759,12 @@ def test_frame_stage_rejects_a_frame_it_integrates_non_unitary(tmp_path, capsys)
     assert not (out / cli.FRAME_FILE).exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_frame_stage_rejects_a_nan_unitarity_defect(tmp_path, capsys):
-    # at lx = 1e300 the march overflows (numpy warns, which this test lets
-    # pass so the stage reaches its gate) and the frame's unitarity defect is
-    # NaN: the frame stage fails, rather than writing a frame.bin the surface
-    # stage would reject as holding non-finite values
+    # at lx = 1e300 the march overflows, without a numpy warning, and the
+    # frame's unitarity defect is NaN: the frame stage fails, rather than
+    # writing a frame.bin the surface stage would reject as holding
+    # non-finite values
     out = tmp_path / "out"
     text = flat_config_text(str(out), nx=16, ny=16).replace(f"lx = {float(2 * np.pi)!r}", "lx = 1e300")
     cfg = write_config(tmp_path, text)
@@ -753,7 +773,7 @@ def test_frame_stage_rejects_a_nan_unitarity_defect(tmp_path, capsys):
     assert cli.main(["frame", "--config", cfg]) == 4
     assert (out / "frame.log").read_text().strip().splitlines()[-1] == "error: invalid-frame"
     err = capsys.readouterr().err.strip().splitlines()
-    assert err[-2:] == ["frame unitarity defect nan is not below 1e-08", "error: invalid-frame"]
+    assert err == ["frame unitarity defect nan is not below 1e-08", "error: invalid-frame"]
     assert not (out / cli.FRAME_FILE).exists()
 
 
@@ -954,8 +974,7 @@ def artifacts(tmp_path_factory):
     field, and that field as a text seed.csv, as name -> (bytes, reader of a
     path)."""
     out = str(tmp_path_factory.mktemp("artifacts"))
-    cfg = parse_config_text(flat_config_text(out, nx=8, ny=8, substeps=2,
-                                             extra="re_unitarize = true\n"))
+    cfg = parse_config_text(flat_config_text(out, nx=8, ny=8, substeps=48))
     grid = PeriodicGrid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
     u = field_from_function(grid, lambda x, y: 0.1 * np.cos(x) * np.sin(2.0 * np.pi * y / cfg.ly))
     save_field(u, os.path.join(out, cli.FIELD_FILE))

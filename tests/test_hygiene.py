@@ -1,13 +1,17 @@
 """Source hygiene: every module-level import in the package and its tests is
 used, every public definition of the package is reached from the package
 itself or from the acceptance suite, every public definition of the test
-oracles is reached from a test, every default of a package function is
-overridden by some caller other than a unit test, and every attribute the
+oracles is reached from a test, every default of a package function or
+dataclass field is overridden by some caller other than a unit test, README's
+config table lists exactly the config keys, and every attribute the
 benchmark's tracer wraps exists and is called through the binding it wraps."""
 
 import ast
 import importlib
 import pathlib
+from dataclasses import MISSING, fields
+
+from tzitzeica.config import RunConfig
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "tzitzeica"
@@ -140,11 +144,43 @@ def _passes(call, index, name):
     )
 
 
+def _called_name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _defaulted(node):
+    """(position, name) of each defaulted parameter of a top-level function,
+    or of each defaulted field of a dataclass (a field(...) without default
+    or default_factory has none); None for any other statement."""
+    if isinstance(node, ast.FunctionDef):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        params = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+        return params + [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    if not isinstance(node, ast.ClassDef):
+        return None
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    if "dataclass" not in map(_called_name, decorators):
+        return None
+    annotated = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+    return [
+        (i, s.target.id)
+        for i, s in enumerate(annotated)
+        if s.value is not None
+        and not (isinstance(s.value, ast.Call) and _called_name(s.value.func) == "field"
+                 and not {"default", "default_factory"} & {k.arg for k in s.value.keywords})
+    ]
+
+
 def unset_defaults(modules, callers):
-    """Defaulted parameters of the top-level functions of `modules` (name ->
-    source) that no call in `callers` (sources) passes, by position or by
-    keyword, as "module:function(parameter)".  Calls are matched by the
-    called name, bare or as an attribute."""
+    """Defaulted parameters of the top-level functions and defaulted fields
+    of the dataclasses of `modules` (name -> source) that no call in
+    `callers` (sources) passes, by position or by keyword, as
+    "module:function(parameter)".  Calls are matched by the called name,
+    bare or as an attribute.  A call with **kwargs passes every parameter,
+    so config.RunConfig, built by RunConfig(**kwargs) from a config file's
+    keys, keeps the defaults that file may leave unset."""
     calls = {}
     for source in callers:
         for node in ast.walk(ast.parse(source)):
@@ -153,18 +189,11 @@ def unset_defaults(modules, callers):
                 calls.setdefault(called, []).append(node)
     found = []
     for name, source in modules.items():
-        for fn in ast.parse(source).body:
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            args = fn.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            params = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
-            params += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for node in ast.parse(source).body:
             found += [
-                f"{name}:{fn.name}({param})"
-                for index, param in params
-                if not any(_passes(c, index, param) for c in calls.get(fn.name, []))
+                f"{name}:{node.name}({param})"
+                for index, param in _defaulted(node) or []
+                if not any(_passes(c, index, param) for c in calls.get(node.name, []))
             ]
     return found
 
@@ -173,10 +202,15 @@ def test_guard_flags_a_default_no_caller_sets():
     modules = {
         "a.py": "def f(x, y=1, *, z=2):\n    return g(x)\n\ndef g(v, w=0):\n    return v\n",
         "b.py": "def h(p=0, q=1):\n    return p\n\nclass C:\n    def m(self, r=0):\n        pass\n",
+        "c.py": (
+            "@dataclass(frozen=True)\nclass D:\n    a: int\n    b: list = field(repr=False)\n"
+            "    c: int = 0\n    d: int = field(default=1)\n\n@dataclass\nclass E:\n    e: int = 2\n"
+        ),
     }
-    callers = list(modules.values()) + ["from a import f\nf(1, 2)\nmod.h(q=3)\n"]
-    assert unset_defaults(modules, callers) == ["a.py:f(z)", "a.py:g(w)", "b.py:h(p)"]
-    more = callers + ["f(0, z=5)\ng(*vals)\nh(**opts)\n"]
+    callers = list(modules.values()) + ["from a import f\nf(1, 2)\nmod.h(q=3)\nD(1, [], 2)\n"]
+    assert unset_defaults(modules, callers) == [
+        "a.py:f(z)", "a.py:g(w)", "b.py:h(p)", "c.py:D(d)", "c.py:E(e)"]
+    more = callers + ["f(0, z=5)\ng(*vals)\nh(**opts)\nD(0, [], d=3)\nE(**keys)\n"]
     assert unset_defaults(modules, more) == []
 
 
@@ -193,6 +227,27 @@ def test_no_default_only_unit_tests_override():
     callers = list(package.values()) + [(TESTS / "test_acceptance.py").read_text()]
     callers += [p.read_text() for p in sorted(BENCH.glob("*.py"))]
     assert unset_defaults(package, callers) == ["cli.py:main(argv)"]
+
+
+def readme_config_rows(readme):
+    """(key, default) of each row of README's config table, the table under
+    its `| key | meaning | default |` header."""
+    table = readme.split("| key | meaning | default |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.strip("|").split("|") for line in table.splitlines()[1:]]
+    return [(cells[0].strip(" `"), cells[-1].strip(" `")) for cells in rows]
+
+
+def _readme_default(f):
+    if f.default is MISSING:
+        return "required"
+    if f.default is None:
+        return "(none)"
+    return str(f.default).lower() if isinstance(f.default, bool) else str(f.default)
+
+
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (TESTS.parent / "README.md").read_text()
+    assert readme_config_rows(readme) == [(f.name, _readme_default(f)) for f in fields(RunConfig)]
 
 
 def _assigned_literal(source, name):

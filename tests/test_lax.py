@@ -6,7 +6,6 @@ from tzitzeica.lax import (
     SpectralPoint,
     frame_coeff_x,
     frame_coeff_y,
-    frame_orthonormality_report,
     integrate_frame,
 )
 from tzitzeica.linalg3 import unitarity_defect_map
@@ -113,15 +112,6 @@ def test_unitarity_drift_grows_at_most_linearly():
     bands = [dmap[:, 32 * k : 32 * (k + 1)].max() for k in range(3)]
     assert bands[0] <= bands[1] <= bands[2]
     assert bands[2] < 3.5 * bands[0] + 1e-13
-
-
-def test_reunitarization_flag_suppresses_drift(wave61):
-    g = PeriodicGrid(32, 32, wave61.period, 1.0)
-    u = lift_1d(wave61, g)
-    raw = integrate_frame(u, SpectralPoint(0.4), substeps=1)
-    fixed = integrate_frame(u, SpectralPoint(0.4), substeps=1, re_unitarize=True)
-    assert frame_orthonormality_report(fixed) < 1e-12
-    assert frame_orthonormality_report(fixed) < frame_orthonormality_report(raw)
 
 
 def test_pairing_conserved_for_equal_parameters(wave61):
