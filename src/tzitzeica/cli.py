@@ -97,10 +97,10 @@ def save_frame(frame, path, field_sha256):
     save_nodes(path, head, frame.unitary)
 
 
-def load_frame(path, u):
+def load_frame(path, u, digest=False):
     """Read a frame written by save_frame for the field u; returns the frame,
-    the field digest its header records and the digest of the frame file's
-    own bytes.
+    the field digest its header records and, when ``digest`` is set, the
+    digest of the frame file's own bytes (None otherwise).
 
     Raises ConfigValidationError as grid.load_nodes does, or when the frame
     has no valid substeps or closing, or was integrated on another grid than
@@ -108,7 +108,8 @@ def load_frame(path, u):
     """
     types = (int, int, float, float, float, int, int, hex_digest)
     header, mats, frame_sha256 = load_nodes(path, "frame file", types,
-                                            lambda h: (h[1] + h[6], h[0] + h[6], 3, 3))
+                                            lambda h: (h[1] + h[6], h[0] + h[6], 3, 3),
+                                            digest=digest)
     check_same_grid(path, header_grid(path, "frame file", header), u.grid)
     theta, substeps, closing, field_sha256 = header[4:]
     if closing not in (0, 1) or substeps < 1:
@@ -204,13 +205,14 @@ def _check_recorded(name, stage, recorded):
                                         f"{key} = {want!r}; rerun the {stage} stage")
 
 
-def _load_frame_stage(cfg, out_dir):
+def _load_frame_stage(cfg, out_dir, digest=False):
     """The frame of the surface and report stages: integrated from the bytes
     of the current field.bin at the config's grid, theta, substeps and
     extend_closure, and unitary to FRAME_TOL; returns it with the digest of
-    the frame.bin bytes."""
+    the frame.bin bytes when ``digest`` is set (None otherwise)."""
     u, field_sha256 = _stage_field(cfg, out_dir)
-    frame, recorded_sha256, frame_sha256 = load_frame(_require_artifact(out_dir, FRAME_FILE), u)
+    frame, recorded_sha256, frame_sha256 = load_frame(_require_artifact(out_dir, FRAME_FILE), u,
+                                                      digest)
     _check_recorded(FRAME_FILE, "frame", (
         ("field_sha256", recorded_sha256, field_sha256),
         ("theta", frame.spectral.theta, cfg.theta),
@@ -222,7 +224,7 @@ def _load_frame_stage(cfg, out_dir):
 
 
 def stage_surface(cfg, out_dir, log):
-    frame, frame_sha256 = _load_frame_stage(cfg, out_dir)
+    frame, frame_sha256 = _load_frame_stage(cfg, out_dir, digest=True)
     mesh = build_surface(frame, cfg.radius)
     meshout.save_mesh(mesh, os.path.join(out_dir, MESH_FILE), frame_sha256)
     radii = np.sqrt(np.sum(np.abs(mesh.points) ** 2, axis=-1))
@@ -230,7 +232,7 @@ def stage_surface(cfg, out_dir, log):
 
 
 def stage_report(cfg, out_dir, log):
-    frame, _frame_sha256 = _load_frame_stage(cfg, out_dir)
+    frame, _ = _load_frame_stage(cfg, out_dir)
     report = full_report(frame, cfg.radius)
     residuals = report.to_dict()
     non_finite = [k for k, v in sorted(residuals.items()) if not math.isfinite(v)]

@@ -15,7 +15,8 @@ Values between nodes are those of the trigonometric interpolant of the
 samples: trig_upsample gives them at sub-cell offsets from every node along
 one axis, row_sampler along axis 0 from chosen node rows only.  The frame
 integrator is their one caller: its first row is sampled by trig_upsample,
-each cell row of its column march by row_sampler.
+the cell rows of its column march, one build's rows at a time, by
+row_sampler.
 
 It also owns the layouts of the artifact files: text tables (save_table;
 load_field reads a text field, the seed = file input) and binary node files
@@ -279,10 +280,11 @@ def save_nodes(path, header, values, dtype="<c16"):
         np.ascontiguousarray(values, dtype=dtype).tofile(fh)
 
 
-def load_nodes(path, what, types, shape, dtype="<c16"):
+def load_nodes(path, what, types, shape, dtype="<c16", digest=False):
     """Read a node file written by save_nodes with ``dtype``; returns (header,
-    values, sha256), the values reshaped to ``shape(header)`` and the hex
-    digest of the file's bytes, all from one read.  Raises
+    values, sha256), the values reshaped to ``shape(header)`` and, when
+    ``digest`` is set, the hex digest of the file's bytes from the same read
+    (None otherwise).  Raises
     ConfigValidationError, naming the file as ``what``, when the file cannot
     be opened, its header does not parse by ``types`` (see parse_header), its
     body is other than one ``dtype`` item per value of that shape, or a value
@@ -301,9 +303,12 @@ def load_nodes(path, what, types, shape, dtype="<c16"):
             raise ValueError("it holds non-finite values")
     except (OSError, ValueError) as exc:
         raise ConfigValidationError(f"{what} {path} cannot be read: {exc}") from exc
-    digest = hashlib.sha256(head)
-    digest.update(values)
-    return header, values.reshape(dims), digest.hexdigest()
+    sha256 = None
+    if digest:
+        hasher = hashlib.sha256(head)
+        hasher.update(values)
+        sha256 = hasher.hexdigest()
+    return header, values.reshape(dims), sha256
 
 
 def header_grid(path, what, header):
@@ -335,7 +340,8 @@ def load_saved_field(path, grid):
     ConfigValidationError as load_nodes does, or when the file's grid is no
     valid grid or is not ``grid``."""
     types = (int, int, float, float)
-    header, values, sha256 = load_nodes(path, "field file", types, lambda h: (h[1], h[0]), "<f8")
+    header, values, sha256 = load_nodes(path, "field file", types, lambda h: (h[1], h[0]), "<f8",
+                                        digest=True)
     check_same_grid(path, header_grid(path, "field file", header), grid)
     return ScalarFieldPeriodic(grid, values), sha256
 

@@ -22,25 +22,30 @@ the real directions obeys d_x U = U Wx and d_y U = U Wy with
           [-lam e^{u/2}, e^{u/2}, 0        ]]
 
 Integration marches the first grid row in x and then every column in y, with
-`substeps` RK4 steps per grid cell; the columns are marched one cell row at a
-time, each sampled just before its march, so no more than one cell row of
-samples exists at once.  Wx reads u and u_y only, Wy u and u_x only, and
-each march samples just those two arrays: the first row's from
-grid.trig_upsample, each cell row's from grid.row_sampler, so within the
+`substeps` RK4 steps per grid cell.  Wx reads u and u_y only, Wy u and u_x
+only, and each march samples just those two arrays: the first row's from
+grid.trig_upsample, the cell rows' from grid.row_sampler, so within the
 integrator u is treated as the trigonometric interpolant of its samples and
 all coefficient values are exact for that interpolant.  An RK4 step is
 S <- S P with P built from the generators alone (Iserles et al., "Lie-group
-methods", Acta Numerica 2000); the march visits cells only.  A cell's
-samples are laid out in the order its pairwise product of substep
-propagators multiplies them (_substep_offsets), so every pass of the kernel
-runs over contiguous runs of each matrix entry's samples, never over a
-strided one.  Its buffers form a workspace allocated
-before a march's first cell and shared by the marches of one frame, so the
-march's speed does not depend on the allocator's state: per-cell
-temporaries above glibc's mmap threshold (128 KiB until a larger block is
-freed) would be mapped and faulted in afresh for every cell row.  Unitarity
-drift is a diagnostic the caller bounds, never repaired: it falls as
-substeps^-5, so a run that needs a more nearly unitary frame raises
+methods", Acta Numerica 2000); the march visits cells only.
+
+The propagators are built about BUILD_CELLS cells at a time: the whole
+first row in one build, and BUILD_CELLS // nx cell rows (at least one) per
+build of the column march, each build's rows sampled just before it, so no
+more than one build's samples exist at once.  A build is a schedule, the fixed
+list of (ufunc, inputs, out) calls that makes the generators, the RK4
+stages and the pairwise product, made once per frame and march (and once
+more for a shorter last build) over one workspace of flat buffers shared
+by every build of the frame.  Its views keep each matrix entry's samples
+contiguous: a cell's samples are its nodes 0, 2, ..., 2m in half-substeps,
+then its midpoints (_substep_offsets), so the stages' node and midpoint
+generators are contiguous slices.  Allocated before the first build, the
+workspace keeps the march's speed independent of the allocator's state:
+per-build temporaries above glibc's mmap threshold (128 KiB until a larger
+block is freed) would be mapped and faulted in afresh for every build.
+Unitarity drift is a diagnostic the caller bounds, never repaired: it falls
+as substeps^-5, so a run that needs a more nearly unitary frame raises
 substeps.  A march that overflows leaves NaN frames, which that bound
 names, without numpy warnings.
 
@@ -68,6 +73,7 @@ from .linalg3 import unitarity_defect_map
 
 DEFAULT_SUBSTEPS = 24
 STENCIL_BLOCK_NODES = 1024  # nodes per block of frame_axis_stencil's derivatives
+BUILD_CELLS = 128  # cells per propagator build of integrate_frame (at least one cell row)
 
 
 @dataclass(frozen=True)
@@ -86,41 +92,71 @@ class SpectralPoint:
 # ---------------------------------------------------------------------------
 
 
+def _run(calls):
+    """Make each (ufunc, inputs, out) call of a list in turn."""
+    for ufunc, inputs, out in calls:
+        ufunc(*inputs, out=out)
+
+
+def _exponentials(u, emu, eh):
+    """The calls writing e^-u into emu and e^{u/2} into eh."""
+    return [(np.negative, (u,), emu), (np.exp, (emu,), emu),
+            (np.multiply, (0.5, u), eh), (np.exp, (eh,), eh)]
+
+
+def _coeff_x(u, uy, lam, out, emu, eh):
+    """The calls writing Wx at samples u, uy plane by plane into out, a
+    (3, 3) + shape(u) buffer with the matrix axes first, through e^-u and
+    e^{u/2} in emu and eh, buffers shaped like u."""
+    # out[i, j, ...] is a view of the plane even for a scalar u
+    return _exponentials(u, emu, eh) + [
+        (np.multiply, (0.5j, uy), out[0, 0, ...]),
+        (np.multiply, (1j, emu), out[0, 1, ...]),
+        (np.multiply, (1j * np.conj(lam), eh), out[0, 2, ...]),
+        (np.multiply, (1j, emu), out[1, 0, ...]),
+        (np.multiply, (-0.5j, uy), out[1, 1, ...]),
+        (np.multiply, (1j, eh), out[1, 2, ...]),
+        (np.multiply, (1j * lam, eh), out[2, 0, ...]),
+        (np.multiply, (1j, eh), out[2, 1, ...]),
+        (np.positive, (0j,), out[2, 2, ...]),
+    ]
+
+
+def _coeff_y(u, ux, lam, out, emu, eh):
+    """The calls writing Wy as _coeff_x writes Wx."""
+    return _exponentials(u, emu, eh) + [
+        (np.multiply, (-0.5j, ux), out[0, 0, ...]),
+        (np.negative, (emu,), out[0, 1, ...]),
+        (np.multiply, (np.conj(lam), eh), out[0, 2, ...]),
+        (np.positive, (emu,), out[1, 0, ...]),
+        (np.multiply, (0.5j, ux), out[1, 1, ...]),
+        (np.negative, (eh,), out[1, 2, ...]),
+        (np.multiply, (-lam, eh), out[2, 0, ...]),
+        (np.positive, (eh,), out[2, 1, ...]),
+        (np.positive, (0j,), out[2, 2, ...]),
+    ]
+
+
+def _generator(coeff, u, across, lam, out):
+    """Run coeff's calls at samples u, across into out and return out's
+    (..., 3, 3) view."""
+    exps = np.empty((2,) + np.shape(u))
+    _run(coeff(u, across, lam, out, exps[0, ...], exps[1, ...]))
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
 def frame_coeff_x(u, uy, lam, out):
     """Generator Wx of d_x U = U Wx; anti-Hermitian for |lam| = 1.  Written
     plane by plane into out, a (3, 3) + shape(u) buffer with the matrix axes
     first, and returned as its (..., 3, 3) view."""
-    emu = np.exp(-u)
-    eh = np.exp(0.5 * u)
-    # out[i, j, ...] is a view of the plane even for a scalar u
-    np.multiply(0.5j, uy, out=out[0, 0, ...])
-    np.multiply(1j, emu, out=out[0, 1, ...])
-    np.multiply(1j * np.conj(lam), eh, out=out[0, 2, ...])
-    np.multiply(1j, emu, out=out[1, 0, ...])
-    np.multiply(-0.5j, uy, out=out[1, 1, ...])
-    np.multiply(1j, eh, out=out[1, 2, ...])
-    np.multiply(1j * lam, eh, out=out[2, 0, ...])
-    np.multiply(1j, eh, out=out[2, 1, ...])
-    out[2, 2] = 0.0
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    return _generator(_coeff_x, u, uy, lam, out)
 
 
 def frame_coeff_y(u, ux, lam, out):
     """Generator Wy of d_y U = U Wy; anti-Hermitian for |lam| = 1.  Written
     plane by plane into out, a (3, 3) + shape(u) buffer with the matrix axes
     first, and returned as its (..., 3, 3) view."""
-    emu = np.exp(-u)
-    eh = np.exp(0.5 * u)
-    np.multiply(-0.5j, ux, out=out[0, 0, ...])
-    np.negative(emu, out=out[0, 1, ...])
-    np.multiply(np.conj(lam), eh, out=out[0, 2, ...])
-    out[1, 0] = emu
-    np.multiply(0.5j, ux, out=out[1, 1, ...])
-    np.negative(eh, out=out[1, 2, ...])
-    np.multiply(-lam, eh, out=out[2, 0, ...])
-    out[2, 1] = eh
-    out[2, 2] = 0.0
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    return _generator(_coeff_y, u, ux, lam, out)
 
 
 # ---------------------------------------------------------------------------
@@ -128,111 +164,118 @@ def frame_coeff_y(u, ux, lam, out):
 # ---------------------------------------------------------------------------
 
 
-def _mul3(a, b, out, tmp, generator=False):
-    """Batched 3x3 product with the matrix axes first, written into out,
-    out[i, j] = sum_k a[i, k] b[k, j], as three broadcast multiply-adds over
-    contiguous batch axes; tmp, shaped like out, holds each term.  For a
-    generator b, whose (2, 2) entry is zero, the last term skips column 2."""
-    np.multiply(a[:, 0, None], b[0], out=out)
-    np.add(out, np.multiply(a[:, 1, None], b[1], out=tmp), out=out)
+def _mul3_calls(a, b, out, tmp, generator=False):
+    """The calls of a batched 3x3 product with the matrix axes first, written
+    into out, out[i, j] = sum_k a[i, k] b[k, j], as three broadcast
+    multiply-adds over the batch axes; tmp, shaped like out, holds each term.
+    For a generator b, whose (2, 2) entry is zero, the last term skips
+    column 2."""
     j = slice(0, 2) if generator else slice(None)
-    np.add(out[:, j], np.multiply(a[:, 2, None], b[2, j], out=tmp[:, j]), out=out[:, j])
+    return [(np.multiply, (a[:, 0, None], b[0]), out),
+            (np.multiply, (a[:, 1, None], b[1]), tmp),
+            (np.add, (out, tmp), out),
+            (np.multiply, (a[:, 2, None], b[2, j]), tmp[:, j]),
+            (np.add, (out[:, j], tmp[:, j]), out[:, j])]
+
+
+def _mul3(a, b, out, tmp):
+    """The batched 3x3 product of _mul3_calls, made now; returns out."""
+    _run(_mul3_calls(a, b, out, tmp))
     return out
 
 
-def _shift(c, k, out):
-    """I + c K, written into out, a contiguous buffer of matrices with the
-    matrix axes first."""
-    np.multiply(c, k, out=out)
+def _shift_calls(c, k, out):
+    """The calls writing I + c K into out, a contiguous buffer of matrices
+    with the matrix axes first."""
     diagonal = out.reshape((9,) + out.shape[2:])[::4]
-    np.add(diagonal, 1.0, out=diagonal)
-    return out
-
-
-def _head(buf, count):
-    """The first count matrices along axis 2 of a workspace buffer's memory,
-    as a contiguous (3, 3, count) + batch array."""
-    shape = (3, 3, count) + buf.shape[3:]
-    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
-def _tree_order(m):
-    """The substeps 0..m-1 of a cell in the order _propagators stores them:
-    the left substeps of the first level's pairs, then their partners, then
-    an odd count's last substep, the pairs in the order of the next level.
-    So every level's products read two contiguous halves of the level before
-    and write one contiguous level, and the last substep stays last."""
-    if m == 1:
-        return [0]
-    half = m // 2
-    pairs = [i for i in _tree_order(half + m % 2) if i < half]
-    return [2 * i for i in pairs] + [2 * i + 1 for i in pairs] + [m - 1] * (m % 2)
+    return [(np.multiply, (c, k), out), (np.add, (diagonal, 1.0), diagonal)]
 
 
 def _substep_offsets(m):
-    """The half-substep offsets from a cell's first node of the samples
-    _propagators reads for a cell of m substeps, in tree order: the nodes,
-    the substeps' left nodes first and their right nodes last, then the
-    midpoints.  For even m the left and the right nodes overlap by half,
-    for the right nodes of the first half of the substeps are the left nodes
-    of the second."""
-    order = _tree_order(m)
-    left = [2 * s for s in order]
-    right = [2 * s + 2 for s in order]
-    nodes = left + right[m // 2 :] if m % 2 == 0 else left + right
-    return nodes + [2 * s + 1 for s in order]
+    """The half-substep offsets from a cell's first node of the samples a
+    cell of m substeps reads: its nodes 0, 2, ..., 2m, then its midpoints
+    1, 3, ..., 2m - 1."""
+    return list(range(0, 2 * m + 1, 2)) + list(range(1, 2 * m, 2))
 
 
-def _workspace(m, batch):
-    """The buffers of _propagators on cells of m substeps at batch points of
-    shape batch, allocated before a march's first cell: the generators at
-    the cell's samples, (3, 3, samples) + batch, and four (3, 3, m) + batch
-    buffers (a stage's I + c K, two stages, a product's terms)."""
+def _workspace(m, cells):
+    """The flat buffers of _schedule for up to cells cells of m substeps,
+    allocated before a frame's first build and shared by all its builds: the
+    samples and e^-u, e^{u/2} at them, (2, samples) per cell; the generators
+    at the samples, (3, 3, samples) per cell; and four (3, 3, m) per cell (a
+    stage's I + c K, two stages, a product's terms)."""
     samples = len(_substep_offsets(m))
-    return [np.empty((3, 3, samples) + batch, dtype=complex)] + [
-        np.empty((3, 3, m) + batch, dtype=complex) for _ in range(4)]
+    return [np.empty(2 * samples * cells) for _ in range(2)] + [
+        np.empty(9 * n * cells, dtype=complex) for n in (samples, m, m, m, m)]
+
+
+def _schedule(ws, coeff, lam, hs, m, batch):
+    """The fixed calls of one propagator build, C with S_end = S_start C, on
+    cells of m RK4 substeps of size hs at batch points of shape batch, over
+    the heads of the _workspace ws that batch needs.  Returns (near, calls,
+    props): the (2, samples) + batch view the build reads, coeff's inputs
+    before lam at the _substep_offsets samples; the list of
+    (ufunc, inputs, out) calls; and the (3, 3) + batch view they leave the
+    propagators in.
+
+    d S = S W is linear, so a substep is S <- S P with
+    P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S; the m substep
+    propagators are multiplied pairwise, level by level, each level's pairs
+    (2i, 2i + 1) of the one before and an odd count's last one carried.
+    Each buffer is used through contiguous heads of its flat memory, each
+    matrix entry's samples contiguous in them, so W0, W1 and Wh are
+    contiguous slices of the generators, and every level of the product
+    writes the head of a spare buffer.  (Levels written into slices of
+    full-size spare buffers instead made the product about twice as slow.)"""
+    def head(buf, *lead):
+        # the buffer's first values as one contiguous lead + batch array
+        return buf[: math.prod(lead + batch)].reshape(lead + batch)
+
+    samples = len(_substep_offsets(m))
+    near, exps = head(ws[0], 2, samples), head(ws[1], 2, samples)
+    w, x, k2, k3, tmp = head(ws[2], 3, 3, samples), *(head(buf, 3, 3, m) for buf in ws[3:])
+    calls = coeff(near[0], near[1], lam, w, exps[0], exps[1])
+    k1, w1, wh = w[:, :, :m], w[:, :, 1 : m + 1], w[:, :, m + 1 :]
+    # K2 = (I + hs/2 K1) Wh, K3 = (I + hs/2 K2) Wh, K4 = (I + hs K3) W1
+    calls += _shift_calls(0.5 * hs, k1, x) + _mul3_calls(x, wh, k2, tmp, generator=True)
+    calls += _shift_calls(0.5 * hs, k2, x) + _mul3_calls(x, wh, k3, tmp, generator=True)
+    calls += _shift_calls(hs, k3, x) + [(np.add, (k2, k3), k2)]
+    calls += _mul3_calls(x, w1, k3, tmp, generator=True)
+    # P = I + hs/6 (2 (K2 + K3) + K1 + K4), summed in K2's buffer
+    calls += [(np.add, (k2, k2), k2), (np.add, (k2, k1), k2), (np.add, (k2, k3), k2)]
+    calls += _shift_calls(hs / 6.0, k2, k2)
+    # each level multiplies its pairs into the head of a spare buffer, the
+    # flat memory of x or of k3, its terms in the head of tmp's
+    prop, n, spare = k2, m, (ws[3], ws[5])
+    while n > 1:
+        half, odd = n // 2, n % 2
+        out = head(spare[0], 3, 3, half + odd)
+        calls += _mul3_calls(prop[:, :, 0 : 2 * half : 2], prop[:, :, 1 : 2 * half : 2],
+                             out[:, :, :half], head(ws[-1], 3, 3, half))
+        if odd:
+            calls.append((np.positive, (prop[:, :, n - 1],), out[:, :, half]))
+        prop, n, spare = out, half + odd, spare[::-1]
+    return near, calls, prop[:, :, 0]
+
+
+def _cell_rows(ws, lam, hs, m, sample, rows, per_build, nx):
+    """The propagators of cell rows 0 .. rows - 1 of the column march in
+    turn, each (3, 3, nx): sampled and built per_build cell rows at a time
+    by one schedule, a shorter last build by its own.  Each is a view into
+    ws, valid until the next is taken."""
+    for start in range(0, rows, per_build):
+        count = min(per_build, rows - start)
+        if start == 0 or count < per_build:
+            near, calls, props = _schedule(ws, _coeff_y, lam, hs, m, (count, nx))
+        near[...] = sample(range(start, start + count))
+        _run(calls)
+        yield from (props[:, :, r] for r in range(count))
 
 
 def _states(state):
     """The buffers of _march from states shaped like state: the current and
     the next state, a product's terms, a closing row's widened propagator."""
     return [np.empty(np.shape(state), dtype=complex) for _ in range(4)]
-
-
-def _propagators(near, builder, lam, hs, m, ws):
-    """The propagator C, S_end = S_start C, of a cell of m RK4 substeps of
-    size hs at each batch point, as a (3, 3) + batch view into ws, a
-    _workspace.  near, the builder's inputs before lam, holds the cell's
-    samples along axis 0 as _substep_offsets lays them out, the substeps in
-    tree order.  d S = S W is linear, so a substep is S <- S P with
-    P = I + hs/6 (K1 + 2 K2 + 2 K3 + K4) independent of S; the m substep
-    propagators are multiplied pairwise, level by level.  Every pass reads
-    and writes contiguous runs of one matrix entry's samples."""
-    w, x, k2, k3, tmp = ws
-    builder(*near, lam, w)
-    nodes = w.shape[2] - m
-    k1, w1, wm = w[:, :, :m], w[:, :, nodes - m : nodes], w[:, :, nodes:]
-    # K2 = (I + hs/2 K1) Wh, K3 = (I + hs/2 K2) Wh, K4 = (I + hs K3) W1
-    _mul3(_shift(0.5 * hs, k1, x), wm, k2, tmp, generator=True)
-    _mul3(_shift(0.5 * hs, k2, x), wm, k3, tmp, generator=True)
-    _shift(hs, k3, x)
-    prop = np.add(k2, k3, out=k2)
-    k4 = _mul3(x, w1, k3, tmp, generator=True)
-    # P = I + hs/6 (2 (K2 + K3) + K1 + K4), summed in K2's buffer
-    np.add(prop, prop, out=prop)
-    np.add(prop, k1, out=prop)
-    np.add(prop, k4, out=prop)
-    _shift(hs / 6.0, prop, prop)
-    # each level multiplies its first half by its second into a spare buffer
-    n, spare = m, (x, k3)
-    while n > 1:
-        half, odd = n // 2, n % 2
-        out = _head(spare[0], half + odd)
-        _mul3(prop[:, :, :half], prop[:, :, half : 2 * half], out[:, :, :half], _head(tmp, half))
-        if odd:
-            out[:, :, half] = prop[:, :, n - 1]
-        prop, n, spare = out, half + odd, spare[::-1]
-    return prop[:, :, 0]
 
 
 def _march(state, props, out, states):
@@ -283,13 +326,14 @@ def frame_orthonormality_report(frame):
 def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
     """Integrate the frame over the grid from the identity at the corner node.
 
-    Marches the first row in x, its cells side by side in one batch, and
-    then every column in y, one cell row at a time: each cell row's samples
-    come from grid.row_sampler just before its march, so no array spans more
-    than one cell row of samples.  Each marched row goes straight into the
-    node-last result.  closing=True also integrates the wrap-around column
-    nx and row ny, for closure measurements.  The unitarity defect is left
-    to the caller to bound.
+    Marches the first row in x, its cells side by side in one build, and
+    then every column in y, one cell row at a time: the cell rows' samples
+    come from grid.row_sampler just before their build, BUILD_CELLS // nx
+    cell rows (at least one) at a time, so no array spans more samples than
+    one build's.  Each marched row goes straight into the node-last result.
+    closing=True also integrates the wrap-around column nx and row ny, for
+    closure measurements.  The unitarity defect is left to the caller to
+    bound.
     """
     grid = u.grid
     lam = spectral.lam
@@ -302,24 +346,27 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
     unitary = np.empty((grid.ny + extra, grid.nx + extra, 3, 3), dtype=complex)
     unitary[0, 0] = np.eye(3)
     offsets = _substep_offsets(m)
-    ws = _workspace(m, (grid.nx,))
+    rows = grid.ny + extra - 1  # cell rows of the column march
+    per_build = min(rows, max(1, BUILD_CELLS // grid.nx))
+    ws = _workspace(m, per_build * grid.nx)
     # an overflowing march leaves NaN frames; the caller's unitarity bound names them
     with np.errstate(over="ignore", invalid="ignore"):
         # first row, marched in x: the cells starting at every node of it,
-        # side by side in one batch, cell i's samples in column i of each plane
-        near = trig_upsample((vals[0], uy[0]), 2 * m, 1, offsets).swapaxes(0, 1)
-        props = _propagators(near, frame_coeff_x, lam, grid.hx / m, m, ws)
+        # side by side in one build, cell i's samples in column i of each plane
+        near, calls, props = _schedule(ws, _coeff_x, lam, grid.hx / m, m, (grid.nx,))
+        near[...] = trig_upsample((vals[0], uy[0]), 2 * m, 1, offsets).swapaxes(0, 1)
+        _run(calls)
         cells = grid.nx + extra - 1
         _march(unitary[0, 0], np.moveaxis(props[:, :, :cells], -1, 0), unitary[0, 1:],
                _states(unitary[0, 0]))
-        # every column, marched in y one cell row at a time in the same
-        # workspace; rows[j] is node row j with the matrix axes first, and
-        # the closing column nx reuses the propagators of column 0
-        rows = np.moveaxis(unitary, 1, -1)
+        # every column, marched in y a cell row at a time from builds of
+        # per_build cell rows in the same workspace; node_rows[j] is node row
+        # j with the matrix axes first, and the closing column nx reuses the
+        # propagators of column 0
+        node_rows = np.moveaxis(unitary, 1, -1)
         sample = row_sampler((vals, ux), 2 * m, offsets)
-        cell_rows = (_propagators(sample([j])[:, :, 0], frame_coeff_y, lam, grid.hy / m, m, ws)
-                     for j in range(grid.ny + extra - 1))
-        _march(rows[0], cell_rows, rows[1:], _states(rows[0]))
+        cell_rows = _cell_rows(ws, lam, grid.hy / m, m, sample, rows, per_build, grid.nx)
+        _march(node_rows[0], cell_rows, node_rows[1:], _states(node_rows[0]))
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
 
 

@@ -40,7 +40,7 @@ def load_mesh_points(path):
     save_mesh; raises ConfigValidationError as grid.load_nodes does, or for
     an invalid grid."""
     types = (int, int, float, float, float, hex_digest)
-    header, points, _sha256 = load_nodes(path, "mesh file", types, lambda h: (h[1], h[0], 3))
+    header, points, _ = load_nodes(path, "mesh file", types, lambda h: (h[1], h[0], 3))
     return header_grid(path, "mesh file", header), header[4], points, header[5]
 
 

@@ -101,23 +101,27 @@ def minres(apply, b, rtol, maxiter):
     Returns (x, iterations, converged): converged when the recurrence's
     preconditioned residual norm fell to rtol times that of b within maxiter
     iterations.  Paige & Saunders' recurrence, as in scipy.sparse.linalg.minres.
+    Its vectors are buffers of its own, updated in place, so an iteration
+    allocates only what apply returns, which may be apply's argument.
     """
     x = np.zeros_like(b)
     z, az = apply(b)
     beta1 = np.sqrt(np.vdot(b, z))
     if beta1 == 0.0:
         return x, 0, True
-    r1 = r2 = b
-    w = w2 = np.zeros_like(b)
+    # r1, r2 and the next y take three buffers in turn, as w1, w2 and w do
+    r1, r2, y = np.empty_like(b), b.copy(), np.empty_like(b)
+    w1, w2, w = (np.zeros_like(b) for _ in range(3))
+    v, tmp = np.empty_like(b), np.empty_like(b)
     oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
     for itn in range(1, maxiter + 1):
-        v = z / beta
-        y = az / beta
+        np.divide(z, beta, out=v)
+        np.divide(az, beta, out=y)
         if itn >= 2:
-            y = y - (beta / oldb) * r1
+            np.subtract(y, np.multiply(beta / oldb, r1, out=tmp), out=y)
         alfa = np.vdot(v, y)
-        y = y - (alfa / beta) * r2
-        r1, r2 = r2, y
+        np.subtract(y, np.multiply(alfa / beta, r2, out=tmp), out=y)
+        r1, r2, y = r2, y, r1
         z, az = apply(r2)
         oldb, beta = beta, np.sqrt(np.vdot(r2, z))
         oldeps = epsln
@@ -128,9 +132,11 @@ def minres(apply, b, rtol, maxiter):
         gamma = max(np.hypot(gbar, beta), np.finfo(float).eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(oldeps, w1, out=tmp), out=w)
+        np.subtract(w, np.multiply(delta, w2, out=tmp), out=w)
+        np.divide(w, gamma, out=w)
+        np.add(x, np.multiply(phi, w, out=tmp), out=x)
         if phibar <= rtol * beta1:
             return x, itn, True
     return x, maxiter, False

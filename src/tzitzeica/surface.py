@@ -26,7 +26,7 @@ import numpy as np
 
 from . import invariants as inv
 from .grid import spectral_gradient
-from .lax import frame_axis_stencil, frame_orthonormality_report
+from .lax import _mul3, frame_axis_stencil, frame_orthonormality_report
 from .linalg3 import hermitian_inner
 
 
@@ -148,13 +148,15 @@ def torus_closure(frame):
         raise ValueError("torus closure needs a closing frame (integrate_frame(..., closing=True))")
     g = frame.grid
     mats = frame.unitary
-    base = frame.base
     # M_j - I = (U(nx, j) - U(0, j)) U(0, j)^-1, without cancellation in M_j - I
     rows = (mats[: g.ny, g.nx] - mats[: g.ny, 0]) @ np.linalg.inv(mats[: g.ny, 0])
     cols = (mats[g.ny, : g.nx] - mats[0, : g.nx]) @ np.linalg.inv(mats[0, : g.nx])
-    x_defect = float(np.abs(rows[:, None] @ base).max())
-    y_defect = float(np.abs(cols[None, :] @ base).max())
-    return ClosureReport(x_defect, y_defect)
+    # both products with the matrix axes first, into one shared pair of buffers
+    base = np.moveaxis(frame.base, (-2, -1), (0, 1))
+    out, tmp = np.empty((2,) + base.shape, dtype=complex)
+    monodromies = np.moveaxis(rows, 0, -1)[..., None], np.moveaxis(cols, 0, -1)[..., None, :]
+    return ClosureReport(*(float(np.abs(_mul3(mono, base, out, tmp)).max())
+                           for mono in monodromies))
 
 
 @dataclass

@@ -20,8 +20,10 @@ reader reads back what the export stage wrote, the loop triangulation
 cross-checks the vectorized one, Newton's method with sparse direct steps on
 an assembled Laplacian cross-checks the MINRES steps, the fd4 stencil
 applied on the grid cross-checks the solver's Laplacian through its Fourier
-symbol, and a row sampler that forms each call's row phases anew
-cross-checks the tabled phases of grid.row_sampler bit for bit.
+symbol, a row sampler that forms each call's row phases anew
+cross-checks the tabled phases of grid.row_sampler bit for bit, and MINRES
+with a new array for every vector update cross-checks the in-place
+solver.minres bit for bit.
 
 The z / zbar linear system the frame generators are derived from also lives
 here, with its bilinear pairing laws and its one-cell compatibility check:
@@ -422,3 +424,40 @@ def row_sampler_per_row(arrays, factor, offsets):
         return out.reshape((len(f), len(offsets), len(rows)) + f.shape[2:])
 
     return sample
+
+
+def minres_allocating(apply, b, rtol, maxiter):
+    """solver.minres as it was before it updated its vectors in place: every
+    update makes a new array."""
+    x = np.zeros_like(b)
+    z, az = apply(b)
+    beta1 = np.sqrt(np.vdot(b, z))
+    if beta1 == 0.0:
+        return x, 0, True
+    r1 = r2 = b
+    w = w2 = np.zeros_like(b)
+    oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
+    for itn in range(1, maxiter + 1):
+        v = z / beta
+        y = az / beta
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = np.vdot(v, y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        z, az = apply(r2)
+        oldb, beta = beta, np.sqrt(np.vdot(r2, z))
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(np.hypot(gbar, beta), np.finfo(float).eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        if phibar <= rtol * beta1:
+            return x, itn, True
+    return x, maxiter, False

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tzitzeica import cli, meshout
+from tzitzeica import grid as grid_module
 from tzitzeica.config import parse_config, parse_config_text
 from tzitzeica.errors import ConfigParseError, ConfigValidationError
 from tzitzeica.grid import (
@@ -426,7 +427,8 @@ def test_frame_csv_round_trip(flat_run, tmp_path):
     cfg, out = flat_run
     field = read_field(cfg, out)
     first = os.path.join(out, cli.FRAME_FILE)
-    frame, digest, own_digest = cli.load_frame(first, field)
+    assert cli.load_frame(first, field)[2] is None
+    frame, digest, own_digest = cli.load_frame(first, field, digest=True)
     # the header ends with the digest of the field file bytes
     assert digest == hashlib.sha256(pathlib.Path(out, cli.FIELD_FILE).read_bytes()).hexdigest()
     assert own_digest == hashlib.sha256(pathlib.Path(first).read_bytes()).hexdigest()
@@ -439,7 +441,7 @@ def test_frame_csv_round_trip(flat_run, tmp_path):
     second = str(tmp_path / "frame2.bin")
     cli.save_frame(frame, second, digest)
     assert pathlib.Path(second).read_bytes() == pathlib.Path(first).read_bytes()
-    again, again_digest, again_own_digest = cli.load_frame(second, field)
+    again, again_digest, again_own_digest = cli.load_frame(second, field, digest=True)
     assert (again_digest, again_own_digest) == (digest, own_digest)
     assert np.array_equal(again.unitary, frame.unitary)
     assert (again.closing, again.substeps) == (frame.closing, frame.substeps)
@@ -473,6 +475,31 @@ def test_stages_after_solve_parse_no_text_field(tmp_path, monkeypatch):
     for stage in ("solve", "frame", "surface", "report"):
         cli.run_pipeline(cfg, stage, out, echo=False)
     assert calls == [seed]
+
+
+def test_stages_hash_only_the_node_files_whose_digests_they_use(tmp_path, monkeypatch):
+    # frame and report check the digest of field.bin, surface also records
+    # that of frame.bin in mesh.bin, and export checks that one; no stage
+    # hashes a node file only to drop its digest.  A hashed file is named by
+    # its header's field count: 4 for field.bin, 6 for mesh.bin, 8 for frame.bin.
+    hashed, names = [], {4: "field", 6: "mesh", 8: "frame"}
+
+    def sha256(data):
+        hashed.append(names[len(bytes(data).split(b"\n")[0].split(b","))])
+        return hashlib.sha256(data)
+
+    shim = type(sys)("hashlib")
+    shim.sha256 = sha256
+    monkeypatch.setattr(grid_module, "hashlib", shim)
+    monkeypatch.setattr(cli, "hashlib", shim)
+    out = str(tmp_path / "out")
+    cfg = parse_config_text(flat_config_text(out, nx=16, ny=16, substeps=24))
+    by_stage = {}
+    for stage in ("solve", "frame", "surface", "report", "export"):
+        cli.run_pipeline(cfg, stage, out, echo=False)
+        by_stage[stage], hashed[:] = list(hashed), []
+    assert by_stage == {"solve": [], "frame": ["field"], "surface": ["field", "frame"],
+                        "report": ["field"], "export": ["frame"]}
 
 
 def test_report_stage_contents(flat_run):

@@ -1,6 +1,7 @@
 """The propagator-form frame integrator against the per-substep reference
 marcher (tests/reference_march.py), node by node."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -61,7 +62,7 @@ def test_monodromy_closure_matches_brute_force_extension(wave_field, case):
 @pytest.mark.parametrize("substeps", [1, 2, 3, 4, 5])
 def test_wave_frame_matches_reference(wave_field, substeps):
     # odd substep counts carry a cell's last substep past a level of the
-    # pairwise product
+    # pairwise product; at 32 columns each build holds four cell rows
     sp = SpectralPoint(0.4)
     frame = integrate_frame(wave_field, sp, substeps=substeps)
     ref = reference_frame(wave_field, sp, substeps)
@@ -106,13 +107,14 @@ def test_axis_stencil_matches_reference(wave_field, axis, monkeypatch):
 
 @pytest.mark.parametrize("case", ["wave128", "flat65-closing"])
 def test_frame_does_not_depend_on_the_row_split(wave61, case, monkeypatch):
-    # each cell row of the column march is sampled on its own; sampled from
-    # whole-grid trig_upsample planes instead, the frame moves by rounding
-    # only (127 and 65 cell rows, the closing row's samples wrap around)
+    # the cell rows of each build of the column march are sampled on their
+    # own; sampled from whole-grid trig_upsample planes instead, the frame
+    # moves by rounding only (127 and 65 cell rows, the closing row's
+    # samples wrap around)
     if case == "wave128":
         u, closing = lift_1d(wave61, PeriodicGrid(128, 128, wave61.period, FLAT_LY)), False
     else:
-        u, closing = zero_field(PeriodicGrid(65, 65, 2 * np.pi, FLAT_LY)), True
+        u, closing = _closing_case(wave61, case), True
     rowwise = integrate_frame(u, SpectralPoint(0.3), closing=closing).unitary
 
     def whole_grid(arrays, factor, offsets):
@@ -124,28 +126,87 @@ def test_frame_does_not_depend_on_the_row_split(wave61, case, monkeypatch):
     assert np.abs(rowwise - whole).max() <= TOL
 
 
+def _closing_case(wave61, case):
+    """A field for closing frames: the 65^2 flat one, or the 128^2 wave
+    perturbed in y."""
+    if case == "flat65-closing":
+        return zero_field(PeriodicGrid(65, 65, 2 * np.pi, FLAT_LY))
+    grid = PeriodicGrid(128, 128, wave61.period, FLAT_LY)
+    xx, yy = grid.mesh()
+    bump = 0.01 * np.cos(2 * np.pi * yy / grid.ly + 0.4) * np.cos(2 * np.pi * xx / grid.lx)
+    return ScalarFieldPeriodic(grid, lift_1d(wave61, grid).values + bump)
+
+
 def test_tabled_row_phases_leave_the_frame_bit_identical(wave61, monkeypatch):
     # the row sampler tables every node row's phases once; forming each cell
     # row's phases on its call instead gives the same frame, bit for bit, on
     # a 128^2 wave perturbed in y with its closing row and column
-    grid = PeriodicGrid(128, 128, wave61.period, FLAT_LY)
-    xx, yy = grid.mesh()
-    bump = 0.01 * np.cos(2 * np.pi * yy / grid.ly + 0.4) * np.cos(2 * np.pi * xx / grid.lx)
-    u = ScalarFieldPeriodic(grid, lift_1d(wave61, grid).values + bump)
+    u = _closing_case(wave61, "wave128y-closing")
     tabled = integrate_frame(u, SpectralPoint(0.3), closing=True).unitary
     monkeypatch.setattr(lax, "row_sampler", row_sampler_per_row)
     assert np.array_equal(integrate_frame(u, SpectralPoint(0.3), closing=True).unitary, tabled)
 
 
-def test_frame_memory_stays_within_one_cell_row_of_samples(wave61):
-    # integrate_frame's peak on a 128^2 wave frame: 20.8 MB with every
+@pytest.mark.parametrize("case", ["wave128", "flat64-closing"])
+def test_frame_memory_stays_within_one_build_of_samples(wave61, case):
+    # integrate_frame's traced peak on a 128^2 wave frame: 20.8 MB with every
     # half-substep sample of the grid at once, 12.5 MB with half the cell
-    # rows' samples, 6.9 MB with one cell row's (the frame itself is 2.4 MB)
-    u = lift_1d(wave61, PeriodicGrid(128, 128, wave61.period, FLAT_LY))
+    # rows' samples, 7.1 MB with one build's (one cell row; the frame itself
+    # is 2.4 MB).  On a 64^2 closing frame a build of BUILD_CELLS cells holds
+    # two cell rows: 4.1 MB, against 2.8 MB with one
+    if case == "wave128":
+        u, closing, bound = lift_1d(wave61, PeriodicGrid(128, 128, wave61.period, FLAT_LY)), False, 9e6
+    else:
+        u, closing, bound = zero_field(PeriodicGrid(64, 64, 2 * np.pi, FLAT_LY)), True, 5e6
     tracemalloc.start()
     try:
-        integrate_frame(u, SpectralPoint(0.3))
+        integrate_frame(u, SpectralPoint(0.3), closing=closing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9e6
+    assert peak < bound
+
+
+@pytest.mark.parametrize("case", ["flat65-closing", "wave128y-closing"])
+def test_frame_does_not_depend_on_the_cells_per_build(wave61, case, monkeypatch):
+    # one, two and three cell rows per build of the column march give the
+    # same frame bit for bit; at three, 65 and 128 cell rows leave a short
+    # last build of two
+    u = _closing_case(wave61, case)
+    frames = []
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(lax, "BUILD_CELLS", rows * u.grid.nx)
+        frames.append(integrate_frame(u, SpectralPoint(0.3), closing=True).unitary)
+    assert all(np.array_equal(frames[0], other) for other in frames[1:])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_builds_sample_once_and_share_one_schedule_builder(rows, monkeypatch):
+    # 65 cell rows of a 65^2 closing frame, built `rows` at a time: the
+    # column march samples ceil(65 / rows) times, every cell row once in
+    # order, and both marches make their schedules with lax._schedule
+    u = zero_field(PeriodicGrid(65, 65, 2 * np.pi, FLAT_LY))
+    monkeypatch.setattr(lax, "BUILD_CELLS", rows * 65)
+    sampled, built = [], []
+    schedule, sampler = lax._schedule, lax.row_sampler
+
+    def schedule_spy(ws, coeff, lam, hs, m, batch):
+        built.append((coeff, batch))
+        return schedule(ws, coeff, lam, hs, m, batch)
+
+    def sampler_spy(arrays, factor, offsets):
+        sample = sampler(arrays, factor, offsets)
+
+        def sample_spy(cell_rows):
+            sampled.append(list(cell_rows))
+            return sample(cell_rows)
+
+        return sample_spy
+
+    monkeypatch.setattr(lax, "_schedule", schedule_spy)
+    monkeypatch.setattr(lax, "row_sampler", sampler_spy)
+    integrate_frame(u, SpectralPoint(0.3), closing=True)
+    assert len(sampled) == math.ceil(65 / rows)
+    assert sum(sampled, []) == list(range(65))
+    want = [(lax._coeff_x, (65,)), (lax._coeff_y, (rows, 65))]
+    assert built == want + [(lax._coeff_y, (65 % rows, 65))] * (65 % rows > 0)

@@ -15,7 +15,7 @@ from tzitzeica.solver import (
 from tzitzeica.wave import lift_1d, travelling_wave
 
 from conftest import loglog_slope
-from oracles import laplacian_fd4, newton_lu
+from oracles import laplacian_fd4, minres_allocating, newton_lu
 
 
 def test_residual_zero_field():
@@ -134,6 +134,26 @@ def test_minres_solves_a_symmetric_indefinite_system():
     assert (iterations, converged) == (3, False)
 
 
+def test_minres_keeps_an_apply_that_returns_its_argument():
+    # with M = I, apply hands back the very vector it was given, which the
+    # in-place recurrence keeps reading; b itself is never written
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    a = (q * np.concatenate([-np.linspace(1.0, 3.0, 10), np.linspace(0.5, 6.0, 20)])) @ q.T
+    b = rng.standard_normal(30)
+    kept = b.copy()
+
+    def apply(r):
+        return r, a @ r
+
+    for maxiter in (200, 4):
+        got = minres(apply, b, 1e-13, maxiter)
+        want = minres_allocating(apply, b, 1e-13, maxiter)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    assert np.array_equal(b, kept)
+    assert np.abs(minres(apply, b, 1e-13, 200)[0] - np.linalg.solve(a, b)).max() < 1e-10
+
+
 def test_spectral_jacobian_matches_the_stencil():
     # sigma is the fd4 stencil's circulant, so J M^-1 r from the spectrum
     # agrees with the stencil Laplacian of M^-1 r, on even and odd grids
@@ -199,6 +219,22 @@ def test_first_step_is_exact_and_later_steps_are_forced(wave128_seed, monkeypatc
     assert all(solver.MINRES_RTOL <= eta <= solver.FORCING_MAX for eta in tolerances[1:])
     # Eisenstat-Walker's choice 2 leaves the later steps looser than the first
     assert min(tolerances[1:]) > 1e3 * solver.MINRES_RTOL
+
+
+def test_in_place_minres_matches_the_allocating_oracle(wave128_seed, monkeypatch):
+    # every Newton step of the wave128 seed: the same x bit for bit, the same
+    # iteration count and the same convergence flag
+    steps = []
+
+    def spy(apply, b, rtol, maxiter):
+        got = minres(apply, b, rtol, maxiter)
+        want = minres_allocating(apply, b, rtol, maxiter)
+        steps.append(np.array_equal(got[0], want[0]) and got[1:] == want[1:])
+        return got
+
+    monkeypatch.setattr(solver, "minres", spy)
+    newton_solve(wave128_seed, 1e-10, 20)
+    assert steps == [True, True, True]
 
 
 def test_minres_missing_its_cap_is_diagnosed_by_lu(perturbed_wave64, monkeypatch):
