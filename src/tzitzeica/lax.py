@@ -35,8 +35,8 @@ first row in one build, and BUILD_CELLS // nx cell rows (at least one) per
 build of the column march, each build's rows sampled just before it, so no
 more than one build's samples exist at once.  A build is a schedule, the fixed
 list of (ufunc, inputs, out) calls that makes the generators, the RK4
-stages and the pairwise product, made once per frame and march (and once
-more for a shorter last build) over one workspace of flat buffers shared
+stages and the pairwise product, made once per march and batch shape (a
+shorter last build has its own) over one workspace of flat buffers shared
 by every build of the frame.  Its views keep each matrix entry's samples
 contiguous: a cell's samples are its nodes 0, 2, ..., 2m in half-substeps,
 then its midpoints (_substep_offsets), so the stages' node and midpoint
@@ -44,6 +44,12 @@ generators are contiguous slices.  Allocated before the first build, the
 workspace keeps the march's speed independent of the allocator's state:
 per-build temporaries above glibc's mmap threshold (128 KiB until a larger
 block is freed) would be mapped and faulted in afresh for every build.
+A build whose cells all sample the same values, bit for bit, builds one
+cell: it runs the schedule of batch (1,) on the first cell's samples, and
+the march gets a broadcast view of that one propagator, since equal inputs
+to the same ufunc calls give the same propagator.  So a flat frame (u = 0,
+as in configs/flat.cfg) builds one cell per build; a build whose cells
+differ is rejected on its first plane of samples.
 Unitarity drift is a diagnostic the caller bounds, never repaired: it falls
 as substeps^-5, so a run that needs a more nearly unitary frame raises
 substeps.  A march that overflows leaves NaN frames, which that bound
@@ -65,6 +71,7 @@ measures closure without integrating a second period.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -258,18 +265,49 @@ def _schedule(ws, coeff, lam, hs, m, batch):
     return near, calls, prop[:, :, 0]
 
 
-def _cell_rows(ws, lam, hs, m, sample, rows, per_build, nx):
+def _uniform(samples):
+    """Whether every cell of a build, samples a (2, samples) + batch array,
+    samples bit for bit what its first cell samples.  The first plane (u at
+    each cell's first node) is compared before the rest, so a build whose
+    cells differ is rejected after one plane."""
+    bits = samples.view(np.int64).reshape(samples.shape[:2] + (-1,))
+    plane = bits[0, 0]
+    return bool((plane == plane[0]).all() and (bits == bits[:, :, :1]).all())
+
+
+def _build(schedules, make, samples):
+    """Run one propagator build on samples, a (2, samples) + batch array, and
+    return the (3, 3) + batch propagators.  A build whose cells all sample
+    the same values (_uniform) runs the schedule of batch (1,) on its first
+    cell, and its propagators are a broadcast view of that one: equal inputs
+    to the same ufunc calls give the same propagator.  schedules holds each
+    batch's schedule, made by make(batch) when first needed; the propagators
+    are a view into the workspace, valid until the next build."""
+    batch = samples.shape[2:]
+    uniform = _uniform(samples)
+    if uniform:
+        samples = samples.reshape(samples.shape[:2] + (-1,))[:, :, :1]
+    key = samples.shape[2:]
+    if key not in schedules:
+        schedules[key] = make(key)
+    near, calls, props = schedules[key]
+    near[...] = samples
+    del samples  # freed before the build runs, so one build's samples exist at once
+    _run(calls)
+    if uniform:
+        return np.broadcast_to(props.reshape((3, 3) + (1,) * len(batch)), (3, 3) + batch)
+    return props
+
+
+def _cell_rows(make, sample, rows, per_build):
     """The propagators of cell rows 0 .. rows - 1 of the column march in
-    turn, each (3, 3, nx): sampled and built per_build cell rows at a time
-    by one schedule, a shorter last build by its own.  Each is a view into
-    ws, valid until the next is taken."""
+    turn, each (3, 3, nx): sampled per_build cell rows at a time and built
+    by _build from the schedules make(batch) makes.  Each is a view into the
+    workspace, valid until the next is taken."""
+    schedules = {}
     for start in range(0, rows, per_build):
-        count = min(per_build, rows - start)
-        if start == 0 or count < per_build:
-            near, calls, props = _schedule(ws, _coeff_y, lam, hs, m, (count, nx))
-        near[...] = sample(range(start, start + count))
-        _run(calls)
-        yield from (props[:, :, r] for r in range(count))
+        props = _build(schedules, make, sample(range(start, min(start + per_build, rows))))
+        yield from (props[:, :, r] for r in range(props.shape[2]))
 
 
 def _states(state):
@@ -330,7 +368,9 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
     then every column in y, one cell row at a time: the cell rows' samples
     come from grid.row_sampler just before their build, BUILD_CELLS // nx
     cell rows (at least one) at a time, so no array spans more samples than
-    one build's.  Each marched row goes straight into the node-last result.
+    one build's.  A build whose cells all sample the same values builds one
+    cell and broadcasts it (_build), so a flat frame builds one cell per
+    build.  Each marched row goes straight into the node-last result.
     closing=True also integrates the wrap-around column nx and row ny, for
     closure measurements.  The unitarity defect is left to the caller to
     bound.
@@ -353,9 +393,8 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
     with np.errstate(over="ignore", invalid="ignore"):
         # first row, marched in x: the cells starting at every node of it,
         # side by side in one build, cell i's samples in column i of each plane
-        near, calls, props = _schedule(ws, _coeff_x, lam, grid.hx / m, m, (grid.nx,))
-        near[...] = trig_upsample((vals[0], uy[0]), 2 * m, 1, offsets).swapaxes(0, 1)
-        _run(calls)
+        props = _build({}, partial(_schedule, ws, _coeff_x, lam, grid.hx / m, m),
+                       trig_upsample((vals[0], uy[0]), 2 * m, 1, offsets).swapaxes(0, 1))
         cells = grid.nx + extra - 1
         _march(unitary[0, 0], np.moveaxis(props[:, :, :cells], -1, 0), unitary[0, 1:],
                _states(unitary[0, 0]))
@@ -365,7 +404,8 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
         # propagators of column 0
         node_rows = np.moveaxis(unitary, 1, -1)
         sample = row_sampler((vals, ux), 2 * m, offsets)
-        cell_rows = _cell_rows(ws, lam, grid.hy / m, m, sample, rows, per_build, grid.nx)
+        cell_rows = _cell_rows(partial(_schedule, ws, _coeff_y, lam, grid.hy / m, m), sample, rows,
+                               per_build)
         _march(node_rows[0], cell_rows, node_rows[1:], _states(node_rows[0]))
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
 

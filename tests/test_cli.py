@@ -786,6 +786,20 @@ def test_frame_stage_rejects_a_frame_it_integrates_non_unitary(tmp_path, capsys)
     assert not (out / cli.FRAME_FILE).exists()
 
 
+def test_frame_stage_rejects_the_default_substeps_below_12_columns(tmp_path, capsys):
+    # the default 24 substeps per cell on an 11 x 11 flat torus with
+    # configs/flat.cfg's periods drift 1.5e-8 off the unitary group (12 x 12
+    # drifts 9.8e-9 and passes)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, flat_config_text(str(out), nx=11, ny=11, substeps=24))
+    assert cli.main(["solve", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert cli.main(["frame", "--config", cfg]) == 4
+    assert (out / "frame.log").read_text().strip().splitlines()[-1] == "error: invalid-frame"
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: invalid-frame"
+    assert not (out / cli.FRAME_FILE).exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_frame_stage_rejects_a_nan_unitarity_defect(tmp_path, capsys):
     # at lx = 1e300 the march overflows, without a numpy warning, and the

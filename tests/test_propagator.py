@@ -127,11 +127,12 @@ def test_frame_does_not_depend_on_the_row_split(wave61, case, monkeypatch):
 
 
 def _closing_case(wave61, case):
-    """A field for closing frames: the 65^2 flat one, or the 128^2 wave
-    perturbed in y."""
+    """A field for closing frames: the 65^2 flat one, or the wave perturbed
+    in y on 64^2 or 128^2."""
     if case == "flat65-closing":
         return zero_field(PeriodicGrid(65, 65, 2 * np.pi, FLAT_LY))
-    grid = PeriodicGrid(128, 128, wave61.period, FLAT_LY)
+    n = 64 if case == "wave64y-closing" else 128
+    grid = PeriodicGrid(n, n, wave61.period, FLAT_LY)
     xx, yy = grid.mesh()
     bump = 0.01 * np.cos(2 * np.pi * yy / grid.ly + 0.4) * np.cos(2 * np.pi * xx / grid.lx)
     return ScalarFieldPeriodic(grid, lift_1d(wave61, grid).values + bump)
@@ -147,17 +148,20 @@ def test_tabled_row_phases_leave_the_frame_bit_identical(wave61, monkeypatch):
     assert np.array_equal(integrate_frame(u, SpectralPoint(0.3), closing=True).unitary, tabled)
 
 
-@pytest.mark.parametrize("case", ["wave128", "flat64-closing"])
+@pytest.mark.parametrize("case", ["wave128", "flat64-closing", "wave64y-closing"])
 def test_frame_memory_stays_within_one_build_of_samples(wave61, case):
     # integrate_frame's traced peak on a 128^2 wave frame: 20.8 MB with every
     # half-substep sample of the grid at once, 12.5 MB with half the cell
     # rows' samples, 7.1 MB with one build's (one cell row; the frame itself
     # is 2.4 MB).  On a 64^2 closing frame a build of BUILD_CELLS cells holds
-    # two cell rows: 4.1 MB, against 2.8 MB with one
+    # two cell rows: 4.1 MB on a wave perturbed in y, against 2.8 MB with one;
+    # the flat frame builds one cell per build in the same workspace (4.1 MB)
     if case == "wave128":
         u, closing, bound = lift_1d(wave61, PeriodicGrid(128, 128, wave61.period, FLAT_LY)), False, 9e6
-    else:
+    elif case == "flat64-closing":
         u, closing, bound = zero_field(PeriodicGrid(64, 64, 2 * np.pi, FLAT_LY)), True, 5e6
+    else:
+        u, closing, bound = _closing_case(wave61, case), True, 5e6
     tracemalloc.start()
     try:
         integrate_frame(u, SpectralPoint(0.3), closing=closing)
@@ -180,13 +184,10 @@ def test_frame_does_not_depend_on_the_cells_per_build(wave61, case, monkeypatch)
     assert all(np.array_equal(frames[0], other) for other in frames[1:])
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3])
-def test_builds_sample_once_and_share_one_schedule_builder(rows, monkeypatch):
-    # 65 cell rows of a 65^2 closing frame, built `rows` at a time: the
-    # column march samples ceil(65 / rows) times, every cell row once in
-    # order, and both marches make their schedules with lax._schedule
-    u = zero_field(PeriodicGrid(65, 65, 2 * np.pi, FLAT_LY))
-    monkeypatch.setattr(lax, "BUILD_CELLS", rows * 65)
+def _spied_builds(u, monkeypatch):
+    """The cell rows of each sample call of the column march, and the
+    (generator, batch) of each schedule made, in integrating u's closing
+    frame."""
     sampled, built = [], []
     schedule, sampler = lax._schedule, lax.row_sampler
 
@@ -203,10 +204,66 @@ def test_builds_sample_once_and_share_one_schedule_builder(rows, monkeypatch):
 
         return sample_spy
 
-    monkeypatch.setattr(lax, "_schedule", schedule_spy)
-    monkeypatch.setattr(lax, "row_sampler", sampler_spy)
-    integrate_frame(u, SpectralPoint(0.3), closing=True)
-    assert len(sampled) == math.ceil(65 / rows)
-    assert sum(sampled, []) == list(range(65))
-    want = [(lax._coeff_x, (65,)), (lax._coeff_y, (rows, 65))]
-    assert built == want + [(lax._coeff_y, (65 % rows, 65))] * (65 % rows > 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(lax, "_schedule", schedule_spy)
+        patch.setattr(lax, "row_sampler", sampler_spy)
+        integrate_frame(u, SpectralPoint(0.3), closing=True)
+    return sampled, built
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_builds_sample_once_and_share_one_schedule_builder(rows, monkeypatch):
+    # 65 cell rows of a 65^2 closing frame, built `rows` at a time: the
+    # column march samples ceil(65 / rows) times, every cell row once in
+    # order, and both marches make their schedules with lax._schedule.  On
+    # a field that varies in x no build is uniform, so the schedules are the
+    # full batches; on u = 0 every build is, so both marches build (1,) only
+    monkeypatch.setattr(lax, "BUILD_CELLS", rows * 65)
+    grid = PeriodicGrid(65, 65, 2 * np.pi, FLAT_LY)
+    xx, yy = grid.mesh()
+    bumped = ScalarFieldPeriodic(grid, 0.01 * np.cos(xx) * np.cos(2 * np.pi * yy / grid.ly + 0.4))
+    full = [(lax._coeff_x, (65,)), (lax._coeff_y, (rows, 65))]
+    full += [(lax._coeff_y, (65 % rows, 65))] * (65 % rows > 0)
+    for u, want in ((bumped, full), (zero_field(grid), [(lax._coeff_x, (1,)), (lax._coeff_y, (1,))])):
+        sampled, built = _spied_builds(u, monkeypatch)
+        assert len(sampled) == math.ceil(65 / rows)
+        assert sum(sampled, []) == list(range(65))
+        assert built == want
+
+
+def _y_field(nx):
+    """u = 0.2 cos(2 pi y / ly) on nx columns and 64 rows."""
+    grid = PeriodicGrid(nx, 64, 2 * np.pi, FLAT_LY)
+    return ScalarFieldPeriodic(grid, 0.2 * np.cos(2 * np.pi * grid.mesh()[1] / grid.ly))
+
+
+@pytest.mark.parametrize("case", ["flat64", "u0.4", "y128", "y64", "wave128y"])
+def test_uniform_builds_leave_the_frame_bit_identical(wave61, case, monkeypatch):
+    # a build whose cells all sample the same values builds one cell; with
+    # every build made in full instead, the closing frame is the same bit
+    # for bit: on flat.cfg's 64^2 torus and on u = 0.4 every build is
+    # uniform, on a field of y alone at 128 columns (one cell row per build)
+    # too, at 64 columns (two cell rows) only the first row's, and on the
+    # wave perturbed in y none
+    fields = {
+        "flat64": lambda: (zero_field(PeriodicGrid(64, 64, 2 * np.pi, FLAT_LY)), 0.0, "all"),
+        "u0.4": lambda: (ScalarFieldPeriodic(PeriodicGrid(64, 64, 2 * np.pi, FLAT_LY),
+                                             np.full((64, 64), 0.4)), 0.5, "all"),
+        "y128": lambda: (_y_field(128), 0.3, "all"),
+        "y64": lambda: (_y_field(64), 0.3, "first"),
+        "wave128y": lambda: (_closing_case(wave61, "wave128y-closing"), 0.3, "none"),
+    }
+    u, theta, want = fields[case]()
+    uniform, seen = lax._uniform, []
+
+    def uniform_spy(samples):
+        seen.append(uniform(samples))
+        return seen[-1]
+
+    monkeypatch.setattr(lax, "_uniform", uniform_spy)
+    one_cell = integrate_frame(u, SpectralPoint(theta), closing=True).unitary
+    assert seen == {"all": [True] * len(seen), "first": [True] + [False] * (len(seen) - 1),
+                    "none": [False] * len(seen)}[want]
+    monkeypatch.setattr(lax, "_uniform", lambda samples: False)
+    full = integrate_frame(u, SpectralPoint(theta), closing=True).unitary
+    assert np.array_equal(one_cell, full) and one_cell.tobytes() == full.tobytes()
