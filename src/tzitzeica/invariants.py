@@ -3,16 +3,16 @@
 Index conventions: coordinate index 0 is x, coordinate index 1 is y.  Tensor
 fields store component axes first and node axes last, the y nodes before the
 x nodes (the grid's (ny, nx)), so every contraction runs over contiguous node
-planes: connection coefficients gamma[k, i, j] live in (2, 2, 2, ...) with the
-upper index first.  All functions broadcast over trailing node axes, so
-single-node tensors (shape (2, 2, 2) etc.) work unchanged.
+planes.  All functions broadcast over trailing node axes, so single-node
+tensors (shape (2, 2, 2) etc.) work unchanged.
 
 The surfaces are conformally immersed, so their induced metric is c I with
 the conformal factor c = 2 R^2 e^u (the report certifies this as
 conformal_defect).  The curvature and cubic-form invariants therefore take c,
 of the node shape, as their metric: raising an index divides by c and
-lowering one multiplies by it.  The connection of c I is torsion-free and
-has one independent curvature component, r^1_001, a (ny, nx) plane.
+lowering one multiplies by it.  Every connection coefficient of c I is +-a
+or +-b, so the connection is the pair of planes (a, b) = (u_x/2, u_y/2); it
+is torsion-free and has one independent curvature component, r^1_001.
 
 The cubic form t[k, i, j] (mixed components, upper index first) is fully
 symmetric once lowered with the metric; its trace vector vanishes exactly for
@@ -40,30 +40,23 @@ NODE_X, NODE_Y = -1, -2  # array axes of the x and y nodes
 
 
 def christoffel_from_field(u):
-    """Connection coefficients of the metric c e^u (dx^2 + dy^2) from the
-    grid's derivatives of a periodic exponent field u (independent of the
-    constant c); symmetric in the lower indices bit for bit."""
-    half_x = gridmod.ddx(u.values, u.grid) / 2.0
-    half_y = gridmod.ddy(u.values, u.grid) / 2.0
-    gam = np.empty((2, 2, 2) + half_x.shape)
-    gam[0, 0, 0] = gam[1, 0, 1] = gam[1, 1, 0] = half_x
-    gam[0, 1, 1] = -half_x
-    gam[1, 1, 1] = gam[0, 0, 1] = gam[0, 1, 0] = half_y
-    gam[1, 0, 0] = -half_y
-    return gam
+    """The connection (a, b) = (u_x/2, u_y/2) of the metric c e^u (dx^2 + dy^2)
+    from the grid's derivatives of a periodic exponent field u (independent
+    of the constant c): two (ny, nx) planes."""
+    return gridmod.ddx(u.values, u.grid) / 2.0, gridmod.ddy(u.values, u.grid) / 2.0
 
 
-def riemann(gamma, hx, hy):
-    """The one independent curvature component r^1_001 = d_x gamma^0_00
-    + d_y gamma^1_11 of the conformal connection of christoffel_from_field,
-    with the grid's 4th-order derivatives, shape (ny, nx).
+def riemann(connection, hx, hy):
+    """The one independent curvature component r^1_001 = d_x a + d_y b of the
+    conformal connection (a, b) of christoffel_from_field, with the grid's
+    4th-order derivatives, shape (ny, nx).
 
     Of r^s_kij = d_i gamma^s_kj - d_j gamma^s_ki - gamma^r_ki gamma^s_rj
     + gamma^r_kj gamma^s_ri, the quadratic terms cancel identically for this
     connection, r^0_101 = -r^1_001, and the other components follow from
     antisymmetry in (i, j) or vanish.
     """
-    return gridmod.deriv(gamma[0, 0, 0], hx, NODE_X) + gridmod.deriv(gamma[1, 1, 1], hy, NODE_Y)
+    return gridmod.deriv(connection[0], hx, NODE_X) + gridmod.deriv(connection[1], hy, NODE_Y)
 
 
 def gauss_curvature(conf, r):
@@ -125,21 +118,25 @@ def closed_form_tensor(u, theta):
     return t
 
 
-def codazzi_residual(t, gamma, conf, hx, hy):
+def codazzi_residual(t, connection, conf, hx, hy):
     """Per-node max over index choices of nabla_i t_jsk - nabla_j t_isk, on
-    periodic fields, with t lowered by the metric conf I.  The difference
-    vanishes for i = j and changes sign under i <-> j, so only nabla_0 t_1sk
-    and nabla_1 t_0sk are formed; the term gam^r_ij t_rsk of nabla_i t_jsk is
-    symmetric in (i, j) for a torsion-free connection and cancels from it."""
+    periodic fields, with t lowered by the metric conf I and the conformal
+    connection (a, b) of christoffel_from_field.  The difference vanishes for
+    i = j and changes sign under i <-> j, so only nabla_0 t_1sk and
+    nabla_1 t_0sk are formed; the term gam^r_ij t_rsk of nabla_i t_jsk is
+    symmetric in (i, j) for a torsion-free connection and cancels from it.
+    The rest, (G_i^T t_j + t_j G_i)[s, k] with G_i[r, s] = gam^r_is, is
+    2 p t_j + q (t_j J - J t_j) for G_i = p I + q J: G_0 = a I + b J and
+    G_1 = b I - a J with J = [[0, 1], [-1, 0]]."""
+    a, b = connection
     t_low = conf * np.asarray(t)
 
-    def nabla(i, j, h, axis):
-        # nabla_i t_jsk + gam^r_ij t_rsk = d_i t_jsk - gam^r_is t_jrk - gam^r_ik t_jsr
-        return (
-            gridmod.deriv(t_low[j], h, axis)
-            - np.einsum("rs...,rk...->sk...", gamma[:, i], t_low[j])
-            - np.einsum("rk...,sr...->sk...", gamma[:, i], t_low[j])
-        )
+    def nabla(j, p, q, h, axis):
+        # nabla_i t_jsk + gam^r_ij t_rsk; t_j J - J t_j = [[-o, d], [d, o]]
+        tj = t_low[j]
+        o, d = tj[0, 1] + tj[1, 0], tj[0, 0] - tj[1, 1]
+        bracket = np.stack((np.stack((-o, d)), np.stack((d, o))))
+        return gridmod.deriv(tj, h, axis) - 2.0 * p * tj - q * bracket
 
-    resid = nabla(0, 1, hx, NODE_X) - nabla(1, 0, hy, NODE_Y)
+    resid = nabla(1, a, b, hx, NODE_X) - nabla(0, b, -a, hy, NODE_Y)
     return np.abs(resid).max(axis=(0, 1))

@@ -8,11 +8,11 @@ the closed form
 which makes the immersion complexly normal (<E_i|N> = 0 in the Hermitian
 product) with conformal induced metric g = 2 R^2 e^u I and vanishing skew
 form, so the normal-plane vectors are F_i = i E_i.  The cubic form is
-extracted from the exact derivatives of the tangent fields, which the frame
-equation d_i U = U W_i gives at each node without differencing, by
-subtracting the conformal connection and projecting onto (F1, F2, N).  The
-tangents exist one block of nodes at a time, in that one pass, which also
-measures how far they are from normal, conformal and on the sphere.
+the normal part (the Gauss formula) of the exact derivatives of the tangent
+fields, which the frame equation d_i U = U W_i gives at each node without
+differencing: their projection onto (F1, F2, N).  The tangents exist one
+block of nodes at a time, in that one pass, which also measures how far
+they are from normal, conformal and on the sphere.
 
 Torus closure is read off the frame's monodromies over one period in x and
 in y, from the wrap-around row and column of a closing frame (see
@@ -62,7 +62,7 @@ def _tangents_at(frames, u_vals, lam, radius):
     return e1, e2
 
 
-def extract_second_form(frame, radius, gamma):
+def extract_second_form(frame, radius):
     """Cubic-form components t[k, i, j], shape (2, 2, 2, ny, nx), from the
     exact derivatives of the tangents; the normal coefficient of
     nabla_i E_j, shape (2, 2, ny, nx) complex, which must be -2 R e^u delta_ij;
@@ -71,26 +71,25 @@ def extract_second_form(frame, radius, gamma):
     Gram matrix of (E1, E2) from 2 R^2 e^u I, and max | |R N| - R |.
 
     The frame solves d_i U = U W_i, so d_i E_j = (u_i / 2) E_j + T_j(U W_i),
-    with T_j the tangent map applied to the columns of U W_i and u_i from
-    grid.spectral_gradient, which the frame's generators read; gamma is the
-    connection of the frame's u (invariants.christoffel_from_field).  U W_x
-    and U W_y exist one block of node rows at a time (lax.frame_axis_stencil).
-    Each block's tangents and normal are formed once: their defects are taken
-    as running maxima, and both axes' d_i E_j are projected onto (F1, F2, N)
-    within the block, so no whole-grid tangent or derivative exists.
+    with T_j the tangent map applied to the columns of U W_i.  By the Gauss
+    formula both outputs are the normal part of d_i E_j, its projection onto
+    (F1, F2, N) = (i E1, i E2, N), which annihilates the tangent (u_i / 2) E_j:
+    only T_j(U W_i) is projected.  U W_x and U W_y exist one block of node
+    rows at a time (lax.frame_axis_stencil), from grid.spectral_gradient as
+    the frame's generators read it.  Each block's tangents, F_k and normal
+    are formed once, so no whole-grid tangent or derivative exists.
     """
     grid = frame.grid
     u = frame.u.values
     lam = frame.spectral.lam
     conf = 2.0 * radius**2 * np.exp(u)
-    grads = spectral_gradient(u, grid)
 
     tens = np.empty((2, 2, 2, grid.ny, grid.nx))
     ncoeff = np.empty((2, 2, grid.ny, grid.nx), dtype=complex)
     first = np.zeros(3)  # running maxima: normality, conformal, sphere
 
     def project(block, frames, derivs):
-        tangents = e1, e2 = _tangents_at(frames, u[block], lam, radius)
+        e1, e2 = _tangents_at(frames, u[block], lam, radius)
         normal = frames[:, 2]
         h12 = hermitian_inner(e1, e2)
         conformal = max(
@@ -102,18 +101,15 @@ def extract_second_form(frame, radius, gamma):
         radii = np.sqrt(np.sum(np.abs(radius * normal) ** 2, axis=0))
         defects = normality_map(e1, e2, normal).max(), conformal, np.abs(radii - radius).max()
         np.maximum(first, defects, out=first)
+        normal_plane = 1j * e1, 1j * e2
         for i in range(2):
-            from_uw = _tangents_at(derivs[i], u[block], lam, radius)
-            half = 0.5 * grads[i][block]
-            for j in range(2):
-                partial = half * tangents[j] + from_uw[j]
-                nab = partial - (gamma[0, i, j][block] * e1 + gamma[1, i, j][block] * e2)
+            for j, partial in enumerate(_tangents_at(derivs[i], u[block], lam, radius)):
                 for k in range(2):
-                    proj = hermitian_inner(1j * tangents[k], nab).real
+                    proj = hermitian_inner(normal_plane[k], partial).real
                     tens[k, i, j][block] = proj / conf[block]
-                ncoeff[i, j][block] = hermitian_inner(normal, nab)
+                ncoeff[i, j][block] = hermitian_inner(normal, partial)
 
-    frame_axis_stencil(frame, grads, project)
+    frame_axis_stencil(frame, spectral_gradient(u, grid), project)
     return tens, ncoeff, tuple(map(float, first))
 
 
@@ -195,8 +191,7 @@ def full_report(frame, radius):
     u = frame.u
     conf = 2.0 * radius**2 * np.exp(u.values)
 
-    gamma = inv.christoffel_from_field(u)
-    tens, ncf, (normality, conformal, sphere) = extract_second_form(frame, radius, gamma)
+    tens, ncf, (normality, conformal, sphere) = extract_second_form(frame, radius)
     closed = inv.closed_form_tensor(u.values, frame.spectral.theta)
     tensor_match = float(np.abs(tens - closed).max())
     trace_max = float(np.abs(inv.trace_vector(tens)).max())
@@ -212,10 +207,11 @@ def full_report(frame, radius):
 
     h2, t2, t4 = inv.scalar_invariants(tens, conf)
     h2_max = float(np.abs(h2).max())
-    codazzi = float(inv.codazzi_residual(tens, gamma, conf, grid.hx, grid.hy).max())
+    connection = inv.christoffel_from_field(u)
+    codazzi = float(inv.codazzi_residual(tens, connection, conf, grid.hx, grid.hy).max())
     del tens
 
-    k_curv = inv.gauss_curvature(conf, inv.riemann(gamma, grid.hx, grid.hy))
+    k_curv = inv.gauss_curvature(conf, inv.riemann(connection, grid.hx, grid.hy))
     gauss = float(np.abs(inv.gauss_residual(k_curv, h2, t2, radius)).max())
 
     scale3 = radius**2 * np.exp(3.0 * u.values)

@@ -1,10 +1,13 @@
 """Independent oracles the tests check pipeline quantities against.
 
-None of these is on the pipeline's path: the generic Levi-Civita connection
-cross-checks the conformal closed form, and the curvature formed from every
-plane of a connection's derivatives, with its quadratic terms, and contracted
-with the inverse of an arbitrary 2x2 metric cross-checks the conformal
-connection's one curvature component and measures revolution tori; the
+None of these is on the pipeline's path: the eight connection planes of the
+conformal metric, built from the pair (u_x/2, u_y/2), and the generic
+Levi-Civita connection cross-check that pair, and the curvature formed from
+every plane of a connection's derivatives, with its quadratic terms, and
+contracted with the inverse of an arbitrary 2x2 metric cross-checks the
+conformal connection's one curvature component and measures revolution tori;
+the cubic form taken over the whole grid by subtracting the connection from
+the tangents' derivatives cross-checks its Gauss-formula extraction; the
 Hermitian Gram matrix of arbitrary tangents gives their induced metric and
 skew form for the tangent checks, itself checked against index loops; index
 loops over their definitions cross-check the contractions of the cubic
@@ -37,8 +40,19 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import spsolve
 
-from tzitzeica.grid import AXIS_X, AXIS_Y, _trig_phases, ddx, ddy, deriv, deriv2
-from tzitzeica.invariants import NODE_X, NODE_Y
+from tzitzeica.grid import (
+    AXIS_X,
+    AXIS_Y,
+    _trig_phases,
+    ddx,
+    ddy,
+    deriv,
+    deriv2,
+    spectral_gradient,
+)
+from tzitzeica.invariants import NODE_X, NODE_Y, christoffel_from_field
+from tzitzeica.lax import frame_coeff_x, frame_coeff_y
+from tzitzeica.linalg3 import hermitian_inner
 from tzitzeica.wave import _cubic_roots, period_quadrature
 
 
@@ -54,6 +68,14 @@ def inv2(g):
     out[0, 1] = -g[0, 1] / det
     out[1, 0] = -g[1, 0] / det
     return out
+
+
+def christoffel_planes(a, b):
+    """The connection gamma[k, i, j], shape (2, 2, 2, ...), upper index first,
+    of the conformal metric c e^u I from its pair (a, b) = (u_x/2, u_y/2):
+    gamma^0 = [[a, b], [b, -a]] and gamma^1 = [[-b, a], [a, b]]."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array([[[a, b], [b, -a]], [[-b, a], [a, b]]])
 
 
 def christoffel_generic(g, hx, hy):
@@ -174,18 +196,50 @@ def codazzi_loops(t, gamma, g, hx, hy):
     return out
 
 
+def _tangent_map(mats, u, lam, radius):
+    """(T_1, T_2) = (i R e^{u/2} (M + L / lam), R e^{u/2} (L / lam - M)) of
+    the columns L, M of the (ny, nx, 3, 3) matrices mats, each (3, ny, nx);
+    1 / lam = conj(lam) on the unit circle."""
+    col_l, col_m = (np.moveaxis(mats[..., :, k], -1, 0) for k in (0, 1))
+    scale = radius * np.exp(0.5 * u)
+    inv_lam = np.conj(lam)
+    return 1j * scale * (col_m + inv_lam * col_l), scale * (inv_lam * col_l - col_m)
+
+
 def tangent_analytic(frame, radius):
     """Closed-form tangents E1 = i R e^{u/2} (M + L / lam) and
     E2 = R e^{u/2} (L / lam - M) over the whole grid, each (3, ny, nx), from
-    the columns L, M of the base-node frames; 1 / lam = conj(lam) on the unit
-    circle, and the products run in the pipeline's order, so its blockwise
-    tangents are matched bit for bit."""
-    col_l, col_m = (np.moveaxis(frame.base[..., :, k], -1, 0) for k in (0, 1))
-    scale = radius * np.exp(0.5 * frame.u.values)
-    inv_lam = np.conj(frame.spectral.lam)
-    e1 = 1j * scale * (col_m + inv_lam * col_l)
-    e2 = scale * (inv_lam * col_l - col_m)
-    return e1, e2
+    the columns L, M of the base-node frames; the products run in the
+    pipeline's order, so its blockwise tangents are matched bit for bit."""
+    return _tangent_map(frame.base, frame.u.values, frame.spectral.lam, radius)
+
+
+def second_form_with_connection(frame, radius):
+    """Cubic form t[k, i, j] and normal coefficients of nabla_i E_j over the
+    whole grid, by subtracting the connection: with E_j from tangent_analytic,
+    d_i E_j = (u_i / 2) E_j + T_j(U W_i), u_i from grid.spectral_gradient and
+    T_j the tangent map on the columns of U W_i, then
+    nabla_i E_j = d_i E_j - gamma^k_ij E_k with gamma from christoffel_planes,
+    projected onto i E_k (divided by the metric 2 R^2 e^u) and onto N."""
+    u = frame.u.values
+    lam = frame.spectral.lam
+    conf = 2.0 * radius**2 * np.exp(u)
+    grads = spectral_gradient(u, frame.grid)
+    gamma = christoffel_planes(*christoffel_from_field(frame.u))
+    tangents = tangent_analytic(frame, radius)
+    normal = np.moveaxis(frame.normal, -1, 0)
+    tens = np.empty((2, 2, 2) + u.shape)
+    ncoeff = np.empty((2, 2) + u.shape, dtype=complex)
+    for i, (coeff, across) in enumerate(((frame_coeff_x, grads[1]), (frame_coeff_y, grads[0]))):
+        uw = frame.base @ coeff(u, across, lam, np.empty((3, 3) + u.shape, dtype=complex))
+        from_uw = _tangent_map(uw, u, lam, radius)
+        for j in range(2):
+            nab = 0.5 * grads[i] * tangents[j] + from_uw[j]
+            nab = nab - (gamma[0, i, j] * tangents[0] + gamma[1, i, j] * tangents[1])
+            for k in range(2):
+                tens[k, i, j] = hermitian_inner(1j * tangents[k], nab).real / conf
+            ncoeff[i, j] = hermitian_inner(normal, nab)
+    return tens, ncoeff
 
 
 def fd_tangents(mesh):

@@ -13,14 +13,14 @@ import pytest
 
 from tzitzeica import cli
 from tzitzeica.config import parse_config_text
-from tzitzeica.grid import PeriodicGrid, field_from_function, zero_field
-from tzitzeica.invariants import christoffel_from_field, closed_form_tensor, trace_vector
+from tzitzeica.grid import PeriodicGrid, field_from_function, save_table, zero_field
+from tzitzeica.invariants import closed_form_tensor, trace_vector
 from tzitzeica.lax import SpectralPoint, frame_coeff_x, frame_coeff_y, integrate_frame
 from tzitzeica.solver import laplacian_symbol, newton_solve, pde_residual, resonance_gap
 from tzitzeica.surface import extract_second_form, normality_map
 from tzitzeica.wave import lift_1d, period_quadrature, travelling_wave
 
-from conftest import loglog_slope
+from conftest import COSINE_SIDE, cosine_seed, loglog_slope
 from oracles import (
     compatibility_residual,
     lax_z_matrix,
@@ -321,7 +321,7 @@ def test_criterion_7_second_form_extraction(wave61):
         grid = PeriodicGrid(n, n, wave61.period, 1.0)
         u = lift_1d(wave61, grid)
         frame = integrate_frame(u, SpectralPoint(theta), substeps=8)
-        tens, ncoeff, _first = extract_second_form(frame, 1.0, christoffel_from_field(u))
+        tens, ncoeff, _first = extract_second_form(frame, 1.0)
         expected = closed_form_tensor(u.values, theta)
         errs.append(np.abs(tens - expected).max())
         target = -2.0 * np.exp(u.values)
@@ -379,4 +379,39 @@ def test_criterion_8_negative_controls(wave61):
     _report(
         f"[acceptance 8] negative controls: PASS "
         f"(localized defect {defect_at:.2e}, leak {others.max():.2e}, corr {corr:.6f})"
+    )
+
+
+# ---------------------------------------------------------------------------
+# 10. a genuinely two-dimensional solution through all five stages
+# ---------------------------------------------------------------------------
+
+
+def test_criterion_10_two_dimensional_solution(tmp_path):
+    # every residual read from the frame sits at rounding on both grids;
+    # gauss_defect is the fd4 stencils' mismatch with the frame's
+    # trigonometric interpolant, so it is checked as a convergence rate
+    # (about 15x per halving of h, 4th order)
+    reports = {}
+    for n in (32, 64):
+        out = tmp_path / str(n)
+        out.mkdir()
+        seed = out / "seed.csv"
+        save_table(str(seed), (n, n, COSINE_SIDE, COSINE_SIDE), cosine_seed(n).values.reshape(-1, 1))
+        cfg = parse_config_text(
+            f"nx = {n}\nny = {n}\nlx = {COSINE_SIDE!r}\nly = {COSINE_SIDE!r}\ntheta = 0.3\n"
+            f"seed = file\nfield_path = {seed}\nextend_closure = false\nout_dir = {out}\n"
+        )
+        for stage in ("solve", "frame", "surface", "report", "export"):
+            cli.run_pipeline(cfg, stage, str(out), echo=False)
+        assert "iterations=5" in (out / "solve.log").read_text().splitlines()
+        reports[n] = rep = json.loads((out / cli.REPORT_JSON).read_text())
+        frame_derived = {k: v for k, v in rep.items() if k not in ("gauss_defect", "gauss_curvature_max")}
+        assert max(frame_derived.values()) < 1e-10, f"{n}^2: {frame_derived}"
+        assert rep["gauss_curvature_max"] > 1.0, f"{n}^2: |K| = {rep['gauss_curvature_max']}"
+    rate = reports[32]["gauss_defect"] / reports[64]["gauss_defect"]
+    assert rate >= 12.0, f"gauss_defect {reports[32]['gauss_defect']} -> {reports[64]['gauss_defect']}"
+    _report(
+        f"[acceptance 10] two-dimensional solution: PASS "
+        f"(|K| {reports[64]['gauss_curvature_max']:.2f}, gauss_defect falls {rate:.1f}x)"
     )

@@ -503,7 +503,7 @@ def test_stages_hash_only_the_node_files_whose_digests_they_use(tmp_path, monkey
 
 
 def test_report_stage_contents(flat_run):
-    cfg, out = flat_run
+    _cfg, out = flat_run
     with open(os.path.join(out, cli.REPORT_JSON)) as fh:
         rep = json.load(fh)
     assert rep["h2_max"] < 1e-10
@@ -576,7 +576,7 @@ def test_named_projection_export(tmp_path):
     )
     for stage in ("solve", "frame", "surface", "export"):
         cli.run_pipeline(cfg, stage, out, echo=False)
-    grid, radius, points, _frame_sha256 = meshout.load_mesh_points(os.path.join(out, cli.MESH_FILE))
+    _grid, _radius, points, _frame_sha256 = meshout.load_mesh_points(os.path.join(out, cli.MESH_FILE))
     verts, _ = parse_obj(os.path.join(out, "mesh.obj"))
     assert np.allclose(verts, meshout.points_to_r6(points)[:, [0, 2, 4]], atol=1e-12)
     with open(os.path.join(out, "mesh.meta.json")) as fh:

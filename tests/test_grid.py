@@ -139,7 +139,6 @@ def test_laplacian_symbol_matches_matrix_action():
     n, h = 16, 0.37
     sym = laplacian_symbol_1d(n, h)
     k = 3
-    x = np.arange(n) * h
     mode = np.exp(2j * np.pi * k * np.arange(n) / n)
     applied = deriv2(mode, h, axis=0)
     assert np.abs(applied - sym[k] * mode).max() < 1e-10 * abs(sym[k])

@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package and its tests is
-used, every public definition of the package is reached from the package
+used, every local a function of the package or its tests binds is read,
+every public definition of the package is reached from the package
 itself or from the acceptance suite, every public definition of the test
 oracles is reached from a test, every default of a package function or
 dataclass field is overridden by some caller other than a unit test, README's
@@ -49,6 +50,65 @@ def test_no_unused_module_level_imports():
     tests = sorted(TESTS.glob("*.py"))
     assert package and tests
     found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text()) for p in package + tests}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def _own_scope(func):
+    """The nodes of a function's body outside the functions, lambdas and
+    classes nested in it, which have scopes of their own."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(source):
+    """"function:name" of each name a function binds in its own scope that
+    no code in the function, the functions nested in it included, reads;
+    names starting with _ are exempt, and so are names the function declares
+    global or nonlocal."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        own = list(_own_scope(func))
+        shared = {name for n in own if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        bound = {n.id for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        found += [f"{func.name}:{name}" for name in sorted(bound - read - shared) if not name.startswith("_")]
+    return found
+
+
+def test_guard_flags_a_local_nothing_reads():
+    source = (
+        "def f(a):\n"
+        "    b, c = a\n"
+        "    for i in range(3):\n"
+        "        d = i\n"
+        "    e = 0\n"
+        "    e += 1\n"
+        "    _kept, g = 1, 2\n"
+        "    def inner():\n"
+        "        nonlocal g\n"
+        "        g = 3\n"
+        "        return c\n"
+        "    return inner\n"
+        "\n"
+        "def h():\n"
+        "    global state\n"
+        "    state = [n for n in range(2)]\n"
+        "    m = 1\n"
+        "    del m\n"
+    )
+    assert unread_locals(source) == ["f:b", "f:d", "f:e", "f:g", "h:m"]
+    assert unread_locals("x = 1\n\nclass C:\n    y = 2\n") == []
+
+
+def test_no_local_that_nothing_reads():
+    found = {f"{p.parent.name}/{p.name}": unread_locals(p.read_text())
+             for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
 
 

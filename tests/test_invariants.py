@@ -16,6 +16,7 @@ from tzitzeica.wave import lift_1d
 from conftest import loglog_slope
 from oracles import (
     christoffel_generic,
+    christoffel_planes,
     codazzi_loops,
     gauss_curvature_generic,
     hermitian_induced,
@@ -55,13 +56,16 @@ def test_hermitian_induced_complex_pair():
 
 
 def test_christoffel_conformal_linear_exponent():
-    # every plane is +-ddx(u)/2 or +-ddy(u)/2 bit for bit; for u = a x + b y
-    # these are a/2 and b/2 at the nodes the fd4 stencil does not wrap
+    # the pair is (ddx(u)/2, ddy(u)/2) bit for bit, and every plane built
+    # from it is one of them or its negation; for u = a x + b y these are
+    # a/2 and b/2 at the nodes the fd4 stencil does not wrap
     a, b = 0.83, -0.41
     g = PeriodicGrid(16, 12, 1.0, 1.3)
     u = field_from_function(g, lambda x, y: a * x + b * y)
-    gam = christoffel_from_field(u)
+    pair = christoffel_from_field(u)
     half_x, half_y = ddx(u.values, g) / 2, ddy(u.values, g) / 2
+    assert len(pair) == 2 and np.array_equal(pair[0], half_x) and np.array_equal(pair[1], half_y)
+    gam = christoffel_planes(*pair)
     planes = {(0, 0, 0): half_x, (1, 0, 1): half_x, (1, 1, 0): half_x, (0, 1, 1): -half_x,
               (1, 1, 1): half_y, (0, 0, 1): half_y, (0, 1, 0): half_y, (1, 0, 0): -half_y}
     for kij, plane in planes.items():
@@ -79,7 +83,7 @@ def test_christoffel_constant_exponent_vanishes():
 def test_christoffel_symmetry_in_lower_indices():
     g = PeriodicGrid(16, 16, 1.0, 1.3)
     u = field_from_function(g, lambda x, y: 0.2 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y / 1.3))
-    gam = christoffel_from_field(u)
+    gam = christoffel_planes(*christoffel_from_field(u))
     assert np.array_equal(gam, np.swapaxes(gam, 1, 2))
 
 
@@ -90,7 +94,7 @@ def test_generic_christoffel_agrees_with_conformal_closed_form():
         u = field_from_function(
             g, lambda x, y: 0.3 * np.cos(2 * np.pi * x) + 0.2 * np.sin(2 * np.pi * y + 1.0)
         )
-        gam_closed = christoffel_from_field(u)
+        gam_closed = christoffel_planes(*christoffel_from_field(u))
         conf = 2.0 * np.exp(u.values)
         metric = np.zeros((2, 2, n, n))
         metric[0, 0] = conf
@@ -102,8 +106,8 @@ def test_generic_christoffel_agrees_with_conformal_closed_form():
 
 
 def test_riemann_zero_connection():
-    gam = np.zeros((2, 2, 2, 8, 8))
-    assert np.abs(riemann(gam, 0.1, 0.1)).max() == 0.0
+    r = riemann((np.zeros((8, 8)), np.zeros((8, 8))), 0.1, 0.1)
+    assert r.shape == (8, 8) and np.abs(r).max() == 0.0
 
 
 def test_riemann_matches_all_planes_oracle():
@@ -112,13 +116,13 @@ def test_riemann_matches_all_planes_oracle():
     # their (i, j) swaps negated, every other component 0, to rounding
     g = PeriodicGrid(16, 12, 1.0, 1.3)
     u = field_from_function(g, lambda x, y: 0.3 * np.sin(2 * np.pi * x) + 0.1 * np.cos(2 * np.pi * y / 1.3))
-    gam = christoffel_from_field(u)
-    r = riemann(gam, g.hx, g.hy)
+    pair = christoffel_from_field(u)
+    r = riemann(pair, g.hx, g.hy)
     assert r.shape == (12, 16) and np.abs(r).max() > 0.1
     want = np.zeros((2, 2, 2, 2, 12, 16))
     want[1, 0, 0, 1] = want[0, 1, 1, 0] = r
     want[1, 0, 1, 0] = want[0, 1, 0, 1] = -r
-    got = riemann_all_planes(gam, g.hx, g.hy)
+    got = riemann_all_planes(christoffel_planes(*pair), g.hx, g.hy)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(r).max()
 
 
@@ -134,11 +138,11 @@ def test_gauss_curvature_matches_generic_contraction():
     # of every component of the generic curvature, on a curved conformal metric
     g = PeriodicGrid(16, 12, 1.0, 1.3)
     u = field_from_function(g, lambda x, y: 0.3 * np.sin(2 * np.pi * x) + 0.1 * np.cos(2 * np.pi * y / 1.3))
-    gam = christoffel_from_field(u)
+    pair = christoffel_from_field(u)
     conf = _conformal_factor(u.values, 1.7)
-    want = gauss_curvature_generic(_metric(conf), riemann_all_planes(gam, g.hx, g.hy))
+    want = gauss_curvature_generic(_metric(conf), riemann_all_planes(christoffel_planes(*pair), g.hx, g.hy))
     assert np.abs(want).max() > 0.1
-    got = gauss_curvature(conf, riemann(gam, g.hx, g.hy))
+    got = gauss_curvature(conf, riemann(pair, g.hx, g.hy))
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -203,6 +207,8 @@ def test_scalar_invariants_log2_case():
     u = np.log(2.0)
     t = closed_form_tensor(u, 0.9)
     h2, t2, t4 = scalar_invariants(t, _conformal_factor(u))
+    # the closed form's trace vector cancels exactly
+    assert h2 == 0.0
     assert abs(t2 - 0.25) < 1e-14
     assert abs(t4 - 0.03125) < 1e-14
 
@@ -289,12 +295,12 @@ def test_t4_matches_five_operand_contraction():
 
 
 def test_codazzi_connection_terms_match_index_loops():
+    # the closed form of the pair's connection terms against index loops over
+    # all eight planes, at random planes (a, b)
     rng, t, conf = _random_fields(24)
-    # torsion-free: symmetric in its lower indices, as the pipeline's connection
-    gamma = rng.uniform(-0.5, 0.5, (2, 2, 2) + t.shape[3:])
-    gamma = gamma + np.swapaxes(gamma, 1, 2)
-    res = codazzi_residual(t, gamma, conf, 0.3, 0.2)
-    loops = codazzi_loops(t, gamma, _metric(conf), 0.3, 0.2)
+    a, b = rng.uniform(-0.5, 0.5, (2,) + t.shape[3:])
+    res = codazzi_residual(t, (a, b), conf, 0.3, 0.2)
+    loops = codazzi_loops(t, christoffel_planes(a, b), _metric(conf), 0.3, 0.2)
     for node in _random_nodes(rng, t.shape[3:]):
         assert abs(res[node] - loops[node]) <= LOOP_TOL
 

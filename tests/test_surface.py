@@ -9,6 +9,7 @@ from tzitzeica.grid import PeriodicGrid, zero_field
 from tzitzeica.invariants import christoffel_from_field, closed_form_tensor
 from tzitzeica.lax import SpectralPoint, integrate_frame
 from tzitzeica.linalg3 import hermitian_inner
+from tzitzeica.solver import newton_solve
 from tzitzeica.surface import (
     build_surface,
     extract_second_form,
@@ -18,8 +19,8 @@ from tzitzeica.surface import (
 )
 from tzitzeica.wave import lift_1d
 
-from conftest import loglog_slope
-from oracles import fd_tangents, hermitian_induced, tangent_analytic
+from conftest import cosine_seed, loglog_slope
+from oracles import fd_tangents, hermitian_induced, second_form_with_connection, tangent_analytic
 
 FLAT_LY = 2.0 * np.pi / np.sqrt(3.0)
 
@@ -62,7 +63,7 @@ def test_fd_tangents_match_analytic_on_closed_frame():
     # the embedding is valid and converges at stencil order
     errs, hs = [], []
     for n in (32, 64, 128):
-        u, frame = _flat_frame(n=n)
+        _u, frame = _flat_frame(n=n)
         d1, d2 = (np.moveaxis(d, -1, 0) for d in fd_tangents(build_surface(frame, 1.0)))
         e1, e2 = tangent_analytic(frame, 1.0)
         err = max(np.abs(d1 - e1).max(), np.abs(d2 - e2).max())
@@ -84,7 +85,7 @@ def test_homothety_scaling(wave61):
 
 def test_extracted_tensor_flat_case():
     u, frame = _flat_frame(n=32, substeps=24)
-    t, ncoeff, _first = extract_second_form(frame, 1.0, christoffel_from_field(u))
+    t, ncoeff, _first = extract_second_form(frame, 1.0)
     expected = closed_form_tensor(u.values, 0.0)
     assert np.abs(t - expected).max() < 1e-8
     assert abs(t[0, 0, 0, 5, 7] - 1.0) < 1e-8
@@ -99,7 +100,7 @@ def test_extraction_refines_on_wave_surface(wave61):
     errs, ncs, hs = [], [], []
     for n in (16, 32, 64):
         u, frame = _wave_frame(wave61, n=n, substeps=4)
-        tens, ncoeff, _first = extract_second_form(frame, 1.0, christoffel_from_field(u))
+        tens, ncoeff, _first = extract_second_form(frame, 1.0)
         expected = closed_form_tensor(u.values, 0.4)
         errs.append(np.abs(tens - expected).max())
         target = -2.0 * np.exp(u.values)
@@ -118,20 +119,42 @@ def test_extraction_refines_on_wave_surface(wave61):
 def test_extraction_does_not_depend_on_the_block_size(wave61, case, monkeypatch):
     # the closing flat frame's base is a non-contiguous view of its nodes
     if case == "wave":
-        u, frame = _wave_frame(wave61, n=32, substeps=4, ny=24)
+        _u, frame = _wave_frame(wave61, n=32, substeps=4, ny=24)
     else:
-        u, frame = _flat_frame(n=32, substeps=16, closing=True)
-    gamma = christoffel_from_field(u)
+        _u, frame = _flat_frame(n=32, substeps=16, closing=True)
     results = []
     # one row (the floor of any block), 5 rows with a shorter last block,
     # and the whole grid
     for block_nodes in (1, 5 * frame.grid.nx, frame.grid.nx * frame.grid.ny):
         monkeypatch.setattr(lax, "STENCIL_BLOCK_NODES", block_nodes)
-        results.append(extract_second_form(frame, 1.0, gamma))
+        results.append(extract_second_form(frame, 1.0))
     for tens, ncoeff, first in results[1:]:
         assert np.array_equal(tens, results[0][0])
         assert np.array_equal(ncoeff, results[0][1])
         assert first == results[0][2]
+
+
+@pytest.mark.parametrize("case", ["flat-closing", "wave", "cosine"])
+def test_gauss_formula_matches_the_connection_route(wave61, case):
+    # the projection of d_i E_j onto (i E1, i E2, N) against that of
+    # nabla_i E_j = d_i E_j - gamma^k_ij E_k, over the whole grid: the tangent
+    # part (u_i / 2) E_j - gamma^k_ij E_k projects only through the frame's
+    # first-order defects, which at these substeps are below 1e-12 (at 8
+    # substeps the wave's normality defect is 1.9e-11, and the normal
+    # coefficients differ by 1.3e-12 relative); the cosine field's solution
+    # has u_y != 0
+    if case == "flat-closing":
+        _u, frame = _flat_frame(n=32, substeps=16, closing=True)
+    elif case == "wave":
+        _u, frame = _wave_frame(wave61, n=32, substeps=16)
+    else:
+        u = newton_solve(cosine_seed(32), 1e-10).field
+        assert np.abs(christoffel_from_field(u)[1]).max() > 0.1
+        frame = integrate_frame(u, SpectralPoint(0.3))
+    tens, ncoeff, _first = extract_second_form(frame, 1.0)
+    want_tens, want_ncoeff = second_form_with_connection(frame, 1.0)
+    assert np.abs(tens - want_tens).max() <= 1e-12 * np.abs(want_tens).max()
+    assert np.abs(ncoeff - want_ncoeff).max() <= 1e-12 * np.abs(want_ncoeff).max()
 
 
 def _first_order_oracle(frame, radius):
@@ -162,14 +185,14 @@ def test_first_order_defects_match_the_whole_grid_oracle(wave61, case, monkeypat
     # one) equal the whole-grid maxima bit for bit; the closing flat frame's
     # base is a non-contiguous view of its nodes
     if case == "wave":
-        u, frame = _wave_frame(wave61, n=32, substeps=4, ny=24)
+        _u, frame = _wave_frame(wave61, n=32, substeps=4, ny=24)
     elif case == "flat-closing":
-        u, frame = _flat_frame(n=32, substeps=16, closing=True)
+        _u, frame = _flat_frame(n=32, substeps=16, closing=True)
     else:
-        u, frame = _flat_frame(n=32)
+        _u, frame = _flat_frame(n=32)
         frame.unitary[4, 6] += 1e-2
     monkeypatch.setattr(lax, "STENCIL_BLOCK_NODES", 5 * frame.grid.nx)
-    _tens, _ncoeff, first = extract_second_form(frame, 1.5, christoffel_from_field(u))
+    _tens, _ncoeff, first = extract_second_form(frame, 1.5)
     assert first == _first_order_oracle(frame, 1.5)
     if case == "corrupted":
         assert first[0] > 1e-4
@@ -214,10 +237,9 @@ def test_extraction_memory_stays_within_its_blocks(wave128_frame):
     # extract_second_form's own peak on a 128^2 frame: 6.4 MB with the five
     # marched stencil frames of each block of rows, 3.6 MB with the exact
     # derivative U W_i of each block, one axis per pass, 3.8 MB with both
-    # axes' U W_i and the tangents' defects in one pass; its outputs alone
-    # take 2.1 MB
-    gamma = christoffel_from_field(wave128_frame.u)
-    assert _traced_peak(extract_second_form, wave128_frame, 1.0, gamma) < 5e6
+    # axes' U W_i and the tangents' defects in one pass (3.7 MB projecting
+    # only T_j(U W_i), with no connection); its outputs alone take 2.1 MB
+    assert _traced_peak(extract_second_form, wave128_frame, 1.0) < 5e6
 
 
 def test_full_report_memory_stays_within_its_largest_step(wave128_frame):
@@ -227,8 +249,10 @@ def test_full_report_memory_stays_within_its_largest_step(wave128_frame):
     # with each stencil block projected inside its reduction, 6.8 MB in
     # invariants.riemann with exact derivatives.  With no whole-grid tangents
     # and the cubic form dropped before riemann (5.8 MB), the report's peak
-    # sits in invariants.scalar_invariants: 6.6 MB, 6.4 MB once the invariants
-    # take the conformal factor in place of a (2, 2, ny, nx) metric
+    # sat in invariants.scalar_invariants: 6.6 MB, 6.4 MB once the invariants
+    # take the conformal factor in place of a (2, 2, ny, nx) metric.  With the
+    # connection as the pair (u_x/2, u_y/2), made after the extraction, the
+    # peak is 5.4 MB, in invariants.codazzi_residual
     assert _traced_peak(full_report, wave128_frame, 1.0) < 10e6
 
 
@@ -257,7 +281,7 @@ def test_full_report_flags_corrupted_frame():
 
 
 def test_closure_shifts(wave61):
-    u, frame = _flat_frame(n=32, substeps=16, closing=True)
+    _u, frame = _flat_frame(n=32, substeps=16, closing=True)
     rep = torus_closure(frame)
     assert rep.x_defect < 1e-6
     assert rep.y_defect < 1e-6
