@@ -47,9 +47,12 @@ block is freed) would be mapped and faulted in afresh for every build.
 A build whose cells all sample the same values, bit for bit, builds one
 cell: it runs the schedule of batch (1,) on the first cell's samples, and
 the march gets a broadcast view of that one propagator, since equal inputs
-to the same ufunc calls give the same propagator.  So a flat frame (u = 0,
-as in configs/flat.cfg) builds one cell per build; a build whose cells
-differ is rejected on its first plane of samples.
+to the same ufunc calls give the same propagator; a build whose cells
+differ is rejected on its first plane of samples.  A field whose u and u_x
+have every node row alike, bit for bit (u = 0 as in configs/flat.cfg, a
+lifted wave), samples and builds only the column march's first cell row and
+marches every row on it: Wy reads u and u_x alone, and the interpolant of a
+column constant in y is that constant.  So a flat frame builds two cells.
 Unitarity drift is a diagnostic the caller bounds, never repaired: it falls
 as substeps^-5, so a run that needs a more nearly unitary frame raises
 substeps.  A march that overflows leaves NaN frames, which that bound
@@ -69,6 +72,7 @@ frame's monodromies over one period, from which surface.torus_closure
 measures closure without integrating a second period.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -275,6 +279,12 @@ def _uniform(samples):
     return bool((plane == plane[0]).all() and (bits == bits[:, :, :1]).all())
 
 
+def _rows_alike(*planes):
+    """Whether every node row of each (ny, nx) plane equals its row 0 bit for
+    bit, compared as int64 views since -0.0 == 0.0."""
+    return all((bits == bits[:1]).all() for bits in (p.view(np.int64) for p in planes))
+
+
 def _build(schedules, make, samples):
     """Run one propagator build on samples, a (2, samples) + batch array, and
     return the (3, 3) + batch propagators.  A build whose cells all sample
@@ -368,9 +378,10 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
     then every column in y, one cell row at a time: the cell rows' samples
     come from grid.row_sampler just before their build, BUILD_CELLS // nx
     cell rows (at least one) at a time, so no array spans more samples than
-    one build's.  A build whose cells all sample the same values builds one
-    cell and broadcasts it (_build), so a flat frame builds one cell per
-    build.  Each marched row goes straight into the node-last result.
+    one build's.  A field of x alone (_rows_alike) samples and builds its
+    first cell row only and marches every row on it.  A build whose cells
+    all sample the same values builds one cell and broadcasts it (_build).
+    Each marched row goes straight into the node-last result.
     closing=True also integrates the wrap-around column nx and row ny, for
     closure measurements.  The unitarity defect is left to the caller to
     bound.
@@ -387,7 +398,10 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
     unitary[0, 0] = np.eye(3)
     offsets = _substep_offsets(m)
     rows = grid.ny + extra - 1  # cell rows of the column march
-    per_build = min(rows, max(1, BUILD_CELLS // grid.nx))
+    # Wy reads u and u_x alone: if neither varies in y, every cell row of the
+    # column march samples what the first one samples
+    alike = _rows_alike(vals, ux)
+    per_build = 1 if alike else min(rows, max(1, BUILD_CELLS // grid.nx))
     ws = _workspace(m, per_build * grid.nx)
     # an overflowing march leaves NaN frames; the caller's unitarity bound names them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -404,8 +418,10 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
         # propagators of column 0
         node_rows = np.moveaxis(unitary, 1, -1)
         sample = row_sampler((vals, ux), 2 * m, offsets)
-        cell_rows = _cell_rows(partial(_schedule, ws, _coeff_y, lam, grid.hy / m, m), sample, rows,
-                               per_build)
+        cell_rows = _cell_rows(partial(_schedule, ws, _coeff_y, lam, grid.hy / m, m), sample,
+                               1 if alike else rows, per_build)
+        if alike:
+            cell_rows = itertools.repeat(next(cell_rows), rows)
         _march(node_rows[0], cell_rows, node_rows[1:], _states(node_rows[0]))
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
 

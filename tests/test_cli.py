@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tzitzeica import cli, meshout
+from tzitzeica import cli, lax, meshout
 from tzitzeica import grid as grid_module
 from tzitzeica.config import parse_config, parse_config_text
 from tzitzeica.errors import ConfigParseError, ConfigValidationError
@@ -352,6 +352,36 @@ def test_report_bytes_match_between_cli_and_in_process_run(tmp_path):
     subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
     for name in (cli.FRAME_FILE, cli.REPORT_JSON):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+def test_wave_seed_frame_marches_one_cell_row(tmp_path, monkeypatch):
+    # the 64^2 wave seed stays a field of x alone through Newton, so the
+    # frame stage's column march samples its first cell row once, and
+    # frame.bin is the one sampling and building every cell row writes
+    text = flat_config_text("unused", nx=64, ny=64).replace("theta = 0.0", "theta = 0.3")
+    text = text.replace(f"lx = {float(2 * np.pi)!r}", f"lx = {travelling_wave(6.5).period!r}")
+    cfg = parse_config_text(text.replace("seed = zero", "seed = wave\nwave_energy = 6.5"))
+    sampled, sampler = [], lax.row_sampler
+
+    def sampler_spy(arrays, factor, offsets):
+        sample = sampler(arrays, factor, offsets)
+
+        def sample_spy(rows):
+            sampled.append(list(rows))
+            return sample(rows)
+
+        return sample_spy
+
+    def frame_bytes(out):
+        for stage in ("solve", "frame"):
+            cli.run_pipeline(cfg, stage, str(tmp_path / out), echo=False)
+        return (tmp_path / out / cli.FRAME_FILE).read_bytes()
+
+    monkeypatch.setattr(lax, "row_sampler", sampler_spy)
+    one_row = frame_bytes("one_row")
+    assert sampled == [[0]]
+    monkeypatch.setattr(lax, "_rows_alike", lambda *planes: False)
+    assert frame_bytes("per_row") == one_row
 
 
 def test_shipped_flat_run_lies_in_the_benchmark_reference_band(tmp_path):
