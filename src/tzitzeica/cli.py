@@ -83,11 +83,12 @@ def _require_artifact(out_dir, name):
 # ---------------------------------------------------------------------------
 
 
-def file_digest(path):
-    """The sha256 hex digest of the bytes of the file at ``path``, for a file
-    that is read only to be hashed."""
+def file_head_digest(path):
+    """The first line and the sha256 hex digest of the bytes of the file at
+    ``path``, from one read."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    return data[: data.find(b"\n") + 1], hashlib.sha256(data).hexdigest()
 
 
 def save_frame(frame, path, field_sha256):
@@ -205,6 +206,13 @@ def _check_recorded(name, stage, recorded):
                                         f"{key} = {want!r}; rerun the {stage} stage")
 
 
+def _frame_settings(cfg, theta, substeps, closing):
+    """The (key, recorded, wanted) settings of a frame made at theta with
+    substeps and closing, against the config's."""
+    return (("theta", theta, cfg.theta), ("substeps", substeps, cfg.substeps),
+            ("extend_closure", closing, cfg.extend_closure))
+
+
 def _load_frame_stage(cfg, out_dir, digest=False):
     """The frame of the surface and report stages: integrated from the bytes
     of the current field.bin at the config's grid, theta, substeps and
@@ -213,12 +221,8 @@ def _load_frame_stage(cfg, out_dir, digest=False):
     u, field_sha256 = _stage_field(cfg, out_dir)
     frame, recorded_sha256, frame_sha256 = load_frame(_require_artifact(out_dir, FRAME_FILE), u,
                                                       digest)
-    _check_recorded(FRAME_FILE, "frame", (
-        ("field_sha256", recorded_sha256, field_sha256),
-        ("theta", frame.spectral.theta, cfg.theta),
-        ("substeps", frame.substeps, cfg.substeps),
-        ("extend_closure", frame.closing, cfg.extend_closure),
-    ))
+    _check_recorded(FRAME_FILE, "frame", (("field_sha256", recorded_sha256, field_sha256),)
+                    + _frame_settings(cfg, frame.spectral.theta, frame.substeps, frame.closing))
     _unitarity_gate(frame)
     return frame, frame_sha256
 
@@ -246,15 +250,20 @@ def stage_report(cfg, out_dir, log):
 
 def stage_export(cfg, out_dir, log):
     """Export the mesh built from the current frame.bin at the config's
-    radius and grid."""
+    radius and grid, that frame made at the config's theta, substeps and
+    extend_closure."""
     path = _require_artifact(out_dir, MESH_FILE)
-    frame_path = _require_artifact(out_dir, FRAME_FILE)
+    head, frame_digest = file_head_digest(_require_artifact(out_dir, FRAME_FILE))
     grid, radius, points, frame_sha256 = meshout.load_mesh_points(path)
     check_same_grid(path, grid, _grid(cfg))
     _check_recorded(MESH_FILE, "surface", (
-        ("frame_sha256", frame_sha256, file_digest(frame_path)),
+        ("frame_sha256", frame_sha256, frame_digest),
         ("radius", radius, cfg.radius),
     ))
+    # the digests agree, so this is the header load_frame read for the mesh
+    theta, substeps, closing = head.split(b",")[4:7]
+    _check_recorded(FRAME_FILE, "frame",
+                    _frame_settings(cfg, float(theta), int(substeps), bool(int(closing))))
     paths = meshout.export_mesh(
         grid, radius, points, os.path.join(out_dir, MESH_STEM), cfg.projection
     )

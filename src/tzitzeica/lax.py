@@ -30,29 +30,29 @@ all coefficient values are exact for that interpolant.  An RK4 step is
 S <- S P with P built from the generators alone (Iserles et al., "Lie-group
 methods", Acta Numerica 2000); the march visits cells only.
 
-The propagators are built about BUILD_CELLS cells at a time: the whole
-first row in one build, and BUILD_CELLS // nx cell rows (at least one) per
-build of the column march, each build's rows sampled just before it, so no
-more than one build's samples exist at once.  A build is a schedule, the fixed
-list of (ufunc, inputs, out) calls that makes the generators, the RK4
-stages and the pairwise product, made once per march and batch shape (a
-shorter last build has its own) over one workspace of flat buffers shared
-by every build of the frame.  Its views keep each matrix entry's samples
-contiguous: a cell's samples are its nodes 0, 2, ..., 2m in half-substeps,
-then its midpoints (_substep_offsets), so the stages' node and midpoint
-generators are contiguous slices.  Allocated before the first build, the
-workspace keeps the march's speed independent of the allocator's state:
-per-build temporaries above glibc's mmap threshold (128 KiB until a larger
-block is freed) would be mapped and faulted in afresh for every build.
-A build whose cells all sample the same values, bit for bit, builds one
-cell: it runs the schedule of batch (1,) on the first cell's samples, and
-the march gets a broadcast view of that one propagator, since equal inputs
-to the same ufunc calls give the same propagator; a build whose cells
-differ is rejected on its first plane of samples.  A field whose u and u_x
-have every node row alike, bit for bit (u = 0 as in configs/flat.cfg, a
-lifted wave), samples and builds only the column march's first cell row and
-marches every row on it: Wy reads u and u_x alone, and the interpolant of a
-column constant in y is that constant.  So a flat frame builds two cells.
+Both marches are one routine (_axis_march): a march of cells along axis 0
+of the node planes its generator reads, (u[0], u_y[0]) as an (nx, 1) pair
+for the first row and (u, u_x) for the columns.  It decides once, on those
+planes, what to build: one step, repeated, when they are alike along the
+march; one cell per step, broadcast over the width, when they are alike
+across it; every cell otherwise.  Alike means equal as numbers, and equal
+planes give equal samples and propagators, so the frame is the one that
+building every cell gives: a flat frame (u = 0 as in configs/flat.cfg)
+builds two cells, a field of x alone (a lifted wave) its first row and one
+cell row, a field of y alone one cell per cell row.
+A build samples about BUILD_CELLS cells, BUILD_CELLS // w steps of the
+march's width w (at least one), just before it runs, so no more than one
+build's samples exist at once.  A build is a schedule, the fixed list of
+(ufunc, inputs, out) calls that makes the generators, the RK4 stages and the
+pairwise product, made once per march and batch shape (a shorter last build
+has its own) over one workspace of flat buffers shared by every build of the
+march.  Its views keep each matrix entry's samples contiguous: a cell's
+samples are its nodes 0, 2, ..., 2m in half-substeps, then its midpoints
+(_substep_offsets), so the stages' node and midpoint generators are
+contiguous slices.  Allocated before the first build, the workspace keeps
+the march's speed independent of the allocator's state: per-build
+temporaries above glibc's mmap threshold (128 KiB until a larger block is
+freed) would be mapped and faulted in afresh for every build.
 Unitarity drift is a diagnostic the caller bounds, never repaired: it falls
 as substeps^-5, so a run that needs a more nearly unitary frame raises
 substeps.  A march that overflows leaves NaN frames, which that bound
@@ -67,15 +67,15 @@ nodes for them.
 
 A closing frame marches one more cell in each direction, so it also holds
 the wrap-around column i = nx and row j = ny.  Because those cells reuse the
-periodic propagators, U(nx, j) U(0, j)^-1 and U(i, ny) U(i, 0)^-1 are the
-frame's monodromies over one period, from which surface.torus_closure
-measures closure without integrating a second period.
+periodic propagators (the column march gives column nx those of column 0),
+U(nx, j) U(0, j)^-1 and U(i, ny) U(i, 0)^-1 are the frame's monodromies over
+one period, from which surface.torus_closure measures closure without
+integrating a second period.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -84,7 +84,7 @@ from .linalg3 import unitarity_defect_map
 
 DEFAULT_SUBSTEPS = 24
 STENCIL_BLOCK_NODES = 1024  # nodes per block of frame_axis_stencil's derivatives
-BUILD_CELLS = 128  # cells per propagator build of integrate_frame (at least one cell row)
+BUILD_CELLS = 128  # cells sampled per propagator build of integrate_frame (at least one step)
 
 
 @dataclass(frozen=True)
@@ -269,76 +269,65 @@ def _schedule(ws, coeff, lam, hs, m, batch):
     return near, calls, prop[:, :, 0]
 
 
-def _uniform(samples):
-    """Whether every cell of a build, samples a (2, samples) + batch array,
-    samples bit for bit what its first cell samples.  The first plane (u at
-    each cell's first node) is compared before the rest, so a build whose
-    cells differ is rejected after one plane."""
-    bits = samples.view(np.int64).reshape(samples.shape[:2] + (-1,))
-    plane = bits[0, 0]
-    return bool((plane == plane[0]).all() and (bits == bits[:, :, :1]).all())
+def _alike(planes, axis):
+    """Whether each node plane equals its first slice along axis everywhere,
+    compared with ==: spectral_gradient leaves an exact zero derivative with
+    signed zeros, and -0.0 == 0.0."""
+    return all((p == np.take(p, [0], axis)).all() for p in planes)
 
 
-def _rows_alike(*planes):
-    """Whether every node row of each (ny, nx) plane equals its row 0 bit for
-    bit, compared as int64 views since -0.0 == 0.0."""
-    return all((bits == bits[:1]).all() for bits in (p.view(np.int64) for p in planes))
+def _upsampled(arrays, factor, offsets):
+    """sample(rows) as grid.row_sampler gives it, for (nx, 1) planes of the
+    first row, from grid.trig_upsample of the whole row at once."""
+    samples = trig_upsample(arrays, factor, 1, offsets).swapaxes(0, 1)
+    return lambda rows: samples[:, :, rows]
 
 
-def _build(schedules, make, samples):
-    """Run one propagator build on samples, a (2, samples) + batch array, and
-    return the (3, 3) + batch propagators.  A build whose cells all sample
-    the same values (_uniform) runs the schedule of batch (1,) on its first
-    cell, and its propagators are a broadcast view of that one: equal inputs
-    to the same ufunc calls give the same propagator.  schedules holds each
-    batch's schedule, made by make(batch) when first needed; the propagators
-    are a view into the workspace, valid until the next build."""
-    batch = samples.shape[2:]
-    uniform = _uniform(samples)
-    if uniform:
-        samples = samples.reshape(samples.shape[:2] + (-1,))[:, :, :1]
-    key = samples.shape[2:]
-    if key not in schedules:
-        schedules[key] = make(key)
-    near, calls, props = schedules[key]
-    near[...] = samples
-    del samples  # freed before the build runs, so one build's samples exist at once
-    _run(calls)
-    if uniform:
-        return np.broadcast_to(props.reshape((3, 3) + (1,) * len(batch)), (3, 3) + batch)
-    return props
+def _axis_march(state, out, planes, sampler, coeff, lam, hs, m):
+    """Write into out[c] the state after cell c of a march along axis 0 of
+    planes, the (n, w) node planes coeff's generator reads, from state, a
+    (3, 3, width) row of frames with the matrix axes first.
+
+    The planes decide once what is built: one step, repeated, if they are
+    alike along the march (_alike on axis 0); one cell per step if they are
+    alike across it; every cell of every step otherwise.  A step's b cells
+    (one or w) are sampled by sampler(planes, 2 m, offsets) at full width
+    and cut to b columns, since the sampler's product over one column alone
+    may round otherwise, and built BUILD_CELLS // w steps (at least one) at
+    a time in one workspace, each build's steps sampled just before it.
+    Column i of the state gets the propagator of cell i mod b: a closing
+    row's column w gets column 0's, and one cell goes to every column."""
+    along, across = _alike(planes, 0), _alike(planes, 1)
+    b = 1 if across else planes[0].shape[1]
+    steps = 1 if along else len(out)
+    per_build = min(steps, max(1, BUILD_CELLS // planes[0].shape[1]))
+    ws, schedules = _workspace(m, per_build * b), {}
+    sample = sampler(planes, 2 * m, _substep_offsets(m))
+    cols = np.arange(state.shape[-1]) % b
+
+    def props():
+        for start in range(0, steps, per_build):
+            rows = range(start, min(start + per_build, steps))
+            if len(rows) not in schedules:
+                schedules[len(rows)] = _schedule(ws, coeff, lam, hs, m, (len(rows), b))
+            near, calls, built = schedules[len(rows)]
+            near[...] = sample(rows)[..., :b]
+            _run(calls)
+            # np.take keeps C order (indexing would not), which _mul3 reads fastest
+            built = np.take(built, cols, axis=-1)
+            yield from (built[:, :, r] for r in range(len(rows)))
+
+    cells = props()
+    _march(state, itertools.repeat(next(cells), len(out)) if along else cells, out)
 
 
-def _cell_rows(make, sample, rows, per_build):
-    """The propagators of cell rows 0 .. rows - 1 of the column march in
-    turn, each (3, 3, nx): sampled per_build cell rows at a time and built
-    by _build from the schedules make(batch) makes.  Each is a view into the
-    workspace, valid until the next is taken."""
-    schedules = {}
-    for start in range(0, rows, per_build):
-        props = _build(schedules, make, sample(range(start, min(start + per_build, rows))))
-        yield from (props[:, :, r] for r in range(props.shape[2]))
-
-
-def _states(state):
-    """The buffers of _march from states shaped like state: the current and
-    the next state, a product's terms, a closing row's widened propagator."""
-    return [np.empty(np.shape(state), dtype=complex) for _ in range(4)]
-
-
-def _march(state, props, out, states):
+def _march(state, props, out):
     """Write into out[c] the state after cell c: state times the propagators
-    props yields, one per cell, in turn.  States and propagators hold their
-    matrix axes first; a state with one more column than the propagators (a
-    closing row) gives that column the propagator of column 0.  states are
-    the march's buffers (_states), so a cell allocates nothing."""
-    cur, nxt, tmp, wide = states
+    props yields, one per cell, in turn, all with their matrix axes first.
+    Its buffers are made once, so a cell allocates nothing."""
+    cur, nxt, tmp = (np.empty(np.shape(state), dtype=complex) for _ in range(3))
     cur[...] = state
     for c, prop in enumerate(props):
-        if prop.shape != cur.shape:
-            wide[..., :-1] = prop
-            wide[..., -1] = prop[..., 0]
-            prop = wide
         _mul3(cur, prop, nxt, tmp)
         out[c] = nxt
         cur, nxt = nxt, cur
@@ -374,14 +363,11 @@ def frame_orthonormality_report(frame):
 def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
     """Integrate the frame over the grid from the identity at the corner node.
 
-    Marches the first row in x, its cells side by side in one build, and
-    then every column in y, one cell row at a time: the cell rows' samples
-    come from grid.row_sampler just before their build, BUILD_CELLS // nx
-    cell rows (at least one) at a time, so no array spans more samples than
-    one build's.  A field of x alone (_rows_alike) samples and builds its
-    first cell row only and marches every row on it.  A build whose cells
-    all sample the same values builds one cell and broadcasts it (_build).
-    Each marched row goes straight into the node-last result.
+    Marches the first row in x, sampled by grid.trig_upsample, and then
+    every column in y, one cell row at a time, sampled by grid.row_sampler
+    just before each build: both by _axis_march, which builds only the
+    distinct cells its node planes call for.  Each marched row goes
+    straight into the node-last result.
     closing=True also integrates the wrap-around column nx and row ny, for
     closure measurements.  The unitarity defect is left to the caller to
     bound.
@@ -396,33 +382,17 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
     ux, uy = spectral_gradient(vals, grid)
     unitary = np.empty((grid.ny + extra, grid.nx + extra, 3, 3), dtype=complex)
     unitary[0, 0] = np.eye(3)
-    offsets = _substep_offsets(m)
-    rows = grid.ny + extra - 1  # cell rows of the column march
-    # Wy reads u and u_x alone: if neither varies in y, every cell row of the
-    # column march samples what the first one samples
-    alike = _rows_alike(vals, ux)
-    per_build = 1 if alike else min(rows, max(1, BUILD_CELLS // grid.nx))
-    ws = _workspace(m, per_build * grid.nx)
     # an overflowing march leaves NaN frames; the caller's unitarity bound names them
     with np.errstate(over="ignore", invalid="ignore"):
-        # first row, marched in x: the cells starting at every node of it,
-        # side by side in one build, cell i's samples in column i of each plane
-        props = _build({}, partial(_schedule, ws, _coeff_x, lam, grid.hx / m, m),
-                       trig_upsample((vals[0], uy[0]), 2 * m, 1, offsets).swapaxes(0, 1))
-        cells = grid.nx + extra - 1
-        _march(unitary[0, 0], np.moveaxis(props[:, :, :cells], -1, 0), unitary[0, 1:],
-               _states(unitary[0, 0]))
-        # every column, marched in y a cell row at a time from builds of
-        # per_build cell rows in the same workspace; node_rows[j] is node row
-        # j with the matrix axes first, and the closing column nx reuses the
-        # propagators of column 0
+        # the first row, marched in x as a row of width one
+        first = unitary[0, ..., None]
+        _axis_march(first[0], first[1:], (vals[0, :, None], uy[0, :, None]), _upsampled,
+                    _coeff_x, lam, grid.hx / m, m)
+        # every column, marched in y; node_rows[j] is node row j with the
+        # matrix axes first
         node_rows = np.moveaxis(unitary, 1, -1)
-        sample = row_sampler((vals, ux), 2 * m, offsets)
-        cell_rows = _cell_rows(partial(_schedule, ws, _coeff_y, lam, grid.hy / m, m), sample,
-                               1 if alike else rows, per_build)
-        if alike:
-            cell_rows = itertools.repeat(next(cell_rows), rows)
-        _march(node_rows[0], cell_rows, node_rows[1:], _states(node_rows[0]))
+        _axis_march(node_rows[0], node_rows[1:], (vals, ux), row_sampler,
+                    _coeff_y, lam, grid.hy / m, m)
     return FrameField(grid, spectral, unitary, u, bool(closing), m)
 
 

@@ -380,7 +380,7 @@ def test_wave_seed_frame_marches_one_cell_row(tmp_path, monkeypatch):
     monkeypatch.setattr(lax, "row_sampler", sampler_spy)
     one_row = frame_bytes("one_row")
     assert sampled == [[0]]
-    monkeypatch.setattr(lax, "_rows_alike", lambda *planes: False)
+    monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
     assert frame_bytes("per_row") == one_row
 
 
@@ -1030,6 +1030,28 @@ def test_export_rejects_mesh_of_another_frame_or_radius(tmp_path, change):
         assert cli.main(["frame", "--config", other]) == 0
     assert cli.main(["export", "--config", other]) == 3
     assert (out / "export.log").read_text().strip().splitlines()[-1] == "error: validation"
+    assert not any((out / (cli.MESH_STEM + s)).exists() for s in meshout.EXPORT_SUFFIXES)
+
+
+@pytest.mark.parametrize("change", ["theta = 0.7", "substeps = 32", "extend_closure = false"],
+                         ids=["theta", "substeps", "closing"])
+def test_export_rejects_frame_of_another_theta_or_substeps(tmp_path, capsys, change):
+    # the mesh and frame.bin agree, but the frame was made at another theta,
+    # substeps or closing than the config's: export fails as report does
+    out = tmp_path / "out"
+    text = flat_config_text(str(out), nx=16, ny=16, substeps=24)
+    cfg = write_config(tmp_path, text)
+    for stage in ("solve", "frame", "surface"):
+        assert cli.main([stage, "--config", cfg]) == 0
+    key = change.split(" = ")[0]
+    other = write_config(tmp_path, re.sub(rf"^{key} = .*$", change, text, flags=re.M)
+                         if key in text else text + change + "\n", "other.cfg")
+    capsys.readouterr()
+    for stage in ("report", "export"):
+        assert cli.main([stage, "--config", other]) == 3
+        assert (out / f"{stage}.log").read_text().strip().splitlines()[-1] == "error: validation"
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-2].startswith(f"frame.bin was made with {key} = ")
     assert not any((out / (cli.MESH_STEM + s)).exists() for s in meshout.EXPORT_SUFFIXES)
 
 

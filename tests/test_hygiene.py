@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package and its tests is
 used, every local a function of the package or its tests binds is read,
 every public definition of the package is reached from the package
-itself or from the acceptance suite, every public definition of the test
+itself or from the acceptance suite, every private one from the package
+itself, every public definition of the test
 oracles is reached from a test, every default of a package function or
 dataclass field is overridden by some caller other than a unit test, README's
 config table lists exactly the config keys, and every attribute the
@@ -121,10 +122,11 @@ def _referenced(tree):
     }
 
 
-def unreached_definitions(modules, reaching=()):
-    """Public top-level defs and classes of `modules` (name -> source) that no
-    module references outside the definition itself, and no source in
-    `reaching` references at all; as "module:name"."""
+def unreached_definitions(modules, reaching=(), private=False):
+    """Public (or, with `private`, private) top-level defs and classes of
+    `modules` (name -> source) that no module references outside the
+    definition itself, and no source in `reaching` references at all; as
+    "module:name"."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     outside = set().union(*(_referenced(ast.parse(source)) for source in reaching))
     uses = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
@@ -133,7 +135,7 @@ def unreached_definitions(modules, reaching=()):
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        and node.name.startswith("_") == private
         and node.name not in outside
         and not any(node.name in refs for stmt, refs in uses if stmt is not node)
     ]
@@ -152,6 +154,20 @@ def test_no_public_definition_only_its_own_tests_call():
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     acceptance = (TESTS / "test_acceptance.py").read_text()
     assert unreached_definitions(modules, [acceptance]) == []
+
+
+def test_guard_flags_an_unreached_private_definition():
+    modules = {
+        "a.py": "def _used():\n    pass\n\ndef _dead():\n    return _dead\n\ndef public():\n    pass\n",
+        "b.py": "from .a import _used\n\nclass _Spare:\n    pass\n\n_used()\n",
+    }
+    assert unreached_definitions(modules, private=True) == ["a.py:_dead", "b.py:_Spare"]
+
+
+def test_no_private_definition_nothing_in_src_reaches():
+    # a private helper that only tests call is test code, not package code
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreached_definitions(modules, private=True) == []
 
 
 def test_no_oracle_definition_no_test_reaches():

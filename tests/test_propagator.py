@@ -64,12 +64,12 @@ def test_monodromy_closure_matches_brute_force_extension(wave_field, case):
 def test_wave_frame_matches_reference(wave_field, substeps, monkeypatch):
     # odd substep counts carry a cell's last substep past a level of the
     # pairwise product; the lifted wave's column march builds its first cell
-    # row only, and with that switched off each build at 32 columns holds
-    # four cell rows
+    # row only, and with the alike rule switched off each build at 32
+    # columns holds four cell rows
     sp = SpectralPoint(0.4)
     ref = reference_frame(wave_field, sp, substeps)
     assert np.abs(integrate_frame(wave_field, sp, substeps=substeps).unitary - ref).max() <= TOL
-    monkeypatch.setattr(lax, "_rows_alike", lambda *planes: False)
+    monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
     assert np.abs(integrate_frame(wave_field, sp, substeps=substeps).unitary - ref).max() <= TOL
 
 
@@ -161,22 +161,28 @@ def test_tabled_row_phases_leave_the_frame_bit_identical(wave61, monkeypatch):
     assert np.array_equal(integrate_frame(u, SpectralPoint(0.3), closing=True).unitary, tabled)
 
 
-@pytest.mark.parametrize("case", ["wave128", "lifted128", "flat64-closing", "wave64y-closing"])
+@pytest.mark.parametrize("case", ["wave128", "lifted128", "flat64-closing", "wave64y-closing",
+                                  "y64-closing"])
 def test_frame_memory_stays_within_one_build_of_samples(wave61, case):
     # integrate_frame's traced peak on a 128^2 wave perturbed in y: 20.8 MB
     # with every half-substep sample of the grid at once, 12.5 MB with half
     # the cell rows' samples, 6.9-7.1 MB with one build's (one cell row; the
     # frame itself is 2.4 MB).  The lifted wave builds its first cell row
-    # only, in the same workspace (6.9 MB).  On a 64^2 closing frame a build
-    # of BUILD_CELLS cells holds two cell rows: 4.1 MB on a wave perturbed in
-    # y, against 2.8 MB with one; the flat frame samples one cell row, in a
-    # workspace of one (2.5 MB)
+    # only, in a workspace of its own (6.9 MB).  On a 64^2 closing frame a
+    # build of BUILD_CELLS cells holds two cell rows: 4.1 MB on a wave
+    # perturbed in y, against 2.8 MB with one; each march of the flat frame
+    # builds one cell, in a workspace of one (1.1 MB).  A field of y alone
+    # builds one cell per cell row but samples every column, so its builds
+    # take the two cell rows of BUILD_CELLS samples (1.3 MB; 8.9 MB with 64
+    # cell rows' samples at once)
     if case == "wave128":
         u, closing, bound = _wave_y(wave61, 128), False, 9e6
     elif case == "lifted128":
         u, closing, bound = _lifted(wave61, 128), False, 9e6
     elif case == "flat64-closing":
         u, closing, bound = _flat(64), True, 5e6
+    elif case == "y64-closing":
+        u, closing, bound = _y_field(64), True, 5e6
     else:
         u, closing, bound = _wave_y(wave61, 64), True, 5e6
     tracemalloc.start()
@@ -192,8 +198,10 @@ def test_frame_memory_stays_within_one_build_of_samples(wave61, case):
 def test_frame_does_not_depend_on_the_cells_per_build(wave61, case, monkeypatch):
     # one, two and three cell rows per build of the column march give the
     # same frame bit for bit; at three, 65 and 128 cell rows leave a short
-    # last build of two
+    # last build of two.  The flat field's alike planes would build one cell
+    # whatever the build size, so every cell is built
     u = _flat(65) if case == "flat65-closing" else _wave_y(wave61, 128)
+    monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
     frames = []
     for rows in (1, 2, 3):
         monkeypatch.setattr(lax, "BUILD_CELLS", rows * u.grid.nx)
@@ -232,21 +240,21 @@ def _spied_builds(u, monkeypatch):
 def test_builds_sample_once_and_share_one_schedule_builder(rows, monkeypatch):
     # 65 cell rows of a 65^2 closing frame, built `rows` at a time: on a
     # field that varies in x and y the column march samples ceil(65 / rows)
-    # times, every cell row once in order, no build is uniform, and both
-    # marches make their full batches' schedules with lax._schedule.  On
-    # u = 0 the column march samples its first cell row only, and every
-    # build is uniform, so both marches build (1,) only
+    # times, every cell row once in order, no node plane is alike, and both
+    # marches make their full batches' schedules with lax._schedule, the
+    # first row's 65 cells as 65 steps of one.  On u = 0 the column march
+    # samples its first cell row only, and both marches build one cell
     monkeypatch.setattr(lax, "BUILD_CELLS", rows * 65)
     grid = PeriodicGrid(65, 65, 2 * np.pi, FLAT_LY)
     xx, yy = grid.mesh()
     bumped = ScalarFieldPeriodic(grid, 0.01 * np.cos(xx) * np.cos(2 * np.pi * yy / grid.ly + 0.4))
-    full = [(lax._coeff_x, (65,)), (lax._coeff_y, (rows, 65))]
+    full = [(lax._coeff_x, (65, 1)), (lax._coeff_y, (rows, 65))]
     full += [(lax._coeff_y, (65 % rows, 65))] * (65 % rows > 0)
     sampled, built = _spied_builds(bumped, monkeypatch)
     assert len(sampled) == math.ceil(65 / rows)
     assert sum(sampled, []) == list(range(65))
     assert built == full
-    one_cell = [(lax._coeff_x, (1,)), (lax._coeff_y, (1,))]
+    one_cell = [(lax._coeff_x, (1, 1)), (lax._coeff_y, (1, 1))]
     assert _spied_builds(zero_field(grid), monkeypatch) == ([[0]], one_cell)
 
 
@@ -255,43 +263,75 @@ def _constant(c):
     return ScalarFieldPeriodic(_flat(64).grid, np.full((64, 64), c))
 
 
-def _y_field(nx):
-    """u = 0.2 cos(2 pi y / ly) on nx columns and 64 rows."""
-    grid = PeriodicGrid(nx, 64, 2 * np.pi, FLAT_LY)
+def _y_field(nx, ny=64):
+    """u = 0.2 cos(2 pi y / ly) on nx columns and ny rows: a field of y
+    alone."""
+    grid = PeriodicGrid(nx, ny, 2 * np.pi, FLAT_LY)
     return ScalarFieldPeriodic(grid, 0.2 * np.cos(2 * np.pi * grid.mesh()[1] / grid.ly))
 
 
 @pytest.mark.parametrize("case", ["flat64", "u0.4", "y128", "y64", "wave128y"])
 def test_uniform_builds_leave_the_frame_bit_identical(wave61, case, monkeypatch):
-    # a build whose cells all sample the same values builds one cell; with
-    # every build made in full instead, and every cell row of the column
-    # march sampled and built, the closing frame is the same bit for bit: on
-    # flat.cfg's 64^2 torus and on u = 0.4 every build is uniform, on a field
-    # of y alone at 128 columns (one cell row per build) too, at 64 columns
-    # (two cell rows) only the first row's, and on the wave perturbed in y
-    # none
+    # each march asks once whether its node planes are alike along it and
+    # across it, and builds one step or one cell per step; with every cell
+    # built instead, the closing frame is the same bit for bit.  On
+    # flat.cfg's 64^2 torus and on u = 0.4 both marches build one cell, on a
+    # field of y alone the first row builds one cell and the column march one
+    # cell per cell row, at 128 and at 64 columns, and on the wave perturbed
+    # in y only the first row's width of one is alike
     fields = {
-        "flat64": lambda: (_flat(64), 0.0, "all"),
-        "u0.4": lambda: (_constant(0.4), 0.5, "all"),
-        "y128": lambda: (_y_field(128), 0.3, "all"),
-        "y64": lambda: (_y_field(64), 0.3, "first"),
-        "wave128y": lambda: (_wave_y(wave61, 128), 0.3, "none"),
+        "flat64": lambda: (_flat(64), 0.0, [True, True, True, True]),
+        "u0.4": lambda: (_constant(0.4), 0.5, [True, True, True, True]),
+        "y128": lambda: (_y_field(128), 0.3, [True, True, False, True]),
+        "y64": lambda: (_y_field(64), 0.3, [True, True, False, True]),
+        "wave128y": lambda: (_wave_y(wave61, 128), 0.3, [False, True, False, False]),
     }
     u, theta, want = fields[case]()
-    uniform, seen = lax._uniform, []
+    alike, seen = lax._alike, []
 
-    def uniform_spy(samples):
-        seen.append(uniform(samples))
+    def alike_spy(planes, axis):
+        seen.append(alike(planes, axis))
         return seen[-1]
 
-    monkeypatch.setattr(lax, "_uniform", uniform_spy)
+    monkeypatch.setattr(lax, "_alike", alike_spy)
     one_cell = integrate_frame(u, SpectralPoint(theta), closing=True).unitary
-    assert seen == {"all": [True] * len(seen), "first": [True] + [False] * (len(seen) - 1),
-                    "none": [False] * len(seen)}[want]
-    monkeypatch.setattr(lax, "_uniform", lambda samples: False)
-    monkeypatch.setattr(lax, "_rows_alike", lambda *planes: False)
+    # (along, across) of the first row's march, then of the column march
+    assert seen == want
+    monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
     full = integrate_frame(u, SpectralPoint(theta), closing=True).unitary
     assert np.array_equal(one_cell, full) and one_cell.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("case", ["y128", "y64", "y48x40"])
+def test_field_of_y_alone_builds_one_cell_across(case, monkeypatch):
+    # u_x of a field of y alone is exactly zero, some of it -0.0, so the
+    # planes are compared as numbers: the column march samples every cell
+    # row once, in order, and builds one cell per cell row, the cell rows of
+    # BUILD_CELLS samples at a time, and the closing frame is the one
+    # building every cell gives, bit for bit
+    u = {"y128": lambda: _y_field(128), "y64": lambda: _y_field(64),
+         "y48x40": lambda: _y_field(48, 40)}[case]()
+    ux = spectral_gradient(u.values, u.grid)[0]
+    assert (ux == 0).all() and np.signbit(ux).any()
+    sampled, built = _spied_builds(u, monkeypatch)
+    assert sum(sampled, []) == list(range(u.grid.ny))
+    per_build = max(1, lax.BUILD_CELLS // u.grid.nx)
+    assert [batch for coeff, batch in built if coeff is lax._coeff_y] == [(per_build, 1)]
+    one_cell = integrate_frame(u, SpectralPoint(0.3), closing=True).unitary
+    monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
+    assert one_cell.tobytes() == integrate_frame(u, SpectralPoint(0.3), closing=True).unitary.tobytes()
+
+
+def test_one_ulp_in_x_builds_every_cell_across(monkeypatch):
+    # a field of y alone with one node of one column moved by one ulp is no
+    # longer alike across: every build of its 64 cell rows, two at a time,
+    # holds every column
+    u = _y_field(64)
+    values = u.values.copy()
+    values[17, 5] = np.nextafter(values[17, 5], np.inf)
+    sampled, built = _spied_builds(ScalarFieldPeriodic(u.grid, values), monkeypatch)
+    assert len(sampled) == 32 and sum(sampled, []) == list(range(64))
+    assert [batch for coeff, batch in built if coeff is lax._coeff_y] == [(2, 64)]
 
 
 def _x_alone(wave61, case):
@@ -323,9 +363,9 @@ def test_field_of_x_alone_leaves_the_frame_bit_identical(wave61, case, monkeypat
     # closing frame that sampling and building every cell row gives, bit for
     # bit, here; the solved wave seed's node rows stay alike after Newton
     u = _x_alone(wave61, case)
-    assert lax._rows_alike(u.values, spectral_gradient(u.values, u.grid)[0])
+    assert lax._alike((u.values, spectral_gradient(u.values, u.grid)[0]), 0)
     one_row = integrate_frame(u, SpectralPoint(0.3), closing=True).unitary
-    monkeypatch.setattr(lax, "_rows_alike", lambda *planes: False)
+    monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
     assert np.array_equal(one_row, integrate_frame(u, SpectralPoint(0.3), closing=True).unitary)
 
 
@@ -336,7 +376,7 @@ def test_field_of_x_alone_matches_the_per_row_path_to_rounding(wave61, ny, monke
     # first cell row's propagators differs from the per-row one by that
     u = _lifted(wave61, 64, ny)
     one_row = integrate_frame(u, SpectralPoint(0.3), closing=True).unitary
-    monkeypatch.setattr(lax, "_rows_alike", lambda *planes: False)
+    monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
     per_row = integrate_frame(u, SpectralPoint(0.3), closing=True).unitary
     assert np.abs(one_row - per_row).max() <= 1e-14
 
