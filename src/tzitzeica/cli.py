@@ -10,6 +10,7 @@ of the files it writes.
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import math
 import os
@@ -338,5 +339,15 @@ def main(argv=None):
     return 0
 
 
+def process_main():
+    """A stage process's entry (`python -m tzitzeica.cli`, the `tzitzeica`
+    script): main's exit status, with every object frozen first, so the
+    interpreter's shutdown does not collect what the exit releases anyway.
+    main has closed its files; stdout and stderr are flushed at exit."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -223,6 +224,66 @@ def test_cli_exit_codes(tmp_path):
 
     invalid = write_config(tmp_path, "nx = 4\nny = 8\nlx = 1\nly = 1\n", "invalid.cfg")
     assert cli.main(["solve", "--config", invalid]) == 3
+
+
+def run_stage_process(stage, cfg, script=None):
+    """One stage as its own process, `python -m tzitzeica.cli`, or as
+    `script`, Python source run with the stage's argv in sys.argv."""
+    argv = [stage, "--config", cfg]
+    command = ["-m", "tzitzeica.cli", *argv] if script is None else ["-c", script, *argv]
+    return subprocess.run([sys.executable, *command], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+
+
+def test_stage_process_exits_with_the_status_and_error_name(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=16))
+    assert run_stage_process("solve", cfg).returncode == 0
+    assert (out / cli.FIELD_FILE).exists()
+    # frame on another grid than solve's field.bin: a stale pairing
+    other = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=8), "other.cfg")
+    # at lx = 1e300 solve succeeds and the frame's unitarity defect is NaN
+    huge = write_config(tmp_path, flat_config_text(str(tmp_path / "huge"), nx=16, ny=16).replace(
+        f"lx = {float(2 * np.pi)!r}", "lx = 1e300"), "huge.cfg")
+    assert run_stage_process("solve", huge).returncode == 0
+    failures = [
+        ("solve", str(tmp_path / "nope.cfg"), 2, "parse"),
+        ("frame", other, 3, "validation"),
+        ("frame", huge, 4, "invalid-frame"),
+    ]
+    for stage, path, status, name in failures:
+        proc = run_stage_process(stage, path)
+        assert proc.returncode == status
+        assert proc.stderr.strip().splitlines()[-1] == f"error: {name}"
+
+
+FREEZE_PROBE = """\
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+runpy.run_module("tzitzeica.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_stage_process_freezes_before_it_exits(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=16))
+    for stage, status in (("solve", 0), ("report", 3)):
+        proc = run_stage_process(stage, cfg, FREEZE_PROBE)
+        assert proc.returncode == status
+        frozen = proc.stdout.strip().splitlines()[-1].split()
+        assert frozen[0] == "frozen" and int(frozen[1]) > 0
+
+
+def test_in_process_stages_do_not_freeze(tmp_path, capsys):
+    # a frozen object is never collected, so a freeze in process would hide
+    # a file left open from the ResourceWarning that fails its test
+    cfg = write_config(tmp_path, flat_config_text(str(tmp_path / "out"), nx=16, ny=16, substeps=24))
+    frozen = gc.get_freeze_count()
+    cli.run_pipeline(parse_config(cfg), "solve", echo=False)
+    assert cli.main(["frame", "--config", cfg]) == 0
+    assert cli.main(["report", "--config", str(tmp_path / "nope.cfg")]) == 2
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen and gc.isenabled()
 
 
 def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):

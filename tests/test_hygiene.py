@@ -5,12 +5,14 @@ itself or from the acceptance suite, every private one from the package
 itself, every public definition of the test
 oracles is reached from a test, every default of a package function or
 dataclass field is overridden by some caller other than a unit test, README's
-config table lists exactly the config keys, and every attribute the
+config table lists exactly the config keys, the `tzitzeica` script and
+`python -m tzitzeica.cli` enter through one function, and every attribute the
 benchmark's tracer wraps exists and is called through the binding it wraps."""
 
 import ast
 import importlib
 import pathlib
+import re
 from dataclasses import MISSING, fields
 
 from tzitzeica.config import RunConfig
@@ -303,6 +305,17 @@ def test_no_default_only_unit_tests_override():
     callers = list(package.values()) + [(TESTS / "test_acceptance.py").read_text()]
     callers += [p.read_text() for p in sorted(BENCH.glob("*.py"))]
     assert unset_defaults(package, callers) == ["cli.py:main(argv)"]
+
+
+def test_console_script_and_main_block_share_one_process_entry():
+    # the `tzitzeica` script and `python -m tzitzeica.cli` exit through the
+    # same function, so neither skips what a stage process does at exit
+    pyproject = (TESTS.parent / "pyproject.toml").read_text()
+    [(module, entry)] = re.findall(r'^tzitzeica = "([\w.]+):(\w+)"$', pyproject, re.M)
+    assert module == "tzitzeica.cli"
+    [block] = [node for node in ast.parse((SRC / "cli.py").read_text()).body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"sys.exit({entry}())"]
 
 
 def readme_config_rows(readme):
