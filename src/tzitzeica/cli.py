@@ -3,15 +3,14 @@
 Each stage reads the artifacts of earlier stages from the output directory,
 writes its own artifact plus a <stage>.log of residuals, and is deterministic
 for fixed config and inputs.  Exit codes: 2 config parse error, 3 validation
-error, 4 numerical failure; the last log line of a failed run is
-"error: <name>" with a stable diagnostic name, and a failed stage leaves none
-of the files it writes.
+error, 4 numerical failure; the last line of a failed run's log, if it can
+be written, and of its stderr is "error: <name>" with a stable diagnostic
+name, and a failed stage leaves none of the files it writes.
 """
 
 import argparse
 import contextlib
 import gc
-import hashlib
 import math
 import os
 import sys
@@ -82,14 +81,6 @@ def _require_artifact(out_dir, name):
 # digest of the field.bin bytes (grid.save_field) the frame was integrated
 # from
 # ---------------------------------------------------------------------------
-
-
-def file_head_digest(path):
-    """The first line and the sha256 hex digest of the bytes of the file at
-    ``path``, from one read."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return data[: data.find(b"\n") + 1], hashlib.sha256(data).hexdigest()
 
 
 def save_frame(frame, path, field_sha256):
@@ -207,29 +198,24 @@ def _check_recorded(name, stage, recorded):
                                         f"{key} = {want!r}; rerun the {stage} stage")
 
 
-def _frame_settings(cfg, theta, substeps, closing):
-    """The (key, recorded, wanted) settings of a frame made at theta with
-    substeps and closing, against the config's."""
-    return (("theta", theta, cfg.theta), ("substeps", substeps, cfg.substeps),
-            ("extend_closure", closing, cfg.extend_closure))
-
-
 def _load_frame_stage(cfg, out_dir, digest=False):
-    """The frame of the surface and report stages: integrated from the bytes
-    of the current field.bin at the config's grid, theta, substeps and
-    extend_closure, and unitary to FRAME_TOL; returns it with the digest of
-    the frame.bin bytes when ``digest`` is set (None otherwise)."""
+    """The frame of the surface, report and export stages: integrated from
+    the bytes of the current field.bin at the config's grid, theta, substeps
+    and extend_closure; returns it with the digest of the frame.bin bytes
+    when ``digest`` is set (None otherwise)."""
     u, field_sha256 = _stage_field(cfg, out_dir)
     frame, recorded_sha256, frame_sha256 = load_frame(_require_artifact(out_dir, FRAME_FILE), u,
                                                       digest)
-    _check_recorded(FRAME_FILE, "frame", (("field_sha256", recorded_sha256, field_sha256),)
-                    + _frame_settings(cfg, frame.spectral.theta, frame.substeps, frame.closing))
-    _unitarity_gate(frame)
+    _check_recorded(FRAME_FILE, "frame", (("field_sha256", recorded_sha256, field_sha256),
+                                          ("theta", frame.spectral.theta, cfg.theta),
+                                          ("substeps", frame.substeps, cfg.substeps),
+                                          ("extend_closure", frame.closing, cfg.extend_closure)))
     return frame, frame_sha256
 
 
 def stage_surface(cfg, out_dir, log):
     frame, frame_sha256 = _load_frame_stage(cfg, out_dir, digest=True)
+    _unitarity_gate(frame)
     mesh = build_surface(frame, cfg.radius)
     meshout.save_mesh(mesh, os.path.join(out_dir, MESH_FILE), frame_sha256)
     radii = np.sqrt(np.sum(np.abs(mesh.points) ** 2, axis=-1))
@@ -238,6 +224,7 @@ def stage_surface(cfg, out_dir, log):
 
 def stage_report(cfg, out_dir, log):
     frame, _ = _load_frame_stage(cfg, out_dir)
+    _unitarity_gate(frame)
     report = full_report(frame, cfg.radius)
     residuals = report.to_dict()
     non_finite = [k for k, v in sorted(residuals.items()) if not math.isfinite(v)]
@@ -250,21 +237,17 @@ def stage_report(cfg, out_dir, log):
 
 
 def stage_export(cfg, out_dir, log):
-    """Export the mesh built from the current frame.bin at the config's
-    radius and grid, that frame made at the config's theta, substeps and
-    extend_closure."""
+    """Export the mesh built from the current frame.bin, read as surface
+    reads it, at the config's radius and grid; the frame is not gated again,
+    since the mesh records the digest of frame bytes surface gated."""
     path = _require_artifact(out_dir, MESH_FILE)
-    head, frame_digest = file_head_digest(_require_artifact(out_dir, FRAME_FILE))
+    frame_digest = _load_frame_stage(cfg, out_dir, digest=True)[1]
     grid, radius, points, frame_sha256 = meshout.load_mesh_points(path)
     check_same_grid(path, grid, _grid(cfg))
     _check_recorded(MESH_FILE, "surface", (
         ("frame_sha256", frame_sha256, frame_digest),
         ("radius", radius, cfg.radius),
     ))
-    # the digests agree, so this is the header load_frame read for the mesh
-    theta, substeps, closing = head.split(b",")[4:7]
-    _check_recorded(FRAME_FILE, "frame",
-                    _frame_settings(cfg, float(theta), int(substeps), bool(int(closing))))
     paths = meshout.export_mesh(
         grid, radius, points, os.path.join(out_dir, MESH_STEM), cfg.projection
     )
@@ -285,10 +268,11 @@ _STAGES = {
 
 def run_pipeline(cfg, stage, out_dir=None, echo=True):
     """Run one stage; raises the typed config/numerical exceptions,
-    ConfigValidationError for a file the stage cannot read or write, or an
-    output directory that cannot be made (then no log is written), and
-    NumericalFailure, naming the original type, for any other exception.  A
-    stage that raises removes the files it writes and keeps its log."""
+    ConfigValidationError for a file the stage cannot read or write, its log
+    included, or an output directory that cannot be made (then no log is
+    written), and NumericalFailure, naming the original type, for any other
+    exception.  A stage that raises removes the files it writes and keeps its
+    log, if the log can be written."""
     if stage not in _STAGES:
         raise ConfigValidationError(f"unknown stage {stage!r}; choose from {tuple(_STAGES)}")
     out_dir = out_dir or cfg.out_dir
@@ -300,6 +284,7 @@ def run_pipeline(cfg, stage, out_dir=None, echo=True):
     try:
         try:
             _STAGES[stage][0](cfg, out_dir, log)
+            log.flush()
         except PipelineError:
             raise
         except OSError as exc:
@@ -308,7 +293,8 @@ def run_pipeline(cfg, stage, out_dir=None, echo=True):
             raise NumericalFailure(f"stage {stage} failed: {type(exc).__name__}: {exc}") from exc
     except PipelineError as exc:
         log.add(f"error: {exc.name}")
-        log.flush()
+        with contextlib.suppress(OSError):  # the first error is the one to report
+            log.flush()
         seed = os.path.realpath(cfg.field_path) if cfg.seed == "file" else None
         for path in (os.path.join(out_dir, name) for name in _STAGES[stage][1]):
             if os.path.realpath(path) != seed:
@@ -316,7 +302,6 @@ def run_pipeline(cfg, stage, out_dir=None, echo=True):
                 with contextlib.suppress(OSError):
                     os.remove(path)
         raise
-    log.flush()
     return log
 
 

@@ -569,10 +569,11 @@ def test_stages_after_solve_parse_no_text_field(tmp_path, monkeypatch):
 
 
 def test_stages_hash_only_the_node_files_whose_digests_they_use(tmp_path, monkeypatch):
-    # frame and report check the digest of field.bin, surface also records
-    # that of frame.bin in mesh.bin, and export checks that one; no stage
-    # hashes a node file only to drop its digest.  A hashed file is named by
-    # its header's field count: 4 for field.bin, 6 for mesh.bin, 8 for frame.bin.
+    # frame, surface, report and export check the digest of field.bin,
+    # surface also records that of frame.bin in mesh.bin, and export checks
+    # that one; no stage hashes a node file only to drop its digest.  A
+    # hashed file is named by its header's field count: 4 for field.bin, 6
+    # for mesh.bin, 8 for frame.bin.
     hashed, names = [], {4: "field", 6: "mesh", 8: "frame"}
 
     def sha256(data):
@@ -582,7 +583,6 @@ def test_stages_hash_only_the_node_files_whose_digests_they_use(tmp_path, monkey
     shim = type(sys)("hashlib")
     shim.sha256 = sha256
     monkeypatch.setattr(grid_module, "hashlib", shim)
-    monkeypatch.setattr(cli, "hashlib", shim)
     out = str(tmp_path / "out")
     cfg = parse_config_text(flat_config_text(out, nx=16, ny=16, substeps=24))
     by_stage = {}
@@ -590,7 +590,7 @@ def test_stages_hash_only_the_node_files_whose_digests_they_use(tmp_path, monkey
         cli.run_pipeline(cfg, stage, out, echo=False)
         by_stage[stage], hashed[:] = list(hashed), []
     assert by_stage == {"solve": [], "frame": ["field"], "surface": ["field", "frame"],
-                        "report": ["field"], "export": ["frame"]}
+                        "report": ["field"], "export": ["field", "frame"]}
 
 
 def test_report_stage_contents(flat_run):
@@ -796,6 +796,22 @@ def test_surface_and_report_reject_frame_of_another_field(tmp_path):
     assert not (out / cli.REPORT_JSON).exists()
 
 
+def test_export_rejects_frame_of_another_field(tmp_path, capsys):
+    # the mesh and frame.bin agree, but field.bin was replaced since: export
+    # checks the frame against it as surface and report do
+    out = _frame_run(tmp_path, nx=16, ny=16, substeps=24)
+    cfg = str(tmp_path / "run.cfg")
+    assert cli.main(["surface", "--config", cfg]) == 0
+    grid = read_field(parse_config(cfg), out).grid
+    save_field(field_from_function(grid, lambda x, y: 0.01 * np.cos(x)), str(out / cli.FIELD_FILE))
+    capsys.readouterr()
+    assert cli.main(["export", "--config", cfg]) == 3
+    assert (out / "export.log").read_text().strip().splitlines()[-1] == "error: validation"
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-2].startswith("frame.bin was made with field_sha256 = ")
+    assert not any((out / (cli.MESH_STEM + s)).exists() for s in meshout.EXPORT_SUFFIXES)
+
+
 NODE_BYTES = 16 * 9
 
 
@@ -857,6 +873,21 @@ def test_frame_stage_rejects_unwritable_output(tmp_path):
     (out / cli.FRAME_FILE).mkdir()
     assert cli.main(["frame", "--config", cfg]) == 3
     assert (out / "frame.log").read_text().strip().splitlines()[-1] == "error: validation"
+
+
+def test_stage_rejects_unwritable_log(tmp_path, capsys):
+    # the log is one of the stage's files: a log path that is a directory
+    # fails the stage as an unwritable output does, and the stage removes
+    # the field.bin it wrote before its log
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, flat_config_text(str(out)))
+    (out / "solve.log").mkdir(parents=True)
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", cfg]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == "error: validation"
+    assert err[-2].startswith("stage solve cannot use a file: ") and "solve.log" in err[-2]
+    assert not (out / cli.FIELD_FILE).exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ itself or from the acceptance suite, every private one from the package
 itself, every public definition of the test
 oracles is reached from a test, every default of a package function or
 dataclass field is overridden by some caller other than a unit test, README's
-config table lists exactly the config keys, the `tzitzeica` script and
+config table lists exactly the config keys, only `grid.py` imports `hashlib`
+(one routine digests artifact files), the `tzitzeica` script and
 `python -m tzitzeica.cli` enter through one function, and every attribute the
 benchmark's tracer wraps exists and is called through the binding it wraps."""
 
@@ -316,6 +317,33 @@ def test_console_script_and_main_block_share_one_process_entry():
     [block] = [node for node in ast.parse((SRC / "cli.py").read_text()).body
                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
     assert [ast.unparse(stmt) for stmt in block.body] == [f"sys.exit({entry}())"]
+
+
+def importers(modules, name):
+    """The file names of ``modules`` (file name -> source) whose code imports
+    the module ``name`` anywhere, by `import` or `from ... import`."""
+    def imports(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == name for a in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == name
+
+    return [f for f, source in modules.items() if any(map(imports, ast.walk(ast.parse(source))))]
+
+
+def test_guard_flags_every_module_that_imports_a_name():
+    modules = {
+        "a.py": "import hashlib\n",
+        "b.py": "def f():\n    from hashlib import sha256\n",
+        "c.py": "import hashlibx\nimport os.path\nfrom . import hashlib_like\n",
+    }
+    assert importers(modules, "hashlib") == ["a.py", "b.py"]
+
+
+def test_only_grid_digests_artifact_files():
+    # grid.load_nodes hashes a node file's bytes in the read that parses
+    # them; no other module hashes an artifact file on its own
+    package = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert importers(package, "hashlib") == ["grid.py"]
 
 
 def readme_config_rows(readme):
