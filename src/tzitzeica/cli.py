@@ -2,10 +2,11 @@
 
 Each stage reads the artifacts of earlier stages from the output directory,
 writes its own artifact plus a <stage>.log of residuals, and is deterministic
-for fixed config and inputs.  Exit codes: 2 config parse error, 3 validation
-error, 4 numerical failure; the last line of a failed run's log, if it can
-be written, and of its stderr is "error: <name>" with a stable diagnostic
-name, and a failed stage leaves none of the files it writes.
+for fixed config and inputs.  Exit codes: 2 config parse or command-line
+usage error, 3 validation error, 4 numerical failure; the last line of a
+failed run's log, if it can be written, and of its stderr is
+"error: <name>" with a stable diagnostic name, and a failed stage leaves none
+of the files it writes.
 """
 
 import argparse
@@ -19,7 +20,8 @@ import numpy as np
 
 from . import meshout, wave
 from .config import parse_config
-from .errors import ConfigValidationError, InvalidFrameError, NumericalFailure, PipelineError
+from .errors import (ConfigParseError, ConfigValidationError, InvalidFrameError, NumericalFailure,
+                     PipelineError)
 from .grid import (
     PeriodicGrid,
     check_same_grid,
@@ -34,7 +36,7 @@ from .grid import (
     save_table,
     zero_field,
 )
-from .lax import FrameField, SpectralPoint, frame_orthonormality_report, integrate_frame
+from .lax import FrameField, SpectralPoint, integrate_frame
 from .solver import newton_solve
 from .surface import build_surface, full_report
 
@@ -112,7 +114,8 @@ def load_frame(path, u, digest=False):
 
 
 def write_report_json(report, path):
-    body = ",\n".join(f'  "{k}": {format_float(v)}' for k, v in sorted(report.to_dict().items()))
+    """Write the {name: float} report as a flat JSON object, keys sorted."""
+    body = ",\n".join(f'  "{k}": {format_float(v)}' for k, v in sorted(report.items()))
     with open(path, "w") as fh:
         fh.write("{\n" + body + "\n}\n")
 
@@ -169,7 +172,7 @@ def stage_wave(cfg, out_dir, log):
 def _unitarity_gate(frame):
     """The frame's unitarity defect; raises InvalidFrameError when it is
     FRAME_TOL or more, or NaN."""
-    defect = frame_orthonormality_report(frame)
+    defect = frame.unitarity_defect
     if not defect < FRAME_TOL:
         raise InvalidFrameError(f"frame unitarity defect {defect:.3e} is not below {FRAME_TOL:g}")
     return defect
@@ -216,9 +219,10 @@ def _load_frame_stage(cfg, out_dir, digest=False):
 def stage_surface(cfg, out_dir, log):
     frame, frame_sha256 = _load_frame_stage(cfg, out_dir, digest=True)
     _unitarity_gate(frame)
-    mesh = build_surface(frame, cfg.radius)
-    meshout.save_mesh(mesh, os.path.join(out_dir, MESH_FILE), frame_sha256)
-    radii = np.sqrt(np.sum(np.abs(mesh.points) ** 2, axis=-1))
+    points = build_surface(frame, cfg.radius)
+    meshout.save_mesh(frame.grid, cfg.radius, points, os.path.join(out_dir, MESH_FILE),
+                      frame_sha256)
+    radii = np.sqrt(np.sum(np.abs(points) ** 2, axis=-1))
     log.add(f"sphere_defect={format_float(np.abs(radii - cfg.radius).max())}")
 
 
@@ -226,13 +230,12 @@ def stage_report(cfg, out_dir, log):
     frame, _ = _load_frame_stage(cfg, out_dir)
     _unitarity_gate(frame)
     report = full_report(frame, cfg.radius)
-    residuals = report.to_dict()
-    non_finite = [k for k, v in sorted(residuals.items()) if not math.isfinite(v)]
+    non_finite = [k for k, v in sorted(report.items()) if not math.isfinite(v)]
     if non_finite:
         raise NumericalFailure(f"residuals not finite at radius {cfg.radius!r}: "
                                f"{', '.join(non_finite)}")
     write_report_json(report, os.path.join(out_dir, REPORT_JSON))
-    for key, val in sorted(residuals.items()):
+    for key, val in sorted(report.items()):
         log.add(f"{key}={format_float(val)}")
 
 
@@ -305,17 +308,25 @@ def run_pipeline(cfg, stage, out_dir=None, echo=True):
     return log
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ConfigParseError, so they end as every
+    other failure does."""
+
+    def error(self, message):
+        raise ConfigParseError(f"{self.format_usage()}{self.prog}: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tzitzeica",
         description="Minimal complexly-normal surfaces in S^5: pipeline stages",
     )
     parser.add_argument("stage", choices=_STAGES)
     parser.add_argument("--config", required=True, help="path to key=value config")
     parser.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         run_pipeline(parse_config(args.config), args.stage, args.out)
     except PipelineError as exc:
         print(f"{exc}", file=sys.stderr)

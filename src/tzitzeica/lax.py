@@ -73,6 +73,7 @@ one period, from which surface.torus_closure measures closure without
 integrating a second period.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -354,10 +355,12 @@ class FrameField:
         """Third frame column at the base nodes."""
         return self.base[..., :, 2]
 
-
-def frame_orthonormality_report(frame):
-    """Max unitarity defect over every stored node."""
-    return float(unitarity_defect_map(frame.unitary).max())
+    @functools.cached_property
+    def unitarity_defect(self):
+        """Max unitarity defect over every stored node, measured on first use
+        and kept: a frame's matrices are not changed once it is made, and
+        dataclasses.replace makes a frame that measures its own."""
+        return float(unitarity_defect_map(self.unitary).max())
 
 
 def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):

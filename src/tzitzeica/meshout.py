@@ -30,9 +30,9 @@ def points_to_r6(points):
     return np.ascontiguousarray(points, dtype=complex).reshape(-1, 3).view(float)
 
 
-def save_mesh(mesh, path, frame_sha256):
-    g = mesh.grid
-    save_nodes(path, (g.nx, g.ny, g.lx, g.ly, mesh.radius, frame_sha256), mesh.points)
+def save_mesh(grid, radius, points, path, frame_sha256):
+    """Write the (ny, nx, 3) complex points of a mesh as a node file."""
+    save_nodes(path, (grid.nx, grid.ny, grid.lx, grid.ly, radius, frame_sha256), points)
 
 
 def load_mesh_points(path):

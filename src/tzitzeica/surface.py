@@ -20,26 +20,18 @@ torus_closure); no second period is integrated or stored.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import invariants as inv
 from .grid import spectral_gradient
-from .lax import _mul3, frame_axis_stencil, frame_orthonormality_report
+from .lax import _mul3, frame_axis_stencil
 from .linalg3 import hermitian_inner
 
 
-@dataclass
-class SurfaceMesh:
-    grid: object
-    points: np.ndarray = field(repr=False)  # (ny, nx, 3) complex, |r| = R
-    radius: float
-
-
 def build_surface(frame, radius):
-    """Embed r = R * N."""
-    return SurfaceMesh(frame.grid, radius * frame.normal, float(radius))
+    """The points r = R * N of the embedding, (ny, nx, 3) complex."""
+    return radius * frame.normal
 
 
 def normality_map(e1, e2, normal):
@@ -118,21 +110,10 @@ def extract_second_form(frame, radius):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClosureReport:
-    """Frame mismatch over one x period and over one y period."""
-
-    x_defect: float
-    y_defect: float
-
-    @property
-    def max_defect(self):
-        return max(self.x_defect, self.y_defect)
-
-
 def torus_closure(frame):
-    """Frame mismatch U(p + period) - U(p) over the base nodes, for the x and
-    the y period, from the monodromies of a closing frame.
+    """Frame mismatch U(p + period) - U(p) over the base nodes, the pair
+    (x_defect, y_defect) over one x and one y period, from the monodromies of
+    a closing frame.
 
     The march reuses the periodic cell propagators, so the frame continued
     past the period is, exactly,
@@ -151,42 +132,17 @@ def torus_closure(frame):
     base = np.moveaxis(frame.base, (-2, -1), (0, 1))
     out, tmp = np.empty((2,) + base.shape, dtype=complex)
     monodromies = np.moveaxis(rows, 0, -1)[..., None], np.moveaxis(cols, 0, -1)[..., None, :]
-    return ClosureReport(*(float(np.abs(_mul3(mono, base, out, tmp)).max())
-                           for mono in monodromies))
-
-
-@dataclass
-class ImmersionReport:
-    """Named sup-norm residuals of one built surface."""
-
-    normality_defect: float
-    conformal_defect: float
-    minimality_H: float
-    h2_max: float
-    tensor_match_defect: float
-    tensor_trace_max: float
-    normal_coeff_defect: float
-    gauss_defect: float
-    gauss_curvature_max: float
-    codazzi_defect: float
-    invariant_t2_defect: float
-    invariant_t4_defect: float
-    sphere_defect: float
-    unitarity_defect: float
-    closure_defect: float | None
-
-    def to_dict(self):
-        return {k: float(v) for k, v in asdict(self).items() if v is not None}
+    return tuple(float(np.abs(_mul3(mono, base, out, tmp)).max()) for mono in monodromies)
 
 
 def full_report(frame, radius):
-    """Evaluate every verification residual on the surface r = R * N of
-    ``frame``, against the closed forms at the frame's own u and theta; a
-    closing frame adds closure_defect.  Every residual read from the frame's
-    tangents comes from extract_second_form's one pass over blocks of the
-    frame, so no whole-grid tangent exists, and each whole-grid intermediate
-    is dropped once the residuals that read it are taken: the report's memory
-    stays near that of its largest single step."""
+    """Every verification residual of the surface r = R * N of ``frame``, a
+    dict of named sup norms, against the closed forms at the frame's own u
+    and theta; a closing frame adds closure_defect.  Every residual read from
+    the frame's tangents comes from extract_second_form's one pass over
+    blocks of the frame, so no whole-grid tangent exists, and each whole-grid
+    intermediate is dropped once the residuals that read it are taken: the
+    report's memory stays near that of its largest single step."""
     grid = frame.grid
     u = frame.u
     conf = 2.0 * radius**2 * np.exp(u.values)
@@ -219,9 +175,7 @@ def full_report(frame, radius):
     t2_defect = float(np.abs(t2 * scale3 - 2.0).max())
     t4_defect = float(np.abs(t4 * scale6 - 2.0).max())
 
-    closure = torus_closure(frame).max_defect if frame.closing else None
-
-    return ImmersionReport(
+    report = dict(
         normality_defect=normality,
         conformal_defect=conformal,
         minimality_H=math.sqrt(max(h2_max, 0.0)),
@@ -235,6 +189,8 @@ def full_report(frame, radius):
         invariant_t2_defect=t2_defect,
         invariant_t4_defect=t4_defect,
         sphere_defect=sphere,
-        unitarity_defect=frame_orthonormality_report(frame),
-        closure_defect=closure,
+        unitarity_defect=frame.unitarity_defect,
     )
+    if frame.closing:
+        report["closure_defect"] = max(torus_closure(frame))
+    return report

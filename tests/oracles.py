@@ -242,10 +242,10 @@ def second_form_with_connection(frame, radius):
     return tens, ncoeff
 
 
-def fd_tangents(mesh):
-    """Grid finite-difference tangents of the embedding (valid when the frame
-    closes over the grid periods)."""
-    return ddx(mesh.points, mesh.grid), ddy(mesh.points, mesh.grid)
+def fd_tangents(points, grid):
+    """Grid finite-difference tangents of the embedding's points (valid when
+    the frame closes over the grid periods)."""
+    return ddx(points, grid), ddy(points, grid)
 
 
 def turning_points(energy):

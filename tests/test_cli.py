@@ -31,7 +31,7 @@ from tzitzeica.grid import (
     save_table,
     write_rows,
 )
-from tzitzeica.lax import SpectralPoint, frame_orthonormality_report, integrate_frame
+from tzitzeica.lax import SpectralPoint, integrate_frame
 from tzitzeica.surface import build_surface, full_report
 from tzitzeica.wave import period_quadrature, travelling_wave
 
@@ -226,6 +226,27 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["solve", "--config", invalid]) == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bogus", "--config", "x"], "invalid choice: 'bogus'"),
+    (["solve"], "the following arguments are required: --config"),
+    (["solve", "--config", "x", "--bad"], "unrecognized arguments: --bad"),
+])
+def test_usage_error_is_exit_2_named_parse(capsys, argv, message):
+    # a usage error ends as every other failure: main returns its status,
+    # and stderr ends with the message and then the error name
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith("usage: tzitzeica")
+    assert message in err[-2] and err[-1] == "error: parse"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tzitzeica")
+
+
 def run_stage_process(stage, cfg, script=None):
     """One stage as its own process, `python -m tzitzeica.cli`, or as
     `script`, Python source run with the stage's argv in sys.argv."""
@@ -248,6 +269,7 @@ def test_stage_process_exits_with_the_status_and_error_name(tmp_path):
     assert run_stage_process("solve", huge).returncode == 0
     failures = [
         ("solve", str(tmp_path / "nope.cfg"), 2, "parse"),
+        ("bogus", cfg, 2, "parse"),
         ("frame", other, 3, "validation"),
         ("frame", huge, 4, "invalid-frame"),
     ]
@@ -527,7 +549,7 @@ def test_frame_csv_round_trip(flat_run, tmp_path):
     assert frame.closing is True
     assert frame.substeps == 24
     assert frame.unitary.shape == (33, 33, 3, 3)
-    assert frame_orthonormality_report(frame) < 1e-8
+    assert frame.unitarity_defect < 1e-8
     # write/read identity, down to the bytes of the file
     second = str(tmp_path / "frame2.bin")
     cli.save_frame(frame, second, digest)
@@ -593,6 +615,25 @@ def test_stages_hash_only_the_node_files_whose_digests_they_use(tmp_path, monkey
                         "report": ["field"], "export": ["field", "frame"]}
 
 
+def test_each_stage_measures_the_frame_unitarity_at_most_once(tmp_path, monkeypatch):
+    # the report stage's gate and its report read one measurement of the
+    # frame's unitarity defect; export reads the mesh, not the frame's defect
+    calls = []
+
+    def spy(mat, original=lax.unitarity_defect_map):
+        calls.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(lax, "unitarity_defect_map", spy)
+    out = str(tmp_path / "out")
+    cfg = parse_config_text(flat_config_text(out, nx=16, ny=16, substeps=24))
+    by_stage = {}
+    for stage in ("solve", "frame", "surface", "report", "export"):
+        cli.run_pipeline(cfg, stage, out, echo=False)
+        by_stage[stage], calls[:] = len(calls), []
+    assert by_stage == {"solve": 0, "frame": 1, "surface": 1, "report": 1, "export": 0}
+
+
 def test_report_stage_contents(flat_run):
     _cfg, out = flat_run
     with open(os.path.join(out, cli.REPORT_JSON)) as fh:
@@ -614,10 +655,10 @@ def test_mesh_file_and_obj_round_trip(flat_run, tmp_path):
     assert frame_sha256 == hashlib.sha256(pathlib.Path(frame_path).read_bytes()).hexdigest()
     # the points of the frame's surface, bit for bit, and the same bytes again
     field = read_field(cfg, out)
-    mesh = build_surface(cli.load_frame(frame_path, field)[0], radius)
-    assert points.shape == (32, 32, 3) and np.array_equal(points, mesh.points)
+    built = build_surface(cli.load_frame(frame_path, field)[0], radius)
+    assert points.shape == (32, 32, 3) and np.array_equal(points, built)
     again = str(tmp_path / "mesh.bin")
-    meshout.save_mesh(mesh, again, frame_sha256)
+    meshout.save_mesh(grid, radius, built, again, frame_sha256)
     assert pathlib.Path(again).read_bytes() == pathlib.Path(path).read_bytes()
     radii = np.sqrt(np.sum(np.abs(points) ** 2, axis=-1))
     assert np.abs(radii - 1.0).max() < 1e-8

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import scipy.linalg
 
+from tzitzeica import lax
 from tzitzeica.grid import PeriodicGrid, field_from_function, zero_field
 from tzitzeica.lax import (
     SpectralPoint,
@@ -102,6 +105,27 @@ def test_unitarity_defect_localizes_at_corrupted_node():
     assert dmap[5, 7] > 1e-4
     dmap[5, 7] = 0.0
     assert dmap.max() < 1e-9
+
+
+def test_frame_unitarity_defect_is_measured_once_per_frame(monkeypatch):
+    calls = []
+
+    def spy(mat, original=lax.unitarity_defect_map):
+        calls.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(lax, "unitarity_defect_map", spy)
+    g = PeriodicGrid(16, 16, 1.0, 1.0)
+    frame = integrate_frame(zero_field(g), SpectralPoint(0.0), substeps=4, closing=True)
+    assert calls == []
+    first = frame.unitarity_defect
+    assert first == float(unitarity_defect_map(frame.unitary).max()) < 1e-9
+    assert frame.unitarity_defect == first and calls == [(17, 17, 3, 3)]
+    # a frame made by dataclasses.replace measures its own matrices
+    corrupted = frame.unitary.copy()
+    corrupted[16, 3, 0, 2] += 1e-3
+    assert dataclasses.replace(frame, unitary=corrupted).unitarity_defect > 1e-4
+    assert len(calls) == 2
 
 
 def test_unitarity_drift_grows_at_most_linearly():
