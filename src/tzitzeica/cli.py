@@ -24,10 +24,8 @@ from .errors import (ConfigParseError, ConfigValidationError, InvalidFrameError,
                      PipelineError)
 from .grid import (
     PeriodicGrid,
-    check_same_grid,
     format_float,
-    header_grid,
-    hex_digest,
+    grid_record,
     load_field,
     load_nodes,
     load_saved_field,
@@ -69,48 +67,36 @@ def _grid(cfg):
     return PeriodicGrid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
 
 
-def _require_artifact(out_dir, name):
-    path = os.path.join(out_dir, name)
-    if not os.path.exists(path):
-        raise ConfigValidationError(f"missing input artifact {path}; run earlier stages first")
-    return path
+# ---------------------------------------------------------------------------
+# frame file: a node file (grid.save_nodes) of frame_record and U of every
+# node, y outer, over (ny + closing) x (nx + closing) nodes
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# frame file: a node file (grid.save_nodes) with the header
-# nx,ny,lx,ly,theta,substeps,closing,field_sha256 and U of every node, y
-# outer, over (ny + closing) x (nx + closing) nodes; field_sha256 is the hex
-# digest of the field.bin bytes (grid.save_field) the frame was integrated
-# from
-# ---------------------------------------------------------------------------
+def frame_record(grid, theta, substeps, closing, field_sha256):
+    """The record of a frame file: the grid's, then the frame's theta,
+    substeps and closing (0 or 1) and the hex digest of the field.bin bytes
+    (grid.save_field) it was integrated from."""
+    return grid_record(grid) + (("theta", theta), ("substeps", substeps),
+                                ("extend_closure", int(closing)), ("field_sha256", field_sha256))
 
 
 def save_frame(frame, path, field_sha256):
-    g = frame.grid
-    head = (g.nx, g.ny, g.lx, g.ly, frame.spectral.theta, frame.substeps, int(frame.closing),
-            field_sha256)
-    save_nodes(path, head, frame.unitary)
+    record = frame_record(frame.grid, frame.spectral.theta, frame.substeps, frame.closing,
+                          field_sha256)
+    save_nodes(path, record, frame.unitary)
 
 
-def load_frame(path, u, digest=False):
-    """Read a frame written by save_frame for the field u; returns the frame,
-    the field digest its header records and, when ``digest`` is set, the
-    digest of the frame file's own bytes (None otherwise).
-
-    Raises ConfigValidationError as grid.load_nodes does, or when the frame
-    has no valid substeps or closing, or was integrated on another grid than
-    u's.
-    """
-    types = (int, int, float, float, float, int, int, hex_digest)
-    header, mats, frame_sha256 = load_nodes(path, "frame file", types,
-                                            lambda h: (h[1] + h[6], h[0] + h[6], 3, 3),
-                                            digest=digest)
-    check_same_grid(path, header_grid(path, "frame file", header), u.grid)
-    theta, substeps, closing, field_sha256 = header[4:]
-    if closing not in (0, 1) or substeps < 1:
-        raise ConfigValidationError(f"frame file {path} has substeps {substeps}, closing {closing}")
-    frame = FrameField(u.grid, SpectralPoint(theta), mats, u, bool(closing), substeps)
-    return frame, field_sha256, frame_sha256
+def load_frame(path, u, theta, substeps, closing, field_sha256, digest=False):
+    """Read the frame of the field u that save_frame wrote at theta, substeps
+    and closing from the field.bin bytes of digest field_sha256; returns the
+    frame and, when ``digest`` is set, the digest of the frame file's own
+    bytes (None otherwise).  Raises ConfigValidationError as grid.load_nodes
+    does."""
+    record = frame_record(u.grid, theta, substeps, closing, field_sha256)
+    nodes = (u.grid.ny + closing, u.grid.nx + closing, 3, 3)
+    mats, frame_sha256 = load_nodes(path, "frame", record, nodes, digest=digest)
+    return FrameField(u.grid, SpectralPoint(theta), mats, u, closing, substeps), frame_sha256
 
 
 def write_report_json(report, path):
@@ -132,9 +118,7 @@ def _seed_field(cfg, grid, log):
         profile = wave.travelling_wave(cfg.wave_energy)
         log.add(f"wave_period={format_float(profile.period)}")
         return wave.lift_1d(profile, grid)
-    fld = load_field(cfg.field_path)
-    check_same_grid(cfg.field_path, fld.grid, grid)
-    return fld
+    return load_field(cfg.field_path, grid)
 
 
 def _log_residuals(log, residuals):
@@ -181,7 +165,7 @@ def _unitarity_gate(frame):
 def _stage_field(cfg, out_dir):
     """The field of the current field.bin, on the config's grid, and the
     digest of the file's bytes."""
-    return load_saved_field(_require_artifact(out_dir, FIELD_FILE), _grid(cfg))
+    return load_saved_field(os.path.join(out_dir, FIELD_FILE), _grid(cfg))
 
 
 def stage_frame(cfg, out_dir, log):
@@ -192,28 +176,14 @@ def stage_frame(cfg, out_dir, log):
     save_frame(frame, os.path.join(out_dir, FRAME_FILE), field_sha256)
 
 
-def _check_recorded(name, stage, recorded):
-    """Raises ConfigValidationError at the first (key, got, want) of
-    ``recorded`` where the file ``name`` holds another value than this run."""
-    for key, got, want in recorded:
-        if got != want:
-            raise ConfigValidationError(f"{name} was made with {key} = {got!r}, this run has "
-                                        f"{key} = {want!r}; rerun the {stage} stage")
-
-
 def _load_frame_stage(cfg, out_dir, digest=False):
     """The frame of the surface, report and export stages: integrated from
     the bytes of the current field.bin at the config's grid, theta, substeps
     and extend_closure; returns it with the digest of the frame.bin bytes
     when ``digest`` is set (None otherwise)."""
     u, field_sha256 = _stage_field(cfg, out_dir)
-    frame, recorded_sha256, frame_sha256 = load_frame(_require_artifact(out_dir, FRAME_FILE), u,
-                                                      digest)
-    _check_recorded(FRAME_FILE, "frame", (("field_sha256", recorded_sha256, field_sha256),
-                                          ("theta", frame.spectral.theta, cfg.theta),
-                                          ("substeps", frame.substeps, cfg.substeps),
-                                          ("extend_closure", frame.closing, cfg.extend_closure)))
-    return frame, frame_sha256
+    return load_frame(os.path.join(out_dir, FRAME_FILE), u, cfg.theta, cfg.substeps,
+                      cfg.extend_closure, field_sha256, digest)
 
 
 def stage_surface(cfg, out_dir, log):
@@ -243,16 +213,12 @@ def stage_export(cfg, out_dir, log):
     """Export the mesh built from the current frame.bin, read as surface
     reads it, at the config's radius and grid; the frame is not gated again,
     since the mesh records the digest of frame bytes surface gated."""
-    path = _require_artifact(out_dir, MESH_FILE)
-    frame_digest = _load_frame_stage(cfg, out_dir, digest=True)[1]
-    grid, radius, points, frame_sha256 = meshout.load_mesh_points(path)
-    check_same_grid(path, grid, _grid(cfg))
-    _check_recorded(MESH_FILE, "surface", (
-        ("frame_sha256", frame_sha256, frame_digest),
-        ("radius", radius, cfg.radius),
-    ))
+    frame_sha256 = _load_frame_stage(cfg, out_dir, digest=True)[1]
+    grid = _grid(cfg)
+    points = meshout.load_mesh_points(os.path.join(out_dir, MESH_FILE), grid, cfg.radius,
+                                      frame_sha256)
     paths = meshout.export_mesh(
-        grid, radius, points, os.path.join(out_dir, MESH_STEM), cfg.projection
+        grid, cfg.radius, points, os.path.join(out_dir, MESH_STEM), cfg.projection
     )
     for p in paths:
         log.add(f"wrote {os.path.basename(p)}")

@@ -20,12 +20,14 @@ row_sampler.
 
 It also owns the layouts of the artifact files: text tables (save_table;
 load_field reads a text field, the seed = file input) and binary node files
-(save_nodes, load_nodes: the solved field, the frame and the mesh).
+(save_nodes, load_nodes: the solved field, the frame and the mesh).  A file's
+header is its record, the (key, value) pairs of the run that wrote it, and a
+reader takes the record of its own run and rejects a file made with another.
 """
 
 import hashlib
 import math
-import re
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,12 +212,14 @@ def _trig_phases(n, factor, offsets):
 
 
 # ---------------------------------------------------------------------------
-# artifact files: a header line of comma-separated values (header_line,
-# parse_header), then the body.  A text table (save_table; a seed = file field
-# is read by load_field) holds rows of comma-separated values with 17
-# significant digits; a node file (save_nodes, load_nodes: the field, the frame
-# and the mesh) holds its values as little-endian binary numbers in C order,
-# complex128 unless the file names another dtype.
+# artifact files: a header line of comma-separated values, then the body.  A
+# stage input's header holds its record, the (key, value) pairs of the run that
+# wrote it, first grid_record's; its reader takes its own run's record and
+# accepts only an equal header (_check_record).  A text table (save_table; a
+# seed = file field is read by load_field) holds rows of comma-separated values
+# with 17 significant digits; a node file (save_nodes, load_nodes: the field,
+# the frame and the mesh) holds its values as little-endian binary numbers in C
+# order, complex128 unless the file names another dtype.
 # ---------------------------------------------------------------------------
 
 
@@ -245,25 +249,25 @@ def header_line(header):
     return ",".join(str(v) if isinstance(v, (int, str)) else format_float(v) for v in header) + "\n"
 
 
-def hex_digest(text):
-    """A header field holding a sha256 hex digest: 64 lowercase hex digits;
-    raises ValueError for any other text."""
-    if not re.fullmatch("[0-9a-f]{64}", text):
-        raise ValueError(f"{text!r} is not a sha256 hex digest")
-    return text
+def grid_record(grid):
+    """The record of a file of values on ``grid``, the text seed's and
+    field.bin's, and the first keys of the frame's and the mesh's."""
+    return (("nx", grid.nx), ("ny", grid.ny), ("lx", grid.lx), ("ly", grid.ly))
 
 
-def parse_header(line, types):
-    """The header values of ``line``, each converted by its entry of ``types``;
-    raises ValueError when the line has other than len(types) fields or a
-    value that does not parse or is not finite."""
-    fields = line.strip().split(",")
-    if len(fields) != len(types):
-        raise ValueError(f"header has {len(fields)} fields, not {len(types)}")
-    header = tuple(t(f) for t, f in zip(types, fields))
-    if not all(math.isfinite(v) for v in header if isinstance(v, float)):
-        raise ValueError(f"header values {header} are not finite")
-    return header
+def _check_record(path, head, record, remedy):
+    """Raise ValueError unless the header line ``head`` (bytes) has one field
+    per (key, value) of ``record``, each parsing as the type of its value, and
+    ConfigValidationError, naming the file by its base name and ending with
+    ``remedy``, at the first field that parses to another value."""
+    fields = head.decode("ascii").strip().split(",")
+    if len(fields) != len(record):
+        raise ValueError(f"its header has {len(fields)} fields, not {len(record)}")
+    for (key, want), text in zip(record, fields):
+        got = type(want)(text)
+        if got != want:
+            raise ConfigValidationError(f"{os.path.basename(path)} was made with {key} = {got!r}, "
+                                        f"this run has {key} = {want!r}; {remedy}")
 
 
 def save_table(path, header, rows):
@@ -273,103 +277,83 @@ def save_table(path, header, rows):
         write_rows(fh, rows)
 
 
-def save_nodes(path, header, values, dtype="<c16"):
-    """Write header_line(header), then ``values`` as ``dtype`` in C order."""
+def save_nodes(path, record, values, dtype="<c16"):
+    """Write the values of ``record`` as the header line, then ``values`` as
+    ``dtype`` in C order."""
     with open(path, "wb") as fh:
-        fh.write(header_line(header).encode("ascii"))
+        fh.write(header_line(value for _key, value in record).encode("ascii"))
         np.ascontiguousarray(values, dtype=dtype).tofile(fh)
 
 
-def load_nodes(path, what, types, shape, dtype="<c16", digest=False):
-    """Read a node file written by save_nodes with ``dtype``; returns (header,
-    values, sha256), the values reshaped to ``shape(header)`` and, when
-    ``digest`` is set, the hex digest of the file's bytes from the same read
-    (None otherwise).  Raises
-    ConfigValidationError, naming the file as ``what``, when the file cannot
-    be opened, its header does not parse by ``types`` (see parse_header), its
-    body is other than one ``dtype`` item per value of that shape, or a value
-    is not finite."""
+def load_nodes(path, stage, record, shape, dtype="<c16", digest=False):
+    """Read a node file that save_nodes wrote with this run's ``record`` and
+    ``dtype``; returns its values, of ``shape``, and, when ``digest`` is set,
+    the hex digest of the file's bytes from the same read (None otherwise).
+    Raises ConfigValidationError, telling to rerun ``stage``, when the file
+    was made with another record (see _check_record), or it cannot be read:
+    it cannot be opened, its header does not parse by the record, its body is
+    other than one ``dtype`` item per value of ``shape``, or a value is not
+    finite."""
+    remedy = f"rerun the {stage} stage"
     try:
         with open(path, "rb") as fh:
             head = fh.readline()
-            header = parse_header(head.decode("ascii"), types)
+            _check_record(path, head, record, remedy)
             values = np.fromfile(fh, dtype=dtype)
             tail = len(fh.read())
-        dims = shape(header)
-        if min(dims) < 0 or values.size != math.prod(dims) or tail:
-            raise ValueError(f"it holds {values.nbytes + tail} bytes of node data; its "
-                             f"header calls for {dims} values of {values.itemsize} bytes")
+        if values.size != math.prod(shape) or tail:
+            raise ValueError(f"it holds {values.nbytes + tail} bytes of node data; this run "
+                             f"calls for {shape} values of {values.itemsize} bytes")
         if not np.isfinite(values).all():
             raise ValueError("it holds non-finite values")
     except (OSError, ValueError) as exc:
-        raise ConfigValidationError(f"{what} {path} cannot be read: {exc}") from exc
+        raise ConfigValidationError(f"{path} cannot be read: {exc}; {remedy}") from exc
     sha256 = None
     if digest:
         hasher = hashlib.sha256(head)
         hasher.update(values)
         sha256 = hasher.hexdigest()
-    return header, values.reshape(dims), sha256
-
-
-def header_grid(path, what, header):
-    """The PeriodicGrid of an artifact header that starts nx,ny,lx,ly; raises
-    ConfigValidationError when it is not a valid grid."""
-    try:
-        return PeriodicGrid(*header[:4])
-    except ValueError as exc:
-        raise ConfigValidationError(f"{what} {path} has no valid grid: {exc}") from exc
-
-
-def check_same_grid(path, got, want):
-    """Raise ConfigValidationError unless the grid ``got`` of the file at
-    ``path`` is exactly the grid ``want`` it is used with."""
-    if got != want:
-        raise ConfigValidationError(f"{path} is for {got}, this run for {want}; rerun its stage")
+    return values.reshape(shape), sha256
 
 
 def save_field(fld, path):
-    """Write the field as a node file: header nx,ny,lx,ly, then its values as
-    '<f8', row-major (y outer)."""
-    g = fld.grid
-    save_nodes(path, (g.nx, g.ny, g.lx, g.ly), fld.values, "<f8")
+    """Write the field as a node file: grid_record, then its values as '<f8',
+    row-major (y outer)."""
+    save_nodes(path, grid_record(fld.grid), fld.values, "<f8")
 
 
 def load_saved_field(path, grid):
-    """Read a field written by save_field for use on ``grid``; returns the
-    field and the sha256 hex digest of the file's bytes.  Raises
-    ConfigValidationError as load_nodes does, or when the file's grid is no
-    valid grid or is not ``grid``."""
-    types = (int, int, float, float)
-    header, values, sha256 = load_nodes(path, "field file", types, lambda h: (h[1], h[0]), "<f8",
-                                        digest=True)
-    check_same_grid(path, header_grid(path, "field file", header), grid)
+    """Read a field that save_field wrote on ``grid``; returns the field and
+    the sha256 hex digest of the file's bytes.  Raises ConfigValidationError
+    as load_nodes does."""
+    values, sha256 = load_nodes(path, "solve", grid_record(grid), (grid.ny, grid.nx), "<f8",
+                                digest=True)
     return ScalarFieldPeriodic(grid, values), sha256
 
 
-def load_field(path):
-    """Read a text field table, the input of seed = file: header nx,ny,lx,ly,
-    then one value per line, row-major (y outer).  Raises
-    ConfigValidationError when the file cannot be opened, does not end with a
-    newline (it was cut short) or holds no values after its header, the
-    header does not parse (see parse_header) or is no valid grid, or the file
-    holds other than nx * ny lines or a line that is not one number (two
-    values, a comment, a blank line), or a non-finite value."""
+def load_field(path, grid):
+    """Read a text field table on ``grid``, the input of seed = file: header
+    grid_record, then one value per line, row-major (y outer).  Raises
+    ConfigValidationError, telling to check field_path, when the file was
+    made on another grid (see _check_record), or it cannot be read: it cannot
+    be opened, does not end with a newline (it was cut short), its header
+    does not parse, or it holds other than nx * ny lines or a line that is
+    not one number (two values, a comment, a blank line), or a non-finite
+    value."""
+    remedy = "check field_path"
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         if not data.endswith(b"\n"):
             raise ValueError("it does not end with a newline; it was cut short")
         head, _, body = data.partition(b"\n")
-        header = parse_header(head.decode("ascii"), (int, int, float, float))
-        if not body:
-            raise ValueError("it holds its header and no values")
+        _check_record(path, head, grid_record(grid), remedy)
         # one value per line: a line that is not one number fails the conversion
         values = np.array(body.split(b"\n")[:-1], dtype=float)
-        grid = header_grid(path, "field file", header)
         if values.size != grid.nx * grid.ny:
             raise ValueError(f"it holds {values.size} lines, not {grid.nx * grid.ny}")
         if not np.isfinite(values).all():
             raise ValueError("it holds non-finite values")
     except (OSError, ValueError) as exc:
-        raise ConfigValidationError(f"field file {path} cannot be read: {exc}") from exc
+        raise ConfigValidationError(f"{path} cannot be read: {exc}; {remedy}") from exc
     return ScalarFieldPeriodic(grid, values.reshape(grid.ny, grid.nx))

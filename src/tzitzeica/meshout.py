@@ -1,9 +1,8 @@
 """The mesh node file and its export as OBJ and PLY projections.
 
 The surface stage stores the points of a mesh as a node file (grid.save_nodes)
-with the header nx,ny,lx,ly,radius,frame_sha256 and the (ny, nx, 3) complex
-points, where frame_sha256 is the digest of the frame file bytes the points
-were built from; the export stage reads them back (grid.load_nodes).  A mesh
+of mesh_record and the (ny, nx, 3) complex points; the export stage reads them
+back (grid.load_nodes) with the record of its own run.  A mesh
 node is a point of C^3 ~ R^6 with coordinate names (re1, im1, re2, im2, re3,
 im3).  OBJ/PLY take either three of those names or the top-3
 principal-component projection; the choice (and the PCA basis when used) is
@@ -17,7 +16,7 @@ import json
 
 import numpy as np
 
-from .grid import header_grid, hex_digest, load_nodes, save_nodes, write_rows
+from .grid import grid_record, load_nodes, save_nodes, write_rows
 
 EXPORT_SUFFIXES = (".obj", ".ply", ".meta.json")  # the files export_mesh writes after its stem
 
@@ -30,18 +29,23 @@ def points_to_r6(points):
     return np.ascontiguousarray(points, dtype=complex).reshape(-1, 3).view(float)
 
 
+def mesh_record(grid, radius, frame_sha256):
+    """The record of a mesh file: the grid's, then the sphere radius and the
+    hex digest of the frame file bytes the points were built from."""
+    return grid_record(grid) + (("radius", radius), ("frame_sha256", frame_sha256))
+
+
 def save_mesh(grid, radius, points, path, frame_sha256):
     """Write the (ny, nx, 3) complex points of a mesh as a node file."""
-    save_nodes(path, (grid.nx, grid.ny, grid.lx, grid.ly, radius, frame_sha256), points)
+    save_nodes(path, mesh_record(grid, radius, frame_sha256), points)
 
 
-def load_mesh_points(path):
-    """Returns (grid, radius, points, frame_sha256) of a mesh written by
-    save_mesh; raises ConfigValidationError as grid.load_nodes does, or for
-    an invalid grid."""
-    types = (int, int, float, float, float, hex_digest)
-    header, points, _ = load_nodes(path, "mesh file", types, lambda h: (h[1], h[0], 3))
-    return header_grid(path, "mesh file", header), header[4], points, header[5]
+def load_mesh_points(path, grid, radius, frame_sha256):
+    """The (ny, nx, 3) complex points of a mesh that save_mesh wrote with the
+    same grid, radius and frame digest; raises ConfigValidationError as
+    grid.load_nodes does."""
+    record = mesh_record(grid, radius, frame_sha256)
+    return load_nodes(path, "surface", record, (grid.ny, grid.nx, 3))[0]
 
 
 def grid_faces(nx, ny):

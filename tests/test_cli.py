@@ -24,6 +24,7 @@ from tzitzeica.grid import (
     PeriodicGrid,
     field_from_function,
     format_float,
+    grid_record,
     load_field,
     load_saved_field,
     save_field,
@@ -75,6 +76,16 @@ def read_field(cfg, out):
     """The field.bin the solve stage wrote into out for the run of cfg."""
     grid = PeriodicGrid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
     return load_saved_field(os.path.join(out, cli.FIELD_FILE), grid)[0]
+
+
+def file_sha256(path):
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+def frame_args(cfg, out):
+    """The frame record's arguments after the field of cli.load_frame for the
+    run of cfg on the field.bin in out."""
+    return cfg.theta, cfg.substeps, cfg.extend_closure, file_sha256(os.path.join(out, cli.FIELD_FILE))
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +550,13 @@ def test_solve_stage_zero_seed(flat_run):
 def test_frame_csv_round_trip(flat_run, tmp_path):
     cfg, out = flat_run
     field = read_field(cfg, out)
+    run = frame_args(cfg, out)
+    digest = run[-1]
     first = os.path.join(out, cli.FRAME_FILE)
-    assert cli.load_frame(first, field)[2] is None
-    frame, digest, own_digest = cli.load_frame(first, field, digest=True)
+    assert cli.load_frame(first, field, *run)[1] is None
+    frame, own_digest = cli.load_frame(first, field, *run, digest=True)
     # the header ends with the digest of the field file bytes
-    assert digest == hashlib.sha256(pathlib.Path(out, cli.FIELD_FILE).read_bytes()).hexdigest()
-    assert own_digest == hashlib.sha256(pathlib.Path(first).read_bytes()).hexdigest()
+    assert own_digest == file_sha256(first)
     assert pathlib.Path(first).read_bytes().split(b"\n", 1)[0].endswith(b"," + digest.encode())
     assert frame.closing is True
     assert frame.substeps == 24
@@ -554,8 +566,8 @@ def test_frame_csv_round_trip(flat_run, tmp_path):
     second = str(tmp_path / "frame2.bin")
     cli.save_frame(frame, second, digest)
     assert pathlib.Path(second).read_bytes() == pathlib.Path(first).read_bytes()
-    again, again_digest, again_own_digest = cli.load_frame(second, field, digest=True)
-    assert (again_digest, again_own_digest) == (digest, own_digest)
+    again, again_own_digest = cli.load_frame(second, field, *run, digest=True)
+    assert again_own_digest == own_digest
     assert np.array_equal(again.unitary, frame.unitary)
     assert (again.closing, again.substeps) == (frame.closing, frame.substeps)
     # a negative zero keeps its sign bit
@@ -563,7 +575,7 @@ def test_frame_csv_round_trip(flat_run, tmp_path):
     signed[3, 5, 1, 2] = complex(-0.0, -0.0)
     third = str(tmp_path / "frame3.bin")
     cli.save_frame(dataclasses.replace(frame, unitary=signed), third, digest)
-    back = cli.load_frame(third, field)[0].unitary[3, 5, 1, 2]
+    back = cli.load_frame(third, field, *run)[0].unitary[3, 5, 1, 2]
     assert back == 0 and np.signbit(back.real) and np.signbit(back.imag)
 
 
@@ -572,9 +584,9 @@ def test_stages_after_solve_parse_no_text_field(tmp_path, monkeypatch):
     # pass parses no text field, and a text seed is parsed by solve alone
     calls = []
 
-    def spy(path):
+    def spy(path, grid):
         calls.append(path)
-        return load_field(path)
+        return load_field(path, grid)
 
     monkeypatch.setattr(cli, "load_field", spy)
     out = str(tmp_path / "out")
@@ -648,14 +660,16 @@ def test_report_stage_contents(flat_run):
 def test_mesh_file_and_obj_round_trip(flat_run, tmp_path):
     cfg, out = flat_run
     path = os.path.join(out, cli.MESH_FILE)
-    grid, radius, points, frame_sha256 = meshout.load_mesh_points(path)
+    frame_path = os.path.join(out, cli.FRAME_FILE)
+    frame_sha256 = file_sha256(frame_path)
+    grid, radius = PeriodicGrid(cfg.nx, cfg.ny, cfg.lx, cfg.ly), cfg.radius
+    points = meshout.load_mesh_points(path, grid, radius, frame_sha256)
     assert grid.nx == 32 and radius == 1.0
     # the header ends with the digest of the frame file bytes
-    frame_path = os.path.join(out, cli.FRAME_FILE)
-    assert frame_sha256 == hashlib.sha256(pathlib.Path(frame_path).read_bytes()).hexdigest()
+    assert pathlib.Path(path).read_bytes().split(b"\n", 1)[0].endswith(b"," + frame_sha256.encode())
     # the points of the frame's surface, bit for bit, and the same bytes again
     field = read_field(cfg, out)
-    built = build_surface(cli.load_frame(frame_path, field)[0], radius)
+    built = build_surface(cli.load_frame(frame_path, field, *frame_args(cfg, out))[0], radius)
     assert points.shape == (32, 32, 3) and np.array_equal(points, built)
     again = str(tmp_path / "mesh.bin")
     meshout.save_mesh(grid, radius, built, again, frame_sha256)
@@ -708,7 +722,9 @@ def test_named_projection_export(tmp_path):
     )
     for stage in ("solve", "frame", "surface", "export"):
         cli.run_pipeline(cfg, stage, out, echo=False)
-    _grid, _radius, points, _frame_sha256 = meshout.load_mesh_points(os.path.join(out, cli.MESH_FILE))
+    grid = PeriodicGrid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
+    frame_sha256 = file_sha256(os.path.join(out, cli.FRAME_FILE))
+    points = meshout.load_mesh_points(os.path.join(out, cli.MESH_FILE), grid, cfg.radius, frame_sha256)
     verts, _ = parse_obj(os.path.join(out, "mesh.obj"))
     assert np.allclose(verts, meshout.points_to_r6(points)[:, [0, 2, 4]], atol=1e-12)
     with open(os.path.join(out, "mesh.meta.json")) as fh:
@@ -1076,8 +1092,7 @@ def test_frame_rejects_a_complex_node_file_as_field(tmp_path):
     cfg = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=16, substeps=24))
     assert cli.main(["solve", "--config", cfg]) == 0
     u = read_field(parse_config(cfg), out)
-    g = u.grid
-    save_nodes(out / cli.FIELD_FILE, (g.nx, g.ny, g.lx, g.ly), u.values)
+    save_nodes(out / cli.FIELD_FILE, grid_record(u.grid), u.values)
     assert cli.main(["frame", "--config", cfg]) == 3
     assert (out / "frame.log").read_text().strip().splitlines()[-1] == "error: validation"
     assert not (out / cli.FRAME_FILE).exists()
@@ -1189,6 +1204,107 @@ def test_export_rejects_frame_of_another_theta_or_substeps(tmp_path, capsys, cha
 
 
 # ---------------------------------------------------------------------------
+# a stage input that is missing or was made with another record: exit 3, a
+# message naming the file and what to redo, and none of the stage's files
+# ---------------------------------------------------------------------------
+
+STAGE_OUTPUTS = {
+    "solve": (cli.FIELD_FILE,),
+    "frame": (cli.FRAME_FILE,),
+    "surface": (cli.MESH_FILE,),
+    "report": (cli.REPORT_JSON,),
+    "export": tuple(cli.MESH_STEM + s for s in meshout.EXPORT_SUFFIXES),
+}
+
+
+def _run_every_stage(tmp_path):
+    """The out directory and the config text of a 16^2 flat run of every
+    stage, each stage's files in place."""
+    out = tmp_path / "out"
+    text = flat_config_text(str(out), nx=16, ny=16, substeps=24)
+    cfg = write_config(tmp_path, text)
+    for stage in STAGE_OUTPUTS:
+        assert cli.main([stage, "--config", cfg]) == 0
+    return out, text
+
+
+def _rejected_message(out, cfg, stage, capsys):
+    """Run stage with cfg and assert it fails as a validation error that
+    leaves none of its files; returns the message line of its stderr."""
+    capsys.readouterr()
+    assert cli.main([stage, "--config", cfg]) == 3
+    assert (out / f"{stage}.log").read_text().strip().splitlines()[-1] == "error: validation"
+    assert not any((out / name).exists() for name in STAGE_OUTPUTS[stage])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == "error: validation"
+    return err[-2]
+
+
+@pytest.mark.parametrize("stage, name, producer", [
+    ("frame", cli.FIELD_FILE, "solve"),
+    ("surface", cli.FRAME_FILE, "frame"),
+    ("report", cli.FRAME_FILE, "frame"),
+    ("export", cli.MESH_FILE, "surface"),
+])
+def test_missing_input_names_the_stage_that_writes_it(tmp_path, capsys, stage, name, producer):
+    out, _text = _run_every_stage(tmp_path)
+    (out / name).unlink()
+    message = _rejected_message(out, str(tmp_path / "run.cfg"), stage, capsys)
+    assert message.startswith(f"{out / name} cannot be read: ")
+    assert message.endswith(f"; rerun the {producer} stage")
+
+
+# (stage, input, record key, the config line that changes it, stages rerun
+# with that config before the stage)
+RECORD_CASES = [
+    ("frame", cli.FIELD_FILE, "nx", "nx = 20", ()),
+    ("frame", cli.FIELD_FILE, "ny", "ny = 20", ()),
+    ("frame", cli.FIELD_FILE, "lx", "lx = 6.0", ()),
+    ("frame", cli.FIELD_FILE, "ly", "ly = 3.5", ()),
+    ("report", cli.FRAME_FILE, "theta", "theta = 0.3", ()),
+    ("report", cli.FRAME_FILE, "substeps", "substeps = 32", ()),
+    ("report", cli.FRAME_FILE, "extend_closure", "extend_closure = false", ()),
+    # another field in field.bin's place
+    ("report", cli.FRAME_FILE, "field_sha256", None, ()),
+    ("export", cli.MESH_FILE, "ny", "ny = 20", ("solve", "frame")),
+    ("export", cli.MESH_FILE, "radius", "radius = 2.0", ()),
+    # the frame integrated again, at another theta
+    ("export", cli.MESH_FILE, "frame_sha256", "theta = 0.3", ("frame",)),
+    ("solve", "seed.csv", "nx", "nx = 20", ()),
+    ("solve", "seed.csv", "lx", "lx = 6.0", ()),
+]
+
+
+@pytest.mark.parametrize("stage, name, key, change, redo", RECORD_CASES,
+                         ids=[f"{name}-{key}" for _stage, name, key, _change, _redo in RECORD_CASES])
+def test_each_record_key_rejects_a_file_made_with_another(tmp_path, capsys, stage, name, key,
+                                                          change, redo):
+    # the 16^2 run of every stage, then the stage again with one value of its
+    # input's record changed; the text seed is the 16^2 field
+    out, text = _run_every_stage(tmp_path)
+    if change is None:
+        grid = read_field(parse_config_text(text), out).grid
+        save_field(field_from_function(grid, lambda x, y: 0.01 * np.cos(x)), str(out / cli.FIELD_FILE))
+    else:
+        setting = change.split(" = ")[0]
+        text = (re.sub(rf"^{setting} = .*$", change, text, flags=re.M)
+                if re.search(rf"^{setting} = ", text, re.M) else text + change + "\n")
+    if name == "seed.csv":
+        seed = tmp_path / name
+        save_text_field(read_field(parse_config(str(tmp_path / "run.cfg")), out), seed)
+        text = text.replace("seed = zero", f"seed = file\nfield_path = {seed}")
+    other = write_config(tmp_path, text, "other.cfg")
+    for done in redo:
+        assert cli.main([done, "--config", other]) == 0
+    message = _rejected_message(out, other, stage, capsys)
+    remedy = "check field_path" if name == "seed.csv" else {
+        cli.FIELD_FILE: "rerun the solve stage", cli.FRAME_FILE: "rerun the frame stage",
+        cli.MESH_FILE: "rerun the surface stage"}[name]
+    assert re.fullmatch(rf"{re.escape(name)} was made with {key} = (.+), this run has {key} = (.+); "
+                        + re.escape(remedy), message)
+
+
+# ---------------------------------------------------------------------------
 # any damage to an artifact file: the reader returns or raises
 # ConfigValidationError, never another exception
 # ---------------------------------------------------------------------------
@@ -1207,11 +1323,13 @@ def artifacts(tmp_path_factory):
     save_text_field(u, os.path.join(out, "seed.csv"))
     for stage in ("frame", "surface"):
         cli.run_pipeline(cfg, stage, out, echo=False)
+    # each reader takes the record of this run
+    frame_sha256, run = file_sha256(os.path.join(out, cli.FRAME_FILE)), frame_args(cfg, out)
     readers = {
-        "seed.csv": load_field,
+        "seed.csv": lambda path: load_field(path, grid),
         cli.FIELD_FILE: lambda path: load_saved_field(path, grid),
-        cli.MESH_FILE: meshout.load_mesh_points,
-        cli.FRAME_FILE: lambda path: cli.load_frame(path, u),
+        cli.MESH_FILE: lambda path: meshout.load_mesh_points(path, grid, cfg.radius, frame_sha256),
+        cli.FRAME_FILE: lambda path: cli.load_frame(path, u, *run),
     }
     pristine = {}
     for name, read in readers.items():

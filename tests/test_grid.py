@@ -1,5 +1,6 @@
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from tzitzeica.grid import (
     field_from_function,
     format_float,
     header_line,
-    hex_digest,
     laplacian_symbol_1d,
     load_field,
+    load_nodes,
     load_saved_field,
-    parse_header,
     row_sampler,
     save_field,
+    save_nodes,
     spectral_gradient,
     trig_upsample,
     write_rows,
@@ -216,44 +217,57 @@ def test_write_rows_spans_several_blocks():
         assert _written(arr) == _joined(arr)
 
 
-def test_header_digest_field():
+def test_header_digest_field(tmp_path):
+    # a digest in a record is written as its text, and a node file is read
+    # only when its header holds exactly the run's digest
     digest = "0123456789abcdef" * 4
-    line = header_line((8, 0.5, digest))
-    assert line == f"8,0.5,{digest}\n"
-    assert parse_header(line, (int, float, hex_digest)) == (8, 0.5, digest)
+    record = (("n", 8), ("h", 0.5), ("sha", digest))
+    assert header_line((8, 0.5, digest)) == f"8,0.5,{digest}\n"
+    path = tmp_path / "nodes.bin"
+    save_nodes(path, record, np.arange(3.0), "<f8")
+    body = path.read_bytes().split(b"\n", 1)[1]
+    assert path.read_bytes() == f"8,0.5,{digest}\n".encode() + body
+    assert np.array_equal(load_nodes(path, "frame", record, (3,), "<f8")[0], np.arange(3.0))
     for bad in (digest[:-1], digest.upper(), digest[:-1] + "g", digest + "0", " " + digest[1:]):
-        with pytest.raises(ValueError):
-            parse_header(f"8,0.5,{bad}", (int, float, hex_digest))
+        path.write_bytes(f"8,0.5,{bad}\n".encode() + body)
+        message = f"nodes.bin was made with sha = {bad!r}, this run has sha = {digest!r}; rerun the frame stage"
+        with pytest.raises(ConfigValidationError, match=re.escape(message)):
+            load_nodes(path, "frame", record, (3,), "<f8")
 
 
 _FIELD = ["8,8,1,0.5"] + [format_float(0.125 * k) for k in range(64)]
 
 
+_UNREADABLE = r"seed\.csv cannot be read: .*; check field_path"
+
+
 @pytest.mark.parametrize(
-    "lines",
+    "lines, message",
     [
-        ["8,8,1,0.5,7"] + _FIELD[1:],
-        ["8,8,one,0.5"] + _FIELD[1:],
-        ["8,8,inf,0.5"] + _FIELD[1:],
-        ["4,8,1,0.5"] + _FIELD[1:33],
-        _FIELD[:2] + ["nan"] + _FIELD[3:],
-        _FIELD[:2] + ["3,4"] + _FIELD[3:],
-        _FIELD[:-1],
-        _FIELD + ["7"],
-        _FIELD[:1],
-        "cut",
-        None,
+        (["8,8,1,0.5,7"] + _FIELD[1:], _UNREADABLE),
+        (["8,8,one,0.5"] + _FIELD[1:], _UNREADABLE),
+        (["8,8,inf,0.5"] + _FIELD[1:], "^seed.csv was made with lx = inf, this run has lx = 1.0; "),
+        (["4,8,1,0.5"] + _FIELD[1:33], "^seed.csv was made with nx = 4, this run has nx = 8; "),
+        (_FIELD[:2] + ["nan"] + _FIELD[3:], _UNREADABLE),
+        (_FIELD[:2] + ["3,4"] + _FIELD[3:], _UNREADABLE),
+        (_FIELD[:-1], _UNREADABLE),
+        (_FIELD + ["7"], _UNREADABLE),
+        (_FIELD[:1], _UNREADABLE),
+        ("cut", _UNREADABLE),
+        (None, _UNREADABLE),
     ],
     ids=["header-count", "header-text", "header-inf", "header-grid", "nan", "ragged", "too-few",
          "too-many", "no-values", "cut-short", "missing"],
 )
-def test_load_table_rejects_damage(tmp_path, lines):
-    # load_field is the one reader of a text table
+def test_load_table_rejects_damage(tmp_path, lines, message):
+    # load_field is the one reader of a text table; a header of another grid
+    # is a file made for another run, any other damage leaves it unreadable
     path = tmp_path / "seed.csv"
     text = "\n".join(_FIELD) + "\n"
     path.write_text(text)
-    fld = load_field(path)
-    assert (fld.grid.nx, fld.grid.ny, fld.grid.lx, fld.grid.ly) == (8, 8, 1.0, 0.5)
+    grid = PeriodicGrid(8, 8, 1.0, 0.5)
+    fld = load_field(path, grid)
+    assert fld.grid == grid
     assert np.array_equal(fld.values.ravel(), 0.125 * np.arange(64))
     if lines is None:
         path.unlink()
@@ -261,5 +275,5 @@ def test_load_table_rejects_damage(tmp_path, lines):
         path.write_text(text[:-2])
     else:
         path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigValidationError):
-        load_field(path)
+    with pytest.raises(ConfigValidationError, match=message):
+        load_field(path, grid)

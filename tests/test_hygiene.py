@@ -6,7 +6,8 @@ itself, every public definition of the test
 oracles is reached from a test, every default of a package function or
 dataclass field is overridden by some caller other than a unit test, README's
 config table lists exactly the config keys, only `grid.py` imports `hashlib`
-(one routine digests artifact files), the `tzitzeica` script and
+(one routine digests artifact files) and reads or writes a node file's body
+or header line, the `tzitzeica` script and
 `python -m tzitzeica.cli` enter through one function, and every attribute the
 benchmark's tracer wraps exists and is called through the binding it wraps."""
 
@@ -344,6 +345,38 @@ def test_only_grid_digests_artifact_files():
     # them; no other module hashes an artifact file on its own
     package = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert importers(package, "hashlib") == ["grid.py"]
+
+
+NODE_FILE_CALLS = ("fromfile", "tofile", "header_line")
+
+
+def node_file_calls(modules):
+    """"file:line" of each call of fromfile, tofile or header_line, bare or
+    as an attribute, in ``modules`` (file name -> source) other than
+    grid.py."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, source in modules.items()
+        if name != "grid.py"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _called_name(node.func) in NODE_FILE_CALLS
+    ]
+
+
+def test_guard_flags_a_node_file_read_written_or_headed_outside_grid():
+    modules = {
+        "grid.py": "v = np.fromfile(fh)\nfh.write(header_line(h))\n",
+        "a.py": "import numpy as np\nv = np.fromfile(fh, '<f8')\n\nvalues.tofile(fh)\n",
+        "b.py": "from .grid import header_line\nfh.write(header_line((1, 2)))\nsave_nodes(p, r, v)\n",
+    }
+    assert node_file_calls(modules) == ["a.py:2", "a.py:4", "b.py:2"]
+
+
+def test_only_grid_reads_writes_or_heads_a_node_file():
+    # a node file's header is its record, written by grid.save_nodes and
+    # checked by grid.load_nodes; no other module reads or writes one itself
+    package = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert node_file_calls(package) == []
 
 
 def readme_config_rows(readme):
