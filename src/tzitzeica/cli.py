@@ -12,17 +12,22 @@ of the files it writes.
 import argparse
 import contextlib
 import gc
-import math
-import os
-import sys
 
-import numpy as np
+if __name__ == "__main__":
+    gc.disable()  # a stage process runs without the cyclic collector, numpy's import included
 
-from . import meshout, wave
-from .config import parse_config
-from .errors import (ConfigParseError, ConfigValidationError, InvalidFrameError, NumericalFailure,
-                     PipelineError)
-from .grid import (
+import importlib  # noqa: E402
+import math  # noqa: E402
+import os  # noqa: E402
+import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from . import meshout, wave  # noqa: E402
+from .config import parse_config  # noqa: E402
+from .errors import (ConfigParseError, ConfigValidationError, InvalidFrameError,  # noqa: E402
+                     NumericalFailure, PipelineError)
+from .grid import (  # noqa: E402
     PeriodicGrid,
     format_float,
     grid_record,
@@ -34,9 +39,6 @@ from .grid import (
     save_table,
     zero_field,
 )
-from .lax import FrameField, SpectralPoint, integrate_frame
-from .solver import newton_solve
-from .surface import build_surface, full_report
 
 FIELD_FILE = "field.bin"
 WAVE_CSV = "wave.csv"
@@ -45,6 +47,35 @@ MESH_FILE = "mesh.bin"
 REPORT_JSON = "report.json"
 MESH_STEM = "mesh"
 FRAME_TOL = 1e-8  # bound on the unitarity defect of a frame the stages write or read
+
+# the layers whose functions the stages call through this module's globals,
+# where the benchmark's tracer wraps them, and those names; a stage process
+# imports only the layers its _STAGES entry lists
+_LAYERS = {
+    "lax": ("integrate_frame",),
+    "solver": ("newton_solve",),
+    "surface": ("build_surface", "full_report"),
+}
+
+
+def _bind(layers):
+    """Import each of the layers and bind its _LAYERS names into this
+    module's globals; a name already bound (a wrapper the tracer or a test
+    put there) stays."""
+    for layer in layers:
+        module = importlib.import_module(f"{__package__}.{layer}")
+        for name in _LAYERS[layer]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    """A layer's name read from outside before a stage has bound it (the
+    tracer's getattr, a test's monkeypatch) binds its layer (PEP 562)."""
+    for layer, names in _LAYERS.items():
+        if name in names:
+            _bind((layer,))
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class StageLog:
@@ -93,6 +124,8 @@ def load_frame(path, u, theta, substeps, closing, field_sha256, digest=False):
     frame and, when ``digest`` is set, the digest of the frame file's own
     bytes (None otherwise).  Raises ConfigValidationError as grid.load_nodes
     does."""
+    from .lax import FrameField, SpectralPoint
+
     record = frame_record(u.grid, theta, substeps, closing, field_sha256)
     nodes = (u.grid.ny + closing, u.grid.nx + closing, 3, 3)
     mats, frame_sha256 = load_nodes(path, "frame", record, nodes, digest=digest)
@@ -169,6 +202,8 @@ def _stage_field(cfg, out_dir):
 
 
 def stage_frame(cfg, out_dir, log):
+    from .lax import SpectralPoint
+
     u, field_sha256 = _stage_field(cfg, out_dir)
     frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=cfg.substeps,
                             closing=cfg.extend_closure)
@@ -224,14 +259,16 @@ def stage_export(cfg, out_dir, log):
         log.add(f"wrote {os.path.basename(p)}")
 
 
-# each stage and the files it writes into the output directory
+# each stage, the files it writes into the output directory and the layers
+# (_LAYERS) it calls
 _STAGES = {
-    "solve": (stage_solve, (FIELD_FILE,)),
-    "wave": (stage_wave, (WAVE_CSV,)),
-    "frame": (stage_frame, (FRAME_FILE,)),
-    "surface": (stage_surface, (MESH_FILE,)),
-    "report": (stage_report, (REPORT_JSON,)),
-    "export": (stage_export, tuple(MESH_STEM + suffix for suffix in meshout.EXPORT_SUFFIXES)),
+    "solve": (stage_solve, (FIELD_FILE,), ("solver",)),
+    "wave": (stage_wave, (WAVE_CSV,), ()),
+    "frame": (stage_frame, (FRAME_FILE,), ("lax",)),
+    "surface": (stage_surface, (MESH_FILE,), ("lax", "surface")),
+    "report": (stage_report, (REPORT_JSON,), ("lax", "surface")),
+    "export": (stage_export, tuple(MESH_STEM + suffix for suffix in meshout.EXPORT_SUFFIXES),
+               ("lax",)),
 }
 
 
@@ -241,9 +278,16 @@ def run_pipeline(cfg, stage, out_dir=None, echo=True):
     included, or an output directory that cannot be made (then no log is
     written), and NumericalFailure, naming the original type, for any other
     exception.  A stage that raises removes the files it writes and keeps its
-    log, if the log can be written."""
+    log, if the log can be written.  Every layer is bound at the first call,
+    so a stage never imports one in the middle of a caller's work."""
     if stage not in _STAGES:
         raise ConfigValidationError(f"unknown stage {stage!r}; choose from {tuple(_STAGES)}")
+    _bind(_LAYERS)
+    return _run_stage(cfg, stage, out_dir, echo)
+
+
+def _run_stage(cfg, stage, out_dir, echo):
+    """run_pipeline's stage run, with its layers bound by the caller."""
     out_dir = out_dir or cfg.out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -293,7 +337,9 @@ def main(argv=None):
 
     try:
         args = parser.parse_args(argv)
-        run_pipeline(parse_config(args.config), args.stage, args.out)
+        cfg = parse_config(args.config)
+        _bind(_STAGES[args.stage][2])  # only the stage's own layers
+        _run_stage(cfg, args.stage, args.out, True)
     except PipelineError as exc:
         print(f"{exc}", file=sys.stderr)
         print(f"error: {exc.name}", file=sys.stderr)
@@ -303,9 +349,11 @@ def main(argv=None):
 
 def process_main():
     """A stage process's entry (`python -m tzitzeica.cli`, the `tzitzeica`
-    script): main's exit status, with every object frozen first, so the
-    interpreter's shutdown does not collect what the exit releases anyway.
-    main has closed its files; stdout and stderr are flushed at exit."""
+    script): main's exit status, run without the cyclic collector and with
+    every object frozen at the end, so the interpreter's shutdown does not
+    collect what the exit releases anyway.  main has closed its files;
+    stdout and stderr are flushed at exit."""
+    gc.disable()
     status = main()
     gc.freeze()
     return status

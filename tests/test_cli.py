@@ -307,6 +307,75 @@ def test_stage_process_freezes_before_it_exits(tmp_path):
         assert frozen[0] == "frozen" and int(frozen[1]) > 0
 
 
+# at exit, print whether the collector is on and the package modules loaded
+AT_EXIT = """\
+import atexit, gc, sys
+atexit.register(lambda: print(gc.isenabled(), *sorted(m for m in sys.modules if m.startswith("tzitzeica."))))
+"""
+LOAD_PROBE = AT_EXIT + 'import runpy\nrunpy.run_module("tzitzeica.cli", run_name="__main__", alter_sys=True)\n'
+# the console script's form: import the package's cli, then call its entry
+SCRIPT_PROBE = AT_EXIT + "from tzitzeica.cli import process_main\nsys.exit(process_main())\n"
+
+# modules of the package that a stage process must not load
+NOT_LOADED = {
+    "wave": {"lax", "linalg3", "solver", "surface", "invariants"},
+    "solve": {"lax", "surface"},
+    "frame": {"solver", "surface"},
+    "surface": {"solver"},
+    "report": {"solver"},
+    "export": {"solver", "surface"},
+}
+
+
+def test_stage_process_loads_only_its_stage_and_runs_without_the_collector(tmp_path):
+    cfg = write_config(tmp_path, flat_config_text(str(tmp_path / "out"), nx=16, ny=16, substeps=24,
+                                                  extra="wave_energy = 6.5\n"))
+    for stage, absent in NOT_LOADED.items():
+        for probe in (LOAD_PROBE, SCRIPT_PROBE) if stage == "solve" else (LOAD_PROBE,):
+            proc = run_stage_process(stage, cfg, probe)
+            assert proc.returncode == 0, proc.stderr
+            enabled, *modules = proc.stdout.strip().splitlines()[-1].split()
+            loaded = {m.removeprefix("tzitzeica.") for m in modules}
+            assert enabled == "False" and loaded & absent == set(), (stage, loaded)
+            assert {"grid", "meshout", "wave"} <= loaded
+
+
+FRESH_LOAD_FRAME = """\
+import sys
+from tzitzeica import cli
+print(*sorted(m for m in sys.modules if m.startswith("tzitzeica.")))
+cfg = cli.parse_config(sys.argv[1])
+grid = cli.PeriodicGrid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
+u, field_sha256 = cli.load_saved_field(f"{cfg.out_dir}/{cli.FIELD_FILE}", grid)
+frame, _ = cli.load_frame(f"{cfg.out_dir}/{cli.FRAME_FILE}", u, cfg.theta, cfg.substeps,
+                          cfg.extend_closure, field_sha256)
+print(frame.unitary.tobytes().hex())
+print(all(hasattr(cli, name) for name in sys.argv[2:]))
+"""
+
+
+def test_fresh_import_of_cli_loads_no_layer_and_reads_a_frame(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, flat_config_text(str(out), nx=16, ny=16, substeps=24))
+    run = parse_config(cfg)
+    for stage in ("solve", "frame"):
+        cli.run_pipeline(run, stage, echo=False)
+    u, field_sha256 = load_saved_field(str(out / cli.FIELD_FILE), cli._grid(run))
+    frame = cli.load_frame(str(out / cli.FRAME_FILE), u, run.theta, run.substeps,
+                           run.extend_closure, field_sha256)[0]
+    targets = _assigned_literal((pathlib.Path(SRC).parent / "bench" / "tracing.py").read_text(),
+                                "TARGETS")
+    names = [attr for module, attr, _span in targets if module == "tzitzeica.cli"]
+    proc = subprocess.run([sys.executable, "-c", FRESH_LOAD_FRAME, cfg, *names],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    modules, unitary, resolved = proc.stdout.strip().splitlines()
+    assert {"tzitzeica.lax", "tzitzeica.solver", "tzitzeica.surface"} & set(modules.split()) == set()
+    assert bytes.fromhex(unitary) == frame.unitary.tobytes()
+    # each name the tracer wraps in cli binds its layer when it is read
+    assert "integrate_frame" in names and resolved == "True"
+
+
 def test_in_process_stages_do_not_freeze(tmp_path, capsys):
     # a frozen object is never collected, so a freeze in process would hide
     # a file left open from the ResourceWarning that fails its test

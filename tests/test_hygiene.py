@@ -8,7 +8,8 @@ dataclass field is overridden by some caller other than a unit test, README's
 config table lists exactly the config keys, only `grid.py` imports `hashlib`
 (one routine digests artifact files) and reads or writes a node file's body
 or header line, the `tzitzeica` script and
-`python -m tzitzeica.cli` enter through one function, and every attribute the
+`python -m tzitzeica.cli` enter through one function, every layer name a
+stage calls is bound by that stage's process, and every attribute the
 benchmark's tracer wraps exists and is called through the binding it wraps."""
 
 import ast
@@ -130,7 +131,8 @@ def unreached_definitions(modules, reaching=(), private=False):
     """Public (or, with `private`, private) top-level defs and classes of
     `modules` (name -> source) that no module references outside the
     definition itself, and no source in `reaching` references at all; as
-    "module:name"."""
+    "module:name".  A module's __getattr__ is reached by the interpreter,
+    for a name the module does not bind (PEP 562)."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     outside = set().union(*(_referenced(ast.parse(source)) for source in reaching))
     uses = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
@@ -140,6 +142,7 @@ def unreached_definitions(modules, reaching=(), private=False):
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_") == private
+        and node.name != "__getattr__"
         and node.name not in outside
         and not any(node.name in refs for stmt, refs in uses if stmt is not node)
     ]
@@ -164,6 +167,7 @@ def test_guard_flags_an_unreached_private_definition():
     modules = {
         "a.py": "def _used():\n    pass\n\ndef _dead():\n    return _dead\n\ndef public():\n    pass\n",
         "b.py": "from .a import _used\n\nclass _Spare:\n    pass\n\n_used()\n",
+        "c.py": "def __getattr__(name):\n    return _bind(name)\n\ndef _bind(name):\n    pass\n",
     }
     assert unreached_definitions(modules, private=True) == ["a.py:_dead", "b.py:_Spare"]
 
@@ -311,13 +315,19 @@ def test_no_default_only_unit_tests_override():
 
 def test_console_script_and_main_block_share_one_process_entry():
     # the `tzitzeica` script and `python -m tzitzeica.cli` exit through the
-    # same function, so neither skips what a stage process does at exit
+    # same function, so neither skips what a stage process does at exit; the
+    # one other __main__ block turns the collector off before numpy's import
     pyproject = (TESTS.parent / "pyproject.toml").read_text()
     [(module, entry)] = re.findall(r'^tzitzeica = "([\w.]+):(\w+)"$', pyproject, re.M)
     assert module == "tzitzeica.cli"
-    [block] = [node for node in ast.parse((SRC / "cli.py").read_text()).body
-               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
-    assert [ast.unparse(stmt) for stmt in block.body] == [f"sys.exit({entry}())"]
+    body = ast.parse((SRC / "cli.py").read_text()).body
+    blocks = [(i, [ast.unparse(stmt) for stmt in node.body]) for i, node in enumerate(body)
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [numpy] = [i for i, node in enumerate(body)
+               if isinstance(node, ast.Import) and node.names[0].name == "numpy"]
+    [(first, disable), (last, run)] = blocks
+    assert disable == ["gc.disable()"] and first < numpy
+    assert run == [f"sys.exit({entry}())"] and last == len(body) - 1
 
 
 def importers(modules, name):
@@ -400,14 +410,64 @@ def test_readme_config_table_lists_exactly_the_config_keys():
     assert readme_config_rows(readme) == [(f.name, _readme_default(f)) for f in fields(RunConfig)]
 
 
-def _assigned_literal(source, name):
-    """The literal value a module assigns to `name` at its top level."""
-    for node in ast.parse(source).body:
+def _assigned(tree, name):
+    """The expression a module's tree assigns to `name` at its top level."""
+    for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            return ast.literal_eval(node.value)
+            return node.value
     raise LookupError(name)
+
+
+def _assigned_literal(source, name):
+    """The literal value a module assigns to `name` at its top level."""
+    return ast.literal_eval(_assigned(ast.parse(source), name))
+
+
+def unbound_layer_names(source):
+    """"stage:name" of each _LAYERS name that a stage function of a cli
+    source reads, in its body or in a top-level function it reaches by
+    name, while the stage's _STAGES entry, whose last item lists the layers
+    a stage process binds, lists none of that name's layers."""
+    tree = ast.parse(source)
+    layer_of = {name: layer for layer, names in _assigned_literal(source, "_LAYERS").items()
+                for name in names}
+    reads = {node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Load)}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    stages = _assigned(tree, "_STAGES")
+    found = []
+    for key, entry in zip(stages.keys, stages.values):
+        todo, reached = [entry.elts[0].id], set()
+        while todo:
+            func = todo.pop()
+            reached.add(func)
+            todo += [name for name in reads[func] if name in reads and name not in reached]
+        bound = ast.literal_eval(entry.elts[-1])
+        read = set().union(*(reads[func] for func in reached))
+        found += [f"{key.value}:{name}" for name in sorted(read & layer_of.keys())
+                  if layer_of[name] not in bound]
+    return found
+
+
+def test_guard_flags_a_layer_name_its_stage_does_not_bind():
+    source = (
+        "_LAYERS = {'lax': ('integrate_frame',), 'surface': ('build_surface', 'full_report')}\n"
+        "def _load(path):\n    return integrate_frame(path)\n"
+        "def stage_a(cfg):\n    return _load(cfg)\n"
+        "def stage_b(cfg):\n    return full_report(build_surface(cfg))\n"
+        "def stage_c(cfg):\n    return _load(cfg), [build_surface][0](cfg), stage_c\n"
+        "_STAGES = {'a': (stage_a, ('a.bin',), ()), 'b': (stage_b, (), ('surface',)),\n"
+        "           'c': (stage_c, (), ('lax',))}\n"
+    )
+    assert unbound_layer_names(source) == ["a:integrate_frame", "c:build_surface"]
+
+
+def test_every_stage_binds_the_layers_it_calls():
+    # a stage process binds only its own layers, so a name of another layer
+    # would raise NameError there, never in process, where all are bound
+    assert unbound_layer_names((SRC / "cli.py").read_text()) == []
 
 
 def test_every_traced_attribute_resolves():
