@@ -113,8 +113,7 @@ def frame_record(grid, theta, substeps, closing, field_sha256):
 
 
 def save_frame(frame, path, field_sha256):
-    record = frame_record(frame.grid, frame.spectral.theta, frame.substeps, frame.closing,
-                          field_sha256)
+    record = frame_record(frame.grid, frame.theta, frame.substeps, frame.closing, field_sha256)
     save_nodes(path, record, frame.unitary)
 
 
@@ -124,12 +123,12 @@ def load_frame(path, u, theta, substeps, closing, field_sha256, digest=False):
     frame and, when ``digest`` is set, the digest of the frame file's own
     bytes (None otherwise).  Raises ConfigValidationError as grid.load_nodes
     does."""
-    from .lax import FrameField, SpectralPoint
+    from .lax import FrameField
 
     record = frame_record(u.grid, theta, substeps, closing, field_sha256)
     nodes = (u.grid.ny + closing, u.grid.nx + closing, 3, 3)
     mats, frame_sha256 = load_nodes(path, "frame", record, nodes, digest=digest)
-    return FrameField(u.grid, SpectralPoint(theta), mats, u, closing, substeps), frame_sha256
+    return FrameField(u, theta, mats, closing, substeps), frame_sha256
 
 
 def write_report_json(report, path):
@@ -179,8 +178,8 @@ def stage_wave(cfg, out_dir, log):
     if cfg.wave_energy is None:
         raise ConfigValidationError("stage wave requires wave_energy")
     profile = wave.travelling_wave(cfg.wave_energy)
-    head = (len(profile.u), profile.period, profile.energy)
-    save_table(os.path.join(out_dir, WAVE_CSV), head, np.reshape(profile.u, (-1, 1)))
+    record = (("n", len(profile.u)), ("period", profile.period), ("energy", profile.energy))
+    save_table(os.path.join(out_dir, WAVE_CSV), record, np.reshape(profile.u, (-1, 1)))
     log.add(f"period={format_float(profile.period)}")
     log.add(f"period_quadrature={format_float(wave.period_quadrature(cfg.wave_energy))}")
     log.add(f"energy_drift={format_float(profile.drift)}")
@@ -202,11 +201,8 @@ def _stage_field(cfg, out_dir):
 
 
 def stage_frame(cfg, out_dir, log):
-    from .lax import SpectralPoint
-
     u, field_sha256 = _stage_field(cfg, out_dir)
-    frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=cfg.substeps,
-                            closing=cfg.extend_closure)
+    frame = integrate_frame(u, cfg.theta, cfg.substeps, cfg.extend_closure)
     log.add(f"unitarity_defect={format_float(_unitarity_gate(frame))}")
     save_frame(frame, os.path.join(out_dir, FRAME_FILE), field_sha256)
 

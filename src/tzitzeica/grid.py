@@ -6,10 +6,10 @@ tensor formulas), axis 0 is the y direction (coordinate index 2).  Node
 (i, j) sits at (i * hx, j * hy) and the grid identifies x ~ x + lx,
 y ~ y + ly, so there is no duplicated edge row/column.
 
-Derivatives are the 4th-order periodic stencils (deriv, ddx, ddy, deriv2),
-except spectral_gradient, the exact gradient of the trigonometric
-interpolant, which the frame's generators and the report's exact frame
-derivatives both read.
+Derivatives are the 4th-order periodic stencils (deriv, deriv2), except
+spectral_gradient, the exact gradient of the trigonometric interpolant,
+which the frame's generators and the report's exact frame derivatives both
+read.
 
 Values between nodes are those of the trigonometric interpolant of the
 samples: trig_upsample gives them at sub-cell offsets from every node along
@@ -63,13 +63,6 @@ class PeriodicGrid:
     def x(self):
         return np.arange(self.nx) * self.hx
 
-    @property
-    def y(self):
-        return np.arange(self.ny) * self.hy
-
-    def mesh(self):
-        return np.meshgrid(self.x, self.y)
-
 
 @dataclass
 class ScalarFieldPeriodic:
@@ -91,11 +84,6 @@ class ScalarFieldPeriodic:
 
 def zero_field(grid):
     return ScalarFieldPeriodic(grid, np.zeros((grid.ny, grid.nx)))
-
-
-def field_from_function(grid, fn):
-    xx, yy = grid.mesh()
-    return ScalarFieldPeriodic(grid, np.asarray(fn(xx, yy), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +120,6 @@ def laplacian_symbol_1d(n, h):
     """Eigenvalues of the 1D periodic 4th-order second-derivative stencil."""
     theta = 2.0 * np.pi * np.arange(n) / n
     return (-30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)) / (12.0 * h * h)
-
-
-def ddx(values, grid):
-    return deriv(values, grid.hx, AXIS_X)
-
-
-def ddy(values, grid):
-    return deriv(values, grid.hy, AXIS_Y)
 
 
 def spectral_gradient(values, grid):
@@ -243,10 +223,11 @@ def write_rows(fh, values, line=None):
         fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def header_line(header):
-    """The header values as one line: ints and strings with str, floats with
-    format_float."""
-    return ",".join(str(v) if isinstance(v, (int, str)) else format_float(v) for v in header) + "\n"
+def header_line(record):
+    """The values of ``record``'s (key, value) pairs as one line: ints and
+    strings with str, floats with format_float."""
+    return ",".join(str(v) if isinstance(v, (int, str)) else format_float(v)
+                    for _key, v in record) + "\n"
 
 
 def grid_record(grid):
@@ -270,10 +251,11 @@ def _check_record(path, head, record, remedy):
                                         f"this run has {key} = {want!r}; {remedy}")
 
 
-def save_table(path, header, rows):
-    """Write header_line(header), then the 2D ``rows`` through write_rows."""
+def save_table(path, record, rows):
+    """Write the values of ``record`` as the header line, then the 2D
+    ``rows`` through write_rows."""
     with open(path, "w") as fh:
-        fh.write(header_line(header))
+        fh.write(header_line(record))
         write_rows(fh, rows)
 
 
@@ -281,7 +263,7 @@ def save_nodes(path, record, values, dtype="<c16"):
     """Write the values of ``record`` as the header line, then ``values`` as
     ``dtype`` in C order."""
     with open(path, "wb") as fh:
-        fh.write(header_line(value for _key, value in record).encode("ascii"))
+        fh.write(header_line(record).encode("ascii"))
         np.ascontiguousarray(values, dtype=dtype).tofile(fh)
 
 

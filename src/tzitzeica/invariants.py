@@ -43,7 +43,8 @@ def christoffel_from_field(u):
     """The connection (a, b) = (u_x/2, u_y/2) of the metric c e^u (dx^2 + dy^2)
     from the grid's derivatives of a periodic exponent field u (independent
     of the constant c): two (ny, nx) planes."""
-    return gridmod.ddx(u.values, u.grid) / 2.0, gridmod.ddy(u.values, u.grid) / 2.0
+    g = u.grid
+    return gridmod.deriv(u.values, g.hx, NODE_X) / 2.0, gridmod.deriv(u.values, g.hy, NODE_Y) / 2.0
 
 
 def riemann(connection, hx, hy):

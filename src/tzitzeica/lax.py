@@ -83,20 +83,8 @@ import numpy as np
 from .grid import ScalarFieldPeriodic, row_sampler, spectral_gradient, trig_upsample
 from .linalg3 import unitarity_defect_map
 
-DEFAULT_SUBSTEPS = 24
 STENCIL_BLOCK_NODES = 1024  # nodes per block of frame_axis_stencil's derivatives
 BUILD_CELLS = 128  # cells sampled per propagator build of integrate_frame (at least one step)
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Unit-modulus parameter lam = cos(theta) + i sin(theta)."""
-
-    theta: float
-
-    @property
-    def lam(self):
-        return complex(np.cos(self.theta), np.sin(self.theta))
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +324,24 @@ def _march(state, props, out):
 
 @dataclass
 class FrameField:
-    """Unitary frames at every grid node, shape (ny, nx, 3, 3); a closing
-    frame also holds the wrap-around row and column, (ny + 1, nx + 1, 3, 3)."""
+    """Unitary frames of the field u at the spectral parameter e^{i theta}
+    at every grid node, shape (ny, nx, 3, 3); a closing frame also holds the
+    wrap-around row and column, (ny + 1, nx + 1, 3, 3)."""
 
-    grid: object
-    spectral: SpectralPoint
-    unitary: np.ndarray = field(repr=False)
     u: ScalarFieldPeriodic = field(repr=False)
+    theta: float
+    unitary: np.ndarray = field(repr=False)
     closing: bool
     substeps: int
+
+    @property
+    def grid(self):
+        return self.u.grid
+
+    @property
+    def lam(self):
+        """The unit-modulus parameter lam = cos(theta) + i sin(theta)."""
+        return complex(np.cos(self.theta), np.sin(self.theta))
 
     @property
     def base(self):
@@ -363,8 +360,9 @@ class FrameField:
         return float(unitarity_defect_map(self.unitary).max())
 
 
-def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
-    """Integrate the frame over the grid from the identity at the corner node.
+def integrate_frame(u, theta, substeps, closing):
+    """Integrate the frame of the field u at lam = e^{i theta}, with
+    substeps RK4 steps per grid cell, from the identity at the corner node.
 
     Marches the first row in x, sampled by grid.trig_upsample, and then
     every column in y, one cell row at a time, sampled by grid.row_sampler
@@ -376,7 +374,6 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
     bound.
     """
     grid = u.grid
-    lam = spectral.lam
     m = int(substeps)
     if m < 1:
         raise ValueError("substeps must be >= 1")
@@ -385,6 +382,8 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
     ux, uy = spectral_gradient(vals, grid)
     unitary = np.empty((grid.ny + extra, grid.nx + extra, 3, 3), dtype=complex)
     unitary[0, 0] = np.eye(3)
+    frame = FrameField(u, theta, unitary, bool(closing), m)
+    lam = frame.lam
     # an overflowing march leaves NaN frames; the caller's unitarity bound names them
     with np.errstate(over="ignore", invalid="ignore"):
         # the first row, marched in x as a row of width one
@@ -396,7 +395,7 @@ def integrate_frame(u, spectral, substeps=DEFAULT_SUBSTEPS, closing=False):
         node_rows = np.moveaxis(unitary, 1, -1)
         _axis_march(node_rows[0], node_rows[1:], (vals, ux), row_sampler,
                     _coeff_y, lam, grid.hy / m, m)
-    return FrameField(grid, spectral, unitary, u, bool(closing), m)
+    return frame
 
 
 def frame_axis_stencil(frame, grads, reduce):
@@ -416,7 +415,7 @@ def frame_axis_stencil(frame, grads, reduce):
     size.  The name is that of the marched stencil this route replaced, kept
     until the benchmark's tracer target is renamed with it.
     """
-    grid = frame.grid
+    grid, lam = frame.grid, frame.lam
     u = frame.u.values
     axes = ((frame_coeff_x, grads[1]), (frame_coeff_y, grads[0]))
     base = np.moveaxis(frame.base, (-2, -1), (0, 1))
@@ -434,6 +433,6 @@ def frame_axis_stencil(frame, grads, reduce):
             derivs = np.empty((2, 3, 2) + shape, dtype=complex)
             tmp = np.empty((3, 2) + shape, dtype=complex)
         for (builder, across), out in zip(axes, derivs):
-            builder(u[block], across[block], frame.spectral.lam, gen)
+            builder(u[block], across[block], lam, gen)
             _mul3(frames, gen[:, :2], out, tmp)
         reduce(block, frames, derivs)

@@ -16,8 +16,7 @@ DEFECT_BLOCK_NODES = 2048  # matrices per block of unitarity_defect_map's contra
 
 def hermitian_inner(a, b):
     """<a|b> = sum_i conj(a_i) b_i over axis 0."""
-    out = np.sum(np.conj(np.asarray(a)) * np.asarray(b), axis=0)
-    return complex(out) if np.ndim(out) == 0 else out
+    return np.sum(np.conj(np.asarray(a)) * np.asarray(b), axis=0)
 
 
 def unitarity_defect_map(mat):
@@ -26,8 +25,7 @@ def unitarity_defect_map(mat):
     block of rows of the stack (leading-axis entries, about DEFECT_BLOCK_NODES
     matrices) at a time, so neither a whole-stack copy nor U^H U is formed.
     U^H U is Hermitian, so its upper triangle suffices."""
-    mat = np.asarray(mat)
-    stack = mat[None] if mat.ndim == 2 else mat
+    stack = np.asarray(mat)
     out = np.zeros(stack.shape[:-2])
     rows = max(1, DEFECT_BLOCK_NODES // max(1, math.prod(stack.shape[1:-2])))
     for j in range(0, len(stack), rows):
@@ -38,4 +36,4 @@ def unitarity_defect_map(mat):
             for k in range(i, 3):
                 d = np.einsum("j...,j...->...", cm[:, i], m[:, k]) - float(i == k)
                 np.maximum(block, np.abs(d), out=block)
-    return out.reshape(mat.shape[:-2])
+    return out

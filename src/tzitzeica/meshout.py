@@ -60,11 +60,12 @@ def grid_faces(nx, ny):
 
 def projection_names(projection):
     """The coordinate names of a named projection "a,b,c"; raises ValueError
-    unless they are three of COORD_NAMES."""
+    unless they are three distinct names of COORD_NAMES."""
     names = [n.strip() for n in projection.split(",")]
-    if len(names) != 3 or any(n not in COORD_NAMES for n in names):
+    if len(set(names)) != 3 or any(n not in COORD_NAMES for n in names):
         raise ValueError(
-            f"projection must be 'pca' or three of {COORD_NAMES}, got {projection!r}"
+            f"projection must be 'pca' or three distinct names of {COORD_NAMES}, "
+            f"got {projection!r}"
         )
     return names
 
@@ -123,7 +124,7 @@ def write_ply(path, verts, faces):
         fh.write(packed.tobytes())
 
 
-def export_mesh(grid, radius, points, out_stem, projection="pca"):
+def export_mesh(grid, radius, points, out_stem, projection):
     """Write <stem>.obj, <stem>.ply and <stem>.meta.json; returns the paths."""
     r6 = points_to_r6(points)
     verts, meta = resolve_projection(r6, projection)

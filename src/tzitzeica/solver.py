@@ -88,11 +88,6 @@ def _residual(vals, sigma):
         return lap - 4.0 * np.exp(-2.0 * vals) + 4.0 * np.exp(vals)
 
 
-def pde_residual(u):
-    """Per-node residual Delta u - 4 e^{-2u} + 4 e^{u}."""
-    return _residual(u.values, laplacian_symbol(u.grid))
-
-
 def minres(apply, b, rtol, maxiter):
     """Solve the symmetric system A x = b by MINRES preconditioned with an
     SPD operator M ~ |A|, starting from x = 0; ``apply(r)`` returns the pair
@@ -237,7 +232,7 @@ class NewtonResult:
         return self.residuals[-1]
 
 
-def newton_solve(u0, tol, max_iter=30):
+def newton_solve(u0, tol, max_iter):
     """Solve the discrete PDE by Newton iteration with preconditioned MINRES
     steps.
 

@@ -73,7 +73,7 @@ def extract_second_form(frame, radius):
     """
     grid = frame.grid
     u = frame.u.values
-    lam = frame.spectral.lam
+    lam = frame.lam
     conf = 2.0 * radius**2 * np.exp(u)
 
     tens = np.empty((2, 2, 2, grid.ny, grid.nx))
@@ -148,7 +148,7 @@ def full_report(frame, radius):
     conf = 2.0 * radius**2 * np.exp(u.values)
 
     tens, ncf, (normality, conformal, sphere) = extract_second_form(frame, radius)
-    closed = inv.closed_form_tensor(u.values, frame.spectral.theta)
+    closed = inv.closed_form_tensor(u.values, frame.theta)
     tensor_match = float(np.abs(tens - closed).max())
     trace_max = float(np.abs(inv.trace_vector(tens)).max())
 

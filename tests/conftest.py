@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tzitzeica.grid import PeriodicGrid, field_from_function
+from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic
 from tzitzeica.wave import travelling_wave
 
 # side of the square torus of the two-dimensional solution: 0.97 l0, just
@@ -11,6 +11,17 @@ from tzitzeica.wave import travelling_wave
 # kernel mode of the linearization Delta + 12 at u = 0 and a doubly periodic
 # branch bifurcates from u = 0
 COSINE_SIDE = 0.97 * 2.0 * math.pi / math.sqrt(6.0)
+
+
+def mesh(grid):
+    """(x, y): the coordinates of the grid's nodes, each of shape (ny, nx)."""
+    return np.meshgrid(grid.x, np.arange(grid.ny) * grid.hy)
+
+
+def field_from_function(grid, fn):
+    """The field of the values fn(x, y) at the grid's nodes."""
+    xx, yy = mesh(grid)
+    return ScalarFieldPeriodic(grid, np.asarray(fn(xx, yy), dtype=float))
 
 
 def loglog_slope(hs, errs):

@@ -21,16 +21,18 @@ wave's closed form and its quadrature period, trigonometric interpolation of
 a wave profile's samples cross-checks its closed-form evaluation, the OBJ
 reader reads back what the export stage wrote, the loop triangulation
 cross-checks the vectorized one, Newton's method with sparse direct steps on
-an assembled Laplacian cross-checks the MINRES steps, the fd4 stencil
-applied on the grid cross-checks the solver's Laplacian through its Fourier
-symbol, a row sampler that forms each call's row phases anew
-cross-checks the tabled phases of grid.row_sampler bit for bit, and MINRES
-with a new array for every vector update cross-checks the in-place
-solver.minres bit for bit.
+an assembled Laplacian cross-checks the MINRES steps, the PDE's per-node
+residual, its Laplacian applied through the solver's symbol table, measures
+how nearly a field solves the equation, the fd4 stencil applied on the grid
+cross-checks the solver's Laplacian through its Fourier symbol, a row
+sampler that forms each call's row phases anew cross-checks the tabled
+phases of grid.row_sampler bit for bit, and MINRES with a new array for
+every vector update cross-checks the in-place solver.minres bit for bit.
 
 The z / zbar linear system the frame generators are derived from also lives
-here, with its bilinear pairing laws and its one-cell compatibility check:
-the frame generators of tzitzeica.lax are checked against its gauge
+here, with its bilinear pairing laws and its one-cell compatibility check,
+each at the spectral parameter lam = e^{i theta} formed as the frame forms
+it: the frame generators of tzitzeica.lax are checked against its gauge
 transform, and the marched psi (tests/reference_march.reference_psi)
 against the pairing laws.
 """
@@ -40,19 +42,11 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import spsolve
 
-from tzitzeica.grid import (
-    AXIS_X,
-    AXIS_Y,
-    _trig_phases,
-    ddx,
-    ddy,
-    deriv,
-    deriv2,
-    spectral_gradient,
-)
+from tzitzeica.grid import AXIS_X, AXIS_Y, _trig_phases, deriv, deriv2, spectral_gradient
 from tzitzeica.invariants import NODE_X, NODE_Y, christoffel_from_field
 from tzitzeica.lax import frame_coeff_x, frame_coeff_y
 from tzitzeica.linalg3 import hermitian_inner
+from tzitzeica.solver import laplacian_symbol
 from tzitzeica.wave import _cubic_roots, period_quadrature
 
 
@@ -211,7 +205,7 @@ def tangent_analytic(frame, radius):
     E2 = R e^{u/2} (L / lam - M) over the whole grid, each (3, ny, nx), from
     the columns L, M of the base-node frames; the products run in the
     pipeline's order, so its blockwise tangents are matched bit for bit."""
-    return _tangent_map(frame.base, frame.u.values, frame.spectral.lam, radius)
+    return _tangent_map(frame.base, frame.u.values, frame.lam, radius)
 
 
 def second_form_with_connection(frame, radius):
@@ -222,7 +216,7 @@ def second_form_with_connection(frame, radius):
     nabla_i E_j = d_i E_j - gamma^k_ij E_k with gamma from christoffel_planes,
     projected onto i E_k (divided by the metric 2 R^2 e^u) and onto N."""
     u = frame.u.values
-    lam = frame.spectral.lam
+    lam = frame.lam
     conf = 2.0 * radius**2 * np.exp(u)
     grads = spectral_gradient(u, frame.grid)
     gamma = christoffel_planes(*christoffel_from_field(frame.u))
@@ -245,7 +239,7 @@ def second_form_with_connection(frame, radius):
 def fd_tangents(points, grid):
     """Grid finite-difference tangents of the embedding's points (valid when
     the frame closes over the grid periods)."""
-    return ddx(points, grid), ddy(points, grid)
+    return deriv(points, grid.hx, AXIS_X), deriv(points, grid.hy, AXIS_Y)
 
 
 def turning_points(energy):
@@ -327,6 +321,15 @@ def grid_faces_loop(nx, ny):
     return faces
 
 
+def pde_residual(u):
+    """Per-node residual Delta u - 4 e^{-2u} + 4 e^{u}, the Laplacian applied
+    through the solver's symbol table solver.laplacian_symbol, as the solver
+    applies it."""
+    vals = u.values
+    lap = np.fft.irfft2(np.fft.rfft2(vals) * laplacian_symbol(u.grid), vals.shape)
+    return lap - 4.0 * np.exp(-2.0 * vals) + 4.0 * np.exp(vals)
+
+
 def laplacian_fd4(values, grid):
     """The 2D periodic Laplacian of ``values`` by the 4th-order stencil
     grid.deriv2 along each axis."""
@@ -394,7 +397,13 @@ def _expm_taylor(mat):
     return out
 
 
-def compatibility_residual(u, spectral):
+def spectral_parameter(theta):
+    """lam = cos(theta) + i sin(theta), formed as tzitzeica.lax.FrameField.lam
+    forms it."""
+    return complex(np.cos(theta), np.sin(theta))
+
+
+def compatibility_residual(u, theta):
     """Max commutator defect of one-cell transport, x-step then y-step versus
     y-step then x-step.
 
@@ -403,11 +412,11 @@ def compatibility_residual(u, spectral):
     hx*hy*|d_zbar A - d_z B + [A, B]| + O(h^3), and the bracket expression is
     diag(-1, 1, 0)/4 times the PDE residual, so the defect vanishes with it.
     """
-    lam = spectral.lam
+    lam = spectral_parameter(theta)
     grid = u.grid
     vals = u.values
-    ux = ddx(vals, grid)
-    uy = ddy(vals, grid)
+    ux = deriv(vals, grid.hx, AXIS_X)
+    uy = deriv(vals, grid.hy, AXIS_Y)
     u_z = 0.5 * (ux - 1j * uy)
     a = lax_z_matrix(vals, u_z, lam)
     b = lax_zbar_matrix(vals, lam)

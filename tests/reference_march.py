@@ -15,7 +15,7 @@ import numpy as np
 from tzitzeica.grid import AXIS_X, AXIS_Y, spectral_gradient
 from tzitzeica.lax import frame_coeff_x, frame_coeff_y
 
-from oracles import lax_z_matrix, lax_zbar_matrix
+from oracles import lax_z_matrix, lax_zbar_matrix, spectral_parameter
 
 
 def zero_pad_upsample(values, factor, axis):
@@ -84,21 +84,22 @@ def _rows_then_columns(vals, d1, d2, n1, n2, h1, h2, build1, build2, lam, m, e1,
     return march(first, cols, build2, lam, h2, n2_tot - 1, m)
 
 
-def reference_frame(u, spectral, substeps, extend=(0, 0), order="xy"):
+def reference_frame(u, theta, substeps, extend=(0, 0), order="xy"):
     """Frames of integrate_frame (u0 = I), shape (ny + ey, nx + ex, 3, 3);
     order="yx" marches the first column in y and then every row in x."""
     g = u.grid
+    lam = spectral_parameter(theta)
     m = int(substeps)
     u0 = np.eye(3, dtype=complex)
     ux, uy = spectral_gradient(u.values, g)
     if order == "xy":
         return _rows_then_columns(
             u.values, ux, uy, g.nx, g.ny, g.hx, g.hy, frame_coeff_x, frame_coeff_y,
-            spectral.lam, m, extend[0], extend[1], u0,
+            lam, m, extend[0], extend[1], u0,
         )
     swapped = _rows_then_columns(
         u.values.T, uy.T, ux.T, g.ny, g.nx, g.hy, g.hx, frame_coeff_y, frame_coeff_x,
-        spectral.lam, m, extend[1], extend[0], u0,
+        lam, m, extend[1], extend[0], u0,
     )
     return np.swapaxes(swapped, 0, 1)
 
@@ -119,7 +120,7 @@ def reference_stencil(frame, axis, halfwidth=2):
     def om_at(offset):
         idx = (node_idx + offset) % (2 * m * n)
         c = [a[:, idx] if ax == AXIS_X else a[idx, :] for a in fine]
-        return generator(builder, c[0], c[1], frame.spectral.lam)
+        return generator(builder, c[0], c[1], frame.lam)
 
     frames = {0: frame.base.copy()}
     for sign in (+1, -1):
@@ -131,7 +132,7 @@ def reference_stencil(frame, axis, halfwidth=2):
     return [frames[k] for k in range(-halfwidth, halfwidth + 1)]
 
 
-def reference_psi(u, spectral, psi0, mode="x", substeps=24):
+def reference_psi(u, theta, psi0, mode="x", substeps=24):
     """psi along the first grid row at the nx + 1 cell boundaries, marching
     d psi = M psi in x one RK4 substep at a time: M = A + B (mode "x", a
     physical x-move) or M = A alone (mode "z", the setting where the
@@ -142,9 +143,10 @@ def reference_psi(u, spectral, psi0, mode="x", substeps=24):
     idx = np.arange(2 * m * g.nx + 1) % (2 * m * g.nx)
     uf, uxf, uyf = (zero_pad_upsample(a[0], 2 * m, axis=0)[idx] for a in (u.values, ux, uy))
     # the generator at every half-substep sample at once
-    gen = lax_z_matrix(uf, 0.5 * (uxf - 1j * uyf), spectral.lam)
+    lam = spectral_parameter(theta)
+    gen = lax_z_matrix(uf, 0.5 * (uxf - 1j * uyf), lam)
     if mode == "x":
-        gen = gen + lax_zbar_matrix(uf, spectral.lam)
+        gen = gen + lax_zbar_matrix(uf, lam)
     psi = np.asarray(psi0, dtype=complex)
     stored = [psi]
     hs = g.hx / m

@@ -13,21 +13,23 @@ import pytest
 
 from tzitzeica import cli
 from tzitzeica.config import parse_config_text
-from tzitzeica.grid import PeriodicGrid, field_from_function, save_table, zero_field
+from tzitzeica.grid import PeriodicGrid, grid_record, save_table, zero_field
 from tzitzeica.invariants import closed_form_tensor, trace_vector
-from tzitzeica.lax import SpectralPoint, frame_coeff_x, frame_coeff_y, integrate_frame
-from tzitzeica.solver import laplacian_symbol, newton_solve, pde_residual, resonance_gap
+from tzitzeica.lax import frame_coeff_x, frame_coeff_y, integrate_frame
+from tzitzeica.solver import laplacian_symbol, newton_solve, resonance_gap
 from tzitzeica.surface import extract_second_form, normality_map
 from tzitzeica.wave import lift_1d, period_quadrature, travelling_wave
 
-from conftest import COSINE_SIDE, cosine_seed, loglog_slope
+from conftest import COSINE_SIDE, cosine_seed, field_from_function, loglog_slope
 from oracles import (
     compatibility_residual,
     lax_z_matrix,
     lax_zbar_matrix,
     pairing_derivative_x,
     pairing_series,
+    pde_residual,
     period_shooting,
+    spectral_parameter,
     tangent_analytic,
 )
 from reference_march import generator, reference_frame, reference_psi
@@ -126,7 +128,7 @@ def test_criterion_2_sign_convention_lock():
     gauge_defect = 0.0
     for _ in range(50):
         uval, ux, uy = rng.uniform(-1, 1, 3)
-        lamval = SpectralPoint(rng.uniform(0, 2 * np.pi)).lam
+        lamval = spectral_parameter(rng.uniform(0, 2 * np.pi))
         uzval = 0.5 * (ux - 1j * uy)
         a_num = np.array(a_fn(uval, uzval, lamval), dtype=complex)
         b_num = np.array(b_fn(uval, lamval), dtype=complex)
@@ -153,7 +155,7 @@ def test_criterion_2_sign_convention_lock():
     assert sympy.simplify(constrained) == sympy.zeros(3, 3)
 
     grid = PeriodicGrid(64, 64, 1.0, 1.0)
-    resid = compatibility_residual(zero_field(grid), SpectralPoint(0.0))
+    resid = compatibility_residual(zero_field(grid), 0.0)
     assert resid <= 1e-9, f"flat compatibility residual {resid}"
     _report(
         f"[acceptance 2] sign-convention lock: PASS "
@@ -237,15 +239,15 @@ def _expm_eig(mat):
 
 
 def test_criterion_5_frame_convergence(wave61):
-    spectral = SpectralPoint(0.3)
-    lam = spectral.lam
+    theta = 0.3
+    lam = spectral_parameter(theta)
     wx = generator(frame_coeff_x, 0.0, 0.0, lam)
     wy = generator(frame_coeff_y, 0.0, 0.0, lam)
     assert np.abs(wx @ wy - wy @ wx).max() < 1e-14  # oracle factorizes
     errs, hs = [], []
     for n in (32, 64, 128):
         grid = PeriodicGrid(n, n, 1.0, 1.0)
-        frame = integrate_frame(zero_field(grid), spectral, substeps=1)
+        frame = integrate_frame(zero_field(grid), theta, substeps=1, closing=False)
         exact = _expm_eig((n - 1) * grid.hx * wx) @ _expm_eig((n - 1) * grid.hy * wy)
         errs.append(np.abs(frame.base[n - 1, n - 1] - exact).max())
         hs.append(1.0 / n)
@@ -256,8 +258,8 @@ def test_criterion_5_frame_convergence(wave61):
     for n in (16, 32, 64):
         grid = PeriodicGrid(n, n, wave61.period, 1.0)
         u = lift_1d(wave61, grid)
-        fx = integrate_frame(u, spectral, substeps=1)
-        fy = reference_frame(u, spectral, 1, order="yx")
+        fx = integrate_frame(u, theta, substeps=1, closing=False)
+        fy = reference_frame(u, theta, 1, order="yx")
         perrs.append(np.abs(fx.unitary - fy).max())
         phs.append(wave61.period / n)
     path_slope = loglog_slope(phs, perrs)
@@ -275,26 +277,26 @@ def test_criterion_5_frame_convergence(wave61):
 
 def test_criterion_6_pairing_laws(wave61):
     theta = 0.4
-    lam = SpectralPoint(theta).lam
+    lam = spectral_parameter(theta)
     psi0 = np.array([1.0, 0.3 - 0.2j, -0.1 + 0.5j])
     phi0 = np.array([0.2 + 0.1j, 1.0, 0.4j])
 
     grid = PeriodicGrid(64, 8, wave61.period, 1.0)
     u = lift_1d(wave61, grid)
-    psis = reference_psi(u, SpectralPoint(theta), psi0)
-    phis = reference_psi(u, SpectralPoint(theta + np.pi), phi0)
+    psis = reference_psi(u, theta, psi0)
+    phis = reference_psi(u, theta + np.pi, phi0)
     series = pairing_series(lam, psis, phis)
     drift = float(np.abs(series - series[0]).max())
     assert drift < 1e-8, f"diagonal pairing drift {drift}"
 
     mu_theta = 1.1
-    mu = SpectralPoint(mu_theta).lam
+    mu = spectral_parameter(mu_theta)
     errs, hs = [], []
     for n in (32, 64, 128):
         g = PeriodicGrid(n, 8, wave61.period, 1.0)
         un = lift_1d(wave61, g)
-        ps = reference_psi(un, SpectralPoint(theta), psi0)
-        qs = reference_psi(un, SpectralPoint(mu_theta + np.pi), phi0)
+        ps = reference_psi(un, theta, psi0)
+        qs = reference_psi(un, mu_theta + np.pi, phi0)
         om = pairing_series(lam, ps, qs)
         fd = (om[2:] - om[:-2]) / (2 * g.hx)
         urow = np.concatenate([un.values[0], [un.values[0, 0]]])
@@ -320,7 +322,7 @@ def test_criterion_7_second_form_extraction(wave61):
     for n in (16, 32, 64):
         grid = PeriodicGrid(n, n, wave61.period, 1.0)
         u = lift_1d(wave61, grid)
-        frame = integrate_frame(u, SpectralPoint(theta), substeps=8)
+        frame = integrate_frame(u, theta, substeps=8, closing=False)
         tens, ncoeff, _first = extract_second_form(frame, 1.0)
         expected = closed_form_tensor(u.values, theta)
         errs.append(np.abs(tens - expected).max())
@@ -356,7 +358,7 @@ def test_criterion_8_negative_controls(wave61):
     # (a) one corrupted frame node shows up in the normality map, locally
     grid = PeriodicGrid(32, 32, FLAT_LX, FLAT_LY)
     u = zero_field(grid)
-    frame = integrate_frame(u, SpectralPoint(0.0), substeps=16)
+    frame = integrate_frame(u, 0.0, substeps=16, closing=False)
     jbad, ibad = 9, 21
     frame.unitary[jbad, ibad, :, 2] += 1e-3
     nmap = normality_map(*tangent_analytic(frame, 1.0), np.moveaxis(frame.normal, -1, 0))
@@ -368,11 +370,10 @@ def test_criterion_8_negative_controls(wave61):
 
     # (b) compatibility residual tracks the PDE residual across amplitudes
     g2 = PeriodicGrid(64, 64, 1.0, 1.0)
-    spectral = SpectralPoint(0.1)
     compat, pde = [], []
     for amp in np.linspace(0.03, 0.3, 10):
         ua = field_from_function(g2, lambda x, y, a=amp: a * np.cos(2 * np.pi * x))
-        compat.append(compatibility_residual(ua, spectral))
+        compat.append(compatibility_residual(ua, 0.1))
         pde.append(float(np.abs(pde_residual(ua)).max()))
     corr = float(np.corrcoef(compat, pde)[0, 1])
     assert corr > 0.99, f"correlation {corr}"
@@ -396,8 +397,8 @@ def test_criterion_10_two_dimensional_solution(tmp_path):
     for n in (32, 64):
         out = tmp_path / str(n)
         out.mkdir()
-        seed = out / "seed.csv"
-        save_table(str(seed), (n, n, COSINE_SIDE, COSINE_SIDE), cosine_seed(n).values.reshape(-1, 1))
+        seed, fld = out / "seed.csv", cosine_seed(n)
+        save_table(str(seed), grid_record(fld.grid), fld.values.reshape(-1, 1))
         cfg = parse_config_text(
             f"nx = {n}\nny = {n}\nlx = {COSINE_SIDE!r}\nly = {COSINE_SIDE!r}\ntheta = 0.3\n"
             f"seed = file\nfield_path = {seed}\nextend_closure = false\nout_dir = {out}\n"

@@ -22,7 +22,6 @@ from tzitzeica.config import parse_config, parse_config_text
 from tzitzeica.errors import ConfigParseError, ConfigValidationError
 from tzitzeica.grid import (
     PeriodicGrid,
-    field_from_function,
     format_float,
     grid_record,
     load_field,
@@ -32,10 +31,11 @@ from tzitzeica.grid import (
     save_table,
     write_rows,
 )
-from tzitzeica.lax import SpectralPoint, integrate_frame
+from tzitzeica.lax import integrate_frame
 from tzitzeica.surface import build_surface, full_report
 from tzitzeica.wave import period_quadrature, travelling_wave
 
+from conftest import field_from_function
 from oracles import grid_faces_loop, parse_obj
 from test_hygiene import _assigned_literal
 
@@ -69,7 +69,7 @@ def write_config(tmp_path, text, name="run.cfg"):
 def save_text_field(fld, path):
     """Write fld as the text field table that seed = file reads."""
     g = fld.grid
-    save_table(path, (g.nx, g.ny, g.lx, g.ly), fld.values.reshape(-1, 1))
+    save_table(path, grid_record(g), fld.values.reshape(-1, 1))
 
 
 def read_field(cfg, out):
@@ -124,6 +124,18 @@ def test_config_comments_and_errors():
     for seed in ("zero", "wave", "file\nfield_path = seed.csv"):
         with pytest.raises(ConfigValidationError, match="wave_energy must exceed 6"):
             parse_config_text(f"nx = 8\nny = 8\nlx = 1\nly = 1\nseed = {seed}\nwave_energy = 5\n")
+    # a named projection takes three distinct coordinates, so no two mesh axes are equal
+    for projection in ("re1,re1,im1", "re1, im1 ,re1", "re1,re2", "re1,re2,re4"):
+        with pytest.raises(ConfigValidationError, match="three distinct names"):
+            parse_config_text(f"nx = 8\nny = 8\nlx = 1\nly = 1\nprojection = {projection}\n")
+
+
+def test_repeated_projection_name_is_exit_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = flat_config_text(str(out), nx=16, ny=16, extra="projection = re1,re1,im1\n")
+    assert cli.main(["solve", "--config", write_config(tmp_path, text)]) == 3
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: validation"
+    assert not out.exists()
 
 
 FLOAT_KEYS = ("lx", "ly", "radius", "theta", "tol", "wave_energy")
@@ -824,6 +836,15 @@ def test_wave_stage(tmp_path):
     assert float(log["energy_drift"]) < 1e-10
 
 
+def test_wave_csv_header_is_its_record(tmp_path):
+    # bench/workloads.py parses this line by position, so its bytes are pinned
+    out = str(tmp_path)
+    cfg = parse_config_text(flat_config_text(out, extra="wave_energy = 6.5\n"))
+    cli.run_pipeline(cfg, "wave", out, echo=False)
+    with open(os.path.join(out, cli.WAVE_CSV), "rb") as fh:
+        assert fh.readline() == b"512,1.8012344961395712,6.5\n"
+
+
 @pytest.mark.parametrize("seed", ["zero", "wave"])
 def test_wave_stage_at_energy_6_or_less_is_exit_3(tmp_path, capsys, seed):
     out = tmp_path / "out"
@@ -855,7 +876,7 @@ def test_report_through_files_keeps_substeps(tmp_path):
     for stage in ("solve", "frame", "report"):
         cli.run_pipeline(cfg, stage, out, echo=False)
     u = read_field(cfg, out)
-    frame = integrate_frame(u, SpectralPoint(cfg.theta), substeps=12, closing=True)
+    frame = integrate_frame(u, cfg.theta, substeps=12, closing=True)
     report = full_report(frame, cfg.radius)
     in_memory = str(tmp_path / "in_memory.json")
     cli.write_report_json(report, in_memory)

@@ -12,7 +12,6 @@ from tzitzeica.grid import (
     ScalarFieldPeriodic,
     deriv,
     deriv2,
-    field_from_function,
     format_float,
     header_line,
     laplacian_symbol_1d,
@@ -29,7 +28,7 @@ from tzitzeica.grid import (
 )
 from tzitzeica.solver import laplacian_symbol, resonance_gap
 
-from conftest import loglog_slope
+from conftest import field_from_function, loglog_slope, mesh
 from reference_march import zero_pad_upsample
 
 
@@ -65,7 +64,7 @@ def test_deriv_convergence():
 def test_spectral_deriv_is_exact_for_bandlimited():
     # unequal axes and periods, so a swapped axis or step cannot pass
     g = PeriodicGrid(32, 16, 1.0, 2.0)
-    xx, yy = g.mesh()
+    xx, yy = mesh(g)
     sx, cx, sy, cy = np.sin(2 * np.pi * xx), np.cos(2 * np.pi * xx), np.sin(np.pi * yy), np.cos(np.pi * yy)
     f = sx * cy + 0.3 * np.cos(6 * np.pi * xx) + 0.2 * np.sin(3 * np.pi * yy)
     fx, fy = spectral_gradient(f, g)
@@ -222,7 +221,7 @@ def test_header_digest_field(tmp_path):
     # only when its header holds exactly the run's digest
     digest = "0123456789abcdef" * 4
     record = (("n", 8), ("h", 0.5), ("sha", digest))
-    assert header_line((8, 0.5, digest)) == f"8,0.5,{digest}\n"
+    assert header_line(record) == f"8,0.5,{digest}\n"
     path = tmp_path / "nodes.bin"
     save_nodes(path, record, np.arange(3.0), "<f8")
     body = path.read_bytes().split(b"\n", 1)[1]

@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package and its tests is
 used, every local a function of the package or its tests binds is read,
-every public definition of the package is reached from the package
-itself or from the acceptance suite, every private one from the package
-itself, every public definition of the test
+every public definition of the package, and every public method and
+property of its classes that have no base class, is reached from the
+package itself or from the benchmark, its one outside caller, every private
+definition from the package itself, every public definition of the test
 oracles is reached from a test, every default of a package function or
 dataclass field is overridden by some caller other than a unit test, README's
 config table lists exactly the config keys, only `grid.py` imports `hashlib`
@@ -13,6 +14,7 @@ stage calls is bound by that stage's process, and every attribute the
 benchmark's tracer wraps exists and is called through the binding it wraps."""
 
 import ast
+import collections
 import importlib
 import pathlib
 import re
@@ -118,34 +120,51 @@ def test_no_local_that_nothing_reads():
     assert {k: v for k, v in found.items() if v} == {}
 
 
-def _referenced(tree):
-    """Names a tree uses, as bare names or as attributes."""
-    return {
-        n.id if isinstance(n, ast.Name) else n.attr
+def _references(tree):
+    """How often a tree uses each name, as a Counter of (name, attribute):
+    attribute is False for a bare name and True for an attribute."""
+    return collections.Counter(
+        (n.attr, True) if isinstance(n, ast.Attribute) else (n.id, False)
         for n in ast.walk(tree)
         if isinstance(n, (ast.Name, ast.Attribute))
-    }
+    )
+
+
+def _definitions(tree, private):
+    """("name", node) of each public (or, with `private`, private) top-level
+    def and class of a module, and, unless `private`, ("Class.name", node) of
+    each public method and property of its classes that have no base class
+    (a subclass's method may override one that its base's callers reach)."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_") == private:
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef) and not node.bases and not private:
+            found += [(f"{node.name}.{m.name}", m) for m in node.body
+                      if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return found
 
 
 def unreached_definitions(modules, reaching=(), private=False):
-    """Public (or, with `private`, private) top-level defs and classes of
-    `modules` (name -> source) that no module references outside the
-    definition itself, and no source in `reaching` references at all; as
-    "module:name".  A module's __getattr__ is reached by the interpreter,
-    for a name the module does not bind (PEP 562)."""
+    """The _definitions of `modules` (name -> source) that no module
+    references outside the definition itself, and no source in `reaching`
+    references at all; as "module:name".  A top-level definition is
+    referenced by its bare name or as an attribute, a member only as an
+    attribute.  A module's __getattr__ is reached by the interpreter, for a
+    name the module does not bind (PEP 562)."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    outside = set().union(*(_referenced(ast.parse(source)) for source in reaching))
-    uses = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
-    return [
-        f"{name}:{node.name}"
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") == private
-        and node.name != "__getattr__"
-        and node.name not in outside
-        and not any(node.name in refs for stmt, refs in uses if stmt is not node)
-    ]
+    outside = sum((_references(ast.parse(source)) for source in reaching), collections.Counter())
+    uses = sum(map(_references, trees.values()), collections.Counter())
+    found = []
+    for name, tree in trees.items():
+        for qualname, node in _definitions(tree, private):
+            own = _references(node)
+            keys = [(node.name, True)] + ([] if "." in qualname else [(node.name, False)])
+            if node.name != "__getattr__" and not any(outside[k] or uses[k] > own[k] for k in keys):
+                found.append(f"{name}:{qualname}")
+    return found
 
 
 def test_guard_flags_an_unreached_definition():
@@ -155,12 +174,40 @@ def test_guard_flags_an_unreached_definition():
     }
     assert unreached_definitions(modules) == ["a.py:dead", "b.py:Tested"]
     assert unreached_definitions(modules, ["from b import Tested\nTested()\n"]) == ["a.py:dead"]
+    # a member is reached by any reference but its own: a sibling's, another
+    # module's or an outside source's; a subclass's members are exempt
+    grid = (
+        "class Grid:\n"
+        "    def __init__(self, n):\n        self.n = n\n"
+        "    @property\n    def x(self):\n        return self.n\n"
+        "    @property\n    def y(self):\n        return self.y\n"
+        "    def mesh(self):\n        return self.x, self._h()\n"
+        "    def _h(self):\n        return 1\n"
+        "\nclass Parser(Base):\n    def error(self, message):\n        pass\n"
+    )
+    modules = {"a.py": grid, "b.py": "from .a import Grid, Parser\n\nParser(Grid(8).x)\n"}
+    assert unreached_definitions(modules) == ["a.py:Grid.y", "a.py:Grid.mesh"]
+    assert unreached_definitions(modules, ["g.mesh()\n"]) == ["a.py:Grid.y"]
+    assert unreached_definitions(modules, private=True) == []
+    # the grid's y coordinates and mesh, which only tests read, would be
+    # flagged in the package
+    package = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    anchor = "    @property\n    def x(self):\n"
+    y = "    @property\n    def y(self):\n        return np.arange(self.ny) * self.hy\n\n"
+    mesh = "    def mesh(self):\n        return np.meshgrid(self.x, self.y)\n\n"
+    assert package["grid.py"].count(anchor) == 1
+    for members, flagged in ((y, "y"), (y + mesh, "mesh")):
+        widened = dict(package, **{"grid.py": package["grid.py"].replace(anchor, members + anchor)})
+        assert unreached_definitions(widened, bench) == [f"grid.py:PeriodicGrid.{flagged}"]
 
 
 def test_no_public_definition_only_its_own_tests_call():
+    # the benchmark, which runs the pipeline in process, is the package's one
+    # outside caller; a definition only tests reach belongs in tests/
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    acceptance = (TESTS / "test_acceptance.py").read_text()
-    assert unreached_definitions(modules, [acceptance]) == []
+    bench = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    assert unreached_definitions(modules, bench) == []
 
 
 def test_guard_flags_an_unreached_private_definition():

@@ -1,7 +1,9 @@
 import numpy as np
 
-from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic, ddx, ddy, field_from_function
+from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic, deriv
 from tzitzeica.invariants import (
+    NODE_X,
+    NODE_Y,
     christoffel_from_field,
     closed_form_tensor,
     codazzi_residual,
@@ -13,7 +15,7 @@ from tzitzeica.invariants import (
 from tzitzeica.linalg3 import hermitian_inner
 from tzitzeica.wave import lift_1d
 
-from conftest import loglog_slope
+from conftest import field_from_function, loglog_slope
 from oracles import (
     christoffel_generic,
     christoffel_planes,
@@ -56,14 +58,14 @@ def test_hermitian_induced_complex_pair():
 
 
 def test_christoffel_conformal_linear_exponent():
-    # the pair is (ddx(u)/2, ddy(u)/2) bit for bit, and every plane built
+    # the pair is the grid's derivatives (u_x/2, u_y/2) bit for bit, and every plane built
     # from it is one of them or its negation; for u = a x + b y these are
     # a/2 and b/2 at the nodes the fd4 stencil does not wrap
     a, b = 0.83, -0.41
     g = PeriodicGrid(16, 12, 1.0, 1.3)
     u = field_from_function(g, lambda x, y: a * x + b * y)
     pair = christoffel_from_field(u)
-    half_x, half_y = ddx(u.values, g) / 2, ddy(u.values, g) / 2
+    half_x, half_y = deriv(u.values, g.hx, NODE_X) / 2, deriv(u.values, g.hy, NODE_Y) / 2
     assert len(pair) == 2 and np.array_equal(pair[0], half_x) and np.array_equal(pair[1], half_y)
     gam = christoffel_planes(*pair)
     planes = {(0, 0, 0): half_x, (1, 0, 1): half_x, (1, 1, 0): half_x, (0, 1, 1): -half_x,

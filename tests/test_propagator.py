@@ -9,11 +9,12 @@ import pytest
 
 from tzitzeica import lax
 from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic, spectral_gradient, trig_upsample, zero_field
-from tzitzeica.lax import SpectralPoint, frame_axis_stencil, integrate_frame
+from tzitzeica.lax import frame_axis_stencil, integrate_frame
 from tzitzeica.solver import newton_solve
 from tzitzeica.surface import torus_closure
 from tzitzeica.wave import lift_1d, travelling_wave
 
+from conftest import mesh
 from oracles import row_sampler_per_row
 from reference_march import reference_frame, reference_stencil
 
@@ -24,9 +25,8 @@ FLAT_LY = 2.0 * np.pi / np.sqrt(3.0)
 def test_flat_extended_frame_matches_reference():
     # the closing frame is the base plus a one-node extension
     u = zero_field(PeriodicGrid(32, 32, 1.0, 1.0))
-    sp = SpectralPoint(0.0)
-    frame = integrate_frame(u, sp, substeps=24, closing=True)
-    ref = reference_frame(u, sp, 24, extend=(1, 1))
+    frame = integrate_frame(u, 0.0, substeps=24, closing=True)
+    ref = reference_frame(u, 0.0, 24, extend=(1, 1))
     assert frame.unitary.shape == ref.shape == (33, 33, 3, 3)
     assert np.abs(frame.unitary - ref).max() <= TOL
 
@@ -36,10 +36,10 @@ def wave_field(wave61):
     return lift_1d(wave61, PeriodicGrid(32, 32, wave61.period, 1.0))
 
 
-def _brute_force_closure(u, sp, substeps):
+def _brute_force_closure(u, theta, substeps):
     """Closure defects from a reference frame marched over a second period."""
     g = u.grid
-    ref = reference_frame(u, sp, substeps, extend=(g.nx, g.ny))
+    ref = reference_frame(u, theta, substeps, extend=(g.nx, g.ny))
     base = ref[: g.ny, : g.nx]
     return np.abs(ref[: g.ny, g.nx :] - base).max(), np.abs(ref[g.ny :, : g.nx] - base).max()
 
@@ -49,12 +49,12 @@ def test_monodromy_closure_matches_brute_force_extension(wave_field, case):
     if case == "flat":
         # the closure-matched periods of configs/flat.cfg
         u = zero_field(PeriodicGrid(32, 32, 2 * np.pi, 2 * np.pi / np.sqrt(3)))
-        sp, substeps = SpectralPoint(0.0), 24
+        theta, substeps = 0.0, 24
     else:
-        u, sp, substeps = wave_field, SpectralPoint(0.4), 4
-    frame = integrate_frame(u, sp, substeps=substeps, closing=True)
+        u, theta, substeps = wave_field, 0.4, 4
+    frame = integrate_frame(u, theta, substeps=substeps, closing=True)
     rep = torus_closure(frame)
-    x_defect, y_defect = _brute_force_closure(u, sp, substeps)
+    x_defect, y_defect = _brute_force_closure(u, theta, substeps)
     assert abs(rep[0] - x_defect) <= TOL
     assert abs(rep[1] - y_defect) <= TOL
     assert (max(rep) < 1e-4) == (case == "flat")
@@ -66,11 +66,12 @@ def test_wave_frame_matches_reference(wave_field, substeps, monkeypatch):
     # pairwise product; the lifted wave's column march builds its first cell
     # row only, and with the alike rule switched off each build at 32
     # columns holds four cell rows
-    sp = SpectralPoint(0.4)
-    ref = reference_frame(wave_field, sp, substeps)
-    assert np.abs(integrate_frame(wave_field, sp, substeps=substeps).unitary - ref).max() <= TOL
+    ref = reference_frame(wave_field, 0.4, substeps)
+    frame = integrate_frame(wave_field, 0.4, substeps=substeps, closing=False)
+    assert np.abs(frame.unitary - ref).max() <= TOL
     monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
-    assert np.abs(integrate_frame(wave_field, sp, substeps=substeps).unitary - ref).max() <= TOL
+    frame = integrate_frame(wave_field, 0.4, substeps=substeps, closing=False)
+    assert np.abs(frame.unitary - ref).max() <= TOL
 
 
 def _exact_axis_derivative(frame, axis):
@@ -93,7 +94,7 @@ def test_axis_stencil_matches_reference(wave_field, axis, monkeypatch):
     # 1.9e-9 (y) at 4 substeps, 16x less at 8
     errs = []
     for m in (4, 8):
-        frame = integrate_frame(wave_field, SpectralPoint(0.4), substeps=m)
+        frame = integrate_frame(wave_field, 0.4, substeps=m, closing=False)
         ref = np.array(reference_stencil(frame, axis))
         assert ref.shape == (5, 32, 32, 3, 3)
         h = (frame.grid.hx if axis == "x" else frame.grid.hy) / m
@@ -120,14 +121,14 @@ def test_frame_does_not_depend_on_the_row_split(wave61, case, monkeypatch):
         u, closing = _wave_y(wave61, 128), False
     else:
         u, closing = _flat(65), True
-    rowwise = integrate_frame(u, SpectralPoint(0.3), closing=closing).unitary
+    rowwise = integrate_frame(u, 0.3, substeps=24, closing=closing).unitary
 
     def whole_grid(arrays, factor, offsets):
         planes = np.stack([trig_upsample(a, factor, 0, offsets) for a in arrays])
         return lambda rows: planes[:, :, list(rows)]
 
     monkeypatch.setattr(lax, "row_sampler", whole_grid)
-    whole = integrate_frame(u, SpectralPoint(0.3), closing=closing).unitary
+    whole = integrate_frame(u, 0.3, substeps=24, closing=closing).unitary
     assert np.abs(rowwise - whole).max() <= TOL
 
 
@@ -146,7 +147,7 @@ def _wave_y(wave61, n):
     """The wave perturbed in y on n^2, so its column march samples every
     cell row."""
     grid = PeriodicGrid(n, n, wave61.period, FLAT_LY)
-    xx, yy = grid.mesh()
+    xx, yy = mesh(grid)
     bump = 0.01 * np.cos(2 * np.pi * yy / grid.ly + 0.4) * np.cos(2 * np.pi * xx / grid.lx)
     return ScalarFieldPeriodic(grid, lift_1d(wave61, grid).values + bump)
 
@@ -156,9 +157,9 @@ def test_tabled_row_phases_leave_the_frame_bit_identical(wave61, monkeypatch):
     # row's phases on its call instead gives the same frame, bit for bit, on
     # a 128^2 wave perturbed in y with its closing row and column
     u = _wave_y(wave61, 128)
-    tabled = integrate_frame(u, SpectralPoint(0.3), closing=True).unitary
+    tabled = integrate_frame(u, 0.3, substeps=24, closing=True).unitary
     monkeypatch.setattr(lax, "row_sampler", row_sampler_per_row)
-    assert np.array_equal(integrate_frame(u, SpectralPoint(0.3), closing=True).unitary, tabled)
+    assert np.array_equal(integrate_frame(u, 0.3, substeps=24, closing=True).unitary, tabled)
 
 
 @pytest.mark.parametrize("case", ["wave128", "lifted128", "flat64-closing", "wave64y-closing",
@@ -187,7 +188,7 @@ def test_frame_memory_stays_within_one_build_of_samples(wave61, case):
         u, closing, bound = _wave_y(wave61, 64), True, 5e6
     tracemalloc.start()
     try:
-        integrate_frame(u, SpectralPoint(0.3), closing=closing)
+        integrate_frame(u, 0.3, substeps=24, closing=closing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -205,7 +206,7 @@ def test_frame_does_not_depend_on_the_cells_per_build(wave61, case, monkeypatch)
     frames = []
     for rows in (1, 2, 3):
         monkeypatch.setattr(lax, "BUILD_CELLS", rows * u.grid.nx)
-        frames.append(integrate_frame(u, SpectralPoint(0.3), closing=True).unitary)
+        frames.append(integrate_frame(u, 0.3, substeps=24, closing=True).unitary)
     assert all(np.array_equal(frames[0], other) for other in frames[1:])
 
 
@@ -232,7 +233,7 @@ def _spied_builds(u, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(lax, "_schedule", schedule_spy)
         patch.setattr(lax, "row_sampler", sampler_spy)
-        integrate_frame(u, SpectralPoint(0.3), closing=True)
+        integrate_frame(u, 0.3, substeps=24, closing=True)
     return sampled, built
 
 
@@ -246,7 +247,7 @@ def test_builds_sample_once_and_share_one_schedule_builder(rows, monkeypatch):
     # samples its first cell row only, and both marches build one cell
     monkeypatch.setattr(lax, "BUILD_CELLS", rows * 65)
     grid = PeriodicGrid(65, 65, 2 * np.pi, FLAT_LY)
-    xx, yy = grid.mesh()
+    xx, yy = mesh(grid)
     bumped = ScalarFieldPeriodic(grid, 0.01 * np.cos(xx) * np.cos(2 * np.pi * yy / grid.ly + 0.4))
     full = [(lax._coeff_x, (65, 1)), (lax._coeff_y, (rows, 65))]
     full += [(lax._coeff_y, (65 % rows, 65))] * (65 % rows > 0)
@@ -267,7 +268,7 @@ def _y_field(nx, ny=64):
     """u = 0.2 cos(2 pi y / ly) on nx columns and ny rows: a field of y
     alone."""
     grid = PeriodicGrid(nx, ny, 2 * np.pi, FLAT_LY)
-    return ScalarFieldPeriodic(grid, 0.2 * np.cos(2 * np.pi * grid.mesh()[1] / grid.ly))
+    return ScalarFieldPeriodic(grid, 0.2 * np.cos(2 * np.pi * mesh(grid)[1] / grid.ly))
 
 
 @pytest.mark.parametrize("case", ["flat64", "u0.4", "y128", "y64", "wave128y"])
@@ -294,11 +295,11 @@ def test_uniform_builds_leave_the_frame_bit_identical(wave61, case, monkeypatch)
         return seen[-1]
 
     monkeypatch.setattr(lax, "_alike", alike_spy)
-    one_cell = integrate_frame(u, SpectralPoint(theta), closing=True).unitary
+    one_cell = integrate_frame(u, theta, substeps=24, closing=True).unitary
     # (along, across) of the first row's march, then of the column march
     assert seen == want
     monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
-    full = integrate_frame(u, SpectralPoint(theta), closing=True).unitary
+    full = integrate_frame(u, theta, substeps=24, closing=True).unitary
     assert np.array_equal(one_cell, full) and one_cell.tobytes() == full.tobytes()
 
 
@@ -317,9 +318,10 @@ def test_field_of_y_alone_builds_one_cell_across(case, monkeypatch):
     assert sum(sampled, []) == list(range(u.grid.ny))
     per_build = max(1, lax.BUILD_CELLS // u.grid.nx)
     assert [batch for coeff, batch in built if coeff is lax._coeff_y] == [(per_build, 1)]
-    one_cell = integrate_frame(u, SpectralPoint(0.3), closing=True).unitary
+    one_cell = integrate_frame(u, 0.3, substeps=24, closing=True).unitary
     monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
-    assert one_cell.tobytes() == integrate_frame(u, SpectralPoint(0.3), closing=True).unitary.tobytes()
+    full = integrate_frame(u, 0.3, substeps=24, closing=True).unitary
+    assert one_cell.tobytes() == full.tobytes()
 
 
 def test_one_ulp_in_x_builds_every_cell_across(monkeypatch):
@@ -364,9 +366,9 @@ def test_field_of_x_alone_leaves_the_frame_bit_identical(wave61, case, monkeypat
     # bit, here; the solved wave seed's node rows stay alike after Newton
     u = _x_alone(wave61, case)
     assert lax._alike((u.values, spectral_gradient(u.values, u.grid)[0]), 0)
-    one_row = integrate_frame(u, SpectralPoint(0.3), closing=True).unitary
+    one_row = integrate_frame(u, 0.3, substeps=24, closing=True).unitary
     monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
-    assert np.array_equal(one_row, integrate_frame(u, SpectralPoint(0.3), closing=True).unitary)
+    assert np.array_equal(one_row, integrate_frame(u, 0.3, substeps=24, closing=True).unitary)
 
 
 @pytest.mark.parametrize("ny", [11, 25, 49])
@@ -375,9 +377,9 @@ def test_field_of_x_alone_matches_the_per_row_path_to_rounding(wave61, ny, monke
     # differ from each other by FFT rounding, so the frame marched on the
     # first cell row's propagators differs from the per-row one by that
     u = _lifted(wave61, 64, ny)
-    one_row = integrate_frame(u, SpectralPoint(0.3), closing=True).unitary
+    one_row = integrate_frame(u, 0.3, substeps=24, closing=True).unitary
     monkeypatch.setattr(lax, "_alike", lambda planes, axis: False)
-    per_row = integrate_frame(u, SpectralPoint(0.3), closing=True).unitary
+    per_row = integrate_frame(u, 0.3, substeps=24, closing=True).unitary
     assert np.abs(one_row - per_row).max() <= 1e-14
 
 

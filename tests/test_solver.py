@@ -3,19 +3,12 @@ import pytest
 
 from tzitzeica import solver
 from tzitzeica.errors import NewtonDivergenceError, ResonanceError
-from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic, field_from_function, zero_field
-from tzitzeica.solver import (
-    laplacian_matrix,
-    laplacian_symbol,
-    minres,
-    newton_solve,
-    pde_residual,
-    splu,
-)
+from tzitzeica.grid import PeriodicGrid, ScalarFieldPeriodic, zero_field
+from tzitzeica.solver import laplacian_matrix, laplacian_symbol, minres, newton_solve, splu
 from tzitzeica.wave import lift_1d, travelling_wave
 
-from conftest import loglog_slope
-from oracles import laplacian_fd4, minres_allocating, newton_lu
+from conftest import field_from_function, loglog_slope, mesh
+from oracles import laplacian_fd4, minres_allocating, newton_lu, pde_residual
 
 
 def test_residual_zero_field():
@@ -41,7 +34,7 @@ def test_residual_matches_symbolic_evaluation():
             return 0.3 * np.sin(kx * x) * np.cos(ky * y)
 
         u = field_from_function(g, f)
-        xx, yy = g.mesh()
+        xx, yy = mesh(g)
         lap_exact = -(kx**2 + ky**2) * f(xx, yy)
         exact = lap_exact - 4.0 * np.exp(-2.0 * u.values) + 4.0 * np.exp(u.values)
         errs.append(np.abs(pde_residual(u) - exact).max())
@@ -72,7 +65,7 @@ def test_laplacian_matrix_matches_stencil():
 
 def test_newton_zero_seed_returns_immediately():
     g = PeriodicGrid(16, 16, 1.0, 1.0)
-    res = newton_solve(zero_field(g), 1e-10)
+    res = newton_solve(zero_field(g), 1e-10, 30)
     assert res.iterations == 0
     assert res.final_residual == 0.0
     assert np.all(res.field.values == 0.0)
@@ -97,7 +90,7 @@ def perturbed_wave64():
     profile = travelling_wave(6.5)
     g = PeriodicGrid(64, 64, profile.period, 2.0 * np.pi / np.sqrt(3.0))
     lift = lift_1d(profile, g)
-    _xx, yy = g.mesh()
+    _xx, yy = mesh(g)
     return ScalarFieldPeriodic(g, lift.values + 0.02 * np.cos(2 * np.pi * yy / g.ly)), lift
 
 
@@ -172,7 +165,7 @@ def wave128_seed():
     plus a smooth perturbation of sup norm 0.02, even in x."""
     profile = travelling_wave(6.5)
     g = PeriodicGrid(128, 128, profile.period, 2.0 * np.pi / np.sqrt(3.0))
-    xx, yy = g.mesh()
+    xx, yy = mesh(g)
     kx, ky = 2.0 * np.pi * xx / g.lx, 2.0 * np.pi * yy / g.ly
     shape = (np.cos(ky) + 0.6 * np.cos(kx) * np.cos(ky + 0.7)
              + 0.4 * np.cos(2.0 * kx) * np.cos(2.0 * ky + 1.9) + 0.3 * np.cos(kx))
@@ -307,15 +300,15 @@ def test_newton_rejects_resonant_grid():
     h = np.sqrt(-num / 144.0)
     g = PeriodicGrid(n, 8, n * h, 0.5)
     # u = 0 solves the equation on any grid and takes no step, so it passes
-    assert newton_solve(zero_field(g), 1e-10).iterations == 0
+    assert newton_solve(zero_field(g), 1e-10, 30).iterations == 0
     # a seed that needs a step is rejected, with its residual kept
     seed = field_from_function(g, lambda x, y: 1e-3 * np.cos(2 * np.pi * x / g.lx))
     with pytest.raises(ResonanceError) as caught:
-        newton_solve(seed, 1e-10)
+        newton_solve(seed, 1e-10, 30)
     assert len(caught.value.residuals) == 1 and caught.value.residuals[0] > 1e-10
 
 
 def test_newton_rejects_bad_tol():
     g = PeriodicGrid(16, 16, 1.0, 1.0)
     with pytest.raises(ValueError):
-        newton_solve(zero_field(g), -1.0)
+        newton_solve(zero_field(g), -1.0, 30)

@@ -3,7 +3,6 @@ import pytest
 
 from tzitzeica.errors import IncommensuratePeriodError
 from tzitzeica.grid import PeriodicGrid
-from tzitzeica.solver import pde_residual
 from tzitzeica.wave import (
     DRIFT_TOL,
     WaveProfile1D,
@@ -14,7 +13,7 @@ from tzitzeica.wave import (
 )
 
 from conftest import loglog_slope
-from oracles import shoot, trig_profile, turning_points
+from oracles import pde_residual, shoot, trig_profile, turning_points
 
 SMALL_OSC_PERIOD = 2.0 * np.pi / np.sqrt(12.0)
 
