@@ -60,8 +60,10 @@ names, without numpy warnings.
 
 The report needs the frame's derivatives, and the frame equation gives them
 exactly at every node: d_x U = U Wx and d_y U = U Wy, with the generators
-built from the node's own u and grid.spectral_gradient.  frame_axis_stencil
-forms both, one block of node rows at a time, and hands them with the
+written by the march's own call lists (_coeff_x, _coeff_y) at the node's u
+and the grid.spectral_gradient of the frame's field, which
+frame_axis_stencil forms from the frame as integrate_frame does.  It forms
+both products, one block of node rows at a time, and hands them with the
 block's frames to one reduction; nothing is marched or sampled between
 nodes for them.
 
@@ -135,28 +137,6 @@ def _coeff_y(u, ux, lam, out, emu, eh):
         (np.positive, (eh,), out[2, 1, ...]),
         (np.positive, (0j,), out[2, 2, ...]),
     ]
-
-
-def _generator(coeff, u, across, lam, out):
-    """Run coeff's calls at samples u, across into out and return out's
-    (..., 3, 3) view."""
-    exps = np.empty((2,) + np.shape(u))
-    _run(coeff(u, across, lam, out, exps[0, ...], exps[1, ...]))
-    return np.moveaxis(out, (0, 1), (-2, -1))
-
-
-def frame_coeff_x(u, uy, lam, out):
-    """Generator Wx of d_x U = U Wx; anti-Hermitian for |lam| = 1.  Written
-    plane by plane into out, a (3, 3) + shape(u) buffer with the matrix axes
-    first, and returned as its (..., 3, 3) view."""
-    return _generator(_coeff_x, u, uy, lam, out)
-
-
-def frame_coeff_y(u, ux, lam, out):
-    """Generator Wy of d_y U = U Wy; anti-Hermitian for |lam| = 1.  Written
-    plane by plane into out, a (3, 3) + shape(u) buffer with the matrix axes
-    first, and returned as its (..., 3, 3) view."""
-    return _generator(_coeff_y, u, ux, lam, out)
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +378,18 @@ def integrate_frame(u, theta, substeps, closing):
     return frame
 
 
-def frame_axis_stencil(frame, grads, reduce):
+def frame_axis_stencil(frame, reduce):
     """Call reduce(block, frames, derivatives) with the base-node frames U
     and the first two columns of the exact derivatives d_x U = U Wx and
     d_y U = U Wy, one block of node rows at a time.
 
-    Wx and Wy are built at the nodes from u and the derivative across each
-    axis, grads = (u_x, u_y) of grid.spectral_gradient, the same samples the
-    frame's generators read, so nothing is marched or sampled between nodes.  The
-    blocks hold STENCIL_BLOCK_NODES nodes (at least one row), so memory does
-    not grow with the grid.  For each block, reduce gets the slice of its
-    node rows, the (3, 3, rows, nx) frames and the (2, 3, 2, rows, nx)
+    Wx and Wy are written at the nodes by the march's own call lists,
+    _coeff_x and _coeff_y, from u and the derivative across each axis, the
+    (u_x, u_y) that grid.spectral_gradient forms from frame.u as
+    integrate_frame does, so nothing is marched or sampled between nodes.
+    The blocks hold STENCIL_BLOCK_NODES nodes (at least one row), so memory
+    does not grow with the grid.  For each block, reduce gets the slice of
+    its node rows, the (3, 3, rows, nx) frames and the (2, 3, 2, rows, nx)
     derivatives, the axis first and then the matrix axes; it keeps what it
     needs of them, for their buffer is reused by the next block.  Every node
     is computed on its own, so what reduce gets does not depend on the block
@@ -417,7 +398,8 @@ def frame_axis_stencil(frame, grads, reduce):
     """
     grid, lam = frame.grid, frame.lam
     u = frame.u.values
-    axes = ((frame_coeff_x, grads[1]), (frame_coeff_y, grads[0]))
+    ux, uy = spectral_gradient(u, grid)
+    axes = ((_coeff_x, uy), (_coeff_y, ux))
     base = np.moveaxis(frame.base, (-2, -1), (0, 1))
     rows = max(1, STENCIL_BLOCK_NODES // grid.nx)
     shape = None
@@ -428,11 +410,12 @@ def frame_axis_stencil(frame, grads, reduce):
             # buffers shared by every block of this shape (only a shorter
             # last block differs); the old ones are released first
             shape = frames.shape[2:]
-            gen = derivs = tmp = None
+            gen = exps = derivs = tmp = None
             gen = np.empty((3, 3) + shape, dtype=complex)
+            exps = np.empty((2,) + shape)
             derivs = np.empty((2, 3, 2) + shape, dtype=complex)
             tmp = np.empty((3, 2) + shape, dtype=complex)
-        for (builder, across), out in zip(axes, derivs):
-            builder(u[block], across[block], lam, gen)
+        for (coeff, across), out in zip(axes, derivs):
+            _run(coeff(u[block], across[block], lam, gen, exps[0], exps[1]))
             _mul3(frames, gen[:, :2], out, tmp)
         reduce(block, frames, derivs)

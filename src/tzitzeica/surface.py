@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from . import invariants as inv
-from .grid import spectral_gradient
 from .lax import _mul3, frame_axis_stencil
 from .linalg3 import hermitian_inner
 
@@ -67,9 +66,9 @@ def extract_second_form(frame, radius):
     formula both outputs are the normal part of d_i E_j, its projection onto
     (F1, F2, N) = (i E1, i E2, N), which annihilates the tangent (u_i / 2) E_j:
     only T_j(U W_i) is projected.  U W_x and U W_y exist one block of node
-    rows at a time (lax.frame_axis_stencil), from grid.spectral_gradient as
-    the frame's generators read it.  Each block's tangents, F_k and normal
-    are formed once, so no whole-grid tangent or derivative exists.
+    rows at a time (lax.frame_axis_stencil, which reads u's gradient from
+    the frame as the march does).  Each block's tangents, F_k and normal are
+    formed once, so no whole-grid tangent or derivative exists.
     """
     grid = frame.grid
     u = frame.u.values
@@ -101,7 +100,7 @@ def extract_second_form(frame, radius):
                     tens[k, i, j][block] = proj / conf[block]
                 ncoeff[i, j][block] = hermitian_inner(normal, partial)
 
-    frame_axis_stencil(frame, spectral_gradient(u, grid), project)
+    frame_axis_stencil(frame, project)
     return tens, ncoeff, tuple(map(float, first))
 
 

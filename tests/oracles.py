@@ -32,8 +32,9 @@ every vector update cross-checks the in-place solver.minres bit for bit.
 The z / zbar linear system the frame generators are derived from also lives
 here, with its bilinear pairing laws and its one-cell compatibility check,
 each at the spectral parameter lam = e^{i theta} formed as the frame forms
-it: the frame generators of tzitzeica.lax are checked against its gauge
-transform, and the marched psi (tests/reference_march.reference_psi)
+it: the frame generators that the march's own call lists write
+(lax._coeff_x and lax._coeff_y, run by generator) are checked against its
+gauge transform, and the marched psi (tests/reference_march.reference_psi)
 against the pairing laws.
 """
 
@@ -42,9 +43,9 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import spsolve
 
+from tzitzeica import lax
 from tzitzeica.grid import AXIS_X, AXIS_Y, _trig_phases, deriv, deriv2, spectral_gradient
 from tzitzeica.invariants import NODE_X, NODE_Y, christoffel_from_field
-from tzitzeica.lax import frame_coeff_x, frame_coeff_y
 from tzitzeica.linalg3 import hermitian_inner
 from tzitzeica.solver import laplacian_symbol
 from tzitzeica.wave import _cubic_roots, period_quadrature
@@ -224,8 +225,8 @@ def second_form_with_connection(frame, radius):
     normal = np.moveaxis(frame.normal, -1, 0)
     tens = np.empty((2, 2, 2) + u.shape)
     ncoeff = np.empty((2, 2) + u.shape, dtype=complex)
-    for i, (coeff, across) in enumerate(((frame_coeff_x, grads[1]), (frame_coeff_y, grads[0]))):
-        uw = frame.base @ coeff(u, across, lam, np.empty((3, 3) + u.shape, dtype=complex))
+    for i, (coeff, across) in enumerate(((lax._coeff_x, grads[1]), (lax._coeff_y, grads[0]))):
+        uw = frame.base @ generator(coeff, u, across, lam)
         from_uw = _tangent_map(uw, u, lam, radius)
         for j in range(2):
             nab = 0.5 * grads[i] * tangents[j] + from_uw[j]
@@ -364,6 +365,18 @@ def newton_lu(values, grid, tol, max_iter):
 # ---------------------------------------------------------------------------
 # the psi system, its zero-curvature diagnostic and its bilinear pairing
 # ---------------------------------------------------------------------------
+
+
+def generator(coeff, u, cross, lam):
+    """The frame generator that coeff, the march's call list lax._coeff_x or
+    lax._coeff_y, writes at samples u and cross (u_y for Wx, u_x for Wy),
+    run through lax._run and returned as new (..., 3, 3) matrices."""
+    shape = np.shape(u)
+    out = np.empty((3, 3) + shape, dtype=complex)
+    exps = np.empty((2,) + shape)
+    # [i, ...] is a view of the plane even for a scalar u
+    lax._run(coeff(u, cross, lam, out, exps[0, ...], exps[1, ...]))
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def lax_z_matrix(u, u_z, lam):

@@ -2,8 +2,10 @@
 
 Every RK4 substep is taken on the state itself, one Python-level step at a
 time, with no propagator products and no reuse of periodic cells.  Its
-coefficient samples come from its own zero-padding interpolation,
-zero_pad_upsample, which shares no code with the phase-shift sampler
+generators are the package's own: the march's call lists lax._coeff_x and
+lax._coeff_y, run at each sample by oracles.generator.  Its coefficient
+samples come from its own zero-padding interpolation, zero_pad_upsample,
+which shares no code with the phase-shift sampler
 tzitzeica.grid.trig_upsample.  It is the oracle the propagator-form core in
 tzitzeica.lax is checked against, the source of the y-first frame of the
 path-dependence check, and the marcher of the psi system whose pairing laws
@@ -13,9 +15,9 @@ the tests check.
 import numpy as np
 
 from tzitzeica.grid import AXIS_X, AXIS_Y, spectral_gradient
-from tzitzeica.lax import frame_coeff_x, frame_coeff_y
+from tzitzeica.lax import _coeff_x, _coeff_y
 
-from oracles import lax_z_matrix, lax_zbar_matrix, spectral_parameter
+from oracles import generator, lax_z_matrix, lax_zbar_matrix, spectral_parameter
 
 
 def zero_pad_upsample(values, factor, axis):
@@ -38,12 +40,6 @@ def zero_pad_upsample(values, factor, axis):
     return np.moveaxis(out, 0, axis).real
 
 
-def generator(builder, u, cross, lam):
-    """The generator builder writes for samples u and cross, as new (..., 3, 3)
-    matrices."""
-    return builder(u, cross, lam, np.empty((3, 3) + np.shape(u), dtype=complex))
-
-
 def rk4_step(state, om0, omh, om1, h):
     k1 = state @ om0
     k2 = (state + 0.5 * h * k1) @ omh
@@ -52,36 +48,37 @@ def rk4_step(state, om0, omh, om1, h):
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def march(state, coeffs, builder, lam, h, ncells, m):
-    """States at the ncells+1 cell boundaries; coeffs, the builder's inputs
-    before lam, hold 2*m*ncells + 1 half-substep samples along axis 0."""
+def march(state, samples, coeff, lam, h, ncells, m):
+    """States at the ncells+1 cell boundaries; samples, the inputs of the call
+    list coeff before lam, hold 2*m*ncells + 1 half-substep samples along
+    axis 0."""
     stored = np.empty((ncells + 1,) + state.shape, dtype=complex)
     stored[0] = state
-    om_right = generator(builder, *(a[0] for a in coeffs), lam)
+    om_right = generator(coeff, *(a[0] for a in samples), lam)
     hs = h / m
     for c in range(ncells):
         for s in range(m):
             p = 2 * (c * m + s)
-            omh = generator(builder, *(a[p + 1] for a in coeffs), lam)
-            om1 = generator(builder, *(a[p + 2] for a in coeffs), lam)
+            omh = generator(coeff, *(a[p + 1] for a in samples), lam)
+            om1 = generator(coeff, *(a[p + 2] for a in samples), lam)
             state = rk4_step(state, om_right, omh, om1, hs)
             om_right = om1
         stored[c + 1] = state
     return stored
 
 
-def _rows_then_columns(vals, d1, d2, n1, n2, h1, h2, build1, build2, lam, m, e1, e2, u0):
+def _rows_then_columns(vals, d1, d2, n1, n2, h1, h2, coeff1, coeff2, lam, m, e1, e2, u0):
     """vals and its derivatives d1, d2 along the first and second march
     directions are (n2, n1); each march's generator reads vals and the
     derivative across that march."""
     n1_tot, n2_tot = n1 + e1, n2 + e2
     idx1 = np.arange(2 * m * (n1_tot - 1) + 1) % (2 * m * n1)
     row = tuple(zero_pad_upsample(a[0], 2 * m, axis=0)[idx1] for a in (vals, d2))
-    first = march(u0, row, build1, lam, h1, n1_tot - 1, m)
+    first = march(u0, row, coeff1, lam, h1, n1_tot - 1, m)
     cols_idx = np.arange(n1_tot) % n1
     idx2 = np.arange(2 * m * (n2_tot - 1) + 1) % (2 * m * n2)
     cols = tuple(zero_pad_upsample(a, 2 * m, axis=0)[np.ix_(idx2, cols_idx)] for a in (vals, d1))
-    return march(first, cols, build2, lam, h2, n2_tot - 1, m)
+    return march(first, cols, coeff2, lam, h2, n2_tot - 1, m)
 
 
 def reference_frame(u, theta, substeps, extend=(0, 0), order="xy"):
@@ -94,11 +91,11 @@ def reference_frame(u, theta, substeps, extend=(0, 0), order="xy"):
     ux, uy = spectral_gradient(u.values, g)
     if order == "xy":
         return _rows_then_columns(
-            u.values, ux, uy, g.nx, g.ny, g.hx, g.hy, frame_coeff_x, frame_coeff_y,
+            u.values, ux, uy, g.nx, g.ny, g.hx, g.hy, _coeff_x, _coeff_y,
             lam, m, extend[0], extend[1], u0,
         )
     swapped = _rows_then_columns(
-        u.values.T, uy.T, ux.T, g.ny, g.nx, g.hy, g.hx, frame_coeff_y, frame_coeff_x,
+        u.values.T, uy.T, ux.T, g.ny, g.nx, g.hy, g.hx, _coeff_y, _coeff_x,
         lam, m, extend[1], extend[0], u0,
     )
     return np.swapaxes(swapped, 0, 1)
@@ -111,16 +108,16 @@ def reference_stencil(frame, axis, halfwidth=2):
     u = frame.u
     ux, uy = spectral_gradient(u.values, g)
     if axis == "x":
-        ax, n, h, cross, builder = AXIS_X, g.nx, g.hx, uy, frame_coeff_x
+        ax, n, h, cross, coeff = AXIS_X, g.nx, g.hx, uy, _coeff_x
     else:
-        ax, n, h, cross, builder = AXIS_Y, g.ny, g.hy, ux, frame_coeff_y
+        ax, n, h, cross, coeff = AXIS_Y, g.ny, g.hy, ux, _coeff_y
     node_idx = np.arange(n) * 2 * m
     fine = [zero_pad_upsample(a, 2 * m, axis=ax) for a in (u.values, cross)]
 
     def om_at(offset):
         idx = (node_idx + offset) % (2 * m * n)
         c = [a[:, idx] if ax == AXIS_X else a[idx, :] for a in fine]
-        return generator(builder, c[0], c[1], frame.lam)
+        return generator(coeff, c[0], c[1], frame.lam)
 
     frames = {0: frame.base.copy()}
     for sign in (+1, -1):

@@ -15,7 +15,7 @@ from tzitzeica import cli
 from tzitzeica.config import parse_config_text
 from tzitzeica.grid import PeriodicGrid, grid_record, save_table, zero_field
 from tzitzeica.invariants import closed_form_tensor, trace_vector
-from tzitzeica.lax import frame_coeff_x, frame_coeff_y, integrate_frame
+from tzitzeica.lax import _coeff_x, _coeff_y, integrate_frame
 from tzitzeica.solver import laplacian_symbol, newton_solve, resonance_gap
 from tzitzeica.surface import extract_second_form, normality_map
 from tzitzeica.wave import lift_1d, period_quadrature, travelling_wave
@@ -23,6 +23,7 @@ from tzitzeica.wave import lift_1d, period_quadrature, travelling_wave
 from conftest import COSINE_SIDE, cosine_seed, field_from_function, loglog_slope
 from oracles import (
     compatibility_residual,
+    generator,
     lax_z_matrix,
     lax_zbar_matrix,
     pairing_derivative_x,
@@ -32,7 +33,7 @@ from oracles import (
     spectral_parameter,
     tangent_analytic,
 )
-from reference_march import generator, reference_frame, reference_psi
+from reference_march import reference_frame, reference_psi
 
 FLAT_LX = float(2.0 * np.pi)
 FLAT_LY = float(2.0 * np.pi / np.sqrt(3.0))
@@ -140,8 +141,8 @@ def test_criterion_2_sign_convention_lock():
         wy = (uy * dlog @ d + 1j * d @ (a_num - b_num)) @ np.linalg.inv(d)
         gauge_defect = max(
             gauge_defect,
-            np.abs(wx - generator(frame_coeff_x, uval, uy, lamval).T).max(),
-            np.abs(wy - generator(frame_coeff_y, uval, ux, lamval).T).max(),
+            np.abs(wx - generator(_coeff_x, uval, uy, lamval).T).max(),
+            np.abs(wy - generator(_coeff_y, uval, ux, lamval).T).max(),
         )
     assert gauge_defect <= 1e-13, f"frame generators vs gauge-transformed psi system {gauge_defect}"
     # cross-differentiation: d_zb A - d_z B + [A, B] = 0 forces the PDE sign
@@ -241,8 +242,8 @@ def _expm_eig(mat):
 def test_criterion_5_frame_convergence(wave61):
     theta = 0.3
     lam = spectral_parameter(theta)
-    wx = generator(frame_coeff_x, 0.0, 0.0, lam)
-    wy = generator(frame_coeff_y, 0.0, 0.0, lam)
+    wx = generator(_coeff_x, 0.0, 0.0, lam)
+    wy = generator(_coeff_y, 0.0, 0.0, lam)
     assert np.abs(wx @ wy - wy @ wx).max() < 1e-14  # oracle factorizes
     errs, hs = [], []
     for n in (32, 64, 128):

@@ -5,13 +5,14 @@ import scipy.linalg
 
 from tzitzeica import lax
 from tzitzeica.grid import PeriodicGrid, zero_field
-from tzitzeica.lax import frame_coeff_x, frame_coeff_y, integrate_frame
+from tzitzeica.lax import _coeff_x, _coeff_y, integrate_frame
 from tzitzeica.linalg3 import unitarity_defect_map
 from tzitzeica.wave import lift_1d
 
 from conftest import field_from_function, loglog_slope
 from oracles import (
     compatibility_residual,
+    generator,
     lax_z_matrix,
     lax_zbar_matrix,
     pairing_derivative_x,
@@ -20,7 +21,7 @@ from oracles import (
     pde_residual,
     spectral_parameter,
 )
-from reference_march import generator, reference_psi
+from reference_march import reference_psi
 
 
 def test_frame_parameter_is_the_unit_modulus_lam_of_its_theta():
@@ -36,23 +37,27 @@ def test_frame_coefficients_are_anti_hermitian():
     for _ in range(100):
         u, ux, uy = rng.uniform(-1, 1, 3)
         lam = spectral_parameter(rng.uniform(0, 2 * np.pi))
-        for coeff in (generator(frame_coeff_x, u, uy, lam), generator(frame_coeff_y, u, ux, lam)):
+        for coeff in (generator(_coeff_x, u, uy, lam), generator(_coeff_y, u, ux, lam)):
             assert np.abs(coeff + coeff.conj().T).max() < 1e-13
 
 
 def test_frame_components_consistent_with_psi_system():
     # columns (e^{u/2} psi1, e^{-u/2} psi2, psi3) of a psi-solution evolve by
-    # the x-direction frame generator
+    # the frame generators: d_x = d_z + d_zbar moves psi by A + B, and
+    # d_y = i (d_z - d_zbar) by i (A - B)
     rng = np.random.default_rng(5)
     for _ in range(20):
         u, ux, uy = rng.uniform(-1, 1, 3)
         lam = spectral_parameter(rng.uniform(0, 2 * np.pi))
         uz = 0.5 * (ux - 1j * uy)
-        mx = lax_z_matrix(u, uz, lam) + lax_zbar_matrix(u, lam)
+        a, b = lax_z_matrix(u, uz, lam), lax_zbar_matrix(u, lam)
         d = np.diag([np.exp(u / 2), np.exp(-u / 2), 1.0])
         d_x = np.diag([ux / 2 * np.exp(u / 2), -ux / 2 * np.exp(-u / 2), 0.0])
-        ax = (d_x + d @ mx) @ np.linalg.inv(d)
-        assert np.abs(ax - generator(frame_coeff_x, u, uy, lam).T).max() < 1e-12
+        d_y = np.diag([uy / 2 * np.exp(u / 2), -uy / 2 * np.exp(-u / 2), 0.0])
+        ax = (d_x + d @ (a + b)) @ np.linalg.inv(d)
+        ay = (d_y + 1j * d @ (a - b)) @ np.linalg.inv(d)
+        assert np.abs(ax - generator(_coeff_x, u, uy, lam).T).max() < 1e-12
+        assert np.abs(ay - generator(_coeff_y, u, ux, lam).T).max() < 1e-12
 
 
 def test_compatibility_zero_field():
@@ -85,8 +90,8 @@ def _expm_eig(mat):
 def test_integrate_frame_flat_matches_exponential_oracle():
     g = PeriodicGrid(32, 32, 1.0, 1.0)
     frame = integrate_frame(zero_field(g), 0.0, substeps=4, closing=False)
-    wx = generator(frame_coeff_x, 0.0, 0.0, frame.lam)
-    wy = generator(frame_coeff_y, 0.0, 0.0, frame.lam)
+    wx = generator(_coeff_x, 0.0, 0.0, frame.lam)
+    wy = generator(_coeff_y, 0.0, 0.0, frame.lam)
     for (i, j) in ((5, 0), (0, 9), (17, 23), (31, 31)):
         exact = _expm_eig(i * g.hx * wx) @ _expm_eig(j * g.hy * wy)
         assert np.abs(frame.base[j, i] - exact).max() < 1e-9
