@@ -16,7 +16,6 @@ import gc
 if __name__ == "__main__":
     gc.disable()  # a stage process runs without the cyclic collector, numpy's import included
 
-import importlib  # noqa: E402
 import math  # noqa: E402
 import os  # noqa: E402
 import sys  # noqa: E402
@@ -48,34 +47,28 @@ REPORT_JSON = "report.json"
 MESH_STEM = "mesh"
 FRAME_TOL = 1e-8  # bound on the unitarity defect of a frame the stages write or read
 
-# the layers whose functions the stages call through this module's globals,
-# where the benchmark's tracer wraps them, and those names; a stage process
-# imports only the layers its _STAGES entry lists
-_LAYERS = {
-    "lax": ("integrate_frame",),
-    "solver": ("newton_solve",),
-    "surface": ("build_surface", "full_report"),
-}
+
+# the layer functions the stages call through this module's globals, where
+# the benchmark's tracer wraps them; each imports its layer at its first
+# call, so a stage process imports only the layers its stage calls
+def newton_solve(u0, tol, max_iter):
+    from .solver import newton_solve
+    return newton_solve(u0, tol, max_iter)
 
 
-def _bind(layers):
-    """Import each of the layers and bind its _LAYERS names into this
-    module's globals; a name already bound (a wrapper the tracer or a test
-    put there) stays."""
-    for layer in layers:
-        module = importlib.import_module(f"{__package__}.{layer}")
-        for name in _LAYERS[layer]:
-            globals().setdefault(name, getattr(module, name))
+def integrate_frame(u, theta, substeps, closing):
+    from .lax import integrate_frame
+    return integrate_frame(u, theta, substeps, closing)
 
 
-def __getattr__(name):
-    """A layer's name read from outside before a stage has bound it (the
-    tracer's getattr, a test's monkeypatch) binds its layer (PEP 562)."""
-    for layer, names in _LAYERS.items():
-        if name in names:
-            _bind((layer,))
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def build_surface(frame, radius):
+    from .surface import build_surface
+    return build_surface(frame, radius)
+
+
+def full_report(frame, radius):
+    from .surface import full_report
+    return full_report(frame, radius)
 
 
 class StageLog:
@@ -128,7 +121,7 @@ def load_frame(path, u, theta, substeps, closing, field_sha256, digest=False):
     record = frame_record(u.grid, theta, substeps, closing, field_sha256)
     nodes = (u.grid.ny + closing, u.grid.nx + closing, 3, 3)
     mats, frame_sha256 = load_nodes(path, "frame", record, nodes, digest=digest)
-    return FrameField(u, theta, mats, closing, substeps), frame_sha256
+    return FrameField(u, theta, mats, substeps), frame_sha256
 
 
 def write_report_json(report, path):
@@ -255,16 +248,14 @@ def stage_export(cfg, out_dir, log):
         log.add(f"wrote {os.path.basename(p)}")
 
 
-# each stage, the files it writes into the output directory and the layers
-# (_LAYERS) it calls
+# each stage and the files it writes into the output directory
 _STAGES = {
-    "solve": (stage_solve, (FIELD_FILE,), ("solver",)),
-    "wave": (stage_wave, (WAVE_CSV,), ()),
-    "frame": (stage_frame, (FRAME_FILE,), ("lax",)),
-    "surface": (stage_surface, (MESH_FILE,), ("lax", "surface")),
-    "report": (stage_report, (REPORT_JSON,), ("lax", "surface")),
-    "export": (stage_export, tuple(MESH_STEM + suffix for suffix in meshout.EXPORT_SUFFIXES),
-               ("lax",)),
+    "solve": (stage_solve, (FIELD_FILE,)),
+    "wave": (stage_wave, (WAVE_CSV,)),
+    "frame": (stage_frame, (FRAME_FILE,)),
+    "surface": (stage_surface, (MESH_FILE,)),
+    "report": (stage_report, (REPORT_JSON,)),
+    "export": (stage_export, tuple(MESH_STEM + suffix for suffix in meshout.EXPORT_SUFFIXES)),
 }
 
 
@@ -274,16 +265,10 @@ def run_pipeline(cfg, stage, out_dir=None, echo=True):
     included, or an output directory that cannot be made (then no log is
     written), and NumericalFailure, naming the original type, for any other
     exception.  A stage that raises removes the files it writes and keeps its
-    log, if the log can be written.  Every layer is bound at the first call,
-    so a stage never imports one in the middle of a caller's work."""
+    log, if the log can be written.  A stage imports the layers it calls at
+    their first call."""
     if stage not in _STAGES:
         raise ConfigValidationError(f"unknown stage {stage!r}; choose from {tuple(_STAGES)}")
-    _bind(_LAYERS)
-    return _run_stage(cfg, stage, out_dir, echo)
-
-
-def _run_stage(cfg, stage, out_dir, echo):
-    """run_pipeline's stage run, with its layers bound by the caller."""
     out_dir = out_dir or cfg.out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -334,8 +319,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = parse_config(args.config)
-        _bind(_STAGES[args.stage][2])  # only the stage's own layers
-        _run_stage(cfg, args.stage, args.out, True)
+        run_pipeline(cfg, args.stage, args.out)
     except PipelineError as exc:
         print(f"{exc}", file=sys.stderr)
         print(f"error: {exc.name}", file=sys.stderr)

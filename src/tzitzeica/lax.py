@@ -311,12 +311,15 @@ class FrameField:
     u: ScalarFieldPeriodic = field(repr=False)
     theta: float
     unitary: np.ndarray = field(repr=False)
-    closing: bool
     substeps: int
 
     @property
     def grid(self):
         return self.u.grid
+
+    @property
+    def closing(self):
+        return len(self.unitary) > self.grid.ny
 
     @property
     def lam(self):
@@ -362,7 +365,7 @@ def integrate_frame(u, theta, substeps, closing):
     ux, uy = spectral_gradient(vals, grid)
     unitary = np.empty((grid.ny + extra, grid.nx + extra, 3, 3), dtype=complex)
     unitary[0, 0] = np.eye(3)
-    frame = FrameField(u, theta, unitary, bool(closing), m)
+    frame = FrameField(u, theta, unitary, m)
     lam = frame.lam
     # an overflowing march leaves NaN frames; the caller's unitarity bound names them
     with np.errstate(over="ignore", invalid="ignore"):

@@ -355,6 +355,7 @@ def test_stage_process_loads_only_its_stage_and_runs_without_the_collector(tmp_p
 FRESH_LOAD_FRAME = """\
 import sys
 from tzitzeica import cli
+print(all(hasattr(cli, name) for name in sys.argv[2:]))
 print(*sorted(m for m in sys.modules if m.startswith("tzitzeica.")))
 cfg = cli.parse_config(sys.argv[1])
 grid = cli.PeriodicGrid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
@@ -362,7 +363,6 @@ u, field_sha256 = cli.load_saved_field(f"{cfg.out_dir}/{cli.FIELD_FILE}", grid)
 frame, _ = cli.load_frame(f"{cfg.out_dir}/{cli.FRAME_FILE}", u, cfg.theta, cfg.substeps,
                           cfg.extend_closure, field_sha256)
 print(frame.unitary.tobytes().hex())
-print(all(hasattr(cli, name) for name in sys.argv[2:]))
 """
 
 
@@ -381,11 +381,11 @@ def test_fresh_import_of_cli_loads_no_layer_and_reads_a_frame(tmp_path):
     proc = subprocess.run([sys.executable, "-c", FRESH_LOAD_FRAME, cfg, *names],
                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    modules, unitary, resolved = proc.stdout.strip().splitlines()
+    resolved, modules, unitary = proc.stdout.strip().splitlines()
+    # each name the tracer wraps in cli resolves, and reading it loads no layer
+    assert "integrate_frame" in names and resolved == "True"
     assert {"tzitzeica.lax", "tzitzeica.solver", "tzitzeica.surface"} & set(modules.split()) == set()
     assert bytes.fromhex(unitary) == frame.unitary.tobytes()
-    # each name the tracer wraps in cli binds its layer when it is read
-    assert "integrate_frame" in names and resolved == "True"
 
 
 def test_in_process_stages_do_not_freeze(tmp_path, capsys):

@@ -457,64 +457,14 @@ def test_readme_config_table_lists_exactly_the_config_keys():
     assert readme_config_rows(readme) == [(f.name, _readme_default(f)) for f in fields(RunConfig)]
 
 
-def _assigned(tree, name):
-    """The expression a module's tree assigns to `name` at its top level."""
-    for node in tree.body:
+def _assigned_literal(source, name):
+    """The literal value a module assigns to `name` at its top level."""
+    for node in ast.parse(source).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            return node.value
+            return ast.literal_eval(node.value)
     raise LookupError(name)
-
-
-def _assigned_literal(source, name):
-    """The literal value a module assigns to `name` at its top level."""
-    return ast.literal_eval(_assigned(ast.parse(source), name))
-
-
-def unbound_layer_names(source):
-    """"stage:name" of each _LAYERS name that a stage function of a cli
-    source reads, in its body or in a top-level function it reaches by
-    name, while the stage's _STAGES entry, whose last item lists the layers
-    a stage process binds, lists none of that name's layers."""
-    tree = ast.parse(source)
-    layer_of = {name: layer for layer, names in _assigned_literal(source, "_LAYERS").items()
-                for name in names}
-    reads = {node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
-                         and isinstance(n.ctx, ast.Load)}
-             for node in tree.body if isinstance(node, ast.FunctionDef)}
-    stages = _assigned(tree, "_STAGES")
-    found = []
-    for key, entry in zip(stages.keys, stages.values):
-        todo, reached = [entry.elts[0].id], set()
-        while todo:
-            func = todo.pop()
-            reached.add(func)
-            todo += [name for name in reads[func] if name in reads and name not in reached]
-        bound = ast.literal_eval(entry.elts[-1])
-        read = set().union(*(reads[func] for func in reached))
-        found += [f"{key.value}:{name}" for name in sorted(read & layer_of.keys())
-                  if layer_of[name] not in bound]
-    return found
-
-
-def test_guard_flags_a_layer_name_its_stage_does_not_bind():
-    source = (
-        "_LAYERS = {'lax': ('integrate_frame',), 'surface': ('build_surface', 'full_report')}\n"
-        "def _load(path):\n    return integrate_frame(path)\n"
-        "def stage_a(cfg):\n    return _load(cfg)\n"
-        "def stage_b(cfg):\n    return full_report(build_surface(cfg))\n"
-        "def stage_c(cfg):\n    return _load(cfg), [build_surface][0](cfg), stage_c\n"
-        "_STAGES = {'a': (stage_a, ('a.bin',), ()), 'b': (stage_b, (), ('surface',)),\n"
-        "           'c': (stage_c, (), ('lax',))}\n"
-    )
-    assert unbound_layer_names(source) == ["a:integrate_frame", "c:build_surface"]
-
-
-def test_every_stage_binds_the_layers_it_calls():
-    # a stage process binds only its own layers, so a name of another layer
-    # would raise NameError there, never in process, where all are bound
-    assert unbound_layer_names((SRC / "cli.py").read_text()) == []
 
 
 def test_every_traced_attribute_resolves():
